@@ -5,8 +5,9 @@ Everything below is computed exactly over Q. Run as a script to follow
 along; each block prints what it found.
 """
 
-from arrgr import (braid, build, cone, delete, restrict_with_map, semiorder,
-                   circuits_from_arrangement, validate_circuit_axioms)
+from arrgr import (Arrangement, braid, cone, delete, restrict_with_map,
+                   semiorder, circuits_from_arrangement,
+                   validate_circuit_axioms)
 
 # A hyperplane arrangement is a list of labelled affine forms. The braid
 # arrangement on 3 coordinates has the three forms x_i - x_j.
@@ -40,7 +41,7 @@ report = validate_circuit_axioms(C)
 print("circuit axioms:", "all pass" if report.ok else report.violations)
 
 # A custom arrangement: three generic lines in the plane.
-G = build(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), -1)], ["a", "b", "c"])
+G = Arrangement(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), -1)], ["a", "b", "c"])
 print(f"\ngeneric 3 lines: {len(G.chambers())} chambers,",
       f"{len(circuits_from_arrangement(G).circuits)} circuits",
       "(the triple intersection is empty, so no circuit forms)")

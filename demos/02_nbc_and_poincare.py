@@ -7,8 +7,7 @@ recursion and a coning factorization.
 """
 
 from arrgr import (boolean, braid, cone, delete, restrict, semiorder,
-                   broken_circuits, format_poincare, nbc_counts, nbc_sets,
-                   poincare_from_nbc)
+                   broken_circuits, format_poincare, nbc_counts, nbc_sets)
 
 A = braid(3)
 bc = broken_circuits(A)
@@ -17,7 +16,7 @@ print("braid(3) broken circuits:",
 print("NBC sets by grade:", nbc_counts(A), "=",
       [sorted(sorted(A.labels[i] for i in s) for s in nbc_sets(A)
               if len(s) == k) for k in range(3)])
-print("Poincare polynomial:", format_poincare(poincare_from_nbc(A)), "\n")
+print("Poincare polynomial:", format_poincare(nbc_counts(A)), "\n")
 
 # The counts never depend on which ordering of the hyperplanes is used.
 print("reversed ordering gives the same counts:",
@@ -25,19 +24,19 @@ print("reversed ordering gives the same counts:",
 
 for name, arr in [("braid(4)", braid(4)), ("semiorder(3)", semiorder(3)),
                   ("boolean(3)", boolean(3))]:
-    print(f"{name}: {format_poincare(poincare_from_nbc(arr))}")
+    print(f"{name}: {format_poincare(nbc_counts(arr))}")
 
 # Deletion-restriction: Poin(A) = Poin(A') + t^2 Poin(A'').
 B = braid(4)
 for lab in B.labels[:2]:
-    left = poincare_from_nbc(B)
-    d = poincare_from_nbc(delete(B, lab))
-    r = poincare_from_nbc(restrict(B, lab))
+    left = nbc_counts(B)
+    d = nbc_counts(delete(B, lab))
+    r = nbc_counts(restrict(B, lab))
     print(f"\ndelete/restrict at {lab}:")
     print("  ", format_poincare(left), "=",
           f"[{format_poincare(d)}] + t^2 [{format_poincare(r)}]")
 
 # Coning multiplies the Poincare polynomial by (1 + t^2).
 S = semiorder(3)
-print("\nsemiorder(3):", format_poincare(poincare_from_nbc(S)))
-print("cone(semiorder(3)):", format_poincare(poincare_from_nbc(cone(S))))
+print("\nsemiorder(3):", format_poincare(nbc_counts(S)))
+print("cone(semiorder(3)):", format_poincare(nbc_counts(cone(S))))

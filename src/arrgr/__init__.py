@@ -8,17 +8,16 @@ symmetry groups.  Every computation is exact over Q.
 """
 
 from .arrangement import (AffineForm, Arrangement, arrangement_from_json,
-                          arrangement_to_json, boolean, braid, build, cone,
-                          delete, load_arrangement, restrict,
-                          restrict_with_map, save_arrangement, semiorder)
+                          arrangement_to_json, boolean, braid, cone, delete,
+                          load_arrangement, restrict, restrict_with_map,
+                          save_arrangement, semiorder)
 from .characters import (class_size, cycle_type, decompose_character,
                          mn_character, partition_str, partitions,
                          sn_character_table)
 from .circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
                        canonical_circuits, circuits_from_arrangement,
                        circuits_from_json, circuits_to_json, load_circuits,
-                       nbc_counts, nbc_sets, poincare_from_nbc,
-                       validate_circuit_axioms)
+                       nbc_counts, nbc_sets, validate_circuit_axioms)
 from .cordovil import (AlgebraElement, CordovilAlgebra, circuit_boundary,
                        cordovil_relation_families, leading_form_check,
                        minimal_empty_flat_subsets)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .circuits import SignedSet
-from .errors import DuplicateFormError, InputError
+from .errors import ConsistencyError, DuplicateFormError, InputError
 from .linalg import affine_system_consistent, frac, strict_feasible
 
 
@@ -134,32 +134,30 @@ class Arrangement:
     def signs_feasible(self, signs) -> bool:
         return strict_feasible(self.sign_constraints(signs), dim=self.dim)
 
+    def _memo(self, key, compute):
+        """The value cached on this instance under `key`; `compute()` fills
+        it on first use, and every later call returns the same object."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def chambers(self) -> tuple:
         """All feasible sign vectors, in lexicographic order ('+' < '-')."""
-        cached = self._cache.get("chambers")
-        if cached is not None:
-            return cached
-        out: list[str] = []
+        return self._memo("chambers", lambda: tuple(self._completions("")))
 
-        def extend(prefix: str):
-            if not self.signs_feasible(prefix):
-                return
-            if len(prefix) == self.n:
-                out.append(prefix)
-                return
-            extend(prefix + "+")
-            extend(prefix + "-")
-
-        extend("")
-        result = tuple(out)
-        self._cache["chambers"] = result
-        return result
+    def _completions(self, prefix: str):
+        """Chamber sign vectors extending `prefix`, in lexicographic order."""
+        if not self.signs_feasible(prefix):
+            return
+        if len(prefix) == self.n:
+            yield prefix
+            return
+        yield from self._completions(prefix + "+")
+        yield from self._completions(prefix + "-")
 
     def chamber_index(self, signs: str) -> int:
-        lookup = self._cache.get("chamber_index")
-        if lookup is None:
-            lookup = {c: i for i, c in enumerate(self.chambers())}
-            self._cache["chamber_index"] = lookup
+        lookup = self._memo("chamber_index",
+                            lambda: {c: i for i, c in enumerate(self.chambers())})
         return lookup[signs]
 
     def flat_nonempty(self, subset) -> bool:
@@ -186,9 +184,9 @@ class Arrangement:
         """All signed sets with empty open intersection whose proper signed
         subsets all have nonempty open intersection.  Enumerated by support
         size, so minimality reduces to not containing an earlier hit."""
-        cached = self._cache.get("min_infeasible")
-        if cached is not None:
-            return cached
+        return self._memo("min_infeasible", self._scan_minimal_infeasible)
+
+    def _scan_minimal_infeasible(self) -> tuple:
         found: list[SignedSet] = []
         for size in range(1, self.n + 1):
             for supp in combinations(range(self.n), size):
@@ -200,17 +198,10 @@ class Arrangement:
                         continue
                     if not self.signed_set_feasible(X):
                         found.append(X)
-        result = tuple(found)
-        self._cache["min_infeasible"] = result
-        return result
+        return tuple(found)
 
 
 # -- generators ------------------------------------------------------------
-
-
-def build(dim, forms, labels=None) -> Arrangement:
-    """Validate and build an arrangement from raw (linear, constant) pairs."""
-    return Arrangement(dim, forms, labels)
 
 
 def braid(n: int) -> Arrangement:
@@ -299,8 +290,9 @@ def restrict_with_map(A: Arrangement, h):
         new_lin = [g.linear[k] - beta * f.linear[k] / alpha for k in keep]
         new_const = g.constant - beta * f.constant / alpha
         if all(x == 0 for x in new_lin):
-            # distinct hyperplanes cannot restrict to the zero form
-            assert new_const != 0
+            if new_const == 0:
+                raise ConsistencyError(
+                    "distinct hyperplanes restricted to the zero form")
             continue
         cand = AffineForm(new_lin, new_const)
         match = next((m for m, kept in enumerate(out_forms)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .linalg import rank, rank_and_kernel
 
 
@@ -149,9 +149,10 @@ def circuits_from_arrangement(A) -> CircuitSet:
     whose homogenized forms are linearly dependent, signed by the (unique,
     full-support) dependency and normalized so the smallest support index
     carries +1.  Both orientations are emitted."""
-    cached = A._cache.get("circuits")
-    if cached is not None:
-        return cached
+    return A._memo("circuits", lambda: _arrangement_circuits(A))
+
+
+def _arrangement_circuits(A) -> CircuitSet:
     n = A.n
     cols = [f.homogenized() for f in A.forms]
     height = A.dim + 1
@@ -169,16 +170,16 @@ def circuits_from_arrangement(A) -> CircuitSet:
             k, kernel = rank_and_kernel(sub, ncols=size)
             if not kernel:
                 continue
-            assert len(kernel) == 1 and all(x != 0 for x in kernel[0])
+            if len(kernel) != 1 or any(x == 0 for x in kernel[0]):
+                raise ConsistencyError(
+                    "a minimal dependent support has no full-support dependency")
             lam = kernel[0]
             plus = frozenset(supp[t] for t in range(size) if lam[t] > 0)
             minus = frozenset(supp[t] for t in range(size) if lam[t] < 0)
             X = SignedSet(plus, minus)
             circuits += [X, X.negate()]
             found_supports.append(ss)
-    out = CircuitSet(A.labels, circuits)
-    A._cache["circuits"] = out
-    return out
+    return CircuitSet(A.labels, circuits)
 
 
 def _resolve(source):
@@ -250,11 +251,14 @@ def nbc_sets(source, ordering=None) -> tuple:
     For an arrangement the flat-nonempty filter applies; a raw CircuitSet is
     taken to be central, where every flat is nonempty.
     """
-    n, _, flat_ok = _resolve(source)
-    cache = getattr(source, "_cache", None)
+    if isinstance(source, CircuitSet):
+        return _scan_nbc(source, ordering)
     key = ("nbc", tuple(ordering) if ordering is not None else None)
-    if cache is not None and key in cache:
-        return cache[key]
+    return source._memo(key, lambda: _scan_nbc(source, ordering))
+
+
+def _scan_nbc(source, ordering) -> tuple:
+    n, _, flat_ok = _resolve(source)
     bcs = broken_circuits(source, ordering)
     out = []
     for size in range(n + 1):
@@ -265,24 +269,17 @@ def nbc_sets(source, ordering=None) -> tuple:
             if any(b <= ss for b in bcs):
                 continue
             out.append(ss)
-    result = tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
-    if cache is not None:
-        cache[key] = result
-    return result
+    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 def nbc_counts(source, ordering=None) -> tuple:
+    """Grade-k NBC counts: the coefficients of the Poincare polynomial in t^2."""
     sets = nbc_sets(source, ordering)
     top = max((len(s) for s in sets), default=0)
     counts = [0] * (top + 1)
     for s in sets:
         counts[len(s)] += 1
     return tuple(counts)
-
-
-def poincare_from_nbc(source, ordering=None) -> tuple:
-    """Coefficients of the Poincare polynomial in t^2: grade-k NBC counts."""
-    return nbc_counts(source, ordering)
 
 
 # -- JSON ----------------------------------------------------------------

@@ -16,8 +16,7 @@ from .arrangement import (Arrangement, arrangement_to_json, boolean, braid,
                           load_arrangement, semiorder)
 from .characters import partition_str
 from .circuits import (circuits_from_arrangement, circuits_to_json,
-                       nbc_counts, nbc_sets, poincare_from_nbc,
-                       validate_circuit_axioms)
+                       nbc_counts, nbc_sets, validate_circuit_axioms)
 from .cordovil import CordovilAlgebra, leading_form_check
 from .errors import InputError, ResourceBoundError
 from .polyring import Poly, format_poincare
@@ -148,7 +147,7 @@ def cmd_nbc(args, A, ordering) -> int:
 
 
 def cmd_poincare(args, A, ordering) -> int:
-    coeffs = poincare_from_nbc(A, ordering)
+    coeffs = nbc_counts(A, ordering)
     _emit(args, {"coeffs": list(coeffs), "pretty": format_poincare(coeffs)},
           [format_poincare(coeffs)])
     return PASS

@@ -12,17 +12,17 @@ maximum, so the process terminates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arrangement import Arrangement
 from .circuits import (CircuitSet, SignedSet, broken_circuit_map,
                        canonical_circuits, nbc_counts, nbc_sets,
                        ordering_ranks)
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .polyring import Poly
-from .vgring import Relation, _product_poly
+from .vgring import Relation, _circuit_difference
 
 
 def circuit_boundary(X: SignedSet, ordering=None, n: int | None = None) -> Poly:
@@ -46,11 +46,10 @@ def circuit_boundary(X: SignedSet, ordering=None, n: int | None = None) -> Poly:
 
 def minimal_empty_flat_subsets(A: Arrangement) -> tuple:
     """Inclusion-minimal index sets whose hyperplanes have empty intersection."""
-    cached = A._cache.get("min_empty_flats")
-    if cached is not None:
-        return cached
-    from itertools import combinations
+    return A._memo("min_empty_flats", lambda: _scan_empty_flats(A))
 
+
+def _scan_empty_flats(A: Arrangement) -> tuple:
     found: list[frozenset] = []
     for size in range(2, A.n + 1):
         for supp in combinations(range(A.n), size):
@@ -59,9 +58,7 @@ def minimal_empty_flat_subsets(A: Arrangement) -> tuple:
                 continue
             if not A.flat_nonempty(supp):
                 found.append(ss)
-    result = tuple(found)
-    A._cache["min_empty_flats"] = result
-    return result
+    return tuple(found)
 
 
 def cordovil_relation_families(A: Arrangement) -> tuple:
@@ -133,7 +130,9 @@ class CordovilAlgebra:
         else:
             broken = next((b for b in self._broken_order if b <= mono), None)
             if broken is None:
-                assert mono in self._nbc_lookup
+                if mono not in self._nbc_lookup:
+                    raise ConsistencyError(
+                        "a monomial free of broken circuits is not an NBC set")
                 result = {mono: Fraction(1)}
             else:
                 supp, phi, mx = self._broken[broken]
@@ -261,10 +260,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.to_str()})"
 
 
-def dumps_element(el: AlgebraElement) -> str:
-    return json.dumps(el.to_json())
-
-
 @dataclass(frozen=True)
 class LeadingFormReport:
     ok: bool
@@ -282,9 +277,7 @@ def leading_form_check(A: Arrangement, ordering=None) -> LeadingFormReport:
     signs = []
     mismatches = []
     for X in canonical_circuits(A, ordering):
-        vg3 = (_product_poly(X.plus, X.minus, Poly.one())
-               - _product_poly(X.minus, X.plus, Poly.one()))
-        top = vg3.top_e_part()
+        top = _circuit_difference(X, Poly.one()).top_e_part()
         db = circuit_boundary(X, ordering, n=A.n)
         if top == db:
             signs.append((X, 1))

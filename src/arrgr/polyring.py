@@ -118,12 +118,6 @@ class Poly:
         degs = {len(m) + u for (m, u) in self.terms}
         return len(degs) <= 1
 
-    def e_support(self) -> frozenset:
-        out = set()
-        for (m, _) in self.terms:
-            out.update(m)
-        return frozenset(out)
-
     # -- transforms ----------------------------------------------------------
 
     def substitute_u(self, value) -> "Poly":

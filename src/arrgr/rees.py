@@ -2,7 +2,12 @@
 
 Adjoining the degree-2 parameter u deforms the three relation families so
 that u = 1 recovers the chamber-function presentation and u = 0 recovers
-the graded algebra's relations.  The deformed object itself is verified
+the graded algebra's relations.  The u-families are the primary data:
+`rees_relation_families` (built in `vgring`, next to the relation type) is
+the only builder of families (1)-(3), and the chamber-function families are
+defined as its u = 1 specialization.  The graded families are built
+independently in `cordovil`, so comparing them with the u = 0
+specialization is a real check.  The deformed object itself is verified
 through these two specializations plus the freeness identity
 dim P^k = sum of the NBC counts up to grade k.
 """
@@ -12,49 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement
-from .circuits import canonical_circuits, nbc_counts
-from .errors import ConsistencyError, InputError
+from .circuits import nbc_counts
+from .errors import InputError
 from .polyring import Poly
-from .vgring import Relation, _product_poly, filtration_profile
+from .vgring import filtration_profile, rees_relation_families  # re-exported
 
 
-def rees_relation_families(A: Arrangement) -> tuple:
-    """The three u-relation families.
-
-    (1) e_i (e_i - u);
-    (2) prod e_i prod (e_j - u) per minimal infeasible signed set;
-    (3) per signed circuit, the difference of the two opposite products,
-        divided by u after checking that every term really carries u.
-    """
-    cached = A._cache.get("rees_relations")
-    if cached is not None:
-        return cached
-    u = Poly.u()
-    rels = []
-    for i in range(A.n):
-        rels.append(Relation(1, i, Poly.generator(i) * (Poly.generator(i) - u)))
-    for X in A.minimal_infeasible_sign_sets():
-        rels.append(Relation(2, X, _product_poly(X.plus, X.minus, u)))
-    for X in canonical_circuits(A):
-        diff = (_product_poly(X.plus, X.minus, u)
-                - _product_poly(X.minus, X.plus, u))
-        if any(uexp == 0 for (_, uexp) in diff.terms):
-            raise ConsistencyError(
-                "circuit difference has a u-free term; this cannot happen")
-        rels.append(Relation(3, X, diff.divide_u()))
-    result = tuple(rels)
-    A._cache["rees_relations"] = result
-    return result
-
-
-def specialize(poly: Poly, u_value, vg_normal_form: bool = False) -> Poly:
-    """Substitute u = 0 or u = 1; optionally reduce e_i^2 -> e_i afterwards."""
+def specialize(poly: Poly, u_value) -> Poly:
+    """Substitute u = 0 or u = 1."""
     if u_value not in (0, 1):
         raise InputError("specialization point must be 0 or 1")
-    out = poly.substitute_u(u_value)
-    if vg_normal_form:
-        out = out.squarefree_reduce()
-    return out
+    return poly.substitute_u(u_value)
 
 
 @dataclass(frozen=True)

@@ -375,12 +375,10 @@ def _check_stable(basis_columns, perm, upto_grade):
         cols += [vec for _, vec in basis_columns[k]]
     for vec in cols:
         ech.add({i: v for i, v in enumerate(vec) if v})
-    base_rank = ech.rank
     for vec in cols:
         moved = {perm[i]: v for i, v in enumerate(vec) if v}
         if ech.add(moved):
             raise ConsistencyError("filtration stage is not W-stable")
-    assert ech.rank == base_rank
 
 
 def graded_character(A: Arrangement, group: GroupSpec,

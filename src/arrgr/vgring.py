@@ -7,6 +7,11 @@ positive side and 0 otherwise; P^k is the span of all products of at most k
 generators.  Ideal-theoretic questions about the presentation are answered
 with finite linear algebra in the 2^n-dimensional squarefree-monomial space
 (squares are rewritten via e_i^2 -> e_i), never with Groebner bases.
+
+The three relation families are built once, with the degree-2 parameter u,
+by `rees_relation_families` (also exported by `rees`); the chamber-function
+families are defined as their u = 1 specialization.  The graded families in
+`cordovil` are built independently, from circuit boundaries and empty flats.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import combinations
 
 from .arrangement import Arrangement
 from .circuits import SignedSet, canonical_circuits
-from .errors import InputError, ResourceBoundError
+from .errors import ConsistencyError, InputError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
 
@@ -71,10 +76,10 @@ def filtration_data(A: Arrangement, reverse: bool = False):
     `reverse` flips the enumeration order inside each grade (used to confirm
     that derived quantities are basis-independent).
     """
-    key = ("filtration", reverse)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
+    return A._memo(("filtration", reverse), lambda: _eliminate_grades(A, reverse))
+
+
+def _eliminate_grades(A: Arrangement, reverse: bool):
     nch = len(A.chambers())
     ech = SparseEchelon()
     dims = []
@@ -92,9 +97,7 @@ def filtration_data(A: Arrangement, reverse: bool = False):
                     grade.append((frozenset(subset), vec))
         dims.append(ech.rank)
         bases.append(grade)
-    result = (tuple(dims), bases)
-    A._cache[key] = result
-    return result
+    return (tuple(dims), bases)
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
@@ -133,30 +136,49 @@ def _product_poly(plus, minus, shift) -> Poly:
     return out
 
 
+def _circuit_difference(X: SignedSet, shift) -> Poly:
+    """The difference of the circuit's two opposite products,
+    prod_{X+} e_i prod_{X-} (e_j - shift) minus the same with X negated."""
+    return (_product_poly(X.plus, X.minus, shift)
+            - _product_poly(X.minus, X.plus, shift))
+
+
+def rees_relation_families(A: Arrangement) -> tuple:
+    """The three u-relation families.
+
+    (1) e_i (e_i - u);
+    (2) prod e_i prod (e_j - u) per minimal infeasible signed set;
+    (3) per signed circuit, the difference of the two opposite products
+        divided by u (`Poly.divide_u` raises ConsistencyError should a term
+        not carry u), in the orientation with +1 on the least support
+        element.
+    """
+    return A._memo("rees_relations", lambda: _u_families(A))
+
+
+def _u_families(A: Arrangement) -> tuple:
+    u = Poly.u()
+    rels = [Relation(1, i, Poly.generator(i) * (Poly.generator(i) - u))
+            for i in range(A.n)]
+    rels += [Relation(2, X, _product_poly(X.plus, X.minus, u))
+             for X in A.minimal_infeasible_sign_sets()]
+    rels += [Relation(3, X, _circuit_difference(X, u).divide_u())
+             for X in canonical_circuits(A)]
+    return tuple(rels)
+
+
 def vg_relation_families(A: Arrangement) -> tuple:
-    """The three relation families of the Heaviside presentation.
+    """The three relation families of the Heaviside presentation, defined as
+    the u = 1 specialization of `rees_relation_families`, in its order:
 
     (1) e_i^2 - e_i for every i (emitted symbolically, pre-reduction);
     (2) prod e_i prod (e_j - 1) for every minimal infeasible signed set;
     (3) the difference of the two opposite products for every signed
-        circuit, taken in the orientation with +1 on the least support
-        element.
+        circuit.
     """
-    cached = A._cache.get("vg_relations")
-    if cached is not None:
-        return cached
-    rels = []
-    for i in range(A.n):
-        rels.append(Relation(1, i, Poly.monomial((i, i)) - Poly.generator(i)))
-    for X in A.minimal_infeasible_sign_sets():
-        rels.append(Relation(2, X, _product_poly(X.plus, X.minus, Poly.one())))
-    for X in canonical_circuits(A):
-        poly = (_product_poly(X.plus, X.minus, Poly.one())
-                - _product_poly(X.minus, X.plus, Poly.one()))
-        rels.append(Relation(3, X, poly))
-    result = tuple(rels)
-    A._cache["vg_relations"] = result
-    return result
+    return A._memo("vg_relations", lambda: tuple(
+        Relation(r.family, r.source, r.poly.substitute_u(1))
+        for r in rees_relation_families(A)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +216,8 @@ def _subset_masks(indices):
 def _poly_to_mask_vector(poly: Poly) -> dict:
     vec: dict = {}
     for (emon, uexp), coeff in poly.terms.items():
-        assert uexp == 0
+        if uexp:
+            raise ConsistencyError("a chamber-function relation carries u")
         mask = 0
         for i in emon:
             mask |= 1 << i
@@ -216,13 +239,11 @@ def _reduced_multiples(rel: Relation, n: int):
         support = rel.source.support
     elif rel.family == 3:
         X = rel.source
-        p1 = _product_poly(X.plus, X.minus, Poly.one())
-        p2 = _product_poly(X.minus, X.plus, Poly.one())
-        base = [p1 - p2]
+        base = [rel.poly]
         if X.minus:
-            base.append(p1)
+            base.append(_product_poly(X.plus, X.minus, Poly.one()))
         if X.plus:
-            base.append(p2)
+            base.append(_product_poly(X.minus, X.plus, Poly.one()))
         support = X.support
     else:
         raise InputError("only families 2 and 3 have monomial multiples here")

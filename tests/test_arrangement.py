@@ -3,17 +3,21 @@ from itertools import product
 
 import pytest
 
-from arrgr.arrangement import (AffineForm, arrangement_from_json,
-                               arrangement_to_json, boolean, braid, build,
-                               cone, delete, load_arrangement, restrict,
+from arrgr.arrangement import (AffineForm, Arrangement, arrangement_from_json,
+                               arrangement_to_json, boolean, braid, cone,
+                               delete, load_arrangement, restrict,
                                restrict_with_map, save_arrangement, semiorder)
-from arrgr.circuits import SignedSet, nbc_counts
+from arrgr.circuits import (SignedSet, circuits_from_arrangement, nbc_counts,
+                            nbc_sets)
+from arrgr.cordovil import minimal_empty_flat_subsets
 from arrgr.corpus import corpus, parallel_pair, single_hyperplane
 from arrgr.errors import DuplicateFormError, InputError
+from arrgr.rees import rees_relation_families
+from arrgr.vgring import filtration_data, vg_relation_families
 
 
 def test_build_point_in_a_line():
-    A = build(1, [((1,), 0)], ["x"])
+    A = Arrangement(1, [((1,), 0)], ["x"])
     assert A.n == 1 and A.dim == 1 and A.central
 
 
@@ -24,22 +28,22 @@ def test_build_rejects_constant_form():
 
 def test_build_rejects_duplicates():
     with pytest.raises(DuplicateFormError):
-        build(1, [((1,), 0), ((1,), 0)])
+        Arrangement(1, [((1,), 0), ((1,), 0)])
     with pytest.raises(DuplicateFormError):
-        build(2, [((1, 0), 0), ((2, 0), 0)])
+        Arrangement(2, [((1, 0), 0), ((2, 0), 0)])
     # a negative multiple is the same hyperplane with opposite orientation
     with pytest.raises(DuplicateFormError):
-        build(2, [((1, 0), 0), ((-1, 0), 0)])
+        Arrangement(2, [((1, 0), 0), ((-1, 0), 0)])
 
 
 def test_parallel_forms_are_not_duplicates():
-    A = build(1, [((1,), 0), ((1,), -1)])
+    A = Arrangement(1, [((1,), 0), ((1,), -1)])
     assert A.n == 2
 
 
 def test_distinct_labels_required():
     with pytest.raises(InputError):
-        build(1, [((1,), 0), ((1,), -1)], ["a", "a"])
+        Arrangement(1, [((1,), 0), ((1,), -1)], ["a", "a"])
 
 
 def test_braid_generator():
@@ -94,7 +98,7 @@ def test_cone_poincare_factorization_semiorder3():
 
 
 def test_cone_label_collision():
-    A = build(1, [((1,), 0)], ["H0"])
+    A = Arrangement(1, [((1,), 0)], ["H0"])
     with pytest.raises(InputError):
         cone(A)
 
@@ -201,7 +205,7 @@ def test_json_roundtrip(tmp_path, corpus_map):
         assert load_arrangement(path) == A
     # rationals serialize canonically
     from fractions import Fraction
-    A = build(1, [(((Fraction(1, 2),)), 0)])
+    A = Arrangement(1, [(((Fraction(1, 2),)), 0)])
     txt = json.dumps(arrangement_to_json(A))
     assert "1/2" in txt
 
@@ -219,3 +223,17 @@ def test_form_index_lookup():
     assert A.form_index(2) == 2
     with pytest.raises(InputError):
         A.form_index(7)
+
+
+def test_cached_queries_return_the_same_object():
+    A = semiorder(2)
+    queries = [A.chambers, A.minimal_infeasible_sign_sets,
+               lambda: circuits_from_arrangement(A), lambda: nbc_sets(A),
+               lambda: nbc_sets(A, (1, 0)), lambda: filtration_data(A),
+               lambda: filtration_data(A, reverse=True),
+               lambda: minimal_empty_flat_subsets(A),
+               lambda: rees_relation_families(A),
+               lambda: vg_relation_families(A)]
+    for query in queries:
+        assert query() is query()
+    assert [A.chamber_index(c) for c in A.chambers()] == list(range(3))

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from arrgr.arrangement import arrangement_from_json, braid, save_arrangement
 from arrgr.circuits import circuits_from_arrangement, circuits_from_json
@@ -43,6 +46,26 @@ def test_vg_json_schema(capsys):
     assert data["gr"] == [1, 3, 2, 0]
     assert data["chambers"] == 6
     assert data["presentation_dim"] == 6
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["vg", "rees"])
+@pytest.mark.parametrize("name, source", [
+    ("braid3", ["--braid", "3"]),
+    ("semi3", ["--semiorder", "3"]),
+    ("pair", None),
+])
+def test_relation_listing_matches_golden(capsys, tmp_path, command, name, source):
+    """The full text output, so a reordered or re-signed relation shows."""
+    if source is None:
+        path = tmp_path / "pair.json"
+        save_arrangement(parallel_pair(), path)
+        source = ["--file", str(path)]
+    code, out, _ = run(capsys, *source, command)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_{command}.txt").read_text()
 
 
 def test_vg_point_example(capsys):

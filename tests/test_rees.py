@@ -7,7 +7,31 @@ from arrgr.corpus import parallel_pair, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.polyring import Poly
 from arrgr.rees import (rees_hilbert_check, rees_relation_families, specialize)
-from arrgr.vgring import vg_relation_families, _product_poly
+from arrgr.vgring import Relation, _circuit_difference, vg_relation_families
+
+
+def _shifted_product(plus, minus):
+    """prod_{i in plus} e_i * prod_{j in minus} (e_j - 1)."""
+    out = Poly.one()
+    for i in sorted(plus):
+        out = out * Poly.generator(i)
+    for j in sorted(minus):
+        out = out * (Poly.generator(j) - 1)
+    return out
+
+
+def vg_families_oracle(A):
+    """The chamber-function families built directly, without u: squares
+    e_i^2 - e_i, one product per minimal infeasible signed set, and one
+    opposite-product difference per canonical circuit."""
+    rels = [Relation(1, i, Poly.monomial((i, i)) - Poly.generator(i))
+            for i in range(A.n)]
+    rels += [Relation(2, X, _shifted_product(X.plus, X.minus))
+             for X in A.minimal_infeasible_sign_sets()]
+    rels += [Relation(3, X, _shifted_product(X.plus, X.minus)
+                      - _shifted_product(X.minus, X.plus))
+             for X in canonical_circuits(A)]
+    return tuple(rels)
 
 
 def test_point_in_a_line_single_family():
@@ -22,7 +46,6 @@ def test_family1_specializations():
     rel = e * (e - u)
     assert specialize(rel, 0) == e * e
     assert specialize(rel, 1) == e * e - e
-    assert specialize(rel, 1, vg_normal_form=True).is_zero
     with pytest.raises(InputError):
         specialize(rel, 2)
 
@@ -56,18 +79,20 @@ def test_u0_yields_graded_families(corpus_map):
 
 def test_u1_yields_vg_families(corpus_map):
     for name, A in corpus_map.items():
-        vg = {(r.family, r.source): r.poly for r in vg_relation_families(A)}
-        for r in rees_relation_families(A):
-            assert specialize(r.poly, 1) == vg[(r.family, r.source)], \
-                (name, r.family)
+        oracle = vg_families_oracle(A)
+        rees = rees_relation_families(A)
+        assert [(r.family, r.source) for r in rees] == \
+            [(r.family, r.source) for r in oracle], name
+        for r, want in zip(rees, oracle):
+            assert specialize(r.poly, 1) == want.poly, (name, r.family)
+        assert vg_relation_families(A) == oracle, name
 
 
 def test_family3_difference_divisible_by_u(corpus_map):
     u = Poly.u()
     for name, A in corpus_map.items():
         for X in canonical_circuits(A):
-            diff = (_product_poly(X.plus, X.minus, u)
-                    - _product_poly(X.minus, X.plus, u))
+            diff = _circuit_difference(X, u)
             assert all(ue >= 1 for (_, ue) in diff.terms), (name, X)
             assert diff.divide_u() * u == diff
 
