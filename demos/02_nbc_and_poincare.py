@@ -12,7 +12,7 @@ from arrgr import (boolean, braid, cone, delete, restrict, semiorder,
 A = braid(3)
 bc = broken_circuits(A)
 print("braid(3) broken circuits:",
-      [{A.labels[i] for i in b} for b in bc])
+      [sorted(A.labels[i] for i in b) for b in bc])
 print("NBC sets by grade:", nbc_counts(A), "=",
       [sorted(sorted(A.labels[i] for i in s) for s in nbc_sets(A)
               if len(s) == k) for k in range(3)])

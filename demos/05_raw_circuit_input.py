@@ -25,7 +25,7 @@ print("circuits after negation completion:",
       [X.pretty(C.ground) for X in C.circuits])
 print("axioms:", "pass" if validate_circuit_axioms(C).ok else "fail", "\n")
 
-print("broken circuits:", [{C.ground[i] for i in b} for b in broken_circuits(C)])
+print("broken circuits:", [sorted(C.ground[i] for i in b) for b in broken_circuits(C)])
 print("NBC counts:", nbc_counts(C))
 
 alg = CordovilAlgebra(C)

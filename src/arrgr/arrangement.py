@@ -172,31 +172,32 @@ class Arrangement:
             cache[ss] = hit
         return hit
 
-    def signed_set_feasible(self, X: SignedSet) -> bool:
-        """Open half-space intersection test for a signed index set."""
-        constraints = [(self.forms[i].linear, self.forms[i].constant, 1)
-                       for i in sorted(X.plus)]
-        constraints += [(self.forms[i].linear, self.forms[i].constant, -1)
-                        for i in sorted(X.minus)]
-        return strict_feasible(constraints, dim=self.dim)
-
     def minimal_infeasible_sign_sets(self) -> tuple:
         """All signed sets with empty open intersection whose proper signed
         subsets all have nonempty open intersection.  Enumerated by support
-        size, so minimality reduces to not containing an earlier hit."""
+        size, so minimality reduces to not containing an earlier hit.
+
+        A nonempty open intersection holds a point off every hyperplane, so a
+        signed set is feasible iff some chamber's sign vector restricts to it;
+        the sets are read off `chambers()` with no further feasibility test.
+        By Helly's theorem a minimal one has at most dim + 1 elements.
+        """
         return self._memo("min_infeasible", self._scan_minimal_infeasible)
 
     def _scan_minimal_infeasible(self) -> tuple:
+        tope_plus = [sum(1 << i for i, s in enumerate(c) if s == "+")
+                     for c in self.chambers()]
         found: list[SignedSet] = []
-        for size in range(1, self.n + 1):
+        for size in range(1, min(self.n, self.dim + 1) + 1):
             for supp in combinations(range(self.n), size):
+                mask = sum(1 << i for i in supp)
+                realized = {p & mask for p in tope_plus}
                 for pattern in product((1, -1), repeat=size):
                     plus = frozenset(i for i, s in zip(supp, pattern) if s > 0)
-                    minus = frozenset(i for i, s in zip(supp, pattern) if s < 0)
-                    X = SignedSet(plus, minus)
+                    X = SignedSet(plus, frozenset(supp) - plus)
                     if any(f.issubset(X) for f in found):
                         continue
-                    if not self.signed_set_feasible(X):
+                    if sum(1 << i for i in plus) not in realized:
                         found.append(X)
         return tuple(found)
 

@@ -214,14 +214,8 @@ def ordering_ranks(n: int, ordering=None) -> dict:
 
 def broken_circuits(source, ordering=None) -> tuple:
     """Circuit supports with their ordering-largest element removed."""
-    n, circ, _ = _resolve(source)
-    ranks = ordering_ranks(n, ordering)
-    out = set()
-    for X in circ:
-        supp = X.support
-        mx = max(supp, key=lambda i: ranks[i])
-        out.add(supp - {mx})
-    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+    return tuple(sorted(broken_circuit_map(source, ordering),
+                        key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 def broken_circuit_map(source, ordering=None) -> dict:

@@ -99,21 +99,12 @@ def solve_square(A, B):
     n = len(A)
     if n == 0:
         return []
-    if len(B) != n:
+    if len(B) != n or len(A[0]) != n:
         raise InputError("dimension mismatch in solve_square")
-    aug = [A[i] + B[i] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ConsistencyError("singular matrix in solve_square")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    red, pivots = rref([a + b for a, b in zip(A, B)])
+    if pivots[:n] != list(range(n)):
+        raise ConsistencyError("singular matrix in solve_square")
+    return [row[n:] for row in red]
 
 
 class SparseEchelon:

@@ -105,11 +105,9 @@ def derive_signed_permutation(A: Arrangement, matrix, translation=None) -> Signe
 class GroupSpec:
     """A finite group given in full, acting by signed form permutations.
 
-    `underlying` optionally stores each element's source datum (for the
-    coordinate action of S_n: the coordinate permutation in one-line
-    notation), from which cycle types are derived.  `class_of` assigns each
-    element a conjugacy class id; `cycle_types` is per class and is None
-    for groups that are not recognized symmetric groups.
+    `class_of` assigns each element a conjugacy class id; `cycle_types` is
+    per class and is None for groups that are not recognized symmetric
+    groups.
     """
 
     name: str
@@ -117,7 +115,6 @@ class GroupSpec:
     class_of: tuple
     class_labels: tuple
     cycle_types: tuple | None
-    underlying: tuple | None = None
 
     @property
     def order(self) -> int:
@@ -167,7 +164,7 @@ def coordinate_action(A: Arrangement, name: str | None = None) -> GroupSpec:
     available directly.
     """
     n = A.dim
-    elements, unders, class_of = [], [], []
+    elements, class_of = [], []
     labels: list[str] = []
     label_ids: dict = {}
     for g in permutations(range(n)):
@@ -181,7 +178,6 @@ def coordinate_action(A: Arrangement, name: str | None = None) -> GroupSpec:
             label_ids[key] = len(labels)
             labels.append(key)
         elements.append(w)
-        unders.append(g)
         class_of.append(label_ids[key])
     order = sorted(range(len(labels)), key=lambda c: labels[c])
     remap = {old: new for new, old in enumerate(order)}
@@ -192,32 +188,37 @@ def coordinate_action(A: Arrangement, name: str | None = None) -> GroupSpec:
         class_of=tuple(remap[c] for c in class_of),
         class_labels=tuple(labels[c] for c in order),
         cycle_types=types,
-        underlying=tuple(unders),
     )
 
 
 def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
     """Load a group from its file form; see the README for the schema."""
+    if not isinstance(data, dict):
+        raise InputError("group file must hold a JSON object")
     name = str(data.get("group", "W"))
     if name == "Sn-coordinates":
         return coordinate_action(A)
-    try:
-        entries = data["action"]
-    except KeyError as exc:
-        raise InputError("group file needs an 'action' list") from exc
+    entries = data.get("action")
+    if not isinstance(entries, list) or not entries:
+        raise InputError("group file needs a nonempty 'action' list")
     elements = []
-    for entry in entries:
-        perm_map = entry["perm"]
-        flips_map = entry.get("flips", {})
-        perm = [None] * A.n
-        flips = [1] * A.n
-        for src, dst in perm_map.items():
-            perm[A.form_index(str(src))] = A.form_index(str(dst))
-        if any(p is None for p in perm):
-            raise InputError("group element must map every hyperplane")
-        for src, s in flips_map.items():
-            flips[A.form_index(str(src))] = int(s)
-        elements.append(SignedPermutation(tuple(perm), tuple(flips)))
+    try:
+        for entry in entries:
+            perm = [None] * A.n
+            flips = [1] * A.n
+            for src, dst in entry["perm"].items():
+                perm[A.form_index(str(src))] = A.form_index(str(dst))
+            if any(p is None for p in perm):
+                raise InputError("group element must map every hyperplane")
+            for src, s in entry.get("flips", {}).items():
+                if isinstance(s, (bool, float)):
+                    raise ValueError(f"flip {s!r} is not an integer")
+                flips[A.form_index(str(src))] = int(s)
+            elements.append(SignedPermutation(tuple(perm), tuple(flips)))
+    except KeyError as exc:
+        raise InputError(f"group element missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed group element: {exc}") from exc
     _validate_closure(elements)
     class_of, class_labels = _conjugacy_classes(elements)
     cycle_types = None

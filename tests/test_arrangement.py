@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,8 +10,10 @@ from arrgr.arrangement import (AffineForm, Arrangement, arrangement_from_json,
 from arrgr.circuits import (SignedSet, circuits_from_arrangement, nbc_counts,
                             nbc_sets)
 from arrgr.cordovil import minimal_empty_flat_subsets
-from arrgr.corpus import corpus, parallel_pair, single_hyperplane
+from arrgr.corpus import (corpus, parallel_pair, random_rational_arrangement,
+                          single_hyperplane)
 from arrgr.errors import DuplicateFormError, InputError
+from arrgr.linalg import strict_feasible
 from arrgr.rees import rees_relation_families
 from arrgr.vgring import filtration_data, vg_relation_families
 
@@ -185,15 +187,47 @@ def test_minimal_infeasible_negation_closed_central(central_map):
         assert got == {X.negate() for X in got}, name
 
 
+def fm_feasible(A, X):
+    """Fourier-Motzkin test: the open intersection of X's half-spaces is
+    nonempty."""
+    return strict_feasible([(A.forms[i].linear, A.forms[i].constant, X.sign(i))
+                            for i in sorted(X.support)], dim=A.dim)
+
+
+def minimal_infeasible_oracle(A):
+    """One Fourier-Motzkin test per sign pattern over every support size,
+    uncapped; skips supersets of earlier hits, in the library's scan order."""
+    found = []
+    for size in range(1, A.n + 1):
+        for supp in combinations(range(A.n), size):
+            for pattern in product((1, -1), repeat=size):
+                plus = frozenset(i for i, s in zip(supp, pattern) if s > 0)
+                minus = frozenset(i for i, s in zip(supp, pattern) if s < 0)
+                X = SignedSet(plus, minus)
+                if any(f.issubset(X) for f in found):
+                    continue
+                if not fm_feasible(A, X):
+                    found.append(X)
+    return tuple(found)
+
+
 def test_minimal_infeasible_minimality(corpus_map):
     for name, A in corpus_map.items():
         if A.n > 6:
             continue
         for X in A.minimal_infeasible_sign_sets():
-            assert not A.signed_set_feasible(X)
+            assert not fm_feasible(A, X)
             for i in sorted(X.support):
                 smaller = SignedSet(X.plus - {i}, X.minus - {i})
-                assert A.signed_set_feasible(smaller), (name, X, i)
+                assert fm_feasible(A, smaller), (name, X, i)
+
+
+def test_minimal_infeasible_matches_fm_oracle(corpus_map):
+    """Read off the chambers with supports capped at dim + 1, against one FM
+    test per pattern; on random seed 1 the cap binds (largest support 4)."""
+    cases = dict(corpus_map, random_seed1=random_rational_arrangement(seed=1))
+    for name, A in cases.items():
+        assert A.minimal_infeasible_sign_sets() == minimal_infeasible_oracle(A), name
 
 
 def test_json_roundtrip(tmp_path, corpus_map):

@@ -68,12 +68,12 @@ def test_relation_listing_matches_golden(capsys, tmp_path, command, name, source
     assert out == (GOLDEN / f"{name}_{command}.txt").read_text()
 
 
-def test_vg_point_example(capsys):
-    path = "/tmp/point.json"
+def test_vg_point_example(capsys, tmp_path):
+    path = tmp_path / "point.json"
     save_arrangement(
         arrangement_from_json({"dim": 1, "forms": [
             {"linear": ["1"], "constant": "0", "label": "x"}]}), path)
-    code, out, _ = run(capsys, "--file", path, "vg")
+    code, out, _ = run(capsys, "--file", str(path), "vg")
     assert code == 0
     assert "dims:   1 2" in out
     assert "ex^2 - ex" in out
@@ -114,6 +114,23 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "--file", str(bad), "chambers")[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "--file", str(missing), "chambers")[0] == 2
+
+
+@pytest.mark.parametrize("action", [
+    [{"flips": {"a": -1}}],
+    [],
+    [{"perm": {"a": "a", "b": "b"}, "flips": {"a": "-1/2"}}],
+], ids=["missing-perm", "empty-action", "non-integer-flip"])
+def test_malformed_group_file_exit_2(capsys, tmp_path, action):
+    arr = tmp_path / "pair.json"
+    save_arrangement(parallel_pair(), arr)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"group": "S2", "action": action}))
+    code, out, err = run(capsys, "--file", str(arr), "characters",
+                         "--group", str(group))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_resource_bound_exit_3(capsys):

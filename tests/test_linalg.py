@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrgr.errors import InputError
+from arrgr.errors import ConsistencyError, InputError
 from arrgr.linalg import (SparseEchelon, affine_system_consistent, frac,
                           rank, rank_and_kernel, solve_square,
                           strict_feasible)
@@ -157,6 +157,17 @@ def test_affine_system_consistent():
 def test_solve_square():
     X = solve_square([[2, 0], [1, 1]], [[4, 2], [3, 2]])
     assert X == [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+
+
+def test_solve_square_rejects_singular_and_mismatched_input():
+    with pytest.raises(ConsistencyError, match="singular"):
+        solve_square([[1, 2], [2, 4]], [[1], [2]])
+    with pytest.raises(ConsistencyError, match="singular"):
+        solve_square([[0, 1], [0, 1]], [[1], [1]])
+    with pytest.raises(InputError):
+        solve_square([[1, 0], [0, 1]], [[1]])
+    with pytest.raises(InputError):
+        solve_square([[1, 2]], [[1]])
 
 
 def test_sparse_echelon_rank_and_membership():

@@ -160,6 +160,10 @@ def test_group_file_validation():
     A = braid(3)
     with pytest.raises(InputError):
         group_from_json(A, {"group": "S3"})
+    # a fractional flip is rejected, not truncated to an integer
+    identity = {"perm": {"12": "12", "13": "13", "23": "23"}}
+    with pytest.raises(InputError, match="not an integer"):
+        group_from_json(A, {"group": "W", "action": [dict(identity, flips={"12": 1.5})]})
     # not closed under composition: a lone transposition action
     entries = [
         {"perm": {"12": "12", "13": "13", "23": "23"}},
