@@ -8,6 +8,7 @@ unchanged on that input.
 """
 
 import json
+import os
 import tempfile
 
 from arrgr import (CordovilAlgebra, Poly, broken_circuits, circuits_from_json,
@@ -37,5 +38,8 @@ print("straighten(xa*xb) =", el.to_str())
 with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
     json.dump(data, fh)
     path = fh.name
-print("\nreloaded from file equals in-memory system:",
-      load_circuits(path) == C)
+try:
+    print("\nreloaded from file equals in-memory system:",
+          load_circuits(path) == C)
+finally:
+    os.remove(path)

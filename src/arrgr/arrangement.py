@@ -163,6 +163,8 @@ class Arrangement:
     def flat_nonempty(self, subset) -> bool:
         """True iff the affine flat {w_i = 0 : i in subset} is nonempty."""
         ss = frozenset(self.form_index(h) for h in subset)
+        if self.central:
+            return True  # the origin lies on every hyperplane
         cache = self._cache.setdefault("flats", {})
         hit = cache.get(ss)
         if hit is None:

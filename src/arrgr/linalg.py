@@ -1,12 +1,15 @@
 """Exact rational linear algebra and strict-inequality feasibility.
 
-Everything runs over `fractions.Fraction`; no floating point anywhere.
-Matrices are sequences of equal-length rows; vectors are tuples.
+Everything is exact, over `fractions.Fraction` or, in `SparseEchelon`, over
+integers; no floating point anywhere.  Matrices are sequences of
+equal-length rows; vectors are tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import ConsistencyError, InputError
 
@@ -110,9 +113,14 @@ def solve_square(A, B):
 class SparseEchelon:
     """Incremental exact Gaussian elimination over sparse vectors.
 
-    Vectors are dicts {column_key: Fraction} with orderable keys.  Pivot
-    rows are kept normalized (pivot coefficient 1), so ranks and residuals
-    are deterministic.
+    Vectors are dicts {column_key: rational} with orderable keys; entries
+    may be ints or Fractions.  Elimination is fraction-free: each incoming
+    vector is scaled once to integers by the lcm of its denominators, and
+    every pivot row is a primitive integer vector (content 1) whose pivot,
+    at its least key, is positive.  A reduction step is the integer row
+    operation out = a*out - b*row with a > 0, so `reduce` returns the
+    residual up to a positive scalar; ranks, membership and the sequence of
+    `add` results are those of elimination over Q.
     """
 
     def __init__(self):
@@ -123,19 +131,52 @@ class SparseEchelon:
         return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
-        out = {k: frac(v) for k, v in vec.items() if v != 0}
-        while out:
-            k = min(out)
-            row = self.pivots.get(k)
+        """The residual of `vec` after elimination by the pivot rows, as an
+        integer vector: a positive multiple of the residual over Q."""
+        den = 1
+        for v in vec.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        if den == 1:
+            out = {k: v.numerator for k, v in vec.items() if v}
+        else:
+            out = {k: v.numerator * (den // v.denominator)
+                   for k, v in vec.items() if v}
+        pivots = self.pivots
+        heap = list(out)
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            f = out.get(k)
+            if f is None:  # eliminated since it was pushed
+                continue
+            row = pivots.get(k)
             if row is None:
                 return out
-            f = out[k]
+            p = row[k]
+            a, b = 1, f
+            if p != 1:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for c in out:
+                        out[c] *= a
             for c, v in row.items():
-                nv = out.get(c, Fraction(0)) - f * v
-                if nv:
-                    out[c] = nv
+                old = out.get(c)
+                if old is None:
+                    out[c] = -b * v
+                    heappush(heap, c)
                 else:
-                    out.pop(c, None)
+                    nv = old - b * v
+                    if nv:
+                        out[c] = nv
+                    else:
+                        del out[c]
+            if a != 1 and out:
+                g = gcd(*out.values())
+                if g != 1:
+                    for c in out:
+                        out[c] //= g
         return out
 
     def add(self, vec: dict) -> bool:
@@ -144,8 +185,10 @@ class SparseEchelon:
         if not res:
             return False
         k = min(res)
-        pv = res[k]
-        self.pivots[k] = {c: v / pv for c, v in res.items()}
+        g = gcd(*res.values())
+        if res[k] < 0:
+            g = -g
+        self.pivots[k] = {c: v // g for c, v in res.items()}
         return True
 
     def contains(self, vec: dict) -> bool:

@@ -248,9 +248,9 @@ def _reduced_multiples(rel: Relation, n: int):
     else:
         raise InputError("only families 2 and 3 have monomial multiples here")
     free = [i for i in range(n) if i not in support]
+    vecs = [_poly_to_mask_vector(poly) for poly in base]
     for mask in _subset_masks(free):
-        for poly in base:
-            vec = _poly_to_mask_vector(poly)
+        for vec in vecs:
             yield {m | mask: c for m, c in vec.items()}
 
 

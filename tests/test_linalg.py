@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+from arrgr.arrangement import braid, semiorder
 from arrgr.errors import ConsistencyError, InputError
 from arrgr.linalg import (SparseEchelon, affine_system_consistent, frac,
                           rank, rank_and_kernel, solve_square,
                           strict_feasible)
+from arrgr.vgring import filtration_data, monomial_eval
 
 
 def naive_rank(matrix):
@@ -168,6 +172,115 @@ def test_solve_square_rejects_singular_and_mismatched_input():
         solve_square([[1, 0], [0, 1]], [[1]])
     with pytest.raises(InputError):
         solve_square([[1, 2]], [[1]])
+
+
+class fraction_echelon_oracle:
+    """Sparse elimination over Fractions with pivot coefficient 1, the
+    arithmetic `SparseEchelon` is checked against: same interface, same
+    choice of pivot (the least key of the residual)."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        out = {k: Fraction(v) for k, v in vec.items() if v != 0}
+        while out:
+            k = min(out)
+            row = self.pivots.get(k)
+            if row is None:
+                return out
+            f = out[k]
+            for c, v in row.items():
+                nv = out.get(c, Fraction(0)) - f * v
+                if nv:
+                    out[c] = nv
+                else:
+                    out.pop(c, None)
+        return out
+
+    def add(self, vec):
+        res = self.reduce(vec)
+        if not res:
+            return False
+        k = min(res)
+        pv = res[k]
+        self.pivots[k] = {c: v / pv for c, v in res.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+
+def _random_entry(rng):
+    while True:
+        x = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+        if x:
+            return x
+
+
+def _random_sparse_vectors(rng, ncols, count):
+    """Sparse rational vectors, a third of them combinations of earlier
+    ones, so that dependent inserts and members occur."""
+    vecs = []
+    for _ in range(count):
+        if len(vecs) >= 2 and rng.random() < 1 / 3:
+            u, w = rng.sample(vecs, 2)
+            a, b = _random_entry(rng), _random_entry(rng)
+            vec = {c: a * u.get(c, 0) + b * w.get(c, 0) for c in set(u) | set(w)}
+            vec = {c: x for c, x in vec.items() if x}
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
+            vec = {c: _random_entry(rng) for c in cols}
+        vecs.append(vec)
+    return vecs
+
+
+def test_sparse_echelon_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        inserts = _random_sparse_vectors(rng, ncols, rng.randint(1, 12))
+        probes = _random_sparse_vectors(rng, ncols, 6) + inserts[:3]
+        ech, oracle = SparseEchelon(), fraction_echelon_oracle()
+        assert ([ech.add(v) for v in inserts]
+                == [oracle.add(v) for v in inserts])
+        assert ech.rank == oracle.rank
+        assert sorted(ech.pivots) == sorted(oracle.pivots)
+        for k, row in ech.pivots.items():
+            assert row[k] > 0
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1
+        for vec in probes:
+            assert ech.contains(vec) == oracle.contains(vec)
+            res, want = ech.reduce(vec), oracle.reduce(vec)
+            assert res.keys() == want.keys()
+            if want:
+                scale = want[min(want)] / res[min(res)]
+                assert scale > 0
+                assert all(want[c] == scale * v for c, v in res.items())
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("make", (lambda: braid(4), lambda: semiorder(3)),
+                         ids=("braid4", "semiorder3"))
+def test_filtration_bases_match_fraction_oracle(make, reverse):
+    A = make()
+    dims, bases = filtration_data(A, reverse=reverse)
+    oracle = fraction_echelon_oracle()
+    want_dims, want_bases = [], []
+    for k in range(A.n + 1):
+        subsets = list(combinations(range(A.n), k))
+        if reverse:
+            subsets.reverse()
+        want_bases.append([frozenset(s) for s in subsets
+                           if oracle.add(dict(enumerate(monomial_eval(A, s))))])
+        want_dims.append(oracle.rank)
+    assert dims == tuple(want_dims)
+    assert [[s for s, _ in grade] for grade in bases] == want_bases
 
 
 def test_sparse_echelon_rank_and_membership():
