@@ -181,6 +181,21 @@ def criterion_5() -> CriterionResult:
     return CriterionResult(5, "deletion-restriction recursions", ok, detail)
 
 
+def minimal_empty_flats_oracle(A) -> tuple:
+    """Inclusion-minimal index sets with empty flat, by one flat test per
+    support of every size (no rank cap, no circuit pruning); the library
+    reads them off its circuit scan instead."""
+    found: list[frozenset] = []
+    for size in range(2, A.n + 1):
+        for supp in combinations(range(A.n), size):
+            ss = frozenset(supp)
+            if any(f <= ss for f in found):
+                continue
+            if not A.flat_nonempty(supp):
+                found.append(ss)
+    return tuple(found)
+
+
 def criterion_6() -> CriterionResult:
     bad = []
     for name, A in corpus():
@@ -208,10 +223,12 @@ def criterion_6() -> CriterionResult:
                                    f"in the graded algebra")
                 elif at0 != Poly.monomial(tuple(sorted(X.support))):
                     bad.append(f"{name}: u=0 family-2 image malformed")
-        # empty-flat family-2 supports coincide with the minimal empty flats
+        # empty-flat family-2 supports coincide with the minimal empty flats,
+        # and both with the flat-test oracle
         empty_supports = {X.support for X in A.minimal_infeasible_sign_sets()
                           if not A.flat_nonempty(X.support)}
-        if empty_supports != set(minimal_empty_flat_subsets(A)):
+        oracle = minimal_empty_flats_oracle(A)
+        if not empty_supports == set(oracle) == set(minimal_empty_flat_subsets(A)):
             bad.append(f"{name}: empty-flat supports differ from minimal empty flats")
         for r in rees:
             if not r.poly.is_homogeneous:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
-from .circuits import SignedSet
+from .circuits import SignedSet, circuits_from_arrangement
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import affine_system_consistent, frac, strict_feasible
+from .linalg import (affine_system_consistent, frac, rank_and_kernel,
+                     strict_feasible)
 
 
 class AffineForm:
@@ -176,32 +177,45 @@ class Arrangement:
 
     def minimal_infeasible_sign_sets(self) -> tuple:
         """All signed sets with empty open intersection whose proper signed
-        subsets all have nonempty open intersection.  Enumerated by support
-        size, so minimality reduces to not containing an earlier hit.
+        subsets all have nonempty open intersection, ordered by support
+        size, then support, then sign pattern with '+' before '-'.
 
-        A nonempty open intersection holds a point off every hyperplane, so a
-        signed set is feasible iff some chamber's sign vector restricts to it;
-        the sets are read off `chambers()` with no further feasibility test.
-        By Helly's theorem a minimal one has at most dim + 1 elements.
+        They are the signed circuits, in both orientations, plus one set per
+        minimal empty flat S: the signs of the affine identity
+        sum_{j in S} lambda_j w_j = c, oriented so that c < 0.  Reason: by
+        Motzkin's transposition theorem a minimal infeasible set is C - H0
+        for a circuit C of cone(A) with C(H0) in {0, -}.  A cone circuit
+        with an empty flat that avoids H0 is never minimal: its linear parts
+        satisfy a second relation, and moving along it gives a certificate
+        on a smaller support.  Every proper subset of a circuit with a
+        nonempty flat, or of a minimal empty flat, has independent linear
+        parts, so it is feasible; hence every candidate is minimal.
         """
-        return self._memo("min_infeasible", self._scan_minimal_infeasible)
+        return self._memo("min_infeasible", self._read_minimal_infeasible)
 
-    def _scan_minimal_infeasible(self) -> tuple:
-        tope_plus = [sum(1 << i for i, s in enumerate(c) if s == "+")
-                     for c in self.chambers()]
-        found: list[SignedSet] = []
-        for size in range(1, min(self.n, self.dim + 1) + 1):
-            for supp in combinations(range(self.n), size):
-                mask = sum(1 << i for i in supp)
-                realized = {p & mask for p in tope_plus}
-                for pattern in product((1, -1), repeat=size):
-                    plus = frozenset(i for i, s in zip(supp, pattern) if s > 0)
-                    X = SignedSet(plus, frozenset(supp) - plus)
-                    if any(f.issubset(X) for f in found):
-                        continue
-                    if sum(1 << i for i in plus) not in realized:
-                        found.append(X)
-        return tuple(found)
+    def _read_minimal_infeasible(self) -> tuple:
+        C = circuits_from_arrangement(self)
+        found = list(C.circuits)
+        h0 = (0,) * self.dim + (-1,)  # the cone's H0 = -r
+        for S in C.empty_flats:
+            supp = sorted(S)
+            cols = [self.forms[j].homogenized() for j in supp] + [h0]
+            _, kernel = rank_and_kernel(
+                [[col[r] for col in cols] for r in range(self.dim + 1)])
+            if len(kernel) != 1 or any(x == 0 for x in kernel[0]):
+                raise ConsistencyError(
+                    "a minimal empty flat has no full-support affine identity")
+            *lam, c = kernel[0]
+            sign = -1 if c > 0 else 1
+            found.append(SignedSet(
+                frozenset(j for j, x in zip(supp, lam) if sign * x > 0),
+                frozenset(j for j, x in zip(supp, lam) if sign * x < 0)))
+        return tuple(sorted(found, key=_plus_first))
+
+
+def _plus_first(X: SignedSet) -> tuple:
+    size, supp, signs = X.key()
+    return size, supp, tuple(-s for s in signs)
 
 
 # -- generators ------------------------------------------------------------
@@ -328,10 +342,20 @@ def arrangement_to_json(A: Arrangement) -> dict:
     }
 
 
+def _exact(x):
+    """A JSON number that is exact: floats (binary fractions) and booleans
+    are rejected; ints and rational strings like "1/10" pass through."""
+    if isinstance(x, (bool, float)):
+        raise InputError(f"{json.dumps(x)} is not exact; write integers or "
+                         'rational strings like "1/10"')
+    return x
+
+
 def arrangement_from_json(data: dict) -> Arrangement:
     try:
-        dim = int(data["dim"])
-        forms = [AffineForm([frac(x) for x in e["linear"]], frac(e["constant"]))
+        dim = int(_exact(data["dim"]))
+        forms = [AffineForm([frac(_exact(x)) for x in e["linear"]],
+                            frac(_exact(e["constant"])))
                  for e in data["forms"]]
         labels = [e["label"] for e in data["forms"]]
     except (KeyError, TypeError, ValueError) as exc:

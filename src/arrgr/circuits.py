@@ -3,8 +3,9 @@
 Ground elements are addressed by 0-based indices internally; labels appear
 only in the JSON file format and in pretty-printing.  A circuit system can
 come from an arrangement (minimal flat-nonempty linear dependencies among
-the homogenized forms) or from a raw file, in which case it is treated as
-the circuit set of a loop-free central oriented matroid.
+the homogenized forms, found by the same scan as its minimal empty flats)
+or from a raw file, in which case it is treated as the circuit set of a
+loop-free central oriented matroid.
 """
 
 from __future__ import annotations
@@ -63,11 +64,14 @@ class SignedSet:
 class CircuitSet:
     """Ground set plus signed circuits, validated against the circuit axioms.
 
-    Pass validate=False to build deliberately broken systems (the axiom
-    checker reports violations instead of raising).
+    `empty_flats` are the minimal empty flats of the arrangement the
+    circuits come from (index sets whose hyperplanes do not meet); a raw
+    circuit system has none.  Pass validate=False to build deliberately
+    broken systems (the axiom checker reports violations instead of
+    raising).
     """
 
-    def __init__(self, ground, circuits, validate: bool = True):
+    def __init__(self, ground, circuits, validate: bool = True, empty_flats=()):
         self.ground = tuple(str(g) for g in ground)
         if len(set(self.ground)) != len(self.ground):
             raise InputError("ground set labels must be distinct")
@@ -77,6 +81,7 @@ class CircuitSet:
                 raise InputError("circuit support outside the ground set")
             seen[X.key()] = X
         self.circuits = tuple(seen[k] for k in sorted(seen))
+        self.empty_flats = tuple(frozenset(s) for s in empty_flats)
         if validate:
             report = validate_circuit_axioms(self)
             if not report.ok:
@@ -98,7 +103,8 @@ class CircuitSet:
 
     def __eq__(self, other):
         return (isinstance(other, CircuitSet) and self.ground == other.ground
-                and self.circuits == other.circuits)
+                and self.circuits == other.circuits
+                and self.empty_flats == other.empty_flats)
 
     def __repr__(self):
         return f"CircuitSet(n={self.n}, circuits={len(self.circuits)})"
@@ -110,10 +116,27 @@ class AxiomReport:
     violations: tuple
 
 
+def _mask(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
 def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
-    """Exhaustively check the four signed-circuit axioms, with witnesses."""
+    """Exhaustively check the four signed-circuit axioms, with witnesses.
+
+    Elimination (4) of e from X and Y is required only when X u Y contains
+    none of `C.empty_flats`, i.e. when the hyperplanes of X u Y meet: there
+    the circuits inside X u Y are those of a central arrangement, while
+    affine circuits need not eliminate across an empty flat.  A raw circuit
+    system has no empty flats, so it gets the full axiom.  Signed sets are
+    compared as (plus, minus) bitmasks.
+    """
     violations = []
     circ = C.circuits
+    masks = [(_mask(X.plus), _mask(X.minus)) for X in circ]
+    flats = [_mask(s) for s in C.empty_flats]
     cset = set(circ)
     for X in circ:
         if len(X.support) <= 1:
@@ -121,23 +144,25 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     for X in circ:
         if X.negate() not in cset:
             violations.append((2, f"negation of {X.pretty(C.ground)} missing"))
-    for X in circ:
-        for Y in circ:
-            if X.support <= Y.support and X != Y and X != Y.negate():
+    for X, (xp, xm) in zip(circ, masks):
+        for Y, (yp, ym) in zip(circ, masks):
+            if ((xp | xm) & ~(yp | ym) == 0 and (xp, xm) != (yp, ym)
+                    and (xp, xm) != (ym, yp)):
                 violations.append(
                     (3, f"{X.pretty(C.ground)} nested in {Y.pretty(C.ground)}"))
-    for X in circ:
-        for Y in circ:
-            if X == Y.negate():
+    for X, (xp, xm) in zip(circ, masks):
+        for Y, (yp, ym) in zip(circ, masks):
+            if not xp & ym or (xp, xm) == (ym, yp):
+                continue
+            plus, minus = xp | yp, xm | ym
+            union = plus | minus
+            if any(f & union == f for f in flats):
                 continue
             for e in X.plus & Y.minus:
-                found = False
-                for Z in circ:
-                    if (Z.plus <= (X.plus | Y.plus) - {e}
-                            and Z.minus <= (X.minus | Y.minus) - {e}):
-                        found = True
-                        break
-                if not found:
+                keep = ~(1 << e)
+                zplus, zminus = plus & keep, minus & keep
+                if not any(zp & zplus == zp and zm & zminus == zm
+                           for zp, zm in masks):
                     violations.append(
                         (4, f"no elimination of {C.ground[e]} from "
                             f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))
@@ -148,26 +173,37 @@ def circuits_from_arrangement(A) -> CircuitSet:
     """Signed circuits of an arrangement: minimal flat-nonempty supports
     whose homogenized forms are linearly dependent, signed by the (unique,
     full-support) dependency and normalized so the smallest support index
-    carries +1.  Both orientations are emitted."""
+    carries +1.  Both orientations are emitted.  The result also carries the
+    arrangement's minimal empty flats, found by the same scan."""
     return A._memo("circuits", lambda: _arrangement_circuits(A))
 
 
 def _arrangement_circuits(A) -> CircuitSet:
+    """One scan over supports by size, up to the rank of the homogenized
+    forms plus one, skipping supersets of every support found so far.  A
+    support with an empty flat is a minimal empty flat; one with a nonempty
+    flat and dependent homogenized forms is a circuit.  A minimal empty flat
+    S has independent homogenized forms (S plus the cone's H0 = -r is a
+    circuit of the cone), so the cap reaches it and it contains no circuit.
+    """
     n = A.n
     cols = [f.homogenized() for f in A.forms]
     height = A.dim + 1
     full_rank = rank([[cols[j][r] for j in range(n)] for r in range(height)]) if n else 0
-    found_supports: list[frozenset] = []
+    found_masks: list[int] = []
     circuits: list[SignedSet] = []
+    empty_flats: list[frozenset] = []
     for size in range(2, min(n, full_rank + 1) + 1):
         for supp in combinations(range(n), size):
-            ss = frozenset(supp)
-            if any(fs <= ss for fs in found_supports):
+            mask = _mask(supp)
+            if any(f & mask == f for f in found_masks):
                 continue
             if not A.flat_nonempty(supp):
+                empty_flats.append(frozenset(supp))
+                found_masks.append(mask)
                 continue
             sub = [[cols[j][r] for j in supp] for r in range(height)]
-            k, kernel = rank_and_kernel(sub, ncols=size)
+            _, kernel = rank_and_kernel(sub, ncols=size)
             if not kernel:
                 continue
             if len(kernel) != 1 or any(x == 0 for x in kernel[0]):
@@ -178,8 +214,8 @@ def _arrangement_circuits(A) -> CircuitSet:
             minus = frozenset(supp[t] for t in range(size) if lam[t] < 0)
             X = SignedSet(plus, minus)
             circuits += [X, X.negate()]
-            found_supports.append(ss)
-    return CircuitSet(A.labels, circuits)
+            found_masks.append(mask)
+    return CircuitSet(A.labels, circuits, empty_flats=empty_flats)
 
 
 def _resolve(source):
@@ -290,8 +326,9 @@ def circuits_to_json(C: CircuitSet) -> dict:
     }
 
 
-def circuits_from_json(data: dict, complete_negations: bool = True,
-                       validate: bool = True) -> CircuitSet:
+def circuits_from_json(data: dict) -> CircuitSet:
+    """A raw circuit system; omitted negations are completed, and the result
+    is validated against the full circuit axioms."""
     try:
         ground = [str(g) for g in data["ground"]]
         index = {g: i for i, g in enumerate(ground)}
@@ -302,16 +339,14 @@ def circuits_from_json(data: dict, complete_negations: bool = True,
             circuits.append(SignedSet(plus, minus))
     except KeyError as exc:
         raise InputError(f"circuit file missing key {exc}") from exc
-    if complete_negations:
-        circuits += [X.negate() for X in circuits]
-    return CircuitSet(ground, circuits, validate=validate)
+    circuits += [X.negate() for X in circuits]
+    return CircuitSet(ground, circuits)
 
 
-def load_circuits(path, complete_negations: bool = True,
-                  validate: bool = True) -> CircuitSet:
+def load_circuits(path) -> CircuitSet:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return circuits_from_json(data, complete_negations, validate)
+    return circuits_from_json(data)

@@ -3,13 +3,15 @@
 One binary, subcommand style.  Global flags select the arrangement (from a
 file or a generator) and the output format; each computation is a
 subcommand.  Exit codes: 0 pass, 1 verification failure, 2 input error,
-3 resource bound exceeded.
+3 resource bound exceeded, 141 (128 + SIGPIPE) when the reader of stdout
+goes away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arrangement import (Arrangement, arrangement_to_json, boolean, braid,
@@ -25,7 +27,7 @@ from .symmetry import graded_character, load_group
 from .vgring import (filtration_profile, presentation_dimension,
                      vg_relation_families, verify_relations)
 
-PASS, FAIL, BAD_INPUT, BOUND = 0, 1, 2, 3
+PASS, FAIL, BAD_INPUT, BOUND, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -287,25 +289,37 @@ def cmd_paper_suite(args) -> int:
     return PASS if all(r.ok for r in results) else FAIL
 
 
+def _run(args) -> int:
+    if args.command == "paper-suite":
+        return cmd_paper_suite(args)
+    A = _load_source(args)
+    ordering = _parse_order(A, args.order)
+    handler = {
+        "chambers": cmd_chambers,
+        "circuits": cmd_circuits,
+        "nbc": cmd_nbc,
+        "poincare": cmd_poincare,
+        "vg": cmd_vg,
+        "cordovil": cmd_cordovil,
+        "rees": cmd_rees,
+        "characters": cmd_characters,
+    }[args.command]
+    return handler(args, A, ordering)
+
+
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "paper-suite":
-            return cmd_paper_suite(args)
-        A = _load_source(args)
-        ordering = _parse_order(A, args.order)
-        handler = {
-            "chambers": cmd_chambers,
-            "circuits": cmd_circuits,
-            "nbc": cmd_nbc,
-            "poincare": cmd_poincare,
-            "vg": cmd_vg,
-            "cordovil": cmd_cordovil,
-            "rees": cmd_rees,
-            "characters": cmd_characters,
-        }[args.command]
-        return handler(args, A, ordering)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`arrgr ... | head`); point stdout at devnull so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
     except ResourceBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return BOUND

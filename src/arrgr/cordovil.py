@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .arrangement import Arrangement
 from .circuits import (CircuitSet, SignedSet, broken_circuit_map,
-                       canonical_circuits, nbc_counts, nbc_sets,
-                       ordering_ranks)
+                       canonical_circuits, circuits_from_arrangement,
+                       nbc_counts, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
 from .polyring import Poly
 from .vgring import Relation, _circuit_difference
@@ -45,20 +44,9 @@ def circuit_boundary(X: SignedSet, ordering=None, n: int | None = None) -> Poly:
 
 
 def minimal_empty_flat_subsets(A: Arrangement) -> tuple:
-    """Inclusion-minimal index sets whose hyperplanes have empty intersection."""
-    return A._memo("min_empty_flats", lambda: _scan_empty_flats(A))
-
-
-def _scan_empty_flats(A: Arrangement) -> tuple:
-    found: list[frozenset] = []
-    for size in range(2, A.n + 1):
-        for supp in combinations(range(A.n), size):
-            ss = frozenset(supp)
-            if any(f <= ss for f in found):
-                continue
-            if not A.flat_nonempty(supp):
-                found.append(ss)
-    return tuple(found)
+    """Inclusion-minimal index sets whose hyperplanes have empty intersection,
+    ordered by size, then lexicographically; the circuit scan finds them."""
+    return circuits_from_arrangement(A).empty_flats
 
 
 def cordovil_relation_families(A: Arrangement) -> tuple:

@@ -95,6 +95,8 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
                 sparse = {i: v for i, v in enumerate(vec) if v}
                 if ech.add(sparse):
                     grade.append((frozenset(subset), vec))
+                    if ech.rank == nch:
+                        break  # the span is full: later inserts add nothing
         dims.append(ech.rank)
         bases.append(grade)
     return (tuple(dims), bases)

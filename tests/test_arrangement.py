@@ -211,6 +211,40 @@ def minimal_infeasible_oracle(A):
     return tuple(found)
 
 
+def chamber_minimal_infeasible_oracle(A):
+    """Read off the chambers: an open signed set is nonempty iff some
+    chamber's sign vector restricts to it.  Supports are capped at dim + 1
+    (Helly), scanned by size with '+' before '-', skipping supersets of
+    earlier hits."""
+    tope_plus = [sum(1 << i for i, s in enumerate(c) if s == "+")
+                 for c in A.chambers()]
+    found = []
+    for size in range(1, min(A.n, A.dim + 1) + 1):
+        for supp in combinations(range(A.n), size):
+            mask = sum(1 << i for i in supp)
+            realized = {p & mask for p in tope_plus}
+            for pattern in product((1, -1), repeat=size):
+                plus = frozenset(i for i, s in zip(supp, pattern) if s > 0)
+                X = SignedSet(plus, frozenset(supp) - plus)
+                if any(f.issubset(X) for f in found):
+                    continue
+                if sum(1 << i for i in plus) not in realized:
+                    found.append(X)
+    return tuple(found)
+
+
+def test_minimal_infeasible_matches_chamber_oracle(corpus_map):
+    """Circuits plus one set per minimal empty flat, against the chamber
+    read-off.  Semiorder 4 and random seed 4 have affine circuits that
+    fail the central elimination axiom across an empty flat."""
+    cases = dict(corpus_map, semiorder4=semiorder(4), braid5=braid(5),
+                 **{f"random_seed{k}": random_rational_arrangement(seed=k)
+                    for k in (1, 2, 3, 4)})
+    for name, A in cases.items():
+        assert (A.minimal_infeasible_sign_sets()
+                == chamber_minimal_infeasible_oracle(A)), name
+
+
 def test_minimal_infeasible_minimality(corpus_map):
     for name, A in corpus_map.items():
         if A.n > 6:
@@ -223,8 +257,8 @@ def test_minimal_infeasible_minimality(corpus_map):
 
 
 def test_minimal_infeasible_matches_fm_oracle(corpus_map):
-    """Read off the chambers with supports capped at dim + 1, against one FM
-    test per pattern; on random seed 1 the cap binds (largest support 4)."""
+    """Against one FM test per pattern over every support size; on random
+    seed 1 the largest support is 4 = dim + 1."""
     cases = dict(corpus_map, random_seed1=random_rational_arrangement(seed=1))
     for name, A in cases.items():
         assert A.minimal_infeasible_sign_sets() == minimal_infeasible_oracle(A), name

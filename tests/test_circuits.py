@@ -3,12 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from arrgr.arrangement import braid, cone, delete, restrict, semiorder
+from arrgr.arrangement import (AffineForm, Arrangement, braid, cone, delete,
+                               restrict, semiorder)
 from arrgr.circuits import (CircuitSet, SignedSet, broken_circuits,
                             canonical_circuits, circuits_from_arrangement,
                             circuits_from_json, circuits_to_json, nbc_counts,
                             nbc_sets, validate_circuit_axioms)
-from arrgr.corpus import single_hyperplane
+from arrgr.corpus import random_rational_arrangement, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.linalg import rank
 from arrgr.polyring import format_poincare
@@ -186,6 +187,58 @@ def test_cone_circuits_transport(corpus_map):
         assert sorted(X.key() for X in away) == sorted(X.key() for X in expect), name
 
 
+def _missing_eliminations(circuits):
+    """(X, Y, e) for which no circuit Z lies in (X u Y) - e, signs kept."""
+    out = []
+    for X in circuits:
+        for Y in circuits:
+            if X == Y.negate():
+                continue
+            for e in sorted(X.plus & Y.minus):
+                plus, minus = (X.plus | Y.plus) - {e}, (X.minus | Y.minus) - {e}
+                if not any(Z.plus <= plus and Z.minus <= minus for Z in circuits):
+                    out.append((X, Y, e))
+    return out
+
+
+def test_affine_elimination_fails_only_across_empty_flats():
+    """Random seed 4 has circuits that eliminate nowhere, but only where
+    their hyperplanes do not meet; its circuits validate, and as a raw
+    system (taken to be central) they fail axiom (4)."""
+    A = random_rational_arrangement(seed=4)
+    C = circuits_from_arrangement(A)
+    missing = _missing_eliminations(C.circuits)
+    assert missing
+    assert all(not A.flat_nonempty(X.support | Y.support) for X, Y, _ in missing)
+    assert validate_circuit_axioms(C).ok
+    raw = validate_circuit_axioms(CircuitSet(C.ground, C.circuits, validate=False))
+    assert len(raw.violations) == len(missing)
+    assert {a for a, _ in raw.violations} == {4}
+    with pytest.raises(InputError, match=r"axiom \(4\)"):
+        circuits_from_json(circuits_to_json(C))
+
+
+def test_affine_elimination_enforced_where_flats_meet():
+    """Braid 4 plus a translate of H12 is affine.  Dropping every
+    eliminating circuit of a pair whose hyperplanes meet is still reported,
+    with the arrangement's empty flats in place."""
+    B = braid(4)
+    A = Arrangement(4, B.forms + (AffineForm((1, -1, 0, 0), -1),), B.labels + ("12'",))
+    C = circuits_from_arrangement(A)
+    assert C.empty_flats and validate_circuit_axioms(C).ok
+    X, Y, e = next((X, Y, e) for X in C.circuits for Y in C.circuits
+                   for e in sorted(X.plus & Y.minus)
+                   if X != Y.negate() and A.flat_nonempty(X.support | Y.support))
+    plus, minus = (X.plus | Y.plus) - {e}, (X.minus | Y.minus) - {e}
+    kept = [Z for Z in C.circuits
+            if not (Z.plus <= plus and Z.minus <= minus)
+            and not (Z.minus <= plus and Z.plus <= minus)]
+    damaged = CircuitSet(C.ground, kept, validate=False, empty_flats=C.empty_flats)
+    want = (4, f"no elimination of {C.ground[e]} from "
+               f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}")
+    assert want in validate_circuit_axioms(damaged).violations
+
+
 def test_canonical_circuits_sign_convention(corpus_map):
     for name, A in corpus_map.items():
         for X in canonical_circuits(A):
@@ -209,4 +262,4 @@ def test_circuit_json_roundtrip():
         seen.add(key)
         one_sided.append(e)
     half["circuits"] = one_sided
-    assert circuits_from_json(half, complete_negations=True) == C
+    assert circuits_from_json(half) == C

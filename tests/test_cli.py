@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,16 @@ def test_order_flag(capsys):
     assert code == 2
 
 
+def test_semiorder4_gets_an_answer(capsys):
+    """Its affine circuits fail the central elimination axiom, but only
+    across empty flats, which used to reject the whole arrangement."""
+    code, out, _ = run(capsys, "--semiorder", "4", "nbc", "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == [1, 12, 60, 110]
+    for command in ("circuits", "vg", "rees", "cordovil"):
+        assert run(capsys, "--semiorder", "4", command)[0] == 0, command
+
+
 def test_rees_and_cordovil_pass(capsys):
     assert run(capsys, "--semiorder", "2", "rees")[0] == 0
     assert run(capsys, "--braid", "3", "cordovil")[0] == 0
@@ -114,6 +127,37 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "--file", str(bad), "chambers")[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "--file", str(missing), "chambers")[0] == 2
+
+
+@pytest.mark.parametrize("constant, code", [
+    ("0.1", 2), ("true", 2), ('"1/10"', 0),
+], ids=["float", "boolean", "rational-string"])
+def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
+    path = tmp_path / "point.json"
+    path.write_text('{"dim": 1, "forms": [{"linear": ["1"], '
+                    f'"constant": {constant}, "label": "x"}}]}}')
+    got, out, err = run(capsys, "--file", str(path), "chambers")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+    else:
+        assert out.splitlines() == ["+", "-", "count: 2"]
+
+
+def test_closed_stdout_exits_141_silently():
+    """A reader that leaves early (`arrgr ... | head`) is not an input
+    error: exit 128 + SIGPIPE and nothing on stderr."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "arrgr.cli", "--braid", "5",
+                             "chambers"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=root)
+    proc.stdout.close()  # before the child has computed anything to write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("action", [

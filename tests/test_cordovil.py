@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from arrgr.acceptance import straightening_oracle_check
+from arrgr.acceptance import (minimal_empty_flats_oracle,
+                              straightening_oracle_check)
 from arrgr.arrangement import braid, semiorder
 from arrgr.circuits import CircuitSet, SignedSet, nbc_counts
 from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
@@ -123,6 +124,13 @@ def test_minimal_empty_flats_semiorder3():
             frozenset({"23", "32"})} <= lab
     assert frozenset({"12", "23", "31"}) in lab
     assert frozenset({"13", "32", "21"}) in lab
+
+
+def test_minimal_empty_flats_match_flat_test_oracle(corpus_map):
+    """The circuit scan's empty flats, against one flat test per support of
+    every size."""
+    for name, A in dict(corpus_map, semiorder4=semiorder(4)).items():
+        assert minimal_empty_flat_subsets(A) == minimal_empty_flats_oracle(A), name
 
 
 def test_leading_form_braid3_and_braid4():

@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from arrgr.arrangement import braid, semiorder
-from arrgr.circuits import nbc_counts
-from arrgr.corpus import parallel_pair, single_hyperplane
+from arrgr.circuits import nbc_counts, nbc_sets
+from arrgr.corpus import (parallel_pair, random_rational_arrangement,
+                          single_hyperplane)
 from arrgr.errors import ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
-from arrgr.vgring import (evaluate_on_chambers, filtration_profile, heaviside,
+from arrgr.vgring import (evaluate_on_chambers, filtration_data,
+                          filtration_profile, heaviside,
                           monomial_eval, presentation_dimension,
                           vg_relation_families, verify_relations,
                           _product_poly, _poly_to_mask_vector)
@@ -60,6 +63,49 @@ def test_filtration_matches_nbc(corpus_map):
         counts = nbc_counts(A)
         assert gr[: len(counts)] == counts, name
         assert all(g == 0 for g in gr[len(counts):]), name
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
+    """braid 5 reaches full rank inside grade 4; no monomial is inserted
+    after that, and dims and bases equal those of inserting every one."""
+    A = braid(5)
+    nch = len(A.chambers())
+    ranks_at_add = []
+    add = SparseEchelon.add
+
+    def counted_add(self, vec):
+        ranks_at_add.append(self.rank)
+        return add(self, vec)
+
+    monkeypatch.setattr(SparseEchelon, "add", counted_add)
+    dims, bases = filtration_data(A, reverse=reverse)
+    monkeypatch.undo()
+    assert ranks_at_add and max(ranks_at_add) < nch
+    ech = SparseEchelon()
+    want_dims, want_bases = [], []
+    for k in range(A.n + 1):
+        subsets = list(combinations(range(A.n), k))
+        if reverse:
+            subsets.reverse()
+        want_bases.append([frozenset(s) for s in subsets
+                           if ech.add(dict(enumerate(monomial_eval(A, s))))])
+        want_dims.append(ech.rank)
+    assert dims == tuple(want_dims)
+    assert [[s for s, _ in grade] for grade in bases] == want_bases
+
+
+def test_filtration_basis_is_nbc(corpus_map):
+    """The paper's basis statement: scanning each grade backwards picks the
+    NBC monomials, and scanning forwards picks the NBC monomials of the
+    reversed hyperplane ordering."""
+    cases = dict(corpus_map, braid5=braid(5),
+                 random_seed1=random_rational_arrangement(seed=1))
+    for name, A in cases.items():
+        for reverse, ordering in ((True, None), (False, tuple(reversed(range(A.n))))):
+            _, bases = filtration_data(A, reverse=reverse)
+            picked = {s for grade in bases for s, _ in grade}
+            assert picked == set(nbc_sets(A, ordering)), (name, reverse)
 
 
 def test_vg_families_point_in_a_line():
