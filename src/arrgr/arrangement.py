@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .circuits import SignedSet, circuits_from_arrangement
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import (affine_system_consistent, frac, rank_and_kernel,
-                     strict_feasible)
+from .linalg import (_primitive_row, affine_system_consistent, frac,
+                     rank_and_kernel, strict_feasible)
 
 
 class AffineForm:
@@ -124,13 +124,13 @@ class Arrangement:
     # -- geometric queries ---------------------------------------------------
 
     def sign_constraints(self, signs) -> list:
-        """Strict constraints 'sign_i w_i > 0' for a (partial) sign word."""
-        out = []
-        for i, s in enumerate(signs):
-            sgn = 1 if s in ("+", 1) else -1
-            f = self.forms[i]
-            out.append((f.linear, f.constant, sgn))
-        return out
+        """Strict constraints 'sign_i w_i > 0' for a (partial) sign word.
+        Each w_i is given by its primitive integer multiple, a positive
+        multiple, so the constraint is the same."""
+        rows = self._memo("integer_forms",
+                          lambda: [_primitive_row(f.homogenized()) for f in self.forms])
+        return [(rows[i][:-1], rows[i][-1], 1 if s in ("+", 1) else -1)
+                for i, s in enumerate(signs)]
 
     def signs_feasible(self, signs) -> bool:
         return strict_feasible(self.sign_constraints(signs), dim=self.dim)
@@ -143,17 +143,24 @@ class Arrangement:
         return self._cache[key]
 
     def chambers(self) -> tuple:
-        """All feasible sign vectors, in lexicographic order ('+' < '-')."""
+        """All feasible sign vectors, in lexicographic order ('+' < '-').
+        The search starts from the empty prefix, feasible because the whole
+        space is nonempty."""
         return self._memo("chambers", lambda: tuple(self._completions("")))
 
     def _completions(self, prefix: str):
-        """Chamber sign vectors extending `prefix`, in lexicographic order."""
-        if not self.signs_feasible(prefix):
-            return
+        """Chamber sign vectors extending the feasible `prefix`, in
+        lexicographic order.  A feasible prefix's open region is nonempty,
+        so it meets at least one side of the next hyperplane: when
+        `prefix + "+"` is infeasible, `prefix + "-"` is feasible untested."""
         if len(prefix) == self.n:
             yield prefix
             return
-        yield from self._completions(prefix + "+")
+        plus = prefix + "+"
+        if self.signs_feasible(plus):
+            yield from self._completions(plus)
+            if not self.signs_feasible(prefix + "-"):
+                return
         yield from self._completions(prefix + "-")
 
     def chamber_index(self, signs: str) -> int:

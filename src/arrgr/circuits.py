@@ -85,10 +85,10 @@ class CircuitSet:
         if validate:
             report = validate_circuit_axioms(self)
             if not report.ok:
+                (axiom, witness), *rest = report.violations
+                more = f" (and {len(rest)} more)" if rest else ""
                 raise InputError(
-                    "circuit axioms violated: "
-                    + "; ".join(f"axiom ({a}) {w}" for a, w in report.violations)
-                )
+                    f"circuit axioms violated: axiom ({axiom}) {witness}{more}")
 
     @property
     def n(self) -> int:
@@ -222,7 +222,23 @@ def _resolve(source):
     """(n, circuit list, flat test or None) for an Arrangement or CircuitSet."""
     if isinstance(source, CircuitSet):
         return source.n, source.circuits, None
-    return source.n, circuits_from_arrangement(source).circuits, source.flat_nonempty
+    C = circuits_from_arrangement(source)
+    return source.n, C.circuits, empty_flat_test(C)
+
+
+def empty_flat_test(C: CircuitSet):
+    """A test `flat_ok(indices)`: True iff the indices contain none of
+    `C.empty_flats`, i.e. iff their flat is nonempty (a superset of an
+    empty flat is empty, and every empty flat contains a minimal one).
+    None when there are no empty flats, as for a central arrangement."""
+    flats = [_mask(s) for s in C.empty_flats]
+    if not flats:
+        return None
+
+    def flat_ok(indices) -> bool:
+        mask = _mask(indices)
+        return not any(f & mask == f for f in flats)
+    return flat_ok
 
 
 def canonical_circuits(source, ordering=None):
@@ -326,19 +342,54 @@ def circuits_to_json(C: CircuitSet) -> dict:
     }
 
 
+def _json_kind(value) -> str:
+    """How a JSON value reads in an error message."""
+    for kind, name in ((bool, "a boolean"), (int, "an integer"), (float, "a float"),
+                       (str, "a string"), (list, "a list"), (dict, "an object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def _labels(value, where: str) -> list:
+    """A JSON list of labels (strings or integers), as strings."""
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list of labels, not {_json_kind(value)}")
+    for g in value:
+        if isinstance(g, bool) or not isinstance(g, (str, int)):
+            raise InputError(f"{where}: a label must be a string or an integer, "
+                             f"not {_json_kind(g)}")
+    return [str(g) for g in value]
+
+
 def circuits_from_json(data: dict) -> CircuitSet:
     """A raw circuit system; omitted negations are completed, and the result
-    is validated against the full circuit axioms."""
-    try:
-        ground = [str(g) for g in data["ground"]]
-        index = {g: i for i, g in enumerate(ground)}
-        circuits = []
-        for entry in data["circuits"]:
-            plus = frozenset(index[str(g)] for g in entry.get("plus", []))
-            minus = frozenset(index[str(g)] for g in entry.get("minus", []))
-            circuits.append(SignedSet(plus, minus))
-    except KeyError as exc:
-        raise InputError(f"circuit file missing key {exc}") from exc
+    is validated against the full circuit axioms.  `data` must be an object
+    with a "ground" list of labels and a "circuits" list of objects whose
+    "plus" and "minus" lists name ground labels."""
+    if not isinstance(data, dict):
+        raise InputError(f"circuit data must be an object, not {_json_kind(data)}")
+    for key in ("ground", "circuits"):
+        if key not in data:
+            raise InputError(f"circuit file missing key {key!r}")
+    ground = _labels(data["ground"], '"ground"')
+    index = {g: i for i, g in enumerate(ground)}
+    if not isinstance(data["circuits"], list):
+        raise InputError('"circuits" must be a list of objects, '
+                         f"not {_json_kind(data['circuits'])}")
+    circuits = []
+    for entry in data["circuits"]:
+        if not isinstance(entry, dict):
+            raise InputError("each circuit must be an object with \"plus\" and "
+                             f"\"minus\" lists, not {_json_kind(entry)}")
+        parts = []
+        for side in ("plus", "minus"):
+            names = _labels(entry.get(side, []), f'"{side}"')
+            unknown = [g for g in names if g not in index]
+            if unknown:
+                raise InputError(f'"{side}": label {unknown[0]!r} is not in the ground set')
+            parts.append(frozenset(index[g] for g in names))
+        circuits.append(SignedSet(*parts))
     circuits += [X.negate() for X in circuits]
     return CircuitSet(ground, circuits)
 

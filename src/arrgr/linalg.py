@@ -1,8 +1,9 @@
 """Exact rational linear algebra and strict-inequality feasibility.
 
-Everything is exact, over `fractions.Fraction` or, in `SparseEchelon`, over
-integers; no floating point anywhere.  Matrices are sequences of
-equal-length rows; vectors are tuples.
+Everything is exact, over `fractions.Fraction` or, in `SparseEchelon` and
+the Fourier-Motzkin test `strict_feasible`, over integers (each rational
+row scaled once to a primitive integer row); no floating point anywhere.
+Matrices are sequences of equal-length rows; vectors are tuples.
 """
 
 from __future__ import annotations
@@ -91,8 +92,10 @@ def affine_system_consistent(rows, rhs) -> bool:
     rhs = [frac(b) for b in rhs]
     if len(rows) != len(rhs):
         raise InputError("right-hand side length mismatch")
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    return rank(rows) == rank(aug)
+    # one elimination of [rows | rhs]: inconsistent iff the rhs column,
+    # the last one, holds a pivot (a row 0 = 1)
+    _, pivots = rref([row + [b] for row, b in zip(rows, rhs)])
+    return not pivots or pivots[-1] != len(rows[0])
 
 
 def solve_square(A, B):
@@ -195,12 +198,22 @@ class SparseEchelon:
         return not self.reduce(vec)
 
 
-def _canon_row(v: tuple) -> tuple:
-    lead = next((x for x in v if x != 0), None)
-    if lead is None:
-        return v
-    s = abs(lead)
-    return tuple(x / s for x in v)
+def _divide_content(row: list) -> tuple:
+    """An integer row divided by the gcd of its entries (a positive scalar,
+    so the sign pattern is kept); the zero row stays zero."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def _primitive_row(values) -> tuple:
+    """The primitive integer positive multiple of a rational row: scaled by
+    the lcm of its denominators, then divided by its content."""
+    row = list(values)
+    if not all(type(x) is int for x in row):
+        vals = [frac(x) for x in row]
+        den = lcm(*(x.denominator for x in vals))
+        row = [x.numerator * (den // x.denominator) for x in vals]
+    return _divide_content(row)
 
 
 def strict_feasible(constraints, dim: int | None = None) -> bool:
@@ -209,38 +222,39 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
     Each constraint is (coeffs, constant, sign) where sign +1 asserts
     coeffs·v + constant > 0 and sign -1 asserts coeffs·v + constant < 0.
     Decided exactly by Fourier-Motzkin elimination; for strict systems over
-    Q the projection step is lossless, so the answer is exact.
+    Q the projection step is lossless, so the answer is exact.  Rows are
+    primitive integer vectors (a positive multiple represents the same
+    constraint, so set membership removes duplicates), and a combination
+    -q[k]*p + p[k]*q is divided by its gcd.
     """
     work: set[tuple] = set()
     d = dim
     for coeffs, const, sgn in constraints:
-        vec = [frac(x) for x in coeffs]
+        coeffs = tuple(coeffs)
         if d is None:
-            d = len(vec)
-        elif len(vec) != d:
+            d = len(coeffs)
+        elif len(coeffs) != d:
             raise InputError("constraint rows have unequal lengths")
         if sgn not in (1, -1):
             raise InputError("constraint sign must be +1 or -1")
-        row = vec + [frac(const)]
-        if sgn < 0:
-            row = [-x for x in row]
-        work.add(_canon_row(tuple(row)))
+        row = _primitive_row(coeffs + (const,))
+        work.add(row if sgn > 0 else tuple(-x for x in row))
 
     while True:
-        live = set()
+        live = []
         for v in work:
-            if all(x == 0 for x in v[:-1]):
-                if v[-1] <= 0:
-                    return False
-            else:
-                live.add(v)
+            if any(v[:-1]):
+                live.append(v)
+            elif v[-1] <= 0:
+                return False
         if not live:
             return True
-        width = len(next(iter(live))) - 1
         best = None
-        for k in range(width):
-            pos = sum(1 for v in live if v[k] > 0)
-            neg = sum(1 for v in live if v[k] < 0)
+        cols = list(zip(*live))
+        for k in range(len(cols) - 1):
+            col = cols[k]
+            pos = len([x for x in col if x > 0])
+            neg = len(col) - col.count(0) - pos
             if pos == 0 and neg == 0:
                 continue
             cost = pos * neg
@@ -248,13 +262,17 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
                 best = (cost, k)
         k = best[1]
         new: set[tuple] = set()
+        pos_rows, neg_rows = [], []
         for v in live:
-            if v[k] == 0:
-                new.add(_canon_row(v[:k] + v[k + 1:]))
-        pos_rows = [v for v in live if v[k] > 0]
-        neg_rows = [v for v in live if v[k] < 0]
-        for p in pos_rows:
-            for q in neg_rows:
-                comb = tuple(-q[k] * a + p[k] * b for a, b in zip(p, q))
-                new.add(_canon_row(comb[:k] + comb[k + 1:]))
+            c = v[k]
+            rest = v[:k] + v[k + 1:]
+            if c == 0:
+                new.add(rest)  # still primitive: the dropped entry was 0
+            elif c > 0:
+                pos_rows.append((c, rest))
+            else:
+                neg_rows.append((-c, rest))
+        for a, p in pos_rows:
+            for b, q in neg_rows:
+                new.add(_divide_content([b * x + a * y for x, y in zip(p, q)]))
         work = new

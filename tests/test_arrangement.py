@@ -145,6 +145,32 @@ def test_chambers_lexicographic_and_exhaustive(corpus_map):
         assert sorted(brute) == sorted(ch)
 
 
+def two_sided_chambers_oracle(A):
+    """Chambers by a search that tests both children of every feasible
+    prefix with Fourier-Motzkin on the forms as given, in the order '+'
+    then '-'."""
+    def feasible(prefix):
+        return strict_feasible([(f.linear, f.constant, 1 if s == "+" else -1)
+                                for f, s in zip(A.forms, prefix)], dim=A.dim)
+
+    def walk(prefix):
+        if len(prefix) == A.n:
+            yield prefix
+            return
+        for s in "+-":
+            if feasible(prefix + s):
+                yield from walk(prefix + s)
+    return tuple(walk(""))
+
+
+def test_chambers_match_two_sided_oracle(corpus_map):
+    cases = list(corpus_map.items())
+    cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in (1, 2, 3)]
+    cases.append(("semiorder4", semiorder(4)))
+    for name, A in cases:
+        assert A.chambers() == two_sided_chambers_oracle(A), name
+
+
 def test_chamber_deletion_restriction_count(corpus_map):
     for name, A in corpus_map.items():
         for lab in A.labels:

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -7,7 +8,8 @@ from arrgr.arrangement import (AffineForm, Arrangement, braid, cone, delete,
                                restrict, semiorder)
 from arrgr.circuits import (CircuitSet, SignedSet, broken_circuits,
                             canonical_circuits, circuits_from_arrangement,
-                            circuits_from_json, circuits_to_json, nbc_counts,
+                            circuits_from_json, circuits_to_json,
+                            empty_flat_test, load_circuits, nbc_counts,
                             nbc_sets, validate_circuit_axioms)
 from arrgr.corpus import random_rational_arrangement, single_hyperplane
 from arrgr.errors import InputError
@@ -263,3 +265,70 @@ def test_circuit_json_roundtrip():
         one_sided.append(e)
     half["circuits"] = one_sided
     assert circuits_from_json(half) == C
+
+
+def test_empty_flat_test_matches_flat_nonempty(corpus_map):
+    """The bitmask test over the minimal empty flats answers like the rank
+    test on every support."""
+    cases = list(corpus_map.items())
+    cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in (1, 2, 3, 4)]
+    for name, A in cases:
+        flat_ok = empty_flat_test(circuits_from_arrangement(A))
+        if A.central:
+            assert flat_ok is None, name
+            continue
+        for size in range(A.n + 1):
+            for supp in combinations(range(A.n), size):
+                assert flat_ok(supp) == A.flat_nonempty(supp), (name, supp)
+
+
+_CIRCUIT_FILE = {"ground": ["1", "2", "3"],
+                 "circuits": [{"plus": ["1", "3"], "minus": ["2"]}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({**_CIRCUIT_FILE, "circuits": [{"plus": "13", "minus": ["2"]}]},
+     '"plus" must be a list of labels, not a string'),
+    ({**_CIRCUIT_FILE, "ground": "123"}, '"ground" must be a list of labels'),
+    ({**_CIRCUIT_FILE, "circuits": [["1", "3"]]},
+     "each circuit must be an object"),
+    ([_CIRCUIT_FILE], "circuit data must be an object, not a list"),
+    ({**_CIRCUIT_FILE, "circuits": {"plus": ["1"]}},
+     '"circuits" must be a list of objects'),
+    ({**_CIRCUIT_FILE, "ground": ["1", 2.5, "3"]},
+     "a label must be a string or an integer, not a float"),
+    ({**_CIRCUIT_FILE, "circuits": [{"plus": ["1", "4"], "minus": ["2"]}]},
+     "label '4' is not in the ground set"),
+    ({"ground": ["1", "2", "3"]}, "missing key 'circuits'"),
+], ids=["plus-string", "ground-string", "list-entry", "top-level-list",
+        "circuits-object", "float-label", "unknown-label", "missing-circuits"])
+def test_malformed_circuit_file_rejected(tmp_path, data, message):
+    path = tmp_path / "circuits.json"
+    path.write_text(json.dumps(data))
+    for load in (lambda: circuits_from_json(data), lambda: load_circuits(path)):
+        with pytest.raises(InputError) as info:
+            load()
+        assert message in str(info.value)
+        assert "\n" not in str(info.value)
+
+
+def test_integer_labels_accepted():
+    C = circuits_from_json({"ground": [1, 2, 3],
+                            "circuits": [{"plus": [1, 3], "minus": [2]}]})
+    assert C == circuits_from_json(_CIRCUIT_FILE)
+
+
+def test_axiom_violation_message_is_one_short_line():
+    """Semiorder 4's affine circuits, read as a raw (central) system, break
+    axiom (4) many times; the error names the first witness and a count,
+    while the report keeps every violation."""
+    C = circuits_from_arrangement(semiorder(4))
+    report = validate_circuit_axioms(CircuitSet(C.ground, C.circuits, validate=False))
+    assert len(report.violations) > 100
+    with pytest.raises(InputError) as info:
+        circuits_from_json(circuits_to_json(C))
+    message = str(info.value)
+    axiom, witness = report.violations[0]
+    assert message == (f"circuit axioms violated: axiom ({axiom}) {witness} "
+                       f"(and {len(report.violations) - 1} more)")
+    assert "\n" not in message and len(message) < 200

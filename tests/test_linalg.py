@@ -7,9 +7,9 @@ import pytest
 
 from arrgr.arrangement import braid, semiorder
 from arrgr.errors import ConsistencyError, InputError
-from arrgr.linalg import (SparseEchelon, affine_system_consistent, frac,
-                          rank, rank_and_kernel, solve_square,
-                          strict_feasible)
+from arrgr.linalg import (SparseEchelon, _primitive_row,
+                          affine_system_consistent, frac, rank,
+                          rank_and_kernel, solve_square, strict_feasible)
 from arrgr.vgring import filtration_data, monomial_eval
 
 
@@ -152,10 +152,130 @@ def test_single_form_both_sides_feasible():
         assert strict_feasible([(a, c, -1)])
 
 
+def fraction_fm_oracle(constraints):
+    """Fourier-Motzkin elimination over Fractions, each row scaled by the
+    absolute value of its first nonzero entry: the arithmetic the integer
+    elimination of `strict_feasible` is checked against."""
+
+    def canon(v):
+        lead = next((x for x in v if x != 0), None)
+        if lead is None:
+            return v
+        s = abs(lead)
+        return tuple(x / s for x in v)
+
+    work = set()
+    for coeffs, const, sgn in constraints:
+        row = [Fraction(x) for x in coeffs] + [Fraction(const)]
+        if sgn < 0:
+            row = [-x for x in row]
+        work.add(canon(tuple(row)))
+    while True:
+        live = set()
+        for v in work:
+            if all(x == 0 for x in v[:-1]):
+                if v[-1] <= 0:
+                    return False
+            else:
+                live.add(v)
+        if not live:
+            return True
+        width = len(next(iter(live))) - 1
+        best = None
+        for k in range(width):
+            pos = sum(1 for v in live if v[k] > 0)
+            neg = sum(1 for v in live if v[k] < 0)
+            if pos == 0 and neg == 0:
+                continue
+            if best is None or pos * neg < best[0]:
+                best = (pos * neg, k)
+        k = best[1]
+        new = set()
+        for v in live:
+            if v[k] == 0:
+                new.add(canon(v[:k] + v[k + 1:]))
+        for p in (v for v in live if v[k] > 0):
+            for q in (v for v in live if v[k] < 0):
+                comb = tuple(-q[k] * a + p[k] * b for a, b in zip(p, q))
+                new.add(canon(comb[:k] + comb[k + 1:]))
+        work = new
+
+
+def _entry_or_zero(rng):
+    return Fraction(0) if rng.random() < 0.3 else _random_entry(rng)
+
+
+def _random_strict_system(rng):
+    """A strict system in dimension 0-4 with 0-8 rows: rational entries
+    with non-unit denominators, rows with zero linear part, positive
+    multiples and exact negations of earlier rows, and rows restated with
+    every sign flipped (the same constraint)."""
+    d = rng.randint(0, 4)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if rows and r < 0.15:
+            coeffs, const, sgn = rng.choice(rows)
+            t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            rows.append((tuple(t * x for x in coeffs), t * const, sgn))
+        elif rows and r < 0.22:
+            coeffs, const, sgn = rng.choice(rows)
+            rows.append((coeffs, const, -sgn))
+        elif rows and r < 0.3:
+            coeffs, const, sgn = rng.choice(rows)
+            rows.append((tuple(-x for x in coeffs), -const, -sgn))
+        elif r < 0.4:
+            rows.append(((Fraction(0),) * d, _entry_or_zero(rng), rng.choice((1, -1))))
+        else:
+            rows.append((tuple(_entry_or_zero(rng) for _ in range(d)),
+                         _entry_or_zero(rng), rng.choice((1, -1))))
+    return d, rows
+
+
+def test_strict_feasible_matches_fraction_oracle():
+    rng = random.Random(8128)
+    answers = []
+    for _ in range(400):
+        d, rows = _random_strict_system(rng)
+        got = strict_feasible(rows, dim=d)
+        assert got == fraction_fm_oracle(rows), rows
+        answers.append(got)
+        for coeffs, const, _ in rows:
+            prim = _primitive_row(coeffs + (const,))
+            assert all(type(x) is int for x in prim)
+            assert gcd(*prim) in (0, 1)
+            lead = next((x for x in prim if x), None)
+            if lead is not None:
+                scale = Fraction(next(x for x in coeffs + (const,) if x), lead)
+                assert scale > 0
+                assert all(scale * x == y for x, y in zip(prim, coeffs + (const,)))
+    assert answers.count(True) >= 100 and answers.count(False) >= 100
+
+
 def test_affine_system_consistent():
     assert affine_system_consistent([], [])
     assert affine_system_consistent([[1, 0]], [2])
     assert not affine_system_consistent([[1], [1]], [0, 1])  # x=0 and x=1
+    assert affine_system_consistent([[], []], [0, 0])
+    assert not affine_system_consistent([[]], [1])
+
+
+def test_affine_system_consistent_matches_two_rank_oracle():
+    """One elimination of [rows | rhs] agrees with rank(rows) == rank(aug)."""
+    rng = random.Random(31337)
+    answers = []
+    for _ in range(300):
+        m, d = rng.randint(0, 5), rng.randint(0, 4)
+        rows = [[_entry_or_zero(rng) for _ in range(d)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.5:  # a dependent row
+            a, b = _random_entry(rng), _random_entry(rng)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        rhs = [_entry_or_zero(rng) for _ in range(m)]
+        want = naive_rank(rows) == naive_rank([r + [c] for r, c in zip(rows, rhs)])
+        got = affine_system_consistent(rows, rhs)
+        assert got == want, (rows, rhs)
+        answers.append(got)
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
 
 
 def test_solve_square():
