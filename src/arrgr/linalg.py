@@ -1,9 +1,13 @@
 """Exact rational linear algebra and strict-inequality feasibility.
 
-Everything is exact, over `fractions.Fraction` or, in `SparseEchelon` and
-the Fourier-Motzkin test `strict_feasible`, over integers (each rational
-row scaled once to a primitive integer row); no floating point anywhere.
-Matrices are sequences of equal-length rows; vectors are tuples.
+Everything is exact and no floating point is used anywhere.  Inputs are
+rationals (ints, Fractions or canonical strings); the eliminations run over
+integers, each rational row scaled once to a primitive integer row: `rref`
+(and `rank`, `rank_and_kernel`, `affine_system_consistent`, `solve_square`
+on top of it), `SparseEchelon` and the Fourier-Motzkin test
+`strict_feasible`.  `rref` and `solve_square` return Fractions, made only
+when the result is emitted.  Matrices are sequences of equal-length rows;
+vectors are tuples.
 """
 
 from __future__ import annotations
@@ -15,13 +19,18 @@ from math import gcd, lcm
 from .errors import ConsistencyError, InputError
 
 
+_ZERO = Fraction(0)
+
+
 def frac(x) -> Fraction:
     """Coerce ints, canonical strings like "-3/4", and Fractions."""
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _to_rows(matrix) -> list[list[Fraction]]:
-    rows = [[frac(x) for x in row] for row in matrix]
+def _to_rows(matrix) -> list[list]:
+    """Rows of ints and Fractions: ints pass through, so an integer matrix
+    never round-trips through Fraction; other entries go through `frac`."""
+    rows = [[x if type(x) is int else frac(x) for x in row] for row in matrix]
     if rows:
         width = len(rows[0])
         for row in rows:
@@ -30,34 +39,56 @@ def _to_rows(matrix) -> list[list[Fraction]]:
     return rows
 
 
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = _to_rows(matrix)
+def _integer_rref(matrix):
+    """Fraction-free Gauss-Jordan elimination.  Returns (rows, pivots): the
+    rows are primitive integer tuples, the first len(pivots) of them a
+    nonzero multiple of the reduced echelon rows and the rest zero.
+
+    Each row is scaled once to a primitive integer row.  The pivot of
+    column c is the first row at or below r with a nonzero entry there; a
+    step is the integer row operation a*row_i - b*row_r with
+    (a, b) = (p, f)/gcd(p, f) for pivot p and entry f, then division by the
+    content.
+    """
+    rows = [_primitive_row(row) for row in _to_rows(matrix)]
     if not rows or not rows[0]:
         return rows, []
-    ncols = len(rows[0])
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _divide_content([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
 
 
+def rref(matrix):
+    """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
+    lists of Fractions (zero rows last).  The elimination is over integers
+    (`_integer_rref`); each pivot row is divided by its pivot only here.
+    The reduced echelon form is unique, so this is elimination over Q."""
+    rows, pivots = _integer_rref(matrix)
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(rows, pivots)]
+    return out + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
+
+
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(_integer_rref(matrix)[1])
 
 
 def rank_and_kernel(matrix, ncols: int | None = None):
@@ -68,22 +99,23 @@ def rank_and_kernel(matrix, ncols: int | None = None):
     and the output is deterministic.  `ncols` is only needed when `matrix`
     has no rows.
     """
-    rows = _to_rows(matrix)
+    rows, pivots = _integer_rref(matrix)
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         ncols = 0
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    # one integer kernel vector per free column f: `scale` at f, and at the
+    # pivot column p of each row, -scale * row[f] / row[p]
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (scale // row[p])
         basis.append(v)
     normalized, _ = rref(basis)
-    return len(pivots), tuple(tuple(row) for row in normalized if any(x != 0 for x in row))
+    return len(pivots), tuple(tuple(row) for row in normalized)
 
 
 def affine_system_consistent(rows, rhs) -> bool:
@@ -94,7 +126,7 @@ def affine_system_consistent(rows, rhs) -> bool:
         raise InputError("right-hand side length mismatch")
     # one elimination of [rows | rhs]: inconsistent iff the rhs column,
     # the last one, holds a pivot (a row 0 = 1)
-    _, pivots = rref([row + [b] for row, b in zip(rows, rhs)])
+    _, pivots = _integer_rref([row + [b] for row, b in zip(rows, rhs)])
     return not pivots or pivots[-1] != len(rows[0])
 
 
@@ -107,10 +139,12 @@ def solve_square(A, B):
         return []
     if len(B) != n or len(A[0]) != n:
         raise InputError("dimension mismatch in solve_square")
-    red, pivots = rref([a + b for a, b in zip(A, B)])
+    red, pivots = _integer_rref([a + b for a, b in zip(A, B)])
     if pivots[:n] != list(range(n)):
         raise ConsistencyError("singular matrix in solve_square")
-    return [row[n:] for row in red]
+    # row i is p_i times (e_i | X_i), with p_i its entry in column i
+    return [[Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
+            for i, row in enumerate(red)]
 
 
 class SparseEchelon:
@@ -202,7 +236,7 @@ def _divide_content(row: list) -> tuple:
     """An integer row divided by the gcd of its entries (a positive scalar,
     so the sign pattern is kept); the zero row stays zero."""
     g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
+    return tuple([x // g for x in row]) if g > 1 else tuple(row)
 
 
 def _primitive_row(values) -> tuple:

@@ -6,7 +6,10 @@ perm(i).  The induced permutation of chambers is ρ(w); traces of ρ(w) on
 each filtration stage P^k are computed through the orthogonal projection
 onto P^k under the standard inner product on chamber functions, which is
 legitimate because permutation matrices are orthogonal and P^k is
-W-stable.
+W-stable.  The basis of P^k is a set of monomials, each 0/1 on the
+chambers, so the Gram entries are chamber counts of monomial
+intersections, read off chamber bitmasks as integers; the projection is
+then one integer `solve_square` per stage.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import SparseEchelon, frac, rref, solve_square
-from .vgring import filtration_data
+from .vgring import filtration_data, monomial_mask
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,6 @@ def _identify_sn_classes(n, elements, class_of, n_classes):
         sizes[c] += 1
         if orders[c] is None:
             orders[c] = _element_order(elements[k])
-    from math import lcm
     lookup = {}
     for mu in partitions(n):
         key = (lcm(*mu), class_size(mu))
@@ -350,22 +353,24 @@ class GradedCharacters:
         return out, total
 
 
-def _projection_trace(basis_columns, perm, upto_grade):
-    """trace of (B^T B)^{-1} B^T ρ B for the basis of P^k stacked by grade."""
-    cols = []
-    for k in range(upto_grade + 1):
-        cols += [vec for _, vec in basis_columns[k]]
-    if not cols:
-        return Fraction(0)
-    m = len(cols)
-    nch = len(cols[0])
-    # G = B^T B and R = B^T ρ(w) B, with (ρ(w) col)[perm[i]] = col[i]
-    G = [[sum(cols[a][i] * cols[b][i] for i in range(nch)) for b in range(m)]
-         for a in range(m)]
-    R = [[sum(cols[a][perm[i]] * cols[b][i] for i in range(nch)) for b in range(m)]
-         for a in range(m)]
-    X = solve_square(G, R)
-    return sum(X[i][i] for i in range(m))
+def _gram(masks, perm) -> list:
+    """B^T ρ(w) B for the 0/1 columns with chamber masks m_a, where
+    (ρ(w) col)[perm[i]] = col[i]: entry [a][b] counts the chambers i of m_b
+    with perm[i] in m_a, that is pre_a & m_b for pre_a = {i : perm[i] in m_a}.
+    The identity permutation gives B^T B."""
+    pre = [sum(1 << i for i, j in enumerate(perm) if m >> j & 1) for m in masks]
+    return [[(p & m).bit_count() for m in masks] for p in pre]
+
+
+def _projection_trace(G, R, m):
+    """trace of (B^T B)^{-1} B^T ρ B for the first m basis columns, the
+    basis of P^k stacked by grade: G = B^T B and R = B^T ρ(w) B of the top
+    stage restricted to their leading m x m blocks."""
+    X = solve_square([row[:m] for row in G[:m]], [row[:m] for row in R[:m]])
+    # the diagonal summed over a common denominator
+    diag = [X[i][i] for i in range(m)]
+    den = lcm(*(x.denominator for x in diag))
+    return Fraction(sum(x.numerator * (den // x.denominator) for x in diag), den)
 
 
 def _check_stable(basis_columns, perm, upto_grade):
@@ -391,14 +396,20 @@ def graded_character(A: Arrangement, group: GroupSpec,
     """
     dims, bases = filtration_data(A, reverse=reverse_basis)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
+    # Gram entries are chamber counts of monomial intersections: basis
+    # column a is the 0/1 evaluation of a monomial, i.e. its chamber mask
+    masks = [monomial_mask(A, subset)
+             for k in range(top + 1) for subset, _ in bases[k]]
+    G = _gram(masks, range(len(A.chambers())))
+    stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
     reps = group.class_representatives()
     per_class_stage = []
     chamber_vals = []
     for w in reps:
         perm = chamber_permutation(A, w)
         _check_stable(bases, perm, top)
-        traces = [_projection_trace(bases, perm, k) for k in range(top + 1)]
-        per_class_stage.append(traces)
+        R = _gram(masks, perm)
+        per_class_stage.append([_projection_trace(G, R, m) for m in stage_sizes])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = []
     for k in range(top + 1):

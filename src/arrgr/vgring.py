@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .arrangement import Arrangement
 from .circuits import SignedSet, canonical_circuits
@@ -27,33 +28,54 @@ from .linalg import SparseEchelon
 from .polyring import Poly
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _heaviside_masks(A: Arrangement) -> tuple:
+    """Per hyperplane i, the chambers on its positive side as a bitmask
+    over the chamber order (bit c for chamber c)."""
+    return A._memo("heaviside_masks", lambda: tuple(
+        sum(1 << c for c, signs in enumerate(A.chambers()) if signs[i] == "+")
+        for i in range(A.n)))
+
+
+def monomial_mask(A: Arrangement, subset) -> int:
+    """The chambers where the monomial of `subset` is 1, as a bitmask over
+    the chamber order: the AND of its Heaviside masks, or every chamber
+    for the empty subset."""
+    masks = _heaviside_masks(A)
+    out = (1 << len(A.chambers())) - 1
+    for h in subset:
+        out &= masks[A.form_index(h)]
+    return out
+
+
 def heaviside(A: Arrangement, h) -> tuple:
     """Value 1 on chambers with sign '+' at h, value 0 on sign '-'."""
-    i = A.form_index(h)
-    return tuple(Fraction(1) if c[i] == "+" else Fraction(0) for c in A.chambers())
+    return monomial_eval(A, (h,))
 
 
 def monomial_eval(A: Arrangement, subset) -> tuple:
     """Pointwise product of the Heaviside functions indexed by `subset`."""
-    idxs = [A.form_index(h) for h in subset]
-    return tuple(
-        Fraction(1) if all(c[i] == "+" for i in idxs) else Fraction(0)
-        for c in A.chambers()
-    )
+    mask = monomial_mask(A, subset)
+    return tuple(_ONE if mask >> c & 1 else _ZERO for c in range(len(A.chambers())))
 
 
 def evaluate_on_chambers(A: Arrangement, poly: Poly) -> tuple:
-    """Substitute the Heaviside functions into a u-free polynomial."""
+    """Substitute the Heaviside functions into a u-free polynomial.
+
+    A term contributes on the chambers of its monomial's chamber mask; the
+    coefficients are scaled once to integers over their common
+    denominator."""
     if not poly.is_u_free:
         raise InputError("cannot evaluate a polynomial still carrying u")
-    out = []
-    for c in A.chambers():
-        total = Fraction(0)
-        for (emon, _), coeff in poly.terms.items():
-            if all(c[i] == "+" for i in emon):
-                total += coeff
-        out.append(total)
-    return tuple(out)
+    terms = poly.terms.items()
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    scaled = [(monomial_mask(A, emon), coeff.numerator * (den // coeff.denominator))
+              for (emon, _), coeff in terms]
+    totals = (sum(k for mask, k in scaled if mask >> c & 1)
+              for c in range(len(A.chambers())))
+    return tuple(Fraction(t, den) if t else _ZERO for t in totals)
 
 
 @dataclass(frozen=True)

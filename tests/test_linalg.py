@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -7,9 +8,9 @@ import pytest
 
 from arrgr.arrangement import braid, semiorder
 from arrgr.errors import ConsistencyError, InputError
-from arrgr.linalg import (SparseEchelon, _primitive_row,
+from arrgr.linalg import (SparseEchelon, _integer_rref, _primitive_row,
                           affine_system_consistent, frac, rank,
-                          rank_and_kernel, solve_square, strict_feasible)
+                          rank_and_kernel, rref, solve_square, strict_feasible)
 from arrgr.vgring import filtration_data, monomial_eval
 
 
@@ -36,6 +37,96 @@ def naive_rank(matrix):
                 rows[i] = [a - mult * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def fraction_rref_oracle(matrix):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions,
+    pivot rows divided by their pivot at once: the arithmetic the integer
+    elimination of `rref` is checked against.  Returns (rows, pivots)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows or not rows[0]:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _random_matrix(rng):
+    """Empty, zero-row, wide, tall and rank-deficient matrices with negative
+    entries and non-unit denominators, as Fractions or as plain ints."""
+    m, d = rng.randint(0, 7), rng.randint(0, 7)
+    rows = [[_entry_or_zero(rng) for _ in range(d)] for _ in range(m)]
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [Fraction(0)] * d
+    if m >= 3 and rng.random() < 0.4:  # a dependent row
+        a, b = _random_entry(rng), _random_entry(rng)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if rng.random() < 0.3:
+        rows = [[int(x * 12) for x in row] for row in rows]
+    return rows
+
+
+def test_rref_matches_fraction_oracle():
+    rng = random.Random(90210)
+    kinds = Counter()
+    for _ in range(400):
+        matrix = _random_matrix(rng)
+        got, pivots = rref(matrix)
+        want, want_pivots = fraction_rref_oracle(matrix)
+        assert (got, pivots) == (want, want_pivots), matrix
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert rank(matrix) == len(want_pivots)
+        # the integer rows: primitive, the pivot rows multiples of the
+        # reduced rows, the rest zero
+        rows, int_pivots = _integer_rref(matrix)
+        assert int_pivots == want_pivots
+        for row in rows:
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) in (0, 1)
+        for row, c, red in zip(rows, int_pivots, want):
+            assert [Fraction(x, row[c]) for x in row] == red
+        assert not any(any(row) for row in rows[len(int_pivots):])
+        m, d = len(matrix), len(matrix[0]) if matrix else 0
+        if m and d:
+            # the kernel and the solution of today's construction
+            free = [c for c in range(d) if c not in want_pivots]
+            basis = []
+            for f in free:
+                v = [Fraction(0)] * d
+                v[f] = Fraction(1)
+                for i, p in enumerate(want_pivots):
+                    v[p] = -want[i][f]
+                basis.append(v)
+            kernel = tuple(tuple(row) for row in fraction_rref_oracle(basis)[0])
+            assert rank_and_kernel(matrix) == (len(want_pivots), kernel)
+            if m == d == len(want_pivots):
+                k = rng.randint(1, 3)
+                rhs = [[_entry_or_zero(rng) for _ in range(k)] for _ in range(m)]
+                aug = fraction_rref_oracle([a + b for a, b in zip(matrix, rhs)])[0]
+                assert solve_square(matrix, rhs) == [row[d:] for row in aug]
+                kinds["solved"] += 1
+        kinds["empty"] += not (m and d)
+        kinds["zero row"] += any(not any(row) for row in matrix) and d > 0
+        kinds["wide"] += 0 < m < d
+        kinds["tall"] += m > d > 0
+        kinds["rank-deficient"] += 0 < len(want_pivots) < min(m, d)
+        kinds["integer input"] += all(type(x) is int for row in matrix for x in row)
+    assert min(kinds.values()) >= 20 and len(kinds) == 7, kinds
 
 
 def test_rank_identity():

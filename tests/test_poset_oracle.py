@@ -5,14 +5,19 @@ values over the poset of nonempty flats, and the graded NBC counts are the
 unsigned Whitney numbers.  Neither fact is used anywhere in the library:
 this oracle is pure poset combinatorics on exactly-computed flats, so it
 independently certifies both the feasibility-based chamber enumeration and
-the broken-circuit machinery.
+the broken-circuit machinery.  Its flats are reduced with the Fraction
+elimination `fraction_rref_oracle`, not with the library's integer `rref`.
 """
 
 from itertools import combinations
 
 from arrgr.arrangement import cone
 from arrgr.circuits import nbc_counts
-from arrgr.linalg import rank, rref
+from test_linalg import fraction_rref_oracle
+
+
+def rank(rows):
+    return len(fraction_rref_oracle(rows)[1])
 
 
 def intersection_poset(A):
@@ -25,7 +30,7 @@ def intersection_poset(A):
                 continue
             rows = [list(A.forms[i].linear) + [-A.forms[i].constant]
                     for i in supp]
-            red, pivots = rref(rows)
+            red, pivots = fraction_rref_oracle(rows)
             key = tuple(tuple(r) for r in red if any(r))
             flats.setdefault(key, len(pivots))
     return flats

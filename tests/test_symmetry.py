@@ -5,10 +5,12 @@ import pytest
 
 from arrgr.arrangement import boolean, braid, semiorder
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
-from arrgr.symmetry import (SignedPermutation, chamber_permutation,
+from arrgr.symmetry import (SignedPermutation, _gram, chamber_permutation,
                             coordinate_action, derive_signed_permutation,
                             fixed_chambers, graded_character, group_from_json,
                             load_group)
+from arrgr.vgring import filtration_data, monomial_mask
+from test_linalg import fraction_rref_oracle
 
 
 def swap_matrix(n, a, b):
@@ -126,6 +128,79 @@ def test_traces_basis_independent(corpus_map):
         G = coordinate_action(A)
         assert graded_character(A, G).grade_values \
             == graded_character(A, G, reverse_basis=True).grade_values, name
+
+
+def dense_grams(bases, perm, upto_grade):
+    """G = B^T B and R = B^T ρ(w) B as Fraction sums over the chamber
+    vectors of the basis of P^k, with (ρ(w) col)[perm[i]] = col[i]."""
+    cols = [vec for k in range(upto_grade + 1) for _, vec in bases[k]]
+    nch = len(cols[0])
+    G = [[sum(a[i] * b[i] for i in range(nch)) for b in cols] for a in cols]
+    R = [[sum(a[perm[i]] * b[i] for i in range(nch)) for b in cols] for a in cols]
+    return G, R
+
+
+def dense_projection_trace_oracle(bases, perm, upto_grade):
+    """trace of (B^T B)^{-1} B^T ρ B on P^k, with Fraction Gram matrices
+    solved by Fraction elimination."""
+    G, R = dense_grams(bases, perm, upto_grade)
+    m = len(G)
+    X = [row[m:] for row in fraction_rref_oracle([g + r for g, r in zip(G, R)])[0]]
+    return sum(X[i][i] for i in range(m))
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("make", (lambda: braid(3), lambda: braid(4),
+                                  lambda: boolean(4), lambda: semiorder(3)),
+                         ids=("braid3", "braid4", "boolean4", "semiorder3"))
+def test_graded_character_matches_dense_oracle(make, reverse):
+    A = make()
+    group = coordinate_action(A)
+    gc = graded_character(A, group, reverse_basis=reverse)
+    dims, bases = filtration_data(A, reverse=reverse)
+    top = max(k for k in range(len(dims)) if bases[k])
+    masks = [monomial_mask(A, s) for k in range(top + 1) for s, _ in bases[k]]
+    identity = tuple(range(len(A.chambers())))
+    for c, w in enumerate(group.class_representatives()):
+        perm = chamber_permutation(A, w)
+        G, R = dense_grams(bases, perm, top)
+        assert _gram(masks, identity) == G
+        assert _gram(masks, perm) == R
+        traces = [dense_projection_trace_oracle(bases, perm, k)
+                  for k in range(top + 1)]
+        want = [traces[k] - (traces[k - 1] if k else 0) for k in range(top + 1)]
+        assert [row[c] for row in gc.grade_values] == want
+        assert gc.chamber_values[c] == sum(1 for i, j in enumerate(perm) if i == j)
+    assert all(type(v) is Fraction
+               for row in gc.grade_values + (gc.chamber_values,) for v in row)
+
+
+# the README table: graded pieces of braid 5 under S_5
+BRAID5_GRADES = [
+    {(5,): 1},
+    {(4, 1): 1, (3, 1, 1): 1},
+    {(4, 1): 1, (3, 2): 2, (3, 1, 1): 1, (2, 2, 1): 2, (2, 1, 1, 1): 1,
+     (1, 1, 1, 1, 1): 1},
+    {(4, 1): 1, (3, 2): 2, (3, 1, 1): 3, (2, 2, 1): 2, (2, 1, 1, 1): 2},
+    {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1, (2, 1, 1, 1): 1},
+]
+# each irreducible of S_5 with multiplicity its dimension
+S5_REGULAR = {(5,): 1, (4, 1): 4, (3, 2): 5, (3, 1, 1): 6, (2, 2, 1): 5,
+              (2, 1, 1, 1): 4, (1, 1, 1, 1, 1): 1}
+
+
+def test_braid5_characters_are_the_regular_representation():
+    A = braid(5)
+    group = coordinate_action(A)
+    gc = graded_character(A, group)
+    ident = group.cycle_types.index((1,) * 5)
+    # grade dimensions: the coefficients of (1+t)(1+2t)(1+3t)(1+4t)
+    assert [row[ident] for row in gc.grade_values] == [1, 10, 35, 50, 24]
+    assert gc.chamber_values == tuple(120 if c == ident else 0
+                                      for c in range(group.n_classes))
+    per_grade, total = gc.decompositions()
+    assert total == S5_REGULAR
+    assert [{mu: m for mu, m in d.items() if m} for d in per_grade] == BRAID5_GRADES
 
 
 def test_boolean_action_has_flips():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -147,6 +148,38 @@ def test_family3_needs_the_flat_condition():
              - _product_poly(X.minus, X.plus, Poly.one()))
     values = evaluate_on_chambers(S, bogus)
     assert any(v != 0 for v in values)
+
+
+def evaluate_on_chambers_oracle(A, poly):
+    """Fraction sums over the terms whose indices are all '+' in a chamber's
+    sign string: the arithmetic the bitmask evaluation is checked against."""
+    out = []
+    for c in A.chambers():
+        total = Fraction(0)
+        for (emon, _), coeff in poly.terms.items():
+            if all(c[i] == "+" for i in emon):
+                total += coeff
+        out.append(total)
+    return tuple(out)
+
+
+def test_evaluate_on_chambers_matches_string_scan_oracle(corpus_map):
+    rng = random.Random(4711)
+    nonzero = 0
+    for name, A in corpus_map.items():
+        polys = [rel.poly for rel in vg_relation_families(A)]
+        for _ in range(20):  # squares, non-unit denominators, cancellation
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                emon = tuple(sorted(rng.choices(range(A.n), k=rng.randint(0, 3))))
+                terms[(emon, 0)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            polys.append(Poly(terms))
+        for poly in polys:
+            got = evaluate_on_chambers(A, poly)
+            assert got == evaluate_on_chambers_oracle(A, poly), (name, poly)
+            assert all(type(v) is Fraction for v in got)
+            nonzero += any(got)
+    assert nonzero >= 100
 
 
 def test_presentation_dimension_examples():
