@@ -131,7 +131,8 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     the circuits inside X u Y are those of a central arrangement, while
     affine circuits need not eliminate across an empty flat.  A raw circuit
     system has no empty flats, so it gets the full axiom.  Signed sets are
-    compared as (plus, minus) bitmasks.
+    compared as (plus, minus) bitmasks, and the eliminators are searched as
+    bitsets over the circuit list.
     """
     violations = []
     circ = C.circuits
@@ -150,6 +151,18 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
                     and (xp, xm) != (ym, yp)):
                 violations.append(
                     (3, f"{X.pretty(C.ground)} nested in {Y.pretty(C.ground)}"))
+    # Bit k of has_plus[i] (has_minus[i]) says that i is in circuit k's
+    # plus (minus) part.  A circuit eliminates e iff it lies in no
+    # has_plus[i] with i outside plus - e and no has_minus[i] with i
+    # outside minus - e.
+    has_plus = [0] * C.n
+    has_minus = [0] * C.n
+    for k, Z in enumerate(circ):
+        for i in Z.plus:
+            has_plus[i] |= 1 << k
+        for i in Z.minus:
+            has_minus[i] |= 1 << k
+    all_circuits = (1 << len(circ)) - 1
     for X, (xp, xm) in zip(circ, masks):
         for Y, (yp, ym) in zip(circ, masks):
             if not xp & ym or (xp, xm) == (ym, yp):
@@ -158,11 +171,14 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
             union = plus | minus
             if any(f & union == f for f in flats):
                 continue
+            bad = 0
+            for i in range(C.n):
+                if not plus >> i & 1:
+                    bad |= has_plus[i]
+                if not minus >> i & 1:
+                    bad |= has_minus[i]
             for e in X.plus & Y.minus:
-                keep = ~(1 << e)
-                zplus, zminus = plus & keep, minus & keep
-                if not any(zp & zplus == zp and zm & zminus == zm
-                           for zp, zm in masks):
+                if not all_circuits & ~(bad | has_plus[e] | has_minus[e]):
                     violations.append(
                         (4, f"no elimination of {C.ground[e]} from "
                             f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))

@@ -5,8 +5,9 @@ A chamber function is a tuple of rationals indexed by the canonical chamber
 order.  The Heaviside generator of hyperplane i is 1 on chambers on its
 positive side and 0 otherwise; P^k is the span of all products of at most k
 generators.  Ideal-theoretic questions about the presentation are answered
-with finite linear algebra in the 2^n-dimensional squarefree-monomial space
-(squares are rewritten via e_i^2 -> e_i), never with Groebner bases.
+on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
+2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
+so no Groebner basis and no elimination over monomial multiples is needed.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -249,51 +250,47 @@ def _poly_to_mask_vector(poly: Poly) -> dict:
     return {m: c for m, c in vec.items() if c}
 
 
-def _reduced_multiples(rel: Relation, n: int):
-    """All distinct squarefree reductions of monomial multiples of a
-    family-(2) or family-(3) relation.
+def _common_zeros(A: Arrangement, families) -> list:
+    """The subsets s of the hyperplanes, as bitmasks in increasing order, at
+    which every selected family-(2)/(3) relation vanishes under
+    e_i(s) = [i in s].
 
-    Multiplying by a generator inside the support either reproduces the
-    relation, kills it, or (family 3) isolates one of its two opposite
-    products, so only multipliers disjoint from the support remain, applied
-    to the short list of residual polynomials.
+    A relation with support mask S depends on s only through s & S, so it
+    is evaluated once at each sub-mask t of S: its value there is the sum
+    of the coefficients of the terms whose masks lie inside t.
     """
-    if rel.family == 2:
-        base = [rel.poly]
-        support = rel.source.support
-    elif rel.family == 3:
-        X = rel.source
-        base = [rel.poly]
-        if X.minus:
-            base.append(_product_poly(X.plus, X.minus, Poly.one()))
-        if X.plus:
-            base.append(_product_poly(X.minus, X.plus, Poly.one()))
-        support = X.support
-    else:
-        raise InputError("only families 2 and 3 have monomial multiples here")
-    free = [i for i in range(n) if i not in support]
-    vecs = [_poly_to_mask_vector(poly) for poly in base]
-    for mask in _subset_masks(free):
-        for vec in vecs:
-            yield {m | mask: c for m, c in vec.items()}
+    zeros = range(2**A.n)
+    for rel in vg_relation_families(A):
+        if rel.family == 1 or rel.family not in families:
+            continue
+        vec = _poly_to_mask_vector(rel.poly)
+        support = 0
+        for m in vec:
+            support |= m
+        points = _subset_masks([i for i in range(A.n) if support >> i & 1])
+        nonzero = {t for t in points
+                   if sum(c for m, c in vec.items() if m & t == m) != 0}
+        zeros = [s for s in zeros if s & support not in nonzero]
+    return list(zeros)
 
 
 def presentation_dimension(A: Arrangement, families=(1, 2), nmax: int = 14) -> int:
-    """Dimension of Q[e]/<relations> computed by multilinear reduction.
+    """Dimension of Q[e]/<relations>, counted as the common zeros of the
+    relations on the Boolean cube.
 
-    Family (1) is imposed by working in the squarefree-monomial space of
-    dimension 2^n and rewriting e_i^2 -> e_i; the remaining families span a
-    subspace whose corank is the answer.  `families` selects which of (2)
-    and (3) to use — for central arrangements families (1) and (3) alone
-    must already give the chamber count.
+    Family (1) makes Q[e]/(e_i^2 - e_i) the ring of functions on the 2^n
+    points of {0,1}^n: a point is a subset s with e_i(s) = [i in s], and
+    f -> (f(s))_s is an isomorphism onto Q^(2^n), under which the monomial
+    of s times prod_{i not in s} (1 - e_i) is the idempotent delta_s.  For
+    a relation g with g(s) != 0, delta_s = delta_s * g / g(s) lies in the
+    ideal; every element of the ideal vanishes where all relations do.  So
+    the ideal is spanned by the delta_s off the common zeros, and the
+    quotient has one dimension per common zero (for the full presentation
+    these are the chambers' plus-sets, Varchenko-Gelfand 1987).  `families`
+    selects which of (2) and (3) to use — for central arrangements families
+    (1) and (3) alone must already give the chamber count.
     """
     if A.n > nmax:
         raise ResourceBoundError(
             f"presentation_dimension bound exceeded: n = {A.n} > {nmax}")
-    ech = SparseEchelon()
-    for rel in vg_relation_families(A):
-        if rel.family == 1 or rel.family not in families:
-            continue
-        for vec in _reduced_multiples(rel, A.n):
-            ech.add(vec)
-    return 2**A.n - ech.rank
+    return len(_common_zeros(A, families))

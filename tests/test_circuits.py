@@ -6,11 +6,11 @@ import pytest
 
 from arrgr.arrangement import (AffineForm, Arrangement, braid, cone, delete,
                                restrict, semiorder)
-from arrgr.circuits import (CircuitSet, SignedSet, broken_circuits,
+from arrgr.circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
                             canonical_circuits, circuits_from_arrangement,
                             circuits_from_json, circuits_to_json,
                             empty_flat_test, load_circuits, nbc_counts,
-                            nbc_sets, validate_circuit_axioms)
+                            nbc_sets, validate_circuit_axioms, _mask)
 from arrgr.corpus import random_rational_arrangement, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.linalg import rank
@@ -332,3 +332,79 @@ def test_axiom_violation_message_is_one_short_line():
     assert message == (f"circuit axioms violated: axiom ({axiom}) {witness} "
                        f"(and {len(report.violations) - 1} more)")
     assert "\n" not in message and len(message) < 200
+
+
+def circuit_axioms_oracle(C):
+    """The axiom check with a linear scan of the circuit list for each
+    elimination (X, Y, e): the report the bitset search must reproduce,
+    violations in the same order."""
+    violations = []
+    circ = C.circuits
+    cset = set(circ)
+    masks = [(_mask(X.plus), _mask(X.minus)) for X in circ]
+    flats = [_mask(s) for s in C.empty_flats]
+    for X in circ:
+        if len(X.support) <= 1:
+            violations.append((1, f"|support| = {len(X.support)} for {X.pretty(C.ground)}"))
+    for X in circ:
+        if X.negate() not in cset:
+            violations.append((2, f"negation of {X.pretty(C.ground)} missing"))
+    for X, (xp, xm) in zip(circ, masks):
+        for Y, (yp, ym) in zip(circ, masks):
+            if ((xp | xm) & ~(yp | ym) == 0 and (xp, xm) != (yp, ym)
+                    and (xp, xm) != (ym, yp)):
+                violations.append(
+                    (3, f"{X.pretty(C.ground)} nested in {Y.pretty(C.ground)}"))
+    for X, (xp, xm) in zip(circ, masks):
+        for Y, (yp, ym) in zip(circ, masks):
+            if not xp & ym or (xp, xm) == (ym, yp):
+                continue
+            plus, minus = xp | yp, xm | ym
+            if any(f & (plus | minus) == f for f in flats):
+                continue
+            for e in X.plus & Y.minus:
+                keep = ~(1 << e)
+                zplus, zminus = plus & keep, minus & keep
+                if not any(zp & zplus == zp and zm & zminus == zm
+                           for zp, zm in masks):
+                    violations.append(
+                        (4, f"no elimination of {C.ground[e]} from "
+                            f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))
+    return AxiomReport(not violations, tuple(violations))
+
+
+def test_axiom_check_matches_scan_oracle_on_recursion_sets(corpus_map):
+    """The circuit sets of the deletion-restriction and coning criterion:
+    every corpus member, its deletions, restrictions and cone."""
+    systems = []
+    for A in corpus_map.values():
+        systems.append(circuits_from_arrangement(A))
+        for lab in A.labels:
+            if A.n > 1:
+                systems.append(circuits_from_arrangement(delete(A, lab)))
+            systems.append(circuits_from_arrangement(restrict(A, lab)))
+        systems.append(circuits_from_arrangement(cone(A)))
+    assert len(systems) == 104
+    for C in systems:
+        assert validate_circuit_axioms(C) == circuit_axioms_oracle(C)
+
+
+def test_axiom_check_matches_scan_oracle_on_broken_systems():
+    """Seeded circuit drops, with and without the empty flats: the reports,
+    violations and their order included, are those of the scan."""
+    B = braid(4)
+    sources = [B, semiorder(4), random_rational_arrangement(seed=4),
+               Arrangement(4, B.forms + (AffineForm((1, -1, 0, 0), -1),),
+                           B.labels + ("12'",))]
+    rng = random.Random(20261018)
+    broken = 0
+    for A in sources:
+        C = circuits_from_arrangement(A)
+        for _ in range(3):
+            kept = [X for X in C.circuits if rng.random() > 0.2]
+            for flats in ((), C.empty_flats):
+                D = CircuitSet(C.ground, kept, validate=False, empty_flats=flats)
+                report = validate_circuit_axioms(D)
+                assert report == circuit_axioms_oracle(D)
+                broken += any(a == 4 for a, _ in report.violations)
+    assert broken >= 15

@@ -15,7 +15,7 @@ from arrgr.vgring import (evaluate_on_chambers, filtration_data,
                           filtration_profile, heaviside,
                           monomial_eval, presentation_dimension,
                           vg_relation_families, verify_relations,
-                          _product_poly, _poly_to_mask_vector)
+                          _common_zeros, _product_poly, _poly_to_mask_vector)
 
 
 def test_heaviside_point_in_a_line():
@@ -202,7 +202,9 @@ def test_presentation_dimension_respects_bound():
 
 
 def full_multiples_rank(A, families):
-    """Oracle: multiply every relation by every squarefree monomial."""
+    """Oracle: multiply every relation by every squarefree monomial and
+    take the rank of the products in the 2^n-dimensional squarefree-monomial
+    space; the quotient's dimension is 2^n minus this rank."""
     ech = SparseEchelon()
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
@@ -226,3 +228,34 @@ def test_reduced_multiples_match_full_enumeration(corpus_map):
             want = 2**A.n - full_multiples_rank(A, families)
             assert presentation_dimension(A, families=families) == want, \
                 (name, families)
+
+
+def test_presentation_dimension_matches_full_multiples(corpus_map):
+    """The common-zero count equals the corank of every monomial multiple
+    of every relation, for each choice of families, on the whole corpus."""
+    for name, A in corpus_map.items():
+        assert A.n <= 8, name
+        for families in ((1, 2), (1, 3), (1, 2, 3)):
+            want = 2**A.n - full_multiples_rank(A, families)
+            assert presentation_dimension(A, families=families) == want, \
+                (name, families)
+
+
+def _plus_masks(A):
+    return {sum(1 << i for i, sign in enumerate(c) if sign == "+")
+            for c in A.chambers()}
+
+
+def test_presentation_zero_set_is_the_chambers(corpus_map):
+    """The relations' common zeros on the Boolean cube are exactly the
+    chambers' plus-sets; for a central arrangement families (1) and (3)
+    alone cut out the same set."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
+    cases.update((f"random_seed{k}", random_rational_arrangement(seed=k))
+                 for k in range(1, 5))
+    for name, A in cases.items():
+        zeros = _common_zeros(A, (1, 2))
+        assert zeros == sorted(set(zeros)), name
+        assert set(zeros) == _plus_masks(A), name
+        if A.central:
+            assert set(_common_zeros(A, (1, 3))) == _plus_masks(A), name
