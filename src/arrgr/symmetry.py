@@ -2,14 +2,17 @@
 
 A symmetry is recorded as a signed permutation of the forms: applying the
 inverse affine map to form i gives a positive or negative multiple of form
-perm(i).  The induced permutation of chambers is ρ(w); traces of ρ(w) on
-each filtration stage P^k are computed through the orthogonal projection
-onto P^k under the standard inner product on chamber functions, which is
-legitimate because permutation matrices are orthogonal and P^k is
-W-stable.  The basis of P^k is a set of monomials, each 0/1 on the
+perm(i).  For the coordinate action of S_n the images are read off the
+forms' primitive integer rows, one lookup per form and element.  The
+induced permutation of chambers is ρ(w); traces of ρ(w) on each filtration
+stage P^k are computed through the orthogonal projection onto P^k under
+the standard inner product on chamber functions, which is legitimate
+because permutation matrices are orthogonal and P^k is W-stable (checked
+stage by stage).  The basis of P^k is a set of monomials, each 0/1 on the
 chambers, so the Gram entries are chamber counts of monomial
-intersections, read off chamber bitmasks as integers; the projection is
-then one integer `solve_square` per stage.
+intersections, read off chamber bitmasks as integers.  Each stage's Gram
+block is inverted once, by one integer `solve_square`, and the inverse is
+shared by every conjugacy class.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import mul
 
 from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
+from .circuits import _json_kind
 from .errors import ConsistencyError, InputError, NotASymmetryError
-from .linalg import SparseEchelon, frac, rref, solve_square
+from .linalg import SparseEchelon, _primitive_row, frac, rref, solve_square
 from .vgring import filtration_data, monomial_mask
 
 
@@ -160,28 +165,52 @@ def _validate_closure(elements):
                 raise InputError("group not closed under composition")
 
 
-def coordinate_action(A: Arrangement, name: str | None = None) -> GroupSpec:
+def _positive_lead(row: tuple) -> tuple:
+    """(row, 1) if the first nonzero entry of row is positive, else
+    (-row, -1)."""
+    if next(x for x in row if x) > 0:
+        return row, 1
+    return tuple(-x for x in row), -1
+
+
+def coordinate_action(A: Arrangement) -> GroupSpec:
     """The full symmetric group permuting the coordinates of Q^dim.
 
     Each coordinate permutation must map the arrangement to itself; its
     conjugacy class is its cycle type, so irreducible decompositions are
-    available directly.
+    available directly.  The permutation g sending e_i to e_{g(i)} carries
+    the form with homogenized row (a, c) to (a permuted by g, c), so the
+    images are read off the coordinates: the forms are indexed once by
+    their primitive integer rows with a positive leading entry, and the
+    flip is the product of the two signs used to make the leads positive.
     """
     n = A.dim
+    rows = [_primitive_row(f.homogenized()) for f in A.forms]
+    index = {}
+    for j, row in enumerate(rows):
+        key, sign = _positive_lead(row)
+        index[key] = (j, sign)
     elements, class_of = [], []
     labels: list[str] = []
     label_ids: dict = {}
     for g in permutations(range(n)):
-        # permutation matrix sending e_i to e_{g(i)}: (Mv)_j = v_{g^{-1}(j)}
-        M = [[Fraction(1) if g[c] == r else Fraction(0) for c in range(n)]
-             for r in range(n)]
-        w = derive_signed_permutation(A, M)
+        # the image of form i has coordinate g(r) equal to its coordinate r
+        ginv = sorted(range(n), key=g.__getitem__)
+        perm, flips = [], []
+        for i, row in enumerate(rows):
+            image, sign = _positive_lead(tuple(row[r] for r in ginv) + (row[n],))
+            hit = index.get(image)
+            if hit is None:
+                raise NotASymmetryError(
+                    f"image of form {A.labels[i]!r} is not in the arrangement")
+            perm.append(hit[0])
+            flips.append(sign * hit[1])
         mu = cycle_type(g)
         key = partition_str(mu)
         if key not in label_ids:
             label_ids[key] = len(labels)
             labels.append(key)
-        elements.append(w)
+        elements.append(SignedPermutation(tuple(perm), tuple(flips)))
         class_of.append(label_ids[key])
     order = sorted(range(len(labels)), key=lambda c: labels[c])
     remap = {old: new for new, old in enumerate(order)}
@@ -211,6 +240,9 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
             perm = [None] * A.n
             flips = [1] * A.n
             for src, dst in entry["perm"].items():
+                if isinstance(dst, bool) or not isinstance(dst, (str, int)):
+                    raise InputError('"perm": a label must be a string or an '
+                                     f"integer, not {_json_kind(dst)}")
                 perm[A.form_index(str(src))] = A.form_index(str(dst))
             if any(p is None for p in perm):
                 raise InputError("group element must map every hyperplane")
@@ -362,29 +394,33 @@ def _gram(masks, perm) -> list:
     return [[(p & m).bit_count() for m in masks] for p in pre]
 
 
-def _projection_trace(G, R, m):
-    """trace of (B^T B)^{-1} B^T ρ B for the first m basis columns, the
-    basis of P^k stacked by grade: G = B^T B and R = B^T ρ(w) B of the top
-    stage restricted to their leading m x m blocks."""
-    X = solve_square([row[:m] for row in G[:m]], [row[:m] for row in R[:m]])
-    # the diagonal summed over a common denominator
-    diag = [X[i][i] for i in range(m)]
-    den = lcm(*(x.denominator for x in diag))
-    return Fraction(sum(x.numerator * (den // x.denominator) for x in diag), den)
+def _stage_inverse(G, m) -> list:
+    """(B^T B)^{-1} for the first m basis columns, G = B^T B of the top
+    stage: one `solve_square` against the identity, each row returned as
+    (integer row, denominator)."""
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    out = []
+    for row in solve_square([row[:m] for row in G[:m]], identity):
+        den = lcm(*(x.denominator for x in row))
+        out.append(([x.numerator * (den // x.denominator) for x in row], den))
+    return out
 
 
-def _check_stable(basis_columns, perm, upto_grade):
-    """P^k must be carried into itself by the chamber permutation."""
+def _check_stable(bases, perms, upto_grade):
+    """Every stage P^k must be carried into itself by each chamber
+    permutation.  Stage k's columns join the echelon, which then spans
+    P^k, and their images must lie in it; the images of the earlier
+    columns were checked in P^{k-1}, which P^k contains."""
     ech = SparseEchelon()
-    cols = []
     for k in range(upto_grade + 1):
-        cols += [vec for _, vec in basis_columns[k]]
-    for vec in cols:
-        ech.add({i: v for i, v in enumerate(vec) if v})
-    for vec in cols:
-        moved = {perm[i]: v for i, v in enumerate(vec) if v}
-        if ech.add(moved):
-            raise ConsistencyError("filtration stage is not W-stable")
+        cols = [{i: v for i, v in enumerate(vec) if v} for _, vec in bases[k]]
+        for vec in cols:
+            ech.add(vec)
+        for perm in perms:
+            for vec in cols:
+                if not ech.contains({perm[i]: v for i, v in vec.items()}):
+                    raise ConsistencyError(
+                        f"filtration stage {k} is not W-stable")
 
 
 def graded_character(A: Arrangement, group: GroupSpec,
@@ -392,7 +428,10 @@ def graded_character(A: Arrangement, group: GroupSpec,
     """Characters of the filtration layers, via projection traces.
 
     grade-k character = trace on P^k minus trace on P^{k-1}, evaluated on
-    one representative per conjugacy class.
+    one representative per conjugacy class.  The trace on a stage of m
+    basis columns is trace(G_m^{-1} R_m) = sum_i (sum_j N_ij R_ji) / den_i,
+    with G_m^{-1} solved once per stage and shared by every class, its row
+    i the integers N_i over den_i.
     """
     dims, bases = filtration_data(A, reverse=reverse_basis)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
@@ -403,13 +442,18 @@ def graded_character(A: Arrangement, group: GroupSpec,
     G = _gram(masks, range(len(A.chambers())))
     stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
     reps = group.class_representatives()
+    perms = [chamber_permutation(A, w) for w in reps]
+    _check_stable(bases, perms, top)
+    inverses = [_stage_inverse(G, m) for m in stage_sizes]
     per_class_stage = []
     chamber_vals = []
-    for w in reps:
-        perm = chamber_permutation(A, w)
-        _check_stable(bases, perm, top)
-        R = _gram(masks, perm)
-        per_class_stage.append([_projection_trace(G, R, m) for m in stage_sizes])
+    for perm in perms:
+        # columns of R = B^T ρ(w) B: column i pairs with row i of G^{-1}
+        columns = list(zip(*_gram(masks, perm)))
+        per_class_stage.append([
+            sum(Fraction(sum(map(mul, row, col)), den)
+                for (row, den), col in zip(inverse, columns))
+            for inverse in inverses])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = []
     for k in range(top + 1):

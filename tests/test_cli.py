@@ -177,6 +177,22 @@ def test_malformed_group_file_exit_2(capsys, tmp_path, action):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("label, kind", [(1.0, "a float"), (True, "a boolean"),
+                                         (None, "null")],
+                         ids=["float", "boolean", "null"])
+def test_group_file_labels_must_be_strings_or_integers(capsys, tmp_path, label, kind):
+    arr = tmp_path / "pair.json"
+    save_arrangement(parallel_pair(), arr)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(
+        {"group": "S2", "action": [{"perm": {"a": label, "b": "b"}}]}))
+    code, out, err = run(capsys, "--file", str(arr), "characters",
+                         "--group", str(group))
+    assert (code, out) == (2, "")
+    assert err == ('input error: malformed group element: "perm": a label must '
+                   f"be a string or an integer, not {kind}\n")
+
+
 def test_resource_bound_exit_3(capsys):
     assert run(capsys, "--braid", "20", "chambers")[0] == 3
     assert run(capsys, "--braid", "3", "--nmax", "2", "chambers")[0] == 3

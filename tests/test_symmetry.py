@@ -1,14 +1,20 @@
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
+import arrgr.symmetry
 from arrgr.arrangement import boolean, braid, semiorder
+from arrgr.characters import cycle_type, partition_str
+from arrgr.circuits import nbc_counts
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
-from arrgr.symmetry import (SignedPermutation, _gram, chamber_permutation,
-                            coordinate_action, derive_signed_permutation,
-                            fixed_chambers, graded_character, group_from_json,
-                            load_group)
+from arrgr.symmetry import (SignedPermutation, _check_stable, _gram,
+                            chamber_permutation, coordinate_action,
+                            derive_signed_permutation, fixed_chambers,
+                            graded_character, group_from_json, load_group)
 from arrgr.vgring import filtration_data, monomial_mask
 from test_linalg import fraction_rref_oracle
 
@@ -93,6 +99,119 @@ def test_coordinate_action_group():
     assert G.class_labels == ("(1,1,1)", "(2,1)", "(3)")
     assert G.class_sizes() == (1, 3, 2)
     G.validate_closure()
+
+
+def coordinate_action_oracle(A):
+    """(elements, class_of, class_labels, cycle_types) of the coordinate
+    action, each element derived from its permutation matrix by
+    `derive_signed_permutation`; elements in `permutations` order, classes
+    numbered by their sorted cycle-type labels."""
+    n = A.dim
+    elements, types = [], []
+    for g in permutations(range(n)):
+        # the matrix sending e_i to e_{g(i)}
+        M = [[int(g[c] == r) for c in range(n)] for r in range(n)]
+        elements.append(derive_signed_permutation(A, M))
+        types.append(cycle_type(g))
+    by_label = {partition_str(t): t for t in types}
+    labels = sorted(by_label)
+    class_of = tuple(labels.index(partition_str(t)) for t in types)
+    return (tuple(elements), class_of, tuple(labels),
+            tuple(by_label[x] for x in labels))
+
+
+def test_coordinate_action_matches_derived_oracle(corpus_map):
+    cases = dict(corpus_map, braid5=braid(5), boolean5=boolean(5),
+                 semiorder4=semiorder(4))
+    for name, A in cases.items():
+        try:
+            want = coordinate_action_oracle(A)
+        except NotASymmetryError as exc:
+            with pytest.raises(NotASymmetryError) as got:
+                coordinate_action(A)
+            assert str(got.value) == str(exc), name
+            continue
+        G = coordinate_action(A)
+        assert (G.elements, G.class_of, G.class_labels, G.cycle_types) == want, name
+        assert G.name == f"S{A.dim}-coordinates"
+    with pytest.raises(NotASymmetryError) as got:
+        coordinate_action(corpus_map["random8"])
+    assert str(got.value) == "image of form 'g1' is not in the arrangement"
+
+
+def test_check_stable_rejects_a_non_symmetric_chamber_permutation():
+    A = braid(4)
+    dims, bases = filtration_data(A)
+    top = max(k for k in range(len(dims)) if bases[k])
+    identity = list(range(len(A.chambers())))
+    _check_stable(bases, [identity], top)
+    shuffled = identity[:]
+    random.Random(4).shuffle(shuffled)
+    with pytest.raises(ConsistencyError, match="not W-stable"):
+        _check_stable(bases, [identity, shuffled], top)
+
+
+def test_one_solve_per_stage(monkeypatch):
+    calls = []
+    real = arrgr.symmetry.solve_square
+
+    def counted(G, B):
+        calls.append(len(G))
+        return real(G, B)
+
+    monkeypatch.setattr(arrgr.symmetry, "solve_square", counted)
+    A = braid(4)
+    group = coordinate_action(A)
+    assert group.n_classes == 5
+    graded_character(A, group)
+    # one Gram block per stage: the cumulative NBC counts 1, 6, 11, 6
+    assert calls == [1, 7, 18, 24]
+
+
+def _mobius(d):
+    out, p = 1, 2
+    while d > 1:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def lie_character(mu):
+    """The character of the Lie representation Lie_n on cycle type mu:
+    μ(d) (n/d - 1)! d^(n/d - 1) on d^(n/d), with μ the Möbius function,
+    and zero elsewhere."""
+    d, k = mu[0], len(mu)
+    if any(part != d for part in mu):
+        return 0
+    return _mobius(d) * factorial(k - 1) * d ** (k - 1)
+
+
+@pytest.fixture(scope="module")
+def braid_characters():
+    out = {}
+    for n in (3, 4, 5):
+        A = braid(n)
+        out[n] = (A, graded_character(A, coordinate_action(A)))
+    return out
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_braid_top_grade_is_the_lie_character(braid_characters, n):
+    _, gc = braid_characters[n]
+    assert len(gc.grade_values) == n
+    assert gc.grade_values[-1] == tuple(lie_character(mu)
+                                        for mu in gc.group.cycle_types)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_braid_identity_values_are_the_nbc_counts(braid_characters, n):
+    A, gc = braid_characters[n]
+    ident = gc.group.cycle_types.index((1,) * n)
+    assert tuple(row[ident] for row in gc.grade_values) == nbc_counts(A)
 
 
 def test_grade_zero_is_trivial(corpus_map):
@@ -235,6 +354,9 @@ def test_group_file_validation():
     A = braid(3)
     with pytest.raises(InputError):
         group_from_json(A, {"group": "S3"})
+    # integer labels name hyperplanes by their label strings
+    G = group_from_json(A, {"action": [{"perm": {"12": 12, "13": 13, "23": 23}}]})
+    assert G.elements == (SignedPermutation.identity(3),)
     # a fractional flip is rejected, not truncated to an integer
     identity = {"perm": {"12": "12", "13": "13", "23": "23"}}
     with pytest.raises(InputError, match="not an integer"):
