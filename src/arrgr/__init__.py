@@ -31,9 +31,8 @@ from .symmetry import (GradedCharacters, GroupSpec, SignedPermutation,
                        chamber_permutation, coordinate_action,
                        derive_signed_permutation, fixed_chambers,
                        graded_character, group_from_json, load_group)
-from .vgring import (FiltrationProfile, Relation, evaluate_on_chambers,
-                     filtration_profile, heaviside, monomial_eval,
-                     presentation_dimension, vg_relation_families,
-                     verify_relations)
+from .vgring import (FiltrationProfile, Relation, filtration_profile,
+                     heaviside, monomial_eval, presentation_dimension,
+                     vg_relation_families, verify_relations)
 
 __version__ = "0.1.0"

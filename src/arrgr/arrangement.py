@@ -123,12 +123,17 @@ class Arrangement:
 
     # -- geometric queries ---------------------------------------------------
 
+    def integer_forms(self) -> tuple:
+        """Per form, the primitive integer multiple of its homogenized row
+        (linear part, then constant).  The multiple is positive, so it has
+        the same zero set, positive side, kernel signs and flats."""
+        return self._memo("integer_forms", lambda: tuple(
+            _primitive_row(f.homogenized()) for f in self.forms))
+
     def sign_constraints(self, signs) -> list:
-        """Strict constraints 'sign_i w_i > 0' for a (partial) sign word.
-        Each w_i is given by its primitive integer multiple, a positive
-        multiple, so the constraint is the same."""
-        rows = self._memo("integer_forms",
-                          lambda: [_primitive_row(f.homogenized()) for f in self.forms])
+        """Strict constraints 'sign_i w_i > 0' for a (partial) sign word,
+        each w_i given by its integer form."""
+        rows = self.integer_forms()
         return [(rows[i][:-1], rows[i][-1], 1 if s in ("+", 1) else -1)
                 for i, s in enumerate(signs)]
 
@@ -176,9 +181,10 @@ class Arrangement:
         cache = self._cache.setdefault("flats", {})
         hit = cache.get(ss)
         if hit is None:
-            rows = [self.forms[i].linear for i in sorted(ss)]
-            rhs = [-self.forms[i].constant for i in sorted(ss)]
-            hit = affine_system_consistent(rows, rhs)
+            rows = self.integer_forms()
+            forms = [rows[i] for i in sorted(ss)]
+            hit = affine_system_consistent([f[:-1] for f in forms],
+                                           [-f[-1] for f in forms])
             cache[ss] = hit
         return hit
 
@@ -203,10 +209,11 @@ class Arrangement:
     def _read_minimal_infeasible(self) -> tuple:
         C = circuits_from_arrangement(self)
         found = list(C.circuits)
+        rows = self.integer_forms()
         h0 = (0,) * self.dim + (-1,)  # the cone's H0 = -r
         for S in C.empty_flats:
             supp = sorted(S)
-            cols = [self.forms[j].homogenized() for j in supp] + [h0]
+            cols = [rows[j] for j in supp] + [h0]
             _, kernel = rank_and_kernel(
                 [[col[r] for col in cols] for r in range(self.dim + 1)])
             if len(kernel) != 1 or any(x == 0 for x in kernel[0]):

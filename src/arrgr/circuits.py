@@ -201,9 +201,11 @@ def _arrangement_circuits(A) -> CircuitSet:
     flat and dependent homogenized forms is a circuit.  A minimal empty flat
     S has independent homogenized forms (S plus the cone's H0 = -r is a
     circuit of the cone), so the cap reaches it and it contains no circuit.
+    The forms enter as `A.integer_forms()`: positive multiples, so the
+    kernel signs, and with them the circuits, are those of the forms.
     """
     n = A.n
-    cols = [f.homogenized() for f in A.forms]
+    cols = A.integer_forms()
     height = A.dim + 1
     full_rank = rank([[cols[j][r] for j in range(n)] for r in range(height)]) if n else 0
     found_masks: list[int] = []

@@ -121,7 +121,7 @@ def rank_and_kernel(matrix, ncols: int | None = None):
 def affine_system_consistent(rows, rhs) -> bool:
     """True iff the linear system rows·v = rhs has a rational solution."""
     rows = _to_rows(rows)
-    rhs = [frac(b) for b in rhs]
+    rhs = [b if type(b) is int else frac(b) for b in rhs]
     if len(rows) != len(rhs):
         raise InputError("right-hand side length mismatch")
     # one elimination of [rows | rhs]: inconsistent iff the rhs column,

@@ -30,7 +30,8 @@ from .characters import cycle_type, decompose_character, partition_str
 from .circuits import _json_kind
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import SparseEchelon, _primitive_row, frac, rref, solve_square
-from .vgring import filtration_data, monomial_mask
+from .vgring import (_chamber_keys, _keyed_column, filtration_data,
+                     monomial_mask)
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,8 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
             elements.append(SignedPermutation(tuple(perm), tuple(flips)))
     except KeyError as exc:
         raise InputError(f"group element missing key {exc}") from exc
+    except InputError:
+        raise  # already a full message; InputError is a ValueError
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group element: {exc}") from exc
     _validate_closure(elements)
@@ -406,19 +409,23 @@ def _stage_inverse(G, m) -> list:
     return out
 
 
-def _check_stable(bases, perms, upto_grade):
+def _check_stable(A: Arrangement, bases, perms, upto_grade):
     """Every stage P^k must be carried into itself by each chamber
     permutation.  Stage k's columns join the echelon, which then spans
     P^k, and their images must lie in it; the images of the earlier
-    columns were checked in P^{k-1}, which P^k contains."""
+    columns were checked in P^{k-1}, which P^k contains.  Columns are the
+    monomials' chamber masks, keyed by chamber plus-count as in the
+    filtration echelon; the image of chamber i is chamber perm[i]."""
+    keys = _chamber_keys(A)
+    image_keys = [[keys[j] for j in perm] for perm in perms]
     ech = SparseEchelon()
     for k in range(upto_grade + 1):
-        cols = [{i: v for i, v in enumerate(vec) if v} for _, vec in bases[k]]
-        for vec in cols:
-            ech.add(vec)
-        for perm in perms:
-            for vec in cols:
-                if not ech.contains({perm[i]: v for i, v in vec.items()}):
+        masks = [monomial_mask(A, subset) for subset, _ in bases[k]]
+        for mask in masks:
+            ech.add(_keyed_column(mask, keys))
+        for moved in image_keys:
+            for mask in masks:
+                if not ech.contains(_keyed_column(mask, moved)):
                     raise ConsistencyError(
                         f"filtration stage {k} is not W-stable")
 
@@ -443,7 +450,7 @@ def graded_character(A: Arrangement, group: GroupSpec,
     stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
     reps = group.class_representatives()
     perms = [chamber_permutation(A, w) for w in reps]
-    _check_stable(bases, perms, top)
+    _check_stable(A, bases, perms, top)
     inverses = [_stage_inverse(G, m) for m in stage_sizes]
     per_class_stage = []
     chamber_vals = []

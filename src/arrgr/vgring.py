@@ -8,6 +8,19 @@ generators.  Ideal-theoretic questions about the presentation are answered
 on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
 2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
 so no Groebner basis and no elimination over monomial multiples is needed.
+The relations are checked on the chambers the same way: a relation's value
+at a chamber depends only on the chamber's plus-mask restricted to the
+relation's support, so it is evaluated once per distinct restriction.
+
+The filtration is an exact echelon of the monomials' 0/1 chamber columns.
+A column enters as an integer dict keyed by chamber plus-count, the rank of
+its chamber in the order (number of '+' signs, chamber index): the chambers
+of a monomial are those with '+' on its subset, so its least key is a
+chamber with few '+' signs that few other monomials contain, and the pivot
+rows stay sparse.  Keyed by chamber index instead, the all-'+' chamber,
+when it exists, comes first and lies in every column, so every insert
+would reduce against one dense pivot.  The column keys change no rank and
+no accepted insert, only the fill-in.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -24,12 +37,12 @@ from math import lcm
 
 from .arrangement import Arrangement
 from .circuits import SignedSet, canonical_circuits
-from .errors import ConsistencyError, InputError, ResourceBoundError
+from .errors import ConsistencyError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_BIT_VALUE = {"0": Fraction(0), "1": Fraction(1)}
 
 
 def _heaviside_masks(A: Arrangement) -> tuple:
@@ -58,25 +71,40 @@ def heaviside(A: Arrangement, h) -> tuple:
 
 def monomial_eval(A: Arrangement, subset) -> tuple:
     """Pointwise product of the Heaviside functions indexed by `subset`."""
-    mask = monomial_mask(A, subset)
-    return tuple(_ONE if mask >> c & 1 else _ZERO for c in range(len(A.chambers())))
+    bits = format(monomial_mask(A, subset), f"0{len(A.chambers())}b")
+    return tuple(map(_BIT_VALUE.__getitem__, reversed(bits)))
 
 
-def evaluate_on_chambers(A: Arrangement, poly: Poly) -> tuple:
-    """Substitute the Heaviside functions into a u-free polynomial.
+def _plus_masks(A: Arrangement) -> tuple:
+    """Per chamber, in the chamber order, the hyperplanes on its positive
+    side as a bitmask (bit i for hyperplane i)."""
+    return A._memo("plus_masks", lambda: tuple(
+        sum(1 << i for i, sign in enumerate(signs) if sign == "+")
+        for signs in A.chambers()))
 
-    A term contributes on the chambers of its monomial's chamber mask; the
-    coefficients are scaled once to integers over their common
-    denominator."""
-    if not poly.is_u_free:
-        raise InputError("cannot evaluate a polynomial still carrying u")
-    terms = poly.terms.items()
-    den = lcm(*(coeff.denominator for _, coeff in terms))
-    scaled = [(monomial_mask(A, emon), coeff.numerator * (den // coeff.denominator))
-              for (emon, _), coeff in terms]
-    totals = (sum(k for mask, k in scaled if mask >> c & 1)
-              for c in range(len(A.chambers())))
-    return tuple(Fraction(t, den) if t else _ZERO for t in totals)
+
+def _chamber_keys(A: Arrangement) -> tuple:
+    """Per chamber c, its rank in the order (number of '+' signs, chamber
+    index): the echelon column key of chamber c."""
+    def compute():
+        plus = _plus_masks(A)
+        order = sorted(range(len(plus)), key=lambda c: (plus[c].bit_count(), c))
+        keys = [0] * len(order)
+        for rank, c in enumerate(order):
+            keys[c] = rank
+        return tuple(keys)
+    return A._memo("chamber_keys", compute)
+
+
+def _keyed_column(mask: int, keys) -> dict:
+    """The 0/1 chamber function of a chamber bitmask as an integer dict
+    {keys[c]: 1} over the chambers c in `mask`."""
+    out = {}
+    while mask:
+        low = mask & -mask
+        out[keys[low.bit_length() - 1]] = 1
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,6 +132,7 @@ def filtration_data(A: Arrangement, reverse: bool = False):
 
 def _eliminate_grades(A: Arrangement, reverse: bool):
     nch = len(A.chambers())
+    keys = _chamber_keys(A)
     ech = SparseEchelon()
     dims = []
     bases = []
@@ -114,10 +143,8 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
             if reverse:
                 combos = reversed(list(combos))
             for subset in combos:
-                vec = monomial_eval(A, subset)
-                sparse = {i: v for i, v in enumerate(vec) if v}
-                if ech.add(sparse):
-                    grade.append((frozenset(subset), vec))
+                if ech.add(_keyed_column(monomial_mask(A, subset), keys)):
+                    grade.append((frozenset(subset), monomial_eval(A, subset)))
                     if ech.rank == nch:
                         break  # the span is full: later inserts add nothing
         dims.append(ech.rank)
@@ -220,13 +247,32 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     failures = []
     chambers = A.chambers()
     for rel in vg_relation_families(A):
-        values = evaluate_on_chambers(A, rel.poly)
-        witness = next((c for c, v in zip(chambers, values) if v != 0), None)
-        if witness is not None:
-            failures.append((rel.family, rel.source_str(A.labels), witness))
+        c = _first_nonzero_chamber(A, rel.poly)
+        if c is not None:
+            failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
     span = filtration_profile(A).dims[-1] if A.n else len(chambers)
     ok = not failures and span == len(chambers)
     return RelationCheck(ok, span, len(chambers), tuple(failures))
+
+
+def _first_nonzero_chamber(A: Arrangement, poly: Poly):
+    """The index of the first chamber, in the chamber order, where the
+    u-free `poly` is nonzero under the Heaviside substitution, or None.
+
+    The value at a chamber is the relation's value at its plus-mask p,
+    which depends only on p & support: it is computed once per distinct
+    restriction, and the restrictions seen with value zero are skipped.
+    """
+    vec, support = _mask_relation(poly)
+    zero_points = set()
+    for c, p in enumerate(_plus_masks(A)):
+        t = p & support
+        if t in zero_points:
+            continue
+        if _value_at(vec, t):
+            return c
+        zero_points.add(t)
+    return None
 
 
 def _subset_masks(indices):
@@ -250,26 +296,40 @@ def _poly_to_mask_vector(poly: Poly) -> dict:
     return {m: c for m, c in vec.items() if c}
 
 
+def _mask_relation(poly: Poly) -> tuple:
+    """(mask vector, support) of a u-free polynomial modulo e_i^2 - e_i:
+    its terms as {subset bitmask: integer coefficient}, scaled by the
+    common denominator (a positive scalar, so every zero is kept), and the
+    union of the term masks."""
+    vec = _poly_to_mask_vector(poly)
+    den = lcm(*(c.denominator for c in vec.values()))
+    support = 0
+    for m in vec:
+        support |= m
+    return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}, support
+
+
+def _value_at(vec: dict, t: int) -> int:
+    """The value of a mask vector at the point t of the Boolean cube: the
+    sum of the coefficients of the terms whose masks lie inside t."""
+    return sum(c for m, c in vec.items() if m & t == m)
+
+
 def _common_zeros(A: Arrangement, families) -> list:
     """The subsets s of the hyperplanes, as bitmasks in increasing order, at
     which every selected family-(2)/(3) relation vanishes under
     e_i(s) = [i in s].
 
     A relation with support mask S depends on s only through s & S, so it
-    is evaluated once at each sub-mask t of S: its value there is the sum
-    of the coefficients of the terms whose masks lie inside t.
+    is evaluated once at each sub-mask t of S.
     """
     zeros = range(2**A.n)
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec = _poly_to_mask_vector(rel.poly)
-        support = 0
-        for m in vec:
-            support |= m
+        vec, support = _mask_relation(rel.poly)
         points = _subset_masks([i for i in range(A.n) if support >> i & 1])
-        nonzero = {t for t in points
-                   if sum(c for m, c in vec.items() if m & t == m) != 0}
+        nonzero = {t for t in points if _value_at(vec, t)}
         zeros = [s for s in zeros if s & support not in nonzero]
     return list(zeros)
 

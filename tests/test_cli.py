@@ -189,8 +189,29 @@ def test_group_file_labels_must_be_strings_or_integers(capsys, tmp_path, label, 
     code, out, err = run(capsys, "--file", str(arr), "characters",
                          "--group", str(group))
     assert (code, out) == (2, "")
-    assert err == ('input error: malformed group element: "perm": a label must '
-                   f"be a string or an integer, not {kind}\n")
+    assert err == ('input error: "perm": a label must be a string or an '
+                   f"integer, not {kind}\n")
+
+
+def test_group_file_unknown_label_keeps_its_message(capsys, tmp_path):
+    # an input error raised while reading an element is reported as is;
+    # the "malformed group element: " prefix is for parse errors only
+    arr = tmp_path / "pair.json"
+    save_arrangement(parallel_pair(), arr)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(
+        {"group": "S2", "action": [{"perm": {"a": "x", "b": "b"}}]}))
+    code, out, err = run(capsys, "--file", str(arr), "characters",
+                         "--group", str(group))
+    assert (code, out) == (2, "")
+    assert err == "input error: no hyperplane labelled 'x'\n"
+    group.write_text(json.dumps(
+        {"group": "S2", "action": [{"perm": {"a": "a", "b": "b"},
+                                    "flips": {"a": 0.5}}]}))
+    code, out, err = run(capsys, "--file", str(arr), "characters",
+                         "--group", str(group))
+    assert (code, out) == (2, "")
+    assert err == "input error: malformed group element: flip 0.5 is not an integer\n"
 
 
 def test_resource_bound_exit_3(capsys):

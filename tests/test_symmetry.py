@@ -144,11 +144,11 @@ def test_check_stable_rejects_a_non_symmetric_chamber_permutation():
     dims, bases = filtration_data(A)
     top = max(k for k in range(len(dims)) if bases[k])
     identity = list(range(len(A.chambers())))
-    _check_stable(bases, [identity], top)
+    _check_stable(A, bases, [identity], top)
     shuffled = identity[:]
     random.Random(4).shuffle(shuffled)
     with pytest.raises(ConsistencyError, match="not W-stable"):
-        _check_stable(bases, [identity, shuffled], top)
+        _check_stable(A, bases, [identity, shuffled], top)
 
 
 def test_one_solve_per_stage(monkeypatch):

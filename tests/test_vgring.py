@@ -1,21 +1,38 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from arrgr.arrangement import braid, semiorder
+from arrgr.arrangement import boolean, braid, semiorder
 from arrgr.circuits import nbc_counts, nbc_sets
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
-from arrgr.errors import ResourceBoundError
+from arrgr.errors import InputError, ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
-from arrgr.vgring import (evaluate_on_chambers, filtration_data,
-                          filtration_profile, heaviside,
-                          monomial_eval, presentation_dimension,
+from arrgr.vgring import (filtration_data, filtration_profile, heaviside,
+                          monomial_eval, monomial_mask, presentation_dimension,
                           vg_relation_families, verify_relations,
-                          _common_zeros, _product_poly, _poly_to_mask_vector)
+                          _chamber_keys, _common_zeros, _first_nonzero_chamber,
+                          _poly_to_mask_vector, _product_poly)
+
+
+def evaluate_on_chambers(A, poly):
+    """Oracle: substitute the Heaviside functions into a u-free polynomial,
+    one Fraction per chamber.  A term contributes on the chambers of its
+    monomial's chamber mask; the coefficients are scaled once to integers
+    over their common denominator."""
+    if not poly.is_u_free:
+        raise InputError("cannot evaluate a polynomial still carrying u")
+    terms = poly.terms.items()
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    scaled = [(monomial_mask(A, emon), coeff.numerator * (den // coeff.denominator))
+              for (emon, _), coeff in terms]
+    totals = (sum(k for mask, k in scaled if mask >> c & 1)
+              for c in range(len(A.chambers())))
+    return tuple(Fraction(t, den) if t else Fraction(0) for t in totals)
 
 
 def test_heaviside_point_in_a_line():
@@ -66,6 +83,22 @@ def test_filtration_matches_nbc(corpus_map):
         assert all(g == 0 for g in gr[len(counts):]), name
 
 
+def fraction_tuple_filtration(A, reverse):
+    """Oracle: every monomial's Fraction tuple, keyed by chamber index,
+    inserted grade by grade with no early stop.  Returns (dims, pivot
+    subsets per grade)."""
+    ech = SparseEchelon()
+    dims, bases = [], []
+    for k in range(A.n + 1):
+        subsets = list(combinations(range(A.n), k))
+        if reverse:
+            subsets.reverse()
+        bases.append([frozenset(s) for s in subsets
+                      if ech.add(dict(enumerate(monomial_eval(A, s))))])
+        dims.append(ech.rank)
+    return tuple(dims), bases
+
+
 @pytest.mark.parametrize("reverse", (False, True))
 def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
     """braid 5 reaches full rank inside grade 4; no monomial is inserted
@@ -83,17 +116,34 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
     dims, bases = filtration_data(A, reverse=reverse)
     monkeypatch.undo()
     assert ranks_at_add and max(ranks_at_add) < nch
-    ech = SparseEchelon()
-    want_dims, want_bases = [], []
-    for k in range(A.n + 1):
-        subsets = list(combinations(range(A.n), k))
-        if reverse:
-            subsets.reverse()
-        want_bases.append([frozenset(s) for s in subsets
-                           if ech.add(dict(enumerate(monomial_eval(A, s))))])
-        want_dims.append(ech.rank)
-    assert dims == tuple(want_dims)
+    want_dims, want_bases = fraction_tuple_filtration(A, reverse)
+    assert dims == want_dims
     assert [[s for s, _ in grade] for grade in bases] == want_bases
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("name", ("semiorder4", "boolean7"))
+def test_plus_count_keys_match_fraction_tuple_oracle(name, reverse):
+    """The echelon keyed by chamber plus-count accepts the same monomials
+    as the Fraction-tuple echelon keyed by chamber index, and each pivot
+    carries its monomial's Fraction tuple."""
+    A = semiorder(4) if name == "semiorder4" else boolean(7)
+    dims, bases = filtration_data(A, reverse=reverse)
+    want_dims, want_bases = fraction_tuple_filtration(A, reverse)
+    assert dims == want_dims
+    assert [[s for s, _ in grade] for grade in bases] == want_bases
+    assert all(vec == monomial_eval(A, tuple(s))
+               for grade in bases for s, vec in grade)
+
+
+def test_chamber_keys_order_by_plus_count(corpus_map):
+    """The echelon keys rank the chambers by number of '+' signs, then by
+    chamber index: a chamber that many monomials hold gets a late key."""
+    for name, A in corpus_map.items():
+        keys = _chamber_keys(A)
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        assert sorted(keys) == list(range(len(keys))), name
+        assert by_key == sorted(by_key, key=lambda c: (A.chambers()[c].count("+"), c)), name
 
 
 def test_filtration_basis_is_nbc(corpus_map):
@@ -138,16 +188,48 @@ def test_verify_relations(corpus_map):
     assert verify_relations(corpus_map["semiorder3"]).span_dim == 19
 
 
-def test_family3_needs_the_flat_condition():
-    # the same difference-of-products shape built from a parallel-type
-    # (empty-flat) signed set is NOT a relation: negative control
-    S = semiorder(3)
+def empty_flat_difference(S):
+    """The family-3 difference of products built from a parallel-type
+    (empty-flat) signed set of S, which is NOT a relation."""
     X = next(X for X in S.minimal_infeasible_sign_sets()
              if not S.flat_nonempty(X.support))
-    bogus = (_product_poly(X.plus, X.minus, Poly.one())
-             - _product_poly(X.minus, X.plus, Poly.one()))
-    values = evaluate_on_chambers(S, bogus)
+    return (_product_poly(X.plus, X.minus, Poly.one())
+            - _product_poly(X.minus, X.plus, Poly.one()))
+
+
+def test_family3_needs_the_flat_condition():
+    # negative control: the difference of products needs a nonempty flat
+    S = semiorder(3)
+    values = evaluate_on_chambers(S, empty_flat_difference(S))
     assert any(v != 0 for v in values)
+
+
+def first_nonzero_oracle(A, poly):
+    """The first chamber index of the `evaluate_on_chambers` scan with a
+    nonzero value, or None."""
+    return next((c for c, v in enumerate(evaluate_on_chambers(A, poly)) if v),
+                None)
+
+
+def test_verify_relations_matches_chamber_scan_oracle(corpus_map):
+    """Each relation's verdict and first witness chamber, evaluated once per
+    distinct plus-mask restriction, equal the full chamber scan's; so do
+    the failures `verify_relations` reports."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
+    for name, A in cases.items():
+        failures = []
+        for rel in vg_relation_families(A):
+            want = first_nonzero_oracle(A, rel.poly)
+            assert _first_nonzero_chamber(A, rel.poly) == want, (name, rel)
+            if want is not None:
+                failures.append((rel.family, rel.source_str(A.labels),
+                                 A.chambers()[want]))
+        assert verify_relations(A).failures == tuple(failures), name
+    S = semiorder(3)
+    bogus = empty_flat_difference(S)
+    want = first_nonzero_oracle(S, bogus)
+    assert want is not None
+    assert _first_nonzero_chamber(S, bogus) == want
 
 
 def evaluate_on_chambers_oracle(A, poly):
