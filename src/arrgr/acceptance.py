@@ -71,8 +71,6 @@ def _nonzero(d: dict) -> dict:
 
 
 def criterion_1() -> CriterionResult:
-    from .arrangement import braid
-
     A = dict(corpus())["braid4"]
     gc = graded_character(A, coordinate_action(A))
     per_grade, total = gc.decompositions()
@@ -331,9 +329,7 @@ def straightening_oracle_check(A) -> list:
         for supp in combinations(range(n), size):
             el = alg.straighten(Poly.monomial(supp))
             # idempotence and linear consistency
-            back = Poly.zero()
-            for b, c in el.coords.items():
-                back = back + Poly.monomial(tuple(sorted(b)), coeff=c)
+            back = el.to_poly()
             if alg.straighten(back).coords != el.coords:
                 problems.append(f"not idempotent on {supp}")
             diff = back - Poly.monomial(supp)

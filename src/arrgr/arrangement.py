@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
 
-from .circuits import SignedSet, circuits_from_arrangement
+from .circuits import SignedSet, _json_kind, _labels, circuits_from_arrangement
 from .errors import ConsistencyError, DuplicateFormError, InputError
 from .linalg import (_primitive_row, affine_system_consistent, frac,
                      rank_and_kernel, strict_feasible)
+
+
+def hyperplane_key(row) -> tuple:
+    """(key, sign) for a nonzero rational row: key = c·row is its primitive
+    integer multiple with a positive leading entry, and sign = ±1 is the
+    sign of c.  Two rows have equal keys iff one is a nonzero multiple of
+    the other, and then the product of their signs is the multiple's."""
+    key = _primitive_row(row)
+    if next(x for x in key if x) > 0:
+        return key, 1
+    return tuple(-x for x in key), -1
 
 
 class AffineForm:
@@ -30,25 +40,9 @@ class AffineForm:
         if not any(x != 0 for x in self.linear):
             raise InputError("affine form must have a nonzero linear part")
 
-    def __call__(self, point):
-        if len(point) != len(self.linear):
-            raise InputError("point dimension mismatch")
-        return sum(a * frac(x) for a, x in zip(self.linear, point)) + self.constant
-
     def homogenized(self) -> tuple:
         """Coefficient vector extended by the constant."""
         return self.linear + (self.constant,)
-
-    def proportional(self, other: "AffineForm") -> bool:
-        """True iff some nonzero rational multiple of `other` equals self."""
-        a, b = self.homogenized(), other.homogenized()
-        if len(a) != len(b):
-            return False
-        lead = next(i for i, x in enumerate(a) if x != 0)
-        if b[lead] == 0:
-            return False
-        scale = b[lead] / a[lead]
-        return all(scale * x == y for x, y in zip(a, b))
 
     def __eq__(self, other):
         return (isinstance(other, AffineForm) and self.linear == other.linear
@@ -80,11 +74,19 @@ class Arrangement:
             raise InputError("one label per form required")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("labels must be distinct")
-        for i, j in combinations(range(len(self.forms)), 2):
-            if self.forms[i].proportional(self.forms[j]):
-                raise DuplicateFormError(
-                    f"forms {self.labels[i]!r} and {self.labels[j]!r} define "
-                    "the same hyperplane")
+        self._rows = tuple(_primitive_row(f.homogenized()) for f in self.forms)
+        self._keys: dict = {}
+        duplicates = []
+        for j, row in enumerate(self._rows):
+            key, sign = hyperplane_key(row)
+            first = self._keys.setdefault(key, (j, sign))[0]
+            if first != j:
+                duplicates.append((first, j))
+        if duplicates:
+            i, j = min(duplicates)
+            raise DuplicateFormError(
+                f"forms {self.labels[i]!r} and {self.labels[j]!r} define "
+                "the same hyperplane")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._cache: dict = {}
 
@@ -127,8 +129,14 @@ class Arrangement:
         """Per form, the primitive integer multiple of its homogenized row
         (linear part, then constant).  The multiple is positive, so it has
         the same zero set, positive side, kernel signs and flats."""
-        return self._memo("integer_forms", lambda: tuple(
-            _primitive_row(f.homogenized()) for f in self.forms))
+        return self._rows
+
+    def find_form(self, row):
+        """(j, sign) if the homogenized rational `row` (linear part, then
+        constant) is λ·w_j for a λ of that sign, else None."""
+        key, sign = hyperplane_key(row)
+        hit = self._keys.get(key)
+        return None if hit is None else (hit[0], sign * hit[1])
 
     def sign_constraints(self, signs) -> list:
         """Strict constraints 'sign_i w_i > 0' for a (partial) sign word,
@@ -313,6 +321,7 @@ def restrict_with_map(A: Arrangement, h):
     keep = [k for k in range(A.dim) if k != p]
     out_forms: list[AffineForm] = []
     out_labels: list[str] = []
+    seen: dict = {}  # hyperplane key -> kept label
     provenance: dict = {}
     for j, g in enumerate(A.forms):
         if j == i:
@@ -325,15 +334,12 @@ def restrict_with_map(A: Arrangement, h):
                 raise ConsistencyError(
                     "distinct hyperplanes restricted to the zero form")
             continue
-        cand = AffineForm(new_lin, new_const)
-        match = next((m for m, kept in enumerate(out_forms)
-                      if kept.proportional(cand)), None)
-        if match is None:
-            out_forms.append(cand)
+        key = hyperplane_key(new_lin + [new_const])[0]
+        if key not in seen:
+            seen[key] = A.labels[j]
+            out_forms.append(AffineForm(new_lin, new_const))
             out_labels.append(A.labels[j])
-            provenance[A.labels[j]] = A.labels[j]
-        else:
-            provenance[A.labels[j]] = out_labels[match]
+        provenance[A.labels[j]] = seen[key]
     return Arrangement(A.dim - 1, out_forms, out_labels), provenance
 
 
@@ -365,13 +371,19 @@ def _exact(x):
     return x
 
 
+def _linear(value) -> list:
+    if not isinstance(value, list):
+        raise InputError(f'"linear" must be a list, not {_json_kind(value)}')
+    return value
+
+
 def arrangement_from_json(data: dict) -> Arrangement:
     try:
         dim = int(_exact(data["dim"]))
-        forms = [AffineForm([frac(_exact(x)) for x in e["linear"]],
+        forms = [AffineForm([frac(_exact(x)) for x in _linear(e["linear"])],
                             frac(_exact(e["constant"])))
                  for e in data["forms"]]
-        labels = [e["label"] for e in data["forms"]]
+        labels = _labels([e["label"] for e in data["forms"]], '"label"')
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed arrangement data: {exc}") from exc
     return Arrangement(dim, forms, labels)

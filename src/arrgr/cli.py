@@ -196,10 +196,7 @@ def cmd_cordovil(args, A, ordering) -> int:
     from itertools import combinations
     for supp in combinations(range(A.n), min(2, A.n)):
         el = alg.straighten(Poly.monomial(supp))
-        back = Poly.zero()
-        for b, c in el.coords.items():
-            back = back + Poly.monomial(tuple(sorted(b)), coeff=c)
-        again = alg.straighten(back)
+        again = alg.straighten(el.to_poly())
         if again.coords != el.coords:
             spot_ok = False
         spots.append((supp, el))

@@ -223,10 +223,6 @@ class AlgebraElement:
         return (isinstance(other, AlgebraElement) and self.algebra is other.algebra
                 and self.coords == other.coords)
 
-    def degree_part(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(self.algebra,
-                              {b: c for b, c in self.coords.items() if len(b) == k})
-
     def sorted_coords(self):
         return sorted(self.coords.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
 
@@ -238,11 +234,12 @@ class AlgebraElement:
             coeffs.append(str(c))
         return {"basis": basis, "coeffs": coeffs}
 
+    def to_poly(self) -> Poly:
+        """The element as a polynomial in its NBC monomials."""
+        return Poly({(tuple(sorted(b)), 0): c for b, c in self.coords.items()})
+
     def to_str(self) -> str:
-        if not self.coords:
-            return "0"
-        poly = Poly({(tuple(sorted(b)), 0): c for b, c in self.coords.items()})
-        return poly.to_str(self.algebra.labels)
+        return self.to_poly().to_str(self.algebra.labels)
 
     def __repr__(self):
         return f"AlgebraElement({self.to_str()})"

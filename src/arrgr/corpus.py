@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .arrangement import AffineForm, Arrangement, boolean, braid, semiorder
+from .arrangement import (AffineForm, Arrangement, boolean, braid,
+                          hyperplane_key, semiorder)
 
 
 def single_hyperplane() -> Arrangement:
@@ -32,15 +33,17 @@ def random_rational_arrangement(seed: int = 20240809, n: int = 8, d: int = 3) ->
     """A deterministic pseudo-random arrangement with small rational forms."""
     rng = random.Random(seed)
     forms: list[AffineForm] = []
+    keys = set()
     while len(forms) < n:
         lin = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
         if not any(x != 0 for x in lin):
             continue
         const = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
-        cand = AffineForm(lin, const)
-        if any(cand.proportional(f) for f in forms):
+        key = hyperplane_key(lin + (const,))[0]
+        if key in keys:
             continue
-        forms.append(cand)
+        keys.add(key)
+        forms.append(AffineForm(lin, const))
     return Arrangement(d, forms, [f"g{i + 1}" for i in range(n)])
 
 

@@ -6,7 +6,9 @@ class InputError(ValueError):
 
 
 class DuplicateFormError(InputError):
-    """Two forms describe the same hyperplane (up to a scalar)."""
+    """Two forms describe the same hyperplane: one is a nonzero (possibly
+    negative) multiple of the other.  The message names the least such
+    pair (i, j) in lexicographic order."""
 
 
 class NotASymmetryError(InputError):

@@ -110,10 +110,6 @@ class Poly:
         return all(u == 0 for (_, u) in self.terms)
 
     @property
-    def is_squarefree(self) -> bool:
-        return all(len(set(m)) == len(m) for (m, _) in self.terms)
-
-    @property
     def is_homogeneous(self) -> bool:
         degs = {len(m) + u for (m, u) in self.terms}
         return len(degs) <= 1

@@ -29,7 +29,7 @@ from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
 from .circuits import _json_kind
 from .errors import ConsistencyError, InputError, NotASymmetryError
-from .linalg import SparseEchelon, _primitive_row, frac, rref, solve_square
+from .linalg import SparseEchelon, frac, rref, solve_square
 from .vgring import (_chamber_keys, _keyed_column, filtration_data,
                      monomial_mask)
 
@@ -92,22 +92,17 @@ def derive_signed_permutation(A: Arrangement, matrix, translation=None) -> Signe
         raise InputError("symmetry matrix is singular")
     Minv = [[red[r][d + c] for c in range(d)] for r in range(d)]
     Minv_t = [red[r][2 * d] for r in range(d)]
-    perm = [None] * A.n
-    flips = [1] * A.n
-    from .arrangement import AffineForm
+    perm, flips = [], []
     for i, f in enumerate(A.forms):
         lin = tuple(sum(f.linear[r] * Minv[r][c] for r in range(d)) for c in range(d))
         const = f.constant - sum(f.linear[r] * Minv_t[r] for r in range(d))
-        image = AffineForm(lin, const)
-        j = next((k for k, g in enumerate(A.forms) if image.proportional(g)), None)
-        if j is None:
+        # ω_i ∘ map⁻¹ = λ·ω_j, and its flip is the sign of λ
+        hit = A.find_form(lin + (const,))
+        if hit is None:
             raise NotASymmetryError(
                 f"image of form {A.labels[i]!r} is not in the arrangement")
-        lead = next(k for k, x in enumerate(image.homogenized()) if x != 0)
-        scale = A.forms[j].homogenized()[lead] / image.homogenized()[lead]
-        # image = (1/scale)·ω_j, so ω_i ∘ map⁻¹ = λ·ω_j with λ = 1/scale
-        perm[i] = j
-        flips[i] = 1 if scale > 0 else -1
+        perm.append(hit[0])
+        flips.append(hit[1])
     return SignedPermutation(tuple(perm), tuple(flips))
 
 
@@ -166,31 +161,19 @@ def _validate_closure(elements):
                 raise InputError("group not closed under composition")
 
 
-def _positive_lead(row: tuple) -> tuple:
-    """(row, 1) if the first nonzero entry of row is positive, else
-    (-row, -1)."""
-    if next(x for x in row if x) > 0:
-        return row, 1
-    return tuple(-x for x in row), -1
-
-
 def coordinate_action(A: Arrangement) -> GroupSpec:
     """The full symmetric group permuting the coordinates of Q^dim.
 
     Each coordinate permutation must map the arrangement to itself; its
     conjugacy class is its cycle type, so irreducible decompositions are
     available directly.  The permutation g sending e_i to e_{g(i)} carries
-    the form with homogenized row (a, c) to (a permuted by g, c), so the
-    images are read off the coordinates: the forms are indexed once by
-    their primitive integer rows with a positive leading entry, and the
-    flip is the product of the two signs used to make the leads positive.
+    the form with homogenized row (a, c) to (a permuted by g, c), so each
+    image is the permuted integer row of its form, looked up by
+    `Arrangement.find_form`, which also gives the flip: one dictionary
+    lookup per form and element.
     """
     n = A.dim
-    rows = [_primitive_row(f.homogenized()) for f in A.forms]
-    index = {}
-    for j, row in enumerate(rows):
-        key, sign = _positive_lead(row)
-        index[key] = (j, sign)
+    rows = A.integer_forms()
     elements, class_of = [], []
     labels: list[str] = []
     label_ids: dict = {}
@@ -199,13 +182,12 @@ def coordinate_action(A: Arrangement) -> GroupSpec:
         ginv = sorted(range(n), key=g.__getitem__)
         perm, flips = [], []
         for i, row in enumerate(rows):
-            image, sign = _positive_lead(tuple(row[r] for r in ginv) + (row[n],))
-            hit = index.get(image)
+            hit = A.find_form(tuple(row[r] for r in ginv) + (row[n],))
             if hit is None:
                 raise NotASymmetryError(
                     f"image of form {A.labels[i]!r} is not in the arrangement")
             perm.append(hit[0])
-            flips.append(sign * hit[1])
+            flips.append(hit[1])
         mu = cycle_type(g)
         key = partition_str(mu)
         if key not in label_ids:
@@ -420,7 +402,7 @@ def _check_stable(A: Arrangement, bases, perms, upto_grade):
     image_keys = [[keys[j] for j in perm] for perm in perms]
     ech = SparseEchelon()
     for k in range(upto_grade + 1):
-        masks = [monomial_mask(A, subset) for subset, _ in bases[k]]
+        masks = [monomial_mask(A, subset) for subset in bases[k]]
         for mask in masks:
             ech.add(_keyed_column(mask, keys))
         for moved in image_keys:
@@ -445,7 +427,7 @@ def graded_character(A: Arrangement, group: GroupSpec,
     # Gram entries are chamber counts of monomial intersections: basis
     # column a is the 0/1 evaluation of a monomial, i.e. its chamber mask
     masks = [monomial_mask(A, subset)
-             for k in range(top + 1) for subset, _ in bases[k]]
+             for k in range(top + 1) for subset in bases[k]]
     G = _gram(masks, range(len(A.chambers())))
     stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
     reps = group.class_representatives()

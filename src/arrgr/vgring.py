@@ -122,8 +122,9 @@ class FiltrationProfile:
 def filtration_data(A: Arrangement, reverse: bool = False):
     """Pivot columns of the monomial-evaluation matrix, grade by grade.
 
-    Returns (dims, bases) where bases[k] is the list of (subset, vector)
-    pivot columns of degree exactly k; the union over grades <= k spans P^k.
+    Returns (dims, bases) where bases[k] lists the frozen subsets of the
+    pivot monomials of degree exactly k; their chamber evaluations
+    (`monomial_eval`) over grades <= k span P^k.
     `reverse` flips the enumeration order inside each grade (used to confirm
     that derived quantities are basis-independent).
     """
@@ -144,7 +145,7 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
                 combos = reversed(list(combos))
             for subset in combos:
                 if ech.add(_keyed_column(monomial_mask(A, subset), keys)):
-                    grade.append((frozenset(subset), monomial_eval(A, subset)))
+                    grade.append(frozenset(subset))
                     if ech.rank == nch:
                         break  # the span is full: later inserts add nothing
         dims.append(ech.rank)

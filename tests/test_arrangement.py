@@ -1,12 +1,15 @@
 import json
+import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from arrgr.arrangement import (AffineForm, Arrangement, arrangement_from_json,
                                arrangement_to_json, boolean, braid, cone,
-                               delete, load_arrangement, restrict,
-                               restrict_with_map, save_arrangement, semiorder)
+                               delete, hyperplane_key, load_arrangement,
+                               restrict, restrict_with_map, save_arrangement,
+                               semiorder)
 from arrgr.circuits import (SignedSet, circuits_from_arrangement, nbc_counts,
                             nbc_sets)
 from arrgr.cordovil import minimal_empty_flat_subsets
@@ -36,6 +39,72 @@ def test_build_rejects_duplicates():
     # a negative multiple is the same hyperplane with opposite orientation
     with pytest.raises(DuplicateFormError):
         Arrangement(2, [((1, 0), 0), ((-1, 0), 0)])
+
+
+def test_duplicate_error_names_the_least_pair():
+    # classes {0, 3} and {1, 2}: the pair scanned first is (0, 3), not the
+    # pair (1, 2) whose second member comes first
+    with pytest.raises(DuplicateFormError) as got:
+        Arrangement(2, [((1, 0), 0), ((0, 1), 0), ((0, -2), 0), ((3, 0), 0)])
+    assert str(got.value) == "forms 'H1' and 'H4' define the same hyperplane"
+
+
+def proportional_oracle(a, b) -> bool:
+    """True iff some nonzero rational multiple of row `a` equals row `b`."""
+    if len(a) != len(b):
+        return False
+    lead = next(i for i, x in enumerate(a) if x != 0)
+    if b[lead] == 0:
+        return False
+    scale = b[lead] / a[lead]
+    return all(scale * x == y for x, y in zip(a, b))
+
+
+def _random_row(rng, width):
+    while True:
+        row = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                    for _ in range(width))
+        if any(row):
+            return row
+
+
+def test_hyperplane_key_matches_proportional_oracle():
+    """Equal keys iff the rows are proportional; the key is the primitive
+    integer row with a positive lead, and `sign` is the sign of the scalar
+    taking the row to its key."""
+    rng = random.Random(7)
+    rows = []
+    for _ in range(60):
+        row = _random_row(rng, rng.choice((2, 3)))
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+        rows += [row, tuple(scale * x for x in row)]
+    for row in rows:
+        key, sign = hyperplane_key(row)
+        lead = next(i for i, x in enumerate(row) if x)
+        scale = key[lead] / row[lead]
+        assert all(type(x) is int for x in key)
+        assert next(x for x in key if x) > 0
+        assert all(scale * x == y for x, y in zip(row, key))
+        assert sign == (1 if scale > 0 else -1)
+    pairs = 0
+    for a, b in combinations(rows, 2):
+        same = proportional_oracle(a, b)
+        assert (hyperplane_key(a)[0] == hyperplane_key(b)[0]) == same, (a, b)
+        pairs += same
+    assert pairs >= 60
+
+
+def test_find_form_reads_index_and_sign():
+    A = braid(3)
+    assert A.find_form((2, -2, 0, 0)) == (0, 1)
+    assert A.find_form(("0", "-1/2", "1/2", "0")) == (2, -1)
+    assert A.find_form((1, 1, 0, 0)) is None
+
+
+def test_integer_labels_read_as_strings():
+    A = arrangement_from_json({"dim": 1, "forms": [
+        {"linear": [1], "constant": 0, "label": 7}]})
+    assert A.labels == ("7",)
 
 
 def test_parallel_forms_are_not_duplicates():
@@ -117,6 +186,15 @@ def test_restrict_braid3():
     assert R.dim == 2 and R.n == 1
     assert R.labels == ("13",)
     assert prov == {"13": "13", "23": "13"}
+
+
+def test_restrict_collapses_a_negative_multiple_onto_the_first_label():
+    # on H = {y = 0}, a = x + y restricts to x and b = -2x + y to -2x
+    A = Arrangement(2, [((1, 1), 0), ((-2, 1), 0), ((0, 1), 0)], ["a", "b", "h"])
+    R, prov = restrict_with_map(A, "h")
+    assert R.labels == ("a",)
+    assert R.forms[0].homogenized() == (1, 0)
+    assert prov == {"a": "a", "b": "a"}
 
 
 def test_restrict_parallel_drops_out():

@@ -145,6 +145,32 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
         assert out.splitlines() == ["+", "-", "count: 2"]
 
 
+@pytest.mark.parametrize("linear, kind", [("12", "a string"), (12, "an integer"),
+                                          (None, "null")],
+                         ids=["string", "integer", "null"])
+def test_arrangement_linear_part_must_be_a_list(capsys, tmp_path, linear, kind):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"dim": 2, "forms": [
+        {"linear": linear, "constant": "0", "label": "x"}]}))
+    code, out, err = run(capsys, "--file", str(path), "chambers")
+    assert (code, out) == (2, "")
+    assert err == ('input error: malformed arrangement data: "linear" must be '
+                   f"a list, not {kind}\n")
+
+
+@pytest.mark.parametrize("label, kind", [(None, "null"), (True, "a boolean"),
+                                         (1.5, "a float"), (["x"], "a list")],
+                         ids=["null", "boolean", "float", "list"])
+def test_arrangement_labels_must_be_strings_or_integers(capsys, tmp_path, label, kind):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"dim": 1, "forms": [
+        {"linear": ["1"], "constant": "0", "label": label}]}))
+    code, out, err = run(capsys, "--file", str(path), "chambers")
+    assert (code, out) == (2, "")
+    assert err == ('input error: malformed arrangement data: "label": a label '
+                   f"must be a string or an integer, not {kind}\n")
+
+
 def test_closed_stdout_exits_141_silently():
     """A reader that leaves early (`arrgr ... | head`) is not an input
     error: exit 128 + SIGPIPE and nothing on stderr."""

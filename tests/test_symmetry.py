@@ -15,7 +15,7 @@ from arrgr.symmetry import (SignedPermutation, _check_stable, _gram,
                             chamber_permutation, coordinate_action,
                             derive_signed_permutation, fixed_chambers,
                             graded_character, group_from_json, load_group)
-from arrgr.vgring import filtration_data, monomial_mask
+from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
 from test_linalg import fraction_rref_oracle
 
 
@@ -249,20 +249,20 @@ def test_traces_basis_independent(corpus_map):
             == graded_character(A, G, reverse_basis=True).grade_values, name
 
 
-def dense_grams(bases, perm, upto_grade):
+def dense_grams(A, bases, perm, upto_grade):
     """G = B^T B and R = B^T ρ(w) B as Fraction sums over the chamber
     vectors of the basis of P^k, with (ρ(w) col)[perm[i]] = col[i]."""
-    cols = [vec for k in range(upto_grade + 1) for _, vec in bases[k]]
+    cols = [monomial_eval(A, s) for k in range(upto_grade + 1) for s in bases[k]]
     nch = len(cols[0])
     G = [[sum(a[i] * b[i] for i in range(nch)) for b in cols] for a in cols]
     R = [[sum(a[perm[i]] * b[i] for i in range(nch)) for b in cols] for a in cols]
     return G, R
 
 
-def dense_projection_trace_oracle(bases, perm, upto_grade):
+def dense_projection_trace_oracle(A, bases, perm, upto_grade):
     """trace of (B^T B)^{-1} B^T ρ B on P^k, with Fraction Gram matrices
     solved by Fraction elimination."""
-    G, R = dense_grams(bases, perm, upto_grade)
+    G, R = dense_grams(A, bases, perm, upto_grade)
     m = len(G)
     X = [row[m:] for row in fraction_rref_oracle([g + r for g, r in zip(G, R)])[0]]
     return sum(X[i][i] for i in range(m))
@@ -278,14 +278,14 @@ def test_graded_character_matches_dense_oracle(make, reverse):
     gc = graded_character(A, group, reverse_basis=reverse)
     dims, bases = filtration_data(A, reverse=reverse)
     top = max(k for k in range(len(dims)) if bases[k])
-    masks = [monomial_mask(A, s) for k in range(top + 1) for s, _ in bases[k]]
+    masks = [monomial_mask(A, s) for k in range(top + 1) for s in bases[k]]
     identity = tuple(range(len(A.chambers())))
     for c, w in enumerate(group.class_representatives()):
         perm = chamber_permutation(A, w)
-        G, R = dense_grams(bases, perm, top)
+        G, R = dense_grams(A, bases, perm, top)
         assert _gram(masks, identity) == G
         assert _gram(masks, perm) == R
-        traces = [dense_projection_trace_oracle(bases, perm, k)
+        traces = [dense_projection_trace_oracle(A, bases, perm, k)
                   for k in range(top + 1)]
         want = [traces[k] - (traces[k - 1] if k else 0) for k in range(top + 1)]
         assert [row[c] for row in gc.grade_values] == want

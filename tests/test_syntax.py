@@ -1,6 +1,7 @@
 """Every Python file parses under the grammar of Python 3.10, the oldest
 version `pyproject.toml` supports, so newer syntax is caught without a 3.10
-interpreter; and the library holds no `assert` statement."""
+interpreter; the library holds no `assert` statement and no unused
+import."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,38 @@ def test_sources_have_no_bare_assert():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_imports(path) -> list:
+    """`file:line name` for each name an import binds but its scope (the
+    enclosing function, else the module) never reads.  `__future__`
+    imports and lines marked `# re-exported` are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    scope_of = {}
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        for node in ast.walk(scope):
+            scope_of[node] = scope  # inner scopes are visited later and win
+    found = []
+    for node, scope in scope_of.items():
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if "# re-exported" in lines[node.lineno - 1]:
+            continue
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_sources_have_no_unused_imports():
+    files = sorted(p for p in (ROOT / "src" / "arrgr").rglob("*.py")
+                   if p.name != "__init__.py")
+    assert files
+    assert [hit for path in files for hit in _unused_imports(path)] == []

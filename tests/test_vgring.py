@@ -118,22 +118,20 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
     assert ranks_at_add and max(ranks_at_add) < nch
     want_dims, want_bases = fraction_tuple_filtration(A, reverse)
     assert dims == want_dims
-    assert [[s for s, _ in grade] for grade in bases] == want_bases
+    assert bases == want_bases
+    assert all(type(s) is frozenset for grade in bases for s in grade)
 
 
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("name", ("semiorder4", "boolean7"))
 def test_plus_count_keys_match_fraction_tuple_oracle(name, reverse):
     """The echelon keyed by chamber plus-count accepts the same monomials
-    as the Fraction-tuple echelon keyed by chamber index, and each pivot
-    carries its monomial's Fraction tuple."""
+    as the Fraction-tuple echelon keyed by chamber index."""
     A = semiorder(4) if name == "semiorder4" else boolean(7)
     dims, bases = filtration_data(A, reverse=reverse)
     want_dims, want_bases = fraction_tuple_filtration(A, reverse)
     assert dims == want_dims
-    assert [[s for s, _ in grade] for grade in bases] == want_bases
-    assert all(vec == monomial_eval(A, tuple(s))
-               for grade in bases for s, vec in grade)
+    assert bases == want_bases
 
 
 def test_chamber_keys_order_by_plus_count(corpus_map):
@@ -155,7 +153,7 @@ def test_filtration_basis_is_nbc(corpus_map):
     for name, A in cases.items():
         for reverse, ordering in ((True, None), (False, tuple(reversed(range(A.n))))):
             _, bases = filtration_data(A, reverse=reverse)
-            picked = {s for grade in bases for s, _ in grade}
+            picked = {s for grade in bases for s in grade}
             assert picked == set(nbc_sets(A, ordering)), (name, reverse)
 
 
