@@ -22,7 +22,7 @@ from .cordovil import (CordovilAlgebra, cordovil_relation_families,
                        leading_form_check, minimal_empty_flat_subsets)
 from .corpus import central_corpus, corpus
 from .errors import ConsistencyError
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, affine_system_consistent
 from .polyring import Poly
 from .rees import rees_relation_families, rees_hilbert_check, specialize
 from .symmetry import coordinate_action, graded_character
@@ -180,16 +180,18 @@ def criterion_5() -> CriterionResult:
 
 
 def minimal_empty_flats_oracle(A) -> tuple:
-    """Inclusion-minimal index sets with empty flat, by one flat test per
-    support of every size (no rank cap, no circuit pruning); the library
-    reads them off its circuit scan instead."""
+    """Inclusion-minimal index sets with empty flat, by one consistency test
+    of the flat's equations per support of every size (no rank cap, no
+    circuit pruning); the library reads them off its circuit scan instead."""
+    rows = A.integer_forms()
     found: list[frozenset] = []
     for size in range(2, A.n + 1):
         for supp in combinations(range(A.n), size):
             ss = frozenset(supp)
             if any(f <= ss for f in found):
                 continue
-            if not A.flat_nonempty(supp):
+            if not affine_system_consistent([rows[j][:-1] for j in supp],
+                                            [-rows[j][-1] for j in supp]):
                 found.append(ss)
     return tuple(found)
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .circuits import SignedSet, _json_kind, _labels, circuits_from_arrangement
+from .circuits import (SignedSet, _json_kind, _labels, circuit_scan,
+                       circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import (_primitive_row, affine_system_consistent, frac,
-                     rank_and_kernel, strict_feasible)
+from .linalg import _primitive_row, frac, strict_feasible
 
 
 def hyperplane_key(row) -> tuple:
@@ -88,6 +88,7 @@ class Arrangement:
                 f"forms {self.labels[i]!r} and {self.labels[j]!r} define "
                 "the same hyperplane")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self.central = all(f.constant == 0 for f in self.forms)
         self._cache: dict = {}
 
     # -- basics ------------------------------------------------------------
@@ -95,10 +96,6 @@ class Arrangement:
     @property
     def n(self) -> int:
         return len(self.forms)
-
-    @property
-    def central(self) -> bool:
-        return all(f.constant == 0 for f in self.forms)
 
     def form_index(self, h) -> int:
         """Resolve a 0-based index or a label to a form index."""
@@ -182,19 +179,15 @@ class Arrangement:
         return lookup[signs]
 
     def flat_nonempty(self, subset) -> bool:
-        """True iff the affine flat {w_i = 0 : i in subset} is nonempty."""
-        ss = frozenset(self.form_index(h) for h in subset)
+        """True iff the affine flat {w_i = 0 : i in subset} is nonempty, i.e.
+        iff the subset contains none of the minimal empty flats (a superset
+        of an empty flat is empty, and every empty flat contains a minimal
+        one).  On an affine arrangement the first call runs the memoized
+        circuit scan that finds them (`circuits_from_arrangement`)."""
+        ss = frozenset(map(self.form_index, subset))
         if self.central:
             return True  # the origin lies on every hyperplane
-        cache = self._cache.setdefault("flats", {})
-        hit = cache.get(ss)
-        if hit is None:
-            rows = self.integer_forms()
-            forms = [rows[i] for i in sorted(ss)]
-            hit = affine_system_consistent([f[:-1] for f in forms],
-                                           [-f[-1] for f in forms])
-            cache[ss] = hit
-        return hit
+        return not any(map(ss.issuperset, circuits_from_arrangement(self).empty_flats))
 
     def minimal_infeasible_sign_sets(self) -> tuple:
         """All signed sets with empty open intersection whose proper signed
@@ -210,29 +203,15 @@ class Arrangement:
         satisfy a second relation, and moving along it gives a certificate
         on a smaller support.  Every proper subset of a circuit with a
         nonempty flat, or of a minimal empty flat, has independent linear
-        parts, so it is feasible; hence every candidate is minimal.
+        parts, so it is feasible; hence every candidate is minimal.  The
+        circuit scan (`circuit_scan`) reads both kinds off one kernel per
+        support.
         """
         return self._memo("min_infeasible", self._read_minimal_infeasible)
 
     def _read_minimal_infeasible(self) -> tuple:
-        C = circuits_from_arrangement(self)
-        found = list(C.circuits)
-        rows = self.integer_forms()
-        h0 = (0,) * self.dim + (-1,)  # the cone's H0 = -r
-        for S in C.empty_flats:
-            supp = sorted(S)
-            cols = [rows[j] for j in supp] + [h0]
-            _, kernel = rank_and_kernel(
-                [[col[r] for col in cols] for r in range(self.dim + 1)])
-            if len(kernel) != 1 or any(x == 0 for x in kernel[0]):
-                raise ConsistencyError(
-                    "a minimal empty flat has no full-support affine identity")
-            *lam, c = kernel[0]
-            sign = -1 if c > 0 else 1
-            found.append(SignedSet(
-                frozenset(j for j, x in zip(supp, lam) if sign * x > 0),
-                frozenset(j for j, x in zip(supp, lam) if sign * x < 0)))
-        return tuple(sorted(found, key=_plus_first))
+        C, identities = circuit_scan(self)
+        return tuple(sorted(C.circuits + identities, key=_plus_first))
 
 
 def _plus_first(X: SignedSet) -> tuple:
@@ -384,6 +363,8 @@ def arrangement_from_json(data: dict) -> Arrangement:
                             frac(_exact(e["constant"])))
                  for e in data["forms"]]
         labels = _labels([e["label"] for e in data["forms"]], '"label"')
+    except InputError:
+        raise  # already a full message; InputError is a ValueError
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed arrangement data: {exc}") from exc
     return Arrangement(dim, forms, labels)

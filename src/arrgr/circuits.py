@@ -2,10 +2,12 @@
 
 Ground elements are addressed by 0-based indices internally; labels appear
 only in the JSON file format and in pretty-printing.  A circuit system can
-come from an arrangement (minimal flat-nonempty linear dependencies among
-the homogenized forms, found by the same scan as its minimal empty flats)
-or from a raw file, in which case it is treated as the circuit set of a
-loop-free central oriented matroid.
+come from an arrangement or from a raw file, in which case it is treated as
+the circuit set of a loop-free central oriented matroid.  An arrangement's
+circuits (minimal flat-nonempty linear dependencies among the homogenized
+forms) come from one scan with one kernel per support, which also finds
+the minimal empty flats and their affine identities; `flat_nonempty`, the
+minimal infeasible sets, the NBC scan and straightening all read that scan.
 """
 
 from __future__ import annotations
@@ -191,78 +193,81 @@ def circuits_from_arrangement(A) -> CircuitSet:
     full-support) dependency and normalized so the smallest support index
     carries +1.  Both orientations are emitted.  The result also carries the
     arrangement's minimal empty flats, found by the same scan."""
+    return circuit_scan(A)[0]
+
+
+def circuit_scan(A) -> tuple:
+    """(circuits_from_arrangement(A), affine identities): one memoized scan.
+    The identities are one signed set per minimal empty flat S, the signs
+    of sum_{j in S} lambda_j w_j = c oriented so that c < 0."""
     return A._memo("circuits", lambda: _arrangement_circuits(A))
 
 
-def _arrangement_circuits(A) -> CircuitSet:
+def _arrangement_circuits(A) -> tuple:
     """One scan over supports by size, up to the rank of the homogenized
-    forms plus one, skipping supersets of every support found so far.  A
-    support with an empty flat is a minimal empty flat; one with a nonempty
-    flat and dependent homogenized forms is a circuit.  A minimal empty flat
-    S has independent homogenized forms (S plus the cone's H0 = -r is a
-    circuit of the cone), so the cap reaches it and it contains no circuit.
-    The forms enter as `A.integer_forms()`: positive multiples, so the
-    kernel signs, and with them the circuits, are those of the forms.
+    forms plus one, skipping supersets of every support found so far.  Each
+    visited support S gets one kernel: of its homogenized forms, next to
+    the cone's H0 column (0, ..., 0, -1) if A is affine (a central
+    arrangement has no empty flat).  A kernel vector (lambda, c) is an
+    identity sum_{j in S} lambda_j w_j = c.
+
+    Every proper subset of S is independent with a nonempty flat: else it
+    contains a minimal empty flat or a circuit, found before S.  So a
+    kernel vector that vanishes somewhere in S is zero (on a proper support
+    it would be a dependency, c = 0, or an empty-flat certificate, c != 0),
+    and the kernel is empty or one full-support vector (lambda, c):
+    - c = 0: S is a circuit (one equation follows from the others, so the
+      flat is nonempty), signed by lambda, +1 on the least index;
+    - c != 0: S is a minimal empty flat, and its identity, oriented so that
+      c < 0, is its minimal infeasible set.
+    An empty kernel means S is independent with a nonempty flat (Fredholm
+    alternative).  A minimal empty flat is independent, so the rank cap
+    reaches it.  The forms enter as `A.integer_forms()`: positive
+    multiples, with the same kernel signs.
     """
     n = A.n
     cols = A.integer_forms()
-    height = A.dim + 1
-    full_rank = rank([[cols[j][r] for j in range(n)] for r in range(height)]) if n else 0
+    h0 = () if A.central else ((0,) * A.dim + (-1,),)
+    full_rank = rank(cols)
     found_masks: list[int] = []
     circuits: list[SignedSet] = []
-    empty_flats: list[frozenset] = []
+    identities: list[SignedSet] = []
     for size in range(2, min(n, full_rank + 1) + 1):
         for supp in combinations(range(n), size):
             mask = _mask(supp)
             if any(f & mask == f for f in found_masks):
                 continue
-            if not A.flat_nonempty(supp):
-                empty_flats.append(frozenset(supp))
-                found_masks.append(mask)
-                continue
-            sub = [[cols[j][r] for j in supp] for r in range(height)]
-            _, kernel = rank_and_kernel(sub, ncols=size)
+            _, kernel = rank_and_kernel(list(zip(*(cols[j] for j in supp), *h0)))
             if not kernel:
                 continue
-            if len(kernel) != 1 or any(x == 0 for x in kernel[0]):
+            lam, c = kernel[0][:size], (kernel[0][size] if h0 else 0)
+            if len(kernel) != 1 or 0 in lam:
                 raise ConsistencyError(
                     "a minimal dependent support has no full-support dependency")
-            lam = kernel[0]
-            plus = frozenset(supp[t] for t in range(size) if lam[t] > 0)
-            minus = frozenset(supp[t] for t in range(size) if lam[t] < 0)
-            X = SignedSet(plus, minus)
-            circuits += [X, X.negate()]
+            plus = frozenset(j for j, x in zip(supp, lam) if x > 0)
+            minus = frozenset(j for j, x in zip(supp, lam) if x < 0)
+            X = SignedSet(minus, plus) if c > 0 else SignedSet(plus, minus)
+            if c:
+                identities.append(X)
+            else:
+                circuits += [X, X.negate()]
             found_masks.append(mask)
-    return CircuitSet(A.labels, circuits, empty_flats=empty_flats)
+    C = CircuitSet(A.labels, circuits,
+                   empty_flats=[X.support for X in identities])
+    return C, tuple(identities)
 
 
 def _resolve(source):
-    """(n, circuit list, flat test or None) for an Arrangement or CircuitSet."""
+    """(n, circuit list) for an Arrangement or CircuitSet."""
     if isinstance(source, CircuitSet):
-        return source.n, source.circuits, None
-    C = circuits_from_arrangement(source)
-    return source.n, C.circuits, empty_flat_test(C)
-
-
-def empty_flat_test(C: CircuitSet):
-    """A test `flat_ok(indices)`: True iff the indices contain none of
-    `C.empty_flats`, i.e. iff their flat is nonempty (a superset of an
-    empty flat is empty, and every empty flat contains a minimal one).
-    None when there are no empty flats, as for a central arrangement."""
-    flats = [_mask(s) for s in C.empty_flats]
-    if not flats:
-        return None
-
-    def flat_ok(indices) -> bool:
-        mask = _mask(indices)
-        return not any(f & mask == f for f in flats)
-    return flat_ok
+        return source.n, source.circuits
+    return source.n, circuits_from_arrangement(source).circuits
 
 
 def canonical_circuits(source, ordering=None):
     """One representative per +/- circuit pair, with +1 on the
     ordering-minimal support element."""
-    n, circ, _ = _resolve(source)
+    n, circ = _resolve(source)
     ranks = ordering_ranks(n, ordering)
     out = {}
     for X in circ:
@@ -295,7 +300,7 @@ def broken_circuit_map(source, ordering=None) -> dict:
     When two circuits break to the same set, the one whose dropped element
     has smaller rank wins, which keeps rewriting deterministic.
     """
-    n, circ, _ = _resolve(source)
+    n, circ = _resolve(source)
     ranks = ordering_ranks(n, ordering)
     out: dict = {}
     for X in canonical_circuits(source, ordering):
@@ -312,8 +317,9 @@ def broken_circuit_map(source, ordering=None) -> dict:
 def nbc_sets(source, ordering=None) -> tuple:
     """All no-broken-circuit sets, graded by size (the empty set included).
 
-    For an arrangement the flat-nonempty filter applies; a raw CircuitSet is
-    taken to be central, where every flat is nonempty.
+    For an arrangement, `flat_nonempty` filters the sets free of broken
+    circuits; a raw CircuitSet is taken to be central, where every flat is
+    nonempty.
     """
     if isinstance(source, CircuitSet):
         return _scan_nbc(source, ordering)
@@ -322,15 +328,15 @@ def nbc_sets(source, ordering=None) -> tuple:
 
 
 def _scan_nbc(source, ordering) -> tuple:
-    n, _, flat_ok = _resolve(source)
+    flat_ok = None if isinstance(source, CircuitSet) else source.flat_nonempty
     bcs = broken_circuits(source, ordering)
     out = []
-    for size in range(n + 1):
-        for supp in combinations(range(n), size):
+    for size in range(source.n + 1):
+        for supp in combinations(range(source.n), size):
             ss = frozenset(supp)
-            if flat_ok is not None and not flat_ok(supp):
-                continue
             if any(b <= ss for b in bcs):
+                continue
+            if flat_ok is not None and not flat_ok(supp):
                 continue
             out.append(ss)
     return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))

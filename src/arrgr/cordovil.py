@@ -18,7 +18,7 @@ from fractions import Fraction
 from .arrangement import Arrangement
 from .circuits import (CircuitSet, SignedSet, broken_circuit_map,
                        canonical_circuits, circuits_from_arrangement,
-                       empty_flat_test, nbc_counts, nbc_sets, ordering_ranks)
+                       nbc_counts, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
 from .polyring import Poly
 from .vgring import Relation, _circuit_difference
@@ -69,7 +69,9 @@ class CordovilAlgebra:
         if isinstance(source, Arrangement):
             self.n = source.n
             self.labels = source.labels
-            self._flat_ok = empty_flat_test(circuits_from_arrangement(source))
+            # no flat test where every flat is nonempty
+            self._flat_ok = (source.flat_nonempty
+                             if minimal_empty_flat_subsets(source) else None)
         elif isinstance(source, CircuitSet):
             self.n = source.n
             self.labels = source.ground

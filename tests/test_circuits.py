@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,17 +11,26 @@ from arrgr.arrangement import (AffineForm, Arrangement, braid, cone, delete,
 from arrgr.circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
                             canonical_circuits, circuits_from_arrangement,
                             circuits_from_json, circuits_to_json,
-                            empty_flat_test, load_circuits, nbc_counts,
-                            nbc_sets, validate_circuit_axioms, _mask)
+                            load_circuits, nbc_counts, nbc_sets,
+                            validate_circuit_axioms, _mask)
+from arrgr.cordovil import CordovilAlgebra
 from arrgr.corpus import random_rational_arrangement, single_hyperplane
 from arrgr.errors import InputError
-from arrgr.linalg import rank
-from arrgr.polyring import format_poincare
+from arrgr.linalg import affine_system_consistent, rank
+from arrgr.polyring import Poly, format_poincare
+
+
+def flat_consistent(A, supp) -> bool:
+    """Consistency oracle for a flat: its equations w_j = 0 have a common
+    solution.  `A.flat_nonempty` reads the circuit scan instead."""
+    forms = [A.forms[j] for j in supp]
+    return affine_system_consistent([f.linear for f in forms],
+                                    [-f.constant for f in forms])
 
 
 def brute_force_circuit_supports(A, max_size=None):
     """Independent oracle: all minimal subsets that are flat-nonempty and
-    homogeneously dependent, by direct rank computation."""
+    homogeneously dependent, by direct rank and consistency computation."""
     cols = [f.homogenized() for f in A.forms]
     out = []
     max_size = max_size or A.n
@@ -29,7 +40,7 @@ def brute_force_circuit_supports(A, max_size=None):
             if any(f <= ss for f in out):
                 continue
             rows = [[cols[j][r] for j in supp] for r in range(A.dim + 1)]
-            if rank(rows) < size and A.flat_nonempty(supp):
+            if rank(rows) < size and flat_consistent(A, supp):
                 out.append(ss)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
@@ -211,7 +222,7 @@ def test_affine_elimination_fails_only_across_empty_flats():
     C = circuits_from_arrangement(A)
     missing = _missing_eliminations(C.circuits)
     assert missing
-    assert all(not A.flat_nonempty(X.support | Y.support) for X, Y, _ in missing)
+    assert all(not flat_consistent(A, X.support | Y.support) for X, Y, _ in missing)
     assert validate_circuit_axioms(C).ok
     raw = validate_circuit_axioms(CircuitSet(C.ground, C.circuits, validate=False))
     assert len(raw.violations) == len(missing)
@@ -230,7 +241,7 @@ def test_affine_elimination_enforced_where_flats_meet():
     assert C.empty_flats and validate_circuit_axioms(C).ok
     X, Y, e = next((X, Y, e) for X in C.circuits for Y in C.circuits
                    for e in sorted(X.plus & Y.minus)
-                   if X != Y.negate() and A.flat_nonempty(X.support | Y.support))
+                   if X != Y.negate() and flat_consistent(A, X.support | Y.support))
     plus, minus = (X.plus | Y.plus) - {e}, (X.minus | Y.minus) - {e}
     kept = [Z for Z in C.circuits
             if not (Z.plus <= plus and Z.minus <= minus)
@@ -267,19 +278,50 @@ def test_circuit_json_roundtrip():
     assert circuits_from_json(half) == C
 
 
-def test_empty_flat_test_matches_flat_nonempty(corpus_map):
-    """The bitmask test over the minimal empty flats answers like the rank
-    test on every support."""
+def test_flat_nonempty_matches_consistency_oracle(corpus_map):
+    """The test against the scan's minimal empty flats answers like the
+    consistency of the flat's equations on every support."""
     cases = list(corpus_map.items())
     cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in (1, 2, 3, 4)]
+    cases.append(("semiorder4", semiorder(4)))
     for name, A in cases:
-        flat_ok = empty_flat_test(circuits_from_arrangement(A))
         if A.central:
-            assert flat_ok is None, name
-            continue
+            assert circuits_from_arrangement(A).empty_flats == (), name
         for size in range(A.n + 1):
             for supp in combinations(range(A.n), size):
-                assert flat_ok(supp) == A.flat_nonempty(supp), (name, supp)
+                assert A.flat_nonempty(supp) == flat_consistent(A, supp), (name, supp)
+
+
+def _count_calls(mp, name, calls):
+    """Count calls of `name` through every arrgr module that binds it."""
+    for key, module in list(sys.modules.items()):
+        fn = getattr(module, name, None) if key.split(".")[0] == "arrgr" else None
+        if fn is not None:
+            def counted(*args, _fn=fn, **kwargs):
+                calls[name] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(module, name, counted)
+
+
+def test_scan_kernels_are_the_only_flat_tests(monkeypatch):
+    """Circuits, minimal infeasible sets, NBC sets and straightening read
+    flat emptiness off the circuit scan's kernels: no consistency test runs,
+    and the minimal infeasible sets take the identities from the scan."""
+    for A in (random_rational_arrangement(), semiorder(3)):
+        calls = Counter()
+        with monkeypatch.context() as mp:
+            _count_calls(mp, "affine_system_consistent", calls)
+            C = circuits_from_arrangement(A)
+            _count_calls(mp, "rank_and_kernel", calls)
+            found = A.minimal_infeasible_sign_sets()
+            assert calls["rank_and_kernel"] == 0
+            nbc = nbc_sets(A)
+            alg = CordovilAlgebra(A)
+            for size in range(A.n + 1):
+                for supp in combinations(range(A.n), size):
+                    alg.straighten(Poly.monomial(supp))
+        assert calls["affine_system_consistent"] == 0
+        assert C.empty_flats and len(found) > len(C.circuits) and nbc
 
 
 _CIRCUIT_FILE = {"ground": ["1", "2", "3"],

@@ -145,6 +145,20 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
         assert out.splitlines() == ["+", "-", "count: 2"]
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"forms": []}, "malformed arrangement data: 'dim'"),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": 0.1, "label": "x"}]},
+     '0.1 is not exact; write integers or rational strings like "1/10"'),
+], ids=["missing-key", "float"])
+def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
+    """An input error raised while reading a form keeps its own message;
+    the "malformed arrangement data: " prefix is for parse errors only."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--file", str(path), "chambers")
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("linear, kind", [("12", "a string"), (12, "an integer"),
                                           (None, "null")],
                          ids=["string", "integer", "null"])
@@ -154,8 +168,7 @@ def test_arrangement_linear_part_must_be_a_list(capsys, tmp_path, linear, kind):
         {"linear": linear, "constant": "0", "label": "x"}]}))
     code, out, err = run(capsys, "--file", str(path), "chambers")
     assert (code, out) == (2, "")
-    assert err == ('input error: malformed arrangement data: "linear" must be '
-                   f"a list, not {kind}\n")
+    assert err == f'input error: "linear" must be a list, not {kind}\n'
 
 
 @pytest.mark.parametrize("label, kind", [(None, "null"), (True, "a boolean"),
@@ -167,8 +180,8 @@ def test_arrangement_labels_must_be_strings_or_integers(capsys, tmp_path, label,
         {"linear": ["1"], "constant": "0", "label": label}]}))
     code, out, err = run(capsys, "--file", str(path), "chambers")
     assert (code, out) == (2, "")
-    assert err == ('input error: malformed arrangement data: "label": a label '
-                   f"must be a string or an integer, not {kind}\n")
+    assert err == ('input error: "label": a label must be a string or an '
+                   f"integer, not {kind}\n")
 
 
 def test_closed_stdout_exits_141_silently():

@@ -6,7 +6,9 @@ unsigned Whitney numbers.  Neither fact is used anywhere in the library:
 this oracle is pure poset combinatorics on exactly-computed flats, so it
 independently certifies both the feasibility-based chamber enumeration and
 the broken-circuit machinery.  Its flats are reduced with the Fraction
-elimination `fraction_rref_oracle`, not with the library's integer `rref`.
+elimination `fraction_rref_oracle`, not with the library's integer `rref`,
+and the same elimination decides which flats are empty (the library reads
+that off its circuit scan).
 """
 
 from itertools import combinations
@@ -26,11 +28,11 @@ def intersection_poset(A):
     flats = {}
     for size in range(A.n + 1):
         for supp in combinations(range(A.n), size):
-            if not A.flat_nonempty(supp):
-                continue
             rows = [list(A.forms[i].linear) + [-A.forms[i].constant]
                     for i in supp]
             red, pivots = fraction_rref_oracle(rows)
+            if A.dim in pivots:  # a row 0 = 1: the flat is empty
+                continue
             key = tuple(tuple(r) for r in red if any(r))
             flats.setdefault(key, len(pivots))
     return flats

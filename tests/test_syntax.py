@@ -62,3 +62,29 @@ def test_sources_have_no_unused_imports():
                    if p.name != "__init__.py")
     assert files
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def _scopes_using(tree, attr: str) -> set:
+    """Qualified names (Class.function) of the scopes that use `.attr`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.add(".".join(scope))
+            visit(child, scope)
+    visit(tree, ())
+    return found
+
+
+def test_cache_is_touched_only_by_memo():
+    """Cached queries go through `Arrangement._memo`: no module reads or
+    fills `_cache` by key."""
+    files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
+    assert files
+    used = set().union(*(_scopes_using(ast.parse(path.read_text()), "_cache")
+                         for path in files))
+    assert used == {"Arrangement.__init__", "Arrangement._memo"}
