@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .circuits import (SignedSet, _json_kind, _labels, circuit_scan,
-                       circuits_from_arrangement)
+from .circuits import (SignedSet, _json_kind, _labels, _read_json,
+                       circuit_scan, circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
 from .linalg import _primitive_row, frac, strict_feasible
 
@@ -342,11 +342,19 @@ def arrangement_to_json(A: Arrangement) -> dict:
 
 
 def _exact(x):
-    """A JSON number that is exact: floats (binary fractions) and booleans
-    are rejected; ints and rational strings like "1/10" pass through."""
+    """A JSON number that is exact: floats (binary fractions), booleans and
+    rational strings with a zero denominator are rejected; ints and
+    rational strings like "1/10" pass through."""
     if isinstance(x, (bool, float)):
         raise InputError(f"{json.dumps(x)} is not exact; write integers or "
                          'rational strings like "1/10"')
+    if isinstance(x, str) and "/" in x:
+        try:
+            Fraction(x)
+        except ZeroDivisionError:
+            raise InputError(f"{json.dumps(x)} has a zero denominator") from None
+        except ValueError:
+            pass  # not a rational string: the caller's conversion says so
     return x
 
 
@@ -371,12 +379,7 @@ def arrangement_from_json(data: dict) -> Arrangement:
 
 
 def load_arrangement(path) -> Arrangement:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return arrangement_from_json(data)
+    return arrangement_from_json(_read_json(path))
 
 
 def save_arrangement(A: Arrangement, path):

@@ -300,8 +300,7 @@ def broken_circuit_map(source, ordering=None) -> dict:
     When two circuits break to the same set, the one whose dropped element
     has smaller rank wins, which keeps rewriting deterministic.
     """
-    n, circ = _resolve(source)
-    ranks = ordering_ranks(n, ordering)
+    ranks = ordering_ranks(source.n, ordering)
     out: dict = {}
     for X in canonical_circuits(source, ordering):
         supp = X.support
@@ -319,11 +318,11 @@ def nbc_sets(source, ordering=None) -> tuple:
 
     For an arrangement, `flat_nonempty` filters the sets free of broken
     circuits; a raw CircuitSet is taken to be central, where every flat is
-    nonempty.
+    nonempty.  The memo key is the ordering's tuple (None: `range(n)`).
     """
     if isinstance(source, CircuitSet):
         return _scan_nbc(source, ordering)
-    key = ("nbc", tuple(ordering) if ordering is not None else None)
+    key = ("nbc", tuple(ordering if ordering is not None else range(source.n)))
     return source._memo(key, lambda: _scan_nbc(source, ordering))
 
 
@@ -364,6 +363,19 @@ def circuits_to_json(C: CircuitSet) -> dict:
             for X in C.circuits
         ],
     }
+
+
+def _read_json(path):
+    """The JSON value in the file at `path`, read as UTF-8.  Text that is
+    not UTF-8 or not JSON is a one-line `InputError` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: byte {exc.start}: "
+                         f"{exc.reason}") from exc
 
 
 def _json_kind(value) -> str:
@@ -419,9 +431,4 @@ def circuits_from_json(data: dict) -> CircuitSet:
 
 
 def load_circuits(path) -> CircuitSet:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return circuits_from_json(data)
+    return circuits_from_json(_read_json(path))

@@ -85,15 +85,23 @@ def _load_source(args) -> Arrangement:
                          "(--file/--braid/--semiorder/--boolean)")
     if args.file is not None:
         A = load_arrangement(args.file)
-    elif args.braid is not None:
-        A = braid(args.braid)
+        _check_size(A.n, args.nmax)
+        return A
+    # a generator's form count is known before it builds anything
+    if args.braid is not None:
+        make, N, forms = braid, args.braid, args.braid * (args.braid - 1) // 2
     elif args.semiorder is not None:
-        A = semiorder(args.semiorder)
+        make, N, forms = semiorder, args.semiorder, args.semiorder * (args.semiorder - 1)
     else:
-        A = boolean(args.boolean)
-    if A.n > args.nmax:
-        raise ResourceBoundError(f"arrangement has {A.n} > --nmax {args.nmax} forms")
-    return A
+        make, N, forms = boolean, args.boolean, args.boolean
+    if N > 0 and forms > 0:  # any other N is an input error of the generator
+        _check_size(forms, args.nmax)
+    return make(N)
+
+
+def _check_size(n: int, nmax: int) -> None:
+    if n > nmax:
+        raise ResourceBoundError(f"arrangement has {n} > --nmax {nmax} forms")
 
 
 def _parse_order(A: Arrangement, spec: str | None):

@@ -7,17 +7,16 @@ forms' primitive integer rows, one lookup per form and element.  The
 induced permutation of chambers is ρ(w); traces of ρ(w) on each filtration
 stage P^k are computed through the orthogonal projection onto P^k under
 the standard inner product on chamber functions, which is legitimate
-because permutation matrices are orthogonal and P^k is W-stable (checked
-stage by stage).  The basis of P^k is a set of monomials, each 0/1 on the
-chambers, so the Gram entries are chamber counts of monomial
-intersections, read off chamber bitmasks as integers.  Each stage's Gram
-block is inverted once, by one integer `solve_square`, and the inverse is
-shared by every conjugacy class.
+because permutation matrices are orthogonal and P^k is W-stable (by
+construction; see `graded_character`).  The basis of P^k is a set of
+monomials, each 0/1 on the chambers, so the Gram entries are chamber
+counts of monomial intersections, read off chamber bitmasks as integers.
+Each stage's Gram block is inverted once, by one integer `solve_square`,
+and the inverse is shared by every conjugacy class.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +26,10 @@ from operator import mul
 
 from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
-from .circuits import _json_kind
+from .circuits import _json_kind, _read_json
 from .errors import ConsistencyError, InputError, NotASymmetryError
-from .linalg import SparseEchelon, frac, rref, solve_square
-from .vgring import (_chamber_keys, _keyed_column, filtration_data,
-                     monomial_mask)
+from .linalg import frac, rref, solve_square
+from .vgring import filtration_data, monomial_mask
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,8 @@ def coordinate_action(A: Arrangement) -> GroupSpec:
 
 
 def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
-    """Load a group from its file form; see the README for the schema."""
+    """Load a group from its file form (schema in the README); the first
+    element that is not a symmetry raises `NotASymmetryError`."""
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
     name = str(data.get("group", "W"))
@@ -240,6 +239,14 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
         raise  # already a full message; InputError is a ValueError
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed group element: {exc}") from exc
+    for k, w in enumerate(elements):
+        try:
+            chamber_permutation(A, w)
+        except ConsistencyError as exc:
+            images = ", ".join(f"{A.labels[i]}->{'-' if s < 0 else ''}{A.labels[j]}"
+                               for i, (j, s) in enumerate(zip(w.perm, w.flips)))
+            raise NotASymmetryError(
+                f"group element {k + 1} ({images}) is not a symmetry: {exc}") from exc
     _validate_closure(elements)
     class_of, class_labels = _conjugacy_classes(elements)
     cycle_types = None
@@ -255,12 +262,7 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
 def load_group(A: Arrangement, path_or_name: str) -> GroupSpec:
     if path_or_name == "Sn-coordinates":
         return coordinate_action(A)
-    with open(path_or_name) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path_or_name}: line {exc.lineno}: {exc.msg}") from exc
-    return group_from_json(A, data)
+    return group_from_json(A, _read_json(path_or_name))
 
 
 def _conjugacy_classes(elements):
@@ -391,36 +393,21 @@ def _stage_inverse(G, m) -> list:
     return out
 
 
-def _check_stable(A: Arrangement, bases, perms, upto_grade):
-    """Every stage P^k must be carried into itself by each chamber
-    permutation.  Stage k's columns join the echelon, which then spans
-    P^k, and their images must lie in it; the images of the earlier
-    columns were checked in P^{k-1}, which P^k contains.  Columns are the
-    monomials' chamber masks, keyed by chamber plus-count as in the
-    filtration echelon; the image of chamber i is chamber perm[i]."""
-    keys = _chamber_keys(A)
-    image_keys = [[keys[j] for j in perm] for perm in perms]
-    ech = SparseEchelon()
-    for k in range(upto_grade + 1):
-        masks = [monomial_mask(A, subset) for subset in bases[k]]
-        for mask in masks:
-            ech.add(_keyed_column(mask, keys))
-        for moved in image_keys:
-            for mask in masks:
-                if not ech.contains(_keyed_column(mask, moved)):
-                    raise ConsistencyError(
-                        f"filtration stage {k} is not W-stable")
-
-
 def graded_character(A: Arrangement, group: GroupSpec,
                      reverse_basis: bool = False) -> GradedCharacters:
     """Characters of the filtration layers, via projection traces.
 
     grade-k character = trace on P^k minus trace on P^{k-1}, evaluated on
-    one representative per conjugacy class.  The trace on a stage of m
-    basis columns is trace(G_m^{-1} R_m) = sum_i (sum_j N_ij R_ji) / den_i,
-    with G_m^{-1} solved once per stage and shared by every class, its row
-    i the integers N_i over den_i.
+    one representative per conjugacy class.  No stage is checked to be
+    W-stable: `chamber_permutation` raises unless every image sign vector
+    is a chamber and the map is a bijection; the image of chamber c has
+    sign flip_i * c_i at perm(i), so ρ(w) sends the Heaviside function of
+    i to that of perm(i), or to 1 minus it when flip_i = -1; and ρ(w),
+    composition with a bijection, is multiplicative, so it maps every
+    product of at most k Heaviside functions into P^k.  The trace on a
+    stage of m basis columns is trace(G_m^{-1} R_m) =
+    sum_i (sum_j N_ij R_ji) / den_i, with G_m^{-1} solved once per stage
+    and shared by every class, its row i the integers N_i over den_i.
     """
     dims, bases = filtration_data(A, reverse=reverse_basis)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
@@ -432,7 +419,6 @@ def graded_character(A: Arrangement, group: GroupSpec,
     stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
     reps = group.class_representatives()
     perms = [chamber_permutation(A, w) for w in reps]
-    _check_stable(A, bases, perms, top)
     inverses = [_stage_inverse(G, m) for m in stage_sizes]
     per_class_stage = []
     chamber_vals = []

@@ -114,10 +114,6 @@ class FiltrationProfile:
     dims: tuple
     gr_dims: tuple
 
-    @property
-    def top(self) -> int:
-        return max((k for k, g in enumerate(self.gr_dims) if g), default=0)
-
 
 def filtration_data(A: Arrangement, reverse: bool = False):
     """Pivot columns of the monomial-evaluation matrix, grade by grade.

@@ -354,6 +354,39 @@ def test_malformed_circuit_file_rejected(tmp_path, data, message):
         assert "\n" not in str(info.value)
 
 
+def test_non_utf8_circuit_file_rejected(tmp_path):
+    path = tmp_path / "circuits.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(InputError) as info:
+        load_circuits(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0: invalid start byte"
+
+
+@pytest.mark.parametrize("make", [lambda: semiorder(3), lambda: braid(4)],
+                         ids=["semiorder3", "braid4"])
+def test_one_nbc_scan_per_ordering(monkeypatch, make):
+    """The default ordering and its explicit tuple share one memo entry,
+    so the NBC counts, the Cordovil algebra and the Rees Hilbert check
+    scan the subsets once."""
+    import arrgr.circuits
+    from arrgr.rees import rees_hilbert_check
+
+    scans = []
+    real = arrgr.circuits._scan_nbc
+
+    def counted(source, ordering):
+        scans.append(ordering)
+        return real(source, ordering)
+
+    monkeypatch.setattr(arrgr.circuits, "_scan_nbc", counted)
+    A = make()
+    nbc_counts(A)
+    alg = CordovilAlgebra(A)
+    rees_hilbert_check(A)
+    assert nbc_sets(A) is alg.nbc is nbc_sets(A, tuple(range(A.n)))
+    assert len(scans) == 1
+
+
 def test_integer_labels_accepted():
     C = circuits_from_json({"ground": [1, 2, 3],
                             "circuits": [{"plus": [1, 3], "minus": [2]}]})

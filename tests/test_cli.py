@@ -253,6 +253,54 @@ def test_group_file_unknown_label_keeps_its_message(capsys, tmp_path):
     assert err == "input error: malformed group element: flip 0.5 is not an integer\n"
 
 
+def test_group_file_element_that_is_not_a_symmetry_exits_2(capsys, tmp_path):
+    from test_symmetry import NOT_A_SYMMETRY
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(NOT_A_SYMMETRY))
+    code, out, err = run(capsys, "--braid", "3", "characters", "--group", str(group))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: group element 2 (12->13, 13->12, 23->23) "
+                          "is not a symmetry: image sign vector ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--file", "--group"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = (["--file", str(path), "chambers"] if flag == "--file"
+            else ["--braid", "3", "characters", "--group", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: not UTF-8 text: byte 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize("form, text", [
+    ('{"linear": ["1/0"], "constant": "0", "label": "x"}', "1/0"),
+    ('{"linear": ["1"], "constant": "3/00", "label": "x"}', "3/00"),
+], ids=["linear", "constant"])
+def test_zero_denominator_exits_2(capsys, tmp_path, form, text):
+    path = tmp_path / "point.json"
+    path.write_text(f'{{"dim": 1, "forms": [{form}]}}')
+    code, out, err = run(capsys, "--file", str(path), "chambers")
+    assert (code, out, err) == (2, "", f'input error: "{text}" has a zero denominator\n')
+
+
+def test_generator_size_is_checked_before_building(capsys, monkeypatch):
+    import arrgr.cli
+
+    def refuse(n):
+        raise AssertionError(f"generator called with n = {n}")
+
+    for name in ("braid", "semiorder", "boolean"):
+        monkeypatch.setattr(arrgr.cli, name, refuse)
+    code, out, err = run(capsys, "--braid", "2000", "chambers")
+    assert (code, out) == (3, "")
+    assert err == "resource bound: arrangement has 1999000 > --nmax 14 forms\n"
+    assert run(capsys, "--semiorder", "4", "--nmax", "11", "chambers")[0] == 3
+    assert run(capsys, "--boolean", "15", "chambers")[0] == 3
+
+
 def test_resource_bound_exit_3(capsys):
     assert run(capsys, "--braid", "20", "chambers")[0] == 3
     assert run(capsys, "--braid", "3", "--nmax", "2", "chambers")[0] == 3

@@ -11,11 +11,13 @@ from arrgr.arrangement import boolean, braid, semiorder
 from arrgr.characters import cycle_type, partition_str
 from arrgr.circuits import nbc_counts
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
-from arrgr.symmetry import (SignedPermutation, _check_stable, _gram,
-                            chamber_permutation, coordinate_action,
-                            derive_signed_permutation, fixed_chambers,
-                            graded_character, group_from_json, load_group)
-from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
+from arrgr.linalg import SparseEchelon
+from arrgr.symmetry import (SignedPermutation, _gram, chamber_permutation,
+                            coordinate_action, derive_signed_permutation,
+                            fixed_chambers, graded_character, group_from_json,
+                            load_group)
+from arrgr.vgring import (_chamber_keys, _keyed_column, filtration_data,
+                          monomial_eval, monomial_mask)
 from test_linalg import fraction_rref_oracle
 
 
@@ -139,16 +141,76 @@ def test_coordinate_action_matches_derived_oracle(corpus_map):
     assert str(got.value) == "image of form 'g1' is not in the arrangement"
 
 
+def stability_oracle(A, bases, perms, upto_grade):
+    """Every stage P^k must be carried into itself by each chamber
+    permutation.  Stage k's columns join the echelon, which then spans
+    P^k, and their images must lie in it; the images of the earlier
+    columns were checked in P^{k-1}, which P^k contains.  Columns are the
+    monomials' chamber masks, keyed by chamber plus-count as in the
+    filtration echelon; the image of chamber i is chamber perm[i].
+    `graded_character` relies on this stability without checking it."""
+    keys = _chamber_keys(A)
+    image_keys = [[keys[j] for j in perm] for perm in perms]
+    ech = SparseEchelon()
+    for k in range(upto_grade + 1):
+        masks = [monomial_mask(A, subset) for subset in bases[k]]
+        for mask in masks:
+            ech.add(_keyed_column(mask, keys))
+        for moved in image_keys:
+            for mask in masks:
+                if not ech.contains(_keyed_column(mask, moved)):
+                    raise ConsistencyError(
+                        f"filtration stage {k} is not W-stable")
+
+
 def test_check_stable_rejects_a_non_symmetric_chamber_permutation():
     A = braid(4)
     dims, bases = filtration_data(A)
     top = max(k for k in range(len(dims)) if bases[k])
     identity = list(range(len(A.chambers())))
-    _check_stable(A, bases, [identity], top)
+    stability_oracle(A, bases, [identity], top)
     shuffled = identity[:]
     random.Random(4).shuffle(shuffled)
     with pytest.raises(ConsistencyError, match="not W-stable"):
-        _check_stable(A, bases, [identity, shuffled], top)
+        stability_oracle(A, bases, [identity, shuffled], top)
+
+
+def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
+    """The stability `graded_character` takes by construction, checked by
+    the oracle on every corpus member with a coordinate action and on
+    three larger members."""
+    cases = dict(corpus_map, braid5=braid(5), boolean5=boolean(5),
+                 semiorder4=semiorder(4))
+    checked = []
+    for name, A in cases.items():
+        try:
+            group = coordinate_action(A)
+        except NotASymmetryError:
+            continue
+        dims, bases = filtration_data(A)
+        top = max(k for k in range(len(dims)) if bases[k])
+        perms = [chamber_permutation(A, w) for w in group.class_representatives()]
+        stability_oracle(A, bases, perms, top)
+        checked.append(name)
+    assert {"braid5", "boolean5", "semiorder4"} <= set(checked)
+
+
+def test_cached_filtration_characters_run_no_echelon(monkeypatch):
+    """With the filtration cached, the characters insert no echelon
+    column: each stage's stability is not re-derived."""
+    A = braid(4)
+    group = coordinate_action(A)
+    filtration_data(A)
+    adds = []
+    real = SparseEchelon.add
+
+    def counted(self, column):
+        adds.append(1)
+        return real(self, column)
+
+    monkeypatch.setattr(SparseEchelon, "add", counted)
+    graded_character(A, group)
+    assert adds == []
 
 
 def test_one_solve_per_stage(monkeypatch):
@@ -379,3 +441,19 @@ def test_consistency_error_on_fake_symmetry():
     fake = SignedPermutation((0, 1, 2), (-1, 1, 1))
     with pytest.raises(ConsistencyError):
         chamber_permutation(A, fake)
+
+
+# braid 3: the identity and 12 <-> 13 without flips form a closed group,
+# but the swap sends some chamber to a sign vector that is not a chamber
+NOT_A_SYMMETRY = {"group": "W", "action": [
+    {"perm": {"12": "12", "13": "13", "23": "23"}},
+    {"perm": {"12": "13", "13": "12", "23": "23"}},
+]}
+
+
+def test_group_file_element_that_is_not_a_symmetry():
+    A = braid(3)
+    with pytest.raises(NotASymmetryError,
+                       match=r"^group element 2 \(12->13, 13->12, 23->23\) "
+                             r"is not a symmetry: image sign vector"):
+        group_from_json(A, NOT_A_SYMMETRY)

@@ -1,7 +1,7 @@
 """Every Python file parses under the grammar of Python 3.10, the oldest
 version `pyproject.toml` supports, so newer syntax is caught without a 3.10
 interpreter; the library holds no `assert` statement and no unused
-import."""
+import, and reads JSON files in one place."""
 
 import ast
 from pathlib import Path
@@ -88,3 +88,23 @@ def test_cache_is_touched_only_by_memo():
     used = set().union(*(_scopes_using(ast.parse(path.read_text()), "_cache")
                          for path in files))
     assert used == {"Arrangement.__init__", "Arrangement._memo"}
+
+
+def test_json_is_read_in_one_place():
+    """Every input file goes through one reader, so its decoding and its
+    error messages are written once: `json.load` is called in exactly one
+    function of the library."""
+    files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
+    assert files
+    callers = set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and node.attr == "load"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "json"):
+                    callers.add(f"{path.name}:{func.name}")
+    assert len(callers) == 1, sorted(callers)
