@@ -260,14 +260,11 @@ def criterion_8() -> CriterionResult:
         if not report.ok:
             bad.append(f"{name}: {report.violations[:1]}")
     # negative controls must be flagged
-    broken1 = CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset())],
-                         validate=False)
+    broken1 = CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset())])
     r1 = validate_circuit_axioms(broken1)
     if r1.ok or not any(a == 1 for a, _ in r1.violations):
         bad.append("singleton circuit not flagged by axiom (1)")
-    broken2 = CircuitSet(["a", "b"],
-                         [SignedSet(frozenset({0}), frozenset({1}))],
-                         validate=False)
+    broken2 = CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset({1}))])
     r2 = validate_circuit_axioms(broken2)
     if r2.ok or not any(a == 2 for a, _ in r2.violations):
         bad.append("dropped negation not flagged by axiom (2)")

@@ -7,7 +7,9 @@ the circuit set of a loop-free central oriented matroid.  An arrangement's
 circuits (minimal flat-nonempty linear dependencies among the homogenized
 forms) come from one scan with one kernel per support, which also finds
 the minimal empty flats and their affine identities; `flat_nonempty`, the
-minimal infeasible sets, the NBC scan and straightening all read that scan.
+minimal infeasible sets, the NBC sets and straightening all read that scan.
+Being exact, its output is not re-checked against the circuit axioms;
+`circuits_from_json` checks them on outside data.
 """
 
 from __future__ import annotations
@@ -64,16 +66,16 @@ class SignedSet:
 
 
 class CircuitSet:
-    """Ground set plus signed circuits, validated against the circuit axioms.
+    """Ground set plus signed circuits: a plain container that checks only
+    distinct labels and supports inside the ground set (the circuit axioms
+    are `validate_circuit_axioms`'s, run by `circuits_from_json`).
 
     `empty_flats` are the minimal empty flats of the arrangement the
     circuits come from (index sets whose hyperplanes do not meet); a raw
-    circuit system has none.  Pass validate=False to build deliberately
-    broken systems (the axiom checker reports violations instead of
-    raising).
+    circuit system has none.
     """
 
-    def __init__(self, ground, circuits, validate: bool = True, empty_flats=()):
+    def __init__(self, ground, circuits, empty_flats=()):
         self.ground = tuple(str(g) for g in ground)
         if len(set(self.ground)) != len(self.ground):
             raise InputError("ground set labels must be distinct")
@@ -84,13 +86,6 @@ class CircuitSet:
             seen[X.key()] = X
         self.circuits = tuple(seen[k] for k in sorted(seen))
         self.empty_flats = tuple(frozenset(s) for s in empty_flats)
-        if validate:
-            report = validate_circuit_axioms(self)
-            if not report.ok:
-                (axiom, witness), *rest = report.violations
-                more = f" (and {len(rest)} more)" if rest else ""
-                raise InputError(
-                    f"circuit axioms violated: axiom ({axiom}) {witness}{more}")
 
     @property
     def n(self) -> int:
@@ -257,20 +252,13 @@ def _arrangement_circuits(A) -> tuple:
     return C, tuple(identities)
 
 
-def _resolve(source):
-    """(n, circuit list) for an Arrangement or CircuitSet."""
-    if isinstance(source, CircuitSet):
-        return source.n, source.circuits
-    return source.n, circuits_from_arrangement(source).circuits
-
-
 def canonical_circuits(source, ordering=None):
     """One representative per +/- circuit pair, with +1 on the
     ordering-minimal support element."""
-    n, circ = _resolve(source)
-    ranks = ordering_ranks(n, ordering)
+    C = source if isinstance(source, CircuitSet) else circuits_from_arrangement(source)
+    ranks = ordering_ranks(C.n, ordering)
     out = {}
-    for X in circ:
+    for X in C.circuits:
         lead = min(X.support, key=lambda i: ranks[i])
         rep = X if X.sign(lead) > 0 else X.negate()
         out[tuple(sorted(rep.support))] = rep
@@ -316,34 +304,45 @@ def broken_circuit_map(source, ordering=None) -> dict:
 def nbc_sets(source, ordering=None) -> tuple:
     """All no-broken-circuit sets, graded by size (the empty set included).
 
-    For an arrangement, `flat_nonempty` filters the sets free of broken
-    circuits; a raw CircuitSet is taken to be central, where every flat is
-    nonempty.  The memo key is the ordering's tuple (None: `range(n)`).
+    For an arrangement, a set must also have a nonempty flat
+    (`flat_nonempty`); a raw CircuitSet is taken to be central, where every
+    flat is nonempty.  The memo key is the ordering's tuple (None: `range(n)`).
     """
     if isinstance(source, CircuitSet):
-        return _scan_nbc(source, ordering)
+        return _grow_nbc(source, ordering)
     key = ("nbc", tuple(ordering if ordering is not None else range(source.n)))
-    return source._memo(key, lambda: _scan_nbc(source, ordering))
+    return source._memo(key, lambda: _grow_nbc(source, ordering))
 
 
-def _scan_nbc(source, ordering) -> tuple:
+def _grow_nbc(source, ordering) -> tuple:
+    """The NBC complex, grown one element at a time in increasing index
+    order.  If S has no broken circuit and e > max S, every broken circuit
+    inside S u {e} contains e, so it is one whose largest index is e.  Being
+    free of broken circuits and having a nonempty flat both pass to subsets,
+    so every NBC set is reached through its prefixes.  The list is extended
+    while it is read (breadth first, each set by increasing e), so it stays
+    sorted by size, then lexicographically."""
     flat_ok = None if isinstance(source, CircuitSet) else source.flat_nonempty
-    bcs = broken_circuits(source, ordering)
-    out = []
-    for size in range(source.n + 1):
-        for supp in combinations(range(source.n), size):
-            ss = frozenset(supp)
-            if any(b <= ss for b in bcs):
-                continue
-            if flat_ok is not None and not flat_ok(supp):
-                continue
-            out.append(ss)
-    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+    by_max: list[list[int]] = [[] for _ in range(source.n)]
+    for b in broken_circuits(source, ordering):
+        by_max[max(b)].append(_mask(b))
+    grown = [((), 0)]
+    for supp, mask in grown:
+        for e in range(supp[-1] + 1 if supp else 0, source.n):
+            cand, cmask = supp + (e,), mask | 1 << e
+            if not any(b & cmask == b for b in by_max[e]) and (
+                    flat_ok is None or flat_ok(cand)):
+                grown.append((cand, cmask))
+    return tuple(frozenset(supp) for supp, _ in grown)
 
 
 def nbc_counts(source, ordering=None) -> tuple:
     """Grade-k NBC counts: the coefficients of the Poincare polynomial in t^2."""
-    sets = nbc_sets(source, ordering)
+    return _grade_counts(nbc_sets(source, ordering))
+
+
+def _grade_counts(sets) -> tuple:
+    """How many of `sets` have each size, from 0 to the largest."""
     top = max((len(s) for s in sets), default=0)
     counts = [0] * (top + 1)
     for s in sets:
@@ -399,10 +398,10 @@ def _labels(value, where: str) -> list:
 
 
 def circuits_from_json(data: dict) -> CircuitSet:
-    """A raw circuit system; omitted negations are completed, and the result
-    is validated against the full circuit axioms.  `data` must be an object
-    with a "ground" list of labels and a "circuits" list of objects whose
-    "plus" and "minus" lists name ground labels."""
+    """A raw circuit system, the one way outside data becomes a CircuitSet;
+    omitted negations are completed, and the full circuit axioms are checked.
+    `data` must be an object with a "ground" list of labels and a "circuits"
+    list of objects whose "plus" and "minus" lists name ground labels."""
     if not isinstance(data, dict):
         raise InputError(f"circuit data must be an object, not {_json_kind(data)}")
     for key in ("ground", "circuits"):
@@ -427,7 +426,13 @@ def circuits_from_json(data: dict) -> CircuitSet:
             parts.append(frozenset(index[g] for g in names))
         circuits.append(SignedSet(*parts))
     circuits += [X.negate() for X in circuits]
-    return CircuitSet(ground, circuits)
+    C = CircuitSet(ground, circuits)
+    report = validate_circuit_axioms(C)
+    if not report.ok:
+        (axiom, witness), *rest = report.violations
+        more = f" (and {len(rest)} more)" if rest else ""
+        raise InputError(f"circuit axioms violated: axiom ({axiom}) {witness}{more}")
+    return C
 
 
 def load_circuits(path) -> CircuitSet:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .circuits import (CircuitSet, SignedSet, broken_circuit_map,
-                       canonical_circuits, circuits_from_arrangement,
-                       nbc_counts, nbc_sets, ordering_ranks)
+from .circuits import (CircuitSet, SignedSet, _grade_counts,
+                       broken_circuit_map, canonical_circuits,
+                       circuits_from_arrangement, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
 from .polyring import Poly
 from .vgring import Relation, _circuit_difference
@@ -107,7 +107,7 @@ class CordovilAlgebra:
         return self.straighten(Poly.generator(i))
 
     def hilbert_series(self) -> tuple:
-        return nbc_counts(self.source, self.ordering)
+        return _grade_counts(self.nbc)
 
     # -- straightening ---------------------------------------------------------
 
@@ -132,14 +132,9 @@ class CordovilAlgebra:
                 else:
                     result = {}
                     for a in sorted(broken):
-                        coeff = Fraction(-phi[a], phi[mx])
                         target = (mono - {a}) | {mx}
-                        for basis, c in self._straighten_monomial(frozenset(target)).items():
-                            val = result.get(basis, Fraction(0)) + coeff * c
-                            if val:
-                                result[basis] = val
-                            else:
-                                result.pop(basis, None)
+                        _add_into(result, self._straighten_monomial(frozenset(target)),
+                                  Fraction(-phi[a], phi[mx]))
         self._memo[mono] = result
         return result
 
@@ -150,12 +145,7 @@ class CordovilAlgebra:
             raise InputError("cannot straighten a polynomial carrying u")
         coords: dict = {}
         for (emon, _), coeff in poly.kill_squares().terms.items():
-            for basis, c in self._straighten_monomial(frozenset(emon)).items():
-                val = coords.get(basis, Fraction(0)) + coeff * c
-                if val:
-                    coords[basis] = val
-                else:
-                    coords.pop(basis, None)
+            _add_into(coords, self._straighten_monomial(frozenset(emon)), coeff)
         return AlgebraElement(self, coords)
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
@@ -164,15 +154,19 @@ class CordovilAlgebra:
         coords: dict = {}
         for s, ca in a.coords.items():
             for t, cb in b.coords.items():
-                if s & t:
-                    continue
-                for basis, c in self._straighten_monomial(s | t).items():
-                    val = coords.get(basis, Fraction(0)) + ca * cb * c
-                    if val:
-                        coords[basis] = val
-                    else:
-                        coords.pop(basis, None)
+                if not s & t:
+                    _add_into(coords, self._straighten_monomial(s | t), ca * cb)
         return AlgebraElement(self, coords)
+
+
+def _add_into(coords: dict, terms: dict, scale) -> None:
+    """coords += scale * terms, dropping the coefficients that become zero."""
+    for basis, c in terms.items():
+        val = coords.get(basis, Fraction(0)) + scale * c
+        if val:
+            coords[basis] = val
+        else:
+            coords.pop(basis, None)
 
 
 class AlgebraElement:
@@ -199,12 +193,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         out = dict(self.coords)
-        for basis, c in other.coords.items():
-            val = out.get(basis, Fraction(0)) + c
-            if val:
-                out[basis] = val
-            else:
-                out.pop(basis, None)
+        _add_into(out, other.coords, 1)
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other):

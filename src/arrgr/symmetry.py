@@ -322,8 +322,10 @@ def _identify_sn_classes(n, elements, class_of, n_classes):
 
 
 def chamber_permutation(A: Arrangement, w: SignedPermutation) -> tuple:
-    """Index map chamber -> image chamber; the image sign vector must be a
-    chamber again (guaranteed for true symmetries, asserted here)."""
+    """Index map chamber -> image chamber.  Every image sign vector must be
+    a chamber again and the map a bijection, as for a true symmetry;
+    otherwise a `ConsistencyError` is raised (an `InputError` if the sizes
+    do not match)."""
     if len(w.perm) != A.n:
         raise InputError("signed permutation size does not match the arrangement")
     chambers = A.chambers()

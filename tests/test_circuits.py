@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from arrgr.arrangement import (AffineForm, Arrangement, braid, cone, delete,
-                               restrict, semiorder)
+from arrgr.arrangement import (AffineForm, Arrangement, boolean, braid, cone,
+                               delete, restrict, semiorder)
 from arrgr.circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
                             canonical_circuits, circuits_from_arrangement,
                             circuits_from_json, circuits_to_json,
@@ -107,18 +107,16 @@ def test_validate_axioms_central_corpus(central_map):
 
 
 def test_axiom_negative_controls():
-    singleton = CircuitSet(["a"], [SignedSet(frozenset({0}), frozenset())],
-                           validate=False)
+    singleton = CircuitSet(["a"], [SignedSet(frozenset({0}), frozenset())])
     report = validate_circuit_axioms(singleton)
     assert not report.ok and report.violations[0][0] == 1
 
-    unpaired = CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset({1}))],
-                          validate=False)
+    unpaired = CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset({1}))])
     report = validate_circuit_axioms(unpaired)
     assert any(a == 2 for a, _ in report.violations)
 
-    with pytest.raises(InputError):
-        CircuitSet(["a"], [SignedSet(frozenset({0}), frozenset())])
+    with pytest.raises(InputError, match=r"axiom \(1\)"):
+        circuits_from_json({"ground": ["a"], "circuits": [{"plus": ["a"]}]})
 
 
 def test_broken_circuits_braid3():
@@ -224,7 +222,7 @@ def test_affine_elimination_fails_only_across_empty_flats():
     assert missing
     assert all(not flat_consistent(A, X.support | Y.support) for X, Y, _ in missing)
     assert validate_circuit_axioms(C).ok
-    raw = validate_circuit_axioms(CircuitSet(C.ground, C.circuits, validate=False))
+    raw = validate_circuit_axioms(CircuitSet(C.ground, C.circuits))
     assert len(raw.violations) == len(missing)
     assert {a for a, _ in raw.violations} == {4}
     with pytest.raises(InputError, match=r"axiom \(4\)"):
@@ -246,7 +244,7 @@ def test_affine_elimination_enforced_where_flats_meet():
     kept = [Z for Z in C.circuits
             if not (Z.plus <= plus and Z.minus <= minus)
             and not (Z.minus <= plus and Z.plus <= minus)]
-    damaged = CircuitSet(C.ground, kept, validate=False, empty_flats=C.empty_flats)
+    damaged = CircuitSet(C.ground, kept, empty_flats=C.empty_flats)
     want = (4, f"no elimination of {C.ground[e]} from "
                f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}")
     assert want in validate_circuit_axioms(damaged).violations
@@ -362,29 +360,102 @@ def test_non_utf8_circuit_file_rejected(tmp_path):
     assert str(info.value) == f"{path}: not UTF-8 text: byte 0: invalid start byte"
 
 
-@pytest.mark.parametrize("make", [lambda: semiorder(3), lambda: braid(4)],
-                         ids=["semiorder3", "braid4"])
-def test_one_nbc_scan_per_ordering(monkeypatch, make):
-    """The default ordering and its explicit tuple share one memo entry,
-    so the NBC counts, the Cordovil algebra and the Rees Hilbert check
-    scan the subsets once."""
+def _record_nbc_enumerations(monkeypatch) -> list:
+    """The list that records the ordering of every NBC enumeration."""
     import arrgr.circuits
-    from arrgr.rees import rees_hilbert_check
 
     scans = []
-    real = arrgr.circuits._scan_nbc
+    real = arrgr.circuits._grow_nbc
 
     def counted(source, ordering):
         scans.append(ordering)
         return real(source, ordering)
 
-    monkeypatch.setattr(arrgr.circuits, "_scan_nbc", counted)
+    monkeypatch.setattr(arrgr.circuits, "_grow_nbc", counted)
+    return scans
+
+
+@pytest.mark.parametrize("make", [lambda: semiorder(3), lambda: braid(4)],
+                         ids=["semiorder3", "braid4"])
+def test_one_nbc_scan_per_ordering(monkeypatch, make):
+    """The default ordering and its explicit tuple share one memo entry,
+    so the NBC counts, the Cordovil algebra and the Rees Hilbert check
+    enumerate the NBC sets once."""
+    from arrgr.rees import rees_hilbert_check
+
+    scans = _record_nbc_enumerations(monkeypatch)
     A = make()
     nbc_counts(A)
     alg = CordovilAlgebra(A)
     rees_hilbert_check(A)
     assert nbc_sets(A) is alg.nbc is nbc_sets(A, tuple(range(A.n)))
     assert len(scans) == 1
+
+
+def test_raw_circuit_algebra_enumerates_nbc_once(monkeypatch):
+    """A raw circuit system is not memoized, so the algebra keeps its NBC
+    sets: building it and two Hilbert series enumerate them once."""
+    scans = _record_nbc_enumerations(monkeypatch)
+    C = circuits_from_arrangement(braid(4))
+    alg = CordovilAlgebra(CircuitSet(C.ground, C.circuits))
+    assert alg.hilbert_series() == alg.hilbert_series() == (1, 6, 11, 6)
+    assert len(scans) == 1
+
+
+def nbc_scan_oracle(source, ordering) -> tuple:
+    """NBC sets by testing every one of the 2^n subsets for a broken
+    circuit and, on an arrangement, a nonempty flat."""
+    flat_ok = None if isinstance(source, CircuitSet) else source.flat_nonempty
+    bcs = broken_circuits(source, ordering)
+    out = []
+    for size in range(source.n + 1):
+        for supp in combinations(range(source.n), size):
+            ss = frozenset(supp)
+            if any(b <= ss for b in bcs):
+                continue
+            if flat_ok is not None and not flat_ok(supp):
+                continue
+            out.append(ss)
+    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def _three_orderings(n, rng):
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    return (tuple(range(n)), tuple(reversed(range(n))), tuple(shuffled))
+
+
+def test_nbc_growth_matches_scan_oracle(corpus_map, central_map):
+    """Growing the NBC complex gives the subset scan's tuple exactly, for
+    the identity, reversed and a shuffled ordering; the raw circuit systems
+    of the central members get no flat test."""
+    sources = list(corpus_map.items())
+    sources += [(f"random{s}", random_rational_arrangement(seed=s))
+                for s in range(1, 9)]
+    sources += [("semiorder4", semiorder(4)), ("braid5", braid(5)),
+                ("boolean6", boolean(6))]
+    for name, A in central_map.items():
+        C = circuits_from_arrangement(A)
+        sources.append((f"raw {name}", CircuitSet(C.ground, C.circuits)))
+    rng = random.Random(20261018)
+    for name, source in sources:
+        for ordering in _three_orderings(source.n, rng):
+            assert nbc_sets(source, ordering) == nbc_scan_oracle(source, ordering), \
+                (name, ordering)
+
+
+def test_validate_axioms_affine_inputs(corpus_map):
+    """The circuit scan's output is not re-checked, so the axioms are
+    checked here on affine inputs too: the corpus with every cone, deletion
+    and restriction, random seeds 1-8 and semiorder 4."""
+    systems = [(f"random{s}", random_rational_arrangement(seed=s)) for s in range(1, 9)]
+    systems.append(("semiorder4", semiorder(4)))
+    for name, A in corpus_map.items():
+        systems += [(name, A), (f"cone {name}", cone(A))]
+        systems += [(f"{name} - {lab}", delete(A, lab)) for lab in A.labels if A.n > 1]
+        systems += [(f"{name} / {lab}", restrict(A, lab)) for lab in A.labels]
+    for name, A in systems:
+        assert validate_circuit_axioms(circuits_from_arrangement(A)).ok, name
 
 
 def test_integer_labels_accepted():
@@ -398,7 +469,7 @@ def test_axiom_violation_message_is_one_short_line():
     axiom (4) many times; the error names the first witness and a count,
     while the report keeps every violation."""
     C = circuits_from_arrangement(semiorder(4))
-    report = validate_circuit_axioms(CircuitSet(C.ground, C.circuits, validate=False))
+    report = validate_circuit_axioms(CircuitSet(C.ground, C.circuits))
     assert len(report.violations) > 100
     with pytest.raises(InputError) as info:
         circuits_from_json(circuits_to_json(C))
@@ -478,7 +549,7 @@ def test_axiom_check_matches_scan_oracle_on_broken_systems():
         for _ in range(3):
             kept = [X for X in C.circuits if rng.random() > 0.2]
             for flats in ((), C.empty_flats):
-                D = CircuitSet(C.ground, kept, validate=False, empty_flats=flats)
+                D = CircuitSet(C.ground, kept, empty_flats=flats)
                 report = validate_circuit_axioms(D)
                 assert report == circuit_axioms_oracle(D)
                 broken += any(a == 4 for a, _ in report.violations)

@@ -1,7 +1,8 @@
 """Every Python file parses under the grammar of Python 3.10, the oldest
 version `pyproject.toml` supports, so newer syntax is caught without a 3.10
 interpreter; the library holds no `assert` statement and no unused
-import, and reads JSON files in one place."""
+import, reads JSON files in one place and checks the circuit axioms only
+off the hot path."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,35 @@ def test_json_is_read_in_one_place():
                         and node.value.id == "json"):
                     callers.add(f"{path.name}:{func.name}")
     assert len(callers) == 1, sorted(callers)
+
+
+def _scopes_calling(tree, name: str) -> set:
+    """Qualified names (Class.function) of the scopes that call `name`,
+    bare or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(".".join(scope))
+            visit(child, scope)
+    visit(tree, ())
+    return found
+
+
+def test_axioms_are_checked_off_the_hot_path():
+    """The circuit scan's output is exact and is not re-checked: inside the
+    library, `validate_circuit_axioms` is called only where outside data
+    becomes a circuit system, by the `circuits` command and by criterion 8."""
+    files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
+    assert files
+    callers = {f"{path.stem}.{scope}"
+               for path in files
+               for scope in _scopes_calling(ast.parse(path.read_text()),
+                                            "validate_circuit_axioms")}
+    assert callers == {"circuits.circuits_from_json", "cli.cmd_circuits",
+                       "acceptance.criterion_8"}
