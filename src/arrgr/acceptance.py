@@ -16,7 +16,7 @@ from math import factorial
 
 from .arrangement import cone, delete, restrict
 from .characters import class_size, mn_character, partitions
-from .circuits import (CircuitSet, SignedSet, circuits_from_arrangement,
+from .circuits import (CircuitSet, SignedSet, _mask, circuits_from_arrangement,
                        nbc_counts, validate_circuit_axioms)
 from .cordovil import (CordovilAlgebra, cordovil_relation_families,
                        leading_form_check, minimal_empty_flat_subsets)
@@ -287,12 +287,7 @@ def _oracle_ideal_span(A):
     gens = [r.poly for r in cordovil_relation_families(A) if r.family != 1]
     all_masks = range(2**n)
     for g in gens:
-        gvec = {}
-        for (emon, _), coeff in g.terms.items():
-            mask = 0
-            for i in emon:
-                mask |= 1 << i
-            gvec[mask] = coeff
+        gvec = {_mask(emon): coeff for (emon, _), coeff in g.terms.items()}
         for mask in all_masks:
             vec = {}
             for m, c in gvec.items():
@@ -332,12 +327,7 @@ def straightening_oracle_check(A) -> list:
             if alg.straighten(back).coords != el.coords:
                 problems.append(f"not idempotent on {supp}")
             diff = back - Poly.monomial(supp)
-            vec = {}
-            for (emon, _), coeff in diff.terms.items():
-                mask = 0
-                for i in emon:
-                    mask |= 1 << i
-                vec[mask] = coeff
+            vec = {_mask(emon): coeff for (emon, _), coeff in diff.terms.items()}
             if not ech.contains(vec):
                 problems.append(f"straighten({supp}) differs by a non-relation")
     return problems

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .circuits import (SignedSet, _json_kind, _labels, _read_json,
+from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
 from .linalg import _primitive_row, frac, strict_feasible
@@ -55,7 +55,7 @@ class AffineForm:
         return f"AffineForm({self.linear}, {self.constant})"
 
 
-class Arrangement:
+class Arrangement(GroundSet):
     """Immutable arrangement; geometric queries are cached on the instance."""
 
     def __init__(self, dim, forms, labels=None):
@@ -69,11 +69,10 @@ class Arrangement:
                 raise InputError("form length does not match the dimension")
         if labels is None:
             labels = [f"H{i + 1}" for i in range(len(self.forms))]
-        self.labels = tuple(str(x) for x in labels)
-        if len(self.labels) != len(self.forms):
+        labels = tuple(labels)
+        if len(labels) != len(self.forms):
             raise InputError("one label per form required")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("labels must be distinct")
+        super().__init__(labels, "labels must be distinct")
         self._rows = tuple(_primitive_row(f.homogenized()) for f in self.forms)
         self._keys: dict = {}
         duplicates = []
@@ -87,26 +86,9 @@ class Arrangement:
             raise DuplicateFormError(
                 f"forms {self.labels[i]!r} and {self.labels[j]!r} define "
                 "the same hyperplane")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
         self.central = all(f.constant == 0 for f in self.forms)
-        self._cache: dict = {}
 
     # -- basics ------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.forms)
-
-    def form_index(self, h) -> int:
-        """Resolve a 0-based index or a label to a form index."""
-        if isinstance(h, str):
-            if h not in self._index:
-                raise InputError(f"no hyperplane labelled {h!r}")
-            return self._index[h]
-        i = int(h)
-        if not 0 <= i < self.n:
-            raise InputError(f"form index {i} out of range")
-        return i
 
     def _key(self):
         return (self.dim, tuple(f.homogenized() for f in self.forms), self.labels)
@@ -145,13 +127,6 @@ class Arrangement:
     def signs_feasible(self, signs) -> bool:
         return strict_feasible(self.sign_constraints(signs), dim=self.dim)
 
-    def _memo(self, key, compute):
-        """The value cached on this instance under `key`; `compute()` fills
-        it on first use, and every later call returns the same object."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
     def chambers(self) -> tuple:
         """All feasible sign vectors, in lexicographic order ('+' < '-').
         The search starts from the empty prefix, feasible because the whole
@@ -182,12 +157,11 @@ class Arrangement:
         """True iff the affine flat {w_i = 0 : i in subset} is nonempty, i.e.
         iff the subset contains none of the minimal empty flats (a superset
         of an empty flat is empty, and every empty flat contains a minimal
-        one).  On an affine arrangement the first call runs the memoized
-        circuit scan that finds them (`circuits_from_arrangement`)."""
-        ss = frozenset(map(self.form_index, subset))
-        if self.central:
-            return True  # the origin lies on every hyperplane
-        return not any(map(ss.issuperset, circuits_from_arrangement(self).empty_flats))
+        one).  A central arrangement answers true (the origin lies on every
+        hyperplane); an affine one asks the `CircuitSet` of its memoized
+        circuit scan (`circuits_from_arrangement`), which the first call runs."""
+        ss = self._index_set(subset)
+        return self.central or circuits_from_arrangement(self).flat_nonempty(ss)
 
     def minimal_infeasible_sign_sets(self) -> tuple:
         """All signed sets with empty open intersection whose proper signed

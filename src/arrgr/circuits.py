@@ -9,7 +9,9 @@ forms) come from one scan with one kernel per support, which also finds
 the minimal empty flats and their affine identities; `flat_nonempty`, the
 minimal infeasible sets, the NBC sets and straightening all read that scan.
 Being exact, its output is not re-checked against the circuit axioms;
-`circuits_from_json` checks them on outside data.
+`circuits_from_json` checks them on outside data.  Both kinds of source are
+a `GroundSet`, so the NBC sets and straightening run one code path on them,
+with memoized per-ordering tables (canonical circuits, broken circuits, NBC).
 """
 
 from __future__ import annotations
@@ -65,7 +67,51 @@ class SignedSet:
         return "".join(sorted(body, key=lambda s: s[1:]))
 
 
-class CircuitSet:
+class GroundSet:
+    """Labelled ground elements 0, ..., n-1: label lookup, subset resolution
+    and a per-instance memo.  `Arrangement` and `CircuitSet` both extend it,
+    so the code below the circuit scan reads either source the same way."""
+
+    def __init__(self, labels, duplicate_message):
+        self.labels = tuple(str(x) for x in labels)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            raise InputError(duplicate_message)
+        self._indices = frozenset(range(len(self.labels)))
+        self._cache: dict = {}
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def form_index(self, h) -> int:
+        """Resolve a 0-based index or a label to a form index."""
+        if isinstance(h, str):
+            if h not in self._index:
+                raise InputError(f"no hyperplane labelled {h!r}")
+            return self._index[h]
+        i = int(h)
+        if not 0 <= i < self.n:
+            raise InputError(f"form index {i} out of range")
+        return i
+
+    def _index_set(self, subset) -> frozenset:
+        """`subset` as a frozenset of indices: valid indices cost one subset
+        test, others go through `form_index` in a hash-independent order."""
+        ss = frozenset(subset)
+        if ss <= self._indices:
+            return ss
+        return frozenset(map(self.form_index, sorted(ss, key=repr)))
+
+    def _memo(self, key, compute):
+        """The value cached on this instance under `key`; `compute()` fills
+        it on first use, and every later call returns the same object."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+
+class CircuitSet(GroundSet):
     """Ground set plus signed circuits: a plain container that checks only
     distinct labels and supports inside the ground set (the circuit axioms
     are `validate_circuit_axioms`'s, run by `circuits_from_json`).
@@ -76,27 +122,27 @@ class CircuitSet:
     """
 
     def __init__(self, ground, circuits, empty_flats=()):
-        self.ground = tuple(str(g) for g in ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise InputError("ground set labels must be distinct")
+        super().__init__(ground, "ground set labels must be distinct")
         seen = {}
         for X in circuits:
-            if not X.support <= frozenset(range(len(self.ground))):
+            if not X.support <= self._indices:
                 raise InputError("circuit support outside the ground set")
             seen[X.key()] = X
         self.circuits = tuple(seen[k] for k in sorted(seen))
         self.empty_flats = tuple(frozenset(s) for s in empty_flats)
 
     @property
-    def n(self) -> int:
-        return len(self.ground)
+    def ground(self) -> tuple:
+        return self.labels
+
+    def flat_nonempty(self, subset) -> bool:
+        """True unless `subset` contains one of the minimal empty flats (a
+        superset of an empty flat is empty); always true on a raw system."""
+        return not any(map(self._index_set(subset).issuperset, self.empty_flats))
 
     def supports(self) -> tuple:
-        out = []
-        for X in self.circuits:
-            if X.support not in out:
-                out.append(X.support)
-        return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+        return tuple(sorted({X.support for X in self.circuits},
+                            key=lambda s: (len(s), tuple(sorted(s)))))
 
     def __eq__(self, other):
         return (isinstance(other, CircuitSet) and self.ground == other.ground
@@ -252,9 +298,21 @@ def _arrangement_circuits(A) -> tuple:
     return C, tuple(identities)
 
 
+def _per_ordering(source, name: str, ordering, build):
+    """`build(source, ordering)` memoized on `source` under the ordering's
+    permutation tuple (None: `range(n)`), so every caller of one ordering
+    shares one value."""
+    key = tuple(range(source.n)) if ordering is None else tuple(ordering)
+    return source._memo((name, key), lambda: build(source, key))
+
+
 def canonical_circuits(source, ordering=None):
     """One representative per +/- circuit pair, with +1 on the
-    ordering-minimal support element."""
+    ordering-minimal support element; memoized per ordering."""
+    return _per_ordering(source, "canonical", ordering, _canonical_circuits)
+
+
+def _canonical_circuits(source, ordering) -> tuple:
     C = source if isinstance(source, CircuitSet) else circuits_from_arrangement(source)
     ranks = ordering_ranks(C.n, ordering)
     out = {}
@@ -267,9 +325,7 @@ def canonical_circuits(source, ordering=None):
 
 def ordering_ranks(n: int, ordering=None) -> dict:
     """Rank lookup for a hyperplane ordering given as a permutation tuple."""
-    if ordering is None:
-        ordering = tuple(range(n))
-    ordering = tuple(ordering)
+    ordering = tuple(range(n) if ordering is None else ordering)
     if sorted(ordering) != list(range(n)):
         raise InputError("ordering must be a permutation of the ground indices")
     return {i: r for r, i in enumerate(ordering)}
@@ -282,12 +338,17 @@ def broken_circuits(source, ordering=None) -> tuple:
 
 
 def broken_circuit_map(source, ordering=None) -> dict:
-    """broken circuit -> (support tuple, sign dict, dropped max element).
+    """broken circuit -> (support tuple, sign dict, dropped max element),
+    memoized per ordering.
 
     The stored orientation has +1 on the ordering-minimal support element.
     When two circuits break to the same set, the one whose dropped element
     has smaller rank wins, which keeps rewriting deterministic.
     """
+    return _per_ordering(source, "broken", ordering, _broken_circuit_map)
+
+
+def _broken_circuit_map(source, ordering) -> dict:
     ranks = ordering_ranks(source.n, ordering)
     out: dict = {}
     for X in canonical_circuits(source, ordering):
@@ -302,16 +363,11 @@ def broken_circuit_map(source, ordering=None) -> dict:
 
 
 def nbc_sets(source, ordering=None) -> tuple:
-    """All no-broken-circuit sets, graded by size (the empty set included).
-
-    For an arrangement, a set must also have a nonempty flat
-    (`flat_nonempty`); a raw CircuitSet is taken to be central, where every
-    flat is nonempty.  The memo key is the ordering's tuple (None: `range(n)`).
-    """
-    if isinstance(source, CircuitSet):
-        return _grow_nbc(source, ordering)
-    key = ("nbc", tuple(ordering if ordering is not None else range(source.n)))
-    return source._memo(key, lambda: _grow_nbc(source, ordering))
+    """All no-broken-circuit sets with a nonempty flat
+    (`source.flat_nonempty`, always true on a raw circuit system, which is
+    taken to be central), graded by size (the empty set included) and
+    memoized per ordering."""
+    return _per_ordering(source, "nbc", ordering, _grow_nbc)
 
 
 def _grow_nbc(source, ordering) -> tuple:
@@ -322,16 +378,14 @@ def _grow_nbc(source, ordering) -> tuple:
     so every NBC set is reached through its prefixes.  The list is extended
     while it is read (breadth first, each set by increasing e), so it stays
     sorted by size, then lexicographically."""
-    flat_ok = None if isinstance(source, CircuitSet) else source.flat_nonempty
     by_max: list[list[int]] = [[] for _ in range(source.n)]
-    for b in broken_circuits(source, ordering):
+    for b in broken_circuit_map(source, ordering):
         by_max[max(b)].append(_mask(b))
     grown = [((), 0)]
     for supp, mask in grown:
         for e in range(supp[-1] + 1 if supp else 0, source.n):
             cand, cmask = supp + (e,), mask | 1 << e
-            if not any(b & cmask == b for b in by_max[e]) and (
-                    flat_ok is None or flat_ok(cand)):
+            if not any(b & cmask == b for b in by_max[e]) and source.flat_nonempty(cand):
                 grown.append((cand, cmask))
     return tuple(frozenset(supp) for supp, _ in grown)
 

@@ -7,7 +7,8 @@ ordering-minimal support element carries +1), and in the affine case every
 monomial whose support has empty flat dies.  Monomials are straightened
 onto the NBC basis by solving each boundary relation for its broken-circuit
 term; every rewrite swaps an element for the strictly larger dropped
-maximum, so the process terminates.
+maximum, so the process terminates.  A raw circuit system is read through
+the same calls as an arrangement, its flat test being always true.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .circuits import (CircuitSet, SignedSet, _grade_counts,
+from .circuits import (GroundSet, SignedSet, _grade_counts,
                        broken_circuit_map, canonical_circuits,
                        circuits_from_arrangement, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
@@ -66,18 +67,10 @@ class CordovilAlgebra:
     """Straightening context for an arrangement or a raw circuit system."""
 
     def __init__(self, source, ordering=None):
-        if isinstance(source, Arrangement):
-            self.n = source.n
-            self.labels = source.labels
-            # no flat test where every flat is nonempty
-            self._flat_ok = (source.flat_nonempty
-                             if minimal_empty_flat_subsets(source) else None)
-        elif isinstance(source, CircuitSet):
-            self.n = source.n
-            self.labels = source.ground
-            self._flat_ok = None
-        else:
+        if not isinstance(source, GroundSet):
             raise InputError("source must be an Arrangement or a CircuitSet")
+        self.n = source.n
+        self.labels = source.labels
         self.source = source
         self.ordering = tuple(ordering) if ordering is not None else tuple(range(self.n))
         self._ranks = ordering_ranks(self.n, self.ordering)
@@ -100,11 +93,7 @@ class CordovilAlgebra:
         return self.element({frozenset(): Fraction(1)})
 
     def generator(self, h) -> "AlgebraElement":
-        if isinstance(self.source, Arrangement):
-            i = self.source.form_index(h)
-        else:
-            i = h if isinstance(h, int) else self.labels.index(h)
-        return self.straighten(Poly.generator(i))
+        return self.straighten(Poly.generator(self.source.form_index(h)))
 
     def hilbert_series(self) -> tuple:
         return _grade_counts(self.nbc)
@@ -115,26 +104,21 @@ class CordovilAlgebra:
         hit = self._memo.get(mono)
         if hit is not None:
             return hit
-        if self._flat_ok is not None and not self._flat_ok(mono):
-            result: dict = {}
-        else:
+        result: dict = {}
+        if self.source.flat_nonempty(mono):
             broken = next((b for b in self._broken_order if b <= mono), None)
             if broken is None:
                 if mono not in self._nbc_lookup:
                     raise ConsistencyError(
                         "a monomial free of broken circuits is not an NBC set")
                 result = {mono: Fraction(1)}
-            else:
-                supp, phi, mx = self._broken[broken]
-                if mx in mono:
-                    # the monomial contains the whole circuit support
-                    result = {}
-                else:
-                    result = {}
-                    for a in sorted(broken):
-                        target = (mono - {a}) | {mx}
-                        _add_into(result, self._straighten_monomial(frozenset(target)),
-                                  Fraction(-phi[a], phi[mx]))
+            elif self._broken[broken][2] not in mono:
+                # (a monomial holding the whole circuit support is zero)
+                _, phi, mx = self._broken[broken]
+                for a in sorted(broken):
+                    target = (mono - {a}) | {mx}
+                    _add_into(result, self._straighten_monomial(frozenset(target)),
+                              Fraction(-phi[a], phi[mx]))
         self._memo[mono] = result
         return result
 

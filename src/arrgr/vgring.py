@@ -36,7 +36,7 @@ from itertools import combinations
 from math import lcm
 
 from .arrangement import Arrangement
-from .circuits import SignedSet, canonical_circuits
+from .circuits import SignedSet, _mask, canonical_circuits
 from .errors import ConsistencyError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
@@ -286,9 +286,7 @@ def _poly_to_mask_vector(poly: Poly) -> dict:
     for (emon, uexp), coeff in poly.terms.items():
         if uexp:
             raise ConsistencyError("a chamber-function relation carries u")
-        mask = 0
-        for i in emon:
-            mask |= 1 << i
+        mask = _mask(emon)
         vec[mask] = vec.get(mask, Fraction(0)) + coeff
     return {m: c for m, c in vec.items() if c}
 

@@ -393,13 +393,120 @@ def test_one_nbc_scan_per_ordering(monkeypatch, make):
 
 
 def test_raw_circuit_algebra_enumerates_nbc_once(monkeypatch):
-    """A raw circuit system is not memoized, so the algebra keeps its NBC
-    sets: building it and two Hilbert series enumerate them once."""
+    """A raw circuit system is memoized like an arrangement, and the
+    algebra keeps its NBC sets: building it and two Hilbert series
+    enumerate them once."""
     scans = _record_nbc_enumerations(monkeypatch)
     C = circuits_from_arrangement(braid(4))
     alg = CordovilAlgebra(CircuitSet(C.ground, C.circuits))
     assert alg.hilbert_series() == alg.hilbert_series() == (1, 6, 11, 6)
     assert len(scans) == 1
+
+
+def test_raw_circuit_system_is_memoized(monkeypatch):
+    """The algebra of a raw circuit system and its `nbc_sets` share one
+    memo entry, as on an arrangement."""
+    scans = _record_nbc_enumerations(monkeypatch)
+    C = circuits_from_arrangement(braid(4))
+    raw = CircuitSet(C.ground, C.circuits)
+    alg = CordovilAlgebra(raw)
+    assert nbc_sets(raw) is alg.nbc is nbc_sets(raw, tuple(range(raw.n)))
+    assert len(scans) == 1
+
+
+def _count_builds(monkeypatch, *names) -> Counter:
+    """The counter of calls of each named table builder of `arrgr.circuits`."""
+    import arrgr.circuits
+
+    calls = Counter()
+    for name in names:
+        def counted(source, ordering, _name=name, _real=getattr(arrgr.circuits, name)):
+            calls[_name] += 1
+            return _real(source, ordering)
+        monkeypatch.setattr(arrgr.circuits, name, counted)
+    return calls
+
+
+def test_circuit_tables_are_built_once_per_ordering(monkeypatch):
+    """The NBC counts, the Cordovil algebra, the leading-form check and the
+    Rees relation families of one ordering share one canonical-circuit
+    table and one broken-circuit map; a reversed ordering builds its own
+    once."""
+    from arrgr.cordovil import leading_form_check
+    from arrgr.rees import rees_relation_families
+
+    builds = _count_builds(monkeypatch, "_canonical_circuits", "_broken_circuit_map")
+    A = braid(5)
+    nbc_counts(A)
+    CordovilAlgebra(A)
+    assert leading_form_check(A).ok
+    rees_relation_families(A)
+    assert builds == {"_canonical_circuits": 1, "_broken_circuit_map": 1}
+    reverse = tuple(reversed(range(A.n)))
+    nbc_counts(A, reverse)
+    CordovilAlgebra(A, reverse)
+    assert leading_form_check(A, reverse).ok
+    assert builds == {"_canonical_circuits": 2, "_broken_circuit_map": 2}
+
+
+def test_flat_tests_read_index_sets_without_form_index(monkeypatch):
+    """Index sets the library generated itself reach the flat test with one
+    subset test: growing the NBC complex of semiorder 4 and straightening
+    every squarefree monomial of braid 4 never call `form_index`; labels
+    still go through it."""
+    from arrgr.circuits import GroundSet
+
+    calls = []
+    real = GroundSet.form_index
+
+    def counted(self, h):
+        calls.append(h)
+        return real(self, h)
+
+    monkeypatch.setattr(GroundSet, "form_index", counted)
+    S = semiorder(4)
+    assert nbc_sets(S)
+    B = braid(4)
+    alg = CordovilAlgebra(B)
+    for size in range(B.n + 1):
+        for supp in combinations(range(B.n), size):
+            alg.straighten(Poly.monomial(supp))
+    assert calls == []
+    assert not S.flat_nonempty(["12", "21"])  # x1 - x2 = 1 and x2 - x1 = 1
+    assert sorted(calls) == ["12", "21"]
+
+
+@pytest.mark.parametrize("make", [lambda: braid(3), lambda: semiorder(3)],
+                         ids=["central", "affine"])
+def test_flat_nonempty_rejects_bad_elements(make):
+    """A bad label or index in a flat test is an `InputError` with
+    `form_index`'s message, central shortcut or not."""
+    A = make()
+    with pytest.raises(InputError, match=r"^no hyperplane labelled 'nope'$"):
+        A.flat_nonempty(["nope"])
+    with pytest.raises(InputError, match=r"^form index 99 out of range$"):
+        A.flat_nonempty([0, 99])
+    assert A.flat_nonempty(A.labels[1:3]) == A.flat_nonempty((1, 2))
+
+
+def test_raw_circuit_system_matches_its_arrangement(central_map):
+    """A raw circuit system runs the arrangement's NBC and straightening
+    code: for three orderings, the NBC sets, the Hilbert series and the
+    straightened coordinates of every squarefree monomial agree."""
+    cases = list(central_map.items()) + [("braid5", braid(5)), ("boolean5", boolean(5))]
+    rng = random.Random(20261019)
+    for name, A in cases:
+        C = circuits_from_arrangement(A)
+        raw = CircuitSet(C.ground, C.circuits)
+        for ordering in _three_orderings(A.n, rng):
+            assert nbc_sets(raw, ordering) == nbc_sets(A, ordering), (name, ordering)
+            alg, raw_alg = CordovilAlgebra(A, ordering), CordovilAlgebra(raw, ordering)
+            assert raw_alg.hilbert_series() == alg.hilbert_series(), name
+            for size in range(A.n + 1):
+                for supp in combinations(range(A.n), size):
+                    m = Poly.monomial(supp)
+                    assert raw_alg.straighten(m).coords == alg.straighten(m).coords, \
+                        (name, ordering, supp)
 
 
 def nbc_scan_oracle(source, ordering) -> tuple:

@@ -6,7 +6,8 @@ import pytest
 from arrgr.acceptance import (minimal_empty_flats_oracle,
                               straightening_oracle_check)
 from arrgr.arrangement import braid, semiorder
-from arrgr.circuits import CircuitSet, SignedSet, nbc_counts
+from arrgr.circuits import (CircuitSet, SignedSet, circuits_from_arrangement,
+                            nbc_counts)
 from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
                             cordovil_relation_families, leading_form_check,
                             minimal_empty_flat_subsets)
@@ -163,6 +164,22 @@ def test_straightening_on_raw_circuit_set():
     el = alg.straighten(Poly.monomial((0, 1)))
     assert el.coords == {frozenset({0, 2}): Fraction(1),
                          frozenset({1, 2}): Fraction(-1)}
+
+
+def test_bad_generators_and_monomials_are_input_errors():
+    """A bad label or index is the caller's error, reported with
+    `form_index`'s one-line message, on a raw circuit system as on an
+    arrangement; a label names the same generator as its index."""
+    C = circuits_from_arrangement(braid(3))
+    for source in (CircuitSet(C.ground, C.circuits), braid(3)):
+        alg = CordovilAlgebra(source)
+        with pytest.raises(InputError, match=r"^form index 99 out of range$"):
+            alg.generator(99)
+        with pytest.raises(InputError, match=r"^no hyperplane labelled 'nope'$"):
+            alg.generator("nope")
+        with pytest.raises(InputError, match=r"^form index 7 out of range$"):
+            alg.straighten(Poly.monomial((0, 7)))
+        assert alg.generator("13") == alg.generator(1)
 
 
 def test_element_json():

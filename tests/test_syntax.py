@@ -1,8 +1,9 @@
 """Every Python file parses under the grammar of Python 3.10, the oldest
 version `pyproject.toml` supports, so newer syntax is caught without a 3.10
 interpreter; the library holds no `assert` statement and no unused
-import, reads JSON files in one place and checks the circuit axioms only
-off the hot path."""
+import, reads JSON files in one place, checks the circuit axioms only
+off the hot path, and runs arrangements and raw circuit systems through
+one code path (one `form_index`, one memo, one source-kind test)."""
 
 import ast
 from pathlib import Path
@@ -82,13 +83,60 @@ def _scopes_using(tree, attr: str) -> set:
 
 
 def test_cache_is_touched_only_by_memo():
-    """Cached queries go through `Arrangement._memo`: no module reads or
-    fills `_cache` by key."""
+    """Cached queries go through `GroundSet._memo`, shared by arrangements
+    and circuit systems: no module reads or fills `_cache` by key."""
     files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
     assert files
     used = set().union(*(_scopes_using(ast.parse(path.read_text()), "_cache")
                          for path in files))
-    assert used == {"Arrangement.__init__", "Arrangement._memo"}
+    assert used == {"GroundSet.__init__", "GroundSet._memo"}
+
+
+def test_ground_set_methods_are_defined_once():
+    """Index lookup and the memo are written once, on the class that
+    arrangements and circuit systems share."""
+    files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
+    assert files
+    defined = [f"{path.stem}.{node.name}"
+               for path in files
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in ("form_index", "_memo")]
+    assert sorted(defined) == ["circuits._memo", "circuits.form_index"]
+
+
+def _kind_tests(tree) -> set:
+    """Qualified names (Class.function) of the functions, `__eq__` aside,
+    that call `isinstance(..., Arrangement)` or `isinstance(..., CircuitSet)`,
+    alone or in a tuple of classes."""
+    kinds = {"Arrangement", "CircuitSet"}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and len(child.args) == 2 and scope[-1:] != ("__eq__",)):
+                classes = child.args[1]
+                names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+                if kinds & {getattr(c, "id", None) for c in names}:
+                    found.add(".".join(scope))
+            visit(child, scope)
+    visit(tree, ())
+    return found
+
+
+def test_source_kind_is_tested_in_one_function():
+    """Arrangements and raw circuit systems share one code path: at most
+    one function, the one that fetches a source's circuit system, asks
+    which kind of source it holds."""
+    files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
+    assert files
+    found = {f"{path.stem}.{scope}" for path in files
+             for scope in _kind_tests(ast.parse(path.read_text()))}
+    assert len(found) <= 1, sorted(found)
 
 
 def test_json_is_read_in_one_place():
