@@ -5,9 +5,12 @@ only in the JSON file format and in pretty-printing.  A circuit system can
 come from an arrangement or from a raw file, in which case it is treated as
 the circuit set of a loop-free central oriented matroid.  An arrangement's
 circuits (minimal flat-nonempty linear dependencies among the homogenized
-forms) come from one scan with one kernel per support, which also finds
-the minimal empty flats and their affine identities; `flat_nonempty`, the
-minimal infeasible sets, the NBC sets and straightening all read that scan.
+forms) come from one scan that grows the independent sets with a nonempty
+flat, one element and one incremental integer reduction at a time; each
+dependent extension hands over its one kernel vector, so the same scan
+finds the minimal empty flats and their affine identities.
+`flat_nonempty`, the minimal infeasible sets, the NBC sets and
+straightening all read that scan.
 Being exact, its output is not re-checked against the circuit axioms;
 `circuits_from_json` checks them on outside data.  Both kinds of source are
 a `GroundSet`, so the NBC sets and straightening run one code path on them,
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 
 from .errors import ConsistencyError, InputError
-from .linalg import rank, rank_and_kernel
+from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -245,54 +248,104 @@ def circuit_scan(A) -> tuple:
 
 
 def _arrangement_circuits(A) -> tuple:
-    """One scan over supports by size, up to the rank of the homogenized
-    forms plus one, skipping supersets of every support found so far.  Each
-    visited support S gets one kernel: of its homogenized forms, next to
-    the cone's H0 column (0, ..., 0, -1) if A is affine (a central
-    arrangement has no empty flat).  A kernel vector (lambda, c) is an
-    identity sum_{j in S} lambda_j w_j = c.
+    """The circuits and minimal empty flats, grown from independent sets.
 
-    Every proper subset of S is independent with a nonempty flat: else it
-    contains a minimal empty flat or a circuit, found before S.  So a
-    kernel vector that vanishes somewhere in S is zero (on a proper support
-    it would be a dependency, c = 0, or an empty-flat certificate, c != 0),
-    and the kernel is empty or one full-support vector (lambda, c):
-    - c = 0: S is a circuit (one equation follows from the others, so the
-      flat is nonempty), signed by lambda, +1 on the least index;
-    - c != 0: S is a minimal empty flat, and its identity, oriented so that
-      c < 0, is its minimal infeasible set.
-    An empty kernel means S is independent with a nonempty flat (Fredholm
-    alternative).  A minimal empty flat is independent, so the rank cap
-    reaches it.  The forms enter as `A.integer_forms()`: positive
-    multiples, with the same kernel signs.
+    A support S is *good* when its homogenized forms, next to the cone's H0
+    column h0 = (0, ..., 0, -1) if A is affine, are linearly independent:
+    S is independent with a nonempty flat (Fredholm alternative; a central
+    arrangement has no empty flat and no H0).  A kernel vector (lambda, c)
+    of S's forms and h0 is an identity sum_{j in S} lambda_j w_j = c.  The
+    recorded supports are the minimal supports that are not good: the
+    circuits (c = 0) and the minimal empty flats (c != 0; such a flat is
+    independent, else dropping a dependent form keeps the flat).
+
+    Good sets pass to subsets, so each one is grown from its prefixes,
+    depth first, by one element e > max S at a time.  Every good S keeps an
+    integer echelon of h0 and its forms in insertion order, and, for each
+    e > max S, the residue of w_e against it with the integer combination
+    of h0, S and e that gives it.  Adding s to S adds the row of s's
+    residue, so the residue of each later e is one row operation away from
+    its residue against S.  A zero residue for S u {e} hands over the
+    kernel of S u {e}: it is that one combination, because S is good, so
+    the kernel is one-dimensional.  S u {e} is recorded iff lambda has full
+    support: a kernel vector vanishing on some i would be one of the
+    smaller set S u {e} - i, and conversely a bad S u {e} - i would give a
+    kernel vector vanishing at i.  Every minimal bad T is reached: T - max T
+    is good, so it is grown, and extending it by max T is tried.  The
+    signs are lambda's: a circuit is emitted in both orientations, an
+    identity oriented so that c < 0, which makes it a minimal infeasible
+    set.  Depth-first growth meets the supports in lexicographic order, not
+    by size, so the identities are sorted by (size, indices): `empty_flats`
+    and the minimal infeasible sets keep the order of a scan by size.  The
+    forms enter as `A.integer_forms()`: positive multiples, with the same
+    kernel signs.
+
+    The largest good set and h0 span the homogenized forms and h0 (a good
+    set that is not spanning is extended by a form outside its span), which
+    the one `rank` call confirms.
     """
-    n = A.n
-    cols = A.integer_forms()
+    forms = A.integer_forms()
     h0 = () if A.central else ((0,) * A.dim + (-1,),)
-    full_rank = rank(cols)
-    found_masks: list[int] = []
     circuits: list[SignedSet] = []
     identities: list[SignedSet] = []
-    for size in range(2, min(n, full_rank + 1) + 1):
-        for supp in combinations(range(n), size):
-            mask = _mask(supp)
-            if any(f & mask == f for f in found_masks):
+
+    def extend(row, residues, path):
+        """Add `row`, the residue of the last element s of `path`, to the
+        echelon.  Each residue (e, vector, combination over h0 and the
+        elements before s, coefficient of e) takes one row operation; a zero
+        vector is the kernel of `path` + (e,), recorded if minimal, and the
+        others are returned."""
+        _, vec_s, combo_s, c_s = row
+        piv = next(k for k, x in enumerate(vec_s) if x)
+        p = vec_s[piv]
+        out = []
+        for e, vec, combo, c_e in residues:
+            f = vec[piv]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                vec = [a * x - b * y for x, y in zip(vec, vec_s)]
+                combo = [a * x - b * y for x, y in zip(combo, combo_s)] + [-b * c_s]
+                c_e *= a
+                if a not in (1, -1):
+                    g = gcd(*vec, *combo, c_e)
+                    if g != 1:
+                        vec = [x // g for x in vec]
+                        combo = [x // g for x in combo]
+                        c_e //= g
+            else:
+                combo = combo + [0]
+            if any(vec):
+                out.append((e, vec, combo, c_e))
                 continue
-            _, kernel = rank_and_kernel(list(zip(*(cols[j] for j in supp), *h0)))
-            if not kernel:
+            lam = combo[len(h0):] + [c_e]
+            if 0 in lam:
                 continue
-            lam, c = kernel[0][:size], (kernel[0][size] if h0 else 0)
-            if len(kernel) != 1 or 0 in lam:
-                raise ConsistencyError(
-                    "a minimal dependent support has no full-support dependency")
+            supp = path + (e,)
             plus = frozenset(j for j, x in zip(supp, lam) if x > 0)
             minus = frozenset(j for j, x in zip(supp, lam) if x < 0)
+            c = combo[0] if h0 else 0
             X = SignedSet(minus, plus) if c > 0 else SignedSet(plus, minus)
             if c:
                 identities.append(X)
             else:
-                circuits += [X, X.negate()]
-            found_masks.append(mask)
+                circuits.extend((X, X.negate()))
+        return out
+
+    def grow(path, residues) -> int:
+        """Grow every good set above `path`; the size of the largest."""
+        largest = len(path)
+        for i, row in enumerate(residues):
+            child = path + (row[0],)
+            largest = max(largest, grow(child, extend(row, residues[i + 1:], child)))
+        return largest
+
+    residues = [(e, list(w), [], 1) for e, w in enumerate(forms)]
+    if h0:
+        residues = extend((None, list(h0[0]), [], 1), residues, ())
+    if grow((), residues) + len(h0) != rank(list(forms) + list(h0)):
+        raise ConsistencyError("the grown independent sets do not span the forms")
+    identities.sort(key=lambda X: (len(X.support), sorted(X.support)))
     C = CircuitSet(A.labels, circuits,
                    empty_flats=[X.support for X in identities])
     return C, tuple(identities)

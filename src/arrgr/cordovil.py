@@ -7,14 +7,21 @@ ordering-minimal support element carries +1), and in the affine case every
 monomial whose support has empty flat dies.  Monomials are straightened
 onto the NBC basis by solving each boundary relation for its broken-circuit
 term; every rewrite swaps an element for the strictly larger dropped
-maximum, so the process terminates.  A raw circuit system is read through
-the same calls as an arrangement, its flat test being always true.
+maximum, so the process terminates.  Each rewrite has coefficient +/-1,
+so a straightened monomial has integer coordinates: they are kept as plain
+ints in one table per (source, ordering), memoized on the source and shared
+by every algebra of that pair.  `straighten` and `multiply` scale the
+table's entries by the elements' rational coefficients over one common
+denominator, so the Fractions are made only for the result.  A raw circuit
+system is read through the same calls as an arrangement, its flat test
+being always true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arrangement import Arrangement
 from .circuits import (GroundSet, SignedSet, _grade_counts,
@@ -82,7 +89,7 @@ class CordovilAlgebra:
         )
         self.nbc = nbc_sets(source, self.ordering)
         self._nbc_lookup = set(self.nbc)
-        self._memo: dict = {}
+        self._table = source._memo(("straightened", self.ordering), dict)
 
     # -- elements ------------------------------------------------------------
 
@@ -101,7 +108,10 @@ class CordovilAlgebra:
     # -- straightening ---------------------------------------------------------
 
     def _straighten_monomial(self, mono: frozenset) -> dict:
-        hit = self._memo.get(mono)
+        """The NBC coordinates of a squarefree monomial, as plain `int`s:
+        each rewrite has coefficient -phi(a) * phi(mx) = +/-1.  The table
+        is shared by every algebra of this source and ordering."""
+        hit = self._table.get(mono)
         if hit is not None:
             return hit
         result: dict = {}
@@ -111,42 +121,51 @@ class CordovilAlgebra:
                 if mono not in self._nbc_lookup:
                     raise ConsistencyError(
                         "a monomial free of broken circuits is not an NBC set")
-                result = {mono: Fraction(1)}
+                result = {mono: 1}
             elif self._broken[broken][2] not in mono:
                 # (a monomial holding the whole circuit support is zero)
                 _, phi, mx = self._broken[broken]
                 for a in sorted(broken):
-                    target = (mono - {a}) | {mx}
-                    _add_into(result, self._straighten_monomial(frozenset(target)),
-                              Fraction(-phi[a], phi[mx]))
-        self._memo[mono] = result
+                    _add_into(result, self._straighten_monomial((mono - {a}) | {mx}),
+                              -phi[a] * phi[mx])
+        self._table[mono] = result
         return result
+
+    def _combine(self, terms) -> "AlgebraElement":
+        """The sum of (num / den) * straightened(mono) over (mono, num, den)
+        triples: brought to one denominator, the table's ints are summed,
+        and each nonzero sum becomes one Fraction."""
+        terms = list(terms)
+        den = lcm(*(d for _, _, d in terms))
+        sums: dict = {}
+        for mono, num, d in terms:
+            k = num * (den // d)
+            for basis, c in self._straighten_monomial(mono).items():
+                sums[basis] = sums.get(basis, 0) + k * c
+        return AlgebraElement._of(self, {b: Fraction(v, den) for b, v in sums.items() if v})
 
     def straighten(self, poly: Poly) -> "AlgebraElement":
         """Normal form of a polynomial on the NBC basis.  Monomials with a
         repeated generator are zero; u must not appear."""
         if not poly.is_u_free:
             raise InputError("cannot straighten a polynomial carrying u")
-        coords: dict = {}
-        for (emon, _), coeff in poly.kill_squares().terms.items():
-            _add_into(coords, self._straighten_monomial(frozenset(emon)), coeff)
-        return AlgebraElement(self, coords)
+        return self._combine((frozenset(emon), c.numerator, c.denominator)
+                             for (emon, _), c in poly.kill_squares().terms.items())
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra is not self or b.algebra is not self:
             raise InputError("elements belong to different algebra contexts")
-        coords: dict = {}
-        for s, ca in a.coords.items():
-            for t, cb in b.coords.items():
-                if not s & t:
-                    _add_into(coords, self._straighten_monomial(s | t), ca * cb)
-        return AlgebraElement(self, coords)
+        return self._combine((s | t, ca.numerator * cb.numerator,
+                              ca.denominator * cb.denominator)
+                             for s, ca in a.coords.items()
+                             for t, cb in b.coords.items() if not s & t)
 
 
 def _add_into(coords: dict, terms: dict, scale) -> None:
-    """coords += scale * terms, dropping the coefficients that become zero."""
+    """coords += scale * terms, dropping the coefficients that become zero
+    (ints stay ints, Fractions stay Fractions)."""
     for basis, c in terms.items():
-        val = coords.get(basis, Fraction(0)) + scale * c
+        val = coords.get(basis, 0) + scale * c
         if val:
             coords[basis] = val
         else:
@@ -170,6 +189,15 @@ class AlgebraElement:
                 raise InputError("coordinates indexed by a non-NBC set")
             clean[basis] = c
         self.coords = clean
+
+    @classmethod
+    def _of(cls, algebra: CordovilAlgebra, coords: dict) -> "AlgebraElement":
+        """An element from coordinates already keyed by NBC sets, with
+        nonzero Fraction values: no checks, no copy."""
+        el = cls.__new__(cls)
+        el.algebra = algebra
+        el.coords = coords
+        return el
 
     @property
     def is_zero(self) -> bool:

@@ -7,7 +7,10 @@ integers, each rational row scaled once to a primitive integer row: `rref`
 on top of it), `SparseEchelon` and the Fourier-Motzkin test
 `strict_feasible`.  `rref` and `solve_square` return Fractions, made only
 when the result is emitted.  Matrices are sequences of equal-length rows;
-vectors are tuples.
+vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
+second `rref`; it serves the public API and the tests, while the circuit
+scan, which needs one kernel vector per dependent extension, runs its own
+incremental integer elimination and calls only `rank` here.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ import pytest
 from arrgr.arrangement import (AffineForm, Arrangement, boolean, braid, cone,
                                delete, restrict, semiorder)
 from arrgr.circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
-                            canonical_circuits, circuits_from_arrangement,
+                            canonical_circuits, circuit_scan, circuits_from_arrangement,
                             circuits_from_json, circuits_to_json,
                             load_circuits, nbc_counts, nbc_sets,
                             validate_circuit_axioms, _mask)
 from arrgr.cordovil import CordovilAlgebra
 from arrgr.corpus import random_rational_arrangement, single_hyperplane
-from arrgr.errors import InputError
-from arrgr.linalg import affine_system_consistent, rank
+from arrgr.errors import ConsistencyError, InputError
+from arrgr.linalg import affine_system_consistent, rank, rank_and_kernel
 from arrgr.polyring import Poly, format_poincare
 
 
@@ -87,7 +87,6 @@ def test_circuit_sign_extraction_from_dependency(corpus_map):
             lam = [X.sign(i) for i in supp]
             # signs alone are not the dependency; check sign pattern via
             # kernel instead: lambda exists with matching signs
-            from arrgr.linalg import rank_and_kernel
             rows = [[cols[j][r] for j in supp] for r in range(A.dim + 1)]
             _, kernel = rank_and_kernel(rows, ncols=len(supp))
             assert len(kernel) == 1
@@ -661,3 +660,95 @@ def test_axiom_check_matches_scan_oracle_on_broken_systems():
                 assert report == circuit_axioms_oracle(D)
                 broken += any(a == 4 for a, _ in report.violations)
     assert broken >= 15
+
+
+def support_scan_oracle(A) -> tuple:
+    """(CircuitSet, identities) by one kernel per support, by size up to the
+    rank of the homogenized forms plus one, skipping supersets of every
+    support found so far: the scan the library's growth replaced."""
+    cols = A.integer_forms()
+    h0 = () if A.central else ((0,) * A.dim + (-1,),)
+    found_masks: list[int] = []
+    circuits: list[SignedSet] = []
+    identities: list[SignedSet] = []
+    for size in range(2, min(A.n, rank(cols) + 1) + 1):
+        for supp in combinations(range(A.n), size):
+            mask = _mask(supp)
+            if any(f & mask == f for f in found_masks):
+                continue
+            _, kernel = rank_and_kernel(list(zip(*(cols[j] for j in supp), *h0)))
+            if not kernel:
+                continue
+            lam, c = kernel[0][:size], (kernel[0][size] if h0 else 0)
+            assert len(kernel) == 1 and 0 not in lam
+            plus = frozenset(j for j, x in zip(supp, lam) if x > 0)
+            minus = frozenset(j for j, x in zip(supp, lam) if x < 0)
+            X = SignedSet(minus, plus) if c > 0 else SignedSet(plus, minus)
+            if c:
+                identities.append(X)
+            else:
+                circuits += [X, X.negate()]
+            found_masks.append(mask)
+    C = CircuitSet(A.labels, circuits, empty_flats=[X.support for X in identities])
+    return C, tuple(identities)
+
+
+def test_growth_scan_matches_support_scan_oracle(corpus_map):
+    """The growth scan finds the per-support scan's circuits, minimal empty
+    flats and identities, in the same order, on 137 arrangements: the
+    corpus, random seeds 1-29, semiorder 4, braid 5 and 6, boolean 6, and
+    every deletion, restriction and cone of every corpus member."""
+    cases = list(corpus_map.items())
+    cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in range(1, 30)]
+    cases += [("semiorder4", semiorder(4)), ("braid5", braid(5)),
+              ("braid6", braid(6)), ("boolean6", boolean(6))]
+    for name, A in corpus_map.items():
+        for lab in A.labels:
+            if A.n > 1:
+                cases.append((f"{name}-{lab}", delete(A, lab)))
+            cases.append((f"{name}/{lab}", restrict(A, lab)))
+        cases.append((f"cone {name}", cone(A)))
+    assert len(cases) == 137
+    for name, A in cases:
+        C, identities = circuit_scan(A)
+        want_C, want_identities = support_scan_oracle(A)
+        assert C.circuits == want_C.circuits, name
+        assert C.empty_flats == want_C.empty_flats, name
+        assert identities == want_identities, name
+
+
+@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
+                                  lambda: random_rational_arrangement()],
+                         ids=["braid4", "semiorder3", "random8"])
+def test_scan_calls_rank_once_and_no_kernel(monkeypatch, make):
+    """One scan reduces incrementally: no `rank_and_kernel`, and one `rank`
+    call, whose result checks that the grown sets span the forms."""
+    A = make()
+    calls = Counter()
+    with monkeypatch.context() as mp:
+        _count_calls(mp, "rank", calls)
+        _count_calls(mp, "rank_and_kernel", calls)
+        circuit_scan(A)
+    assert calls == {"rank": 1}
+
+
+def test_scan_rank_check_raises_consistency_error(monkeypatch):
+    """The `rank` result is used: a rank the grown sets cannot reach is a
+    `ConsistencyError`."""
+    import arrgr.circuits
+
+    monkeypatch.setattr(arrgr.circuits, "rank", lambda rows: rank(rows) + 1)
+    for A in (braid(3), semiorder(2)):
+        with pytest.raises(ConsistencyError, match="do not span"):
+            circuit_scan(A)
+
+
+def test_braid7_nbc_counts():
+    """The NBC counts of braid 7 (21 hyperplanes) are the coefficients of
+    (1 + t)(1 + 2t)...(1 + 6t), the Poincare polynomial of the braid
+    arrangement; the growth scan reaches them in about a second."""
+    want = [1]
+    for k in range(1, 7):
+        want = [a + k * b for a, b in zip(want + [0], [0] + want)]
+    assert want == [1, 21, 175, 735, 1624, 1764, 720]
+    assert nbc_counts(braid(7)) == tuple(want)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from arrgr.acceptance import (minimal_empty_flats_oracle,
-                              straightening_oracle_check)
+                              straightening_oracle_check,
+                              straightening_span_dims)
 from arrgr.arrangement import braid, semiorder
 from arrgr.circuits import (CircuitSet, SignedSet, circuits_from_arrangement,
                             nbc_counts)
@@ -202,3 +204,124 @@ def test_multiplication_commutative_associative_random():
         a, b, c = els
         assert (a * b).coords == (b * a).coords
         assert ((a * b) * c).coords == (a * (b * c)).coords
+
+
+class FractionStraightening:
+    """The straightening and product of an algebra with Fraction arithmetic
+    throughout, one memo per instance: the oracle for the shared integer
+    table.  It reads the algebra's broken-circuit order and NBC sets only."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.memo: dict = {}
+
+    def monomial(self, mono: frozenset) -> dict:
+        alg = self.alg
+        if mono in self.memo:
+            return self.memo[mono]
+        result: dict = {}
+        if alg.source.flat_nonempty(mono):
+            broken = next((b for b in alg._broken_order if b <= mono), None)
+            if broken is None:
+                assert mono in alg._nbc_lookup
+                result = {mono: Fraction(1)}
+            elif alg._broken[broken][2] not in mono:
+                _, phi, mx = alg._broken[broken]
+                for a in sorted(broken):
+                    self.add_into(result, self.monomial(frozenset((mono - {a}) | {mx})),
+                                  Fraction(-phi[a], phi[mx]))
+        self.memo[mono] = result
+        return result
+
+    @staticmethod
+    def add_into(coords: dict, terms: dict, scale) -> None:
+        for basis, c in terms.items():
+            val = coords.get(basis, Fraction(0)) + scale * c
+            if val:
+                coords[basis] = val
+            else:
+                coords.pop(basis, None)
+
+    def straighten(self, poly) -> dict:
+        coords: dict = {}
+        for (emon, _), coeff in poly.kill_squares().terms.items():
+            self.add_into(coords, self.monomial(frozenset(emon)), coeff)
+        return coords
+
+    def multiply(self, a, b) -> dict:
+        coords: dict = {}
+        for s, ca in a.coords.items():
+            for t, cb in b.coords.items():
+                if not s & t:
+                    self.add_into(coords, self.monomial(s | t), ca * cb)
+        return coords
+
+
+_COEFFS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3), Fraction(-1))
+
+
+def _random_poly(rng, n) -> Poly:
+    """A few monomials of degree at most 3, squares allowed, with
+    non-integer coefficients."""
+    out = Poly.zero()
+    for _ in range(rng.randint(1, 4)):
+        mono = [rng.randrange(n) for _ in range(rng.randint(0, min(3, n)))]
+        out = out + Poly.monomial(mono, coeff=rng.choice(_COEFFS))
+    return out
+
+
+def test_integer_straightening_matches_fraction_oracle(corpus_map):
+    """The straightening table holds plain ints, and `straighten` and
+    `multiply` equal Fraction arithmetic on 200 seeded products per
+    arrangement with coefficients 1/2, -2/3, 5/7, 3 and -1; the results'
+    coefficients are nonzero Fractions."""
+    cases = list(corpus_map.items()) + [("braid5", braid(5)), ("semiorder4", semiorder(4))]
+    rng = random.Random(20261018)
+    for name, A in cases:
+        alg = CordovilAlgebra(A)
+        oracle = FractionStraightening(alg)
+        for size in range(A.n + 1):
+            for supp in combinations(range(A.n), size):
+                el = alg.straighten(Poly.monomial(supp))
+                assert el.coords == oracle.monomial(frozenset(supp)), (name, supp)
+        assert all(type(c) is int for terms in alg._table.values() for c in terms.values())
+        basis = list(alg.nbc)
+        for _ in range(200):
+            poly = _random_poly(rng, A.n)
+            el = alg.straighten(poly)
+            assert el.coords == oracle.straighten(poly), (name, poly)
+            a, b = (alg.element({s: rng.choice(_COEFFS)
+                                 for s in rng.sample(basis, min(3, len(basis)))})
+                    for _ in range(2))
+            prod = alg.multiply(a, b)
+            assert prod.coords == oracle.multiply(a, b), name
+            for c in (*el.coords.values(), *prod.coords.values()):
+                assert type(c) is Fraction and c != 0, name
+        other = CordovilAlgebra(A, tuple(reversed(range(A.n))))
+        with pytest.raises(InputError, match="different algebra contexts"):
+            alg.multiply(alg.one(), other.one())
+
+
+def test_straightening_table_is_shared_per_ordering():
+    """Every algebra of one (source, ordering) pair shares one table, a
+    reversed ordering gets its own, and the straightening oracle check
+    after the span dimensions of criterion 3 straightens nothing anew."""
+    A = braid(4)
+    alg = CordovilAlgebra(A)
+    assert CordovilAlgebra(A)._table is alg._table
+    assert CordovilAlgebra(A, range(A.n))._table is alg._table
+    reverse = CordovilAlgebra(A, tuple(reversed(range(A.n))))
+    assert reverse._table is not alg._table
+    straightening_span_dims(A)
+    filled = len(alg._table)
+    assert filled == 2 ** A.n
+    assert straightening_oracle_check(A) == []
+    assert len(alg._table) == filled
+    assert not reverse._table
+
+    C = circuits_from_arrangement(A)
+    raw = CircuitSet(C.ground, C.circuits)
+    raw_alg = CordovilAlgebra(raw)
+    assert CordovilAlgebra(raw, range(raw.n))._table is raw_alg._table
+    assert raw_alg._table is not alg._table
+    assert CordovilAlgebra(raw, tuple(reversed(range(raw.n))))._table is not raw_alg._table

@@ -2,8 +2,9 @@
 version `pyproject.toml` supports, so newer syntax is caught without a 3.10
 interpreter; the library holds no `assert` statement and no unused
 import, reads JSON files in one place, checks the circuit axioms only
-off the hot path, and runs arrangements and raw circuit systems through
-one code path (one `form_index`, one memo, one source-kind test)."""
+off the hot path, grows the circuit scan without per-support kernels, and
+runs arrangements and raw circuit systems through one code path (one
+`form_index`, one memo, one source-kind test)."""
 
 import ast
 from pathlib import Path
@@ -189,3 +190,16 @@ def test_axioms_are_checked_off_the_hot_path():
                                             "validate_circuit_axioms")}
     assert callers == {"circuits.circuits_from_json", "cli.cmd_circuits",
                        "acceptance.criterion_8"}
+
+
+def test_circuit_scan_grows_without_kernels_or_combinations():
+    """The circuit scan grows independent sets by incremental reduction:
+    `_arrangement_circuits`, nested helpers included, calls neither
+    `rank_and_kernel` nor `itertools.combinations`."""
+    tree = ast.parse((ROOT / "src" / "arrgr" / "circuits.py").read_text())
+    (scan,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_arrangement_circuits"]
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(scan) if isinstance(node, ast.Call)}
+    assert "rank" in called
+    assert not called & {"rank_and_kernel", "combinations"}
