@@ -15,7 +15,7 @@ from fractions import Fraction
 from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import _primitive_row, frac, strict_feasible
+from .linalg import _not_exact, _primitive_row, frac, strict_feasible
 
 
 def hyperplane_key(row) -> tuple:
@@ -320,8 +320,7 @@ def _exact(x):
     rational strings with a zero denominator are rejected; ints and
     rational strings like "1/10" pass through."""
     if isinstance(x, (bool, float)):
-        raise InputError(f"{json.dumps(x)} is not exact; write integers or "
-                         'rational strings like "1/10"')
+        raise _not_exact(x)
     if isinstance(x, str) and "/" in x:
         try:
             Fraction(x)

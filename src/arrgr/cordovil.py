@@ -28,6 +28,7 @@ from .circuits import (GroundSet, SignedSet, _grade_counts,
                        broken_circuit_map, canonical_circuits,
                        circuits_from_arrangement, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
+from .linalg import frac
 from .polyring import Poly
 from .vgring import Relation, _circuit_difference
 
@@ -182,7 +183,7 @@ class AlgebraElement:
         clean = {}
         for basis, c in coords.items():
             basis = frozenset(basis)
-            c = Fraction(c) if not isinstance(c, Fraction) else c
+            c = frac(c)
             if c == 0:
                 continue
             if basis not in algebra._nbc_lookup:
@@ -212,7 +213,6 @@ class AlgebraElement:
         return self + (-1 * other)
 
     def __rmul__(self, scalar):
-        from .linalg import frac
         scalar = frac(scalar)
         return AlgebraElement(self.algebra,
                               {b: scalar * c for b, c in self.coords.items()})

@@ -15,6 +15,7 @@ incremental integer elimination and calls only `rank` here.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -26,8 +27,21 @@ _ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, canonical strings like "-3/4", and Fractions."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce ints, canonical strings like "-3/4", and Fractions.  Floats
+    (binary fractions) and booleans are refused with `_not_exact`'s
+    message."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (bool, float)):
+        raise _not_exact(x)
+    return Fraction(x)
+
+
+def _not_exact(x) -> InputError:
+    """The one-line error for a float or boolean where an exact rational
+    is expected."""
+    return InputError(f"{json.dumps(x)} is not exact; write integers or "
+                      'rational strings like "1/10"')
 
 
 def _to_rows(matrix) -> list[list]:

@@ -6,6 +6,13 @@ indices (repeats allowed, so (3, 3) encodes e_3^2) and uexp is the power
 of u.  Almost everything downstream works with squarefree, u-free
 polynomials; the general shape exists for the square relations e_i^2 - e_i
 and e_i(e_i - u).  The grading puts deg e_i = deg u = 2.
+
+Coefficients are always `Fraction`s: the constructor coerces them through
+`linalg.frac` (which refuses floats and booleans) and drops zeros.  Code
+that already holds canonical keys and nonzero Fractions builds through
+`Poly._of`, which checks and copies nothing: the closed-form relation
+families, `divide_u`, and `substitute_u` at u = 0 or 1, where a term's
+factor u^k is 0 or 1 and no coefficient is multiplied.
 """
 
 from __future__ import annotations
@@ -32,6 +39,15 @@ class Poly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Poly":
+        """A polynomial from terms already keyed canonically (sorted index
+        tuple, int u-power) with nonzero Fraction values: no checks, no
+        copy."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls):
@@ -118,7 +134,16 @@ class Poly:
 
     def substitute_u(self, value) -> "Poly":
         value = frac(value)
-        out: dict = {}
+        if value == 0:
+            return Poly._of({key: c for key, c in self.terms.items() if key[1] == 0})
+        if value == 1:
+            out: dict = {}
+            for (m, u), c in self.terms.items():
+                key = (m, 0)
+                old = out.get(key)
+                out[key] = c if old is None else old + c
+            return Poly._of({key: c for key, c in out.items() if c})
+        out = {}
         for (m, u), c in self.terms.items():
             key = (m, 0)
             out[key] = out.get(key, Fraction(0)) + c * value**u
@@ -129,7 +154,7 @@ class Poly:
         for (m, u) in self.terms:
             if u == 0:
                 raise ConsistencyError("polynomial is not divisible by u")
-        return Poly({(m, u - 1): c for (m, u), c in self.terms.items()})
+        return Poly._of({(m, u - 1): c for (m, u), c in self.terms.items()})
 
     def squarefree_reduce(self) -> "Poly":
         """Apply the rewriting e_i^k -> e_i to every monomial."""

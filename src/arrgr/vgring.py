@@ -24,8 +24,16 @@ no accepted insert, only the fill-in.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
-families are defined as their u = 1 specialization.  The graded families in
-`cordovil` are built independently, from circuit boundaries and empty flats.
+families are defined as their u = 1 specialization.  Families (2) and (3)
+are expanded in closed form, with no polynomial products: the product
+prod_{i in P} e_i prod_{j in M} (e_j - u^s) has one term per T in M, the
+monomial P + T with sign (-1)^|M - T| and u-power s|M - T|, and a circuit's
+difference merges its two expansions over the integers, where only the
+full-support monomial cancels.  Each chamber-function relation's mask
+vector is built once per arrangement and read by `verify_relations` and
+every `presentation_dimension` call.  The graded families in `cordovil` are
+built independently, from circuit boundaries and empty flats, with `Poly`
+products.
 """
 
 from __future__ import annotations
@@ -175,21 +183,55 @@ class Relation:
         return f"({self.family}) [{self.source_str(labels)}]  {self.poly.to_str(labels)}"
 
 
-def _product_poly(plus, minus, shift) -> Poly:
-    """prod_{i in plus} e_i * prod_{j in minus} (e_j - shift)."""
-    out = Poly.one()
-    for i in sorted(plus):
-        out = out * Poly.generator(i)
+_SHIFTS = ((Poly.one(), 0), (Poly.u(), 1))
+
+
+def _shift_power(shift) -> int:
+    """The u-power s of a relation shift u^s: 0 for `Poly.one()`, 1 for
+    `Poly.u()`."""
+    for poly, s in _SHIFTS:
+        if shift == poly:
+            return s
+    raise ConsistencyError(f"a relation shift must be 1 or u, not {shift!r}")
+
+
+def _expand_into(out: dict, plus, minus, s: int, sign: int) -> None:
+    """Add sign * prod_{i in plus} e_i * prod_{j in minus} (e_j - u^s) to the
+    integer dict `out`: one term per T in minus, the monomial plus + T with
+    coefficient sign * (-1)^|minus - T| and u-power s * |minus - T|."""
+    partial = [((), 0)]  # (T, |minus - T|) over the elements of minus so far
     for j in sorted(minus):
-        out = out * (Poly.generator(j) - shift)
-    return out
+        partial = [(t + (j,), k) for t, k in partial] + [(t, k + 1) for t, k in partial]
+    base = tuple(plus)
+    for t, k in partial:
+        key = (tuple(sorted(base + t)), s * k)
+        out[key] = out.get(key, 0) + (-sign if k & 1 else sign)
+
+
+def _integer_poly(out: dict) -> Poly:
+    """The polynomial of an integer dict over canonical keys, zeros dropped."""
+    return Poly._of({key: Fraction(c) for key, c in out.items() if c})
+
+
+def _product_poly(plus, minus, shift) -> Poly:
+    """prod_{i in plus} e_i * prod_{j in minus} (e_j - shift), for shift 1
+    or u, expanded in closed form: its terms have coefficients +-1 and,
+    for disjoint plus and minus, distinct monomials."""
+    out: dict = {}
+    _expand_into(out, plus, minus, _shift_power(shift), 1)
+    return _integer_poly(out)
 
 
 def _circuit_difference(X: SignedSet, shift) -> Poly:
     """The difference of the circuit's two opposite products,
-    prod_{X+} e_i prod_{X-} (e_j - shift) minus the same with X negated."""
-    return (_product_poly(X.plus, X.minus, shift)
-            - _product_poly(X.minus, X.plus, shift))
+    prod_{X+} e_i prod_{X-} (e_j - shift) minus the same with X negated:
+    both expansions merged over the integers, the cancelled terms (the
+    full-support monomial) dropped."""
+    s = _shift_power(shift)
+    out: dict = {}
+    _expand_into(out, X.plus, X.minus, s, 1)
+    _expand_into(out, X.minus, X.plus, s, -1)
+    return _integer_poly(out)
 
 
 def rees_relation_families(A: Arrangement) -> tuple:
@@ -201,6 +243,9 @@ def rees_relation_families(A: Arrangement) -> tuple:
         divided by u (`Poly.divide_u` raises ConsistencyError should a term
         not carry u), in the orientation with +1 on the least support
         element.
+
+    Family (1) is one `Poly` product per hyperplane; (2) and (3) are
+    expanded in closed form (see the module docstring).
     """
     return A._memo("rees_relations", lambda: _u_families(A))
 
@@ -243,8 +288,8 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     monomial evaluations span all chamber functions."""
     failures = []
     chambers = A.chambers()
-    for rel in vg_relation_families(A):
-        c = _first_nonzero_chamber(A, rel.poly)
+    for rel, (vec, support) in zip(vg_relation_families(A), _relation_masks(A)):
+        c = _first_nonzero(A, vec, support)
         if c is not None:
             failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
     span = filtration_profile(A).dims[-1] if A.n else len(chambers)
@@ -260,7 +305,11 @@ def _first_nonzero_chamber(A: Arrangement, poly: Poly):
     which depends only on p & support: it is computed once per distinct
     restriction, and the restrictions seen with value zero are skipped.
     """
-    vec, support = _mask_relation(poly)
+    return _first_nonzero(A, *_mask_relation(poly))
+
+
+def _first_nonzero(A: Arrangement, vec: dict, support: int):
+    """`_first_nonzero_chamber` on a relation's mask vector and support."""
     zero_points = set()
     for c, p in enumerate(_plus_masks(A)):
         t = p & support
@@ -304,6 +353,14 @@ def _mask_relation(poly: Poly) -> tuple:
     return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}, support
 
 
+def _relation_masks(A: Arrangement) -> tuple:
+    """`_mask_relation` of every relation of `vg_relation_families(A)`, in
+    its order: built once, read by `verify_relations` and by every
+    `presentation_dimension` call."""
+    return A._memo("relation_masks", lambda: tuple(
+        _mask_relation(rel.poly) for rel in vg_relation_families(A)))
+
+
 def _value_at(vec: dict, t: int) -> int:
     """The value of a mask vector at the point t of the Boolean cube: the
     sum of the coefficients of the terms whose masks lie inside t."""
@@ -319,10 +376,9 @@ def _common_zeros(A: Arrangement, families) -> list:
     is evaluated once at each sub-mask t of S.
     """
     zeros = range(2**A.n)
-    for rel in vg_relation_families(A):
+    for rel, (vec, support) in zip(vg_relation_families(A), _relation_masks(A)):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec, support = _mask_relation(rel.poly)
         points = _subset_masks([i for i in range(A.n) if support >> i & 1])
         nonzero = {t for t in points if _value_at(vec, t)}
         zeros = [s for s in zeros if s & support not in nonzero]

@@ -6,11 +6,13 @@ from math import gcd
 
 import pytest
 
-from arrgr.arrangement import braid, semiorder
+from arrgr.arrangement import AffineForm, braid, semiorder
+from arrgr.cordovil import AlgebraElement, CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
 from arrgr.linalg import (SparseEchelon, _integer_rref, _primitive_row,
                           affine_system_consistent, frac, rank,
                           rank_and_kernel, rref, solve_square, strict_feasible)
+from arrgr.polyring import Poly
 from arrgr.vgring import filtration_data, monomial_eval
 
 
@@ -507,3 +509,38 @@ def test_sparse_echelon_rank_and_membership():
 def test_frac_parses_canonical_strings():
     assert frac("3/4") == Fraction(3, 4)
     assert frac("-2") == Fraction(-2)
+
+
+@pytest.mark.parametrize("value, shown", [(0.1, "0.1"), (1.0, "1.0"),
+                                          (True, "true"), (False, "false")])
+def test_floats_and_booleans_are_refused(value, shown):
+    """A float would enter as its binary fraction (0.1 as
+    3602879701896397/36028797018963968) and a boolean as 0 or 1: `frac`
+    refuses both with the JSON reader's one-line message, wherever the
+    Python API takes a rational."""
+    message = f'{shown} is not exact; write integers or rational strings like "1/10"'
+    algebra = CordovilAlgebra(braid(3))
+    entries = [
+        lambda: frac(value),
+        lambda: AffineForm((value, 1), 0),
+        lambda: AffineForm((1, 1), value),
+        lambda: Poly({((0,), 0): value}),
+        lambda: Poly.generator(0) * value,
+        lambda: AlgebraElement(algebra, {frozenset(): value}),
+        lambda: value * algebra.generator(0),
+        lambda: rank([[1, value], [0, 1]]),
+        lambda: strict_feasible([((value, 1), 0, 1)]),
+        lambda: strict_feasible([((1, 1), value, -1)]),
+    ]
+    for entry in entries:
+        with pytest.raises(InputError) as info:
+            entry()
+        assert str(info.value) == message
+
+
+def test_exact_values_still_pass_through_frac():
+    third = Fraction(1, 3)
+    assert frac(third) is third
+    assert frac(2) == 2 and type(frac(2)) is Fraction
+    assert frac("-3/4") == Fraction(-3, 4)
+    assert AffineForm(("1/10", 1), 0).linear[0] == Fraction(1, 10)

@@ -5,17 +5,22 @@ from math import lcm
 
 import pytest
 
-from arrgr.arrangement import boolean, braid, semiorder
-from arrgr.circuits import nbc_counts, nbc_sets
+import arrgr.vgring
+from arrgr.arrangement import boolean, braid, cone, delete, restrict, semiorder
+from arrgr.circuits import canonical_circuits, nbc_counts, nbc_sets
+from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
+                            leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
-from arrgr.errors import InputError, ResourceBoundError
+from arrgr.errors import ConsistencyError, InputError, ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
-from arrgr.vgring import (filtration_data, filtration_profile, heaviside,
-                          monomial_eval, monomial_mask, presentation_dimension,
-                          vg_relation_families, verify_relations,
-                          _chamber_keys, _common_zeros, _first_nonzero_chamber,
+from arrgr.rees import rees_relation_families, specialize
+from arrgr.vgring import (Relation, filtration_data, filtration_profile,
+                          heaviside, monomial_eval, monomial_mask,
+                          presentation_dimension, vg_relation_families,
+                          verify_relations, _chamber_keys, _circuit_difference,
+                          _common_zeros, _first_nonzero_chamber,
                           _poly_to_mask_vector, _product_poly)
 
 
@@ -339,3 +344,173 @@ def test_presentation_zero_set_is_the_chambers(corpus_map):
         assert set(zeros) == _plus_masks(A), name
         if A.central:
             assert set(_common_zeros(A, (1, 3))) == _plus_masks(A), name
+
+
+# -- the relation families in closed form ------------------------------------
+
+
+def product_poly_oracle(plus, minus, shift):
+    """prod_{i in plus} e_i * prod_{j in minus} (e_j - shift) by repeated
+    `Poly` products over Fractions."""
+    out = Poly.one()
+    for i in sorted(plus):
+        out = out * Poly.generator(i)
+    for j in sorted(minus):
+        out = out * (Poly.generator(j) - shift)
+    return out
+
+
+def circuit_difference_oracle(X, shift):
+    return (product_poly_oracle(X.plus, X.minus, shift)
+            - product_poly_oracle(X.minus, X.plus, shift))
+
+
+def divide_u_oracle(poly):
+    assert all(u >= 1 for (_, u) in poly.terms)
+    return Poly({(m, u - 1): c for (m, u), c in poly.terms.items()})
+
+
+def substitute_u_oracle(poly, value):
+    """The general substitution: every term times value^u, summed per
+    monomial through the checking constructor."""
+    out = {}
+    for (m, u), c in poly.terms.items():
+        out[(m, 0)] = out.get((m, 0), Fraction(0)) + c * Fraction(value)**u
+    return Poly(out)
+
+
+def rees_families_oracle(A):
+    u = Poly.u()
+    rels = [Relation(1, i, Poly.generator(i) * (Poly.generator(i) - u))
+            for i in range(A.n)]
+    rels += [Relation(2, X, product_poly_oracle(X.plus, X.minus, u))
+             for X in A.minimal_infeasible_sign_sets()]
+    rels += [Relation(3, X, divide_u_oracle(circuit_difference_oracle(X, u)))
+             for X in canonical_circuits(A)]
+    return tuple(rels)
+
+
+def leading_form_oracle(A):
+    signs, mismatches = [], []
+    for X in canonical_circuits(A):
+        top = circuit_difference_oracle(X, Poly.one()).top_e_part()
+        db = circuit_boundary(X, n=A.n)
+        if top == db:
+            signs.append((X, 1))
+        elif top == -db:
+            signs.append((X, -1))
+        else:
+            mismatches.append(X)
+    return LeadingFormReport(not mismatches, tuple(signs), tuple(mismatches))
+
+
+def assert_same_terms(got, want, what):
+    assert got.terms == want.terms, what
+    assert all(type(c) is Fraction for c in got.terms.values()), what
+
+
+def oracle_cases(corpus_map):
+    """The corpus, random seeds 1-29, braid 5, semiorder 4, boolean 6, and
+    every deletion, restriction and cone of every corpus member."""
+    cases = list(corpus_map.items())
+    cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in range(1, 30)]
+    cases += [("braid5", braid(5)), ("semiorder4", semiorder(4)),
+              ("boolean6", boolean(6))]
+    for name, A in corpus_map.items():
+        for lab in A.labels:
+            if A.n > 1:
+                cases.append((f"{name}-{lab}", delete(A, lab)))
+            cases.append((f"{name}/{lab}", restrict(A, lab)))
+        cases.append((f"cone {name}", cone(A)))
+    return cases
+
+
+def test_closed_form_families_match_poly_product_oracle(corpus_map):
+    """The closed-form families have the `Poly`-product builds' exact terms,
+    every value a Fraction: the u-families, their u = 0 and u = 1
+    specializations, the chamber-function families and the leading-form
+    check.  The 0/1 substitution equals the general one; u = 2 takes the
+    general path."""
+    cases = oracle_cases(corpus_map)
+    assert len(cases) == 136
+    for name, A in cases:
+        rels = rees_relation_families(A)
+        want = rees_families_oracle(A)
+        assert [(r.family, r.source) for r in rels] \
+            == [(r.family, r.source) for r in want], name
+        vg = vg_relation_families(A)
+        for r, w, v in zip(rels, want, vg):
+            what = (name, r.family, r.source)
+            assert_same_terms(r.poly, w.poly, what)
+            for value in (0, 1, 2):
+                general = substitute_u_oracle(r.poly, value)
+                assert_same_terms(r.poly.substitute_u(value), general, what)
+                if value < 2:
+                    assert_same_terms(specialize(r.poly, value), general, what)
+            assert_same_terms(v.poly, substitute_u_oracle(w.poly, 1), what)
+        assert leading_form_check(A) == leading_form_oracle(A), name
+
+
+def test_only_zero_and_one_take_the_trusted_constructor(monkeypatch):
+    """`substitute_u` at 0 and 1 and `divide_u` return through `Poly._of`;
+    any other value keeps the checking constructor."""
+    calls = []
+    of = Poly._of.__func__
+    monkeypatch.setattr(Poly, "_of", classmethod(
+        lambda cls, terms: calls.append(1) or of(cls, terms)))
+    e, f, u = Poly.generator(0), Poly.generator(1), Poly.u()
+    rel = e * (e - u) + u * f - Poly.u(2) * f + u  # f cancels at u = 1
+    for value, taken in ((0, 1), (1, 1), (Fraction(1, 2), 0), (2, 0)):
+        calls.clear()
+        got = rel.substitute_u(value)
+        assert len(calls) == taken, value
+        assert_same_terms(got, substitute_u_oracle(rel, value), value)
+    calls.clear()
+    assert (u * e - Poly.u(2)).divide_u() == e - u
+    assert calls == [1]
+
+
+def test_closed_form_shift_must_be_one_or_u():
+    X = canonical_circuits(braid(3))[0]
+    for shift in (Poly.u(2), Poly.constant(2), Poly.generator(0), 1):
+        with pytest.raises(ConsistencyError):
+            _product_poly(X.plus, X.minus, shift)
+        with pytest.raises(ConsistencyError):
+            _circuit_difference(X, shift)
+    with pytest.raises(ConsistencyError):
+        _circuit_difference(X, Poly.one()).divide_u()
+
+
+@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
+                                  lambda: random_rational_arrangement()],
+                         ids=["braid4", "semiorder3", "random8"])
+def test_u_families_multiply_only_the_squares(monkeypatch, make):
+    """Only family (1) multiplies polynomials: one `Poly` product per
+    hyperplane."""
+    A = make()
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    rels = rees_relation_families(A)
+    monkeypatch.undo()
+    assert len(calls) == A.n
+    assert len(rels) > A.n
+
+
+@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
+                                  lambda: random_rational_arrangement()],
+                         ids=["braid4", "semiorder3", "random8"])
+def test_relation_masks_built_once(monkeypatch, make):
+    """`verify_relations` and `presentation_dimension` at (1,2) and (1,3)
+    read one mask vector per relation, built once."""
+    A = make()
+    calls = []
+    mask_relation = arrgr.vgring._mask_relation
+    monkeypatch.setattr(arrgr.vgring, "_mask_relation",
+                        lambda poly: calls.append(1) or mask_relation(poly))
+    assert verify_relations(A).ok
+    chambers = len(A.chambers())
+    assert presentation_dimension(A) == chambers
+    assert presentation_dimension(A, (1, 3)) >= chambers
+    assert len(calls) == len(vg_relation_families(A))
