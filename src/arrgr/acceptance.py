@@ -410,10 +410,11 @@ def criterion_9() -> CriterionResult:
                     coords[b] = Fraction(rng.randint(-3, 3))
                 els.append(alg.element(coords))
             a, b, c = els
-            if (a * b).coords != (b * a).coords:
+            ab = a * b
+            if ab.coords != (b * a).coords:
                 bad.append(f"{name}: multiplication not commutative")
                 break
-            if ((a * b) * c).coords != (a * (b * c)).coords:
+            if (ab * c).coords != (a * (b * c)).coords:
                 bad.append(f"{name}: multiplication not associative")
                 break
     ok = not bad

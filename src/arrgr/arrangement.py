@@ -15,7 +15,8 @@ from fractions import Fraction
 from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import _not_exact, _primitive_row, frac, strict_feasible
+from .linalg import (SparseEchelon, _not_exact, _primitive_row, frac,
+                     strict_feasible)
 
 
 def hyperplane_key(row) -> tuple:
@@ -129,24 +130,61 @@ class Arrangement(GroundSet):
 
     def chambers(self) -> tuple:
         """All feasible sign vectors, in lexicographic order ('+' < '-').
-        The search starts from the empty prefix, feasible because the whole
-        space is nonempty."""
-        return self._memo("chambers", lambda: tuple(self._completions("")))
 
-    def _completions(self, prefix: str):
-        """Chamber sign vectors extending the feasible `prefix`, in
-        lexicographic order.  A feasible prefix's open region is nonempty,
-        so it meets at least one side of the next hyperplane: when
-        `prefix + "+"` is infeasible, `prefix + "-"` is feasible untested."""
-        if len(prefix) == self.n:
-            yield prefix
-            return
-        plus = prefix + "+"
-        if self.signs_feasible(plus):
-            yield from self._completions(plus)
-            if not self.signs_feasible(prefix + "-"):
-                return
-        yield from self._completions(prefix + "-")
+        A depth-first search over sign prefixes, each feasible prefix
+        having a nonempty open region R; Fourier-Motzkin (`strict_feasible`)
+        is the only feasibility test, asked only what three rules leave
+        open:
+
+        - *Free split.*  When form i's linear part a_i is outside the span
+          of a_0, ..., a_{i-1}, both children of every feasible prefix of
+          length i are feasible, untested: a vector v with a_j·v = 0 for
+          j < i and a_i·v != 0 moves a point of R to either side of H_i
+          without leaving R.  Depth 0 is always free.
+        - *Sibling.*  R meets at least one side of H_i, so when the '+'
+          child is infeasible the '-' child is feasible, untested.
+        - *Antipodal half.*  On a central arrangement -c is a chamber iff
+          c is, so only the chambers starting with '+' are searched and
+          their negations follow in reverse order: negation swaps '+' and
+          '-', which reverses the lexicographic order.
+        """
+        return self._memo("chambers", self._search)
+
+    def _search(self) -> tuple:
+        if self.n == 0:
+            return ("",)
+        if not self.central:
+            return tuple(self._completions(""))
+        half = self._completions("+")
+        flip = str.maketrans("+-", "-+")
+        return tuple(half + [c.translate(flip) for c in reversed(half)])
+
+    def _completions(self, start: str) -> list:
+        """Chamber sign vectors extending the feasible prefix `start`, in
+        lexicographic order: a stack pops '+' before '-'.  Depth i is a
+        free split iff form i's linear part enlarges the echelon of the
+        earlier ones."""
+        ech = SparseEchelon()
+        free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x})
+                for row in self.integer_forms()]
+        out = []
+        stack = [start]
+        while stack:
+            prefix = stack.pop()
+            i = len(prefix)
+            if i == self.n:
+                out.append(prefix)
+                continue
+            plus, minus = prefix + "+", prefix + "-"
+            if free[i]:
+                stack += (minus, plus)
+            elif self.signs_feasible(plus):
+                if self.signs_feasible(minus):
+                    stack.append(minus)
+                stack.append(plus)
+            else:
+                stack.append(minus)
+        return out
 
     def chamber_index(self, signs: str) -> int:
         lookup = self._memo("chamber_index",

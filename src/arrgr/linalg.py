@@ -11,6 +11,17 @@ vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
 second `rref`; it serves the public API and the tests, while the circuit
 scan, which needs one kernel vector per dependent extension, runs its own
 incremental integer elimination and calls only `rank` here.
+
+The chamber search asks `strict_feasible` only what three rules leave
+open (see `Arrangement.chambers`): a *free split* at a form whose linear
+part is outside the span of the earlier ones (a direction that fixes the
+earlier forms moves the prefix region to either side; the flags come from
+one `SparseEchelon` of the forms' linear parts), the *sibling* of an
+infeasible '+' child (the prefix region meets one side), and the
+*antipodal half* of a central arrangement (-c is a chamber iff c is).
+Inside `strict_feasible`, a one-signed column is dropped with its rows
+(its variable, moved far enough, satisfies them) and the last variable is
+settled by its bounds.
 """
 
 from __future__ import annotations
@@ -276,7 +287,17 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
     Q the projection step is lossless, so the answer is exact.  Rows are
     primitive integer vectors (a positive multiple represents the same
     constraint, so set membership removes duplicates), and a combination
-    -q[k]*p + p[k]*q is divided by its gcd.
+    -q[k]*p + p[k]*q is divided by its gcd.  Two steps skip work whose
+    answer is known:
+
+    - a column whose nonzero entries all have one sign has no pos x neg
+      pair, so eliminating it drops every row that uses it; all such
+      columns are dropped at once, until none is left.  Exact: from a
+      solution of the rows kept, moving each dropped column's variable far
+      enough in its column's sign satisfies every dropped row.
+    - when one variable is left, the system holds iff its largest lower
+      bound lies below its least upper bound, compared by integer
+      cross-multiplication instead of forming every pos x neg row.
     """
     work: set[tuple] = set()
     d = dim
@@ -298,20 +319,29 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
                 live.append(v)
             elif v[-1] <= 0:
                 return False
-        if not live:
-            return True
-        best = None
-        cols = list(zip(*live))
-        for k in range(len(cols) - 1):
-            col = cols[k]
-            pos = len([x for x in col if x > 0])
-            neg = len(col) - col.count(0) - pos
-            if pos == 0 and neg == 0:
-                continue
-            cost = pos * neg
-            if best is None or cost < best[0]:
-                best = (cost, k)
-        k = best[1]
+        while True:
+            if not live:
+                return True
+            cols = list(zip(*live))
+            cols.pop()  # the constants
+            one_signed = []
+            two_signed = []  # (pos * neg, column)
+            for k, col in enumerate(cols):
+                zeros = col.count(0)
+                if zeros == len(col):
+                    continue
+                pos = len([x for x in col if x > 0])
+                neg = len(col) - zeros - pos
+                if pos and neg:
+                    two_signed.append((pos * neg, k))
+                else:
+                    one_signed.append(k)
+            if not one_signed:
+                break
+            live = [v for v in live if not any([v[k] for k in one_signed])]
+        if len(two_signed) == 1:
+            return _bounds_meet(live, two_signed[0][1])
+        k = min(two_signed)[1]
         new: set[tuple] = set()
         pos_rows, neg_rows = [], []
         for v in live:
@@ -327,3 +357,20 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
             for b, q in neg_rows:
                 new.add(_divide_content([b * x + a * y for x, y in zip(p, q)]))
         work = new
+
+
+def _bounds_meet(rows, k: int) -> bool:
+    """Whether c*x + b > 0 holds for every row (c at column k, b last) at
+    some rational x, every other entry being zero and c taking both signs:
+    the largest lower bound -b/c (c > 0) must lie below the least upper
+    bound b/-c (c < 0).  Bounds are (numerator, positive denominator)
+    pairs compared by cross-multiplication."""
+    lo = hi = None
+    for v in rows:
+        c, b = v[k], v[-1]
+        if c > 0:
+            if lo is None or -b * lo[1] > lo[0] * c:
+                lo = (-b, c)
+        elif hi is None or b * hi[1] < hi[0] * -c:
+            hi = (b, -c)
+    return lo[0] * hi[1] < hi[0] * lo[1]

@@ -30,8 +30,9 @@ prod_{i in P} e_i prod_{j in M} (e_j - u^s) has one term per T in M, the
 monomial P + T with sign (-1)^|M - T| and u-power s|M - T|, and a circuit's
 difference merges its two expansions over the integers, where only the
 full-support monomial cancels.  Each chamber-function relation's mask
-vector is built once per arrangement and read by `verify_relations` and
-every `presentation_dimension` call.  The graded families in `cordovil` are
+vector is built once per arrangement, from the same integer expansions at
+u = 1, and read by `verify_relations` and every `presentation_dimension`
+call.  The graded families in `cordovil` are
 built independently, from circuit boundaries and empty flats, with `Poly`
 products.
 """
@@ -222,16 +223,22 @@ def _product_poly(plus, minus, shift) -> Poly:
     return _integer_poly(out)
 
 
+def _difference_terms(X: SignedSet, s: int) -> dict:
+    """The integer dict of the circuit's two opposite products at shift
+    u^s, the second subtracted; the cancelled full-support monomial stays
+    as a zero entry."""
+    out: dict = {}
+    _expand_into(out, X.plus, X.minus, s, 1)
+    _expand_into(out, X.minus, X.plus, s, -1)
+    return out
+
+
 def _circuit_difference(X: SignedSet, shift) -> Poly:
     """The difference of the circuit's two opposite products,
     prod_{X+} e_i prod_{X-} (e_j - shift) minus the same with X negated:
     both expansions merged over the integers, the cancelled terms (the
     full-support monomial) dropped."""
-    s = _shift_power(shift)
-    out: dict = {}
-    _expand_into(out, X.plus, X.minus, s, 1)
-    _expand_into(out, X.minus, X.plus, s, -1)
-    return _integer_poly(out)
+    return _integer_poly(_difference_terms(X, _shift_power(shift)))
 
 
 def rees_relation_families(A: Arrangement) -> tuple:
@@ -288,7 +295,7 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     monomial evaluations span all chamber functions."""
     failures = []
     chambers = A.chambers()
-    for rel, (vec, support) in zip(vg_relation_families(A), _relation_masks(A)):
+    for rel, (vec, support) in zip(rees_relation_families(A), _relation_masks(A)):
         c = _first_nonzero(A, vec, support)
         if c is not None:
             failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
@@ -305,11 +312,15 @@ def _first_nonzero_chamber(A: Arrangement, poly: Poly):
     which depends only on p & support: it is computed once per distinct
     restriction, and the restrictions seen with value zero are skipped.
     """
-    return _first_nonzero(A, *_mask_relation(poly))
+    return _first_nonzero(A, *_mask_relation(poly.terms))
 
 
 def _first_nonzero(A: Arrangement, vec: dict, support: int):
-    """`_first_nonzero_chamber` on a relation's mask vector and support."""
+    """`_first_nonzero_chamber` on a relation's mask vector and support.
+    An empty mask vector (a relation that is zero modulo the squares, as
+    every family-(1) relation) is zero everywhere: no chamber is read."""
+    if not vec:
+        return None
     zero_points = set()
     for c, p in enumerate(_plus_masks(A)):
         t = p & support
@@ -330,22 +341,24 @@ def _subset_masks(indices):
     return masks
 
 
-def _poly_to_mask_vector(poly: Poly) -> dict:
+def _mask_vector(terms: dict) -> dict:
+    """u-free terms {(monomial, 0): coefficient} modulo e_i^2 - e_i, as
+    {subset bitmask: coefficient} with the zero sums dropped."""
     vec: dict = {}
-    for (emon, uexp), coeff in poly.terms.items():
+    for (emon, uexp), coeff in terms.items():
         if uexp:
             raise ConsistencyError("a chamber-function relation carries u")
         mask = _mask(emon)
-        vec[mask] = vec.get(mask, Fraction(0)) + coeff
+        vec[mask] = vec.get(mask, 0) + coeff
     return {m: c for m, c in vec.items() if c}
 
 
-def _mask_relation(poly: Poly) -> tuple:
-    """(mask vector, support) of a u-free polynomial modulo e_i^2 - e_i:
-    its terms as {subset bitmask: integer coefficient}, scaled by the
-    common denominator (a positive scalar, so every zero is kept), and the
-    union of the term masks."""
-    vec = _poly_to_mask_vector(poly)
+def _mask_relation(terms: dict) -> tuple:
+    """(mask vector, support) of u-free terms (a `Poly`'s `terms`, or an
+    integer dict) modulo e_i^2 - e_i: {subset bitmask: integer
+    coefficient}, scaled by the common denominator (a positive scalar, so
+    every zero is kept), and the union of the term masks."""
+    vec = _mask_vector(terms)
     den = lcm(*(c.denominator for c in vec.values()))
     support = 0
     for m in vec:
@@ -353,12 +366,27 @@ def _mask_relation(poly: Poly) -> tuple:
     return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}, support
 
 
+def _terms_at_one(rel: Relation) -> dict:
+    """The u = 1 terms of a relation of `rees_relation_families` as an
+    integer dict, from the closed forms with shift 1 (u^0): dividing a
+    family-(3) difference by u changes nothing at u = 1."""
+    if rel.family == 1:
+        i = rel.source
+        return {((i, i), 0): 1, ((i,), 0): -1}  # e_i^2 - e_i
+    if rel.family == 2:
+        out: dict = {}
+        _expand_into(out, rel.source.plus, rel.source.minus, 0, 1)
+        return out
+    return _difference_terms(rel.source, 0)
+
+
 def _relation_masks(A: Arrangement) -> tuple:
-    """`_mask_relation` of every relation of `vg_relation_families(A)`, in
-    its order: built once, read by `verify_relations` and by every
-    `presentation_dimension` call."""
+    """`_mask_relation` of every relation at u = 1, in the order of
+    `rees_relation_families` (which `vg_relation_families` keeps): built
+    once from the integer closed forms, with no `Fraction`, and read by
+    `verify_relations` and by every `presentation_dimension` call."""
     return A._memo("relation_masks", lambda: tuple(
-        _mask_relation(rel.poly) for rel in vg_relation_families(A)))
+        _mask_relation(_terms_at_one(rel)) for rel in rees_relation_families(A)))
 
 
 def _value_at(vec: dict, t: int) -> int:
@@ -376,7 +404,7 @@ def _common_zeros(A: Arrangement, families) -> list:
     is evaluated once at each sub-mask t of S.
     """
     zeros = range(2**A.n)
-    for rel, (vec, support) in zip(vg_relation_families(A), _relation_masks(A)):
+    for rel, (vec, support) in zip(rees_relation_families(A), _relation_masks(A)):
         if rel.family == 1 or rel.family not in families:
             continue
         points = _subset_masks([i for i in range(A.n) if support >> i & 1])

@@ -16,9 +16,10 @@ from arrgr.cordovil import minimal_empty_flat_subsets
 from arrgr.corpus import (corpus, parallel_pair, random_rational_arrangement,
                           single_hyperplane)
 from arrgr.errors import DuplicateFormError, InputError
-from arrgr.linalg import strict_feasible
+from arrgr.linalg import rank, strict_feasible
 from arrgr.rees import rees_relation_families
 from arrgr.vgring import filtration_data, vg_relation_families
+from test_linalg import fourier_motzkin_oracle
 
 
 def test_build_point_in_a_line():
@@ -225,11 +226,13 @@ def test_chambers_lexicographic_and_exhaustive(corpus_map):
 
 def two_sided_chambers_oracle(A):
     """Chambers by a search that tests both children of every feasible
-    prefix with Fourier-Motzkin on the forms as given, in the order '+'
-    then '-'."""
+    prefix with plain Fourier-Motzkin elimination (`fourier_motzkin_oracle`)
+    on the forms as given, in the order '+' then '-': no free split, no
+    sibling inference, no antipodal half."""
     def feasible(prefix):
-        return strict_feasible([(f.linear, f.constant, 1 if s == "+" else -1)
-                                for f, s in zip(A.forms, prefix)], dim=A.dim)
+        return fourier_motzkin_oracle(
+            [(f.linear, f.constant, 1 if s == "+" else -1)
+             for f, s in zip(A.forms, prefix)], dim=A.dim)
 
     def walk(prefix):
         if len(prefix) == A.n:
@@ -244,9 +247,39 @@ def two_sided_chambers_oracle(A):
 def test_chambers_match_two_sided_oracle(corpus_map):
     cases = list(corpus_map.items())
     cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in (1, 2, 3)]
-    cases.append(("semiorder4", semiorder(4)))
+    cases += [("semiorder4", semiorder(4)), ("braid5", braid(5)),
+              ("boolean7", boolean(7)),
+              ("cone_random8", cone(random_rational_arrangement()))]
     for name, A in cases:
         assert A.chambers() == two_sided_chambers_oracle(A), name
+
+
+def test_chamber_search_tests_only_open_questions(monkeypatch):
+    """Fourier-Motzkin is asked only at depths whose form is not a free
+    split, and on a central arrangement only under the prefix '+', whose
+    chambers' negations, reversed, are the rest: a boolean arrangement
+    needs no test at all."""
+    asked = []
+    signs_feasible = Arrangement.signs_feasible
+    monkeypatch.setattr(Arrangement, "signs_feasible",
+                        lambda self, signs: asked.append(signs)
+                        or signs_feasible(self, signs))
+    assert len(boolean(7).chambers()) == 128
+    assert asked == []
+    A = braid(5)
+    free = [i for i in range(A.n) if rank([f.linear for f in A.forms[:i + 1]])
+            > rank([f.linear for f in A.forms[:i]])]
+    chambers = A.chambers()
+    assert len(chambers) == 120 and asked
+    assert all(len(p) - 1 not in free and p[0] == "+" for p in asked)
+    assert chambers[60:] == tuple(c.translate(str.maketrans("+-", "-+"))
+                                  for c in reversed(chambers[:60]))
+    asked.clear()
+    cone(random_rational_arrangement()).chambers()
+    assert asked and all(p[0] == "+" for p in asked)
+    asked.clear()
+    random_rational_arrangement().chambers()  # affine: both halves searched
+    assert any(p[0] == "-" for p in asked)
 
 
 def test_chamber_deletion_restriction_count(corpus_map):

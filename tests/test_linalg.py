@@ -9,8 +9,8 @@ import pytest
 from arrgr.arrangement import AffineForm, braid, semiorder
 from arrgr.cordovil import AlgebraElement, CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
-from arrgr.linalg import (SparseEchelon, _integer_rref, _primitive_row,
-                          affine_system_consistent, frac, rank,
+from arrgr.linalg import (SparseEchelon, _divide_content, _integer_rref,
+                          _primitive_row, affine_system_consistent, frac, rank,
                           rank_and_kernel, rref, solve_square, strict_feasible)
 from arrgr.polyring import Poly
 from arrgr.vgring import filtration_data, monomial_eval
@@ -343,6 +343,104 @@ def test_strict_feasible_matches_fraction_oracle():
                 assert scale > 0
                 assert all(scale * x == y for x, y in zip(prim, coeffs + (const,)))
     assert answers.count(True) >= 100 and answers.count(False) >= 100
+
+
+def fourier_motzkin_oracle(constraints, dim=None):
+    """Plain Fourier-Motzkin elimination on primitive integer rows: every
+    round eliminates the column with the fewest pos x neg pairs and forms
+    all of them, one-signed columns one at a time and the last variable
+    too.  `strict_feasible` drops the one-signed columns at once and
+    settles the last variable by its bounds; this is what it is checked
+    against.  Its rows multiply quickly, so it runs on small systems."""
+    work = set()
+    d = dim
+    for coeffs, const, sgn in constraints:
+        coeffs = tuple(coeffs)
+        if d is None:
+            d = len(coeffs)
+        elif len(coeffs) != d:
+            raise InputError("constraint rows have unequal lengths")
+        if sgn not in (1, -1):
+            raise InputError("constraint sign must be +1 or -1")
+        row = _primitive_row(coeffs + (const,))
+        work.add(row if sgn > 0 else tuple(-x for x in row))
+    while True:
+        live = []
+        for v in work:
+            if any(v[:-1]):
+                live.append(v)
+            elif v[-1] <= 0:
+                return False
+        if not live:
+            return True
+        best = None
+        cols = list(zip(*live))
+        for k in range(len(cols) - 1):
+            pos = len([x for x in cols[k] if x > 0])
+            neg = len([x for x in cols[k] if x < 0])
+            if (pos or neg) and (best is None or pos * neg < best[0]):
+                best = (pos * neg, k)
+        k = best[1]
+        new = set()
+        pos_rows, neg_rows = [], []
+        for v in live:
+            c, rest = v[k], v[:k] + v[k + 1:]
+            if c == 0:
+                new.add(rest)
+            elif c > 0:
+                pos_rows.append((c, rest))
+            else:
+                neg_rows.append((-c, rest))
+        for a, p in pos_rows:
+            for b, q in neg_rows:
+                new.add(_divide_content([b * x + a * y for x, y in zip(p, q)]))
+        work = new
+
+
+def _small_strict_system(rng):
+    """A strict system in dimension 1-3 with 0-7 rows of rational entries
+    (non-unit denominators), some columns zero in every row."""
+    d = rng.randint(1, 3)
+    zero_cols = {k for k in range(d) if rng.random() < 0.2}
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        coeffs = tuple(Fraction(0) if k in zero_cols else _entry_or_zero(rng)
+                       for k in range(d))
+        rows.append((coeffs, _entry_or_zero(rng), rng.choice((1, -1))))
+    return d, rows
+
+
+def test_strict_feasible_matches_fourier_motzkin_oracle(monkeypatch):
+    """Dropping one-signed columns at once and settling the last variable
+    by its bounds give plain elimination's answer; both shortcuts fire,
+    and the bounds step answers both ways."""
+    import arrgr.linalg
+    settled = Counter()
+    bounds_meet = arrgr.linalg._bounds_meet
+
+    def counted(rows, k):
+        answer = bounds_meet(rows, k)
+        settled[answer] += 1
+        return answer
+
+    monkeypatch.setattr(arrgr.linalg, "_bounds_meet", counted)
+    rng = random.Random(2121)
+    answers = Counter()
+    for _ in range(800):
+        d, rows = _small_strict_system(rng)
+        got = strict_feasible(rows, dim=d)
+        assert got == fourier_motzkin_oracle(rows, dim=d), rows
+        assert strict_feasible(rows) == got  # dim read off the rows
+        answers[d, got] += 1
+    assert all(answers[d, v] >= 30 for d in (1, 2, 3) for v in (True, False)), answers
+    assert settled[True] >= 30 and settled[False] >= 30, settled
+    assert strict_feasible([]) and fourier_motzkin_oracle([])
+    assert strict_feasible([], dim=None) and strict_feasible([], dim=3)
+    # a one-signed column dropped with its rows leaves an infeasible pair
+    assert not strict_feasible([((1, 5), 0, 1), ((0, 1), 0, 1), ((0, 1), 0, -1)])
+    for bad in (0.5, True):
+        with pytest.raises(InputError):
+            strict_feasible([((1, bad), 0, 1), ((1, 0), 1, -1)])
 
 
 def test_affine_system_consistent():

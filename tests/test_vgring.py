@@ -21,7 +21,8 @@ from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           presentation_dimension, vg_relation_families,
                           verify_relations, _chamber_keys, _circuit_difference,
                           _common_zeros, _first_nonzero_chamber,
-                          _poly_to_mask_vector, _product_poly)
+                          _mask_relation, _mask_vector, _product_poly,
+                          _relation_masks)
 
 
 def evaluate_on_chambers(A, poly):
@@ -233,6 +234,23 @@ def test_verify_relations_matches_chamber_scan_oracle(corpus_map):
     want = first_nonzero_oracle(S, bogus)
     assert want is not None
     assert _first_nonzero_chamber(S, bogus) == want
+    # single terms, and polynomials that are zero modulo the squares
+    e = Poly.generator
+    for poly in [e(i) for i in range(S.n)] + [e(0) * e(4), Poly.zero(),
+                                              e(2) * e(2) - e(2)]:
+        assert _first_nonzero_chamber(S, poly) == first_nonzero_oracle(S, poly), poly
+
+
+def test_relation_masks_match_the_vg_polynomials(corpus_map):
+    """The mask vectors built from the integer closed forms at u = 1 equal
+    those of the `vg_relation_families` polynomials, term for term."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+                 **{f"random{k}": random_rational_arrangement(seed=k)
+                    for k in range(1, 5)})
+    for name, A in cases.items():
+        want = tuple(_mask_relation(rel.poly.terms) for rel in vg_relation_families(A))
+        assert _relation_masks(A) == want, name
+        assert all(type(c) is int for vec, _ in _relation_masks(A) for c in vec.values())
 
 
 def evaluate_on_chambers_oracle(A, poly):
@@ -294,7 +312,7 @@ def full_multiples_rank(A, families):
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec = _poly_to_mask_vector(rel.poly.squarefree_reduce())
+        vec = _mask_vector(rel.poly.squarefree_reduce().terms)
         for mask in range(2**A.n):
             prod = {}
             for m, c in vec.items():
