@@ -15,8 +15,8 @@ from fractions import Fraction
 from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
 from .errors import ConsistencyError, DuplicateFormError, InputError
-from .linalg import (SparseEchelon, _not_exact, _primitive_row, frac,
-                     strict_feasible)
+from .linalg import (SparseEchelon, _divide_content, _not_exact, _primitive_row,
+                     frac, strict_feasible)
 
 
 def hyperplane_key(row) -> tuple:
@@ -120,10 +120,22 @@ class Arrangement(GroundSet):
 
     def sign_constraints(self, signs) -> list:
         """Strict constraints 'sign_i w_i > 0' for a (partial) sign word,
-        each w_i given by its integer form."""
+        each w_i given by its integer form.  A sign is '+' or 1, '-' or -1;
+        any other sign, or a word longer than the form list, is an
+        `InputError`."""
         rows = self.integer_forms()
-        return [(rows[i][:-1], rows[i][-1], 1 if s in ("+", 1) else -1)
-                for i, s in enumerate(signs)]
+        signs = tuple(signs)
+        if len(signs) > len(rows):
+            raise InputError(f"sign word of length {len(signs)} for "
+                             f"{len(rows)} forms")
+        word = []
+        for i, s in enumerate(signs):
+            try:
+                word.append(_SIGNS[s])
+            except (KeyError, TypeError):  # TypeError: unhashable
+                raise InputError(f"sign {s!r} at position {i} is not "
+                                 "'+', '-', 1 or -1") from None
+        return _signed([(row[:-1], row[-1]) for row in rows], word)
 
     def signs_feasible(self, signs) -> bool:
         return strict_feasible(self.sign_constraints(signs), dim=self.dim)
@@ -141,8 +153,13 @@ class Arrangement(GroundSet):
           length i are feasible, untested: a vector v with a_j·v = 0 for
           j < i and a_i·v != 0 moves a point of R to either side of H_i
           without leaving R.  Depth 0 is always free.
-        - *Sibling.*  R meets at least one side of H_i, so when the '+'
-          child is infeasible the '-' child is feasible, untested.
+        - *Cut.*  At any other depth one test in dim - 1 variables asks
+          whether R meets H_i (the prefix's forms restricted to H_i, see
+          `_cut_rows`).  If it does, both children are feasible, untested:
+          a point of R on H_i has both sides of H_i within R.  If it does
+          not, R lies on one side (a segment in R between the sides would
+          cross H_i): the '+' child is tested, and the '-' child is taken
+          when the '+' child is infeasible.
         - *Antipodal half.*  On a central arrangement -c is a chamber iff
           c is, so only the chambers starting with '+' are searched and
           their negations follow in reverse order: negation swaps '+' and
@@ -163,24 +180,26 @@ class Arrangement(GroundSet):
         """Chamber sign vectors extending the feasible prefix `start`, in
         lexicographic order: a stack pops '+' before '-'.  Depth i is a
         free split iff form i's linear part enlarges the echelon of the
-        earlier ones."""
+        earlier ones; every other depth gets its cut rows, built once."""
+        rows = self.integer_forms()
+        sides = [(row[:-1], row[-1]) for row in rows]
         ech = SparseEchelon()
-        free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x})
-                for row in self.integer_forms()]
+        cuts = [None if ech.add({k: x for k, x in enumerate(row[:-1]) if x})
+                else _cut_rows(rows, i) for i, row in enumerate(rows)]
+        n, cut_dim = self.n, self.dim - 1
         out = []
         stack = [start]
         while stack:
             prefix = stack.pop()
             i = len(prefix)
-            if i == self.n:
+            if i == n:
                 out.append(prefix)
                 continue
             plus, minus = prefix + "+", prefix + "-"
-            if free[i]:
+            cut = cuts[i]
+            if cut is None or strict_feasible(_signed(cut, prefix), dim=cut_dim):
                 stack += (minus, plus)
-            elif self.signs_feasible(plus):
-                if self.signs_feasible(minus):
-                    stack.append(minus)
+            elif strict_feasible(_signed(sides, plus), dim=self.dim):
                 stack.append(plus)
             else:
                 stack.append(minus)
@@ -224,6 +243,39 @@ class Arrangement(GroundSet):
     def _read_minimal_infeasible(self) -> tuple:
         C, identities = circuit_scan(self)
         return tuple(sorted(C.circuits + identities, key=_plus_first))
+
+
+_SIGNS = {"+": "+", 1: "+", "-": "-", -1: "-"}
+
+
+def _signed(pairs, word) -> list:
+    """The constraints (linear, constant, ±1) of a '+'/'-' word over its
+    first len(word) (linear, constant) pairs."""
+    return [(lin, c, 1 if s == "+" else -1) for (lin, c), s in zip(pairs, word)]
+
+
+def _cut_rows(rows, i: int) -> list:
+    """The integer forms rows[0..i-1] restricted to H_i = {rows[i] = 0}, as
+    primitive (linear, constant) pairs in dim - 1 variables.
+
+    With p the first nonzero coordinate of H_i's form a·v + c, substituting
+    v_p = -(c + sum_{k != p} a_k v_k) / a_p into b·v + d gives 1/a_p times
+    the row (a_p b_k - b_p a_k for k != p; a_p d - b_p c).  Multiplied by
+    the sign of a_p and divided by its content, it is a positive multiple
+    of the restricted form, so each sign constraint keeps its side.
+    """
+    a = rows[i]
+    p = next(k for k, x in enumerate(a[:-1]) if x)
+    ap = a[p]
+    if ap < 0:
+        a, ap = tuple(-x for x in a), -ap
+    out = []
+    for b in rows[:i]:
+        bp = b[p]
+        row = _divide_content([ap * y - bp * x for k, (x, y) in
+                               enumerate(zip(a, b)) if k != p])
+        out.append((row[:-1], row[-1]))
+    return out
 
 
 def _plus_first(X: SignedSet) -> tuple:

@@ -16,9 +16,11 @@ The chamber search asks `strict_feasible` only what three rules leave
 open (see `Arrangement.chambers`): a *free split* at a form whose linear
 part is outside the span of the earlier ones (a direction that fixes the
 earlier forms moves the prefix region to either side; the flags come from
-one `SparseEchelon` of the forms' linear parts), the *sibling* of an
-infeasible '+' child (the prefix region meets one side), and the
-*antipodal half* of a central arrangement (-c is a chamber iff c is).
+one `SparseEchelon` of the forms' linear parts), the *cut* at any other
+form, one test in dim - 1 variables of whether the prefix region meets
+its hyperplane (if so both children are feasible; if not the region lies
+on one side and only the '+' child is tested), and the *antipodal half*
+of a central arrangement (-c is a chamber iff c is).
 Inside `strict_feasible`, a one-signed column is dropped with its rows
 (its variable, moved far enough, satisfies them) and the last variable is
 settled by its bounds.
@@ -35,6 +37,7 @@ from .errors import ConsistencyError, InputError
 
 
 _ZERO = Fraction(0)
+_INT = frozenset({int})  # `_primitive_row`'s fast path: all entries int
 
 
 def frac(x) -> Fraction:
@@ -260,7 +263,7 @@ class SparseEchelon:
         return not self.reduce(vec)
 
 
-def _divide_content(row: list) -> tuple:
+def _divide_content(row) -> tuple:
     """An integer row divided by the gcd of its entries (a positive scalar,
     so the sign pattern is kept); the zero row stays zero."""
     g = gcd(*row)
@@ -270,8 +273,8 @@ def _divide_content(row: list) -> tuple:
 def _primitive_row(values) -> tuple:
     """The primitive integer positive multiple of a rational row: scaled by
     the lcm of its denominators, then divided by its content."""
-    row = list(values)
-    if not all(type(x) is int for x in row):
+    row = tuple(values)
+    if not _INT.issuperset(map(type, row)):
         vals = [frac(x) for x in row]
         den = lcm(*(x.denominator for x in vals))
         row = [x.numerator * (den // x.denominator) for x in vals]

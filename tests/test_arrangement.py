@@ -1,22 +1,25 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from arrgr.arrangement import (AffineForm, Arrangement, arrangement_from_json,
-                               arrangement_to_json, boolean, braid, cone,
-                               delete, hyperplane_key, load_arrangement,
-                               restrict, restrict_with_map, save_arrangement,
-                               semiorder)
+import arrgr.arrangement
+from arrgr.arrangement import (AffineForm, Arrangement, _cut_rows, _signed,
+                               arrangement_from_json, arrangement_to_json,
+                               boolean, braid, cone, delete, hyperplane_key,
+                               load_arrangement, restrict, restrict_with_map,
+                               save_arrangement, semiorder)
 from arrgr.circuits import (SignedSet, circuits_from_arrangement, nbc_counts,
                             nbc_sets)
 from arrgr.cordovil import minimal_empty_flat_subsets
-from arrgr.corpus import (corpus, parallel_pair, random_rational_arrangement,
-                          single_hyperplane)
+from arrgr.corpus import (corpus, generic_three_lines, parallel_pair,
+                          random_rational_arrangement, single_hyperplane)
 from arrgr.errors import DuplicateFormError, InputError
-from arrgr.linalg import rank, strict_feasible
+from arrgr.linalg import (SparseEchelon, _primitive_row, rank,
+                          strict_feasible)
 from arrgr.rees import rees_relation_families
 from arrgr.vgring import filtration_data, vg_relation_families
 from test_linalg import fourier_motzkin_oracle
@@ -254,32 +257,191 @@ def test_chambers_match_two_sided_oracle(corpus_map):
         assert A.chambers() == two_sided_chambers_oracle(A), name
 
 
-def test_chamber_search_tests_only_open_questions(monkeypatch):
-    """Fourier-Motzkin is asked only at depths whose form is not a free
-    split, and on a central arrangement only under the prefix '+', whose
-    chambers' negations, reversed, are the rest: a boolean arrangement
-    needs no test at all."""
-    asked = []
-    signs_feasible = Arrangement.signs_feasible
-    monkeypatch.setattr(Arrangement, "signs_feasible",
-                        lambda self, signs: asked.append(signs)
-                        or signs_feasible(self, signs))
-    assert len(boolean(7).chambers()) == 128
-    assert asked == []
-    A = braid(5)
-    free = [i for i in range(A.n) if rank([f.linear for f in A.forms[:i + 1]])
+def sibling_search_oracle(A):
+    """Chambers by the search before the cut test: a stack pops '+' before
+    '-'; a depth whose form's linear part enlarges the echelon of the
+    earlier ones pushes both children untested, any other depth tests the
+    '+' child, then the '-' child only when the '+' child is feasible (the
+    prefix region meets one side).  Both halves are searched: no
+    antipodal half."""
+    ech = SparseEchelon()
+    free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x})
+            for row in A.integer_forms()]
+    out = []
+    stack = [""]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix)
+        if i == A.n:
+            out.append(prefix)
+            continue
+        plus, minus = prefix + "+", prefix + "-"
+        if free[i]:
+            stack += (minus, plus)
+        elif A.signs_feasible(plus):
+            if A.signs_feasible(minus):
+                stack.append(minus)
+            stack.append(plus)
+        else:
+            stack.append(minus)
+    return tuple(out)
+
+
+def test_chambers_match_sibling_search_oracle(corpus_map):
+    cases = list(corpus_map.items())
+    cases += [(f"cone_{name}", cone(A)) for name, A in corpus_map.items()]
+    cases += [("braid5", braid(5)), ("braid6", braid(6)),
+              ("semiorder4", semiorder(4)), ("boolean7", boolean(7)),
+              ("boolean8", boolean(8))]
+    cases += [(f"random{s}", random_rational_arrangement(seed=s))
+              for s in range(1, 40)]
+    cases += [(f"random{s}_9_4", random_rational_arrangement(seed=s, n=9, d=4))
+              for s in range(1, 10)]
+    for name, A in cases:
+        assert A.chambers() == sibling_search_oracle(A), name
+
+
+def _free_depths(A):
+    return [i for i in range(A.n) if rank([f.linear for f in A.forms[:i + 1]])
             > rank([f.linear for f in A.forms[:i]])]
-    chambers = A.chambers()
+
+
+def test_cut_rows_are_the_forms_restricted_to_the_hyperplane():
+    """Row j of depth i is the primitive positive multiple of w_j on H_i,
+    parametrized by every coordinate but the first one p with a_p != 0:
+    v_p = -(c + sum_{k != p} a_k v_k) / a_p.  The restricted affine form is
+    read off its values at the origin and the unit vectors."""
+    cases = [braid(4), semiorder(3), boolean(3), cone(semiorder(2))]
+    cases += [random_rational_arrangement(seed=s) for s in (1, 2, 3)]
+    cases += [random_rational_arrangement(seed=s, n=9, d=4) for s in (1, 2)]
+    checked = 0
+    for A in cases:
+        rows = A.integer_forms()
+        free = _free_depths(A)
+        for i, f in enumerate(A.forms):
+            if i in free:
+                continue
+            p = next(k for k, x in enumerate(f.linear) if x)
+
+            def lift(u):
+                v = list(u[:p]) + [Fraction(0)] + list(u[p:])
+                v[p] = -(f.constant + sum(a * x for a, x in zip(f.linear, v))) / f.linear[p]
+                return v
+
+            points = [[Fraction(0)] * (A.dim - 1)]
+            points += [[Fraction(int(k == m)) for k in range(A.dim - 1)]
+                       for m in range(A.dim - 1)]
+            cut = _cut_rows(rows, i)
+            assert len(cut) == i
+            for g, (lin, c) in zip(A.forms, cut):
+                values = [sum(a * x for a, x in zip(g.linear, lift(u))) + g.constant
+                          for u in points]
+                restricted = [x - values[0] for x in values[1:]] + [values[0]]
+                assert lin + (c,) == _primitive_row(restricted), (A, i)
+                assert all(type(x) is int for x in lin + (c,))
+                checked += 1
+    assert checked > 150
+
+
+def test_cut_answers_whether_both_children_are_feasible():
+    """For feasible prefixes at depths that are not free splits, the cut
+    test in dim - 1 variables is true exactly when both children are
+    feasible under plain Fourier-Motzkin elimination, and when it is false
+    exactly one child is."""
+    def feasible(A, word):
+        return fourier_motzkin_oracle(
+            [(f.linear, f.constant, 1 if s == "+" else -1)
+             for f, s in zip(A.forms, word)], dim=A.dim)
+
+    rng = random.Random(2222)
+    cases = [braid(4), semiorder(3), boolean(3), generic_three_lines(),
+             parallel_pair(), cone(semiorder(2)), braid(5)]
+    cases += [random_rational_arrangement(seed=s) for s in range(1, 9)]
+    cases += [random_rational_arrangement(seed=s, n=9, d=4) for s in (1, 2)]
+    answers = Counter()
+    for A in cases:
+        rows = A.integer_forms()
+        chambers = A.chambers()
+        depths = [i for i in range(A.n) if i not in _free_depths(A)]
+        if not depths:
+            continue
+        for _ in range(40):
+            i = rng.choice(depths)
+            prefix = rng.choice(chambers)[:i]
+            cut = strict_feasible(_signed(_cut_rows(rows, i), prefix), dim=A.dim - 1)
+            plus, minus = feasible(A, prefix + "+"), feasible(A, prefix + "-")
+            assert cut == (plus and minus), (A, prefix)
+            assert plus or minus
+            answers[cut] += 1
+    assert answers[True] >= 50 and answers[False] >= 50, answers
+
+
+def test_chamber_search_tests_only_open_questions(monkeypatch):
+    """Fourier-Motzkin is asked nothing at a free split.  Every other node
+    asks one cut question in dim - 1 variables and, only when it is false,
+    one question in dim variables about its '+' child.  On a central
+    arrangement only prefixes under '+' are asked, whose chambers'
+    negations, reversed, are the rest: a boolean arrangement needs no test
+    at all.  The search never goes through `sign_constraints`."""
+    asked = []  # (dim, sign word, answer)
+
+    def recorded(constraints, dim=None):
+        answer = strict_feasible(constraints, dim=dim)
+        asked.append((dim, "".join("+" if s > 0 else "-" for *_, s in constraints),
+                      answer))
+        return answer
+
+    def refused(self, signs):
+        raise AssertionError("the search validated a sign word")
+
+    monkeypatch.setattr(arrgr.arrangement, "strict_feasible", recorded)
+    monkeypatch.setattr(Arrangement, "sign_constraints", refused)
+
+    def check(A, halves):
+        asked.clear()
+        chambers = A.chambers()
+        free = _free_depths(A)
+        nodes = sorted({c[:i] for c in chambers for i in range(A.n)
+                        if i not in free and c[0] in halves})
+        assert sorted(w for d, w, _ in asked if d == A.dim - 1) == nodes
+        for k, (d, word, _) in enumerate(asked):
+            if d == A.dim:
+                assert word[-1] == "+" and asked[k - 1] == (A.dim - 1, word[:-1], False)
+            else:
+                assert d == A.dim - 1
+                assert asked[k][2] or asked[k + 1][:2] == (A.dim, word + "+")
+        return chambers
+
+    assert len(check(boolean(7), "+")) == 128 and asked == []
+    chambers = check(braid(5), "+")
     assert len(chambers) == 120 and asked
-    assert all(len(p) - 1 not in free and p[0] == "+" for p in asked)
+    assert any(answer for _, _, answer in asked)
+    assert any(d == 5 for d, _, _ in asked)
     assert chambers[60:] == tuple(c.translate(str.maketrans("+-", "-+"))
                                   for c in reversed(chambers[:60]))
-    asked.clear()
-    cone(random_rational_arrangement()).chambers()
-    assert asked and all(p[0] == "+" for p in asked)
-    asked.clear()
-    random_rational_arrangement().chambers()  # affine: both halves searched
-    assert any(p[0] == "-" for p in asked)
+    check(cone(random_rational_arrangement()), "+")
+    check(semiorder(3), "+-")  # affine: both halves searched
+    assert any(w[0] == "-" for _, w, _ in asked)
+    check(random_rational_arrangement(seed=3, n=9, d=4), "+-")
+    check(Arrangement(1, [((1,), 0), ((1,), -1), ((1,), 2)]), "+-")
+
+
+def test_sign_words_are_checked():
+    """A sign is '+' or 1, '-' or -1; anything else, or a word longer than
+    the form list, is a one-line InputError, not a silent '-'."""
+    A = braid(3)
+    assert A.sign_constraints([1, -1, 1]) == A.sign_constraints("+-+")
+    assert A.signs_feasible("++") and not A.signs_feasible("+-+")
+    assert A.sign_constraints("") == []
+    cases = [("+x+", "sign 'x' at position 1 is not '+', '-', 1 or -1"),
+             ([1, -1, 5], "sign 5 at position 2 is not '+', '-', 1 or -1"),
+             ([[1]], "sign [1] at position 0 is not '+', '-', 1 or -1"),
+             ("++++", "sign word of length 4 for 3 forms")]
+    for word, message in cases:
+        for call in (A.sign_constraints, A.signs_feasible):
+            with pytest.raises(InputError) as info:
+                call(word)
+            assert str(info.value) == message
 
 
 def test_chamber_deletion_restriction_count(corpus_map):
