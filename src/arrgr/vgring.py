@@ -8,9 +8,18 @@ generators.  Ideal-theoretic questions about the presentation are answered
 on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
 2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
 so no Groebner basis and no elimination over monomial multiples is needed.
-The relations are checked on the chambers the same way: a relation's value
-at a chamber depends only on the chamber's plus-mask restricted to the
-relation's support, so it is evaluated once per distinct restriction.
+
+Each relation at u = 1 is held once per arrangement as (support, nonzero):
+the union of its term masks, and the sub-masks of the support at which it
+is nonzero, all values from one zeta transform over the support bits.  Its
+value at a point s of the cube, or at a chamber's plus-mask, is its value
+at s & support, so both halves of the presentation theorem read the same
+sets.  The relation check fails a relation at the first chamber whose
+restricted plus-mask is a nonzero point.  The presentation count grows the
+common zeros one hyperplane at a time and drops a point as soon as a
+relation whose support ends at that hyperplane is nonzero there; the
+points kept are the common zeros of the relations seen so far, so the work
+follows the output instead of the 2^n cube.
 
 The filtration is an exact echelon of the monomials' 0/1 chamber columns.
 A column enters as an integer dict keyed by chamber plus-count, the rank of
@@ -29,12 +38,10 @@ are expanded in closed form, with no polynomial products: the product
 prod_{i in P} e_i prod_{j in M} (e_j - u^s) has one term per T in M, the
 monomial P + T with sign (-1)^|M - T| and u-power s|M - T|, and a circuit's
 difference merges its two expansions over the integers, where only the
-full-support monomial cancels.  Each chamber-function relation's mask
-vector is built once per arrangement, from the same integer expansions at
-u = 1, and read by `verify_relations` and every `presentation_dimension`
-call.  The graded families in `cordovil` are
-built independently, from circuit boundaries and empty flats, with `Poly`
-products.
+full-support monomial cancels.  The (support, nonzero) sets are built
+from the same integer expansions at u = 1, with no `Poly`.  The graded
+families in `cordovil` are built independently, from circuit boundaries
+and empty flats, with `Poly` products.
 """
 
 from __future__ import annotations
@@ -42,11 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .arrangement import Arrangement
 from .circuits import SignedSet, _mask, canonical_circuits
-from .errors import ConsistencyError, ResourceBoundError
+from .errors import ConsistencyError, InputError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
 
@@ -292,53 +298,24 @@ class RelationCheck:
 
 def verify_relations(A: Arrangement) -> RelationCheck:
     """Evaluate every generated relation on the chambers and check that the
-    monomial evaluations span all chamber functions."""
+    monomial evaluations span all chamber functions.
+
+    A relation fails at the first chamber whose plus-mask, restricted to
+    the relation's support, is a point where the relation is nonzero; a
+    relation with no such point (as every family-(1) relation) reads no
+    chamber."""
     failures = []
     chambers = A.chambers()
-    for rel, (vec, support) in zip(rees_relation_families(A), _relation_masks(A)):
-        c = _first_nonzero(A, vec, support)
+    plus = _plus_masks(A)
+    for rel, (support, nonzero) in zip(rees_relation_families(A), _relation_nonzeros(A)):
+        if not nonzero:
+            continue
+        c = next((c for c, p in enumerate(plus) if p & support in nonzero), None)
         if c is not None:
             failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
     span = filtration_profile(A).dims[-1] if A.n else len(chambers)
     ok = not failures and span == len(chambers)
     return RelationCheck(ok, span, len(chambers), tuple(failures))
-
-
-def _first_nonzero_chamber(A: Arrangement, poly: Poly):
-    """The index of the first chamber, in the chamber order, where the
-    u-free `poly` is nonzero under the Heaviside substitution, or None.
-
-    The value at a chamber is the relation's value at its plus-mask p,
-    which depends only on p & support: it is computed once per distinct
-    restriction, and the restrictions seen with value zero are skipped.
-    """
-    return _first_nonzero(A, *_mask_relation(poly.terms))
-
-
-def _first_nonzero(A: Arrangement, vec: dict, support: int):
-    """`_first_nonzero_chamber` on a relation's mask vector and support.
-    An empty mask vector (a relation that is zero modulo the squares, as
-    every family-(1) relation) is zero everywhere: no chamber is read."""
-    if not vec:
-        return None
-    zero_points = set()
-    for c, p in enumerate(_plus_masks(A)):
-        t = p & support
-        if t in zero_points:
-            continue
-        if _value_at(vec, t):
-            return c
-        zero_points.add(t)
-    return None
-
-
-def _subset_masks(indices):
-    """Bitmasks of all subsets of the given index list, empty set first."""
-    masks = [0]
-    for i in indices:
-        bit = 1 << i
-        masks += [m | bit for m in masks]
-    return masks
 
 
 def _mask_vector(terms: dict) -> dict:
@@ -353,17 +330,32 @@ def _mask_vector(terms: dict) -> dict:
     return {m: c for m, c in vec.items() if c}
 
 
-def _mask_relation(terms: dict) -> tuple:
-    """(mask vector, support) of u-free terms (a `Poly`'s `terms`, or an
-    integer dict) modulo e_i^2 - e_i: {subset bitmask: integer
-    coefficient}, scaled by the common denominator (a positive scalar, so
-    every zero is kept), and the union of the term masks."""
+def _nonzero_points(terms: dict) -> tuple:
+    """(support, nonzero) of u-free terms (a `Poly`'s `terms`, or an integer
+    dict) modulo e_i^2 - e_i: the union of the term masks, and the frozenset
+    of the support's sub-masks t at which the function is nonzero.  Its
+    value at a point s of the Boolean cube is its value at s & support.
+
+    The value at t is the sum of the coefficients of the terms inside t;
+    all of them come from one zeta transform over the b support bits
+    (b * 2^(b-1) additions), the sub-mask with bits k of the support's bit
+    list at position k."""
     vec = _mask_vector(terms)
-    den = lcm(*(c.denominator for c in vec.values()))
     support = 0
     for m in vec:
         support |= m
-    return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}, support
+    points = [0]
+    for i in range(support.bit_length()):
+        if support >> i & 1:
+            points += [t | 1 << i for t in points]
+    values = [vec.get(t, 0) for t in points]
+    step = 1
+    while step < len(values):
+        for k in range(len(values)):
+            if k & step:
+                values[k] += values[k ^ step]
+        step <<= 1
+    return support, frozenset(t for t, v in zip(points, values) if v)
 
 
 def _terms_at_one(rel: Relation) -> dict:
@@ -380,19 +372,13 @@ def _terms_at_one(rel: Relation) -> dict:
     return _difference_terms(rel.source, 0)
 
 
-def _relation_masks(A: Arrangement) -> tuple:
-    """`_mask_relation` of every relation at u = 1, in the order of
+def _relation_nonzeros(A: Arrangement) -> tuple:
+    """`_nonzero_points` of every relation at u = 1, in the order of
     `rees_relation_families` (which `vg_relation_families` keeps): built
-    once from the integer closed forms, with no `Fraction`, and read by
-    `verify_relations` and by every `presentation_dimension` call."""
-    return A._memo("relation_masks", lambda: tuple(
-        _mask_relation(_terms_at_one(rel)) for rel in rees_relation_families(A)))
-
-
-def _value_at(vec: dict, t: int) -> int:
-    """The value of a mask vector at the point t of the Boolean cube: the
-    sum of the coefficients of the terms whose masks lie inside t."""
-    return sum(c for m, c in vec.items() if m & t == m)
+    once from the integer closed forms and read by `verify_relations` and
+    by every `presentation_dimension` call."""
+    return A._memo("relation_nonzeros", lambda: tuple(
+        _nonzero_points(_terms_at_one(rel)) for rel in rees_relation_families(A)))
 
 
 def _common_zeros(A: Arrangement, families) -> list:
@@ -400,17 +386,27 @@ def _common_zeros(A: Arrangement, families) -> list:
     which every selected family-(2)/(3) relation vanishes under
     e_i(s) = [i in s].
 
-    A relation with support mask S depends on s only through s & S, so it
-    is evaluated once at each sub-mask t of S.
+    The points are grown one hyperplane at a time: at bit d a point is
+    kept unless a selected relation whose support has largest bit d is
+    nonzero there.  A relation that is a nonzero constant kills every
+    point.  The points kept after bit d are the common zeros of the
+    relations supported on the first d + 1 hyperplanes, so the work follows
+    the output, not the 2^n cube.
     """
-    zeros = range(2**A.n)
-    for rel, (vec, support) in zip(rees_relation_families(A), _relation_masks(A)):
-        if rel.family == 1 or rel.family not in families:
-            continue
-        points = _subset_masks([i for i in range(A.n) if support >> i & 1])
-        nonzero = {t for t in points if _value_at(vec, t)}
-        zeros = [s for s in zeros if s & support not in nonzero]
-    return list(zeros)
+    by_top = [[] for _ in range(A.n)]
+    for rel, (support, nonzero) in zip(rees_relation_families(A), _relation_nonzeros(A)):
+        if rel.family not in families or not nonzero:
+            continue  # every family-(1) relation is zero on the cube
+        if not support:
+            return []  # a nonzero constant
+        by_top[support.bit_length() - 1].append((support, nonzero))
+    points = [0]
+    for d, rels in enumerate(by_top):
+        points += [p | 1 << d for p in points]
+        if rels:
+            points = [p for p in points
+                      if not any(p & support in nonzero for support, nonzero in rels)]
+    return points
 
 
 def presentation_dimension(A: Arrangement, families=(1, 2), nmax: int = 14) -> int:
@@ -427,9 +423,16 @@ def presentation_dimension(A: Arrangement, families=(1, 2), nmax: int = 14) -> i
     quotient has one dimension per common zero (for the full presentation
     these are the chambers' plus-sets, Varchenko-Gelfand 1987).  `families`
     selects which of (2) and (3) to use — for central arrangements families
-    (1) and (3) alone must already give the chamber count.
+    (1) and (3) alone must already give the chamber count; a member other
+    than 1, 2 or 3 is an `InputError`.
     """
+    try:
+        chosen = frozenset(families)
+    except TypeError:
+        chosen = None
+    if chosen is None or not chosen <= {1, 2, 3}:
+        raise InputError(f"families must be drawn from 1, 2, 3, not {families!r}")
     if A.n > nmax:
         raise ResourceBoundError(
             f"presentation_dimension bound exceeded: n = {A.n} > {nmax}")
-    return len(_common_zeros(A, families))
+    return len(_common_zeros(A, chosen))

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sources_parse_as_python_3_10():
-    files = sorted(p for top in ("src", "tests", "demos")
+    files = sorted(p for top in ("src", "tests", "demos", "tools", "perfbench")
                    for p in (ROOT / top).rglob("*.py"))
     assert files
     for path in files:

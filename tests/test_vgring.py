@@ -6,7 +6,8 @@ from math import lcm
 import pytest
 
 import arrgr.vgring
-from arrgr.arrangement import boolean, braid, cone, delete, restrict, semiorder
+from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
+                               restrict, semiorder)
 from arrgr.circuits import canonical_circuits, nbc_counts, nbc_sets
 from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
                             leading_form_check)
@@ -20,9 +21,8 @@ from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           heaviside, monomial_eval, monomial_mask,
                           presentation_dimension, vg_relation_families,
                           verify_relations, _chamber_keys, _circuit_difference,
-                          _common_zeros, _first_nonzero_chamber,
-                          _mask_relation, _mask_vector, _product_poly,
-                          _relation_masks)
+                          _common_zeros, _mask_vector, _nonzero_points,
+                          _product_poly, _relation_nonzeros, _terms_at_one)
 
 
 def evaluate_on_chambers(A, poly):
@@ -208,49 +208,108 @@ def test_family3_needs_the_flat_condition():
     assert any(v != 0 for v in values)
 
 
-def first_nonzero_oracle(A, poly):
-    """The first chamber index of the `evaluate_on_chambers` scan with a
-    nonzero value, or None."""
-    return next((c for c, v in enumerate(evaluate_on_chambers(A, poly)) if v),
-                None)
+def nonzero_chambers_oracle(A, poly):
+    """The chamber indices at which the `evaluate_on_chambers` scan is
+    nonzero."""
+    return [c for c, v in enumerate(evaluate_on_chambers(A, poly)) if v]
 
 
-def test_verify_relations_matches_chamber_scan_oracle(corpus_map):
-    """Each relation's verdict and first witness chamber, evaluated once per
-    distinct plus-mask restriction, equal the full chamber scan's; so do
-    the failures `verify_relations` reports."""
+def nonzero_chambers(A, points):
+    """The chamber indices whose plus-mask, restricted to the support, is a
+    nonzero point of a relation's (support, nonzero) sets."""
+    support, nonzero = points
+    return [c for c, p in enumerate(arrgr.vgring._plus_masks(A))
+            if p & support in nonzero]
+
+
+def test_verify_relations_matches_chamber_scan_oracle(corpus_map, monkeypatch):
+    """Every chamber at which a relation is nonzero, read from its zero set,
+    is one where the full chamber scan is nonzero, and conversely; the
+    failures `verify_relations` reports are the first such chambers."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
     for name, A in cases.items():
         failures = []
-        for rel in vg_relation_families(A):
-            want = first_nonzero_oracle(A, rel.poly)
-            assert _first_nonzero_chamber(A, rel.poly) == want, (name, rel)
-            if want is not None:
+        for rel, points in zip(vg_relation_families(A), _relation_nonzeros(A)):
+            want = nonzero_chambers_oracle(A, rel.poly)
+            assert nonzero_chambers(A, points) == want, (name, rel)
+            if want:
                 failures.append((rel.family, rel.source_str(A.labels),
-                                 A.chambers()[want]))
+                                 A.chambers()[want[0]]))
         assert verify_relations(A).failures == tuple(failures), name
     S = semiorder(3)
     bogus = empty_flat_difference(S)
-    want = first_nonzero_oracle(S, bogus)
-    assert want is not None
-    assert _first_nonzero_chamber(S, bogus) == want
+    want = nonzero_chambers_oracle(S, bogus)
+    assert want
+    assert nonzero_chambers(S, _nonzero_points(bogus.terms)) == want
     # single terms, and polynomials that are zero modulo the squares
     e = Poly.generator
     for poly in [e(i) for i in range(S.n)] + [e(0) * e(4), Poly.zero(),
                                               e(2) * e(2) - e(2)]:
-        assert _first_nonzero_chamber(S, poly) == first_nonzero_oracle(S, poly), poly
+        got = nonzero_chambers(S, _nonzero_points(poly.terms))
+        assert got == nonzero_chambers_oracle(S, poly), poly
+    # a relation that fails is reported at its first nonzero chamber
+    rels = rees_relation_families(S)
+    points = _relation_nonzeros(S)[:-1] + (_nonzero_points(bogus.terms),)
+    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
+    check = verify_relations(S)
+    assert not check.ok
+    assert check.failures == ((rels[-1].family, rels[-1].source_str(S.labels),
+                               S.chambers()[want[0]]),)
 
 
 def test_relation_masks_match_the_vg_polynomials(corpus_map):
-    """The mask vectors built from the integer closed forms at u = 1 equal
-    those of the `vg_relation_families` polynomials, term for term."""
+    """The (support, nonzero) masks built from the integer closed forms at
+    u = 1 equal those of the `vg_relation_families` polynomials, and the
+    closed forms' reduced terms equal the polynomials', term for term."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
                  **{f"random{k}": random_rational_arrangement(seed=k)
                     for k in range(1, 5)})
     for name, A in cases.items():
-        want = tuple(_mask_relation(rel.poly.terms) for rel in vg_relation_families(A))
-        assert _relation_masks(A) == want, name
-        assert all(type(c) is int for vec, _ in _relation_masks(A) for c in vec.values())
+        rels = vg_relation_families(A)
+        want = tuple(_nonzero_points(rel.poly.terms) for rel in rels)
+        assert _relation_nonzeros(A) == want, name
+        closed = [_terms_at_one(rel) for rel in rees_relation_families(A)]
+        assert all(type(c) is int for terms in closed for c in terms.values()), name
+        assert [_mask_vector(terms) for terms in closed] \
+            == [_mask_vector(rel.poly.terms) for rel in rels], name
+
+
+def value_at_oracle(vec, t):
+    """The value of a {subset bitmask: coefficient} function at the point t
+    of the Boolean cube: the sum of the coefficients of the terms inside t."""
+    return sum(c for m, c in vec.items() if m & t == m)
+
+
+def test_zeta_transform_matches_direct_evaluation():
+    """`_nonzero_points` reads every value off one zeta transform; each
+    equals the direct sum over the terms inside the point, for integer and
+    Fraction coefficients, squares, constants and cancellation."""
+    rng = random.Random(2023)
+    dicts = [{}, {((), 0): 3}, {((), 0): Fraction(-1, 2), ((1, 1), 0): Fraction(1, 2)},
+             {((2, 2), 0): 1, ((2,), 0): -1}]
+    for k in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            emon = tuple(sorted(rng.choices(range(7), k=rng.randint(0, 4))))
+            coeff = rng.randint(-3, 3)
+            terms[(emon, 0)] = coeff if k % 2 else Fraction(coeff, rng.randint(1, 4))
+        dicts.append(terms)
+    seen = set()
+    for terms in dicts:
+        vec = _mask_vector(terms)
+        support = 0
+        for m in vec:
+            support |= m
+        got_support, nonzero = _nonzero_points(terms)
+        assert got_support == support, terms
+        assert all(t & support == t for t in nonzero), terms
+        for s in range(2**7):
+            assert (s & support in nonzero) == (value_at_oracle(vec, s) != 0), (terms, s)
+        seen.add((bool(support), bool(nonzero)))
+    assert _nonzero_points({}) == (0, frozenset())
+    assert _nonzero_points({((), 0): 3}) == (0, frozenset({0}))
+    assert _nonzero_points({((2, 2), 0): 1, ((2,), 0): -1}) == (0, frozenset())
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def evaluate_on_chambers_oracle(A, poly):
@@ -304,6 +363,20 @@ def test_presentation_dimension_respects_bound():
         presentation_dimension(braid(4), nmax=3)
 
 
+def test_presentation_dimension_validates_families():
+    """`families` is a collection drawn from 1, 2, 3; anything else is a
+    one-line `InputError`, even where no family-(2)/(3) relation exists."""
+    for A in (braid(3), boolean(3)):
+        for bad in ("12", None, 2, (1, 4), (1, "2"), [[1]], (0,)):
+            with pytest.raises(InputError) as info:
+                presentation_dimension(A, families=bad)
+            assert "\n" not in str(info.value), bad
+    assert presentation_dimension(boolean(3), families=[1, 2]) == 8
+    assert presentation_dimension(braid(3), families=iter((1, 3))) == 6
+    assert presentation_dimension(braid(3), families=(2,)) == 6
+    assert presentation_dimension(braid(3), families=()) == 8
+
+
 def full_multiples_rank(A, families):
     """Oracle: multiply every relation by every squarefree monomial and
     take the rank of the products in the 2^n-dimensional squarefree-monomial
@@ -322,17 +395,6 @@ def full_multiples_rank(A, families):
     return ech.rank
 
 
-def test_reduced_multiples_match_full_enumeration(corpus_map):
-    # the common-zero count must equal the corank of the full multiples
-    for name in ("single", "parallel", "braid3", "semiorder2", "boolean3",
-                 "generic3"):
-        A = corpus_map[name]
-        for families in ((1, 2), (1, 3)):
-            want = 2**A.n - full_multiples_rank(A, families)
-            assert presentation_dimension(A, families=families) == want, \
-                (name, families)
-
-
 def test_presentation_dimension_matches_full_multiples(corpus_map):
     """The common-zero count equals the corank of every monomial multiple
     of every relation, for each choice of families, on the whole corpus."""
@@ -349,6 +411,60 @@ def _plus_masks(A):
             for c in A.chambers()}
 
 
+def common_zeros_cube_oracle(A, families):
+    """The subsets s of the hyperplanes, as bitmasks in increasing order, at
+    which every selected family-(2)/(3) relation of `vg_relation_families`
+    vanishes: each relation is summed directly at every sub-mask of its
+    support, and the whole 2^n cube is filtered once per relation."""
+    zeros = range(2**A.n)
+    for rel in vg_relation_families(A):
+        if rel.family == 1 or rel.family not in families:
+            continue
+        vec = _mask_vector(rel.poly.terms)
+        support = 0
+        for m in vec:
+            support |= m
+        points = [0]
+        for i in range(A.n):
+            if support >> i & 1:
+                points += [t | 1 << i for t in points]
+        nonzero = {t for t in points if value_at_oracle(vec, t)}
+        zeros = [s for s in zeros if s & support not in nonzero]
+    return list(zeros)
+
+
+def test_common_zeros_match_cube_oracle(corpus_map):
+    """The zeros grown hyperplane by hyperplane equal the cube's, in order,
+    for every choice of families."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+                 cone_random8=cone(random_rational_arrangement()))
+    cases.update((f"random{k}", random_rational_arrangement(seed=k))
+                 for k in range(1, 9))
+    for name, A in cases.items():
+        for families in ((1,), (1, 2), (1, 3), (1, 2, 3)):
+            want = common_zeros_cube_oracle(A, families)
+            assert _common_zeros(A, families) == want, (name, families)
+
+
+def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
+    """A relation whose u = 1 form is a nonzero constant has no zero: the
+    grown point set is empty, as on the cube."""
+    A = braid(3)
+    assert rees_relation_families(A)[-1].family == 3
+    points = _relation_nonzeros(A)[:-1] + ((0, frozenset({0})),)
+    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
+    assert _common_zeros(A, (1, 3)) == []
+    assert _common_zeros(A, (1, 2)) == sorted(_plus_masks(A))
+    # with no hyperplane there is no last one to attach the constant to
+    E = Arrangement(2, [])
+    assert _common_zeros(E, (1, 2)) == [0]
+    monkeypatch.setattr(arrgr.vgring, "rees_relation_families",
+                        lambda A: (Relation(2, frozenset(), Poly.one()),))
+    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros",
+                        lambda A: ((0, frozenset({0})),))
+    assert _common_zeros(E, (1, 2)) == []
+
+
 def test_presentation_zero_set_is_the_chambers(corpus_map):
     """The relations' common zeros on the Boolean cube are exactly the
     chambers' plus-sets; for a central arrangement families (1) and (3)
@@ -362,6 +478,17 @@ def test_presentation_zero_set_is_the_chambers(corpus_map):
         assert set(zeros) == _plus_masks(A), name
         if A.central:
             assert set(_common_zeros(A, (1, 3))) == _plus_masks(A), name
+
+
+def test_braid6_zeros_are_the_chambers():
+    """Past the default bound: braid 6's (1,2) zeros are its 720 chambers'
+    plus-masks, and the count needs `nmax` raised to 15."""
+    A = braid(6)
+    assert _common_zeros(A, (1, 2)) == sorted(_plus_masks(A))
+    assert len(A.chambers()) == 720
+    assert presentation_dimension(A, nmax=15) == 720
+    with pytest.raises(ResourceBoundError):
+        presentation_dimension(A)
 
 
 # -- the relation families in closed form ------------------------------------
@@ -521,12 +648,12 @@ def test_u_families_multiply_only_the_squares(monkeypatch, make):
                          ids=["braid4", "semiorder3", "random8"])
 def test_relation_masks_built_once(monkeypatch, make):
     """`verify_relations` and `presentation_dimension` at (1,2) and (1,3)
-    read one mask vector per relation, built once."""
+    read one (support, nonzero) pair per relation, built once."""
     A = make()
     calls = []
-    mask_relation = arrgr.vgring._mask_relation
-    monkeypatch.setattr(arrgr.vgring, "_mask_relation",
-                        lambda poly: calls.append(1) or mask_relation(poly))
+    nonzero_points = arrgr.vgring._nonzero_points
+    monkeypatch.setattr(arrgr.vgring, "_nonzero_points",
+                        lambda terms: calls.append(1) or nonzero_points(terms))
     assert verify_relations(A).ok
     chambers = len(A.chambers())
     assert presentation_dimension(A) == chambers
