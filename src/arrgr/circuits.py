@@ -177,8 +177,10 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     the circuits inside X u Y are those of a central arrangement, while
     affine circuits need not eliminate across an empty flat.  A raw circuit
     system has no empty flats, so it gets the full axiom.  Signed sets are
-    compared as (plus, minus) bitmasks, and the eliminators are searched as
-    bitsets over the circuit list.
+    compared as (plus, minus) bitmasks, and the candidate Y's, the nested
+    supports and the eliminators are searched as bitsets over the circuit
+    list, Y by increasing index, so the violations come in the order of a
+    scan over all pairs.
     """
     violations = []
     circ = C.circuits
@@ -191,16 +193,8 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     for X in circ:
         if X.negate() not in cset:
             violations.append((2, f"negation of {X.pretty(C.ground)} missing"))
-    for X, (xp, xm) in zip(circ, masks):
-        for Y, (yp, ym) in zip(circ, masks):
-            if ((xp | xm) & ~(yp | ym) == 0 and (xp, xm) != (yp, ym)
-                    and (xp, xm) != (ym, yp)):
-                violations.append(
-                    (3, f"{X.pretty(C.ground)} nested in {Y.pretty(C.ground)}"))
     # Bit k of has_plus[i] (has_minus[i]) says that i is in circuit k's
-    # plus (minus) part.  A circuit eliminates e iff it lies in no
-    # has_plus[i] with i outside plus - e and no has_minus[i] with i
-    # outside minus - e.
+    # plus (minus) part.
     has_plus = [0] * C.n
     has_minus = [0] * C.n
     for k, Z in enumerate(circ):
@@ -208,27 +202,76 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
             has_plus[i] |= 1 << k
         for i in Z.minus:
             has_minus[i] |= 1 << k
+    # (3): the circuits whose support holds X's are the AND over X's
+    # support of the circuits through each element.
     all_circuits = (1 << len(circ)) - 1
     for X, (xp, xm) in zip(circ, masks):
-        for Y, (yp, ym) in zip(circ, masks):
-            if not xp & ym or (xp, xm) == (ym, yp):
+        over = all_circuits
+        for i in X.support:
+            over &= has_plus[i] | has_minus[i]
+        for k in _bits(over):
+            yp, ym = masks[k]
+            if (xp, xm) != (yp, ym) and (xp, xm) != (ym, yp):
+                violations.append(
+                    (3, f"{X.pretty(C.ground)} nested in {circ[k].pretty(C.ground)}"))
+    # (4): a circuit eliminates e iff it lies in no has_plus[i] with i
+    # outside plus - e and no has_minus[i] with i outside minus - e; the
+    # union over the i outside a mask is read a byte at a time, from
+    # tables built for the first pair that needs them.
+    tables = None
+    ground = (1 << C.n) - 1
+    for X, (xp, xm) in zip(circ, masks):
+        partners = 0
+        for i in X.plus:
+            partners |= has_minus[i]
+        for k in _bits(partners):
+            Y = circ[k]
+            yp, ym = masks[k]
+            if (xp, xm) == (ym, yp):
                 continue
             plus, minus = xp | yp, xm | ym
             union = plus | minus
             if any(f & union == f for f in flats):
                 continue
-            bad = 0
-            for i in range(C.n):
-                if not plus >> i & 1:
-                    bad |= has_plus[i]
-                if not minus >> i & 1:
-                    bad |= has_minus[i]
+            if tables is None:
+                tables = _byte_unions(has_plus), _byte_unions(has_minus)
+            bad = (_union_over(tables[0], ground & ~plus)
+                   | _union_over(tables[1], ground & ~minus))
             for e in X.plus & Y.minus:
                 if not all_circuits & ~(bad | has_plus[e] | has_minus[e]):
                     violations.append(
                         (4, f"no elimination of {C.ground[e]} from "
                             f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))
     return AxiomReport(not violations, tuple(violations))
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _byte_unions(sets: list) -> list:
+    """Per byte b of an element mask, the table v -> OR of sets[8b + j]
+    over the set bits j of v."""
+    tables = []
+    for b in range(0, len(sets), 8):
+        table = [0]
+        for s in sets[b:b + 8]:
+            table += [t | s for t in table]
+        tables.append(table)
+    return tables
+
+
+def _union_over(tables: list, mask: int) -> int:
+    """The OR of the sets indexed by the set bits of `mask`."""
+    out = 0
+    for table in tables:
+        out |= table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def circuits_from_arrangement(A) -> CircuitSet:

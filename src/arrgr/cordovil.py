@@ -10,11 +10,15 @@ term; every rewrite swaps an element for the strictly larger dropped
 maximum, so the process terminates.  Each rewrite has coefficient +/-1,
 so a straightened monomial has integer coordinates: they are kept as plain
 ints in one table per (source, ordering), memoized on the source and shared
-by every algebra of that pair.  `straighten` and `multiply` scale the
-table's entries by the elements' rational coefficients over one common
-denominator, so the Fractions are made only for the result.  A raw circuit
-system is read through the same calls as an arrangement, its flat test
-being always true.
+by every algebra of that pair.  `straighten` (one pass over the
+polynomial's terms, skipping squared monomials) and `multiply` (one pass
+over the pairs of disjoint basis sets) list (monomial, numerator,
+denominator) triples; `_combine` scales the table's entries over one
+common denominator, so the Fractions are made only for the result, which
+is built through the trusted `AlgebraElement._of`, as are sums and scalar
+multiples.  Adding, subtracting or multiplying elements of different
+algebras is an `InputError`.  A raw circuit system is read through the
+same calls as an arrangement, its flat test being always true.
 """
 
 from __future__ import annotations
@@ -132,34 +136,46 @@ class CordovilAlgebra:
         self._table[mono] = result
         return result
 
-    def _combine(self, terms) -> "AlgebraElement":
+    def _combine(self, terms: list) -> "AlgebraElement":
         """The sum of (num / den) * straightened(mono) over (mono, num, den)
         triples: brought to one denominator, the table's ints are summed,
         and each nonzero sum becomes one Fraction."""
-        terms = list(terms)
         den = lcm(*(d for _, _, d in terms))
+        table = self._table
         sums: dict = {}
         for mono, num, d in terms:
+            coords = table.get(mono)
+            if coords is None:
+                coords = self._straighten_monomial(mono)
             k = num * (den // d)
-            for basis, c in self._straighten_monomial(mono).items():
+            for basis, c in coords.items():
                 sums[basis] = sums.get(basis, 0) + k * c
+        if den == 1:
+            return AlgebraElement._of(self, {b: Fraction(v) for b, v in sums.items() if v})
         return AlgebraElement._of(self, {b: Fraction(v, den) for b, v in sums.items() if v})
 
     def straighten(self, poly: Poly) -> "AlgebraElement":
         """Normal form of a polynomial on the NBC basis.  Monomials with a
         repeated generator are zero; u must not appear."""
-        if not poly.is_u_free:
-            raise InputError("cannot straighten a polynomial carrying u")
-        return self._combine((frozenset(emon), c.numerator, c.denominator)
-                             for (emon, _), c in poly.kill_squares().terms.items())
+        terms = []
+        for (emon, u), c in poly.terms.items():
+            if u:
+                raise InputError("cannot straighten a polynomial carrying u")
+            mono = frozenset(emon)
+            if len(mono) == len(emon):
+                terms.append((mono, c.numerator, c.denominator))
+        return self._combine(terms)
 
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra is not self or b.algebra is not self:
             raise InputError("elements belong to different algebra contexts")
-        return self._combine((s | t, ca.numerator * cb.numerator,
-                              ca.denominator * cb.denominator)
-                             for s, ca in a.coords.items()
-                             for t, cb in b.coords.items() if not s & t)
+        terms = []
+        for s, ca in a.coords.items():
+            na, da = ca.numerator, ca.denominator
+            for t, cb in b.coords.items():
+                if not s & t:
+                    terms.append((s | t, na * cb.numerator, da * cb.denominator))
+        return self._combine(terms)
 
 
 def _add_into(coords: dict, terms: dict, scale) -> None:
@@ -204,18 +220,24 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def __add__(self, other):
+    def _add_scaled(self, other, scale) -> "AlgebraElement":
+        """self + scale * other for an element of the same context."""
+        if other.algebra is not self.algebra:
+            raise InputError("elements belong to different algebra contexts")
         out = dict(self.coords)
-        _add_into(out, other.coords, 1)
-        return AlgebraElement(self.algebra, out)
+        _add_into(out, other.coords, scale)
+        return AlgebraElement._of(self.algebra, out)
+
+    def __add__(self, other):
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other):
-        return self + (-1 * other)
+        return self._add_scaled(other, -1)
 
     def __rmul__(self, scalar):
         scalar = frac(scalar)
-        return AlgebraElement(self.algebra,
-                              {b: scalar * c for b, c in self.coords.items()})
+        coords = {b: scalar * c for b, c in self.coords.items()} if scalar else {}
+        return AlgebraElement._of(self.algebra, coords)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -239,7 +261,7 @@ class AlgebraElement:
 
     def to_poly(self) -> Poly:
         """The element as a polynomial in its NBC monomials."""
-        return Poly({(tuple(sorted(b)), 0): c for b, c in self.coords.items()})
+        return Poly._of({(tuple(sorted(b)), 0): c for b, c in self.coords.items()})
 
     def to_str(self) -> str:
         return self.to_poly().to_str(self.algebra.labels)

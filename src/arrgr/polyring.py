@@ -8,11 +8,14 @@ polynomials; the general shape exists for the square relations e_i^2 - e_i
 and e_i(e_i - u).  The grading puts deg e_i = deg u = 2.
 
 Coefficients are always `Fraction`s: the constructor coerces them through
-`linalg.frac` (which refuses floats and booleans) and drops zeros.  Code
-that already holds canonical keys and nonzero Fractions builds through
-`Poly._of`, which checks and copies nothing: the closed-form relation
-families, `divide_u`, and `substitute_u` at u = 0 or 1, where a term's
-factor u^k is 0 or 1 and no coefficient is multiplied.
+`linalg.frac` (which refuses floats and booleans) and drops zeros; it is
+the one entry for outside data.  Code that already holds canonical keys
+and nonzero Fractions builds through `Poly._of`, which checks and copies
+nothing: the ring operations (sums, negation, products by a polynomial or
+a scalar, each dropping the sums that cancel), `monomial`, `kill_squares`,
+`squarefree_reduce`, `top_e_part`, `divide_u`, `substitute_u` at u = 0 or
+1 (where a term's factor u^k is 0 or 1 and no coefficient is multiplied)
+and the closed-form relation families.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, idxs, uexp: int = 0, coeff=1):
-        return cls({(tuple(idxs), uexp): coeff})
+        c = frac(coeff)
+        return cls._of({(tuple(sorted(idxs)), int(uexp)): c} if c else {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -80,13 +84,21 @@ class Poly:
             other = Poly.constant(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(out)
+            old = out.get(key)
+            if old is None:
+                out[key] = c
+            else:
+                total = old + c
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({k: -c for k, c in self.terms.items()})
+        return Poly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -99,13 +111,14 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = frac(other)
-            return Poly({k: v * c for k, v in self.terms.items()})
+            return Poly._of({k: v * c for k, v in self.terms.items()} if c else {})
         out: dict = {}
         for (m1, u1), c1 in self.terms.items():
             for (m2, u2), c2 in other.terms.items():
                 key = (tuple(sorted(m1 + m2)), u1 + u2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(out)
+                old = out.get(key)
+                out[key] = c1 * c2 if old is None else old + c1 * c2
+        return Poly._of({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -161,22 +174,21 @@ class Poly:
         out: dict = {}
         for (m, u), c in self.terms.items():
             key = (tuple(sorted(set(m))), u)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(out)
+            old = out.get(key)
+            out[key] = c if old is None else old + c
+        return Poly._of({key: c for key, c in out.items() if c})
 
     def kill_squares(self) -> "Poly":
         """Drop every monomial containing a repeated generator (x^2 = 0)."""
-        return Poly({(m, u): c for (m, u), c in self.terms.items()
-                     if len(set(m)) == len(m)})
+        return Poly._of({key: c for key, c in self.terms.items()
+                         if len(set(key[0])) == len(key[0])})
 
     def top_e_part(self) -> "Poly":
         """Highest-degree homogeneous part in the e generators (u-free input)."""
         if not self.is_u_free:
             raise InputError("top_e_part expects a u-free polynomial")
-        if not self.terms:
-            return Poly.zero()
-        top = max(len(m) for (m, _) in self.terms)
-        return Poly({(m, u): c for (m, u), c in self.terms.items() if len(m) == top})
+        top = max((len(m) for (m, _) in self.terms), default=0)
+        return Poly._of({key: c for key, c in self.terms.items() if len(key[0]) == top})
 
     # -- display -------------------------------------------------------------
 

@@ -662,6 +662,51 @@ def test_axiom_check_matches_scan_oracle_on_broken_systems():
     assert broken >= 15
 
 
+def _corrupted_copies(C, rng) -> list:
+    """Copies of a circuit system with circuits dropped, one sign of a
+    circuit flipped, a support grown by one element (nested supports) and
+    a singleton added, each with and without the empty flats."""
+    circ = list(C.circuits)
+    copies = [[X for X in circ if rng.random() > 0.15]]
+    if circ:
+        X = rng.choice(circ)
+        i = rng.choice(sorted(X.support))
+        flipped = (SignedSet(X.plus - {i}, X.minus | {i}) if i in X.plus
+                   else SignedSet(X.plus | {i}, X.minus - {i}))
+        copies.append([Z for Z in circ if Z != X] + [flipped])
+        outside = sorted(set(range(C.n)) - X.support)
+        if outside:
+            copies.append(circ + [SignedSet(X.plus | {rng.choice(outside)}, X.minus)])
+    copies.append(circ + [SignedSet({rng.randrange(C.n)}, ())])
+    return [CircuitSet(C.ground, kept, empty_flats=flats)
+            for kept in copies for flats in ((), C.empty_flats)]
+
+
+def test_bitset_axiom_check_matches_scan_oracle(corpus_map):
+    """The bitset searches for nested supports (3) and eliminations (4)
+    report what the scan reports, violations in the same order, on the
+    corpus and its cones, random seeds 1-29, braid 5 and 6, semiorder 4,
+    and seeded corrupted copies of every system with at most 80 circuits."""
+    sources = list(corpus_map.values())
+    sources += [cone(A) for A in sources]
+    sources += [random_rational_arrangement(seed=s) for s in range(1, 30)]
+    sources += [braid(5), braid(6), semiorder(4)]
+    rng = random.Random(20261019)
+    systems = []
+    for A in sources:
+        C = circuits_from_arrangement(A)
+        systems.append(C)
+        if len(C.circuits) <= 80:
+            systems += _corrupted_copies(C, rng)
+    found = Counter()
+    for C in systems:
+        report = validate_circuit_axioms(C)
+        assert report == circuit_axioms_oracle(C), C
+        found.update(a for a, _ in report.violations)
+    assert len(systems) > 300
+    assert all(found[a] >= 50 for a in (1, 2, 3, 4)), found
+
+
 def support_scan_oracle(A) -> tuple:
     """(CircuitSet, identities) by one kernel per support, by size up to the
     rank of the homogenized forms plus one, skipping supersets of every

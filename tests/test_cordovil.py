@@ -79,6 +79,38 @@ def test_multiply_rejects_mixed_contexts():
         a.algebra.multiply(a, b)
 
 
+@pytest.mark.parametrize("op", ["+", "-"], ids=["add", "sub"])
+def test_add_and_sub_reject_mixed_contexts(op):
+    """Two orderings of one arrangement, and two algebras of equal
+    arrangements, are different contexts for + and - as for *; within
+    one context both still work."""
+    A = braid(3)
+    pairs = [(CordovilAlgebra(A), CordovilAlgebra(A, (2, 1, 0))),
+             (CordovilAlgebra(braid(3)), CordovilAlgebra(braid(3)))]
+    apply = (lambda x, y: x + y) if op == "+" else (lambda x, y: x - y)
+    for alg, other in pairs:
+        a, b = alg.generator("12"), other.generator("12")
+        with pytest.raises(InputError, match="different algebra contexts"):
+            apply(a, b)
+    a, b = alg.generator("12"), alg.generator("13")
+    want = {frozenset({0}): Fraction(1), frozenset({1}): Fraction(1 if op == "+" else -1)}
+    assert apply(a, b).coords == want
+    assert apply(a, a).coords == ({frozenset({0}): Fraction(2)} if op == "+" else {})
+
+
+def test_element_product_is_the_traced_multiply(monkeypatch):
+    """`a * b` on elements goes through `CordovilAlgebra.multiply`, the
+    layer a tracer patches by name."""
+    calls = []
+    multiply = CordovilAlgebra.multiply
+    monkeypatch.setattr(CordovilAlgebra, "multiply",
+                        lambda self, a, b: calls.append(1) or multiply(self, a, b))
+    alg = CordovilAlgebra(braid(3))
+    x12, x13 = alg.generator("12"), alg.generator("13")
+    assert (x12 * x13).coords == alg.straighten(Poly.monomial((0, 1))).coords
+    assert calls == [1]
+
+
 def test_products_above_top_grade_vanish(corpus_map):
     rng = random.Random(99)
     for name in ("braid3", "semiorder2", "boolean3", "parallel"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,3 +73,73 @@ def test_format_poincare():
     assert format_poincare([1, 6, 11, 6]) == "1 + 6t^2 + 11t^4 + 6t^6"
     assert format_poincare([1, 0, 2]) == "1 + 2t^4"
     assert format_poincare([]) == "0"
+
+
+_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+
+def _random_poly(rng, n=4, u_free=False):
+    """Up to six seeded terms; index tuples may repeat a generator."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        emon = tuple(sorted(rng.choices(range(n), k=rng.randint(0, 3))))
+        terms[(emon, 0 if u_free else rng.randint(0, 2))] = rng.choice(_COEFFS)
+    return Poly(terms)
+
+
+def _naive(pairs) -> Poly:
+    """The checking constructor applied to summed (key, coefficient) pairs."""
+    out: dict = {}
+    for (emon, uexp), c in pairs:
+        key = (tuple(sorted(emon)), uexp)
+        out[key] = out.get(key, 0) + c
+    return Poly(out)
+
+
+def _assert_canonical(p: Poly, want: Poly) -> None:
+    assert p.terms == want.terms
+    for (emon, uexp), c in p.terms.items():
+        assert type(emon) is tuple and list(emon) == sorted(emon)
+        assert type(uexp) is int
+        assert type(c) is Fraction and c != 0
+
+
+def test_ring_operations_keep_the_canonical_form():
+    """Sums, differences, negation, products by polynomials and scalars,
+    `monomial`, `kill_squares`, `squarefree_reduce` and `top_e_part` build
+    through the trusted constructor; each equals the checking constructor
+    applied to the naive result, cancelled sums included."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        p, q = _random_poly(rng), _random_poly(rng)
+        cancel = q - Poly._of(dict(list(p.terms.items())[:2]))  # p + cancel drops terms
+        for a, b in ((p, q), (p, p), (p, -p), (p, cancel)):
+            _assert_canonical(a + b, _naive([*a.terms.items(), *b.terms.items()]))
+            _assert_canonical(a - b, _naive([*a.terms.items(),
+                                             *((k, -c) for k, c in b.terms.items())]))
+            _assert_canonical(a * b, _naive(
+                ((m1 + m2, u1 + u2), c1 * c2)
+                for (m1, u1), c1 in a.terms.items() for (m2, u2), c2 in b.terms.items()))
+        _assert_canonical(-p, _naive((k, -c) for k, c in p.terms.items()))
+        s = rng.choice(_COEFFS + (0,))
+        scaled = _naive((k, c * s) for k, c in p.terms.items())
+        _assert_canonical(p * s, scaled)
+        _assert_canonical(s * p, scaled)
+        _assert_canonical(p + s, _naive([*p.terms.items(), (((), 0), s)]))
+        _assert_canonical(s - p, _naive([(((), 0), s),
+                                         *((k, -c) for k, c in p.terms.items())]))
+        _assert_canonical(p.kill_squares(), _naive(
+            (k, c) for k, c in p.terms.items() if len(set(k[0])) == len(k[0])))
+        _assert_canonical(p.squarefree_reduce(), _naive(
+            ((tuple(set(m)), u), c) for (m, u), c in p.terms.items()))
+        free = _random_poly(rng, u_free=True)
+        top = max((len(m) for m, _ in free.terms), default=0)
+        _assert_canonical(free.top_e_part(), _naive(
+            (k, c) for k, c in free.terms.items() if len(k[0]) == top))
+        idxs = rng.choices(range(4), k=rng.randint(0, 4))
+        uexp, c = rng.randint(0, 2), rng.choice(_COEFFS + (0,))
+        _assert_canonical(Poly.monomial(idxs, uexp, c), _naive([((idxs, uexp), c)]))
+    _assert_canonical(Poly.monomial((2, 0, 2)), Poly({((0, 2, 2), 0): 1}))
+    _assert_canonical(Poly.monomial((1, 0), 1, 0), Poly.zero())
+    with pytest.raises(InputError):
+        Poly.monomial((0,), coeff=0.5)
