@@ -2,8 +2,9 @@
 """Symmetric-group actions and character decompositions of the filtration.
 
 Coordinate permutations act on the braid and semiorder arrangements; each
-filtration layer is a subrepresentation whose character we compute by exact
-projection traces and decompose into irreducibles.
+filtration layer is a subrepresentation; the character of each graded piece
+is an exact trace of one diagonal block of B⁻¹ρ(w)B (B the chamber values of
+the filtration basis), decomposed into irreducibles.
 """
 
 from arrgr import (braid, semiorder, coordinate_action, fixed_chambers,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InputError, NotACharacterError
 
@@ -109,15 +109,19 @@ def decompose_character(values, n: int) -> dict:
     parts = partitions(n)
     if set(values) != set(parts):
         raise InputError("character must be defined on every cycle type")
-    order = factorial(n)
+    # class size times value, once per class, over one common denominator
+    vals = [Fraction(values[mu]) for mu in parts]
+    den = lcm(*(v.denominator for v in vals))
+    weights = [class_size(mu) * v.numerator * (den // v.denominator)
+               for mu, v in zip(parts, vals)]
+    order = factorial(n) * den
     out = {}
     for lam in parts:
-        total = Fraction(0)
-        for mu in parts:
-            total += class_size(mu) * Fraction(values[mu]) * mn_character(lam, mu)
-        mult = total / order
+        # the partitions of `partitions(n)` are already normalized
+        mult = Fraction(sum(w * _mn(lam, mu) for w, mu in zip(weights, parts)),
+                        order)
         if mult.denominator != 1 or mult < 0:
             raise NotACharacterError(
                 f"multiplicity of {partition_str(lam)} is {mult}")
-        out[lam] = int(mult)
+        out[lam] = mult.numerator
     return out

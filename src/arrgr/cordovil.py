@@ -17,8 +17,10 @@ denominator) triples; `_combine` scales the table's entries over one
 common denominator, so the Fractions are made only for the result, which
 is built through the trusted `AlgebraElement._of`, as are sums and scalar
 multiples.  Adding, subtracting or multiplying elements of different
-algebras is an `InputError`.  A raw circuit system is read through the
-same calls as an arrangement, its flat test being always true.
+algebras is an `InputError`, as is adding or subtracting anything but an
+element, or scaling by anything but a rational number.  A raw circuit
+system is read through the same calls as an arrangement, its flat test
+being always true.
 """
 
 from __future__ import annotations
@@ -222,6 +224,9 @@ class AlgebraElement:
 
     def _add_scaled(self, other, scale) -> "AlgebraElement":
         """self + scale * other for an element of the same context."""
+        if not isinstance(other, AlgebraElement):
+            raise InputError("only an algebra element can be added to or "
+                             "subtracted from an algebra element")
         if other.algebra is not self.algebra:
             raise InputError("elements belong to different algebra contexts")
         out = dict(self.coords)
@@ -235,7 +240,13 @@ class AlgebraElement:
         return self._add_scaled(other, -1)
 
     def __rmul__(self, scalar):
-        scalar = frac(scalar)
+        try:
+            scalar = frac(scalar)
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"cannot scale an algebra element by {scalar!r}: "
+                             "not a rational number") from exc
         coords = {b: scalar * c for b, c in self.coords.items()} if scalar else {}
         return AlgebraElement._of(self.algebra, coords)
 

@@ -12,10 +12,12 @@ Coefficients are always `Fraction`s: the constructor coerces them through
 the one entry for outside data.  Code that already holds canonical keys
 and nonzero Fractions builds through `Poly._of`, which checks and copies
 nothing: the ring operations (sums, negation, products by a polynomial or
-a scalar, each dropping the sums that cancel), `monomial`, `kill_squares`,
-`squarefree_reduce`, `top_e_part`, `divide_u`, `substitute_u` at u = 0 or
-1 (where a term's factor u^k is 0 or 1 and no coefficient is multiplied)
-and the closed-form relation families.
+a scalar, each dropping the sums that cancel), `monomial`, `top_e_part`,
+`divide_u`, `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0
+or 1 and no coefficient is multiplied) and the closed-form relation
+families.  Reduction modulo the squares is not a ring operation here:
+`CordovilAlgebra.straighten` skips squared monomials itself, and the
+rewritings e_i^2 -> 0 and e_i^2 -> e_i live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -168,20 +170,6 @@ class Poly:
             if u == 0:
                 raise ConsistencyError("polynomial is not divisible by u")
         return Poly._of({(m, u - 1): c for (m, u), c in self.terms.items()})
-
-    def squarefree_reduce(self) -> "Poly":
-        """Apply the rewriting e_i^k -> e_i to every monomial."""
-        out: dict = {}
-        for (m, u), c in self.terms.items():
-            key = (tuple(sorted(set(m))), u)
-            old = out.get(key)
-            out[key] = c if old is None else old + c
-        return Poly._of({key: c for key, c in out.items() if c})
-
-    def kill_squares(self) -> "Poly":
-        """Drop every monomial containing a repeated generator (x^2 = 0)."""
-        return Poly._of({key: c for key, c in self.terms.items()
-                         if len(set(key[0])) == len(key[0])})
 
     def top_e_part(self) -> "Poly":
         """Highest-degree homogeneous part in the e generators (u-free input)."""

@@ -4,15 +4,17 @@ A symmetry is recorded as a signed permutation of the forms: applying the
 inverse affine map to form i gives a positive or negative multiple of form
 perm(i).  For the coordinate action of S_n the images are read off the
 forms' primitive integer rows, one lookup per form and element.  The
-induced permutation of chambers is ρ(w); traces of ρ(w) on each filtration
-stage P^k are computed through the orthogonal projection onto P^k under
-the standard inner product on chamber functions, which is legitimate
-because permutation matrices are orthogonal and P^k is W-stable (by
-construction; see `graded_character`).  The basis of P^k is a set of
-monomials, each 0/1 on the chambers, so the Gram entries are chamber
-counts of monomial intersections, read off chamber bitmasks as integers.
-Each stage's Gram block is inverted once, by one integer `solve_square`,
-and the inverse is shared by every conjugacy class.
+induced permutation of chambers is ρ(w).  The characters of the graded
+pieces are traces of diagonal blocks: the basis of the filtration is a
+set of monomials, 0/1 on the chambers, taken grade by grade, and since
+the top stage is every function on the chambers its evaluation matrix B
+is square and invertible.  Each stage P^k is ρ(w)-stable (by
+construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
+triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
+diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
+once per arrangement, by one integer `solve_square`, and shared by every
+conjugacy class; each diagonal entry is an integer sum over the chamber
+bits of one basis monomial.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
-from operator import mul
 
 from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
@@ -374,22 +375,17 @@ class GradedCharacters:
         return out, total
 
 
-def _gram(masks, perm) -> list:
-    """B^T ρ(w) B for the 0/1 columns with chamber masks m_a, where
-    (ρ(w) col)[perm[i]] = col[i]: entry [a][b] counts the chambers i of m_b
-    with perm[i] in m_a, that is pre_a & m_b for pre_a = {i : perm[i] in m_a}.
-    The identity permutation gives B^T B."""
-    pre = [sum(1 << i for i, j in enumerate(perm) if m >> j & 1) for m in masks]
-    return [[(p & m).bit_count() for m in masks] for p in pre]
-
-
-def _stage_inverse(G, m) -> list:
-    """(B^T B)^{-1} for the first m basis columns, G = B^T B of the top
-    stage: one `solve_square` against the identity, each row returned as
-    (integer row, denominator)."""
-    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+def _inverse_rows(masks, nch) -> list:
+    """B^{-1} for the square 0/1 matrix B with B[c][j] = 1 iff chamber c
+    lies in masks[j]: one `solve_square` against the identity, each row j
+    returned as (integer row over the chambers, denominator)."""
+    if len(masks) != nch:
+        raise ConsistencyError("the top filtration stage is not every "
+                               "function on the chambers")
+    B = [[m >> c & 1 for m in masks] for c in range(nch)]
+    identity = [[int(i == j) for j in range(nch)] for i in range(nch)]
     out = []
-    for row in solve_square([row[:m] for row in G[:m]], identity):
+    for row in solve_square(B, identity):
         den = lcm(*(x.denominator for x in row))
         out.append(([x.numerator * (den // x.denominator) for x in row], den))
     return out
@@ -397,48 +393,56 @@ def _stage_inverse(G, m) -> list:
 
 def graded_character(A: Arrangement, group: GroupSpec,
                      reverse_basis: bool = False) -> GradedCharacters:
-    """Characters of the filtration layers, via projection traces.
+    """Characters of the filtration layers, as diagonal blocks of B⁻¹ρ(w)B.
 
-    grade-k character = trace on P^k minus trace on P^{k-1}, evaluated on
-    one representative per conjugacy class.  No stage is checked to be
-    W-stable: `chamber_permutation` raises unless every image sign vector
-    is a chamber and the map is a bijection; the image of chamber c has
-    sign flip_i * c_i at perm(i), so ρ(w) sends the Heaviside function of
-    i to that of perm(i), or to 1 minus it when flip_i = -1; and ρ(w),
+    B is the chamber evaluation matrix of the pivot monomials of
+    `filtration_data`, columns in grade order; the first dim P^k columns
+    span P^k.  The top stage is every function on the chambers, so B is
+    square and invertible.  No stage is checked to be W-stable:
+    `chamber_permutation` raises unless every image sign vector is a
+    chamber and the map is a bijection; the image of chamber c has sign
+    flip_i * c_i at perm(i), so ρ(w) sends the Heaviside function of i to
+    that of perm(i), or to 1 minus it when flip_i = -1; and ρ(w),
     composition with a bijection, is multiplicative, so it maps every
-    product of at most k Heaviside functions into P^k.  The trace on a
-    stage of m basis columns is trace(G_m^{-1} R_m) =
-    sum_i (sum_j N_ij R_ji) / den_i, with G_m^{-1} solved once per stage
-    and shared by every class, its row i the integers N_i over den_i.
+    product of at most k Heaviside functions into P^k.  Hence B⁻¹ρ(w)B is
+    block upper triangular along the flag, its k-th diagonal block is ρ(w)
+    on gr^k = P^k / P^{k-1}, and the grade-k character is the sum of its
+    diagonal entries over the grade-k columns j.  With (ρ(w) f)[perm[c]] =
+    f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]]: one integer sum
+    over the chamber bits of column j, B⁻¹ solved once per arrangement and
+    shared by every class.
     """
     dims, bases = filtration_data(A, reverse=reverse_basis)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
-    # Gram entries are chamber counts of monomial intersections: basis
-    # column a is the 0/1 evaluation of a monomial, i.e. its chamber mask
-    masks = [monomial_mask(A, subset)
-             for k in range(top + 1) for subset in bases[k]]
-    G = _gram(masks, range(len(A.chambers())))
-    stage_sizes = [sum(len(bases[j]) for j in range(k + 1)) for k in range(top + 1)]
-    reps = group.class_representatives()
-    perms = [chamber_permutation(A, w) for w in reps]
-    inverses = [_stage_inverse(G, m) for m in stage_sizes]
-    per_class_stage = []
-    chamber_vals = []
-    for perm in perms:
-        # columns of R = B^T ρ(w) B: column i pairs with row i of G^{-1}
-        columns = list(zip(*_gram(masks, perm)))
-        per_class_stage.append([
-            sum(Fraction(sum(map(mul, row, col)), den)
-                for (row, den), col in zip(inverse, columns))
-            for inverse in inverses])
-        chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
-    grade_values = []
+    nch = len(A.chambers())
+    # basis column j is the 0/1 evaluation of a monomial: its chamber mask
+    masks, grade_of = [], []
     for k in range(top + 1):
-        row = []
-        for traces in per_class_stage:
-            prev = traces[k - 1] if k else Fraction(0)
-            row.append(traces[k] - prev)
-        grade_values.append(tuple(row))
+        for subset in bases[k]:
+            masks.append(monomial_mask(A, subset))
+            grade_of.append(k)
+    inverse = _inverse_rows(masks, nch)
+    # one denominator per grade: row j scaled by den_k / den_j
+    grade_den = [1] * (top + 1)
+    for (_, den), k in zip(inverse, grade_of):
+        grade_den[k] = lcm(grade_den[k], den)
+    columns = []
+    for (row, den), k, m in zip(inverse, grade_of, masks):
+        scale = grade_den[k] // den
+        columns.append(([x * scale for x in row], k,
+                        [c for c in range(nch) if m >> c & 1]))
+    reps = group.class_representatives()
+    per_class = []
+    chamber_vals = []
+    for w in reps:
+        perm = chamber_permutation(A, w)
+        sums = [0] * (top + 1)
+        for row, k, chambers in columns:
+            sums[k] += sum(row[perm[c]] for c in chambers)
+        per_class.append([Fraction(x, d) for x, d in zip(sums, grade_den)])
+        chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
+    grade_values = [tuple(values[k] for values in per_class)
+                    for k in range(top + 1)]
     for c in range(len(reps)):
         total = sum(grade_values[k][c] for k in range(top + 1))
         if total != chamber_vals[c]:

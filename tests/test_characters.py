@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,41 @@ def test_decompose_rejects_non_characters():
         decompose_character({(1, 1): Fraction(0), (2,): Fraction(-2)}, 2)
     with pytest.raises(InputError):
         decompose_character({(1, 1): Fraction(1)}, 2)
+
+
+def inner_product_oracle(values, n):
+    """<χ, χ_λ> per λ as one Fraction sum over the classes, term by term:
+    the multiplicities before the integrality check."""
+    order = sum(class_size(mu) for mu in partitions(n))
+    return {lam: sum(class_size(mu) * Fraction(values[mu]) * mn_character(lam, mu)
+                     for mu in partitions(n)) / order
+            for lam in partitions(n)}
+
+
+def test_decompose_matches_the_inner_product_oracle():
+    """Genuine characters (sums of irreducibles) decompose to the oracle's
+    integers; rational class functions that are not characters raise with
+    the first failing multiplicity, as the oracle gives it."""
+    rng = random.Random(25)
+    for n in range(1, 6):
+        table = sn_character_table(n)
+        for _ in range(20):
+            mults = {lam: rng.randint(0, 3) for lam in partitions(n)}
+            values = {mu: sum(m * table[lam][mu] for lam, m in mults.items())
+                      for mu in partitions(n)}
+            assert decompose_character(values, n) == mults
+            assert inner_product_oracle(values, n) == mults
+            noisy = {mu: Fraction(v, rng.choice((1, 2, 3))) - rng.randint(0, 1)
+                     for mu, v in values.items()}
+            want = inner_product_oracle(noisy, n)
+            bad = [lam for lam, m in want.items() if m.denominator != 1 or m < 0]
+            if not bad:
+                assert decompose_character(noisy, n) == want
+                continue
+            with pytest.raises(NotACharacterError) as info:
+                decompose_character(noisy, n)
+            assert str(info.value) == (f"multiplicity of {partition_str(bad[0])} "
+                                       f"is {want[bad[0]]}")
 
 
 def test_partition_str():

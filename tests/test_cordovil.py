@@ -16,6 +16,7 @@ from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
 from arrgr.corpus import parallel_pair, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.polyring import Poly
+from test_polyring import kill_squares_oracle
 
 
 def test_circuit_boundary_braid3():
@@ -96,6 +97,31 @@ def test_add_and_sub_reject_mixed_contexts(op):
     want = {frozenset({0}): Fraction(1), frozenset({1}): Fraction(1 if op == "+" else -1)}
     assert apply(a, b).coords == want
     assert apply(a, a).coords == ({frozenset({0}): Fraction(2)} if op == "+" else {})
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "1", None, Poly.one()],
+                         ids=["int", "fraction", "str", "none", "poly"])
+@pytest.mark.parametrize("op", ["+", "-"], ids=["add", "sub"])
+def test_add_and_sub_reject_non_elements(op, other):
+    """Only an element of the same algebra adds to an element: a number or
+    a polynomial is a one-line `InputError`, not a bare Python error."""
+    one = CordovilAlgebra(braid(3)).one()
+    with pytest.raises(InputError, match="only an algebra element") as info:
+        one + other if op == "+" else one - other
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("scalar", ["x", None, [1], 0.5, True],
+                         ids=["str", "none", "list", "float", "bool"])
+def test_scaling_by_a_non_rational_is_an_input_error(scalar):
+    alg = CordovilAlgebra(braid(3))
+    x = alg.generator("12")
+    for scale in (lambda: x * scalar, lambda: scalar * x):
+        with pytest.raises(InputError) as info:
+            scale()
+        assert "\n" not in str(info.value)
+    assert (x * "1/2").coords == {frozenset({0}): Fraction(1, 2)}
+    assert ("-3" * x).coords == {frozenset({0}): Fraction(-3)}
 
 
 def test_element_product_is_the_traced_multiply(monkeypatch):
@@ -276,7 +302,7 @@ class FractionStraightening:
 
     def straighten(self, poly) -> dict:
         coords: dict = {}
-        for (emon, _), coeff in poly.kill_squares().terms.items():
+        for (emon, _), coeff in kill_squares_oracle(poly).terms.items():
             self.add_into(coords, self.monomial(frozenset(emon)), coeff)
         return coords
 

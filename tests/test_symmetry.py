@@ -10,9 +10,10 @@ import arrgr.symmetry
 from arrgr.arrangement import boolean, braid, semiorder
 from arrgr.characters import cycle_type, partition_str
 from arrgr.circuits import nbc_counts
+from arrgr.corpus import central_corpus
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
 from arrgr.linalg import SparseEchelon
-from arrgr.symmetry import (SignedPermutation, _gram, chamber_permutation,
+from arrgr.symmetry import (SignedPermutation, chamber_permutation,
                             coordinate_action, derive_signed_permutation,
                             fixed_chambers, graded_character, group_from_json,
                             load_group)
@@ -213,21 +214,23 @@ def test_cached_filtration_characters_run_no_echelon(monkeypatch):
     assert adds == []
 
 
-def test_one_solve_per_stage(monkeypatch):
+def test_one_solve_per_arrangement(monkeypatch):
+    """B⁻¹ is solved once per arrangement, on the square chamber
+    evaluation matrix of the whole basis, and shared by every class."""
     calls = []
     real = arrgr.symmetry.solve_square
 
-    def counted(G, B):
-        calls.append(len(G))
-        return real(G, B)
+    def counted(B, rhs):
+        calls.append(len(B))
+        return real(B, rhs)
 
     monkeypatch.setattr(arrgr.symmetry, "solve_square", counted)
     A = braid(4)
     group = coordinate_action(A)
     assert group.n_classes == 5
     graded_character(A, group)
-    # one Gram block per stage: the cumulative NBC counts 1, 6, 11, 6
-    assert calls == [1, 7, 18, 24]
+    # one square solve over the 24 chambers, not one per stage
+    assert calls == [24]
 
 
 def _mobius(d):
@@ -303,6 +306,35 @@ def test_coxeter_chamber_character_is_regular(corpus_map):
         assert gc.chamber_values == want, name
 
 
+def antipodal_group(A):
+    """{id, -id} as a group file: -id fixes every hyperplane of a central
+    arrangement and flips every form."""
+    same = {label: label for label in A.labels}
+    return group_from_json(A, {"group": "antipodal", "action": [
+        {"perm": same},
+        {"perm": same, "flips": {label: -1 for label in A.labels}},
+    ]})
+
+
+@pytest.mark.parametrize("name", [name for name, _ in central_corpus()] + ["braid5"])
+def test_antipodal_map_acts_by_the_grade_sign(name):
+    """On gr^k, -id acts by (-1)^k: it sends each Heaviside function h_i to
+    1 - h_i, which is -h_i modulo P^0, so a product of k of them picks up
+    (-1)^k modulo P^{k-1}.  Hence χ_k(-id) = (-1)^k · NBC_k in every grade,
+    the first grade-level check of a group element with flips."""
+    A = braid(5) if name == "braid5" else dict(central_corpus())[name]
+    group = antipodal_group(A)
+    assert group.n_classes == 2
+    minus = group.class_of[group.elements.index(
+        SignedPermutation(tuple(range(A.n)), (-1,) * A.n))]
+    gc = graded_character(A, group)
+    nbc = nbc_counts(A)
+    assert len(gc.grade_values) == len(nbc)
+    for k, (row, count) in enumerate(zip(gc.grade_values, nbc)):
+        assert row[minus] == (-1) ** k * count, (name, k)
+        assert row[1 - minus] == count, (name, k)
+
+
 def test_traces_basis_independent(corpus_map):
     for name in ("braid3", "semiorder3", "boolean3"):
         A = corpus_map[name]
@@ -340,13 +372,8 @@ def test_graded_character_matches_dense_oracle(make, reverse):
     gc = graded_character(A, group, reverse_basis=reverse)
     dims, bases = filtration_data(A, reverse=reverse)
     top = max(k for k in range(len(dims)) if bases[k])
-    masks = [monomial_mask(A, s) for k in range(top + 1) for s in bases[k]]
-    identity = tuple(range(len(A.chambers())))
     for c, w in enumerate(group.class_representatives()):
         perm = chamber_permutation(A, w)
-        G, R = dense_grams(A, bases, perm, top)
-        assert _gram(masks, identity) == G
-        assert _gram(masks, perm) == R
         traces = [dense_projection_trace_oracle(A, bases, perm, k)
                   for k in range(top + 1)]
         want = [traces[k] - (traces[k - 1] if k else 0) for k in range(top + 1)]

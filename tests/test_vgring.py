@@ -23,6 +23,7 @@ from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           verify_relations, _chamber_keys, _circuit_difference,
                           _common_zeros, _mask_vector, _nonzero_points,
                           _product_poly, _relation_nonzeros, _terms_at_one)
+from test_polyring import squarefree_reduce_oracle
 
 
 def evaluate_on_chambers(A, poly):
@@ -385,7 +386,7 @@ def full_multiples_rank(A, families):
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec = _mask_vector(rel.poly.squarefree_reduce().terms)
+        vec = _mask_vector(squarefree_reduce_oracle(rel.poly).terms)
         for mask in range(2**A.n):
             prod = {}
             for m, c in vec.items():
