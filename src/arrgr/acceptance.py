@@ -26,8 +26,8 @@ from .linalg import SparseEchelon, affine_system_consistent
 from .polyring import Poly
 from .rees import rees_relation_families, rees_hilbert_check, specialize
 from .symmetry import coordinate_action, graded_character
-from .vgring import (filtration_profile, presentation_dimension,
-                     verify_relations)
+from .vgring import (_eliminate_grades, filtration_profile,
+                     presentation_dimension, verify_relations)
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,23 @@ def straightening_span_dims(A) -> tuple:
 
 
 def criterion_3() -> CriterionResult:
+    """gr P^k, the NBC counts and the straightening span agree, grade by
+    grade, and sum to the chamber count.  `filtration_profile` reads its
+    dims from the NBC sets, so they are also compared with the exact echelon
+    of every monomial (`_eliminate_grades`), which assumes no basis
+    theorem."""
     bad = []
     for name, A in corpus():
-        gr = _trim(filtration_profile(A).gr_dims)
+        profile = filtration_profile(A)
+        gr = _trim(profile.gr_dims)
         nbc = _trim(nbc_counts(A))
         span = _trim(straightening_span_dims(A))
         total = len(A.chambers())
+        exact = _eliminate_grades(A, False)[0]
         if not (gr == nbc == span and sum(gr) == total):
             bad.append(f"{name}: gr={gr} nbc={nbc} span={span} chambers={total}")
+        if profile.dims != exact:
+            bad.append(f"{name}: dims={profile.dims} exact echelon={exact}")
     ok = not bad
     detail = "gr = NBC = straightening-span with chamber total on all corpus members" \
         if ok else "; ".join(bad)

@@ -9,27 +9,35 @@ on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
 2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
 so no Groebner basis and no elimination over monomial multiples is needed.
 
-Each relation at u = 1 is held once per arrangement as (support, nonzero):
+Each relation at u = 1 is held once per arrangement, memoized by family
+and source (`_relation_points`), as (support, nonzero):
 the union of its term masks, and the sub-masks of the support at which it
 is nonzero, all values from one zeta transform over the support bits.  Its
 value at a point s of the cube, or at a chamber's plus-mask, is its value
 at s & support, so both halves of the presentation theorem read the same
 sets.  The relation check fails a relation at the first chamber whose
-restricted plus-mask is a nonzero point.  The presentation count grows the
+restricted plus-mask is a nonzero point; the chambers at a point are one
+AND of Heaviside masks over the support (`_nonzero_chambers`), so no
+chamber is visited one by one.  The presentation count grows the
 common zeros one hyperplane at a time and drops a point as soon as a
 relation whose support ends at that hyperplane is nonzero there; the
 points kept are the common zeros of the relations seen so far, so the work
 follows the output instead of the 2^n cube.
 
-The filtration is an exact echelon of the monomials' 0/1 chamber columns.
-A column enters as an integer dict keyed by chamber plus-count, the rank of
-its chamber in the order (number of '+' signs, chamber index): the chambers
-of a monomial are those with '+' on its subset, so its least key is a
-chamber with few '+' signs that few other monomials contain, and the pivot
-rows stay sparse.  Keyed by chamber index instead, the all-'+' chamber,
-when it exists, comes first and lies in every column, so every insert
-would reduce against one dense pivot.  The column keys change no rank and
-no accepted insert, only the fill-in.
+The filtration is read off the NBC monomials, the basis of gr P^* in the
+paper's main theorem (Varchenko-Gelfand 1987; Cordovil 2002), and every
+answer is certified exactly (`_nbc_dims`).  The NBC monomials' 0/1 chamber
+columns, eliminated over GF(2) by XOR of Python ints, give the lower bound
+dim P^k >= |NBC_<=k|: 0/1 columns independent mod 2 are independent over
+Q.  The relations of the circuits and of the minimal empty flats,
+checked to vanish on the chambers, give the upper bound: through them
+every monomial rewrites into NBC monomials of no larger degree.  When the
+bounds meet, the dims are the NBC partial sums and the pivots the NBC sets
+of one ordering.  Otherwise the exact path `_eliminate_grades` answers: an
+echelon of every monomial's chamber column, grade by grade, each column an
+integer dict keyed by chamber plus-count (the rank of its chamber in the
+order (number of '+' signs, chamber index)), so that a column's least key
+is a chamber few other monomials contain and the pivot rows stay sparse.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -48,10 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .arrangement import Arrangement
-from .circuits import SignedSet, _mask, canonical_circuits
+from .circuits import (SignedSet, _mask, _per_ordering, canonical_circuits,
+                       circuit_scan, nbc_counts, nbc_sets)
 from .errors import ConsistencyError, InputError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
@@ -134,15 +143,132 @@ def filtration_data(A: Arrangement, reverse: bool = False):
     """Pivot columns of the monomial-evaluation matrix, grade by grade.
 
     Returns (dims, bases) where bases[k] lists the frozen subsets of the
-    pivot monomials of degree exactly k; their chamber evaluations
-    (`monomial_eval`) over grades <= k span P^k.
-    `reverse` flips the enumeration order inside each grade (used to confirm
-    that derived quantities are basis-independent).
+    pivot monomials of degree exactly k: scanning each grade's subsets in
+    lexicographic order (backwards for `reverse`), the monomials whose
+    chamber evaluation (`monomial_eval`) is not in the span of those
+    scanned before.  Their evaluations over grades <= k span P^k.
+    `reverse` flips the scan inside each grade (used to confirm that
+    derived quantities are basis-independent).
+
+    The pivots are the NBC sets of the reversed hyperplane ordering, or of
+    the default ordering for `reverse`, whenever `_nbc_dims` certifies
+    that ordering's NBC monomials as a basis.  Rewriting a monomial M
+    through a broken circuit X - x (x the ordering-largest element of X,
+    see `_nbc_dims`) gives, besides monomials of lower degree, the
+    monomials M - i + x for i in X - x.  In the reversed ordering x is the
+    least index of X, so M - i + x precedes M lexicographically; in the
+    default ordering it is the largest, so M - i + x follows M and comes
+    first in the backward scan.  Either way every other monomial lies in
+    the span of the NBC monomials scanned before it, and the NBC monomials
+    are independent, so they are exactly the pivots, in scan order.  When
+    the certificate fails, the exact echelon `_eliminate_grades` answers.
     """
-    return A._memo(("filtration", reverse), lambda: _eliminate_grades(A, reverse))
+    return A._memo(("filtration", reverse),
+                   lambda: _nbc_filtration(A, reverse) or _eliminate_grades(A, reverse))
+
+
+def _nbc_filtration(A: Arrangement, reverse: bool):
+    """(dims, bases) of `filtration_data` from the certified NBC sets, or
+    None when `_nbc_dims` does not certify them."""
+    ordering = None if reverse else tuple(reversed(range(A.n)))
+    dims = _nbc_dims(A, ordering)
+    if dims is None:
+        return None
+    bases = [[] for _ in range(A.n + 1)]
+    for s in nbc_sets(A, ordering):  # by size, then lexicographically
+        bases[len(s)].append(s)
+    if reverse:
+        for grade in bases:
+            grade.reverse()
+    return dims, bases
+
+
+def _nbc_dims(A: Arrangement, ordering=None):
+    """dim P^k for k = 0..n as the partial sums of the NBC counts of
+    `ordering`, when an exact certificate holds, else None; memoized per
+    ordering.
+
+    Lower bound: the NBC monomials' 0/1 chamber columns are independent
+    over GF(2) (`_independent_mod_2`).  Independent 0/1 columns have a
+    maximal minor that is odd, hence nonzero, so they are independent over
+    Q too, and dim P^k >= |NBC_<=k|.
+
+    Upper bound: every family-(3) relation (one per canonical circuit) and
+    the family-(2) relation of every minimal empty flat vanish on the
+    chambers at u = 1 (`_relations_vanish`).  The top form of a circuit
+    X's relation is its boundary sum_{i in X} X(i) e_{X - i} (the
+    full-support monomial cancels), every coefficient +-1; that of an
+    empty flat S's relation is e_S.  A relation times a monomial e_T is
+    still zero on the chambers, where e_i^2 = e_i.  So a monomial M that
+    contains the broken circuit X - x (x the ordering-largest element of X)
+    equals, on the chambers, a combination of the monomials M - i + x for
+    i in X - x and of monomials of lower degree, and a monomial that
+    contains an empty flat S equals one of lower degree.  This Cordovil
+    rewriting terminates: it keeps or lowers the degree, and when it keeps
+    it, the sum of the ordering ranks grows, since x outranks i.  A
+    monomial it cannot rewrite has no broken circuit and a nonempty flat:
+    an NBC set (`nbc_sets`).  So every monomial of degree <= k lies in the
+    span of NBC_<=k on the chambers, and dim P^k <= |NBC_<=k|.
+
+    Neither half trusts the circuit scan: the upper bound rewrites only
+    with relations checked to vanish, the lower bound reads only the
+    columns, and a missing circuit or empty flat that adds NBC sets leaves
+    more columns than dim P^n, which cannot be independent.
+    """
+    def build(A, ordering):
+        if not (_relations_vanish(A) and _independent_mod_2(A, nbc_sets(A, ordering))):
+            return None
+        counts = nbc_counts(A, ordering)
+        return tuple(accumulate(counts + (0,) * (A.n + 1 - len(counts))))
+    return _per_ordering(A, "nbc_dims", ordering, build)
+
+
+def _independent_mod_2(A: Arrangement, sets) -> bool:
+    """True iff the chamber columns of the monomials of `sets`
+    (`monomial_mask`) are linearly independent over GF(2).
+
+    Columns are eliminated by XOR of Python ints against the kept column
+    of their highest set bit; one that reduces to zero is dependent.  The
+    last chambers in the lexicographic order ('+' before '-') carry the
+    most '-' signs, so few monomials hold them and the kept columns stay
+    short: the last chamber of a central arrangement is all '-', held by
+    the empty monomial alone."""
+    masks = _heaviside_masks(A)
+    full = (1 << len(A.chambers())) - 1
+    pivots: dict = {}
+    for s in sets:
+        col = full
+        for i in s:
+            col &= masks[i]
+        while col:
+            top = col.bit_length()
+            kept = pivots.get(top)
+            if kept is None:
+                pivots[top] = col
+                break
+            col ^= kept
+        else:
+            return False
+    return True
+
+
+def _relations_vanish(A: Arrangement) -> bool:
+    """True iff the family-(3) relation of every canonical circuit and the
+    family-(2) relation of every minimal empty flat (`circuit_scan(A)[1]`)
+    vanish on the chambers at u = 1: the upper bound of `_nbc_dims`.  It
+    reads no minimal infeasible set, only the circuit scan."""
+    def compute():
+        rels = ([(3, X) for X in canonical_circuits(A)]
+                + [(2, X) for X in circuit_scan(A)[1]])
+        return not any(_nonzero_chambers(A, *_relation_points(A, family, X))
+                       for family, X in rels)
+    return A._memo("relations_vanish", compute)
 
 
 def _eliminate_grades(A: Arrangement, reverse: bool):
+    """The exact path of `filtration_data`: every monomial's 0/1 chamber
+    column, grade by grade, into a `SparseEchelon` keyed by chamber
+    plus-count, until the span is full.  It assumes no basis theorem."""
     nch = len(A.chambers())
     keys = _chamber_keys(A)
     ech = SparseEchelon()
@@ -165,7 +291,11 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
-    dims, _ = filtration_data(A)
+    """dim P^k from the certified NBC sets of the default ordering
+    (`_nbc_dims`), or from `filtration_data` when they are not certified."""
+    dims = _nbc_dims(A)
+    if dims is None:
+        dims, _ = filtration_data(A)
     gr = tuple(dims[k] - (dims[k - 1] if k else 0) for k in range(len(dims)))
     return FiltrationProfile(tuple(dims), gr)
 
@@ -301,17 +431,15 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     monomial evaluations span all chamber functions.
 
     A relation fails at the first chamber whose plus-mask, restricted to
-    the relation's support, is a point where the relation is nonzero; a
-    relation with no such point (as every family-(1) relation) reads no
-    chamber."""
+    the relation's support, is a point where the relation is nonzero
+    (`_nonzero_chambers`); a relation with no such point (as every
+    family-(1) relation) reads no chamber."""
     failures = []
     chambers = A.chambers()
-    plus = _plus_masks(A)
     for rel, (support, nonzero) in zip(rees_relation_families(A), _relation_nonzeros(A)):
-        if not nonzero:
-            continue
-        c = next((c for c, p in enumerate(plus) if p & support in nonzero), None)
-        if c is not None:
+        bad = _nonzero_chambers(A, support, nonzero)
+        if bad:
+            c = (bad & -bad).bit_length() - 1
             failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
     span = filtration_profile(A).dims[-1] if A.n else len(chambers)
     ok = not failures and span == len(chambers)
@@ -358,27 +486,57 @@ def _nonzero_points(terms: dict) -> tuple:
     return support, frozenset(t for t, v in zip(points, values) if v)
 
 
-def _terms_at_one(rel: Relation) -> dict:
-    """The u = 1 terms of a relation of `rees_relation_families` as an
-    integer dict, from the closed forms with shift 1 (u^0): dividing a
-    family-(3) difference by u changes nothing at u = 1."""
-    if rel.family == 1:
-        i = rel.source
-        return {((i, i), 0): 1, ((i,), 0): -1}  # e_i^2 - e_i
-    if rel.family == 2:
+def _terms_at_one(family: int, source) -> dict:
+    """The u = 1 terms of the relation of `rees_relation_families` with
+    this family and source as an integer dict, from the closed forms with
+    shift 1 (u^0): dividing a family-(3) difference by u changes nothing
+    at u = 1."""
+    if family == 1:
+        return {((source, source), 0): 1, ((source,), 0): -1}  # e_i^2 - e_i
+    if family == 2:
         out: dict = {}
-        _expand_into(out, rel.source.plus, rel.source.minus, 0, 1)
+        _expand_into(out, source.plus, source.minus, 0, 1)
         return out
-    return _difference_terms(rel.source, 0)
+    return _difference_terms(source, 0)
+
+
+def _relation_points(A: Arrangement, family: int, source) -> tuple:
+    """`_nonzero_points` of one relation at u = 1, built from its integer
+    closed form and memoized on A per (family, source): the certificate of
+    `_nbc_dims`, the relation check and every presentation count read the
+    same sets."""
+    memo = A._memo("relation_points", dict)
+    key = (family, source)
+    if key not in memo:
+        memo[key] = _nonzero_points(_terms_at_one(family, source))
+    return memo[key]
 
 
 def _relation_nonzeros(A: Arrangement) -> tuple:
-    """`_nonzero_points` of every relation at u = 1, in the order of
-    `rees_relation_families` (which `vg_relation_families` keeps): built
-    once from the integer closed forms and read by `verify_relations` and
-    by every `presentation_dimension` call."""
+    """`_relation_points` of every relation, in the order of
+    `rees_relation_families` (which `vg_relation_families` keeps)."""
     return A._memo("relation_nonzeros", lambda: tuple(
-        _nonzero_points(_terms_at_one(rel)) for rel in rees_relation_families(A)))
+        _relation_points(A, rel.family, rel.source) for rel in rees_relation_families(A)))
+
+
+def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:
+    """The chambers whose plus-mask, restricted to `support`, is a point of
+    `nonzero`, as a bitmask over the chamber order: per point t, the AND
+    over the support of the Heaviside masks of t's hyperplanes and the
+    complements of the others' (a family-(2)/(3) relation has one or two
+    points), so the work follows the support, not the chamber count."""
+    plus = _heaviside_masks(A)
+    full = (1 << len(A.chambers())) - 1
+    bits = [i for i in range(support.bit_length()) if support >> i & 1]
+    out = 0
+    for t in nonzero:
+        at = full
+        for i in bits:
+            at &= plus[i] if t >> i & 1 else full ^ plus[i]
+            if not at:
+                break
+        out |= at
+    return out
 
 
 def _common_zeros(A: Arrangement, families) -> list:

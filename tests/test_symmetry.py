@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import arrgr.symmetry
+import arrgr.vgring
 from arrgr.arrangement import boolean, braid, semiorder
 from arrgr.characters import cycle_type, partition_str
 from arrgr.circuits import nbc_counts
@@ -17,8 +18,8 @@ from arrgr.symmetry import (SignedPermutation, chamber_permutation,
                             coordinate_action, derive_signed_permutation,
                             fixed_chambers, graded_character, group_from_json,
                             load_group)
-from arrgr.vgring import (_chamber_keys, _keyed_column, filtration_data,
-                          monomial_eval, monomial_mask)
+from arrgr.vgring import (_chamber_keys, _eliminate_grades, _keyed_column,
+                          filtration_data, monomial_eval, monomial_mask)
 from test_linalg import fraction_rref_oracle
 
 
@@ -197,11 +198,14 @@ def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
 
 
 def test_cached_filtration_characters_run_no_echelon(monkeypatch):
-    """With the filtration cached, the characters insert no echelon
+    """With the filtration cached from the exact path (`_eliminate_grades`,
+    the NBC certificate switched off), the characters insert no echelon
     column: each stage's stability is not re-derived."""
     A = braid(4)
     group = coordinate_action(A)
-    filtration_data(A)
+    monkeypatch.setattr(arrgr.vgring, "_nbc_filtration", lambda A, reverse: None)
+    assert filtration_data(A) == _eliminate_grades(A, False)
+    monkeypatch.undo()
     adds = []
     real = SparseEchelon.add
 

@@ -8,7 +8,7 @@ import pytest
 import arrgr.vgring
 from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
                                restrict, semiorder)
-from arrgr.circuits import canonical_circuits, nbc_counts, nbc_sets
+from arrgr.circuits import canonical_circuits, circuit_scan, nbc_counts, nbc_sets
 from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
                             leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
@@ -17,11 +17,13 @@ from arrgr.errors import ConsistencyError, InputError, ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
 from arrgr.rees import rees_relation_families, specialize
+from arrgr.symmetry import coordinate_action, graded_character
 from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           heaviside, monomial_eval, monomial_mask,
                           presentation_dimension, vg_relation_families,
                           verify_relations, _chamber_keys, _circuit_difference,
-                          _common_zeros, _mask_vector, _nonzero_points,
+                          _common_zeros, _eliminate_grades, _independent_mod_2,
+                          _mask_vector, _nbc_dims, _nonzero_points,
                           _product_poly, _relation_nonzeros, _terms_at_one)
 from test_polyring import squarefree_reduce_oracle
 
@@ -108,8 +110,9 @@ def fraction_tuple_filtration(A, reverse):
 
 @pytest.mark.parametrize("reverse", (False, True))
 def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
-    """braid 5 reaches full rank inside grade 4; no monomial is inserted
-    after that, and dims and bases equal those of inserting every one."""
+    """The exact path `_eliminate_grades`: braid 5 reaches full rank inside
+    grade 4; no monomial is inserted after that, and dims and bases equal
+    those of inserting every one."""
     A = braid(5)
     nch = len(A.chambers())
     ranks_at_add = []
@@ -120,7 +123,7 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
         return add(self, vec)
 
     monkeypatch.setattr(SparseEchelon, "add", counted_add)
-    dims, bases = filtration_data(A, reverse=reverse)
+    dims, bases = _eliminate_grades(A, reverse)
     monkeypatch.undo()
     assert ranks_at_add and max(ranks_at_add) < nch
     want_dims, want_bases = fraction_tuple_filtration(A, reverse)
@@ -132,18 +135,20 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("name", ("semiorder4", "boolean7"))
 def test_plus_count_keys_match_fraction_tuple_oracle(name, reverse):
-    """The echelon keyed by chamber plus-count accepts the same monomials
-    as the Fraction-tuple echelon keyed by chamber index."""
+    """The exact path's echelon (`_eliminate_grades`), keyed by chamber
+    plus-count, accepts the same monomials as the Fraction-tuple echelon
+    keyed by chamber index."""
     A = semiorder(4) if name == "semiorder4" else boolean(7)
-    dims, bases = filtration_data(A, reverse=reverse)
+    dims, bases = _eliminate_grades(A, reverse)
     want_dims, want_bases = fraction_tuple_filtration(A, reverse)
     assert dims == want_dims
     assert bases == want_bases
 
 
 def test_chamber_keys_order_by_plus_count(corpus_map):
-    """The echelon keys rank the chambers by number of '+' signs, then by
-    chamber index: a chamber that many monomials hold gets a late key."""
+    """The keys of the exact path's echelon (`_eliminate_grades`) rank the
+    chambers by number of '+' signs, then by chamber index: a chamber that
+    many monomials hold gets a late key."""
     for name, A in corpus_map.items():
         keys = _chamber_keys(A)
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
@@ -162,6 +167,123 @@ def test_filtration_basis_is_nbc(corpus_map):
             _, bases = filtration_data(A, reverse=reverse)
             picked = {s for grade in bases for s in grade}
             assert picked == set(nbc_sets(A, ordering)), (name, reverse)
+
+
+def nbc_ordering(A, reverse):
+    """The ordering whose NBC sets are `filtration_data`'s pivots."""
+    return None if reverse else tuple(reversed(range(A.n)))
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_certified_filtration_matches_the_exact_echelon(corpus_map, reverse):
+    """On every input the NBC certificate holds, and the dims and bases it
+    gives equal those of the exact all-monomial echelon; so do the
+    `filtration_profile` dims, read from the default ordering's NBC sets."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+                 boolean7=boolean(7),
+                 random_seed1=random_rational_arrangement(seed=1))
+    for name, A in cases.items():
+        assert _nbc_dims(A, nbc_ordering(A, reverse)) is not None, name
+        want = _eliminate_grades(A, reverse)
+        assert filtration_data(A, reverse=reverse) == want, name
+        assert filtration_profile(A).dims == want[0], name
+
+
+def test_certified_dims_match_the_exact_echelon_at_braid6():
+    A = braid(6)
+    assert filtration_profile(A).dims == _eliminate_grades(A, False)[0]
+    assert _nbc_dims(A) is not None
+
+
+def counted_exact_path(monkeypatch):
+    """Wrap `_eliminate_grades`; the list records each reverse it ran."""
+    runs = []
+    exact = _eliminate_grades
+
+    def counted(A, reverse):
+        runs.append(reverse)
+        return exact(A, reverse)
+
+    monkeypatch.setattr(arrgr.vgring, "_eliminate_grades", counted)
+    return runs
+
+
+def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
+    """A certificate relation forced nonzero on the chambers breaks the
+    upper bound: `filtration_data` and `filtration_profile` answer from
+    the exact echelon, with the same values.  braid 4 loses a circuit's
+    family-(3) relation, semiorder 3 (no circuit) an empty flat's
+    family-(2) relation."""
+    for A, make in ((braid(4), lambda: braid(4)),
+                    (semiorder(3), lambda: semiorder(3))):
+        want = [_eliminate_grades(A, reverse) for reverse in (False, True)]
+        B = make()
+        first = ([(3, X) for X in canonical_circuits(B)]
+                 + [(2, X) for X in circuit_scan(B)[1]])[0]
+        points = arrgr.vgring._relation_points
+
+        def forced(A, family, source):
+            if (family, source) == first:
+                return 0, frozenset({0})  # a nonzero constant
+            return points(A, family, source)
+
+        monkeypatch.setattr(arrgr.vgring, "_relation_points", forced)
+        runs = counted_exact_path(monkeypatch)
+        assert [filtration_data(B, reverse=r) for r in (False, True)] == want
+        assert filtration_profile(B).dims == want[0][0]
+        assert runs == [False, True]
+        assert _nbc_dims(B) is None
+        monkeypatch.undo()
+
+
+def test_filtration_falls_back_when_the_lower_bound_fails(monkeypatch):
+    """With one chamber dropped the relations still vanish, but the NBC
+    columns outnumber the chambers, so they are dependent over GF(2) and
+    the exact echelon answers: the top dimension is the chamber count."""
+    for make in (lambda: braid(4), lambda: semiorder(3), lambda: boolean(3)):
+        A = make()
+        A._cache["chambers"] = make().chambers()[1:]
+        runs = counted_exact_path(monkeypatch)
+        dims, bases = filtration_data(A)
+        assert runs == [False]
+        assert dims[-1] == len(A.chambers()) < sum(nbc_counts(A))
+        assert (dims, bases) == _eliminate_grades(A, False)
+        assert filtration_profile(A).dims == dims
+        monkeypatch.undo()
+    # a GF(2) dependence the bounds cannot see: forced, same exact answer
+    A = braid(4)
+    want = _eliminate_grades(A, True)
+    monkeypatch.setattr(arrgr.vgring, "_independent_mod_2", lambda A, sets: False)
+    runs = counted_exact_path(monkeypatch)
+    assert filtration_data(A, reverse=True) == want
+    assert runs == [True]
+
+
+def test_independent_mod_2_reads_the_monomial_columns():
+    """Independence of the chamber columns over GF(2): the NBC monomials
+    are independent; a repeated monomial, or one more column than there
+    are chambers, is not."""
+    A = braid(4)
+    sets = nbc_sets(A)
+    assert _independent_mod_2(A, sets)
+    assert not _independent_mod_2(A, sets + (frozenset({0, 1, 2}),))
+    assert not _independent_mod_2(A, (frozenset(), frozenset({0}), frozenset({0})))
+    B = boolean(2)
+    assert _independent_mod_2(B, [frozenset(), frozenset({0}), frozenset({1})])
+    assert _independent_mod_2(B, nbc_sets(B))
+
+
+def test_graded_character_runs_no_minimal_infeasible_scan(monkeypatch):
+    """The certificate reads circuits and empty flats from the circuit
+    scan: a graded character on semiorder 3 (which has empty flats) never
+    asks for the minimal infeasible sets."""
+    A = semiorder(3)
+    calls = []
+    monkeypatch.setattr(Arrangement, "minimal_infeasible_sign_sets",
+                        lambda self: calls.append(1))
+    graded_character(A, coordinate_action(A))
+    assert _nbc_dims(A, nbc_ordering(A, False)) is not None
+    assert calls == []
 
 
 def test_vg_families_point_in_a_line():
@@ -269,7 +391,8 @@ def test_relation_masks_match_the_vg_polynomials(corpus_map):
         rels = vg_relation_families(A)
         want = tuple(_nonzero_points(rel.poly.terms) for rel in rels)
         assert _relation_nonzeros(A) == want, name
-        closed = [_terms_at_one(rel) for rel in rees_relation_families(A)]
+        closed = [_terms_at_one(rel.family, rel.source)
+                  for rel in rees_relation_families(A)]
         assert all(type(c) is int for terms in closed for c in terms.values()), name
         assert [_mask_vector(terms) for terms in closed] \
             == [_mask_vector(rel.poly.terms) for rel in rels], name
@@ -649,13 +772,16 @@ def test_u_families_multiply_only_the_squares(monkeypatch, make):
                                   lambda: random_rational_arrangement()],
                          ids=["braid4", "semiorder3", "random8"])
 def test_relation_masks_built_once(monkeypatch, make):
-    """`verify_relations` and `presentation_dimension` at (1,2) and (1,3)
-    read one (support, nonzero) pair per relation, built once."""
+    """The filtration certificate, `verify_relations` and
+    `presentation_dimension` at (1,2) and (1,3), called in the order of a
+    benchmark census job, read one (support, nonzero) pair per relation,
+    built once."""
     A = make()
     calls = []
     nonzero_points = arrgr.vgring._nonzero_points
     monkeypatch.setattr(arrgr.vgring, "_nonzero_points",
                         lambda terms: calls.append(1) or nonzero_points(terms))
+    assert _nbc_dims(A) == filtration_profile(A).dims
     assert verify_relations(A).ok
     chambers = len(A.chambers())
     assert presentation_dimension(A) == chambers
