@@ -291,11 +291,10 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
-    """dim P^k from the certified NBC sets of the default ordering
-    (`_nbc_dims`), or from `filtration_data` when they are not certified."""
-    dims = _nbc_dims(A)
-    if dims is None:
-        dims, _ = filtration_data(A)
+    """dim P^k from `filtration_data` with `reverse`, which reads the NBC
+    sets of the default ordering (`nbc_sets(A)`) that the jobs already
+    build; the dims do not depend on the scan order."""
+    dims, _ = filtration_data(A, reverse=True)
     gr = tuple(dims[k] - (dims[k - 1] if k else 0) for k in range(len(dims)))
     return FiltrationProfile(tuple(dims), gr)
 

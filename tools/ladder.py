@@ -2,15 +2,17 @@
 trees.
 
     python3 tools/ladder.py --layer filtration parent=../old/src change=src > ladder.json
-    python3 tools/ladder.py --layer chambers --rungs braid4,random8 --repeats 3 change=src
+    python3 tools/ladder.py --layer chambers --rungs braid4,random8 change=src
 
 Each positional argument is LABEL=SRC_DIR, a directory that holds the
 `arrgr` package.  Every measurement runs in a fresh interpreter that
 imports `arrgr` from its tree and, where `os.sched_setaffinity` exists, is
-pinned to one CPU.  Per rung the trees run `--repeats` times (a layer's own
-default otherwise, fewer on its stretch rungs), alternating which goes
-first.  A measurement that outlives TIMEOUT_S seconds is killed and
-counted under "timeouts" (the exact filtration echelon alone takes about
+pinned to one CPU.  Per rung the trees run a layer's own number of times
+(fewer on its stretch rungs), alternating which goes first.  `--rungs`
+picks rungs: a family name followed by its size (braid, semiorder,
+boolean), and on the chambers layer also random8 or randoms, on the
+algebra layer random8.  A measurement that outlives TIMEOUT_S seconds is
+killed and counted under "timeouts" (the exact filtration echelon alone takes about
 25 s at braid 7); the statistics come from the runs that finished.
 Times are `time.perf_counter` wall seconds.  Layers:
 
@@ -61,10 +63,10 @@ FAMILIES = ("braid", "semiorder", "boolean")
 TIMEOUT_S = 120
 
 
-def _known(rung: str) -> bool:
-    """random8, randoms, or a family name followed by its size."""
+def _known(rung: str, layer: dict) -> bool:
+    """A random rung the layer runs, or a family name followed by its size."""
     kind = rung.rstrip("0123456789")
-    return rung in ("random8", "randoms") or (kind in FAMILIES and kind != rung)
+    return rung in layer["randoms"] or (kind in FAMILIES and kind != rung)
 
 
 def _make(rung: str) -> list:
@@ -161,9 +163,9 @@ def measure_filtration(rung: str) -> dict:
             "dims_md5": _md5(profile.dims)}
 
 
-def _layer(rungs, measure, repeats, stretch, what) -> dict:
+def _layer(rungs, measure, repeats, stretch, what, randoms=()) -> dict:
     return {"rungs": rungs, "measure": measure, "repeats": repeats,
-            "stretch": stretch, "what": what}
+            "stretch": stretch, "what": what, "randoms": randoms}
 
 
 LAYERS = {
@@ -172,11 +174,11 @@ LAYERS = {
         + [f"boolean{n}" for n in range(4, 9)] + ["random8", "randoms"],
         measure_chambers, 7, {"braid7": 3},
         "Arrangement.chambers() of a fresh copy and its strict_feasible "
-        "calls, cut (dim - 1 variables) and side (dim)"),
+        "calls, cut (dim - 1 variables) and side (dim)", ("random8", "randoms")),
     "algebra": _layer(
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
         "cold straighten of every squarefree monomial and one "
-        "validate_circuit_axioms call"),
+        "validate_circuit_axioms call", ("random8",)),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "boolean4", "boolean5", "semiorder3",
          "semiorder4"], measure_characters, 5, {},
@@ -223,23 +225,21 @@ def main(argv: list) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--layer", required=True, choices=sorted(LAYERS))
     parser.add_argument("--rungs", help="comma-separated rungs (default: the layer's ladder)")
-    parser.add_argument("--repeats", type=int, help="runs per tree and rung")
     parser.add_argument("trees", nargs="+", metavar="LABEL=SRC_DIR")
     args = parser.parse_args(argv)
     trees = [arg.split("=", 1) for arg in args.trees]
     if any(len(t) != 2 for t in trees):
         parser.error("trees are given as LABEL=SRC_DIR")
-    if args.repeats is not None and args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     layer = LAYERS[args.layer]
     rungs = args.rungs.split(",") if args.rungs else layer["rungs"]
-    unknown = [rung for rung in rungs if not _known(rung)]
+    unknown = [rung for rung in rungs if not _known(rung, layer)]
     if unknown:
-        parser.error(f"unknown rungs {unknown}: use random8, randoms or "
-                     f"one of {', '.join(FAMILIES)} followed by its size")
+        choices = [*layer["randoms"], f"one of {', '.join(FAMILIES)} followed by its size"]
+        parser.error(f"unknown rungs {unknown} for the {args.layer} layer: "
+                     f"use {' or '.join(choices)}")
     out = {}
     for rung in rungs:
-        repeats = args.repeats or layer["stretch"].get(rung, layer["repeats"])
+        repeats = layer["stretch"].get(rung, layer["repeats"])
         runs = {label: [] for label, _ in trees}
         timeouts = dict.fromkeys(runs, 0)
         for r in range(repeats):
