@@ -9,12 +9,14 @@ on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
 2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
 so no Groebner basis and no elimination over monomial multiples is needed.
 
-Each relation at u = 1 is held once per arrangement, memoized by family
-and source (`_relation_points`), as (support, nonzero):
-the union of its term masks, and the sub-masks of the support at which it
-is nonzero, all values from one zeta transform over the support bits.  Its
-value at a point s of the cube, or at a chamber's plus-mask, is its value
-at s & support, so both halves of the presentation theorem read the same
+Each relation at u = 1 is held as (support, nonzero): the mask of its
+hyperplanes, and the sub-masks of the support at which it is nonzero, in
+closed form (`_relation_points`).  A product prod_{X+} e_i prod_{X-}
+(e_j - 1) at a 0/1 point of its support is nonzero iff the point is X+, so
+a minimal infeasible set's relation is nonzero at X+ alone, a circuit's
+difference at X+ and X-, and e_i^2 - e_i nowhere.  A relation's value at
+a point s of the cube, or at a chamber's plus-mask, is its value at
+s & support, so both halves of the presentation theorem read the same
 sets.  The relation check fails a relation at the first chamber whose
 restricted plus-mask is a nonzero point; the chambers at a point are one
 AND of Heaviside masks over the support (`_nonzero_chambers`), so no
@@ -46,10 +48,9 @@ are expanded in closed form, with no polynomial products: the product
 prod_{i in P} e_i prod_{j in M} (e_j - u^s) has one term per T in M, the
 monomial P + T with sign (-1)^|M - T| and u-power s|M - T|, and a circuit's
 difference merges its two expansions over the integers, where only the
-full-support monomial cancels.  The (support, nonzero) sets are built
-from the same integer expansions at u = 1, with no `Poly`.  The graded
-families in `cordovil` are built independently, from circuit boundaries
-and empty flats, with `Poly` products.
+full-support monomial cancels.  The graded families in `cordovil` are
+built independently, from circuit boundaries and empty flats, with `Poly`
+products.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def _relations_vanish(A: Arrangement) -> bool:
     def compute():
         rels = ([(3, X) for X in canonical_circuits(A)]
                 + [(2, X) for X in circuit_scan(A)[1]])
-        return not any(_nonzero_chambers(A, *_relation_points(A, family, X))
+        return not any(_nonzero_chambers(A, *_relation_points(family, X))
                        for family, X in rels)
     return A._memo("relations_vanish", compute)
 
@@ -445,77 +446,25 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     return RelationCheck(ok, span, len(chambers), tuple(failures))
 
 
-def _mask_vector(terms: dict) -> dict:
-    """u-free terms {(monomial, 0): coefficient} modulo e_i^2 - e_i, as
-    {subset bitmask: coefficient} with the zero sums dropped."""
-    vec: dict = {}
-    for (emon, uexp), coeff in terms.items():
-        if uexp:
-            raise ConsistencyError("a chamber-function relation carries u")
-        mask = _mask(emon)
-        vec[mask] = vec.get(mask, 0) + coeff
-    return {m: c for m, c in vec.items() if c}
-
-
-def _nonzero_points(terms: dict) -> tuple:
-    """(support, nonzero) of u-free terms (a `Poly`'s `terms`, or an integer
-    dict) modulo e_i^2 - e_i: the union of the term masks, and the frozenset
-    of the support's sub-masks t at which the function is nonzero.  Its
-    value at a point s of the Boolean cube is its value at s & support.
-
-    The value at t is the sum of the coefficients of the terms inside t;
-    all of them come from one zeta transform over the b support bits
-    (b * 2^(b-1) additions), the sub-mask with bits k of the support's bit
-    list at position k."""
-    vec = _mask_vector(terms)
-    support = 0
-    for m in vec:
-        support |= m
-    points = [0]
-    for i in range(support.bit_length()):
-        if support >> i & 1:
-            points += [t | 1 << i for t in points]
-    values = [vec.get(t, 0) for t in points]
-    step = 1
-    while step < len(values):
-        for k in range(len(values)):
-            if k & step:
-                values[k] += values[k ^ step]
-        step <<= 1
-    return support, frozenset(t for t, v in zip(points, values) if v)
-
-
-def _terms_at_one(family: int, source) -> dict:
-    """The u = 1 terms of the relation of `rees_relation_families` with
-    this family and source as an integer dict, from the closed forms with
-    shift 1 (u^0): dividing a family-(3) difference by u changes nothing
-    at u = 1."""
+def _relation_points(family: int, source) -> tuple:
+    """(support, nonzero) of one relation of `rees_relation_families` at
+    u = 1: its support mask, and the frozenset of the support's sub-masks
+    at which it is nonzero.  With P = mask(X+) and M = mask(X-),
+    prod_{i in P} e_i prod_{j in M} (e_j - 1) at a 0/1 point t of P | M is
+    nonzero iff t contains P and misses M, i.e. iff t = P; a circuit's two
+    products are nonzero at the distinct points P and M.  e_i^2 - e_i is
+    zero on the cube."""
     if family == 1:
-        return {((source, source), 0): 1, ((source,), 0): -1}  # e_i^2 - e_i
-    if family == 2:
-        out: dict = {}
-        _expand_into(out, source.plus, source.minus, 0, 1)
-        return out
-    return _difference_terms(source, 0)
-
-
-def _relation_points(A: Arrangement, family: int, source) -> tuple:
-    """`_nonzero_points` of one relation at u = 1, built from its integer
-    closed form and memoized on A per (family, source): the certificate of
-    `_nbc_dims`, the relation check and every presentation count read the
-    same sets."""
-    memo = A._memo("relation_points", dict)
-    key = (family, source)
-    if key not in memo:
-        memo[key] = _nonzero_points(_terms_at_one(family, source))
-    return memo[key]
+        return 0, frozenset()
+    plus, minus = _mask(source.plus), _mask(source.minus)
+    return plus | minus, frozenset({plus} if family == 2 else {plus, minus})
 
 
 def _relation_nonzeros(A: Arrangement) -> tuple:
     """`_relation_points` of every relation, in the order of
     `rees_relation_families` (which `vg_relation_families` keeps)."""
     return A._memo("relation_nonzeros", lambda: tuple(
-        _relation_points(A, rel.family, rel.source) for rel in rees_relation_families(A)))
+        _relation_points(rel.family, rel.source) for rel in rees_relation_families(A)))
 
 
 def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:

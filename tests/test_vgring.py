@@ -8,7 +8,8 @@ import pytest
 import arrgr.vgring
 from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
                                restrict, semiorder)
-from arrgr.circuits import canonical_circuits, circuit_scan, nbc_counts, nbc_sets
+from arrgr.circuits import (_mask, canonical_circuits, circuit_scan, nbc_counts,
+                            nbc_sets)
 from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
                             leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
@@ -23,8 +24,7 @@ from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           presentation_dimension, vg_relation_families,
                           verify_relations, _chamber_keys, _circuit_difference,
                           _common_zeros, _eliminate_grades, _independent_mod_2,
-                          _mask_vector, _nbc_dims, _nonzero_points,
-                          _product_poly, _relation_nonzeros, _terms_at_one)
+                          _nbc_dims, _product_poly, _relation_nonzeros)
 from test_polyring import squarefree_reduce_oracle
 
 
@@ -42,6 +42,41 @@ def evaluate_on_chambers(A, poly):
     totals = (sum(k for mask, k in scaled if mask >> c & 1)
               for c in range(len(A.chambers())))
     return tuple(Fraction(t, den) if t else Fraction(0) for t in totals)
+
+
+def mask_vector_oracle(terms):
+    """u-free terms {(monomial, 0): coefficient} modulo e_i^2 - e_i, as
+    {subset bitmask: coefficient} with the zero sums dropped."""
+    vec = {}
+    for (emon, uexp), coeff in terms.items():
+        assert not uexp, "a chamber-function relation carries u"
+        mask = _mask(emon)
+        vec[mask] = vec.get(mask, 0) + coeff
+    return {m: c for m, c in vec.items() if c}
+
+
+def nonzero_points_oracle(terms):
+    """Oracle for `_relation_points`: (support, nonzero) of u-free terms
+    modulo e_i^2 - e_i, the union of the term masks and the frozenset of
+    the support's sub-masks t at which the function is nonzero.  The value
+    at t is the sum of the coefficients of the terms inside t; all of them
+    come from one zeta transform over the support bits."""
+    vec = mask_vector_oracle(terms)
+    support = 0
+    for m in vec:
+        support |= m
+    points = [0]
+    for i in range(support.bit_length()):
+        if support >> i & 1:
+            points += [t | 1 << i for t in points]
+    values = [vec.get(t, 0) for t in points]
+    step = 1
+    while step < len(values):
+        for k in range(len(values)):
+            if k & step:
+                values[k] += values[k ^ step]
+        step <<= 1
+    return support, frozenset(t for t, v in zip(points, values) if v)
 
 
 def test_heaviside_point_in_a_line():
@@ -222,10 +257,10 @@ def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
                  + [(2, X) for X in circuit_scan(B)[1]])[0]
         points = arrgr.vgring._relation_points
 
-        def forced(A, family, source):
+        def forced(family, source):
             if (family, source) == first:
                 return 0, frozenset({0})  # a nonzero constant
-            return points(A, family, source)
+            return points(family, source)
 
         monkeypatch.setattr(arrgr.vgring, "_relation_points", forced)
         runs = counted_exact_path(monkeypatch)
@@ -363,16 +398,16 @@ def test_verify_relations_matches_chamber_scan_oracle(corpus_map, monkeypatch):
     bogus = empty_flat_difference(S)
     want = nonzero_chambers_oracle(S, bogus)
     assert want
-    assert nonzero_chambers(S, _nonzero_points(bogus.terms)) == want
+    assert nonzero_chambers(S, nonzero_points_oracle(bogus.terms)) == want
     # single terms, and polynomials that are zero modulo the squares
     e = Poly.generator
     for poly in [e(i) for i in range(S.n)] + [e(0) * e(4), Poly.zero(),
                                               e(2) * e(2) - e(2)]:
-        got = nonzero_chambers(S, _nonzero_points(poly.terms))
+        got = nonzero_chambers(S, nonzero_points_oracle(poly.terms))
         assert got == nonzero_chambers_oracle(S, poly), poly
     # a relation that fails is reported at its first nonzero chamber
     rels = rees_relation_families(S)
-    points = _relation_nonzeros(S)[:-1] + (_nonzero_points(bogus.terms),)
+    points = _relation_nonzeros(S)[:-1] + (nonzero_points_oracle(bogus.terms),)
     monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
     check = verify_relations(S)
     assert not check.ok
@@ -381,21 +416,31 @@ def test_verify_relations_matches_chamber_scan_oracle(corpus_map, monkeypatch):
 
 
 def test_relation_masks_match_the_vg_polynomials(corpus_map):
-    """The (support, nonzero) masks built from the integer closed forms at
-    u = 1 equal those of the `vg_relation_families` polynomials, and the
-    closed forms' reduced terms equal the polynomials', term for term."""
-    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+    """The (support, nonzero) masks read off in closed form equal those the
+    zeta transform gives for the `vg_relation_families` polynomials; also
+    on a circuit that is all '+' (one of its points is 0) and a minimal
+    infeasible set with no '+', which no corpus member has."""
+    x, y = (1, 0), (0, 1)
+    all_plus = Arrangement(2, [(x, 0), (y, 0), ((-1, -1), 0)])
+    no_plus = Arrangement(1, [((1,), 0), ((-1,), 1)])
+    assert [(X.plus, X.minus) for X in canonical_circuits(all_plus)] \
+        == [(frozenset({0, 1, 2}), frozenset())]
+    assert [(X.plus, X.minus) for X in no_plus.minimal_infeasible_sign_sets()] \
+        == [(frozenset(), frozenset({0, 1}))]
+    cases = dict(corpus_map, braid5=braid(5), braid6=braid(6),
+                 semiorder4=semiorder(4), all_plus=all_plus, no_plus=no_plus,
                  **{f"random{k}": random_rational_arrangement(seed=k)
                     for k in range(1, 5)})
     for name, A in cases.items():
-        rels = vg_relation_families(A)
-        want = tuple(_nonzero_points(rel.poly.terms) for rel in rels)
+        want = tuple(nonzero_points_oracle(rel.poly.terms)
+                     for rel in vg_relation_families(A))
         assert _relation_nonzeros(A) == want, name
-        closed = [_terms_at_one(rel.family, rel.source)
-                  for rel in rees_relation_families(A)]
-        assert all(type(c) is int for terms in closed for c in terms.values()), name
-        assert [_mask_vector(terms) for terms in closed] \
-            == [_mask_vector(rel.poly.terms) for rel in rels], name
+    assert (0b111, frozenset({0b111, 0})) in _relation_nonzeros(all_plus)
+    assert (0b11, frozenset({0})) in _relation_nonzeros(no_plus)
+    for A, chambers in ((all_plus, 6), (no_plus, 3)):
+        assert len(A.chambers()) == chambers
+        assert verify_relations(A).ok
+        assert presentation_dimension(A) == chambers
 
 
 def value_at_oracle(vec, t):
@@ -405,7 +450,7 @@ def value_at_oracle(vec, t):
 
 
 def test_zeta_transform_matches_direct_evaluation():
-    """`_nonzero_points` reads every value off one zeta transform; each
+    """`nonzero_points_oracle` reads every value off one zeta transform; each
     equals the direct sum over the terms inside the point, for integer and
     Fraction coefficients, squares, constants and cancellation."""
     rng = random.Random(2023)
@@ -420,19 +465,19 @@ def test_zeta_transform_matches_direct_evaluation():
         dicts.append(terms)
     seen = set()
     for terms in dicts:
-        vec = _mask_vector(terms)
+        vec = mask_vector_oracle(terms)
         support = 0
         for m in vec:
             support |= m
-        got_support, nonzero = _nonzero_points(terms)
+        got_support, nonzero = nonzero_points_oracle(terms)
         assert got_support == support, terms
         assert all(t & support == t for t in nonzero), terms
         for s in range(2**7):
             assert (s & support in nonzero) == (value_at_oracle(vec, s) != 0), (terms, s)
         seen.add((bool(support), bool(nonzero)))
-    assert _nonzero_points({}) == (0, frozenset())
-    assert _nonzero_points({((), 0): 3}) == (0, frozenset({0}))
-    assert _nonzero_points({((2, 2), 0): 1, ((2,), 0): -1}) == (0, frozenset())
+    assert nonzero_points_oracle({}) == (0, frozenset())
+    assert nonzero_points_oracle({((), 0): 3}) == (0, frozenset({0}))
+    assert nonzero_points_oracle({((2, 2), 0): 1, ((2,), 0): -1}) == (0, frozenset())
     assert seen == {(False, False), (False, True), (True, True)}
 
 
@@ -509,7 +554,7 @@ def full_multiples_rank(A, families):
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec = _mask_vector(squarefree_reduce_oracle(rel.poly).terms)
+        vec = mask_vector_oracle(squarefree_reduce_oracle(rel.poly).terms)
         for mask in range(2**A.n):
             prod = {}
             for m, c in vec.items():
@@ -544,7 +589,7 @@ def common_zeros_cube_oracle(A, families):
     for rel in vg_relation_families(A):
         if rel.family == 1 or rel.family not in families:
             continue
-        vec = _mask_vector(rel.poly.terms)
+        vec = mask_vector_oracle(rel.poly.terms)
         support = 0
         for m in vec:
             support |= m
@@ -766,24 +811,3 @@ def test_u_families_multiply_only_the_squares(monkeypatch, make):
     monkeypatch.undo()
     assert len(calls) == A.n
     assert len(rels) > A.n
-
-
-@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
-                                  lambda: random_rational_arrangement()],
-                         ids=["braid4", "semiorder3", "random8"])
-def test_relation_masks_built_once(monkeypatch, make):
-    """The filtration certificate, `verify_relations` and
-    `presentation_dimension` at (1,2) and (1,3), called in the order of a
-    benchmark census job, read one (support, nonzero) pair per relation,
-    built once."""
-    A = make()
-    calls = []
-    nonzero_points = arrgr.vgring._nonzero_points
-    monkeypatch.setattr(arrgr.vgring, "_nonzero_points",
-                        lambda terms: calls.append(1) or nonzero_points(terms))
-    assert _nbc_dims(A) == filtration_profile(A).dims
-    assert verify_relations(A).ok
-    chambers = len(A.chambers())
-    assert presentation_dimension(A) == chambers
-    assert presentation_dimension(A, (1, 3)) >= chambers
-    assert len(calls) == len(vg_relation_families(A))

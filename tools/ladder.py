@@ -30,10 +30,12 @@ Times are `time.perf_counter` wall seconds.  Layers:
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, a cold
-              `verify_relations`; and vg_s, the whole command
-              `arrgr --FAMILY N --nmax max(14, n) vg` (chambers, circuits
-              and NBC included) on a new arrangement in the same
-              interpreter, stdout discarded.
+              `verify_relations`; presentation_s, a cold
+              `presentation_dimension(A, (1, 2), nmax=n)` on a new
+              arrangement after its chambers and `nbc_sets`; and vg_s,
+              the whole command `arrgr --FAMILY N --nmax max(14, n) vg`
+              (chambers, circuits and NBC included) on a new arrangement
+              in the same interpreter, stdout discarded.
 
 The md5 of each layer's results shows that the trees agree.  Stdlib only;
 the JSON goes to stdout.
@@ -147,20 +149,24 @@ def measure_characters(rung: str) -> dict:
 def measure_filtration(rung: str) -> dict:
     from arrgr import cli
     from arrgr.circuits import nbc_sets
-    from arrgr.vgring import filtration_profile, verify_relations
+    from arrgr.vgring import filtration_profile, presentation_dimension, verify_relations
 
-    [A] = _make(rung)
+    [A], [B] = _make(rung), _make(rung)
     chambers = len(A.chambers())
-    nbc_sets(A)
+    for arrangement in (A, B):
+        arrangement.chambers()
+        nbc_sets(arrangement)
     profile, profile_s = _timed(filtration_profile, A)
     check, verify_s = _timed(verify_relations, A)
+    count, presentation_s = _timed(presentation_dimension, B, (1, 2), B.n)
     kind = rung.rstrip("0123456789")
     argv = [f"--{kind}", rung[len(kind):], "--nmax", str(max(14, A.n)), "vg"]
     with contextlib.redirect_stdout(io.StringIO()):
         code, vg_s = _timed(cli.main, argv)
     return {"chambers": chambers, "relations_ok": check.ok, "vg_exit": code,
-            "profile_s": profile_s, "verify_s": verify_s, "vg_s": vg_s,
-            "dims_md5": _md5(profile.dims)}
+            "profile_s": profile_s, "verify_s": verify_s,
+            "presentation_s": presentation_s, "vg_s": vg_s,
+            "dims_md5": _md5((profile.dims, count))}
 
 
 def _layer(rungs, measure, repeats, stretch, what, randoms=()) -> dict:
@@ -188,8 +194,9 @@ LAYERS = {
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
         "cold filtration_profile and verify_relations after the chambers "
-        "and nbc_sets, and the whole `arrgr ... --nmax max(14, n) vg` command "
-        "on a new arrangement"),
+        "and nbc_sets, a cold presentation_dimension(A, (1, 2), nmax=n) on a "
+        "second such arrangement, and the whole `arrgr ... --nmax max(14, n) "
+        "vg` command on a new arrangement"),
 }
 
 
