@@ -145,8 +145,8 @@ class Arrangement(GroundSet):
 
         A depth-first search over sign prefixes, each feasible prefix
         having a nonempty open region R; Fourier-Motzkin (`strict_feasible`)
-        is the only feasibility test, asked only what three rules leave
-        open:
+        is the only feasibility test, asked only what four rules leave
+        open, always in dim - 1 variables:
 
         - *Free split.*  When form i's linear part a_i is outside the span
           of a_0, ..., a_{i-1}, both children of every feasible prefix of
@@ -158,8 +158,19 @@ class Arrangement(GroundSet):
           `_cut_rows`).  If it does, both children are feasible, untested:
           a point of R on H_i has both sides of H_i within R.  If it does
           not, R lies on one side (a segment in R between the sides would
-          cross H_i): the '+' child is tested, and the '-' child is taken
-          when the '+' child is infeasible.
+          cross H_i), and the side is read on a face of R's closure.
+        - *Face.*  Let k be the depth of the last node on the prefix's
+          path with two children, by a free split or because its region
+          R_k meets H_k (k = 0 for the central '+' half).  A step with one
+          child never shrinks the region, so R is one side of H_k within
+          R_k and its closure holds the face F = R_k ∩ H_k, nonempty and
+          open in H_k.  When R misses H_i, the form f_i keeps one sign
+          on R, hence >= 0 (say) on F; an affine function >= 0 on the open
+          set F of H_k that vanished inside F would vanish on all of H_k,
+          making H_i = H_k.  So f_i has R's sign on F, and one test in
+          dim - 1 variables (the first k forms restricted to H_k with the
+          prefix's signs, and f_i restricted to H_k with '+') picks the '+'
+          child when it holds and the '-' child when it does not.
         - *Antipodal half.*  On a central arrangement -c is a chamber iff
           c is, so only the chambers starting with '+' are searched and
           their negations follow in reverse order: negation swaps '+' and
@@ -177,32 +188,39 @@ class Arrangement(GroundSet):
         return tuple(half + [c.translate(flip) for c in reversed(half)])
 
     def _completions(self, start: str) -> list:
-        """Chamber sign vectors extending the feasible prefix `start`, in
-        lexicographic order: a stack pops '+' before '-'.  Depth i is a
-        free split iff form i's linear part enlarges the echelon of the
-        earlier ones; every other depth gets its cut rows, built once."""
+        """Chamber sign vectors extending the feasible prefix `start`, a
+        child of the split at depth 0, in lexicographic order: a stack pops
+        '+' before '-', each entry with the depth of the last split on its
+        path.  Depth i is a free split iff form i's linear part enlarges
+        the echelon of the earlier ones; the forms restricted to H_i are
+        built once, by the first cut or side test on H_i."""
         rows = self.integer_forms()
-        sides = [(row[:-1], row[-1]) for row in rows]
         ech = SparseEchelon()
-        cuts = [None if ech.add({k: x for k, x in enumerate(row[:-1]) if x})
-                else _cut_rows(rows, i) for i, row in enumerate(rows)]
+        free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x}) for row in rows]
+        faces = [None] * len(rows)
+
+        def face(k: int) -> list:
+            if faces[k] is None:
+                faces[k] = _cut_rows(rows, k)
+            return faces[k]
+
         n, cut_dim = self.n, self.dim - 1
         out = []
-        stack = [start]
+        stack = [(start, 0)]
         while stack:
-            prefix = stack.pop()
+            prefix, k = stack.pop()
             i = len(prefix)
             if i == n:
                 out.append(prefix)
                 continue
-            plus, minus = prefix + "+", prefix + "-"
-            cut = cuts[i]
-            if cut is None or strict_feasible(_signed(cut, prefix), dim=cut_dim):
-                stack += (minus, plus)
-            elif strict_feasible(_signed(sides, plus), dim=self.dim):
-                stack.append(plus)
-            else:
-                stack.append(minus)
+            if free[i] or strict_feasible(_signed(face(i), prefix), dim=cut_dim):
+                stack += ((prefix + "-", i), (prefix + "+", i))
+                continue
+            on = face(k)
+            side = _signed(on, prefix[:k])
+            side.append(on[i] + (1,))
+            sign = "+" if strict_feasible(side, dim=cut_dim) else "-"
+            stack.append((prefix + sign, k))
         return out
 
     def chamber_index(self, signs: str) -> int:
@@ -255,8 +273,9 @@ def _signed(pairs, word) -> list:
 
 
 def _cut_rows(rows, i: int) -> list:
-    """The integer forms rows[0..i-1] restricted to H_i = {rows[i] = 0}, as
-    primitive (linear, constant) pairs in dim - 1 variables.
+    """Every integer form restricted to H_i = {rows[i] = 0}, as primitive
+    (linear, constant) pairs in dim - 1 variables; row i itself restricts
+    to zero.
 
     With p the first nonzero coordinate of H_i's form a·v + c, substituting
     v_p = -(c + sum_{k != p} a_k v_k) / a_p into b·v + d gives 1/a_p times
@@ -270,7 +289,7 @@ def _cut_rows(rows, i: int) -> list:
     if ap < 0:
         a, ap = tuple(-x for x in a), -ap
     out = []
-    for b in rows[:i]:
+    for b in rows:
         bp = b[p]
         row = _divide_content([ap * y - bp * x for k, (x, y) in
                                enumerate(zip(a, b)) if k != p])

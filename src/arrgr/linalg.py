@@ -12,18 +12,19 @@ second `rref`; it serves the public API and the tests, while the circuit
 scan, which needs one kernel vector per dependent extension, runs its own
 incremental integer elimination and calls only `rank` here.
 
-The chamber search asks `strict_feasible` only what three rules leave
-open (see `Arrangement.chambers`): a *free split* at a form whose linear
-part is outside the span of the earlier ones (a direction that fixes the
-earlier forms moves the prefix region to either side; the flags come from
-one `SparseEchelon` of the forms' linear parts), the *cut* at any other
-form, one test in dim - 1 variables of whether the prefix region meets
-its hyperplane (if so both children are feasible; if not the region lies
-on one side and only the '+' child is tested), and the *antipodal half*
-of a central arrangement (-c is a chamber iff c is).
-Inside `strict_feasible`, a one-signed column is dropped with its rows
-(its variable, moved far enough, satisfies them) and the last variable is
-settled by its bounds.
+The chamber search asks `strict_feasible` only what its rules leave
+open (see `Arrangement.chambers`), always in dim - 1 variables: a *free
+split* at a form whose linear part is outside the span of the earlier
+ones (a direction that fixes the earlier forms moves the prefix region to
+either side; the flags come from one `SparseEchelon` of the forms' linear
+parts) asks nothing; the *cut* at any other form asks whether the prefix
+region meets its hyperplane (if so both children are feasible); when it
+does not, the region's side is asked on the *face* that the last split on
+the prefix's path leaves in its closure, on that split's hyperplane; and
+the *antipodal half* of a central arrangement (-c is a chamber iff c is)
+halves the search.  Inside `strict_feasible`, a one-signed column is
+dropped with its rows (its variable, moved far enough, satisfies them)
+and the last one or two variables are settled by bounds.
 """
 
 from __future__ import annotations
@@ -300,7 +301,13 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
       enough in its column's sign satisfies every dropped row.
     - when one variable is left, the system holds iff its largest lower
       bound lies below its least upper bound, compared by integer
-      cross-multiplication instead of forming every pos x neg row.
+      cross-multiplication instead of forming every pos x neg row.  When
+      two are left, one of them is eliminated and the other's bounds are
+      read straight off the rows with a zero in the eliminated column and
+      the pos x neg combinations (`_eliminated_pairs`), which are neither
+      stored, divided by their content nor deduplicated; a combination
+      whose entry is zero must have a positive constant.  Every chamber
+      test on an arrangement in dimension 3 ends here.
     """
     work: set[tuple] = set()
     d = dim
@@ -343,7 +350,11 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
                 break
             live = [v for v in live if not any([v[k] for k in one_signed])]
         if len(two_signed) == 1:
-            return _bounds_meet(live, two_signed[0][1])
+            k = two_signed[0][1]
+            return _bounds_meet((v[k], v[-1]) for v in live)
+        if len(two_signed) == 2:
+            k, j = (c for _, c in sorted(two_signed))
+            return _bounds_meet(_eliminated_pairs(live, k, j))
         k = min(two_signed)[1]
         new: set[tuple] = set()
         pos_rows, neg_rows = [], []
@@ -362,18 +373,41 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
         work = new
 
 
-def _bounds_meet(rows, k: int) -> bool:
-    """Whether c*x + b > 0 holds for every row (c at column k, b last) at
-    some rational x, every other entry being zero and c taking both signs:
-    the largest lower bound -b/c (c > 0) must lie below the least upper
-    bound b/-c (c < 0).  Bounds are (numerator, positive denominator)
-    pairs compared by cross-multiplication."""
-    lo = hi = None
+def _eliminated_pairs(rows, k: int, j: int):
+    """(column j entry, constant) of every row that eliminating column k
+    leaves from `rows`, whose other entries are zero: the rows with a zero
+    at k, then b*p + a*q for every p with a = p[k] > 0 and q with
+    -b = q[k] < 0.  A combination is a positive multiple of the primitive
+    row, which leaves its bound and the sign of its constant alone, so
+    none is divided by its content or deduplicated."""
+    pos, neg = [], []
     for v in rows:
-        c, b = v[k], v[-1]
+        c = v[k]
+        if c == 0:
+            yield v[j], v[-1]
+        elif c > 0:
+            pos.append((c, v[j], v[-1]))
+        else:
+            neg.append((-c, v[j], v[-1]))
+    for a, pj, pc in pos:
+        for b, qj, qc in neg:
+            yield b * pj + a * qj, b * pc + a * qc
+
+
+def _bounds_meet(pairs) -> bool:
+    """Whether c*x + b > 0 holds for every (c, b) of `pairs` at some
+    rational x: every b with c = 0 must be positive, and the largest lower
+    bound -b/c (c > 0) must lie below the least upper bound b/-c (c < 0)
+    when both exist.  Bounds are (numerator, positive denominator) pairs
+    compared by cross-multiplication."""
+    lo = hi = None
+    for c, b in pairs:
         if c > 0:
             if lo is None or -b * lo[1] > lo[0] * c:
                 lo = (-b, c)
-        elif hi is None or b * hi[1] < hi[0] * -c:
-            hi = (b, -c)
-    return lo[0] * hi[1] < hi[0] * lo[1]
+        elif c:
+            if hi is None or b * hi[1] < hi[0] * -c:
+                hi = (b, -c)
+        elif b <= 0:
+            return False
+    return lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1]

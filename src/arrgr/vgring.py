@@ -310,14 +310,18 @@ class Relation:
     poly: Poly
 
     def source_str(self, labels) -> str:
-        if isinstance(self.source, SignedSet):
-            return self.source.pretty(labels)
-        if isinstance(self.source, frozenset):
-            return "{" + ",".join(labels[i] for i in sorted(self.source)) + "}"
-        return labels[self.source]
+        return _source_str(self.source, labels)
 
     def pretty(self, labels) -> str:
         return f"({self.family}) [{self.source_str(labels)}]  {self.poly.to_str(labels)}"
+
+
+def _source_str(source, labels) -> str:
+    if isinstance(source, SignedSet):
+        return source.pretty(labels)
+    if isinstance(source, frozenset):
+        return "{" + ",".join(labels[i] for i in sorted(source)) + "}"
+    return labels[source]
 
 
 _SHIFTS = ((Poly.one(), 0), (Poly.u(), 1))
@@ -390,18 +394,29 @@ def rees_relation_families(A: Arrangement) -> tuple:
     Family (1) is one `Poly` product per hyperplane; (2) and (3) are
     expanded in closed form (see the module docstring).
     """
-    return A._memo("rees_relations", lambda: _u_families(A))
+    return A._memo("rees_relations", lambda: tuple(
+        Relation(family, source, _u_relation(family, source))
+        for family, source in _relation_sources(A)))
 
 
-def _u_families(A: Arrangement) -> tuple:
+def _relation_sources(A: Arrangement) -> list:
+    """(family, source) of every relation, in the order of
+    `rees_relation_families`: each hyperplane index, then each minimal
+    infeasible set, then each canonical circuit.  The zero sets read only
+    these, so they never expand a polynomial."""
+    return ([(1, i) for i in range(A.n)]
+            + [(2, X) for X in A.minimal_infeasible_sign_sets()]
+            + [(3, X) for X in canonical_circuits(A)])
+
+
+def _u_relation(family: int, source) -> Poly:
     u = Poly.u()
-    rels = [Relation(1, i, Poly.generator(i) * (Poly.generator(i) - u))
-            for i in range(A.n)]
-    rels += [Relation(2, X, _product_poly(X.plus, X.minus, u))
-             for X in A.minimal_infeasible_sign_sets()]
-    rels += [Relation(3, X, _circuit_difference(X, u).divide_u())
-             for X in canonical_circuits(A)]
-    return tuple(rels)
+    if family == 1:
+        e = Poly.generator(source)
+        return e * (e - u)
+    if family == 2:
+        return _product_poly(source.plus, source.minus, u)
+    return _circuit_difference(source, u).divide_u()
 
 
 def vg_relation_families(A: Arrangement) -> tuple:
@@ -436,20 +451,21 @@ def verify_relations(A: Arrangement) -> RelationCheck:
     family-(1) relation) reads no chamber."""
     failures = []
     chambers = A.chambers()
-    for rel, (support, nonzero) in zip(rees_relation_families(A), _relation_nonzeros(A)):
+    for (family, source), (support, nonzero) in zip(_relation_sources(A),
+                                                    _relation_nonzeros(A)):
         bad = _nonzero_chambers(A, support, nonzero)
         if bad:
             c = (bad & -bad).bit_length() - 1
-            failures.append((rel.family, rel.source_str(A.labels), chambers[c]))
+            failures.append((family, _source_str(source, A.labels), chambers[c]))
     span = filtration_profile(A).dims[-1] if A.n else len(chambers)
     ok = not failures and span == len(chambers)
     return RelationCheck(ok, span, len(chambers), tuple(failures))
 
 
 def _relation_points(family: int, source) -> tuple:
-    """(support, nonzero) of one relation of `rees_relation_families` at
-    u = 1: its support mask, and the frozenset of the support's sub-masks
-    at which it is nonzero.  With P = mask(X+) and M = mask(X-),
+    """(support, nonzero) of one relation of `_relation_sources` at u = 1:
+    its support mask, and the frozenset of the support's sub-masks at
+    which it is nonzero.  With P = mask(X+) and M = mask(X-),
     prod_{i in P} e_i prod_{j in M} (e_j - 1) at a 0/1 point t of P | M is
     nonzero iff t contains P and misses M, i.e. iff t = P; a circuit's two
     products are nonzero at the distinct points P and M.  e_i^2 - e_i is
@@ -462,9 +478,10 @@ def _relation_points(family: int, source) -> tuple:
 
 def _relation_nonzeros(A: Arrangement) -> tuple:
     """`_relation_points` of every relation, in the order of
-    `rees_relation_families` (which `vg_relation_families` keeps)."""
+    `_relation_sources` (which `rees_relation_families` and
+    `vg_relation_families` keep)."""
     return A._memo("relation_nonzeros", lambda: tuple(
-        _relation_points(rel.family, rel.source) for rel in rees_relation_families(A)))
+        _relation_points(family, source) for family, source in _relation_sources(A)))
 
 
 def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:
@@ -500,8 +517,9 @@ def _common_zeros(A: Arrangement, families) -> list:
     the output, not the 2^n cube.
     """
     by_top = [[] for _ in range(A.n)]
-    for rel, (support, nonzero) in zip(rees_relation_families(A), _relation_nonzeros(A)):
-        if rel.family not in families or not nonzero:
+    for (family, _), (support, nonzero) in zip(_relation_sources(A),
+                                               _relation_nonzeros(A)):
+        if family not in families or not nonzero:
             continue  # every family-(1) relation is zero on the cube
         if not support:
             return []  # a nonzero constant

@@ -287,7 +287,7 @@ def sibling_search_oracle(A):
     return tuple(out)
 
 
-def test_chambers_match_sibling_search_oracle(corpus_map):
+def _search_oracle_cases(corpus_map):
     cases = list(corpus_map.items())
     cases += [(f"cone_{name}", cone(A)) for name, A in corpus_map.items()]
     cases += [("braid5", braid(5)), ("braid6", braid(6)),
@@ -297,8 +297,44 @@ def test_chambers_match_sibling_search_oracle(corpus_map):
               for s in range(1, 40)]
     cases += [(f"random{s}_9_4", random_rational_arrangement(seed=s, n=9, d=4))
               for s in range(1, 10)]
-    for name, A in cases:
+    return cases
+
+
+def test_chambers_match_sibling_search_oracle(corpus_map):
+    for name, A in _search_oracle_cases(corpus_map):
         assert A.chambers() == sibling_search_oracle(A), name
+
+
+def cut_side_search_oracle(A):
+    """Chambers by the search before the face test: free splits and cuts
+    as in `Arrangement.chambers`, but when the prefix region misses H_i its
+    side is learnt by testing the '+' child on the full forms in dim
+    variables.  Both halves are searched: no antipodal half."""
+    rows = A.integer_forms()
+    sides = [(row[:-1], row[-1]) for row in rows]
+    free = _free_depths(A)
+    out = []
+    stack = [""]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix)
+        if i == A.n:
+            out.append(prefix)
+            continue
+        plus, minus = prefix + "+", prefix + "-"
+        if i in free or strict_feasible(_signed(_cut_rows(rows, i), prefix),
+                                        dim=A.dim - 1):
+            stack += (minus, plus)
+        elif strict_feasible(_signed(sides, plus), dim=A.dim):
+            stack.append(plus)
+        else:
+            stack.append(minus)
+    return tuple(out)
+
+
+def test_chambers_match_cut_side_search_oracle(corpus_map):
+    for name, A in _search_oracle_cases(corpus_map):
+        assert A.chambers() == cut_side_search_oracle(A), name
 
 
 def _free_depths(A):
@@ -310,17 +346,16 @@ def test_cut_rows_are_the_forms_restricted_to_the_hyperplane():
     """Row j of depth i is the primitive positive multiple of w_j on H_i,
     parametrized by every coordinate but the first one p with a_p != 0:
     v_p = -(c + sum_{k != p} a_k v_k) / a_p.  The restricted affine form is
-    read off its values at the origin and the unit vectors."""
+    read off its values at the origin and the unit vectors.  Every form is
+    restricted, at free splits too (the search reads the faces of both),
+    and row i is zero."""
     cases = [braid(4), semiorder(3), boolean(3), cone(semiorder(2))]
     cases += [random_rational_arrangement(seed=s) for s in (1, 2, 3)]
     cases += [random_rational_arrangement(seed=s, n=9, d=4) for s in (1, 2)]
     checked = 0
     for A in cases:
         rows = A.integer_forms()
-        free = _free_depths(A)
         for i, f in enumerate(A.forms):
-            if i in free:
-                continue
             p = next(k for k, x in enumerate(f.linear) if x)
 
             def lift(u):
@@ -332,7 +367,7 @@ def test_cut_rows_are_the_forms_restricted_to_the_hyperplane():
             points += [[Fraction(int(k == m)) for k in range(A.dim - 1)]
                        for m in range(A.dim - 1)]
             cut = _cut_rows(rows, i)
-            assert len(cut) == i
+            assert len(cut) == A.n and not any(cut[i][0]) and cut[i][1] == 0
             for g, (lin, c) in zip(A.forms, cut):
                 values = [sum(a * x for a, x in zip(g.linear, lift(u))) + g.constant
                           for u in points]
@@ -340,7 +375,7 @@ def test_cut_rows_are_the_forms_restricted_to_the_hyperplane():
                 assert lin + (c,) == _primitive_row(restricted), (A, i)
                 assert all(type(x) is int for x in lin + (c,))
                 checked += 1
-    assert checked > 150
+    assert checked > 400
 
 
 def test_cut_answers_whether_both_children_are_feasible():
@@ -376,13 +411,23 @@ def test_cut_answers_whether_both_children_are_feasible():
     assert answers[True] >= 50 and answers[False] >= 50, answers
 
 
+def _last_split(prefixes, prefix):
+    """The depth of the last node on `prefix`'s path with two children
+    among `prefixes` (the prefixes of the chambers)."""
+    return max(j for j in range(len(prefix))
+               if prefix[:j] + "+" in prefixes and prefix[:j] + "-" in prefixes)
+
+
 def test_chamber_search_tests_only_open_questions(monkeypatch):
-    """Fourier-Motzkin is asked nothing at a free split.  Every other node
-    asks one cut question in dim - 1 variables and, only when it is false,
-    one question in dim variables about its '+' child.  On a central
-    arrangement only prefixes under '+' are asked, whose chambers'
-    negations, reversed, are the rest: a boolean arrangement needs no test
-    at all.  The search never goes through `sign_constraints`."""
+    """Fourier-Motzkin is asked nothing at a free split, and every question
+    has dim - 1 variables.  Every other node asks one cut question on its
+    hyperplane with the prefix's signs; a side question follows exactly the
+    false cuts, on the face of the last split k of the node's path: the
+    first k signs and '+' for form i, answering whether the '+' child is a
+    chamber prefix.  On a central arrangement only prefixes under '+' are
+    asked, whose chambers' negations, reversed, are the rest: a boolean
+    arrangement needs no test at all.  The search never goes through
+    `sign_constraints`."""
     asked = []  # (dim, sign word, answer)
 
     def recorded(constraints, dim=None):
@@ -401,29 +446,69 @@ def test_chamber_search_tests_only_open_questions(monkeypatch):
         asked.clear()
         chambers = A.chambers()
         free = _free_depths(A)
+        prefixes = {c[:i] for c in chambers for i in range(A.n + 1)}
         nodes = sorted({c[:i] for c in chambers for i in range(A.n)
                         if i not in free and c[0] in halves})
-        assert sorted(w for d, w, _ in asked if d == A.dim - 1) == nodes
-        for k, (d, word, _) in enumerate(asked):
-            if d == A.dim:
-                assert word[-1] == "+" and asked[k - 1] == (A.dim - 1, word[:-1], False)
-            else:
-                assert d == A.dim - 1
-                assert asked[k][2] or asked[k + 1][:2] == (A.dim, word + "+")
-        return chambers
+        assert all(d == A.dim - 1 for d, _, _ in asked)
+        cuts, sides = [], 0
+        calls = iter(asked)
+        for _, word, answer in calls:
+            cuts.append(word)
+            both = word + "+" in prefixes and word + "-" in prefixes
+            assert answer == both
+            if not answer:
+                k = _last_split(prefixes, word)
+                _, side, plus = next(calls)
+                assert side == word[:k] + "+" and plus == (word + "+" in prefixes)
+                sides += 1
+        assert sorted(cuts) == nodes
+        return chambers, sides
 
-    assert len(check(boolean(7), "+")) == 128 and asked == []
-    chambers = check(braid(5), "+")
-    assert len(chambers) == 120 and asked
+    chambers, sides = check(boolean(7), "+")
+    assert len(chambers) == 128 and asked == []
+    chambers, sides = check(braid(5), "+")
+    assert len(chambers) == 120 and sides
     assert any(answer for _, _, answer in asked)
-    assert any(d == 5 for d, _, _ in asked)
     assert chambers[60:] == tuple(c.translate(str.maketrans("+-", "-+"))
                                   for c in reversed(chambers[:60]))
-    check(cone(random_rational_arrangement()), "+")
-    check(semiorder(3), "+-")  # affine: both halves searched
+    assert check(cone(random_rational_arrangement()), "+")[1]
+    assert check(semiorder(3), "+-")[1]  # affine: both halves searched
     assert any(w[0] == "-" for _, w, _ in asked)
-    check(random_rational_arrangement(seed=3, n=9, d=4), "+-")
-    check(Arrangement(1, [((1,), 0), ((1,), -1), ((1,), 2)]), "+-")
+    assert check(random_rational_arrangement(seed=3, n=9, d=4), "+-")[1]
+    assert check(Arrangement(1, [((1,), 0), ((1,), -1), ((1,), 2)]), "+-")[1]
+
+
+def test_face_answers_the_side_of_a_forced_prefix():
+    """For feasible prefixes whose region misses H_i, the face test on the
+    last split k (the first k forms restricted to H_k with the prefix's
+    signs, and form i restricted to H_k with '+'), in dim - 1 variables,
+    answers whether the '+' child is feasible under plain Fourier-Motzkin
+    elimination in dim variables; most of the prefixes drawn have forced
+    steps between k and i."""
+    rng = random.Random(2828)
+    cases = [braid(4), braid(5), semiorder(3), generic_three_lines(),
+             parallel_pair(), cone(semiorder(2))]
+    cases += [random_rational_arrangement(seed=s) for s in range(1, 9)]
+    cases += [random_rational_arrangement(seed=s, n=9, d=4) for s in (1, 2)]
+    cases += [random_rational_arrangement(seed=s, n=6, d=2) for s in (1, 2)]
+    answers = Counter()
+    for A in cases:
+        rows = A.integer_forms()
+        chambers = A.chambers()
+        prefixes = {c[:i] for c in chambers for i in range(A.n + 1)}
+        missed = sorted({c[:i] for c in chambers for i in range(1, A.n)
+                         if not (c[:i] + "+" in prefixes and c[:i] + "-" in prefixes)})
+        for prefix in rng.sample(missed, min(40, len(missed))):
+            i, k = len(prefix), _last_split(prefixes, prefix)
+            face = _cut_rows(rows, k)
+            side = _signed(face, prefix[:k]) + [face[i] + (1,)]
+            got = strict_feasible(side, dim=A.dim - 1)
+            want = fourier_motzkin_oracle(
+                [(f.linear, f.constant, 1 if s == "+" else -1)
+                 for f, s in zip(A.forms, prefix + "+")], dim=A.dim)
+            assert got == want, (A, prefix)
+            answers[got, i - k > 1] += 1
+    assert all(answers[v, True] >= 50 for v in (True, False)), answers
 
 
 def test_sign_words_are_checked():

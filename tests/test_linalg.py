@@ -411,15 +411,15 @@ def _small_strict_system(rng):
 
 
 def test_strict_feasible_matches_fourier_motzkin_oracle(monkeypatch):
-    """Dropping one-signed columns at once and settling the last variable
-    by its bounds give plain elimination's answer; both shortcuts fire,
-    and the bounds step answers both ways."""
+    """Dropping one-signed columns at once and settling the last one or
+    two variables by bounds give plain elimination's answer; both
+    shortcuts fire, and the bounds step answers both ways."""
     import arrgr.linalg
     settled = Counter()
     bounds_meet = arrgr.linalg._bounds_meet
 
-    def counted(rows, k):
-        answer = bounds_meet(rows, k)
+    def counted(pairs):
+        answer = bounds_meet(pairs)
         settled[answer] += 1
         return answer
 
@@ -441,6 +441,143 @@ def test_strict_feasible_matches_fourier_motzkin_oracle(monkeypatch):
     for bad in (0.5, True):
         with pytest.raises(InputError):
             strict_feasible([((1, bad), 0, 1), ((1, 0), 1, -1)])
+
+
+def fourier_motzkin_loop_oracle(constraints, dim=None):
+    """`strict_feasible` before the last two variables were settled by
+    bounds: one-signed columns dropped with their rows at once, every
+    other round eliminates the column with the fewest pos x neg pairs into
+    a set of primitive rows, and only the last variable is settled by its
+    bounds (`_one_column_bounds_meet`)."""
+    work = set()
+    d = dim
+    for coeffs, const, sgn in constraints:
+        coeffs = tuple(coeffs)
+        if d is None:
+            d = len(coeffs)
+        elif len(coeffs) != d:
+            raise InputError("constraint rows have unequal lengths")
+        if sgn not in (1, -1):
+            raise InputError("constraint sign must be +1 or -1")
+        row = _primitive_row(coeffs + (const,))
+        work.add(row if sgn > 0 else tuple(-x for x in row))
+    while True:
+        live = []
+        for v in work:
+            if any(v[:-1]):
+                live.append(v)
+            elif v[-1] <= 0:
+                return False
+        while True:
+            if not live:
+                return True
+            cols = list(zip(*live))
+            cols.pop()
+            one_signed, two_signed = [], []
+            for k, col in enumerate(cols):
+                zeros = col.count(0)
+                if zeros == len(col):
+                    continue
+                pos = len([x for x in col if x > 0])
+                if pos and len(col) - zeros - pos:
+                    two_signed.append((pos * (len(col) - zeros - pos), k))
+                else:
+                    one_signed.append(k)
+            if not one_signed:
+                break
+            live = [v for v in live if not any([v[k] for k in one_signed])]
+        if len(two_signed) == 1:
+            return _one_column_bounds_meet(live, two_signed[0][1])
+        k = min(two_signed)[1]
+        new = set()
+        pos_rows, neg_rows = [], []
+        for v in live:
+            c, rest = v[k], v[:k] + v[k + 1:]
+            if c == 0:
+                new.add(rest)
+            elif c > 0:
+                pos_rows.append((c, rest))
+            else:
+                neg_rows.append((-c, rest))
+        for a, p in pos_rows:
+            for b, q in neg_rows:
+                new.add(_divide_content([b * x + a * y for x, y in zip(p, q)]))
+        work = new
+
+
+def _one_column_bounds_meet(rows, k):
+    """Largest lower bound below least upper bound for rows whose only
+    nonzero linear entry is at column k, which takes both signs."""
+    lo = hi = None
+    for v in rows:
+        c, b = v[k], v[-1]
+        if c > 0:
+            if lo is None or -b * lo[1] > lo[0] * c:
+                lo = (-b, c)
+        elif hi is None or b * hi[1] < hi[0] * -c:
+            hi = (b, -c)
+    return lo[0] * hi[1] < hi[0] * lo[1]
+
+
+def _kernel_system(rng):
+    """A strict system in 1-4 variables with 0-7 rows of small entries:
+    exact and scaled duplicates of earlier rows, rows with a zero linear
+    part, columns whose entries share one sign, and many zero entries, so
+    the eliminated column often has zeros."""
+    d = rng.randint(1, 4)
+    signs = [rng.choice((1, -1)) if rng.random() < 0.3 else 0 for _ in range(d)]
+
+    def entry(k):
+        if rng.random() < 0.35:
+            return 0
+        x = rng.randint(1, 3) if signs[k] else rng.randint(-3, 3)
+        return x * signs[k] if signs[k] else x
+
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        r = rng.random()
+        if rows and r < 0.12:
+            coeffs, const, sgn = rng.choice(rows)
+            t = rng.choice((1, 2, Fraction(1, 2), 3))
+            rows.append((tuple(t * x for x in coeffs), t * const, sgn))
+        elif r < 0.2:
+            rows.append(((0,) * d, rng.randint(-2, 2), rng.choice((1, -1))))
+        else:
+            rows.append((tuple(entry(k) for k in range(d)), rng.randint(-3, 3),
+                         1 if rng.random() < 0.7 else -1))
+    return d, rows
+
+
+def test_strict_feasible_matches_loop_oracle_on_seeded_systems(monkeypatch):
+    """60 000 seeded systems in 1-4 variables get the answer of the
+    elimination loop that settles only the last variable by bounds; the
+    two-column step fires on thousands of them and answers both ways."""
+    import arrgr.linalg
+    settled = Counter()
+    two_column = []
+    bounds_meet, pairs_of = arrgr.linalg._bounds_meet, arrgr.linalg._eliminated_pairs
+
+    def eliminated(rows, k, j):
+        two_column.append(len(rows[0]) - 1)
+        return pairs_of(rows, k, j)
+
+    def counted(pairs):
+        answer = bounds_meet(pairs)
+        if two_column:
+            settled[two_column.pop(), answer] += 1
+        return answer
+
+    monkeypatch.setattr(arrgr.linalg, "_eliminated_pairs", eliminated)
+    monkeypatch.setattr(arrgr.linalg, "_bounds_meet", counted)
+    rng = random.Random(28)
+    answers = Counter()
+    for _ in range(60000):
+        d, rows = _kernel_system(rng)
+        got = strict_feasible(rows, dim=d)
+        assert got == fourier_motzkin_loop_oracle(rows, dim=d), rows
+        answers[d, got] += 1
+    assert all(answers[d, v] >= 1000 for d in (1, 2, 3, 4) for v in (True, False)), answers
+    assert all(settled[d, v] >= 50 for d in (2, 3, 4) for v in (True, False)), settled
 
 
 def test_affine_system_consistent():

@@ -627,11 +627,34 @@ def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
     # with no hyperplane there is no last one to attach the constant to
     E = Arrangement(2, [])
     assert _common_zeros(E, (1, 2)) == [0]
-    monkeypatch.setattr(arrgr.vgring, "rees_relation_families",
-                        lambda A: (Relation(2, frozenset(), Poly.one()),))
+    monkeypatch.setattr(arrgr.vgring, "_relation_sources",
+                        lambda A: [(2, frozenset())])
     monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros",
                         lambda A: ((0, frozenset({0})),))
     assert _common_zeros(E, (1, 2)) == []
+
+
+@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
+                                  lambda: random_rational_arrangement()],
+                         ids=["braid4", "semiorder3", "random8"])
+def test_zero_sets_expand_no_polynomial(monkeypatch, make):
+    """`verify_relations` and `presentation_dimension` read each relation's
+    family and source only: on a fresh arrangement neither builds a
+    product or a circuit difference.  The u-families list the same
+    (family, source) pairs in the same order."""
+    A = make()
+
+    def refused(*args):
+        raise AssertionError("a zero set expanded a polynomial")
+
+    monkeypatch.setattr(arrgr.vgring, "_product_poly", refused)
+    monkeypatch.setattr(arrgr.vgring, "_circuit_difference", refused)
+    assert verify_relations(A).ok
+    assert presentation_dimension(A) == presentation_dimension(A, (1, 2, 3)) \
+        == len(A.chambers())
+    monkeypatch.undo()
+    assert [(r.family, r.source) for r in rees_relation_families(A)] \
+        == arrgr.vgring._relation_sources(A)
 
 
 def test_presentation_zero_set_is_the_chambers(corpus_map):

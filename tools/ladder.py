@@ -18,8 +18,10 @@ Times are `time.perf_counter` wall seconds.  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
-              with the `strict_feasible` calls split into cut calls, in
-              dim - 1 variables, and side calls, in dim variables.
+              with the `strict_feasible` calls split into side calls,
+              those that directly follow a cut call answered false, and
+              cut calls, all the others; fm_rows is the number of rows
+              handed to them.
   algebra     after the circuits and a `CordovilAlgebra` are built:
               straighten_s, `straighten(Poly.monomial(s))` for every subset
               s of the hyperplanes on an empty straightening table, and
@@ -93,25 +95,27 @@ def _timed(fn, *args):
 def measure_chambers(rung: str) -> dict:
     import arrgr.arrangement
 
-    calls = {"cut": 0, "side": 0}
-    kinds = {}  # dim of a strict_feasible call -> "cut" or "side"
+    calls = {"cut": 0, "side": 0, "rows": 0}
+    side_next = False  # the last call was a cut answered false
     feasible = arrgr.arrangement.strict_feasible
 
     def counted(constraints, dim=None):
-        calls[kinds[dim]] += 1
-        return feasible(constraints, dim=dim)
+        nonlocal side_next
+        answer = feasible(constraints, dim=dim)
+        calls["rows"] += len(constraints)
+        calls["side" if side_next else "cut"] += 1
+        side_next = not side_next and not answer
+        return answer
 
     arrgr.arrangement.strict_feasible = counted
     chambers, elapsed = [], 0.0
     for A in _make(rung):
-        kinds.clear()
-        kinds.update({A.dim - 1: "cut", A.dim: "side"})
         found, seconds = _timed(A.chambers)
         chambers += found
         elapsed += seconds
     return {"chambers": len(chambers), "fm_cut_calls": calls["cut"],
-            "fm_side_calls": calls["side"], "wall_s": elapsed,
-            "chambers_md5": _md5(chambers)}
+            "fm_side_calls": calls["side"], "fm_rows": calls["rows"],
+            "wall_s": elapsed, "chambers_md5": _md5(chambers)}
 
 
 def measure_algebra(rung: str) -> dict:
@@ -180,7 +184,8 @@ LAYERS = {
         + [f"boolean{n}" for n in range(4, 9)] + ["random8", "randoms"],
         measure_chambers, 7, {"braid7": 3},
         "Arrangement.chambers() of a fresh copy and its strict_feasible "
-        "calls, cut (dim - 1 variables) and side (dim)", ("random8", "randoms")),
+        "calls, side (directly after a cut answered false) and cut (the "
+        "others), with the rows handed to them", ("random8", "randoms")),
     "algebra": _layer(
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
         "cold straighten of every squarefree monomial and one "
