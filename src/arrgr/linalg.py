@@ -22,9 +22,11 @@ region meets its hyperplane (if so both children are feasible); when it
 does not, the region's side is asked on the *face* that the last split on
 the prefix's path leaves in its closure, on that split's hyperplane; and
 the *antipodal half* of a central arrangement (-c is a chamber iff c is)
-halves the search.  Inside `strict_feasible`, a one-signed column is
-dropped with its rows (its variable, moved far enough, satisfies them)
-and the last one or two variables are settled by bounds.
+halves the search.  Inside `strict_feasible`, a system in one or two
+variables (every chamber test in dimension 3) goes straight from its
+checked rows to one bounds pass; from three variables on, a one-signed
+column is dropped with its rows (its variable, moved far enough,
+satisfies them) and the last one or two variables are settled by bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import ConsistencyError, InputError
 
 
 _ZERO = Fraction(0)
-_INT = frozenset({int})  # `_primitive_row`'s fast path: all entries int
+_INT = frozenset({int})  # the fast path of exact rows: all entries int
 
 
 def frac(x) -> Fraction:
@@ -288,10 +290,27 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
     Each constraint is (coeffs, constant, sign) where sign +1 asserts
     coeffs·v + constant > 0 and sign -1 asserts coeffs·v + constant < 0.
     Decided exactly by Fourier-Motzkin elimination; for strict systems over
-    Q the projection step is lossless, so the answer is exact.  Rows are
-    primitive integer vectors (a positive multiple represents the same
-    constraint, so set membership removes duplicates), and a combination
-    -q[k]*p + p[k]*q is divided by its gcd.  Two steps skip work whose
+    Q the projection step is lossless, so the answer is exact.  A row of
+    ints is taken as it is and any other row as its primitive integer
+    multiple (`_primitive_row`, which refuses floats and booleans); a '-'
+    row is negated, so every row asserts row·(v, 1) > 0.
+
+    In one or two variables the rows go straight to one bounds pass
+    (`_bounds_meet`): in one, the largest lower bound must lie below the
+    least upper bound, compared by integer cross-multiplication; in two,
+    the first variable is eliminated and the second's bounds are read off
+    the rows with a zero in the first column and the pos x neg
+    combinations (`_eliminated_pairs`), none of them stored, divided or
+    deduplicated, and a combination whose entry is zero must have a
+    positive constant.  That is exact on any rows: a positive multiple of
+    a strict row is the same constraint and a duplicate only repeats a
+    bound, and a one-signed first column has no pos x neg pair, so its
+    rows simply drop out.  Every chamber test on an arrangement in
+    dimension 3 is of this kind.
+
+    In no variable or three or more, the rows are kept as a set of
+    primitive rows (set membership removes duplicates), a combination
+    -q[k]*p + p[k]*q is divided by its gcd, and two steps skip work whose
     answer is known:
 
     - a column whose nonzero entries all have one sign has no pos x neg
@@ -299,17 +318,11 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
       columns are dropped at once, until none is left.  Exact: from a
       solution of the rows kept, moving each dropped column's variable far
       enough in its column's sign satisfies every dropped row.
-    - when one variable is left, the system holds iff its largest lower
-      bound lies below its least upper bound, compared by integer
-      cross-multiplication instead of forming every pos x neg row.  When
-      two are left, one of them is eliminated and the other's bounds are
-      read straight off the rows with a zero in the eliminated column and
-      the pos x neg combinations (`_eliminated_pairs`), which are neither
-      stored, divided by their content nor deduplicated; a combination
-      whose entry is zero must have a positive constant.  Every chamber
-      test on an arrangement in dimension 3 ends here.
+    - when one or two two-signed columns are left, the rows go to the
+      bounds pass as above (two: the column with fewer pos x neg pairs is
+      the one eliminated).
     """
-    work: set[tuple] = set()
+    rows = []
     d = dim
     for coeffs, const, sgn in constraints:
         coeffs = tuple(coeffs)
@@ -319,9 +332,18 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
             raise InputError("constraint rows have unequal lengths")
         if sgn not in (1, -1):
             raise InputError("constraint sign must be +1 or -1")
-        row = _primitive_row(coeffs + (const,))
-        work.add(row if sgn > 0 else tuple(-x for x in row))
+        row = coeffs + (const,)
+        if not _INT.issuperset(map(type, row)):
+            row = _primitive_row(row)
+        rows.append(row if sgn > 0 else tuple([-x for x in row]))
+    if not rows:
+        return True
+    if d == 2:
+        return _bounds_meet(_eliminated_pairs(rows, 0, 1))
+    if d == 1:
+        return _bounds_meet(rows)
 
+    work = set(map(_divide_content, rows))
     while True:
         live = []
         for v in work:
@@ -379,7 +401,8 @@ def _eliminated_pairs(rows, k: int, j: int):
     at k, then b*p + a*q for every p with a = p[k] > 0 and q with
     -b = q[k] < 0.  A combination is a positive multiple of the primitive
     row, which leaves its bound and the sign of its constant alone, so
-    none is divided by its content or deduplicated."""
+    none is divided by its content or deduplicated, and `rows` need not
+    be primitive either."""
     pos, neg = [], []
     for v in rows:
         c = v[k]

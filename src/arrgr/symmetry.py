@@ -175,6 +175,7 @@ def coordinate_action(A: Arrangement) -> GroupSpec:
     rows = A.integer_forms()
     elements, class_of = [], []
     labels: list[str] = []
+    types: list[tuple] = []  # the cycle type of each label
     label_ids: dict = {}
     for g in permutations(range(n)):
         # the image of form i has coordinate g(r) equal to its coordinate r
@@ -192,17 +193,17 @@ def coordinate_action(A: Arrangement) -> GroupSpec:
         if key not in label_ids:
             label_ids[key] = len(labels)
             labels.append(key)
+            types.append(mu)
         elements.append(SignedPermutation(tuple(perm), tuple(flips)))
         class_of.append(label_ids[key])
     order = sorted(range(len(labels)), key=lambda c: labels[c])
     remap = {old: new for new, old in enumerate(order)}
-    types = tuple(tuple(int(x) for x in labels[c][1:-1].split(",")) for c in order)
     return GroupSpec(
         name=f"S{n}-coordinates",
         elements=tuple(elements),
         class_of=tuple(remap[c] for c in class_of),
         class_labels=tuple(labels[c] for c in order),
-        cycle_types=types,
+        cycle_types=tuple(types[c] for c in order),
     )
 
 

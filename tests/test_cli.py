@@ -96,6 +96,19 @@ def test_characters_b4_table(capsys):
     assert "chamber char: 24  0  0  0  0" in out
 
 
+def test_characters_in_dimension_zero(capsys, tmp_path):
+    # S_0 has one class, the empty partition "()", and Q^0 one chamber
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 0, "forms": []}))
+    code, out, err = run(capsys, "--file", str(path), "characters")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["classes:      ()", "class sizes:  1"]
+    code, out, err = run(capsys, "--file", str(path), "characters", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["classes"], data["chamber_character"]) == (["()"], ["1"])
+
+
 def test_order_flag(capsys):
     code, out, _ = run(capsys, "--braid", "3", "nbc", "--order", "23,13,12")
     assert code == 0

@@ -199,12 +199,15 @@ def test_strict_feasible_braid_circuit_pattern():
 
 def test_strict_feasible_empty_system():
     assert strict_feasible([], dim=0)
+    assert strict_feasible([], dim=2)
     assert strict_feasible([], dim=4)
 
 
 def test_strict_feasible_row_length_mismatch():
     with pytest.raises(InputError):
         strict_feasible([((1, 0), 0, 1), ((1,), 0, 1)])
+    with pytest.raises(InputError):
+        strict_feasible([((1, 0, 0), 0, 1)], dim=2)
 
 
 def random_system(rng, d, k):
@@ -578,6 +581,109 @@ def test_strict_feasible_matches_loop_oracle_on_seeded_systems(monkeypatch):
         answers[d, got] += 1
     assert all(answers[d, v] >= 1000 for d in (1, 2, 3, 4) for v in (True, False)), answers
     assert all(settled[d, v] >= 50 for d in (2, 3, 4) for v in (True, False)), settled
+
+
+F = Fraction
+
+# (rows, answer): two-variable systems the bounds pass must read as plain
+# elimination does
+TWO_VARIABLE_CASES = [
+    # Fraction entries and scaled duplicates
+    ([((F(1, 2), F(-1, 2)), F(0), 1), ((F(3, 2), F(-3, 2)), 0, 1),
+      ((1, 1), -1, -1), ((0, 3), -1, 1), ((0, F(6)), F(-2), 1)], True),
+    ([((1, -1), 0, 1), ((F(2), F(-2)), F(0), -1)], False),
+    ([((F(1, 3), F(2, 3)), F(1, 6), 1), ((F(-2, 5), 0), F(1, 5), 1),
+      ((0, F(-4, 7)), F(8, 7), 1), ((F(1, 3), F(2, 3)), F(1, 6), 1)], True),
+    ([((1, 0), F(-1, 2), 1), ((F(4), 0), F(-2), 1), ((1, 0), F(-1, 2), -1)], False),
+    # a zero linear part with a positive, zero or negative constant
+    ([((0, 0), F(1, 3), 1), ((1, 0), 0, 1)], True),
+    ([((0, 0), 0, 1), ((1, 0), 0, 1)], False),
+    ([((0, 0), 0, -1)], False),
+    ([((0, 0), -2, 1), ((1, 1), 0, 1)], False),
+    ([((0, 0), -2, -1), ((1, 1), 0, 1)], True),
+    ([((0, 0), 5, 1), ((0, 0), -1, -1), ((0, 1), 0, 1), ((0, 1), 1, -1)], False),
+    # one-signed columns: every entry of column 0, or of column 1, has one sign
+    ([((1, 1), 0, 1), ((2, -1), -1, 1), ((1, 0), 0, 1)], True),
+    ([((1, 1), 0, 1), ((3, 0), 0, 1), ((0, 1), 0, 1), ((0, 1), 0, -1)], False),
+    ([((1, 1), 0, 1), ((-1, 2), 0, 1), ((1, 0), 3, -1)], True),
+    ([((0, 1), 0, 1), ((1, 0), 0, 1), ((1, 0), 0, -1)], False),
+    ([((1, 2), 0, 1), ((1, 3), -4, 1)], True),
+    ([((-1, -1), 0, 1), ((0, 0), 1, 1)], True),
+    # a pos x neg combination whose entry in column 1 is zero
+    ([((1, 1), -1, 1), ((-1, -1), 0, 1)], False),
+    ([((1, 1), 1, 1), ((-1, -1), 0, 1)], True),
+]
+
+
+@pytest.mark.parametrize("rows, answer", TWO_VARIABLE_CASES)
+def test_two_variables_go_straight_to_the_bounds_pass(monkeypatch, rows, answer):
+    """Fractions, scaled duplicates, zero linear parts and one-signed
+    columns in two variables get plain elimination's answer, from one
+    `_eliminated_pairs` over the signed rows; only the rows that are not
+    all ints are divided by their content (by `_primitive_row`)."""
+    import arrgr.linalg
+    calls, divided = [], []
+    pairs_of = arrgr.linalg._eliminated_pairs
+    divide_content = arrgr.linalg._divide_content
+
+    def eliminated(rows, k, j):
+        calls.append((len(rows), len(rows[0]), k, j))
+        return pairs_of(rows, k, j)
+
+    def counted(row):
+        divided.append(row)
+        return divide_content(row)
+
+    monkeypatch.setattr(arrgr.linalg, "_eliminated_pairs", eliminated)
+    monkeypatch.setattr(arrgr.linalg, "_divide_content", counted)
+    assert strict_feasible(rows, dim=2) is answer
+    assert strict_feasible(rows) is answer
+    assert calls == [(len(rows), 3, 0, 1)] * 2
+    exact = [all(type(x) is int for x in coeffs + (const,)) for coeffs, const, _ in rows]
+    assert len(divided) == 2 * exact.count(False)
+    monkeypatch.undo()
+    assert fourier_motzkin_loop_oracle(rows, dim=2) is answer
+    assert fraction_fm_oracle(rows) is answer
+
+
+def test_two_variable_systems_match_both_oracles():
+    """Seeded two-variable systems of Fraction entries with scaled
+    duplicates, zero linear parts and one-signed columns agree with the
+    elimination loop and the Fraction elimination, both ways."""
+    rng = random.Random(29)
+    answers = Counter()
+    for _ in range(3000):
+        d, rows = _kernel_system(rng)
+        if d != 2:
+            continue
+        rows = [(tuple(F(x, 3) for x in coeffs), F(const, 2), sgn)
+                for coeffs, const, sgn in rows]
+        got = strict_feasible(rows, dim=2)
+        assert got == fourier_motzkin_loop_oracle(rows, dim=2), rows
+        assert got == fraction_fm_oracle(rows), rows
+        answers[got] += 1
+    assert answers[True] >= 100 and answers[False] >= 100, answers
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([((1, 0), 0, 1), ((0, 1), 0.5, 1)],
+     '0.5 is not exact; write integers or rational strings like "1/10"'),
+    ([((1, 0), True, 1)],
+     'true is not exact; write integers or rational strings like "1/10"'),
+    ([((0, 0), -1, 1), ((1, 0), False, -1)],
+     'false is not exact; write integers or rational strings like "1/10"'),
+    ([((1, 0), 0, 1), ((0, 1), 0, 0)], "constraint sign must be +1 or -1"),
+    ([((0, 0), -1, 1), ((0, 1), 0, 2)], "constraint sign must be +1 or -1"),
+    ([((1, 0), 0, 1), ((1, 0, 0), 0, 1)], "constraint rows have unequal lengths"),
+], ids=["float-constant", "bool-constant", "bool-after-infeasible", "sign-0",
+        "sign-2", "length-3"])
+def test_two_variable_rows_are_checked_before_any_answer(rows, message):
+    """Every row is checked, even after a row that already makes the
+    system infeasible, and each fault raises the one-line `InputError`."""
+    for dim in (2, None):
+        with pytest.raises(InputError) as info:
+            strict_feasible(rows, dim=dim)
+        assert str(info.value) == message
 
 
 def test_affine_system_consistent():

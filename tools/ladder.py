@@ -14,7 +14,10 @@ boolean), and on the chambers layer also random8 or randoms, on the
 algebra layer random8.  A measurement that outlives TIMEOUT_S seconds is
 killed and counted under "timeouts" (the exact filtration echelon alone takes about
 25 s at braid 7); the statistics come from the runs that finished.
-Times are `time.perf_counter` wall seconds.  Layers:
+Times are `time.perf_counter` wall seconds; each timed key K is reported
+as K_best, K_q1, K_median and K_q3 (the inclusive quartiles of
+`statistics.quantiles`, which stay within the range of the runs), so one
+read shows the spread of the runs as well as their middle.  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -214,14 +217,19 @@ def child(layer: str, src: str, rung: str) -> dict:
 
 
 def summary(results: list, timeouts: int) -> dict:
-    """Per key over the finished runs: best and median of the times, the
+    """Per key over the finished runs: best, first quartile, median and
+    third quartile of the times (a single run is its own quartiles), the
     sorted distinct md5 values, and the first run's value otherwise."""
     out = {"runs": len(results), "timeouts": timeouts}
     for key, value in (results[0].items() if results else ()):
         values = [r[key] for r in results]
         if key.endswith("_s"):
+            q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                         if len(values) > 1 else values * 3)
             out[f"{key}_best"] = min(values)
+            out[f"{key}_q1"] = q1
             out[f"{key}_median"] = statistics.median(values)
+            out[f"{key}_q3"] = q3
         elif key.endswith("_md5"):
             out[key] = sorted(set(values))
         else:
@@ -271,8 +279,9 @@ def main(argv: list) -> int:
         out[rung] = {label: summary(runs[label], timeouts[label]) for label, _ in trees}
     json.dump({
         "layer": args.layer,
-        "what": f"{layer['what']}; wall time (best and median over fresh "
-                "interpreters per tree, alternating; time.perf_counter; one "
+        "what": f"{layer['what']}; wall time (best, quartiles and median "
+                "over fresh interpreters per tree, alternating; "
+                "time.perf_counter; one "
                 f"pinned CPU where available); timeout {TIMEOUT_S} s",
         "python": platform.python_version(),
         "machine": platform.machine(),
