@@ -145,15 +145,42 @@ class Arrangement(GroundSet):
 
         A depth-first search over sign prefixes, each feasible prefix
         having a nonempty open region R; Fourier-Motzkin (`strict_feasible`)
-        is the only feasibility test, asked only what four rules leave
-        open, always in dim - 1 variables:
+        is the only feasibility test.  It runs in the arrangement's
+        essential coordinates, on a central arrangement only on the '+'
+        half and there on its decone, and is asked only what the free
+        split, cut and face rules below leave open:
+
+        - *Essential coordinates.*  One echelon of the linear parts a_i
+          has pivot columns P, which index a coordinate subspace
+          complementary to the lineality space L = ∩ ker a_i: a vector
+          supported on P with a_i·w = 0 for all i is zero, because the
+          echelon rows restricted to P are triangular.  Every point is
+          w + l with w supported on P and l in L, and no form sees l, so
+          the forms kept on the columns of P answer every sign question
+          as before, in rank variables.  The free splits below depend
+          only on the span of the linear parts, which this keeps.
+        - *Decone.*  On a central arrangement an open cone inside
+          {f_0 > 0} is nonempty iff it meets {f_0 = 1}, and so is its
+          intersection with any H_i (scale a point by 1/f_0).  So the
+          '+' half is '+' followed by the chambers of forms 1..n-1
+          restricted to {f_0 = 1}, in rank - 1 variables.  A restricted
+          linear part is a_i modulo a_0, so form i is a free split there
+          iff it is one in the whole arrangement; no two central forms are
+          proportional, so form 1 is one and no test needs H_0.
+        - *Antipodal half.*  On a central arrangement -c is a chamber iff
+          c is, so only the '+' half is searched and its negations follow
+          in reverse order: negation swaps '+' and '-', which reverses
+          the lexicographic order.
+
+        Below, r is the number of variables searched: the rank, less one
+        on a central arrangement.
 
         - *Free split.*  When form i's linear part a_i is outside the span
           of a_0, ..., a_{i-1}, both children of every feasible prefix of
           length i are feasible, untested: a vector v with a_j·v = 0 for
           j < i and a_i·v != 0 moves a point of R to either side of H_i
           without leaving R.  Depth 0 is always free.
-        - *Cut.*  At any other depth one test in dim - 1 variables asks
+        - *Cut.*  At any other depth one test in r - 1 variables asks
           whether R meets H_i (the prefix's forms restricted to H_i, see
           `_cut_rows`).  If it does, both children are feasible, untested:
           a point of R on H_i has both sides of H_i within R.  If it does
@@ -161,20 +188,16 @@ class Arrangement(GroundSet):
           cross H_i), and the side is read on a face of R's closure.
         - *Face.*  Let k be the depth of the last node on the prefix's
           path with two children, by a free split or because its region
-          R_k meets H_k (k = 0 for the central '+' half).  A step with one
-          child never shrinks the region, so R is one side of H_k within
-          R_k and its closure holds the face F = R_k ∩ H_k, nonempty and
-          open in H_k.  When R misses H_i, the form f_i keeps one sign
-          on R, hence >= 0 (say) on F; an affine function >= 0 on the open
-          set F of H_k that vanished inside F would vanish on all of H_k,
-          making H_i = H_k.  So f_i has R's sign on F, and one test in
-          dim - 1 variables (the first k forms restricted to H_k with the
-          prefix's signs, and f_i restricted to H_k with '+') picks the '+'
-          child when it holds and the '-' child when it does not.
-        - *Antipodal half.*  On a central arrangement -c is a chamber iff
-          c is, so only the chambers starting with '+' are searched and
-          their negations follow in reverse order: negation swaps '+' and
-          '-', which reverses the lexicographic order.
+          R_k meets H_k.  A step with one child never shrinks the region,
+          so R is one side of H_k within R_k and its closure holds the
+          face F = R_k ∩ H_k, nonempty and open in H_k.  When R misses
+          H_i, the form f_i keeps one sign on R, hence >= 0 (say) on F;
+          an affine function >= 0 on the open set F of H_k that vanished
+          inside F would vanish on all of H_k, making H_i = H_k.  So f_i
+          has R's sign on F, and one test in r - 1 variables (the first
+          k forms restricted to H_k with the prefix's signs, and f_i
+          restricted to H_k with '+') picks the '+' child when it holds
+          and the '-' child when it does not.
         """
         return self._memo("chambers", self._search)
 
@@ -182,46 +205,10 @@ class Arrangement(GroundSet):
         if self.n == 0:
             return ("",)
         if not self.central:
-            return tuple(self._completions(""))
-        half = self._completions("+")
+            return tuple(_completions(self.integer_forms(), ""))
+        half = _completions(self.integer_forms(), "+")
         flip = str.maketrans("+-", "-+")
         return tuple(half + [c.translate(flip) for c in reversed(half)])
-
-    def _completions(self, start: str) -> list:
-        """Chamber sign vectors extending the feasible prefix `start`, a
-        child of the split at depth 0, in lexicographic order: a stack pops
-        '+' before '-', each entry with the depth of the last split on its
-        path.  Depth i is a free split iff form i's linear part enlarges
-        the echelon of the earlier ones; the forms restricted to H_i are
-        built once, by the first cut or side test on H_i."""
-        rows = self.integer_forms()
-        ech = SparseEchelon()
-        free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x}) for row in rows]
-        faces = [None] * len(rows)
-
-        def face(k: int) -> list:
-            if faces[k] is None:
-                faces[k] = _cut_rows(rows, k)
-            return faces[k]
-
-        n, cut_dim = self.n, self.dim - 1
-        out = []
-        stack = [(start, 0)]
-        while stack:
-            prefix, k = stack.pop()
-            i = len(prefix)
-            if i == n:
-                out.append(prefix)
-                continue
-            if free[i] or strict_feasible(_signed(face(i), prefix), dim=cut_dim):
-                stack += ((prefix + "-", i), (prefix + "+", i))
-                continue
-            on = face(k)
-            side = _signed(on, prefix[:k])
-            side.append(on[i] + (1,))
-            sign = "+" if strict_feasible(side, dim=cut_dim) else "-"
-            stack.append((prefix + sign, k))
-        return out
 
     def chamber_index(self, signs: str) -> int:
         lookup = self._memo("chamber_index",
@@ -270,6 +257,55 @@ def _signed(pairs, word) -> list:
     """The constraints (linear, constant, ±1) of a '+'/'-' word over its
     first len(word) (linear, constant) pairs."""
     return [(lin, c, 1 if s == "+" else -1) for (lin, c), s in zip(pairs, word)]
+
+
+def _completions(rows, start: str) -> list:
+    """The chambers of the integer forms `rows` that begin with `start`, in
+    lexicographic order: every chamber for start "", the '+' half of a
+    central arrangement for start "+" (see `Arrangement.chambers`).
+
+    One `SparseEchelon` of the linear parts gives both the free-split
+    flags (depth i is free iff form i's linear part enlarges the echelon
+    of the earlier ones) and the pivot columns, on which every form is
+    kept.  For the '+' half the forms are then restricted to {f_0 = 1}
+    and form 0 is dropped.  A stack pops '+' before '-', each entry with
+    the depth of the last split on its path; the forms restricted to H_i
+    are built once, by the first cut or side test on H_i."""
+    ech = SparseEchelon()
+    free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x}) for row in rows]
+    keep = sorted(ech.pivots)
+    rows = [_divide_content([row[k] for k in keep] + [row[-1]]) for row in rows]
+    dim = len(keep)
+    if start:
+        deconed = _cut_rows([rows[0][:-1] + (-1,)] + rows[1:], 0)[1:]
+        rows = [lin + (c,) for lin, c in deconed]
+        free = free[1:]
+        dim -= 1
+    faces = [None] * len(rows)
+
+    def face(k: int) -> list:
+        if faces[k] is None:
+            faces[k] = _cut_rows(rows, k)
+        return faces[k]
+
+    n, cut_dim = len(rows), dim - 1
+    out = []
+    stack = [("", 0)]
+    while stack:
+        prefix, k = stack.pop()
+        i = len(prefix)
+        if i == n:
+            out.append(start + prefix)
+            continue
+        if free[i] or strict_feasible(_signed(face(i), prefix), dim=cut_dim):
+            stack += ((prefix + "-", i), (prefix + "+", i))
+            continue
+        on = face(k)
+        side = _signed(on, prefix[:k])
+        side.append(on[i] + (1,))
+        sign = "+" if strict_feasible(side, dim=cut_dim) else "-"
+        stack.append((prefix + sign, k))
+    return out
 
 
 def _cut_rows(rows, i: int) -> list:
@@ -446,17 +482,39 @@ def _linear(value) -> list:
     return value
 
 
+def _malformed(message: str) -> InputError:
+    return InputError(f"malformed arrangement data: {message}")
+
+
+def _field(entry: dict, key: str):
+    if key not in entry:
+        raise _malformed(f"missing key {key!r}")
+    return entry[key]
+
+
 def arrangement_from_json(data: dict) -> Arrangement:
+    """The arrangement of a JSON object {"dim": ..., "forms": [{"linear":
+    [...], "constant": ..., "label": ...}, ...]}.  A missing key, or an
+    object or list of the wrong JSON kind, is an `InputError` that names
+    it, after the "malformed arrangement data: " prefix."""
+    if not isinstance(data, dict):
+        raise _malformed(f"expected an object, not {_json_kind(data)}")
     try:
-        dim = int(_exact(data["dim"]))
-        forms = [AffineForm([frac(_exact(x)) for x in _linear(e["linear"])],
-                            frac(_exact(e["constant"])))
-                 for e in data["forms"]]
-        labels = _labels([e["label"] for e in data["forms"]], '"label"')
+        dim = int(_exact(_field(data, "dim")))
+        entries = _field(data, "forms")
+        if not isinstance(entries, list):
+            raise _malformed(f'"forms" must be a list, not {_json_kind(entries)}')
+        for e in entries:
+            if not isinstance(e, dict):
+                raise _malformed(f"a form must be an object, not {_json_kind(e)}")
+        forms = [AffineForm([frac(_exact(x)) for x in _linear(_field(e, "linear"))],
+                            frac(_exact(_field(e, "constant"))))
+                 for e in entries]
+        labels = _labels([_field(e, "label") for e in entries], '"label"')
     except InputError:
         raise  # already a full message; InputError is a ValueError
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed arrangement data: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a number Python cannot read
+        raise _malformed(str(exc)) from exc
     return Arrangement(dim, forms, labels)
 
 

@@ -13,20 +13,25 @@ scan, which needs one kernel vector per dependent extension, runs its own
 incremental integer elimination and calls only `rank` here.
 
 The chamber search asks `strict_feasible` only what its rules leave
-open (see `Arrangement.chambers`), always in dim - 1 variables: a *free
-split* at a form whose linear part is outside the span of the earlier
-ones (a direction that fixes the earlier forms moves the prefix region to
-either side; the flags come from one `SparseEchelon` of the forms' linear
-parts) asks nothing; the *cut* at any other form asks whether the prefix
-region meets its hyperplane (if so both children are feasible); when it
-does not, the region's side is asked on the *face* that the last split on
-the prefix's path leaves in its closure, on that split's hyperplane; and
-the *antipodal half* of a central arrangement (-c is a chamber iff c is)
+open (see `Arrangement.chambers`), on a hyperplane of the arrangement's
+essential coordinates (the pivot columns of one `SparseEchelon` of the
+forms' linear parts), and for a central arrangement of its decone
+{f_0 = 1}: rank - 1 variables on an affine arrangement, rank - 2 on a
+central one.  A *free split* at a form whose linear part is outside the
+span of the earlier ones (a direction that fixes the earlier forms moves
+the prefix region to either side; the flags come from the same echelon)
+asks nothing; the *cut* at any other form asks whether the prefix region
+meets its hyperplane (if so both children are feasible); when it does
+not, the region's side is asked on the *face* that the last split on the
+prefix's path leaves in its closure, on that split's hyperplane; and the
+*antipodal half* of a central arrangement (-c is a chamber iff c is)
 halves the search.  Inside `strict_feasible`, a system in one or two
-variables (every chamber test in dimension 3) goes straight from its
-checked rows to one bounds pass; from three variables on, a one-signed
-column is dropped with its rows (its variable, moved far enough,
-satisfies them) and the last one or two variables are settled by bounds.
+variables (every chamber test of an affine arrangement of rank at most 3
+or a central one of rank at most 4: semiorder 4, braid 5) goes straight
+from its checked rows to one bounds pass; from three variables on, a
+one-signed column is dropped with its rows (its variable, moved far
+enough, satisfies them) and the last one or two variables are settled by
+bounds.
 """
 
 from __future__ import annotations
@@ -305,8 +310,8 @@ def strict_feasible(constraints, dim: int | None = None) -> bool:
     positive constant.  That is exact on any rows: a positive multiple of
     a strict row is the same constraint and a duplicate only repeats a
     bound, and a one-signed first column has no pos x neg pair, so its
-    rows simply drop out.  Every chamber test on an arrangement in
-    dimension 3 is of this kind.
+    rows simply drop out.  Every chamber test on an affine arrangement of
+    rank 3 or a central one of rank 4 is of this kind.
 
     In no variable or three or more, the rows are kept as a set of
     primitive rows (set membership removes duplicates), a combination

@@ -305,6 +305,46 @@ def test_chambers_match_sibling_search_oracle(corpus_map):
         assert A.chambers() == sibling_search_oracle(A), name
 
 
+def _embedded(A, rng):
+    """A in dimension A.dim + 2: each linear part a becomes a·M for a random
+    integer matrix M of rank A.dim with no zero column, so the chambers are
+    A's and the lineality space, ker M, is a plane that no form sees."""
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(A.dim + 2)] for _ in range(A.dim)]
+        if rank(M) == A.dim and all(any(col) for col in zip(*M)):
+            break
+    forms = [([sum(a * m for a, m in zip(f.linear, col)) for col in zip(*M)],
+              f.constant) for f in A.forms]
+    return Arrangement(A.dim + 2, forms, A.labels)
+
+
+def test_chambers_match_oracles_on_non_essential_arrangements():
+    """The search keeps each form on the pivot columns of the echelon of
+    the linear parts and searches a central '+' half on {f_0 = 1}; on
+    arrangements with a lineality space both oracles, which run on the
+    forms as given in dim variables, agree with it."""
+    rng = random.Random(3030)
+    cases = []
+    for s in range(1, 9):
+        E = _embedded(random_rational_arrangement(seed=s), rng)
+        cases += [(f"random{s}+2", E), (f"cone_random{s}+2", cone(E))]
+    for s in (1, 2):
+        E = _embedded(random_rational_arrangement(seed=s, n=7, d=4), rng)
+        cases += [(f"random{s}_7_4+2", E), (f"cone_random{s}_7_4+2", cone(E))]
+    # the first form's first kept entry is negative
+    cases += [("negative_lead", Arrangement(
+        3, [((-2, 1, 0), 0), ((0, 1, -1), 0), ((1, 1, 1), 0), ((1, -1, 0), 0)]))]
+    cases += [("rank1", Arrangement(3, [((0, -2, 3), 0)]))]
+    cases += [(f"braid{n}", braid(n)) for n in range(3, 7)]
+    cases += [(f"semiorder{n}", semiorder(n)) for n in (3, 4)]
+    cases += [("parallel", parallel_pair())]
+    assert sum(rank([f.linear for f in A.forms]) < A.dim for _, A in cases) >= 25
+    for name, A in cases:
+        chambers = A.chambers()
+        assert chambers == sibling_search_oracle(A), name
+        assert chambers == two_sided_chambers_oracle(A), name
+
+
 def cut_side_search_oracle(A):
     """Chambers by the search before the face test: free splits and cuts
     as in `Arrangement.chambers`, but when the prefix region misses H_i its
@@ -420,14 +460,16 @@ def _last_split(prefixes, prefix):
 
 def test_chamber_search_tests_only_open_questions(monkeypatch):
     """Fourier-Motzkin is asked nothing at a free split, and every question
-    has dim - 1 variables.  Every other node asks one cut question on its
-    hyperplane with the prefix's signs; a side question follows exactly the
-    false cuts, on the face of the last split k of the node's path: the
-    first k signs and '+' for form i, answering whether the '+' child is a
-    chamber prefix.  On a central arrangement only prefixes under '+' are
-    asked, whose chambers' negations, reversed, are the rest: a boolean
-    arrangement needs no test at all.  The search never goes through
-    `sign_constraints`."""
+    is in the essential coordinates restricted to a hyperplane: rank - 1
+    variables on an affine arrangement, rank - 2 on a central one, whose
+    '+' half is searched on {f_0 = 1} and asked without its leading '+'.
+    Every other node asks one cut question on its hyperplane with the
+    prefix's signs; a side question follows exactly the false cuts, on the
+    face of the last split k of the node's path: the first k signs and '+'
+    for form i, answering whether the '+' child is a chamber prefix.  On a
+    central arrangement only prefixes under '+' are asked, whose chambers'
+    negations, reversed, are the rest: a boolean arrangement needs no test
+    at all.  The search never goes through `sign_constraints`."""
     asked = []  # (dim, sign word, answer)
 
     def recorded(constraints, dim=None):
@@ -449,17 +491,21 @@ def test_chamber_search_tests_only_open_questions(monkeypatch):
         prefixes = {c[:i] for c in chambers for i in range(A.n + 1)}
         nodes = sorted({c[:i] for c in chambers for i in range(A.n)
                         if i not in free and c[0] in halves})
-        assert all(d == A.dim - 1 for d, _, _ in asked)
+        lead = "+" if A.central else ""
+        variables = rank([f.linear for f in A.forms]) - 1 - len(lead)
+        assert all(d == variables for d, _, _ in asked)
         cuts, sides = [], 0
         calls = iter(asked)
         for _, word, answer in calls:
+            word = lead + word
             cuts.append(word)
             both = word + "+" in prefixes and word + "-" in prefixes
             assert answer == both
             if not answer:
                 k = _last_split(prefixes, word)
                 _, side, plus = next(calls)
-                assert side == word[:k] + "+" and plus == (word + "+" in prefixes)
+                assert lead + side == word[:k] + "+"
+                assert plus == (word + "+" in prefixes)
                 sides += 1
         assert sorted(cuts) == nodes
         return chambers, sides

@@ -159,10 +159,18 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"forms": []}, "malformed arrangement data: 'dim'"),
+    ({"forms": []}, "malformed arrangement data: missing key 'dim'"),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": 0}]},
+     "malformed arrangement data: missing key 'label'"),
+    ([{"dim": 1}], "malformed arrangement data: expected an object, not a list"),
+    ({"dim": 1, "forms": {"linear": ["1"], "constant": 0, "label": "x"}},
+     'malformed arrangement data: "forms" must be a list, not an object'),
+    ({"dim": 1, "forms": ["x"]},
+     "malformed arrangement data: a form must be an object, not a string"),
     ({"dim": 1, "forms": [{"linear": ["1"], "constant": 0.1, "label": "x"}]},
      '0.1 is not exact; write integers or rational strings like "1/10"'),
-], ids=["missing-key", "float"])
+], ids=["missing-key", "missing-form-key", "top-level-list", "forms-object",
+        "form-string", "float"])
 def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
     """An input error raised while reading a form keeps its own message;
     the "malformed arrangement data: " prefix is for parse errors only."""

@@ -24,7 +24,8 @@ read shows the spread of the runs as well as their middle.  Layers:
               with the `strict_feasible` calls split into side calls,
               those that directly follow a cut call answered false, and
               cut calls, all the others; fm_rows is the number of rows
-              handed to them.
+              handed to them and fm_vars the largest number of variables
+              of one call (0 if there is none).
   algebra     after the circuits and a `CordovilAlgebra` are built:
               straighten_s, `straighten(Poly.monomial(s))` for every subset
               s of the hyperplanes on an empty straightening table, and
@@ -98,7 +99,7 @@ def _timed(fn, *args):
 def measure_chambers(rung: str) -> dict:
     import arrgr.arrangement
 
-    calls = {"cut": 0, "side": 0, "rows": 0}
+    calls = {"cut": 0, "side": 0, "rows": 0, "vars": 0}
     side_next = False  # the last call was a cut answered false
     feasible = arrgr.arrangement.strict_feasible
 
@@ -106,6 +107,7 @@ def measure_chambers(rung: str) -> dict:
         nonlocal side_next
         answer = feasible(constraints, dim=dim)
         calls["rows"] += len(constraints)
+        calls["vars"] = max(calls["vars"], dim)
         calls["side" if side_next else "cut"] += 1
         side_next = not side_next and not answer
         return answer
@@ -118,7 +120,7 @@ def measure_chambers(rung: str) -> dict:
         elapsed += seconds
     return {"chambers": len(chambers), "fm_cut_calls": calls["cut"],
             "fm_side_calls": calls["side"], "fm_rows": calls["rows"],
-            "wall_s": elapsed, "chambers_md5": _md5(chambers)}
+            "fm_vars": calls["vars"], "wall_s": elapsed, "chambers_md5": _md5(chambers)}
 
 
 def measure_algebra(rung: str) -> dict:
@@ -188,7 +190,8 @@ LAYERS = {
         measure_chambers, 7, {"braid7": 3},
         "Arrangement.chambers() of a fresh copy and its strict_feasible "
         "calls, side (directly after a cut answered false) and cut (the "
-        "others), with the rows handed to them", ("random8", "randoms")),
+        "others), with the rows handed to them and the most variables in "
+        "one call", ("random8", "randoms")),
     "algebra": _layer(
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
         "cold straighten of every squarefree monomial and one "
