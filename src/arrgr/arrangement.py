@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 
 from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
@@ -268,18 +269,23 @@ def _completions(rows, start: str) -> list:
     flags (depth i is free iff form i's linear part enlarges the echelon
     of the earlier ones) and the pivot columns, on which every form is
     kept.  For the '+' half the forms are then restricted to {f_0 = 1}
-    and form 0 is dropped.  A stack pops '+' before '-', each entry with
-    the depth of the last split on its path; the forms restricted to H_i
-    are built once, by the first cut or side test on H_i."""
+    and form 0 is dropped.  When every depth is a free split nothing is
+    tested, so neither is done: every sign word is a chamber.  A stack pops
+    '+' before '-', each entry with the depth of the last split on its path;
+    the forms restricted to H_i are built once, by the first cut or side
+    test on H_i."""
     ech = SparseEchelon()
     free = [ech.add({k: x for k, x in enumerate(row[:-1]) if x}) for row in rows]
+    if start:
+        free = free[1:]
+    if all(free):  # nothing to test: every sign word is a chamber
+        return [start + "".join(word) for word in product("+-", repeat=len(free))]
     keep = sorted(ech.pivots)
     rows = [_divide_content([row[k] for k in keep] + [row[-1]]) for row in rows]
     dim = len(keep)
     if start:
         deconed = _cut_rows([rows[0][:-1] + (-1,)] + rows[1:], 0)[1:]
         rows = [lin + (c,) for lin, c in deconed]
-        free = free[1:]
         dim -= 1
     faces = [None] * len(rows)
 
@@ -476,6 +482,16 @@ def _exact(x):
     return x
 
 
+def _number(value, where: str):
+    """An exact JSON number (see `_exact`) that is an integer or a string;
+    any other JSON kind is named, with `where`, in a malformed-data error."""
+    value = _exact(value)
+    if not isinstance(value, (int, str)):
+        raise _malformed(f"{where} must be an integer or a rational string, "
+                         f"not {_json_kind(value)}")
+    return value
+
+
 def _linear(value) -> list:
     if not isinstance(value, list):
         raise InputError(f'"linear" must be a list, not {_json_kind(value)}')
@@ -494,21 +510,22 @@ def _field(entry: dict, key: str):
 
 def arrangement_from_json(data: dict) -> Arrangement:
     """The arrangement of a JSON object {"dim": ..., "forms": [{"linear":
-    [...], "constant": ..., "label": ...}, ...]}.  A missing key, or an
-    object or list of the wrong JSON kind, is an `InputError` that names
-    it, after the "malformed arrangement data: " prefix."""
+    [...], "constant": ..., "label": ...}, ...]}.  A missing key, or a
+    value of the wrong JSON kind, is an `InputError` that names it, after
+    the "malformed arrangement data: " prefix."""
     if not isinstance(data, dict):
         raise _malformed(f"expected an object, not {_json_kind(data)}")
     try:
-        dim = int(_exact(_field(data, "dim")))
+        dim = int(_number(_field(data, "dim"), '"dim"'))
         entries = _field(data, "forms")
         if not isinstance(entries, list):
             raise _malformed(f'"forms" must be a list, not {_json_kind(entries)}')
         for e in entries:
             if not isinstance(e, dict):
                 raise _malformed(f"a form must be an object, not {_json_kind(e)}")
-        forms = [AffineForm([frac(_exact(x)) for x in _linear(_field(e, "linear"))],
-                            frac(_exact(_field(e, "constant"))))
+        forms = [AffineForm([frac(_number(x, 'a "linear" entry'))
+                             for x in _linear(_field(e, "linear"))],
+                            frac(_number(_field(e, "constant"), '"constant"')))
                  for e in entries]
         labels = _labels([_field(e, "label") for e in entries], '"label"')
     except InputError:

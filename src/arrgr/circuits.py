@@ -121,7 +121,9 @@ class CircuitSet(GroundSet):
 
     `empty_flats` are the minimal empty flats of the arrangement the
     circuits come from (index sets whose hyperplanes do not meet); a raw
-    circuit system has none.
+    circuit system has none.  `_rank` is the size of the largest
+    independent set with a nonempty flat, which the circuit scan finds and
+    checks against `linalg.rank`; a raw circuit system has none (None).
     """
 
     def __init__(self, ground, circuits, empty_flats=()):
@@ -133,6 +135,7 @@ class CircuitSet(GroundSet):
             seen[X.key()] = X
         self.circuits = tuple(seen[k] for k in sorted(seen))
         self.empty_flats = tuple(frozenset(s) for s in empty_flats)
+        self._rank = None
 
     @property
     def ground(self) -> tuple:
@@ -325,7 +328,9 @@ def _arrangement_circuits(A) -> tuple:
 
     The largest good set and h0 span the homogenized forms and h0 (a good
     set that is not spanning is extended by a form outside its span), which
-    the one `rank` call confirms.
+    the one `rank` call confirms.  Its size r is kept as the circuit set's
+    `_rank`: every NBC set is good, and the NBC sets have a member of size
+    r, which `CordovilAlgebra` checks.
     """
     forms = A.integer_forms()
     h0 = () if A.central else ((0,) * A.dim + (-1,),)
@@ -386,11 +391,13 @@ def _arrangement_circuits(A) -> tuple:
     residues = [(e, list(w), [], 1) for e, w in enumerate(forms)]
     if h0:
         residues = extend((None, list(h0[0]), [], 1), residues, ())
-    if grow((), residues) + len(h0) != rank(list(forms) + list(h0)):
+    largest = grow((), residues)
+    if largest + len(h0) != rank(list(forms) + list(h0)):
         raise ConsistencyError("the grown independent sets do not span the forms")
     identities.sort(key=lambda X: (len(X.support), sorted(X.support)))
     C = CircuitSet(A.labels, circuits,
                    empty_flats=[X.support for X in identities])
+    C._rank = largest
     return C, tuple(identities)
 
 
@@ -408,8 +415,14 @@ def canonical_circuits(source, ordering=None):
     return _per_ordering(source, "canonical", ordering, _canonical_circuits)
 
 
+def _circuit_set(source) -> CircuitSet:
+    """The circuit system of a source: itself if it is one, else the
+    arrangement's memoized circuit scan."""
+    return source if isinstance(source, CircuitSet) else circuits_from_arrangement(source)
+
+
 def _canonical_circuits(source, ordering) -> tuple:
-    C = source if isinstance(source, CircuitSet) else circuits_from_arrangement(source)
+    C = _circuit_set(source)
     ranks = ordering_ranks(C.n, ordering)
     out = {}
     for X in C.circuits:

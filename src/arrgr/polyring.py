@@ -28,6 +28,9 @@ from .errors import ConsistencyError, InputError
 from .linalg import frac
 
 
+_ONE = Fraction(1)  # `monomial`'s default coefficient (a Fraction is immutable)
+
+
 class Poly:
     """Polynomial with rational coefficients; immutable by convention."""
 
@@ -75,7 +78,7 @@ class Poly:
         return cls({((), power): 1})
 
     @classmethod
-    def monomial(cls, idxs, uexp: int = 0, coeff=1):
+    def monomial(cls, idxs, uexp: int = 0, coeff=_ONE):
         c = frac(coeff)
         return cls._of({(tuple(sorted(idxs)), int(uexp)): c} if c else {})
 

@@ -735,3 +735,19 @@ def test_cached_queries_return_the_same_object():
     for query in queries:
         assert query() is query()
     assert [A.chamber_index(c) for c in A.chambers()] == list(range(3))
+
+
+def test_search_with_only_free_splits_restricts_no_form(monkeypatch):
+    """When every depth is a free split (boolean n, central or affine)
+    nothing is tested, so no form is restricted to the essential columns,
+    the decone or a hyperplane."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a form was restricted")
+
+    monkeypatch.setattr(arrgr.arrangement, "_divide_content", refused)
+    monkeypatch.setattr(arrgr.arrangement, "_cut_rows", refused)
+    monkeypatch.setattr(arrgr.arrangement, "strict_feasible", refused)
+    A = boolean(7)
+    assert A.chambers() == tuple("".join(w) for w in product("+-", repeat=7))
+    shifted = Arrangement(2, [((1, 0), 1), ((0, 1), -2)])
+    assert shifted.chambers() == ("++", "+-", "-+", "--")

@@ -169,8 +169,17 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
      "malformed arrangement data: a form must be an object, not a string"),
     ({"dim": 1, "forms": [{"linear": ["1"], "constant": 0.1, "label": "x"}]},
      '0.1 is not exact; write integers or rational strings like "1/10"'),
+    ({"dim": None, "forms": []},
+     'malformed arrangement data: "dim" must be an integer or a rational '
+     "string, not null"),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": [1], "label": "x"}]},
+     'malformed arrangement data: "constant" must be an integer or a rational '
+     "string, not a list"),
+    ({"dim": 2, "forms": [{"linear": ["1", None], "constant": 0, "label": "x"}]},
+     'malformed arrangement data: a "linear" entry must be an integer or a '
+     "rational string, not null"),
 ], ids=["missing-key", "missing-form-key", "top-level-list", "forms-object",
-        "form-string", "float"])
+        "form-string", "float", "null-dim", "list-constant", "null-linear-entry"])
 def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
     """An input error raised while reading a form keeps its own message;
     the "malformed arrangement data: " prefix is for parse errors only."""

@@ -4,17 +4,20 @@ from itertools import combinations
 
 import pytest
 
+import arrgr.circuits as circuits_module
 from arrgr.acceptance import (minimal_empty_flats_oracle,
                               straightening_oracle_check,
                               straightening_span_dims)
-from arrgr.arrangement import braid, semiorder
-from arrgr.circuits import (CircuitSet, SignedSet, circuits_from_arrangement,
-                            nbc_counts)
+from arrgr.arrangement import boolean, braid, semiorder
+from arrgr.circuits import (CircuitSet, SignedSet, broken_circuit_map,
+                            circuits_from_arrangement, nbc_counts, nbc_sets,
+                            ordering_ranks)
 from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
                             cordovil_relation_families, leading_form_check,
                             minimal_empty_flat_subsets)
-from arrgr.corpus import parallel_pair, single_hyperplane
-from arrgr.errors import InputError
+from arrgr.corpus import (parallel_pair, random_rational_arrangement,
+                          single_hyperplane)
+from arrgr.errors import ConsistencyError, InputError
 from arrgr.polyring import Poly
 from test_polyring import kill_squares_oracle
 
@@ -239,6 +242,9 @@ def test_bad_generators_and_monomials_are_input_errors():
             alg.generator("nope")
         with pytest.raises(InputError, match=r"^form index 7 out of range$"):
             alg.straighten(Poly.monomial((0, 7)))
+        # above the top grade too, where the grade bound answers zero
+        with pytest.raises(InputError, match=r"^form index 7 out of range$"):
+            alg.straighten(Poly.monomial((0, 1, 2, 7)) + Poly.monomial((1,)))
         assert alg.generator("13") == alg.generator(1)
 
 
@@ -265,26 +271,35 @@ def test_multiplication_commutative_associative_random():
 
 
 class FractionStraightening:
-    """The straightening and product of an algebra with Fraction arithmetic
-    throughout, one memo per instance: the oracle for the shared integer
-    table.  It reads the algebra's broken-circuit order and NBC sets only."""
+    """The straightening and product of an algebra by the old linear scan,
+    with Fraction arithmetic throughout and one memo per instance: the
+    oracle for the shared integer table.  It reads only the algebra's
+    source and ordering.  Its broken-circuit order is its own: the broken
+    circuits sorted by the ascending tuple of their ranks, in descending
+    order, the first one inside a monomial giving the rewrite.  It asks the
+    source's flat test on every monomial and has no grade bound, so it
+    recurses through the monomials above the top grade too."""
 
     def __init__(self, alg):
-        self.alg = alg
+        self.source, ordering = alg.source, alg.ordering
+        ranks = ordering_ranks(self.source.n, ordering)
+        self.broken = broken_circuit_map(self.source, ordering)
+        self.order = sorted(self.broken, reverse=True,
+                            key=lambda b: tuple(sorted(ranks[i] for i in b)))
+        self.nbc = nbc_sets(self.source, ordering)
         self.memo: dict = {}
 
     def monomial(self, mono: frozenset) -> dict:
-        alg = self.alg
         if mono in self.memo:
             return self.memo[mono]
         result: dict = {}
-        if alg.source.flat_nonempty(mono):
-            broken = next((b for b in alg._broken_order if b <= mono), None)
+        if self.source.flat_nonempty(mono):
+            broken = next((b for b in self.order if b <= mono), None)
             if broken is None:
-                assert mono in alg._nbc_lookup
+                assert mono in self.nbc
                 result = {mono: Fraction(1)}
-            elif alg._broken[broken][2] not in mono:
-                _, phi, mx = alg._broken[broken]
+            elif self.broken[broken][2] not in mono:
+                _, phi, mx = self.broken[broken]
                 for a in sorted(broken):
                     self.add_into(result, self.monomial(frozenset((mono - {a}) | {mx})),
                                   Fraction(-phi[a], phi[mx]))
@@ -328,24 +343,53 @@ def _random_poly(rng, n) -> Poly:
     return out
 
 
+def _oracle_cases(corpus_map):
+    """(name, algebra, largest grade to straighten): the corpus, braid 5,
+    semiorder 4 and boolean 7 in every grade; braid 6 up to two grades
+    above its top grade; a raw circuit system, which has no grade bound;
+    two reversed orderings; and random arrangements for seeds 1-9."""
+    cases = [(name, CordovilAlgebra(A), A.n) for name, A in corpus_map.items()]
+    for name, A in (("braid5", braid(5)), ("semiorder4", semiorder(4)),
+                    ("boolean7", boolean(7))):
+        cases.append((name, CordovilAlgebra(A), A.n))
+    B6 = braid(6)
+    cases.append(("braid6", CordovilAlgebra(B6), len(nbc_counts(B6)) + 1))
+    C = circuits_from_arrangement(braid(5))
+    cases.append(("raw braid5", CordovilAlgebra(CircuitSet(C.ground, C.circuits)), C.n))
+    for name, A in (("braid5", braid(5)), ("semiorder4", semiorder(4))):
+        cases.append((f"reversed {name}",
+                      CordovilAlgebra(A, tuple(reversed(range(A.n)))), A.n))
+    for seed in range(1, 10):
+        A = random_rational_arrangement(seed=seed)
+        cases.append((f"random seed {seed}", CordovilAlgebra(A), A.n))
+    return cases
+
+
 def test_integer_straightening_matches_fraction_oracle(corpus_map):
-    """The straightening table holds plain ints, and `straighten` and
-    `multiply` equal Fraction arithmetic on 200 seeded products per
-    arrangement with coefficients 1/2, -2/3, 5/7, 3 and -1; the results'
-    coefficients are nonzero Fractions."""
-    cases = list(corpus_map.items()) + [("braid5", braid(5)), ("semiorder4", semiorder(4))]
+    """The straightening table holds plain ints and equals the old scan's
+    Fraction arithmetic on every monomial up to a case's grade, and
+    `straighten` and `multiply` equal it on 200 seeded products per case
+    with coefficients 1/2, -2/3, 5/7, 3 and -1; the results' coefficients
+    are nonzero Fractions.  Up to the top grade the rewrites are the old
+    scan's: from an empty table, the table and the oracle's memo hold the
+    same monomials after each one."""
     rng = random.Random(20261018)
-    for name, A in cases:
-        alg = CordovilAlgebra(A)
+    for name, alg, grades in _oracle_cases(corpus_map):
+        n = alg.n
         oracle = FractionStraightening(alg)
-        for size in range(A.n + 1):
-            for supp in combinations(range(A.n), size):
+        top = len(oracle.nbc[-1])
+        alg._table.clear()
+        for size in range(grades + 1):
+            for supp in combinations(range(n), size):
                 el = alg.straighten(Poly.monomial(supp))
                 assert el.coords == oracle.monomial(frozenset(supp)), (name, supp)
+                if size <= top:
+                    assert len(alg._table) == len(oracle.memo), (name, supp)
+        assert alg._table.keys() == oracle.memo.keys(), name
         assert all(type(c) is int for terms in alg._table.values() for c in terms.values())
         basis = list(alg.nbc)
         for _ in range(200):
-            poly = _random_poly(rng, A.n)
+            poly = _random_poly(rng, n)
             el = alg.straighten(poly)
             assert el.coords == oracle.straighten(poly), (name, poly)
             a, b = (alg.element({s: rng.choice(_COEFFS)
@@ -355,9 +399,28 @@ def test_integer_straightening_matches_fraction_oracle(corpus_map):
             assert prod.coords == oracle.multiply(a, b), name
             for c in (*el.coords.values(), *prod.coords.values()):
                 assert type(c) is Fraction and c != 0, name
-        other = CordovilAlgebra(A, tuple(reversed(range(A.n))))
+        other = CordovilAlgebra(alg.source, tuple(reversed(range(n))))
         with pytest.raises(InputError, match="different algebra contexts"):
             alg.multiply(alg.one(), other.one())
+
+
+@pytest.mark.parametrize("fault", ["nbc", "rank"])
+def test_nbc_top_grade_must_equal_the_scan_rank(monkeypatch, fault):
+    """The grade bound skips the monomials above the scan's rank r, so
+    construction certifies it: the NBC sets must reach grade r exactly.
+    NBC growth that loses its top grade, or a scan rank one too high, is a
+    `ConsistencyError`."""
+    A = braid(4)
+    if fault == "nbc":
+        grow = circuits_module._grow_nbc
+        monkeypatch.setattr(circuits_module, "_grow_nbc",
+                            lambda source, ordering: tuple(
+                                s for s in grow(source, ordering) if len(s) < 3))
+    else:
+        C = circuits_from_arrangement(A)
+        monkeypatch.setattr(C, "_rank", C._rank + 1)
+    with pytest.raises(ConsistencyError, match="NBC sets stop at grade"):
+        CordovilAlgebra(A)
 
 
 def test_straightening_table_is_shared_per_ordering():
