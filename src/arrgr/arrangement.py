@@ -483,13 +483,30 @@ def _exact(x):
 
 
 def _number(value, where: str):
-    """An exact JSON number (see `_exact`) that is an integer or a string;
-    any other JSON kind is named, with `where`, in a malformed-data error."""
+    """An exact JSON number (see `_exact`) that is an integer or a string
+    that reads as a rational; any other JSON kind, or string, is named,
+    with `where`, in a malformed-data error."""
     value = _exact(value)
-    if not isinstance(value, (int, str)):
+    if isinstance(value, str):
+        try:
+            Fraction(value)
+        except ValueError:
+            raise _malformed(f"{where} must be an integer or a rational string, "
+                             f"not {json.dumps(value)}") from None
+    elif not isinstance(value, int):
         raise _malformed(f"{where} must be an integer or a rational string, "
                          f"not {_json_kind(value)}")
     return value
+
+
+def _integer(value, where: str) -> int:
+    """A `_number` that is an integer: a JSON integer or an integer string;
+    a rational string that is not one is quoted in the error."""
+    value = _number(value, where)
+    try:
+        return int(value)
+    except ValueError:
+        raise _malformed(f"{where} must be an integer, not {json.dumps(value)}") from None
 
 
 def _linear(value) -> list:
@@ -516,7 +533,7 @@ def arrangement_from_json(data: dict) -> Arrangement:
     if not isinstance(data, dict):
         raise _malformed(f"expected an object, not {_json_kind(data)}")
     try:
-        dim = int(_number(_field(data, "dim"), '"dim"'))
+        dim = _integer(_field(data, "dim"), '"dim"')
         entries = _field(data, "forms")
         if not isinstance(entries, list):
             raise _malformed(f'"forms" must be a list, not {_json_kind(entries)}')

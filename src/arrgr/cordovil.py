@@ -71,7 +71,7 @@ from .circuits import (GroundSet, SignedSet, _circuit_set, _grade_counts,
 from .errors import ConsistencyError, InputError
 from .linalg import frac
 from .polyring import Poly
-from .vgring import Relation, _circuit_difference
+from .vgring import Relation, _u_relation
 
 
 def circuit_boundary(X: SignedSet, ordering=None, n: int | None = None) -> Poly:
@@ -389,8 +389,10 @@ def leading_form_check(A: Arrangement, ordering=None) -> LeadingFormReport:
     recorded."""
     signs = []
     mismatches = []
+    names: dict = {}
     for X in canonical_circuits(A, ordering):
-        top = _circuit_difference(X, Poly.one()).top_e_part()
+        # at u = 1 the family-(3) u-relation is the difference of products
+        top = _u_relation(3, X, names).substitute_u(1).top_e_part()
         db = circuit_boundary(X, ordering, n=A.n)
         if top == db:
             signs.append((X, 1))

@@ -15,7 +15,10 @@ nothing: the ring operations (sums, negation, products by a polynomial or
 a scalar, each dropping the sums that cancel), `monomial`, `top_e_part`,
 `divide_u`, `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0
 or 1 and no coefficient is multiplied) and the closed-form relation
-families.  Reduction modulo the squares is not a ring operation here:
+families.  At u = 1 each term is re-keyed (m, k) -> (m, 0); the re-keyed
+dict is the result when no two terms share an e-monomial, as in every
+relation family, and the colliding terms are summed (zero sums dropped)
+otherwise.  Reduction modulo the squares is not a ring operation here:
 `CordovilAlgebra.straighten` skips squared monomials itself, and the
 rewritings e_i^2 -> 0 and e_i^2 -> e_i live in the tests as oracles.
 """
@@ -155,7 +158,10 @@ class Poly:
         if value == 0:
             return Poly._of({key: c for key, c in self.terms.items() if key[1] == 0})
         if value == 1:
-            out: dict = {}
+            out = {(m, 0): c for (m, _), c in self.terms.items()}
+            if len(out) == len(self.terms):
+                return Poly._of(out)  # no two terms share an e-monomial
+            out = {}
             for (m, u), c in self.terms.items():
                 key = (m, 0)
                 old = out.get(key)

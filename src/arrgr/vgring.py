@@ -24,7 +24,11 @@ chamber is visited one by one.  The presentation count grows the
 common zeros one hyperplane at a time and drops a point as soon as a
 relation whose support ends at that hyperplane is nonzero there; the
 points kept are the common zeros of the relations seen so far, so the work
-follows the output instead of the 2^n cube.
+follows the output instead of the 2^n cube.  The points are held as one
+column bitmask per hyperplane (bit k set iff point k holds it): adding
+hyperplane d doubles every column, c | c << L, and a relation kills the
+points that one AND per support element selects, so no point is visited
+one by one either (`_common_zeros`).
 
 The filtration is read off the NBC monomials, the basis of gr P^* in the
 paper's main theorem (Varchenko-Gelfand 1987; Cordovil 2002), and every
@@ -44,11 +48,18 @@ is a chamber few other monomials contain and the pivot rows stay sparse.
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
 families are defined as their u = 1 specialization.  Families (2) and (3)
-are expanded in closed form, with no polynomial products: the product
-prod_{i in P} e_i prod_{j in M} (e_j - u^s) has one term per T in M, the
-monomial P + T with sign (-1)^|M - T| and u-power s|M - T|, and a circuit's
-difference merges its two expansions over the integers, where only the
-full-support monomial cancels.  The graded families in `cordovil` are
+are expanded from one (P, M) = (mask of X+, mask of X-) pair per relation,
+with no polynomial products (`_expand_masks`): the product
+prod_{i in P} e_i prod_{j in M} (e_j - u) has one term per sub-mask T of
+M, walked as T = (T - 1) & M, the monomial P | T with u-power |M - T| and
+coefficient (-1)^|M - T|, one of two shared Fractions.  A circuit's
+difference drops the one u-free term of each side, the two cancelling
+copies of e_{P | M}, and lowers every other u-power by one in the same
+pass; no two of its terms share a monomial (`rees_relation_families`), so
+nothing is merged.  The u = 1 specialization re-keys each term
+(m, k) -> (m, 0) (`Poly.substitute_u`), which sums nothing, since no two
+terms of these families share an e-monomial.  `cordovil`'s leading-form
+check reads the same expansion.  The graded families in `cordovil` are
 built independently, from circuit boundaries and empty flats, with `Poly`
 products.
 """
@@ -57,17 +68,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 
 from .arrangement import Arrangement
 from .circuits import (SignedSet, _mask, _per_ordering, canonical_circuits,
                        circuit_scan, nbc_counts, nbc_sets)
-from .errors import ConsistencyError, InputError, ResourceBoundError
+from .errors import InputError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
 
 
 _BIT_VALUE = {"0": Fraction(0), "1": Fraction(1)}
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' -> a false/true selector
 
 
 def _heaviside_masks(A: Arrangement) -> tuple:
@@ -324,61 +336,35 @@ def _source_str(source, labels) -> str:
     return labels[source]
 
 
-_SHIFTS = ((Poly.one(), 0), (Poly.u(), 1))
+_SIGNS = (Fraction(1), Fraction(-1))  # shared by every expanded term
 
 
-def _shift_power(shift) -> int:
-    """The u-power s of a relation shift u^s: 0 for `Poly.one()`, 1 for
-    `Poly.u()`."""
-    for poly, s in _SHIFTS:
-        if shift == poly:
-            return s
-    raise ConsistencyError(f"a relation shift must be 1 or u, not {shift!r}")
+def _indices(mask: int) -> tuple:
+    """The sorted index tuple of a bitmask: a monomial's key."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _expand_into(out: dict, plus, minus, s: int, sign: int) -> None:
-    """Add sign * prod_{i in plus} e_i * prod_{j in minus} (e_j - u^s) to the
-    integer dict `out`: one term per T in minus, the monomial plus + T with
-    coefficient sign * (-1)^|minus - T| and u-power s * |minus - T|."""
-    partial = [((), 0)]  # (T, |minus - T|) over the elements of minus so far
-    for j in sorted(minus):
-        partial = [(t + (j,), k) for t, k in partial] + [(t, k + 1) for t, k in partial]
-    base = tuple(plus)
-    for t, k in partial:
-        key = (tuple(sorted(base + t)), s * k)
-        out[key] = out.get(key, 0) + (-sign if k & 1 else sign)
-
-
-def _integer_poly(out: dict) -> Poly:
-    """The polynomial of an integer dict over canonical keys, zeros dropped."""
-    return Poly._of({key: Fraction(c) for key, c in out.items() if c})
-
-
-def _product_poly(plus, minus, shift) -> Poly:
-    """prod_{i in plus} e_i * prod_{j in minus} (e_j - shift), for shift 1
-    or u, expanded in closed form: its terms have coefficients +-1 and,
-    for disjoint plus and minus, distinct monomials."""
-    out: dict = {}
-    _expand_into(out, plus, minus, _shift_power(shift), 1)
-    return _integer_poly(out)
-
-
-def _difference_terms(X: SignedSet, s: int) -> dict:
-    """The integer dict of the circuit's two opposite products at shift
-    u^s, the second subtracted; the cancelled full-support monomial stays
-    as a zero entry."""
-    out: dict = {}
-    _expand_into(out, X.plus, X.minus, s, 1)
-    _expand_into(out, X.minus, X.plus, s, -1)
-    return out
-
-
-def _circuit_difference(X: SignedSet, shift) -> Poly:
-    """The difference of the circuit's two opposite products,
-    prod_{X+} e_i prod_{X-} (e_j - shift) minus the same with X negated:
-    both expansions merged over the integers, the cancelled terms (the
-    full-support monomial) dropped."""
-    return _integer_poly(_difference_terms(X, _shift_power(shift)))
+def _expand_masks(out: dict, plus: int, minus: int, odd: int, drop: int,
+                  names: dict) -> None:
+    """Add (-1)^odd prod_{i in plus} e_i prod_{j in minus} (e_j - u), divided
+    by u^drop (drop 0 or 1), to the terms dict `out`, leaving out the terms
+    of u-power below drop.  For plus and minus disjoint bitmasks it has one
+    term per sub-mask T of minus, walked as T = (T - 1) & minus: the
+    monomial plus | T (its index tuple read from, or added to, the
+    mask-keyed dict `names`) with u-power |minus - T| - drop and
+    coefficient (-1)^(odd + |minus - T|), a shared Fraction."""
+    t = minus
+    while True:
+        k = (minus ^ t).bit_count()
+        if k >= drop:
+            m = plus | t
+            emon = names.get(m)
+            if emon is None:
+                emon = names[m] = _indices(m)
+            out[(emon, k - drop)] = _SIGNS[(odd + k) & 1]
+        if not t:
+            return
+        t = (t - 1) & minus
 
 
 def rees_relation_families(A: Arrangement) -> tuple:
@@ -387,15 +373,24 @@ def rees_relation_families(A: Arrangement) -> tuple:
     (1) e_i (e_i - u);
     (2) prod e_i prod (e_j - u) per minimal infeasible signed set;
     (3) per signed circuit, the difference of the two opposite products
-        divided by u (`Poly.divide_u` raises ConsistencyError should a term
-        not carry u), in the orientation with +1 on the least support
+        divided by u, in the orientation with +1 on the least support
         element.
 
     Family (1) is one `Poly` product per hyperplane; (2) and (3) are
-    expanded in closed form (see the module docstring).
+    expanded from the masks P = mask(X+) and M = mask(X-) by
+    `_expand_masks`, with one mask -> index-tuple dict per call.  Family
+    (3) needs no merge and no division pass.  Each of the two products
+    has one u-free term, T = M in prod_P e_i prod_M (e_j - u) and T = P in
+    prod_M e_j prod_P (e_i - u); both are e_{P | M} with coefficient +1,
+    so they cancel in the difference, and every other term carries u.  No
+    two of the others share a monomial: P | T with T a proper sub-mask of
+    M misses an element of M, while M | T' contains M.  So the relation
+    is the plain union of the two expansions with their u-free terms left
+    out and every u-power lowered by one, every coefficient +-1.
     """
+    names: dict = {}
     return A._memo("rees_relations", lambda: tuple(
-        Relation(family, source, _u_relation(family, source))
+        Relation(family, source, _u_relation(family, source, names))
         for family, source in _relation_sources(A)))
 
 
@@ -409,14 +404,21 @@ def _relation_sources(A: Arrangement) -> list:
             + [(3, X) for X in canonical_circuits(A)])
 
 
-def _u_relation(family: int, source) -> Poly:
-    u = Poly.u()
+def _u_relation(family: int, source, names: dict) -> Poly:
+    """The u-relation of one (family, source) of `_relation_sources`, the
+    monomial keys of families (2) and (3) read through the mask-keyed dict
+    `names` (see `_expand_masks`)."""
     if family == 1:
         e = Poly.generator(source)
-        return e * (e - u)
+        return e * (e - Poly.u())
+    plus, minus = _mask(source.plus), _mask(source.minus)
+    out: dict = {}
     if family == 2:
-        return _product_poly(source.plus, source.minus, u)
-    return _circuit_difference(source, u).divide_u()
+        _expand_masks(out, plus, minus, 0, 0, names)
+    else:
+        _expand_masks(out, plus, minus, 0, 1, names)
+        _expand_masks(out, minus, plus, 1, 1, names)
+    return Poly._of(out)
 
 
 def vg_relation_families(A: Arrangement) -> tuple:
@@ -515,6 +517,15 @@ def _common_zeros(A: Arrangement, families) -> list:
     point.  The points kept after bit d are the common zeros of the
     relations supported on the first d + 1 hyperplanes, so the work follows
     the output, not the 2^n cube.
+
+    The points are also held as one column bitmask per hyperplane i: bit
+    k is set iff point k contains i.  Appending bit d to every point
+    doubles the columns, c | c << L for L points, and adds the column of
+    the new half.  A relation is nonzero at the points whose restriction
+    to its support is one of its nonzero points t: one AND per support
+    element, of the column where t holds it and of its complement where t
+    does not.  The survivors keep their order and are re-indexed, their
+    columns rebuilt by `itertools.compress` on the columns' bit strings.
     """
     by_top = [[] for _ in range(A.n)]
     for (family, _), (support, nonzero) in zip(_relation_sources(A),
@@ -524,12 +535,34 @@ def _common_zeros(A: Arrangement, families) -> list:
         if not support:
             return []  # a nonzero constant
         by_top[support.bit_length() - 1].append((support, nonzero))
-    points = [0]
+    last = max((d for d, rels in enumerate(by_top) if rels), default=-1)
+    points, cols = [0], []
     for d, rels in enumerate(by_top):
+        size, width = len(points), 2 * len(points)
         points += [p | 1 << d for p in points]
-        if rels:
-            points = [p for p in points
-                      if not any(p & support in nonzero for support, nonzero in rels)]
+        if d > last:
+            continue  # no relation left to test: the columns are not read
+        cols = [c | c << size for c in cols]
+        cols.append(((1 << size) - 1) << size)
+        full = (1 << width) - 1
+        dead = 0
+        for support, nonzero in rels:
+            for t in nonzero:
+                at, rest = full, support
+                while rest and at:
+                    low = rest & -rest
+                    col = cols[low.bit_length() - 1]
+                    at &= col if t & low else ~col
+                    rest ^= low
+                dead |= at
+        if dead:
+            keep = format(full ^ dead, f"0{width}b").encode()[::-1].translate(_BIT_BYTES)
+            points = list(compress(points, keep))
+            if not points:
+                return points
+            if d < last:
+                cols = [int("".join(compress(format(c, f"0{width}b")[::-1], keep))[::-1], 2)
+                        for c in cols]
     return points
 
 

@@ -178,8 +178,24 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
     ({"dim": 2, "forms": [{"linear": ["1", None], "constant": 0, "label": "x"}]},
      'malformed arrangement data: a "linear" entry must be an integer or a '
      "rational string, not null"),
+    ({"dim": "abc", "forms": []},
+     'malformed arrangement data: "dim" must be an integer or a rational '
+     'string, not "abc"'),
+    ({"dim": "1/2", "forms": []},
+     'malformed arrangement data: "dim" must be an integer, not "1/2"'),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": "x", "label": "x"}]},
+     'malformed arrangement data: "constant" must be an integer or a rational '
+     'string, not "x"'),
+    ({"dim": 2, "forms": [{"linear": ["1", "1/x"], "constant": 0, "label": "x"}]},
+     'malformed arrangement data: a "linear" entry must be an integer or a '
+     'rational string, not "1/x"'),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": "1\n2", "label": "x"}]},
+     'malformed arrangement data: "constant" must be an integer or a rational '
+     'string, not "1\\n2"'),
 ], ids=["missing-key", "missing-form-key", "top-level-list", "forms-object",
-        "form-string", "float", "null-dim", "list-constant", "null-linear-entry"])
+        "form-string", "float", "null-dim", "list-constant", "null-linear-entry",
+        "string-dim", "rational-dim", "string-constant", "string-linear-entry",
+        "multiline-constant"])
 def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
     """An input error raised while reading a form keeps its own message;
     the "malformed arrangement data: " prefix is for parse errors only."""

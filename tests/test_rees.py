@@ -7,16 +7,16 @@ from arrgr.corpus import parallel_pair, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.polyring import Poly
 from arrgr.rees import (rees_hilbert_check, rees_relation_families, specialize)
-from arrgr.vgring import Relation, _circuit_difference, vg_relation_families
+from arrgr.vgring import Relation, vg_relation_families
 
 
-def _shifted_product(plus, minus):
-    """prod_{i in plus} e_i * prod_{j in minus} (e_j - 1)."""
+def _shifted_product(plus, minus, shift=1):
+    """prod_{i in plus} e_i * prod_{j in minus} (e_j - shift)."""
     out = Poly.one()
     for i in sorted(plus):
         out = out * Poly.generator(i)
     for j in sorted(minus):
-        out = out * (Poly.generator(j) - 1)
+        out = out * (Poly.generator(j) - shift)
     return out
 
 
@@ -89,12 +89,16 @@ def test_u1_yields_vg_families(corpus_map):
 
 
 def test_family3_difference_divisible_by_u(corpus_map):
+    """Every term of a circuit's difference of products carries u, and the
+    family-(3) relation is that difference divided by u."""
     u = Poly.u()
     for name, A in corpus_map.items():
+        rels = {r.source: r.poly for r in rees_relation_families(A) if r.family == 3}
         for X in canonical_circuits(A):
-            diff = _circuit_difference(X, u)
+            diff = _shifted_product(X.plus, X.minus, u) - _shifted_product(X.minus, X.plus, u)
             assert all(ue >= 1 for (_, ue) in diff.terms), (name, X)
             assert diff.divide_u() * u == diff
+            assert rels[X] * u == diff, (name, X)
 
 
 def test_relations_homogeneous(corpus_map):

@@ -14,7 +14,7 @@ from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
                             leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
-from arrgr.errors import ConsistencyError, InputError, ResourceBoundError
+from arrgr.errors import InputError, ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
 from arrgr.rees import rees_relation_families, specialize
@@ -22,9 +22,9 @@ from arrgr.symmetry import coordinate_action, graded_character
 from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           heaviside, monomial_eval, monomial_mask,
                           presentation_dimension, vg_relation_families,
-                          verify_relations, _chamber_keys, _circuit_difference,
-                          _common_zeros, _eliminate_grades, _independent_mod_2,
-                          _nbc_dims, _product_poly, _relation_nonzeros)
+                          verify_relations, _chamber_keys, _common_zeros,
+                          _eliminate_grades, _independent_mod_2, _nbc_dims,
+                          _relation_nonzeros)
 from test_polyring import squarefree_reduce_oracle
 
 
@@ -355,8 +355,7 @@ def empty_flat_difference(S):
     (empty-flat) signed set of S, which is NOT a relation."""
     X = next(X for X in S.minimal_infeasible_sign_sets()
              if not S.flat_nonempty(X.support))
-    return (_product_poly(X.plus, X.minus, Poly.one())
-            - _product_poly(X.minus, X.plus, Poly.one()))
+    return circuit_difference_oracle(X, Poly.one())
 
 
 def test_family3_needs_the_flat_condition():
@@ -602,6 +601,27 @@ def common_zeros_cube_oracle(A, families):
     return list(zeros)
 
 
+def common_zeros_growth_oracle(A, families):
+    """The zero sets grown as a point list: at bit d every point is doubled
+    and each is tested against every selected relation whose support has
+    largest bit d, one restriction and set lookup per point and relation."""
+    by_top = [[] for _ in range(A.n)]
+    for (family, _), (support, nonzero) in zip(arrgr.vgring._relation_sources(A),
+                                               arrgr.vgring._relation_nonzeros(A)):
+        if family not in families or not nonzero:
+            continue
+        if not support:
+            return []
+        by_top[support.bit_length() - 1].append((support, nonzero))
+    points = [0]
+    for d, rels in enumerate(by_top):
+        points += [p | 1 << d for p in points]
+        if rels:
+            points = [p for p in points
+                      if not any(p & support in nonzero for support, nonzero in rels)]
+    return points
+
+
 def test_common_zeros_match_cube_oracle(corpus_map):
     """The zeros grown hyperplane by hyperplane equal the cube's, in order,
     for every choice of families."""
@@ -613,6 +633,7 @@ def test_common_zeros_match_cube_oracle(corpus_map):
         for families in ((1,), (1, 2), (1, 3), (1, 2, 3)):
             want = common_zeros_cube_oracle(A, families)
             assert _common_zeros(A, families) == want, (name, families)
+            assert common_zeros_growth_oracle(A, families) == want, (name, families)
 
 
 def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
@@ -622,16 +643,17 @@ def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
     assert rees_relation_families(A)[-1].family == 3
     points = _relation_nonzeros(A)[:-1] + ((0, frozenset({0})),)
     monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
-    assert _common_zeros(A, (1, 3)) == []
-    assert _common_zeros(A, (1, 2)) == sorted(_plus_masks(A))
+    for zeros in (_common_zeros, common_zeros_growth_oracle):
+        assert zeros(A, (1, 3)) == []
+        assert zeros(A, (1, 2)) == sorted(_plus_masks(A))
     # with no hyperplane there is no last one to attach the constant to
     E = Arrangement(2, [])
-    assert _common_zeros(E, (1, 2)) == [0]
+    assert _common_zeros(E, (1, 2)) == common_zeros_growth_oracle(E, (1, 2)) == [0]
     monkeypatch.setattr(arrgr.vgring, "_relation_sources",
                         lambda A: [(2, frozenset())])
     monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros",
                         lambda A: ((0, frozenset({0})),))
-    assert _common_zeros(E, (1, 2)) == []
+    assert _common_zeros(E, (1, 2)) == common_zeros_growth_oracle(E, (1, 2)) == []
 
 
 @pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
@@ -639,16 +661,16 @@ def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
                          ids=["braid4", "semiorder3", "random8"])
 def test_zero_sets_expand_no_polynomial(monkeypatch, make):
     """`verify_relations` and `presentation_dimension` read each relation's
-    family and source only: on a fresh arrangement neither builds a
-    product or a circuit difference.  The u-families list the same
-    (family, source) pairs in the same order."""
+    family and source only: on a fresh arrangement neither expands a
+    relation.  The u-families list the same (family, source) pairs in the
+    same order."""
     A = make()
 
     def refused(*args):
         raise AssertionError("a zero set expanded a polynomial")
 
-    monkeypatch.setattr(arrgr.vgring, "_product_poly", refused)
-    monkeypatch.setattr(arrgr.vgring, "_circuit_difference", refused)
+    monkeypatch.setattr(arrgr.vgring, "_expand_masks", refused)
+    monkeypatch.setattr(arrgr.vgring, "_u_relation", refused)
     assert verify_relations(A).ok
     assert presentation_dimension(A) == presentation_dimension(A, (1, 2, 3)) \
         == len(A.chambers())
@@ -725,6 +747,32 @@ def rees_families_oracle(A):
     rels += [Relation(3, X, divide_u_oracle(circuit_difference_oracle(X, u)))
              for X in canonical_circuits(A)]
     return tuple(rels)
+
+
+def expand_into_oracle(out, plus, minus, s, sign):
+    """Add sign * prod_{i in plus} e_i * prod_{j in minus} (e_j - u^s) to the
+    integer dict `out`: one term per T in minus, the sorted monomial
+    plus + T with coefficient sign * (-1)^|minus - T| and u-power
+    s * |minus - T|, merged into the terms already there."""
+    partial = [((), 0)]  # (T, |minus - T|) over the elements of minus so far
+    for j in sorted(minus):
+        partial = [(t + (j,), k) for t, k in partial] + [(t, k + 1) for t, k in partial]
+    base = tuple(plus)
+    for t, k in partial:
+        key = (tuple(sorted(base + t)), s * k)
+        out[key] = out.get(key, 0) + (-sign if k & 1 else sign)
+
+
+def merged_relation_oracle(family, X):
+    """A family-(2)/(3) u-relation from integer dicts: a circuit's two
+    products merged over the integers, the cancelled terms dropped, and
+    then divided by u."""
+    out = {}
+    expand_into_oracle(out, X.plus, X.minus, 1, 1)
+    if family == 2:
+        return Poly(out)
+    expand_into_oracle(out, X.minus, X.plus, 1, -1)
+    return divide_u_oracle(Poly(out))
 
 
 def leading_form_oracle(A):
@@ -808,15 +856,54 @@ def test_only_zero_and_one_take_the_trusted_constructor(monkeypatch):
     assert calls == [1]
 
 
-def test_closed_form_shift_must_be_one_or_u():
-    X = canonical_circuits(braid(3))[0]
-    for shift in (Poly.u(2), Poly.constant(2), Poly.generator(0), 1):
-        with pytest.raises(ConsistencyError):
-            _product_poly(X.plus, X.minus, shift)
-        with pytest.raises(ConsistencyError):
-            _circuit_difference(X, shift)
-    with pytest.raises(ConsistencyError):
-        _circuit_difference(X, Poly.one()).divide_u()
+def mask_oracle_cases(corpus_map):
+    """The corpus and its cones, random seeds 1-19, braid 5-6, semiorder 4,
+    boolean 7, a circuit that is all '+' and a minimal infeasible set with
+    no '+'."""
+    cases = list(corpus_map.items())
+    cases += [(f"cone {name}", cone(A)) for name, A in corpus_map.items()]
+    cases += [(f"random{s}", random_rational_arrangement(seed=s)) for s in range(1, 20)]
+    cases += [("braid5", braid(5)), ("braid6", braid(6)),
+              ("semiorder4", semiorder(4)), ("boolean7", boolean(7))]
+    x, y = (1, 0), (0, 1)
+    cases += [("all_plus", Arrangement(2, [(x, 0), (y, 0), ((-1, -1), 0)])),
+              ("no_plus", Arrangement(1, [((1,), 0), ((-1,), 1)]))]
+    return cases
+
+
+def test_mask_expansion_matches_merge_and_growth_oracles(corpus_map):
+    """The sub-mask walk has the integer merge's exact terms, for families
+    (2) and (3) and their u = 1 specializations, and the column-bitmask
+    growth has the point-list growth's zeros for every choice of
+    families."""
+    cases = mask_oracle_cases(corpus_map)
+    assert len(cases) == 49
+    for name, A in cases:
+        for r, v in zip(rees_relation_families(A), vg_relation_families(A)):
+            if r.family == 1:
+                continue  # the one `Poly` product, checked against the oracle above
+            what = (name, r.family, r.source)
+            want = merged_relation_oracle(r.family, r.source)
+            assert_same_terms(r.poly, want, what)
+            assert_same_terms(v.poly, substitute_u_oracle(want, 1), what)
+        for families in ((1,), (1, 2), (1, 3), (1, 2, 3)):
+            assert _common_zeros(A, families) \
+                == common_zeros_growth_oracle(A, families), (name, families)
+
+
+def test_substitute_one_sums_colliding_terms():
+    """u = 1 re-keys the terms directly only when no two share an
+    e-monomial; otherwise the colliding terms are summed, a zero sum
+    dropped, every value a Fraction."""
+    e, f, u = Poly.generator(0), Poly.generator(1), Poly.u()
+    cases = [(u * e - e, Poly.zero()), (e + u * e, 2 * e),
+             (Poly.u(2) * e + u * e - e * Fraction(1, 2) + u * f, e * Fraction(3, 2) + f),
+             (u * e * f - e * f + u - 1 + Poly.u(3), Poly.one()),
+             (e * (e - u), e * e - e)]
+    for poly, want in cases:
+        got = poly.substitute_u(1)
+        assert_same_terms(got, want, poly)
+        assert_same_terms(got, substitute_u_oracle(poly, 1), poly)
 
 
 @pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),

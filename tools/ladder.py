@@ -3,6 +3,7 @@ trees.
 
     python3 tools/ladder.py --layer filtration parent=../old/src change=src > ladder.json
     python3 tools/ladder.py --layer chambers --rungs braid4,random8 change=src
+    python3 tools/ladder.py --layer relations parent=../old/src change=src
 
 Each positional argument is LABEL=SRC_DIR, a directory that holds the
 `arrgr` package.  Every measurement runs in a fresh interpreter that
@@ -10,14 +11,20 @@ imports `arrgr` from its tree and, where `os.sched_setaffinity` exists, is
 pinned to one CPU.  Per rung the trees run a layer's own number of times
 (fewer on its stretch rungs), alternating which goes first.  `--rungs`
 picks rungs: a family name followed by its size (braid, semiorder,
-boolean), and on the chambers layer also random8 or randoms, on the
-algebra layer random8.  A measurement that outlives TIMEOUT_S seconds is
-killed and counted under "timeouts" (the exact filtration echelon alone takes about
-25 s at braid 7); the statistics come from the runs that finished.
+boolean), and on the chambers and relations layers also random8 or
+randoms, on the algebra layer random8.  A measurement that outlives
+TIMEOUT_S seconds is killed and counted under "timeouts" (the exact
+filtration echelon alone takes about 25 s at braid 7); the statistics come
+from the runs that finished.
 Times are `time.perf_counter` wall seconds; each timed key K is reported
 as K_best, K_q1, K_median and K_q3 (the inclusive quartiles of
 `statistics.quantiles`, which stay within the range of the runs), so one
-read shows the spread of the runs as well as their middle.  Layers:
+read shows the spread of the runs as well as their middle.  With exactly
+two trees, each rung also has an entry "SECOND/FIRST" (labels) with
+K_ratio_median per timed key K: the median over the repeats of the second
+tree's time over the first's, each ratio from the pair of runs made back
+to back in one repeat, so one read tells a layer change from the host's
+pace, which moves both runs of a pair alike.  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -42,6 +49,14 @@ read shows the spread of the runs as well as their middle.  Layers:
               the whole command `arrgr --FAMILY N --nmax max(14, n) vg`
               (chambers, circuits and NBC included) on a new arrangement
               in the same interpreter, stdout discarded.
+  relations   after the minimal infeasible sets and the canonical
+              circuits: rees_s, a cold `rees_relation_families`, then
+              vg_s, `vg_relation_families` (its u = 1 specialization),
+              then presentation12_s and presentation13_s,
+              `presentation_dimension(A, F, nmax=n)` for F = (1, 2) and
+              (1, 3); terms_md5 is over the sorted terms of both families,
+              counts_md5 over the two counts (the rung `randoms` is
+              random seeds 1-8, together).
 
 The md5 of each layer's results shows that the trees agree.  Stdlib only;
 the JSON goes to stdout.
@@ -178,6 +193,33 @@ def measure_filtration(rung: str) -> dict:
             "dims_md5": _md5((profile.dims, count))}
 
 
+def measure_relations(rung: str) -> dict:
+    from arrgr.circuits import canonical_circuits
+    from arrgr.vgring import (presentation_dimension, rees_relation_families,
+                              vg_relation_families)
+
+    times = dict.fromkeys(("rees_s", "vg_s", "presentation12_s", "presentation13_s"), 0.0)
+    terms, counts, relations, size = [], [], 0, 0
+    for A in _make(rung):
+        A.minimal_infeasible_sign_sets()
+        canonical_circuits(A)
+        calls = {"rees_s": (rees_relation_families, A),
+                 "vg_s": (vg_relation_families, A),
+                 "presentation12_s": (presentation_dimension, A, (1, 2), A.n),
+                 "presentation13_s": (presentation_dimension, A, (1, 3), A.n)}
+        got = {}
+        for key, (fn, *args) in calls.items():
+            got[key], seconds = _timed(fn, *args)
+            times[key] += seconds
+        relations += len(got["rees_s"])
+        size += sum(len(r.poly.terms) for r in got["rees_s"])
+        terms += [sorted((key, str(c)) for key, c in r.poly.terms.items())
+                  for r in got["rees_s"] + got["vg_s"]]
+        counts.append((got["presentation12_s"], got["presentation13_s"]))
+    return {"relations": relations, "terms": size, **times,
+            "terms_md5": _md5(terms), "counts_md5": _md5(counts)}
+
+
 def _layer(rungs, measure, repeats, stretch, what, randoms=()) -> dict:
     return {"rungs": rungs, "measure": measure, "repeats": repeats,
             "stretch": stretch, "what": what, "randoms": randoms}
@@ -208,6 +250,14 @@ LAYERS = {
         "and nbc_sets, a cold presentation_dimension(A, (1, 2), nmax=n) on a "
         "second such arrangement, and the whole `arrgr ... --nmax max(14, n) "
         "vg` command on a new arrangement"),
+    "relations": _layer(
+        [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7",
+                                               "random8", "randoms"],
+        measure_relations, 7, {"braid7": 3},
+        "after the minimal infeasible sets and canonical circuits: cold "
+        "rees_relation_families, then vg_relation_families, then "
+        "presentation_dimension(A, F, nmax=n) for F = (1, 2) and (1, 3)",
+        ("random8", "randoms")),
 }
 
 
@@ -240,6 +290,21 @@ def summary(results: list, timeouts: int) -> dict:
     return out
 
 
+def ratios(pairs: list, first: str, second: str) -> dict:
+    """Per timed key, the median over the repeats where both trees
+    finished of the second tree's time over the first's: each ratio is
+    read from two back-to-back runs, so it moves with a layer change and
+    not with the host's pace."""
+    done = [p for p in pairs if first in p and second in p]
+    keys = [key for key in (done[0][first] if done else ()) if key.endswith("_s")]
+    out = {"pairs": len(done)}
+    for key in keys:
+        values = [p[second][key] / p[first][key] for p in done if p[first][key]]
+        if values:
+            out[f"{key[:-2]}_ratio_median"] = statistics.median(values)
+    return out
+
+
 def main(argv: list) -> int:
     if argv[:1] == ["child"]:
         print(json.dumps(child(*argv[1:4])))
@@ -263,9 +328,10 @@ def main(argv: list) -> int:
     out = {}
     for rung in rungs:
         repeats = layer["stretch"].get(rung, layer["repeats"])
-        runs = {label: [] for label, _ in trees}
-        timeouts = dict.fromkeys(runs, 0)
+        timeouts = {label: 0 for label, _ in trees}
+        pairs = []  # per repeat, {label: result} of the trees that finished
         for r in range(repeats):
+            pairs.append({})
             for label, src in (trees if r % 2 == 0 else trees[::-1]):
                 command = [sys.executable, __file__, "child", args.layer, src, rung]
                 try:
@@ -278,8 +344,12 @@ def main(argv: list) -> int:
                     sys.stderr.write(failed.stderr)
                     print(f"{label} failed on {rung}", file=sys.stderr)
                     return 1
-                runs[label].append(json.loads(done.stdout))
-        out[rung] = {label: summary(runs[label], timeouts[label]) for label, _ in trees}
+                pairs[-1][label] = json.loads(done.stdout)
+        out[rung] = {label: summary([p[label] for p in pairs if label in p], timeouts[label])
+                     for label, _ in trees}
+        if len(trees) == 2:
+            first, second = (label for label, _ in trees)
+            out[rung][f"{second}/{first}"] = ratios(pairs, first, second)
     json.dump({
         "layer": args.layer,
         "what": f"{layer['what']}; wall time (best, quartiles and median "
