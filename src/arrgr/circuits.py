@@ -182,19 +182,34 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     system has no empty flats, so it gets the full axiom.  Signed sets are
     compared as (plus, minus) bitmasks, and the candidate Y's, the nested
     supports and the eliminators are searched as bitsets over the circuit
-    list, Y by increasing index, so the violations come in the order of a
-    scan over all pairs.
+    list.
+
+    One negation index `neg` (circuit k's negation is circuit neg[k])
+    serves axiom (2) and halves axiom (4).  When every circuit's negation
+    is present, the pair (X, Y) and its mirror (-Y, -X) have the same
+    answer: e lies in X+ & Y- iff it lies in (-Y)+ & (-X)-, the two pairs
+    have the same union of supports, and Z eliminates e from one iff -Z
+    eliminates it from the other (Bjorner, Las Vergnas, Sturmfels, White
+    and Ziegler, *Oriented Matroids*, 3.2).  Mirroring is an involution on
+    the pairs that swaps neg[k] >= x with neg[k] <= x, and neg[k] = x only
+    for Y = -X, which is never tested.  So circuit x is paired only with the
+    k in `later[x]`, the negations of circuits x, x + 1, ..., and each
+    failure is recorded for the mirror too.  A system that is not closed
+    under negation pairs every circuit with every circuit.  The violations
+    are emitted pair by pair in the order of a scan over all pairs, Y by
+    increasing index, e in the order of X.plus & Y.minus.
     """
     violations = []
     circ = C.circuits
     masks = [(_mask(X.plus), _mask(X.minus)) for X in circ]
     flats = [_mask(s) for s in C.empty_flats]
-    cset = set(circ)
+    index = {pm: k for k, pm in enumerate(masks)}
+    neg = [index.get((xm, xp)) for xp, xm in masks]
     for X in circ:
         if len(X.support) <= 1:
             violations.append((1, f"|support| = {len(X.support)} for {X.pretty(C.ground)}"))
-    for X in circ:
-        if X.negate() not in cset:
+    for X, j in zip(circ, neg):
+        if j is None:
             violations.append((2, f"negation of {X.pretty(C.ground)} missing"))
     # Bit k of has_plus[i] (has_minus[i]) says that i is in circuit k's
     # plus (minus) part.
@@ -221,14 +236,20 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
     # outside plus - e and no has_minus[i] with i outside minus - e; the
     # union over the i outside a mask is read a byte at a time, from
     # tables built for the first pair that needs them.
+    mirrored = None not in neg
+    later = [all_circuits] * (len(circ) + 1)
+    if mirrored:
+        later[-1] = 0
+        for x in reversed(range(len(circ))):
+            later[x] = later[x + 1] | 1 << neg[x]
+    failed: dict = {}  # (x, k) -> the e that no circuit eliminates
     tables = None
     ground = (1 << C.n) - 1
-    for X, (xp, xm) in zip(circ, masks):
+    for x, (X, (xp, xm)) in enumerate(zip(circ, masks)):
         partners = 0
         for i in X.plus:
             partners |= has_minus[i]
-        for k in _bits(partners):
-            Y = circ[k]
+        for k in _bits(partners & later[x]):
             yp, ym = masks[k]
             if (xp, xm) == (ym, yp):
                 continue
@@ -240,11 +261,18 @@ def validate_circuit_axioms(C: CircuitSet) -> AxiomReport:
                 tables = _byte_unions(has_plus), _byte_unions(has_minus)
             bad = (_union_over(tables[0], ground & ~plus)
                    | _union_over(tables[1], ground & ~minus))
-            for e in X.plus & Y.minus:
+            for e in _bits(xp & ym):
                 if not all_circuits & ~(bad | has_plus[e] | has_minus[e]):
-                    violations.append(
-                        (4, f"no elimination of {C.ground[e]} from "
-                            f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))
+                    failed.setdefault((x, k), set()).add(e)
+                    if mirrored:
+                        failed.setdefault((neg[k], neg[x]), set()).add(e)
+    for x, k in sorted(failed):
+        X, Y = circ[x], circ[k]
+        for e in X.plus & Y.minus:
+            if e in failed[x, k]:
+                violations.append(
+                    (4, f"no elimination of {C.ground[e]} from "
+                        f"{X.pretty(C.ground)} and {Y.pretty(C.ground)}"))
     return AxiomReport(not violations, tuple(violations))
 
 

@@ -16,11 +16,14 @@ normal form needs:
   induction along the rewrites, each one is zero (its flat is empty, or it
   holds a whole circuit support) or rewrites into monomials of its own
   size, and none is free of broken circuits, since such a set with a
-  nonempty flat is an NBC set.  Such monomials are answered 0 without
-  recursion.  An arrangement's circuit scan finds r, as the size of its
-  largest independent set with a nonempty flat, checked against
-  `linalg.rank`; a raw circuit system has no r and recurses in every
-  grade.  Construction pays for the skipped work: the NBC sets must
+  nonempty flat is an NBC set.  `straighten` answers a one-term
+  polynomial of more than r valid indices and no u with 0 at once: no
+  index set, no table lookup, no table entry (one with a bad index or a
+  factor u takes the usual path and raises).  Inside a sum or a product
+  such a monomial is answered 0 without recursion.  An arrangement's
+  circuit scan finds r, as the size of its largest independent set with
+  a nonempty flat, checked against `linalg.rank`; a raw circuit system
+  has no r and recurses in every grade.  Construction pays for the skipped work: the NBC sets must
   reach grade r exactly, else a `ConsistencyError`.  The NBC growth
   enumerates every set free of broken circuits with a nonempty flat, so
   this catches whatever the per-monomial guard ("a monomial free of broken
@@ -41,7 +44,9 @@ normal form needs:
 
 On the algebra ladder (`BENCH_31.json`, medians) straightening every
 monomial of braid 5 took 11.9 ms before and 6.2 ms after, braid 6 356 and
-202 ms, semiorder 4 26.6 and 15.2 ms.  Each rewrite has coefficient
+202 ms, semiorder 4 26.6 and 15.2 ms; the answer above the rank before the
+table took braid 5 from 7.8 to 5.9 ms and braid 6 from 276 to 159 ms
+(`BENCH_33.json`).  Each rewrite has coefficient
 +/-1, so a straightened monomial has integer coordinates: they are kept as
 plain ints in one table per (source, ordering), memoized on the source and
 shared by every algebra of that pair.  `straighten` of one term scales its
@@ -214,6 +219,9 @@ class CordovilAlgebra:
         if len(poly.terms) == 1:
             # one term: c * straightened(mono), no common denominator to find
             [((emon, u), c)] = poly.terms.items()
+            if (not u and self._top is not None and len(emon) > self._top
+                    and self._indices.issuperset(emon)):
+                return AlgebraElement._of(self, {})  # the grade bound
             mono = self._squarefree(emon, u)
             if mono is None:
                 return AlgebraElement._of(self, {})

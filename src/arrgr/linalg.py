@@ -3,10 +3,13 @@
 Everything is exact and no floating point is used anywhere.  Inputs are
 rationals (ints, Fractions or canonical strings); the eliminations run over
 integers, each rational row scaled once to a primitive integer row: `rref`
-(and `rank`, `rank_and_kernel`, `affine_system_consistent`, `solve_square`
-on top of it), `SparseEchelon` and the Fourier-Motzkin test
-`strict_feasible`.  `rref` and `solve_square` return Fractions, made only
-when the result is emitted.  Matrices are sequences of equal-length rows;
+(and `rank`, `rank_and_kernel`, `affine_system_consistent` on top of it),
+`solve_square`'s sparse Gauss-Jordan on dict rows (it pivots where the
+fewest entries are, so a matrix that is triangular up to row and column
+order, like the chamber matrices `graded_character` inverts, fills in
+nothing), `SparseEchelon` and the Fourier-Motzkin test `strict_feasible`.
+`rref` and `solve_square` return Fractions, made only when the result is
+emitted.  Matrices are sequences of equal-length rows;
 vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
 second `rref`; it serves the public API and the tests, while the circuit
 scan, which needs one kernel vector per dependent extension, runs its own
@@ -170,7 +173,18 @@ def affine_system_consistent(rows, rhs) -> bool:
 
 
 def solve_square(A, B):
-    """Solve A X = B for square invertible A; B given as a list of rows."""
+    """Solve A X = B for square invertible A; B given as a list of rows.
+
+    Sparse fraction-free Gauss-Jordan elimination on the rows of [A | B],
+    each one primitive integer dict row.  The pivot is taken in the
+    unfinished row with the fewest entries in A, at its column held by the
+    fewest rows: when A is triangular up to row and column order, that row
+    is a singleton and the elimination fills nothing in A.  A step is the
+    integer row operation a*row - b*pivot with (a, b) = (p, f)/gcd(p, f)
+    for pivot p and entry f, then division by the content when a is not
+    +/-1.  At the end each row holds one entry p of A, at column c, and
+    row c of X is the row's B part over p.
+    """
     A = _to_rows(A)
     B = _to_rows(B)
     n = len(A)
@@ -178,12 +192,65 @@ def solve_square(A, B):
         return []
     if len(B) != n or len(A[0]) != n:
         raise InputError("dimension mismatch in solve_square")
-    red, pivots = _integer_rref([a + b for a, b in zip(A, B)])
-    if pivots[:n] != list(range(n)):
-        raise ConsistencyError("singular matrix in solve_square")
-    # row i is p_i times (e_i | X_i), with p_i its entry in column i
-    return [[Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
-            for i, row in enumerate(red)]
+    rows = [{c: x for c, x in enumerate(_primitive_row(a + b)) if x}
+            for a, b in zip(A, B)]
+    holders = [set() for _ in range(n)]  # the rows with an entry in column c of A
+    entries = [0] * n  # the number of entries in A of each row
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < n:
+                holders[c].add(i)
+                entries[i] += 1
+    unfinished = list(range(n))
+    pivots = []  # (row, column)
+    for _ in range(n):
+        r = min(unfinished, key=entries.__getitem__)
+        if not entries[r]:
+            raise ConsistencyError("singular matrix in solve_square")
+        unfinished.remove(r)
+        prow = rows[r]
+        c = min((c for c in prow if c < n), key=lambda c: len(holders[c]))
+        pivots.append((r, c))
+        p = prow[c]
+        for i in sorted(holders[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for col in row:
+                    row[col] *= a
+            for col, v in prow.items():
+                old = row.get(col)
+                if old is None:
+                    row[col] = -b * v
+                    if col < n:
+                        holders[col].add(i)
+                        entries[i] += 1
+                else:
+                    new = old - b * v
+                    if new:
+                        row[col] = new
+                    else:
+                        del row[col]
+                        if col < n:
+                            holders[col].discard(i)
+                            entries[i] -= 1
+            if a not in (1, -1):
+                g = gcd(*row.values())
+                if g != 1:
+                    for col in row:
+                        row[col] //= g
+    width = len(B[0])
+    X = [None] * n
+    for r, c in pivots:
+        row = rows[r]
+        p = row[c]
+        X[c] = [Fraction(row[j], p) if j in row else _ZERO
+                for j in range(n, n + width)]
+    return X
 
 
 class SparseEchelon:

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import arrgr.circuits as circuits_module
 from arrgr.arrangement import (AffineForm, Arrangement, boolean, braid, cone,
                                delete, restrict, semiorder)
 from arrgr.circuits import (AxiomReport, CircuitSet, SignedSet, broken_circuits,
@@ -665,7 +666,10 @@ def test_axiom_check_matches_scan_oracle_on_broken_systems():
 def _corrupted_copies(C, rng) -> list:
     """Copies of a circuit system with circuits dropped, one sign of a
     circuit flipped, a support grown by one element (nested supports) and
-    a singleton added, each with and without the empty flats."""
+    a singleton added; and copies that stay closed under negation: a pair
+    X, -X dropped, one sign flipped in both, both grown by one element, and
+    a singleton added with its negation.  Each with and without the empty
+    flats."""
     circ = list(C.circuits)
     copies = [[X for X in circ if rng.random() > 0.15]]
     if circ:
@@ -677,16 +681,32 @@ def _corrupted_copies(C, rng) -> list:
         outside = sorted(set(range(C.n)) - X.support)
         if outside:
             copies.append(circ + [SignedSet(X.plus | {rng.choice(outside)}, X.minus)])
+        # closed under negation
+        pair = {X, X.negate()}
+        copies.append([Z for Z in circ if Z not in pair])
+        copies.append([Z for Z in circ if Z not in pair] + [flipped, flipped.negate()])
+        if outside:
+            grown = SignedSet(X.plus | {rng.choice(outside)}, X.minus)
+            copies.append(circ + [grown, grown.negate()])
     copies.append(circ + [SignedSet({rng.randrange(C.n)}, ())])
+    i = rng.randrange(C.n)
+    copies.append(circ + [SignedSet({i}, ()), SignedSet((), {i})])
     return [CircuitSet(C.ground, kept, empty_flats=flats)
             for kept in copies for flats in ((), C.empty_flats)]
+
+
+def _closed_under_negation(C) -> bool:
+    circ = set(C.circuits)
+    return all(X.negate() in circ for X in circ)
 
 
 def test_bitset_axiom_check_matches_scan_oracle(corpus_map):
     """The bitset searches for nested supports (3) and eliminations (4)
     report what the scan reports, violations in the same order, on the
     corpus and its cones, random seeds 1-29, braid 5 and 6, semiorder 4,
-    and seeded corrupted copies of every system with at most 80 circuits."""
+    and seeded corrupted copies of every system with at most 80 circuits.
+    The elimination violations of the copies closed under negation are
+    found for half the pairs and mirrored to the other half."""
     sources = list(corpus_map.values())
     sources += [cone(A) for A in sources]
     sources += [random_rational_arrangement(seed=s) for s in range(1, 30)]
@@ -699,12 +719,34 @@ def test_bitset_axiom_check_matches_scan_oracle(corpus_map):
         if len(C.circuits) <= 80:
             systems += _corrupted_copies(C, rng)
     found = Counter()
+    mirrored = 0
     for C in systems:
         report = validate_circuit_axioms(C)
         assert report == circuit_axioms_oracle(C), C
         found.update(a for a, _ in report.violations)
+        if _closed_under_negation(C):
+            mirrored += sum(a == 4 for a, _ in report.violations)
     assert len(systems) > 300
     assert all(found[a] >= 50 for a in (1, 2, 3, 4)), found
+    assert mirrored >= 50, mirrored
+
+
+def test_elimination_tests_half_the_pairs(monkeypatch):
+    """On braid 5, closed under negation, the elimination axiom computes
+    its union of excluded circuits (two `_union_over` calls) for exactly
+    half the pairs (X, Y) with X+ & Y- nonempty and Y != -X, counted here
+    by a scan over all pairs."""
+    C = circuits_from_arrangement(braid(5))
+    masks = [(_mask(X.plus), _mask(X.minus)) for X in C.circuits]
+    pairs = sum(1 for xp, xm in masks for yp, ym in masks
+                if xp & ym and (xp, xm) != (ym, yp))
+    calls = []
+    union_over = circuits_module._union_over
+    monkeypatch.setattr(circuits_module, "_union_over",
+                        lambda tables, mask: calls.append(mask) or union_over(tables, mask))
+    assert validate_circuit_axioms(C).ok
+    assert pairs > 1000 and pairs % 2 == 0
+    assert len(calls) == 2 * (pairs // 2)
 
 
 def support_scan_oracle(A) -> tuple:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -248,6 +249,29 @@ def test_bad_generators_and_monomials_are_input_errors():
         assert alg.generator("13") == alg.generator(1)
 
 
+def test_straighten_answers_zero_above_the_rank_before_the_table():
+    """A u-free one-term polynomial of more valid indices than the scan's
+    rank is zero without a table entry; a repeated index there is zero as
+    well; an out-of-range index or a factor u still raises as below the
+    rank.  A raw circuit system has no rank and still recurses."""
+    alg = CordovilAlgebra(braid(3))
+    assert alg._top == 2
+    alg._table.clear()
+    assert alg.straighten(Poly.monomial((0, 1, 2))).is_zero
+    assert alg.straighten(Poly.monomial((0, 1, 2), coeff=Fraction(-3, 4))).is_zero
+    assert alg.straighten(Poly.monomial((0, 0, 1))).is_zero
+    assert not alg._table
+    with pytest.raises(InputError, match=r"^form index 7 out of range$"):
+        alg.straighten(Poly.monomial((0, 1, 7)))
+    with pytest.raises(InputError, match=r"^cannot straighten a polynomial carrying u$"):
+        alg.straighten(Poly.monomial((0, 1, 2), uexp=1))
+    assert not alg._table
+    C = circuits_from_arrangement(braid(3))
+    raw = CordovilAlgebra(CircuitSet(C.ground, C.circuits))
+    assert raw.straighten(Poly.monomial((0, 1, 2))).is_zero
+    assert frozenset({0, 1, 2}) in raw._table
+
+
 def test_element_json():
     alg = CordovilAlgebra(braid(3))
     el = alg.straighten(Poly.monomial((0, 1)))
@@ -372,7 +396,10 @@ def test_integer_straightening_matches_fraction_oracle(corpus_map):
     with coefficients 1/2, -2/3, 5/7, 3 and -1; the results' coefficients
     are nonzero Fractions.  Up to the top grade the rewrites are the old
     scan's: from an empty table, the table and the oracle's memo hold the
-    same monomials after each one."""
+    same monomials after each one.  Above it an algebra with a scan rank
+    answers 0 before the table, so its table holds exactly the oracle's
+    monomials of size at most the top grade; a raw system's holds them
+    all."""
     rng = random.Random(20261018)
     for name, alg, grades in _oracle_cases(corpus_map):
         n = alg.n
@@ -385,7 +412,8 @@ def test_integer_straightening_matches_fraction_oracle(corpus_map):
                 assert el.coords == oracle.monomial(frozenset(supp)), (name, supp)
                 if size <= top:
                     assert len(alg._table) == len(oracle.memo), (name, supp)
-        assert alg._table.keys() == oracle.memo.keys(), name
+        kept = {m for m in oracle.memo if alg._top is None or len(m) <= top}
+        assert alg._table.keys() == kept, name
         assert all(type(c) is int for terms in alg._table.values() for c in terms.values())
         basis = list(alg.nbc)
         for _ in range(200):
@@ -435,7 +463,9 @@ def test_straightening_table_is_shared_per_ordering():
     assert reverse._table is not alg._table
     straightening_span_dims(A)
     filled = len(alg._table)
-    assert filled == 2 ** A.n
+    # every monomial up to the top grade; the ones above are answered 0
+    # before the table
+    assert filled == sum(comb(A.n, k) for k in range(alg._top + 1))
     assert straightening_oracle_check(A) == []
     assert len(alg._table) == filled
     assert not reverse._table

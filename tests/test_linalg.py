@@ -6,14 +6,14 @@ from math import gcd
 
 import pytest
 
-from arrgr.arrangement import AffineForm, braid, semiorder
+from arrgr.arrangement import AffineForm, boolean, braid, semiorder
 from arrgr.cordovil import AlgebraElement, CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
 from arrgr.linalg import (SparseEchelon, _divide_content, _integer_rref,
                           _primitive_row, affine_system_consistent, frac, rank,
                           rank_and_kernel, rref, solve_square, strict_feasible)
 from arrgr.polyring import Poly
-from arrgr.vgring import filtration_data, monomial_eval
+from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
 
 
 def naive_rank(matrix):
@@ -726,6 +726,99 @@ def test_solve_square_rejects_singular_and_mismatched_input():
         solve_square([[1, 0], [0, 1]], [[1]])
     with pytest.raises(InputError):
         solve_square([[1, 2]], [[1]])
+
+
+def dense_solve_oracle(A, B):
+    """`solve_square`'s former dense route: one `_integer_rref` of the block
+    [A | B]; A is invertible iff its columns hold the first n pivots, and
+    row i is then p_i times (e_i | X_i), with p_i its entry in column i."""
+    n = len(A)
+    if n == 0:
+        return []
+    if len(B) != n or len(A[0]) != n:
+        raise InputError("dimension mismatch in solve_square")
+    red, pivots = _integer_rref([list(a) + list(b) for a, b in zip(A, B)])
+    if pivots[:n] != list(range(n)):
+        raise ConsistencyError("singular matrix in solve_square")
+    return [[Fraction(x, row[i]) if x else Fraction(0) for x in row[n:]]
+            for i, row in enumerate(red)]
+
+
+def _solve_case(rng, kind):
+    """(A, B) of one kind: rational entries, singular (a zero row, a
+    dependent row or a repeated column), triangular with its rows and
+    columns permuted, 0x0 or 1x1; A as ints a third of the time."""
+    n = {"0x0": 0, "1x1": 1}.get(kind, rng.randint(2, 7))
+    if kind == "triangular":
+        A = [[_random_entry(rng) if i == j else
+              (_entry_or_zero(rng) if j < i else Fraction(0))
+              for j in range(n)] for i in range(n)]
+        cols = rng.sample(range(n), n)
+        A = [[row[c] for c in cols] for row in rng.sample(A, n)]
+    else:
+        A = [[_entry_or_zero(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        how = rng.randrange(3)
+        if how == 0:
+            A[rng.randrange(n)] = [Fraction(0)] * n
+        elif how == 1:
+            a, b = _random_entry(rng), _entry_or_zero(rng)
+            A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+        else:
+            for row in A:
+                row[-1] = row[0]
+    if rng.random() < 0.3:
+        A = [[int(x * 12) for x in row] for row in A]
+    k = rng.randint(0, 3)
+    B = [[_entry_or_zero(rng) for _ in range(k)] for _ in range(n)]
+    return A, B
+
+
+def _outcome(solve, A, B):
+    try:
+        return solve(A, B)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+def test_sparse_solve_matches_dense_oracle():
+    """The sparse elimination returns the dense route's X, and its
+    `ConsistencyError` where A is singular, on 400 seeded systems of five
+    kinds (the random rational ones are singular now and then too)."""
+    rng = random.Random(20261020)
+    kinds = ("fraction", "singular", "triangular", "0x0", "1x1")
+    outcomes = Counter()
+    for t in range(400):
+        kind = kinds[t % len(kinds)]
+        A, B = _solve_case(rng, kind)
+        want = _outcome(dense_solve_oracle, A, B)
+        assert _outcome(solve_square, A, B) == want, (A, B)
+        if isinstance(want, list):
+            assert all(type(x) is Fraction for row in want for x in row)
+        outcomes[kind, isinstance(want, str)] += 1
+    assert outcomes["singular", True] >= 60
+    assert outcomes["triangular", False] == 80 and outcomes["0x0", False] == 80
+    assert outcomes["fraction", False] >= 40 and outcomes["1x1", False] >= 40
+
+
+def _chamber_matrix(A) -> list:
+    """The square 0/1 matrix that `graded_character` inverts: entry (c, j)
+    is 1 iff chamber c lies in the mask of the j-th filtration basis
+    monomial."""
+    _, bases = filtration_data(A)
+    masks = [monomial_mask(A, s) for basis in bases for s in basis]
+    return [[m >> c & 1 for m in masks] for c in range(len(A.chambers()))]
+
+
+@pytest.mark.parametrize("A", [braid(3), braid(4), braid(5), boolean(4), boolean(5),
+                               boolean(6), semiorder(3), semiorder(4)],
+                         ids=["braid3", "braid4", "braid5", "boolean4", "boolean5",
+                              "boolean6", "semiorder3", "semiorder4"])
+def test_sparse_solve_matches_dense_oracle_on_chamber_matrices(A):
+    B = _chamber_matrix(A)
+    identity = [[int(i == j) for j in range(len(B))] for i in range(len(B))]
+    assert len(B) == len(B[0])
+    assert solve_square(B, identity) == dense_solve_oracle(B, identity)
 
 
 class fraction_echelon_oracle:

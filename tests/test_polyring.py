@@ -47,6 +47,7 @@ def test_substitute_and_divide_u():
     assert rel.substitute_u(0) == e * e
     assert rel.substitute_u(1) == e * e - e
     assert squarefree_reduce_oracle(rel.substitute_u(1)).is_zero
+    assert rel.substitute_u(2) == rel.substitute_u(Fraction(2)) == e * e - 2 * e
     div = (Poly.u() * e - Poly.u(2)).divide_u()
     assert div == e - Poly.u()
     with pytest.raises(ConsistencyError):

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from arrgr.arrangement import braid, semiorder
 from arrgr.circuits import canonical_circuits
 from arrgr.cordovil import cordovil_relation_families
-from arrgr.corpus import parallel_pair, single_hyperplane
+from arrgr.corpus import parallel_pair, random_rational_arrangement, single_hyperplane
 from arrgr.errors import InputError
 from arrgr.polyring import Poly
 from arrgr.rees import (rees_hilbert_check, rees_relation_families, specialize)
@@ -118,3 +120,21 @@ def test_hilbert_check_tables():
 def test_hilbert_check_ok_everywhere(corpus_map):
     for name, A in corpus_map.items():
         assert rees_hilbert_check(A).ok, name
+
+
+@pytest.mark.parametrize("u", [0, 1])
+def test_substitute_u_reads_int_fraction_and_string_alike(u):
+    """An int value is compared directly and any other goes through
+    `frac`: the int, Fraction and string spellings of u give the same
+    specialized families on braid 4 and random8, with Fraction
+    coefficients, and a float or a boolean is refused with `frac`'s
+    message."""
+    for A in (braid(4), random_rational_arrangement()):
+        families = rees_relation_families(A)
+        got = [[r.poly.substitute_u(v).terms for r in families]
+               for v in (u, Fraction(u), str(u))]
+        assert got[0] == got[1] == got[2]
+        assert all(type(c) is Fraction for terms in got[0] for c in terms.values())
+        for bad in (float(u), bool(u)):
+            with pytest.raises(InputError, match="is not exact"):
+                families[-1].poly.substitute_u(bad)

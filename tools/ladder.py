@@ -39,7 +39,7 @@ pace, which moves both runs of a pair alike.  Layers:
               axioms_s, one `validate_circuit_axioms`.
   characters  after the chambers and the coordinate action of S_n: cold_s,
               the first `graded_character` (filtration included), and
-              warm_s, a second call.
+              warm_s, a second call (braid6 is a stretch rung).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, a cold
@@ -239,8 +239,8 @@ LAYERS = {
         "cold straighten of every squarefree monomial and one "
         "validate_circuit_axioms call", ("random8",)),
     "characters": _layer(
-        ["braid3", "braid4", "braid5", "boolean4", "boolean5", "semiorder3",
-         "semiorder4"], measure_characters, 5, {},
+        ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
+         "semiorder3", "semiorder4"], measure_characters, 5, {"braid6": 3},
         "graded_character under the coordinate action of S_n, cold (first "
         "call, filtration included) and warm (second call)"),
     "filtration": _layer(
