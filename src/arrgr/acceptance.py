@@ -129,7 +129,7 @@ def criterion_3() -> CriterionResult:
         nbc = _trim(nbc_counts(A))
         span = _trim(straightening_span_dims(A))
         total = len(A.chambers())
-        exact = _eliminate_grades(A, False)[0]
+        exact = _eliminate_grades(A)[0]
         if not (gr == nbc == span and sum(gr) == total):
             bad.append(f"{name}: gr={gr} nbc={nbc} span={span} chambers={total}")
         if profile.dims != exact:

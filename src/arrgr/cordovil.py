@@ -42,25 +42,20 @@ normal form needs:
   `straighten` checks the indices of each input monomial once
   (`form_index`'s message for a bad one).
 
-On the algebra ladder (`BENCH_31.json`, medians) straightening every
-monomial of braid 5 took 11.9 ms before and 6.2 ms after, braid 6 356 and
-202 ms, semiorder 4 26.6 and 15.2 ms; the answer above the rank before the
-table took braid 5 from 7.8 to 5.9 ms and braid 6 from 276 to 159 ms
-(`BENCH_33.json`).  Each rewrite has coefficient
-+/-1, so a straightened monomial has integer coordinates: they are kept as
-plain ints in one table per (source, ordering), memoized on the source and
-shared by every algebra of that pair.  `straighten` of one term scales its
-table entry; of several (one pass over the terms, skipping squared
-monomials) and `multiply` (one pass over the pairs of disjoint basis sets)
-list (monomial, numerator, denominator) triples, and `_combine` scales the
-table's entries over one common denominator.  So the Fractions are made
-only for the result (the small integers' are made once and shared), which
-is built through the trusted `AlgebraElement._of`, as are sums and scalar
-multiples.  Adding, subtracting or multiplying elements of different
-algebras is an `InputError`, as is adding or subtracting anything but an
-element, or scaling by anything but a rational number.  A raw circuit
-system is read through the same calls as an arrangement, with no empty
-flat.
+Each rewrite has coefficient +/-1, so a straightened monomial has integer
+coordinates: they are kept as plain ints in one table per (source,
+ordering), memoized on the source and shared by every algebra of that
+pair.  `straighten` of one term scales its table entry; of several (one
+pass over the terms, skipping squared monomials) and `multiply` (one pass
+over the pairs of disjoint basis sets) list (monomial, numerator,
+denominator) triples, and `_combine` scales the table's entries over one
+common denominator.  So the Fractions are made only for the result (the
+small integers' are made once and shared), which is built through the
+trusted `AlgebraElement._of`, as are sums and scalar multiples.  Adding,
+subtracting or multiplying elements of different algebras is an
+`InputError`, as is adding or subtracting anything but an element, or
+scaling by anything but a rational number.  A raw circuit system is read
+through the same calls as an arrangement, with no empty flat.
 """
 
 from __future__ import annotations

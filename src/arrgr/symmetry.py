@@ -219,28 +219,26 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
     if not isinstance(entries, list) or not entries:
         raise InputError("group file needs a nonempty 'action' list")
     elements = []
-    try:
-        for entry in entries:
-            perm = [None] * A.n
-            flips = [1] * A.n
-            for src, dst in entry["perm"].items():
-                if isinstance(dst, bool) or not isinstance(dst, (str, int)):
-                    raise InputError('"perm": a label must be a string or an '
-                                     f"integer, not {_json_kind(dst)}")
-                perm[A.form_index(str(src))] = A.form_index(str(dst))
-            if any(p is None for p in perm):
-                raise InputError("group element must map every hyperplane")
-            for src, s in entry.get("flips", {}).items():
-                if isinstance(s, (bool, float)):
-                    raise ValueError(f"flip {s!r} is not an integer")
-                flips[A.form_index(str(src))] = int(s)
-            elements.append(SignedPermutation(tuple(perm), tuple(flips)))
-    except KeyError as exc:
-        raise InputError(f"group element missing key {exc}") from exc
-    except InputError:
-        raise  # already a full message; InputError is a ValueError
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed group element: {exc}") from exc
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"a group element must be an object, not {_json_kind(entry)}")
+        if "perm" not in entry:
+            raise InputError("group element missing key 'perm'")
+        perm = [None] * A.n
+        flips = [1] * A.n
+        for src, dst in _label_map(entry["perm"], "perm", "labels").items():
+            if isinstance(dst, bool) or not isinstance(dst, (str, int)):
+                raise InputError('"perm": a label must be a string or an '
+                                 f"integer, not {_json_kind(dst)}")
+            perm[A.form_index(str(src))] = A.form_index(str(dst))
+        if any(p is None for p in perm):
+            raise InputError("group element must map every hyperplane")
+        for src, s in _label_map(entry.get("flips", {}), "flips", "1 or -1").items():
+            if type(s) is not int or s not in (1, -1):
+                kind = s if type(s) is int else _json_kind(s)
+                raise InputError(f'"flips": a flip must be the integer 1 or -1, not {kind}')
+            flips[A.form_index(str(src))] = s
+        elements.append(SignedPermutation(tuple(perm), tuple(flips)))
     for k, w in enumerate(elements):
         try:
             chamber_permutation(A, w)
@@ -259,6 +257,15 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
         class_labels = tuple(partition_str(t) for t in cycle_types)
     return GroupSpec(name, tuple(elements), tuple(class_of), tuple(class_labels),
                      cycle_types)
+
+
+def _label_map(value, field: str, what: str) -> dict:
+    """The JSON object of a group element's `field`, mapping labels to
+    `what`; anything else is an `InputError` naming its JSON kind."""
+    if not isinstance(value, dict):
+        raise InputError(f'"{field}" must be an object mapping labels to {what}, '
+                         f"not {_json_kind(value)}")
+    return value
 
 
 def load_group(A: Arrangement, path_or_name: str) -> GroupSpec:
@@ -392,12 +399,12 @@ def _inverse_rows(masks, nch) -> list:
     return out
 
 
-def graded_character(A: Arrangement, group: GroupSpec,
-                     reverse_basis: bool = False) -> GradedCharacters:
+def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     """Characters of the filtration layers, as diagonal blocks of B⁻¹ρ(w)B.
 
     B is the chamber evaluation matrix of the pivot monomials of
-    `filtration_data`, columns in grade order; the first dim P^k columns
+    `filtration_data` (the NBC monomials of the default ordering, as
+    `nbc_sets(A)`), columns in grade order; the first dim P^k columns
     span P^k.  The top stage is every function on the chambers, so B is
     square and invertible.  No stage is checked to be W-stable:
     `chamber_permutation` raises unless every image sign vector is a
@@ -413,7 +420,7 @@ def graded_character(A: Arrangement, group: GroupSpec,
     over the chamber bits of column j, B⁻¹ solved once per arrangement and
     shared by every class.
     """
-    dims, bases = filtration_data(A, reverse=reverse_basis)
+    dims, bases = filtration_data(A)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
     nch = len(A.chambers())
     # basis column j is the 0/1 evaluation of a monomial: its chamber mask

@@ -39,11 +39,12 @@ Q.  The relations of the circuits and of the minimal empty flats,
 checked to vanish on the chambers, give the upper bound: through them
 every monomial rewrites into NBC monomials of no larger degree.  When the
 bounds meet, the dims are the NBC partial sums and the pivots the NBC sets
-of one ordering.  Otherwise the exact path `_eliminate_grades` answers: an
-echelon of every monomial's chamber column, grade by grade, each column an
-integer dict keyed by chamber plus-count (the rank of its chamber in the
-order (number of '+' signs, chamber index)), so that a column's least key
-is a chamber few other monomials contain and the pivot rows stay sparse.
+of the default ordering.  Otherwise the exact path `_eliminate_grades`
+answers: an echelon of every monomial's chamber column, grade by grade,
+each column an integer dict keyed by chamber plus-count (the rank of its
+chamber in the order (number of '+' signs, chamber index)), so that a
+column's least key is a chamber few other monomials contain and the pivot
+rows stay sparse.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -71,8 +72,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations, compress
 
 from .arrangement import Arrangement
-from .circuits import (SignedSet, _mask, _per_ordering, canonical_circuits,
-                       circuit_scan, nbc_counts, nbc_sets)
+from .circuits import (SignedSet, _mask, canonical_circuits, circuit_scan,
+                       nbc_counts, nbc_sets)
 from .errors import InputError, ResourceBoundError
 from .linalg import SparseEchelon
 from .polyring import Poly
@@ -152,54 +153,44 @@ class FiltrationProfile:
     gr_dims: tuple
 
 
-def filtration_data(A: Arrangement, reverse: bool = False):
+def filtration_data(A: Arrangement):
     """Pivot columns of the monomial-evaluation matrix, grade by grade.
 
     Returns (dims, bases) where bases[k] lists the frozen subsets of the
-    pivot monomials of degree exactly k: scanning each grade's subsets in
-    lexicographic order (backwards for `reverse`), the monomials whose
-    chamber evaluation (`monomial_eval`) is not in the span of those
-    scanned before.  Their evaluations over grades <= k span P^k.
-    `reverse` flips the scan inside each grade (used to confirm that
-    derived quantities are basis-independent).
+    pivot monomials of degree exactly k: scanning each grade's subsets
+    backwards in lexicographic order, the monomials whose chamber
+    evaluation (`monomial_eval`) is not in the span of those scanned
+    before.  Their evaluations over grades <= k span P^k.
 
-    The pivots are the NBC sets of the reversed hyperplane ordering, or of
-    the default ordering for `reverse`, whenever `_nbc_dims` certifies
-    that ordering's NBC monomials as a basis.  Rewriting a monomial M
-    through a broken circuit X - x (x the ordering-largest element of X,
-    see `_nbc_dims`) gives, besides monomials of lower degree, the
-    monomials M - i + x for i in X - x.  In the reversed ordering x is the
-    least index of X, so M - i + x precedes M lexicographically; in the
-    default ordering it is the largest, so M - i + x follows M and comes
-    first in the backward scan.  Either way every other monomial lies in
-    the span of the NBC monomials scanned before it, and the NBC monomials
-    are independent, so they are exactly the pivots, in scan order.  When
-    the certificate fails, the exact echelon `_eliminate_grades` answers.
+    The pivots are the NBC sets of the default ordering (`nbc_sets(A)`)
+    whenever `_nbc_dims` certifies them as a basis.  Rewriting a monomial M
+    through a broken circuit X - x (x the largest index of X, see
+    `_nbc_dims`) gives, besides monomials of lower degree, the monomials
+    M - i + x for i in X - x.  Since x > i, M - i + x follows M
+    lexicographically and comes first in the backward scan.  So every
+    other monomial lies in the span of the NBC monomials scanned before
+    it, and the NBC monomials are independent, so they are exactly the
+    pivots, in scan order.  When the certificate fails, the exact echelon
+    `_eliminate_grades` answers.
     """
-    return A._memo(("filtration", reverse),
-                   lambda: _nbc_filtration(A, reverse) or _eliminate_grades(A, reverse))
+    return A._memo("filtration", lambda: _nbc_filtration(A) or _eliminate_grades(A))
 
 
-def _nbc_filtration(A: Arrangement, reverse: bool):
+def _nbc_filtration(A: Arrangement):
     """(dims, bases) of `filtration_data` from the certified NBC sets, or
     None when `_nbc_dims` does not certify them."""
-    ordering = None if reverse else tuple(reversed(range(A.n)))
-    dims = _nbc_dims(A, ordering)
+    dims = _nbc_dims(A)
     if dims is None:
         return None
     bases = [[] for _ in range(A.n + 1)]
-    for s in nbc_sets(A, ordering):  # by size, then lexicographically
+    for s in reversed(nbc_sets(A)):  # each grade backwards, lexicographically
         bases[len(s)].append(s)
-    if reverse:
-        for grade in bases:
-            grade.reverse()
     return dims, bases
 
 
-def _nbc_dims(A: Arrangement, ordering=None):
-    """dim P^k for k = 0..n as the partial sums of the NBC counts of
-    `ordering`, when an exact certificate holds, else None; memoized per
-    ordering.
+def _nbc_dims(A: Arrangement):
+    """dim P^k for k = 0..n as the partial sums of the NBC counts of the
+    default ordering, when an exact certificate holds, else None; memoized.
 
     Lower bound: the NBC monomials' 0/1 chamber columns are independent
     over GF(2) (`_independent_mod_2`).  Independent 0/1 columns have a
@@ -213,27 +204,27 @@ def _nbc_dims(A: Arrangement, ordering=None):
     full-support monomial cancels), every coefficient +-1; that of an
     empty flat S's relation is e_S.  A relation times a monomial e_T is
     still zero on the chambers, where e_i^2 = e_i.  So a monomial M that
-    contains the broken circuit X - x (x the ordering-largest element of X)
-    equals, on the chambers, a combination of the monomials M - i + x for
-    i in X - x and of monomials of lower degree, and a monomial that
-    contains an empty flat S equals one of lower degree.  This Cordovil
-    rewriting terminates: it keeps or lowers the degree, and when it keeps
-    it, the sum of the ordering ranks grows, since x outranks i.  A
-    monomial it cannot rewrite has no broken circuit and a nonempty flat:
-    an NBC set (`nbc_sets`).  So every monomial of degree <= k lies in the
-    span of NBC_<=k on the chambers, and dim P^k <= |NBC_<=k|.
+    contains the broken circuit X - x (x the largest index of X) equals,
+    on the chambers, a combination of the monomials M - i + x for i in
+    X - x and of monomials of lower degree, and a monomial that contains
+    an empty flat S equals one of lower degree.  This Cordovil rewriting
+    terminates: it keeps or lowers the degree, and when it keeps it, the
+    sum of the indices grows, since x > i.  A monomial it cannot rewrite
+    has no broken circuit and a nonempty flat: an NBC set (`nbc_sets`).
+    So every monomial of degree <= k lies in the span of NBC_<=k on the
+    chambers, and dim P^k <= |NBC_<=k|.
 
     Neither half trusts the circuit scan: the upper bound rewrites only
     with relations checked to vanish, the lower bound reads only the
     columns, and a missing circuit or empty flat that adds NBC sets leaves
     more columns than dim P^n, which cannot be independent.
     """
-    def build(A, ordering):
-        if not (_relations_vanish(A) and _independent_mod_2(A, nbc_sets(A, ordering))):
+    def build():
+        if not (_relations_vanish(A) and _independent_mod_2(A, nbc_sets(A))):
             return None
-        counts = nbc_counts(A, ordering)
+        counts = nbc_counts(A)
         return tuple(accumulate(counts + (0,) * (A.n + 1 - len(counts))))
-    return _per_ordering(A, "nbc_dims", ordering, build)
+    return A._memo("nbc_dims", build)
 
 
 def _independent_mod_2(A: Arrangement, sets) -> bool:
@@ -278,10 +269,11 @@ def _relations_vanish(A: Arrangement) -> bool:
     return A._memo("relations_vanish", compute)
 
 
-def _eliminate_grades(A: Arrangement, reverse: bool):
+def _eliminate_grades(A: Arrangement):
     """The exact path of `filtration_data`: every monomial's 0/1 chamber
-    column, grade by grade, into a `SparseEchelon` keyed by chamber
-    plus-count, until the span is full.  It assumes no basis theorem."""
+    column, each grade scanned backwards, into a `SparseEchelon` keyed by
+    chamber plus-count, until the span is full.  It assumes no basis
+    theorem."""
     nch = len(A.chambers())
     keys = _chamber_keys(A)
     ech = SparseEchelon()
@@ -290,10 +282,7 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
     for k in range(A.n + 1):
         grade = []
         if ech.rank < nch:
-            combos = combinations(range(A.n), k)
-            if reverse:
-                combos = reversed(list(combos))
-            for subset in combos:
+            for subset in reversed(list(combinations(range(A.n), k))):
                 if ech.add(_keyed_column(monomial_mask(A, subset), keys)):
                     grade.append(frozenset(subset))
                     if ech.rank == nch:
@@ -304,10 +293,9 @@ def _eliminate_grades(A: Arrangement, reverse: bool):
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
-    """dim P^k from `filtration_data` with `reverse`, which reads the NBC
-    sets of the default ordering (`nbc_sets(A)`) that the jobs already
-    build; the dims do not depend on the scan order."""
-    dims, _ = filtration_data(A, reverse=True)
+    """dim P^k from `filtration_data`, which reads the NBC sets of the
+    default ordering (`nbc_sets(A)`) that the jobs already build."""
+    dims, _ = filtration_data(A)
     gr = tuple(dims[k] - (dims[k - 1] if k else 0) for k in range(len(dims)))
     return FiltrationProfile(tuple(dims), gr)
 
@@ -459,7 +447,7 @@ def verify_relations(A: Arrangement) -> RelationCheck:
         if bad:
             c = (bad & -bad).bit_length() - 1
             failures.append((family, _source_str(source, A.labels), chambers[c]))
-    span = filtration_profile(A).dims[-1] if A.n else len(chambers)
+    span = filtration_profile(A).dims[-1]
     ok = not failures and span == len(chambers)
     return RelationCheck(ok, span, len(chambers), tuple(failures))
 

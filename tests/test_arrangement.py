@@ -728,7 +728,6 @@ def test_cached_queries_return_the_same_object():
     queries = [A.chambers, A.minimal_infeasible_sign_sets,
                lambda: circuits_from_arrangement(A), lambda: nbc_sets(A),
                lambda: nbc_sets(A, (1, 0)), lambda: filtration_data(A),
-               lambda: filtration_data(A, reverse=True),
                lambda: minimal_empty_flat_subsets(A),
                lambda: rees_relation_families(A),
                lambda: vg_relation_families(A)]

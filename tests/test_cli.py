@@ -279,8 +279,6 @@ def test_group_file_labels_must_be_strings_or_integers(capsys, tmp_path, label, 
 
 
 def test_group_file_unknown_label_keeps_its_message(capsys, tmp_path):
-    # an input error raised while reading an element is reported as is;
-    # the "malformed group element: " prefix is for parse errors only
     arr = tmp_path / "pair.json"
     save_arrangement(parallel_pair(), arr)
     group = tmp_path / "group.json"
@@ -296,7 +294,41 @@ def test_group_file_unknown_label_keeps_its_message(capsys, tmp_path):
     code, out, err = run(capsys, "--file", str(arr), "characters",
                          "--group", str(group))
     assert (code, out) == (2, "")
-    assert err == "input error: malformed group element: flip 0.5 is not an integer\n"
+    assert err == ('input error: "flips": a flip must be the integer 1 or -1, '
+                   "not a float\n")
+
+
+@pytest.mark.parametrize("element, message", [
+    ({"perm": {"a": "a", "b": "b"}, "flips": {"a": "x"}},
+     '"flips": a flip must be the integer 1 or -1, not a string'),
+    ({"perm": {"a": "a", "b": "b"}, "flips": {"a": None}},
+     '"flips": a flip must be the integer 1 or -1, not null'),
+    ({"perm": {"a": "a", "b": "b"}, "flips": {"a": "-1"}},
+     '"flips": a flip must be the integer 1 or -1, not a string'),
+    ({"perm": {"a": "a", "b": "b"}, "flips": {"a": True}},
+     '"flips": a flip must be the integer 1 or -1, not a boolean'),
+    ({"perm": {"a": "a", "b": "b"}, "flips": {"a": 2}},
+     '"flips": a flip must be the integer 1 or -1, not 2'),
+    ({"perm": {"a": "a", "b": "b"}, "flips": ["a"]},
+     '"flips" must be an object mapping labels to 1 or -1, not a list'),
+    ({"perm": ["a"]}, '"perm" must be an object mapping labels to labels, not a list'),
+    ({"perm": None}, '"perm" must be an object mapping labels to labels, not null'),
+    ("a", "a group element must be an object, not a string"),
+    ([{"perm": {"a": "a"}}], "a group element must be an object, not a list"),
+], ids=["flip-string", "flip-null", "flip-string-minus-one", "flip-boolean",
+        "flip-two", "flips-list", "perm-list", "perm-null", "element-string",
+        "element-list"])
+def test_group_file_fields_name_their_json_kind(capsys, tmp_path, element, message):
+    """A wrong-shaped group element names its field and JSON kind, in the
+    same words on every Python version, and a flip is the integer 1 or -1
+    only: the string "-1" is refused."""
+    arr = tmp_path / "pair.json"
+    save_arrangement(parallel_pair(), arr)
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"group": "S2", "action": [element]}))
+    code, out, err = run(capsys, "--file", str(arr), "characters",
+                         "--group", str(group))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_group_file_element_that_is_not_a_symmetry_exits_2(capsys, tmp_path):

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from arrgr.arrangement import AffineForm, boolean, braid, semiorder
+from arrgr.circuits import nbc_sets
 from arrgr.cordovil import AlgebraElement, CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
 from arrgr.linalg import (SparseEchelon, _divide_content, _integer_rref,
@@ -911,12 +912,25 @@ def test_sparse_echelon_matches_fraction_oracle():
                 assert all(want[c] == scale * v for c, v in res.items())
 
 
+def nbc_grades(A, ordering=None):
+    """The NBC sets of `ordering` (`nbc_sets`) grouped by size, grades 0..n,
+    each grade in lexicographic order."""
+    grades = [[] for _ in range(A.n + 1)]
+    for s in nbc_sets(A, ordering):
+        grades[len(s)].append(s)
+    return grades
+
+
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("make", (lambda: braid(4), lambda: semiorder(3)),
                          ids=("braid4", "semiorder3"))
 def test_filtration_bases_match_fraction_oracle(make, reverse):
+    """The Fraction echelon, scanning each grade backwards (`reverse`),
+    picks `filtration_data`'s pivots; scanning forwards, it picks the NBC
+    sets of the reversed hyperplane ordering, in lexicographic order.  The
+    dims do not depend on the scan."""
     A = make()
-    dims, bases = filtration_data(A, reverse=reverse)
+    dims, bases = filtration_data(A)
     oracle = fraction_echelon_oracle()
     want_dims, want_bases = [], []
     for k in range(A.n + 1):
@@ -927,7 +941,10 @@ def test_filtration_bases_match_fraction_oracle(make, reverse):
                            if oracle.add(dict(enumerate(monomial_eval(A, s))))])
         want_dims.append(oracle.rank)
     assert dims == tuple(want_dims)
-    assert bases == want_bases
+    if reverse:
+        assert bases == want_bases
+    else:
+        assert want_bases == nbc_grades(A, tuple(reversed(range(A.n))))
 
 
 def test_sparse_echelon_rank_and_membership():

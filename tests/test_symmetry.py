@@ -20,7 +20,7 @@ from arrgr.symmetry import (SignedPermutation, chamber_permutation,
                             load_group)
 from arrgr.vgring import (_chamber_keys, _eliminate_grades, _keyed_column,
                           filtration_data, monomial_eval, monomial_mask)
-from test_linalg import fraction_rref_oracle
+from test_linalg import fraction_rref_oracle, nbc_grades
 
 
 def swap_matrix(n, a, b):
@@ -203,8 +203,8 @@ def test_cached_filtration_characters_run_no_echelon(monkeypatch):
     column: each stage's stability is not re-derived."""
     A = braid(4)
     group = coordinate_action(A)
-    monkeypatch.setattr(arrgr.vgring, "_nbc_filtration", lambda A, reverse: None)
-    assert filtration_data(A) == _eliminate_grades(A, False)
+    monkeypatch.setattr(arrgr.vgring, "_nbc_filtration", lambda A: None)
+    assert filtration_data(A) == _eliminate_grades(A)
     monkeypatch.undo()
     adds = []
     real = SparseEchelon.add
@@ -339,12 +339,29 @@ def test_antipodal_map_acts_by_the_grade_sign(name):
         assert row[1 - minus] == count, (name, k)
 
 
+def oracle_grade_values(A, group, bases):
+    """Per grade, per class, the character on gr^k traced by
+    `dense_projection_trace_oracle` on the filtration basis `bases`."""
+    top = max(k for k in range(len(bases)) if bases[k])
+    per_class = []
+    for w in group.class_representatives():
+        perm = chamber_permutation(A, w)
+        traces = [dense_projection_trace_oracle(A, bases, perm, k)
+                  for k in range(top + 1)]
+        per_class.append([traces[k] - (traces[k - 1] if k else 0)
+                          for k in range(top + 1)])
+    return [tuple(values[k] for values in per_class) for k in range(top + 1)]
+
+
 def test_traces_basis_independent(corpus_map):
+    """The characters traced on a second basis, the NBC monomials of the
+    reversed hyperplane ordering, equal `graded_character`'s."""
     for name in ("braid3", "semiorder3", "boolean3"):
         A = corpus_map[name]
         G = coordinate_action(A)
-        assert graded_character(A, G).grade_values \
-            == graded_character(A, G, reverse_basis=True).grade_values, name
+        second = nbc_grades(A, tuple(reversed(range(A.n))))
+        assert list(graded_character(A, G).grade_values) \
+            == oracle_grade_values(A, G, second), name
 
 
 def dense_grams(A, bases, perm, upto_grade):
@@ -366,22 +383,22 @@ def dense_projection_trace_oracle(A, bases, perm, upto_grade):
     return sum(X[i][i] for i in range(m))
 
 
-@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("own_basis", (False, True))
 @pytest.mark.parametrize("make", (lambda: braid(3), lambda: braid(4),
                                   lambda: boolean(4), lambda: semiorder(3)),
                          ids=("braid3", "braid4", "boolean4", "semiorder3"))
-def test_graded_character_matches_dense_oracle(make, reverse):
+def test_graded_character_matches_dense_oracle(make, own_basis):
+    """`graded_character` equals the dense trace oracle on its own basis,
+    `filtration_data`'s pivots, and on a second one, the NBC monomials of
+    the reversed hyperplane ordering."""
     A = make()
     group = coordinate_action(A)
-    gc = graded_character(A, group, reverse_basis=reverse)
-    dims, bases = filtration_data(A, reverse=reverse)
-    top = max(k for k in range(len(dims)) if bases[k])
+    gc = graded_character(A, group)
+    bases = (filtration_data(A)[1] if own_basis
+             else nbc_grades(A, tuple(reversed(range(A.n)))))
+    assert list(gc.grade_values) == oracle_grade_values(A, group, bases)
     for c, w in enumerate(group.class_representatives()):
         perm = chamber_permutation(A, w)
-        traces = [dense_projection_trace_oracle(A, bases, perm, k)
-                  for k in range(top + 1)]
-        want = [traces[k] - (traces[k - 1] if k else 0) for k in range(top + 1)]
-        assert [row[c] for row in gc.grade_values] == want
         assert gc.chamber_values[c] == sum(1 for i, j in enumerate(perm) if i == j)
     assert all(type(v) is Fraction
                for row in gc.grade_values + (gc.chamber_values,) for v in row)
@@ -452,7 +469,7 @@ def test_group_file_validation():
     assert G.elements == (SignedPermutation.identity(3),)
     # a fractional flip is rejected, not truncated to an integer
     identity = {"perm": {"12": "12", "13": "13", "23": "23"}}
-    with pytest.raises(InputError, match="not an integer"):
+    with pytest.raises(InputError, match="must be the integer 1 or -1, not a float"):
         group_from_json(A, {"group": "W", "action": [dict(identity, flips={"12": 1.5})]})
     # not closed under composition: a lone transposition action
     entries = [

@@ -10,8 +10,8 @@ from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
                                restrict, semiorder)
 from arrgr.circuits import (_mask, canonical_circuits, circuit_scan, nbc_counts,
                             nbc_sets)
-from arrgr.cordovil import (LeadingFormReport, circuit_boundary,
-                            leading_form_check)
+from arrgr.cordovil import (CordovilAlgebra, LeadingFormReport,
+                            circuit_boundary, leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
 from arrgr.errors import InputError, ResourceBoundError
@@ -25,6 +25,7 @@ from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           verify_relations, _chamber_keys, _common_zeros,
                           _eliminate_grades, _independent_mod_2, _nbc_dims,
                           _relation_nonzeros)
+from test_linalg import nbc_grades
 from test_polyring import squarefree_reduce_oracle
 
 
@@ -143,8 +144,7 @@ def fraction_tuple_filtration(A, reverse):
     return tuple(dims), bases
 
 
-@pytest.mark.parametrize("reverse", (False, True))
-def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
+def test_filtration_stops_inserting_at_full_rank(monkeypatch):
     """The exact path `_eliminate_grades`: braid 5 reaches full rank inside
     grade 4; no monomial is inserted after that, and dims and bases equal
     those of inserting every one."""
@@ -158,24 +158,23 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch, reverse):
         return add(self, vec)
 
     monkeypatch.setattr(SparseEchelon, "add", counted_add)
-    dims, bases = _eliminate_grades(A, reverse)
+    dims, bases = _eliminate_grades(A)
     monkeypatch.undo()
     assert ranks_at_add and max(ranks_at_add) < nch
-    want_dims, want_bases = fraction_tuple_filtration(A, reverse)
+    want_dims, want_bases = fraction_tuple_filtration(A, True)
     assert dims == want_dims
     assert bases == want_bases
     assert all(type(s) is frozenset for grade in bases for s in grade)
 
 
-@pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("name", ("semiorder4", "boolean7"))
-def test_plus_count_keys_match_fraction_tuple_oracle(name, reverse):
+def test_plus_count_keys_match_fraction_tuple_oracle(name):
     """The exact path's echelon (`_eliminate_grades`), keyed by chamber
     plus-count, accepts the same monomials as the Fraction-tuple echelon
     keyed by chamber index."""
     A = semiorder(4) if name == "semiorder4" else boolean(7)
-    dims, bases = _eliminate_grades(A, reverse)
-    want_dims, want_bases = fraction_tuple_filtration(A, reverse)
+    dims, bases = _eliminate_grades(A)
+    want_dims, want_bases = fraction_tuple_filtration(A, True)
     assert dims == want_dims
     assert bases == want_bases
 
@@ -193,51 +192,60 @@ def test_chamber_keys_order_by_plus_count(corpus_map):
 
 def test_filtration_basis_is_nbc(corpus_map):
     """The paper's basis statement: scanning each grade backwards picks the
-    NBC monomials, and scanning forwards picks the NBC monomials of the
-    reversed hyperplane ordering."""
+    NBC monomials, and scanning forwards (the Fraction oracle) picks the
+    NBC monomials of the reversed hyperplane ordering."""
     cases = dict(corpus_map, braid5=braid(5),
                  random_seed1=random_rational_arrangement(seed=1))
     for name, A in cases.items():
-        for reverse, ordering in ((True, None), (False, tuple(reversed(range(A.n))))):
-            _, bases = filtration_data(A, reverse=reverse)
-            picked = {s for grade in bases for s in grade}
-            assert picked == set(nbc_sets(A, ordering)), (name, reverse)
+        _, bases = filtration_data(A)
+        assert {s for grade in bases for s in grade} == set(nbc_sets(A)), name
+        _, forward = fraction_tuple_filtration(A, False)
+        assert forward == nbc_grades(A, tuple(reversed(range(A.n)))), name
 
 
-def nbc_ordering(A, reverse):
-    """The ordering whose NBC sets are `filtration_data`'s pivots."""
-    return None if reverse else tuple(reversed(range(A.n)))
-
-
-@pytest.mark.parametrize("reverse", (False, True))
-def test_certified_filtration_matches_the_exact_echelon(corpus_map, reverse):
+def test_certified_filtration_matches_the_exact_echelon(corpus_map):
     """On every input the NBC certificate holds, and the dims and bases it
     gives equal those of the exact all-monomial echelon; so do the
-    `filtration_profile` dims, read from the default ordering's NBC sets."""
+    `filtration_profile` dims."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
                  boolean7=boolean(7),
                  random_seed1=random_rational_arrangement(seed=1))
     for name, A in cases.items():
-        assert _nbc_dims(A, nbc_ordering(A, reverse)) is not None, name
-        want = _eliminate_grades(A, reverse)
-        assert filtration_data(A, reverse=reverse) == want, name
+        assert _nbc_dims(A) is not None, name
+        want = _eliminate_grades(A)
+        assert filtration_data(A) == want, name
         assert filtration_profile(A).dims == want[0], name
+
+
+def test_one_filtration_per_arrangement():
+    """The characters, the profile, the NBC counts and the Cordovil algebra
+    read one basis: the arrangement caches one filtration and the
+    canonical circuits, broken circuits and NBC sets of one ordering."""
+    for A in (braid(4), semiorder(3)):
+        graded_character(A, coordinate_action(A))
+        filtration_profile(A)
+        nbc_counts(A)
+        CordovilAlgebra(A)
+        keys = [k for k in A._cache if isinstance(k, tuple)]
+        for table in ("nbc", "canonical", "broken"):
+            assert [k for k in keys if k[0] == table] == [(table, tuple(range(A.n)))]
+        assert [k for k in A._cache if "filtration" in k] == ["filtration"]
 
 
 def test_certified_dims_match_the_exact_echelon_at_braid6():
     A = braid(6)
-    assert filtration_profile(A).dims == _eliminate_grades(A, False)[0]
+    assert filtration_profile(A).dims == _eliminate_grades(A)[0]
     assert _nbc_dims(A) is not None
 
 
 def counted_exact_path(monkeypatch):
-    """Wrap `_eliminate_grades`; the list records each reverse it ran."""
+    """Wrap `_eliminate_grades`; the list records each run."""
     runs = []
     exact = _eliminate_grades
 
-    def counted(A, reverse):
-        runs.append(reverse)
-        return exact(A, reverse)
+    def counted(A):
+        runs.append(1)
+        return exact(A)
 
     monkeypatch.setattr(arrgr.vgring, "_eliminate_grades", counted)
     return runs
@@ -251,7 +259,7 @@ def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
     family-(2) relation."""
     for A, make in ((braid(4), lambda: braid(4)),
                     (semiorder(3), lambda: semiorder(3))):
-        want = [_eliminate_grades(A, reverse) for reverse in (False, True)]
+        want = _eliminate_grades(A)
         B = make()
         first = ([(3, X) for X in canonical_circuits(B)]
                  + [(2, X) for X in circuit_scan(B)[1]])[0]
@@ -264,9 +272,9 @@ def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
 
         monkeypatch.setattr(arrgr.vgring, "_relation_points", forced)
         runs = counted_exact_path(monkeypatch)
-        assert [filtration_data(B, reverse=r) for r in (False, True)] == want
-        assert filtration_profile(B).dims == want[0][0]
-        assert runs == [False, True]
+        assert filtration_data(B) == want
+        assert filtration_profile(B).dims == want[0]
+        assert runs == [1]
         assert _nbc_dims(B) is None
         monkeypatch.undo()
 
@@ -280,18 +288,18 @@ def test_filtration_falls_back_when_the_lower_bound_fails(monkeypatch):
         A._cache["chambers"] = make().chambers()[1:]
         runs = counted_exact_path(monkeypatch)
         dims, bases = filtration_data(A)
-        assert runs == [False]
+        assert runs == [1]
         assert dims[-1] == len(A.chambers()) < sum(nbc_counts(A))
-        assert (dims, bases) == _eliminate_grades(A, False)
+        assert (dims, bases) == _eliminate_grades(A)
         assert filtration_profile(A).dims == dims
         monkeypatch.undo()
     # a GF(2) dependence the bounds cannot see: forced, same exact answer
     A = braid(4)
-    want = _eliminate_grades(A, True)
+    want = _eliminate_grades(A)
     monkeypatch.setattr(arrgr.vgring, "_independent_mod_2", lambda A, sets: False)
     runs = counted_exact_path(monkeypatch)
-    assert filtration_data(A, reverse=True) == want
-    assert runs == [True]
+    assert filtration_data(A) == want
+    assert runs == [1]
 
 
 def test_independent_mod_2_reads_the_monomial_columns():
@@ -317,7 +325,7 @@ def test_graded_character_runs_no_minimal_infeasible_scan(monkeypatch):
     monkeypatch.setattr(Arrangement, "minimal_infeasible_sign_sets",
                         lambda self: calls.append(1))
     graded_character(A, coordinate_action(A))
-    assert _nbc_dims(A, nbc_ordering(A, False)) is not None
+    assert _nbc_dims(A) is not None
     assert calls == []
 
 
