@@ -351,11 +351,10 @@ def _permutation_character(mu, nu) -> int:
             return 1 if not cycles else 0
         first, rest = blocks[0], blocks[1:]
         total = 0
-        seen = set()
         m = len(cycles)
         for select in range(2**m):
             chosen = tuple(cycles[i] for i in range(m) if select >> i & 1)
-            if sum(chosen) != first or select in seen:
+            if sum(chosen) != first:
                 continue
             remaining = [cycles[i] for i in range(m) if not select >> i & 1]
             total += count(remaining, rest)

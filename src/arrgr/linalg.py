@@ -8,12 +8,14 @@ integers, each rational row scaled once to a primitive integer row: `rref`
 fewest entries are, so a matrix that is triangular up to row and column
 order, like the chamber matrices `graded_character` inverts, fills in
 nothing), `SparseEchelon` and the Fourier-Motzkin test `strict_feasible`.
-`rref` and `solve_square` return Fractions, made only when the result is
-emitted.  Matrices are sequences of equal-length rows;
-vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
-second `rref`; it serves the public API and the tests, while the circuit
-scan, which needs one kernel vector per dependent extension, runs its own
-incremental integer elimination and calls only `rank` here.
+`rref` returns Fractions, made only when the result is emitted;
+`solve_square` takes and returns sparse rows, each row of its solution an
+integer dict over one positive denominator.  Other matrices are sequences
+of equal-length rows; vectors are tuples.  `rank_and_kernel` normalizes
+its kernel basis with a second `rref`; it serves the public API and the
+tests, while the circuit scan, which needs one kernel vector per
+dependent extension, runs its own incremental integer elimination and
+calls only `rank` here.
 
 The chamber search asks `strict_feasible` only what its rules leave
 open (see `Arrangement.chambers`), on a hyperplane of the arrangement's
@@ -173,7 +175,9 @@ def affine_system_consistent(rows, rhs) -> bool:
 
 
 def solve_square(A, B):
-    """Solve A X = B for square invertible A; B given as a list of rows.
+    """Solve A X = B for square invertible A, both given as lists of sparse
+    rows {column: int or Fraction}: A has n rows with columns in range(n),
+    B has n rows with nonnegative integer columns.
 
     Sparse fraction-free Gauss-Jordan elimination on the rows of [A | B],
     each one primitive integer dict row.  The pivot is taken in the
@@ -183,24 +187,29 @@ def solve_square(A, B):
     integer row operation a*row - b*pivot with (a, b) = (p, f)/gcd(p, f)
     for pivot p and entry f, then division by the content when a is not
     +/-1.  At the end each row holds one entry p of A, at column c, and
-    row c of X is the row's B part over p.
+    row c of X is the row's B part over p.  It is returned as (row, p): an
+    integer dict over B's columns and p > 0 with no common factor, so entry
+    j of row c of X is row.get(j, 0) / p.
     """
-    A = _to_rows(A)
-    B = _to_rows(B)
     n = len(A)
     if n == 0:
         return []
-    if len(B) != n or len(A[0]) != n:
+    if len(B) != n:
         raise InputError("dimension mismatch in solve_square")
-    rows = [{c: x for c, x in enumerate(_primitive_row(a + b)) if x}
-            for a, b in zip(A, B)]
+    rows = []
+    for a, b in zip(A, B):
+        if not (all(type(c) is int and 0 <= c < n for c in a)
+                and all(type(j) is int and j >= 0 for j in b)):
+            raise InputError("dimension mismatch in solve_square")
+        keys = [*a, *(n + j for j in b)]
+        values = _primitive_row([*a.values(), *b.values()])
+        rows.append({c: x for c, x in zip(keys, values) if x})
     holders = [set() for _ in range(n)]  # the rows with an entry in column c of A
-    entries = [0] * n  # the number of entries in A of each row
     for i, row in enumerate(rows):
         for c in row:
             if c < n:
                 holders[c].add(i)
-                entries[i] += 1
+    entries = [sum(c < n for c in row) for row in rows]  # the number of entries in A of each row
     unfinished = list(range(n))
     pivots = []  # (row, column)
     for _ in range(n):
@@ -243,13 +252,14 @@ def solve_square(A, B):
                 if g != 1:
                     for col in row:
                         row[col] //= g
-    width = len(B[0])
     X = [None] * n
     for r, c in pivots:
         row = rows[r]
-        p = row[c]
-        X[c] = [Fraction(row[j], p) if j in row else _ZERO
-                for j in range(n, n + width)]
+        p = row.pop(c)
+        g = gcd(p, *row.values())
+        if p < 0:
+            g = -g
+        X[c] = ({j - n: v // g for j, v in row.items()}, p // g)
     return X
 
 

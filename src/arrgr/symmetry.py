@@ -12,9 +12,11 @@ is square and invertible.  Each stage P^k is ρ(w)-stable (by
 construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
 triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
 diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
-once per arrangement, by one integer `solve_square`, and shared by every
-conjugacy class; each diagonal entry is an integer sum over the chamber
-bits of one basis monomial.
+once per arrangement, by one `solve_square` on the sparse rows of [B | I]
+read off the monomials' chamber masks, and shared by every conjugacy
+class; it comes back as integer rows, each with one denominator, and each
+diagonal entry is an integer sum over the chamber bits of one basis
+monomial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import lcm
 
 from .arrangement import Arrangement
 from .characters import cycle_type, decompose_character, partition_str
-from .circuits import _json_kind, _read_json
+from .circuits import _bits, _json_kind, _read_json
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import frac, rref, solve_square
 from .vgring import filtration_data, monomial_mask
@@ -212,7 +214,9 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
     element that is not a symmetry raises `NotASymmetryError`."""
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
-    name = str(data.get("group", "W"))
+    name = data.get("group", "W")
+    if not isinstance(name, str):
+        raise InputError(f'"group" must be a string, not {_json_kind(name)}')
     if name == "Sn-coordinates":
         return coordinate_action(A)
     entries = data.get("action")
@@ -383,22 +387,6 @@ class GradedCharacters:
         return out, total
 
 
-def _inverse_rows(masks, nch) -> list:
-    """B^{-1} for the square 0/1 matrix B with B[c][j] = 1 iff chamber c
-    lies in masks[j]: one `solve_square` against the identity, each row j
-    returned as (integer row over the chambers, denominator)."""
-    if len(masks) != nch:
-        raise ConsistencyError("the top filtration stage is not every "
-                               "function on the chambers")
-    B = [[m >> c & 1 for m in masks] for c in range(nch)]
-    identity = [[int(i == j) for j in range(nch)] for i in range(nch)]
-    out = []
-    for row in solve_square(B, identity):
-        den = lcm(*(x.denominator for x in row))
-        out.append(([x.numerator * (den // x.denominator) for x in row], den))
-    return out
-
-
 def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     """Characters of the filtration layers, as diagonal blocks of B⁻¹ρ(w)B.
 
@@ -417,36 +405,38 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     on gr^k = P^k / P^{k-1}, and the grade-k character is the sum of its
     diagonal entries over the grade-k columns j.  With (ρ(w) f)[perm[c]] =
     f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]]: one integer sum
-    over the chamber bits of column j, B⁻¹ solved once per arrangement and
-    shared by every class.
+    over the chamber bits of column j, B⁻¹ solved once per arrangement, as
+    integer rows over a denominator p_j, and shared by every class.
     """
     dims, bases = filtration_data(A)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
     nch = len(A.chambers())
-    # basis column j is the 0/1 evaluation of a monomial: its chamber mask
-    masks, grade_of = [], []
+    # column j of B is 0/1 on the chambers: those of monomial j's mask
+    chambers_of, grade_of = [], []
     for k in range(top + 1):
         for subset in bases[k]:
-            masks.append(monomial_mask(A, subset))
+            chambers_of.append(list(_bits(monomial_mask(A, subset))))
             grade_of.append(k)
-    inverse = _inverse_rows(masks, nch)
-    # one denominator per grade: row j scaled by den_k / den_j
+    if len(chambers_of) != nch:
+        raise ConsistencyError("the top filtration stage is not every "
+                               "function on the chambers")
+    rows = [{} for _ in range(nch)]  # row c of B: 1 where mask j holds c
+    for j, chambers in enumerate(chambers_of):
+        for c in chambers:
+            rows[c][j] = 1
+    inverse = solve_square(rows, [{c: 1} for c in range(nch)])
+    # one denominator per grade: row j scaled by den_k / p_j
     grade_den = [1] * (top + 1)
-    for (_, den), k in zip(inverse, grade_of):
-        grade_den[k] = lcm(grade_den[k], den)
-    columns = []
-    for (row, den), k, m in zip(inverse, grade_of, masks):
-        scale = grade_den[k] // den
-        columns.append(([x * scale for x in row], k,
-                        [c for c in range(nch) if m >> c & 1]))
+    for (_, p), k in zip(inverse, grade_of):
+        grade_den[k] = lcm(grade_den[k], p)
     reps = group.class_representatives()
     per_class = []
     chamber_vals = []
     for w in reps:
         perm = chamber_permutation(A, w)
         sums = [0] * (top + 1)
-        for row, k, chambers in columns:
-            sums[k] += sum(row[perm[c]] for c in chambers)
+        for (row, p), k, chambers in zip(inverse, grade_of, chambers_of):
+            sums[k] += grade_den[k] // p * sum(row.get(perm[c], 0) for c in chambers)
         per_class.append([Fraction(x, d) for x, d in zip(sums, grade_den)])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = [tuple(values[k] for values in per_class)

@@ -331,6 +331,20 @@ def test_group_file_fields_name_their_json_kind(capsys, tmp_path, element, messa
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("name, kind", [(None, "null"), (["S3"], "a list"),
+                                        (3, "an integer")],
+                         ids=["null", "list", "integer"])
+def test_group_name_must_be_a_string(capsys, tmp_path, name, kind):
+    """A group name that is not a JSON string is an input error naming its
+    JSON kind, not its Python repr printed as the name."""
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(
+        {"group": name, "action": [{"perm": {"12": "12", "13": "13", "23": "23"}}]}))
+    code, out, err = run(capsys, "--braid", "3", "characters", "--group", str(group),
+                         "--json")
+    assert (code, out, err) == (2, "", f'input error: "group" must be a string, not {kind}\n')
+
+
 def test_group_file_element_that_is_not_a_symmetry_exits_2(capsys, tmp_path):
     from test_symmetry import NOT_A_SYMMETRY
     group = tmp_path / "group.json"

@@ -121,7 +121,7 @@ def test_rref_matches_fraction_oracle():
                 k = rng.randint(1, 3)
                 rhs = [[_entry_or_zero(rng) for _ in range(k)] for _ in range(m)]
                 aug = fraction_rref_oracle([a + b for a, b in zip(matrix, rhs)])[0]
-                assert solve_square(matrix, rhs) == [row[d:] for row in aug]
+                assert dense_solve(matrix, rhs) == [row[d:] for row in aug]
                 kinds["solved"] += 1
         kinds["empty"] += not (m and d)
         kinds["zero row"] += any(not any(row) for row in matrix) and d > 0
@@ -713,20 +713,47 @@ def test_affine_system_consistent_matches_two_rank_oracle():
     assert answers.count(True) >= 50 and answers.count(False) >= 50
 
 
+def sparse_rows(matrix) -> list:
+    """Dense rows as the sparse rows `solve_square` takes: {column: entry},
+    zero entries left out."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
+def dense_solve(A, B):
+    """`solve_square` on dense A and B through `sparse_rows`, its solution
+    read back as dense Fraction rows over B's columns.  Each solution row
+    must be an integer dict over one positive denominator p, with no
+    common factor and no zero entry."""
+    width = len(B[0]) if B else 0
+    X = solve_square(sparse_rows(A), sparse_rows(B))
+    for row, p in X:
+        assert type(p) is int and p > 0 and gcd(p, *row.values()) == 1
+        assert all(type(v) is int and v and 0 <= j < width for j, v in row.items())
+    return [[Fraction(row.get(j, 0), p) for j in range(width)] for row, p in X]
+
+
 def test_solve_square():
-    X = solve_square([[2, 0], [1, 1]], [[4, 2], [3, 2]])
-    assert X == [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+    X = solve_square([{0: 2}, {0: 1, 1: 1}], [{0: 4, 1: 2}, {0: 3, 1: 2}])
+    assert X == [({0: 2, 1: 1}, 1), ({0: 1, 1: 1}, 1)]
+    # a negative pivot, a denominator and B's columns as they are given
+    assert solve_square([{0: -2}], [{3: 1, 7: 3}]) == [({3: -1, 7: -3}, 2)]
+    assert solve_square([{0: Fraction(2, 3)}], [{1: Fraction(1, 2)}]) == [({1: 3}, 4)]
+    assert solve_square([], []) == []
 
 
 def test_solve_square_rejects_singular_and_mismatched_input():
-    with pytest.raises(ConsistencyError, match="singular"):
-        solve_square([[1, 2], [2, 4]], [[1], [2]])
-    with pytest.raises(ConsistencyError, match="singular"):
-        solve_square([[0, 1], [0, 1]], [[1], [1]])
-    with pytest.raises(InputError):
-        solve_square([[1, 0], [0, 1]], [[1]])
-    with pytest.raises(InputError):
-        solve_square([[1, 2]], [[1]])
+    with pytest.raises(ConsistencyError, match="^singular matrix in solve_square$"):
+        solve_square([{0: 1, 1: 2}, {0: 2, 1: 4}], [{0: 1}, {0: 2}])
+    with pytest.raises(ConsistencyError, match="^singular matrix in solve_square$"):
+        solve_square([{1: 1}, {1: 1}], [{0: 1}, {0: 1}])
+    mismatch = "^dimension mismatch in solve_square$"
+    with pytest.raises(InputError, match=mismatch):
+        solve_square([{0: 1}, {1: 1}], [{0: 1}])
+    with pytest.raises(InputError, match=mismatch):
+        solve_square([{0: 1, 1: 2}], [{0: 1}])
+    for bad_b in ({-1: 1}, {1.5: 1}, {"x": 1}):
+        with pytest.raises(InputError, match=mismatch):
+            solve_square([{0: 1}], [bad_b])
 
 
 def dense_solve_oracle(A, B):
@@ -783,8 +810,9 @@ def _outcome(solve, A, B):
 
 
 def test_sparse_solve_matches_dense_oracle():
-    """The sparse elimination returns the dense route's X, and its
-    `ConsistencyError` where A is singular, on 400 seeded systems of five
+    """The sparse elimination, read back through `dense_solve`, returns the
+    dense route's X, and its `ConsistencyError` with the same message
+    where A is singular, on 400 seeded systems of five
     kinds (the random rational ones are singular now and then too)."""
     rng = random.Random(20261020)
     kinds = ("fraction", "singular", "triangular", "0x0", "1x1")
@@ -793,7 +821,7 @@ def test_sparse_solve_matches_dense_oracle():
         kind = kinds[t % len(kinds)]
         A, B = _solve_case(rng, kind)
         want = _outcome(dense_solve_oracle, A, B)
-        assert _outcome(solve_square, A, B) == want, (A, B)
+        assert _outcome(dense_solve, A, B) == want, (A, B)
         if isinstance(want, list):
             assert all(type(x) is Fraction for row in want for x in row)
         outcomes[kind, isinstance(want, str)] += 1
@@ -819,7 +847,7 @@ def test_sparse_solve_matches_dense_oracle_on_chamber_matrices(A):
     B = _chamber_matrix(A)
     identity = [[int(i == j) for j in range(len(B))] for i in range(len(B))]
     assert len(B) == len(B[0])
-    assert solve_square(B, identity) == dense_solve_oracle(B, identity)
+    assert dense_solve(B, identity) == dense_solve_oracle(B, identity)
 
 
 class fraction_echelon_oracle:

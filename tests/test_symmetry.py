@@ -237,6 +237,25 @@ def test_one_solve_per_arrangement(monkeypatch):
     assert calls == [24]
 
 
+@pytest.mark.parametrize("A", [braid(4), semiorder(3)], ids=["braid4", "semiorder3"])
+def test_solve_gets_the_sparse_rows_of_the_masks(monkeypatch, A):
+    """`solve_square` gets the rows of [B | I] read off the chamber masks:
+    one entry per chamber of each basis monomial's mask, and one identity
+    entry per chamber; no dense row of zeros."""
+    entries = []
+    real = arrgr.symmetry.solve_square
+
+    def spy(B, rhs):
+        entries.append(sum(map(len, B)) + sum(map(len, rhs)))
+        return real(B, rhs)
+
+    monkeypatch.setattr(arrgr.symmetry, "solve_square", spy)
+    graded_character(A, coordinate_action(A))
+    _, bases = filtration_data(A)
+    masks = [monomial_mask(A, s) for basis in bases for s in basis]
+    assert entries == [sum(m.bit_count() for m in masks) + len(A.chambers())]
+
+
 def _mobius(d):
     out, p = 1, 2
     while d > 1:

@@ -4,6 +4,7 @@ trees.
     python3 tools/ladder.py --layer filtration parent=../old/src change=src > ladder.json
     python3 tools/ladder.py --layer chambers --rungs braid4,random8 change=src
     python3 tools/ladder.py --layer relations parent=../old/src change=src
+    python3 tools/ladder.py --layer characters --rungs braid7 change=src
 
 Each positional argument is LABEL=SRC_DIR, a directory that holds the
 `arrgr` package.  Every measurement runs in a fresh interpreter that
@@ -24,7 +25,9 @@ two trees, each rung also has an entry "SECOND/FIRST" (labels) with
 K_ratio_median per timed key K: the median over the repeats of the second
 tree's time over the first's, each ratio from the pair of runs made back
 to back in one repeat, so one read tells a layer change from the host's
-pace, which moves both runs of a pair alike.  Layers:
+pace, which moves both runs of a pair alike.  Every run also reports
+peak_rss_mib, the peak resident set size of its interpreter
+(`resource.getrusage`), listed per run as peak_rss_mib_runs.  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -39,7 +42,8 @@ pace, which moves both runs of a pair alike.  Layers:
               axioms_s, one `validate_circuit_axioms`.
   characters  after the chambers and the coordinate action of S_n: cold_s,
               the first `graded_character` (filtration included), and
-              warm_s, a second call (braid6 is a stretch rung).
+              warm_s, a second call (braid6 and braid7 are stretch
+              rungs; braid7 is in no default ladder).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, a cold
@@ -240,7 +244,8 @@ LAYERS = {
         "validate_circuit_axioms call", ("random8",)),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
-         "semiorder3", "semiorder4"], measure_characters, 5, {"braid6": 3},
+         "semiorder3", "semiorder4"], measure_characters, 5,
+        {"braid6": 3, "braid7": 3},
         "graded_character under the coordinate action of S_n, cold (first "
         "call, filtration included) and warm (second call)"),
     "filtration": _layer(
@@ -262,17 +267,25 @@ LAYERS = {
 
 
 def child(layer: str, src: str, rung: str) -> dict:
-    """One measurement of one rung on one tree, in this interpreter."""
+    """One measurement of one rung on one tree, in this interpreter, with
+    the interpreter's peak resident set size (ru_maxrss: KiB on Linux,
+    bytes on macOS)."""
+    import resource
+
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, src)
-    return LAYERS[layer]["measure"](rung)
+    out = LAYERS[layer]["measure"](rung)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    out["peak_rss_mib"] = rss / (2**20 if sys.platform == "darwin" else 2**10)
+    return out
 
 
 def summary(results: list, timeouts: int) -> dict:
     """Per key over the finished runs: best, first quartile, median and
     third quartile of the times (a single run is its own quartiles), the
-    sorted distinct md5 values, and the first run's value otherwise."""
+    sorted distinct md5 values, every run's peak RSS, and the first run's
+    value otherwise."""
     out = {"runs": len(results), "timeouts": timeouts}
     for key, value in (results[0].items() if results else ()):
         values = [r[key] for r in results]
@@ -285,6 +298,8 @@ def summary(results: list, timeouts: int) -> dict:
             out[f"{key}_q3"] = q3
         elif key.endswith("_md5"):
             out[key] = sorted(set(values))
+        elif key.endswith("_mib"):
+            out[f"{key}_runs"] = values
         else:
             out[key] = value
     return out
