@@ -30,8 +30,7 @@ print("  chamber character:", tuple(map(int, gc.chamber_values)),
 
 S = semiorder(3)
 H = coordinate_action(S)
-w = next(e for e, c in zip(H.elements, H.class_of)
-         if H.class_labels[c] == "(2,1)")
+w = H.representatives[H.class_labels.index("(2,1)")]
 print(f"\nsemiorder(3): a transposition fixes {fixed_chambers(S, w)}",
       "of the 19 chambers")
 

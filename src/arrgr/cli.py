@@ -257,12 +257,12 @@ def cmd_characters(args, A, ordering) -> int:
     payload = {
         "group": group.name,
         "classes": list(group.class_labels),
-        "class_sizes": list(group.class_sizes()),
+        "class_sizes": list(group.class_sizes),
         "chamber_character": [str(v) for v in gc.chamber_values],
         "grades": [{"character": [str(v) for v in row]} for row in gc.grade_values],
     }
     lines = ["classes:      " + "  ".join(group.class_labels),
-             "class sizes:  " + "  ".join(str(s) for s in group.class_sizes())]
+             "class sizes:  " + "  ".join(str(s) for s in group.class_sizes)]
     for k, row in enumerate(gc.grade_values):
         lines.append(f"grade {k} char: " + "  ".join(str(v) for v in row))
     lines.append("chamber char: " + "  ".join(str(v) for v in gc.chamber_values))

@@ -2,21 +2,24 @@
 
 A symmetry is recorded as a signed permutation of the forms: applying the
 inverse affine map to form i gives a positive or negative multiple of form
-perm(i).  For the coordinate action of S_n the images are read off the
-forms' primitive integer rows, one lookup per form and element.  The
-induced permutation of chambers is ρ(w).  The characters of the graded
-pieces are traces of diagonal blocks: the basis of the filtration is a
-set of monomials, 0/1 on the chambers, taken grade by grade, and since
-the top stage is every function on the chambers its evaluation matrix B
-is square and invertible.  Each stage P^k is ρ(w)-stable (by
-construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
-triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
-diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
-once per arrangement, by one `solve_square` on the sparse rows of [B | I]
-read off the monomials' chamber masks, and shared by every conjugacy
-class; it comes back as integer rows, each with one denominator, and each
-diagonal entry is an integer sum over the chamber bits of one basis
-monomial.
+perm(i).  Characters are class functions, so a group (`GroupSpec`) is kept
+as one representative per conjugacy class with the class sizes.  For the
+coordinate action of S_n the representatives are one permutation per
+cycle type, whose images are read off the forms' primitive integer rows,
+one lookup per form and class; a group file lists every element, and each
+is checked before the classes are formed.  The induced permutation of
+chambers is ρ(w).  The characters of the graded pieces are traces of
+diagonal blocks: the basis of the filtration is a set of monomials, 0/1
+on the chambers, taken grade by grade, and since the top stage is every
+function on the chambers its evaluation matrix B is square and
+invertible.  Each stage P^k is ρ(w)-stable (by construction; see
+`graded_character`), so B⁻¹ρ(w)B is block upper triangular along the flag
+P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th diagonal block is the
+character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved once per arrangement,
+by one `solve_square` on the sparse rows of [B | I] read off the
+monomials' chamber masks, and shared by every conjugacy class; it comes
+back as integer rows, each with one denominator, and each diagonal entry
+is an integer sum over the stored entries of one row.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 
 from .arrangement import Arrangement
-from .characters import cycle_type, decompose_character, partition_str
+from .characters import class_size, decompose_character, partition_str, partitions
 from .circuits import _bits, _json_kind, _read_json
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import frac, rref, solve_square
@@ -109,42 +111,26 @@ def derive_signed_permutation(A: Arrangement, matrix, translation=None) -> Signe
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite group given in full, acting by signed form permutations.
+    """A finite group acting by signed form permutations, given by one
+    representative per conjugacy class and the class sizes.
 
-    `class_of` assigns each element a conjugacy class id; `cycle_types` is
-    per class and is None for groups that are not recognized symmetric
-    groups.
+    `cycle_types` is per class and is None for groups that are not
+    recognized symmetric groups.
     """
 
     name: str
-    elements: tuple
-    class_of: tuple
+    representatives: tuple
+    class_sizes: tuple
     class_labels: tuple
     cycle_types: tuple | None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return sum(self.class_sizes)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_labels)
-
-    def class_sizes(self) -> tuple:
-        sizes = [0] * self.n_classes
-        for c in self.class_of:
-            sizes[c] += 1
-        return tuple(sizes)
-
-    def class_representatives(self) -> tuple:
-        reps = [None] * self.n_classes
-        for e, c in enumerate(self.class_of):
-            if reps[c] is None:
-                reps[c] = self.elements[e]
-        return tuple(reps)
-
-    def validate_closure(self):
-        _validate_closure(self.elements)
 
 
 def _validate_closure(elements):
@@ -163,23 +149,32 @@ def _validate_closure(elements):
 
 
 def coordinate_action(A: Arrangement) -> GroupSpec:
-    """The full symmetric group permuting the coordinates of Q^dim.
+    """The symmetric group permuting the coordinates of Q^dim, by one
+    permutation per cycle type μ, made of consecutive cycles
+    (0 1 ... μ1-1)(μ1 ...)...; classes in the order of their labels, sizes
+    from `class_size`.
 
-    Each coordinate permutation must map the arrangement to itself; its
-    conjugacy class is its cycle type, so irreducible decompositions are
-    available directly.  The permutation g sending e_i to e_{g(i)} carries
-    the form with homogenized row (a, c) to (a permuted by g, c), so each
-    image is the permuted integer row of its form, looked up by
-    `Arrangement.find_form`, which also gives the flip: one dictionary
-    lookup per form and element.
+    The permutation g sending e_i to e_{g(i)} carries the form with
+    homogenized row (a, c) to (a permuted by g, c), so each image is the
+    permuted integer row of its form, looked up by `Arrangement.find_form`,
+    which also gives the flip: one dictionary lookup per form and class.
+    This checks the whole group: for n >= 2 the representatives include the
+    transposition (0 1) and the n-cycle (0 1 ... n-1), which generate S_n;
+    a linear bijection maps distinct hyperplanes to distinct hyperplanes,
+    so if each generator maps every form onto a form, it permutes the
+    hyperplanes, and so does every product of generators.  For n <= 1 the
+    one representative is the identity.  A representative that maps some
+    form off the arrangement raises `NotASymmetryError`.
     """
     n = A.dim
     rows = A.integer_forms()
-    elements, class_of = [], []
-    labels: list[str] = []
-    types: list[tuple] = []  # the cycle type of each label
-    label_ids: dict = {}
-    for g in permutations(range(n)):
+    types = sorted(partitions(n), key=partition_str)
+    reps = []
+    for mu in types:
+        g, start = [], 0
+        for part in mu:
+            g += [start + (i + 1) % part for i in range(part)]
+            start += part
         # the image of form i has coordinate g(r) equal to its coordinate r
         ginv = sorted(range(n), key=g.__getitem__)
         perm, flips = [], []
@@ -190,22 +185,13 @@ def coordinate_action(A: Arrangement) -> GroupSpec:
                     f"image of form {A.labels[i]!r} is not in the arrangement")
             perm.append(hit[0])
             flips.append(hit[1])
-        mu = cycle_type(g)
-        key = partition_str(mu)
-        if key not in label_ids:
-            label_ids[key] = len(labels)
-            labels.append(key)
-            types.append(mu)
-        elements.append(SignedPermutation(tuple(perm), tuple(flips)))
-        class_of.append(label_ids[key])
-    order = sorted(range(len(labels)), key=lambda c: labels[c])
-    remap = {old: new for new, old in enumerate(order)}
+        reps.append(SignedPermutation(tuple(perm), tuple(flips)))
     return GroupSpec(
         name=f"S{n}-coordinates",
-        elements=tuple(elements),
-        class_of=tuple(remap[c] for c in class_of),
-        class_labels=tuple(labels[c] for c in order),
-        cycle_types=tuple(types[c] for c in order),
+        representatives=tuple(reps),
+        class_sizes=tuple(class_size(mu) for mu in types),
+        class_labels=tuple(partition_str(mu) for mu in types),
+        cycle_types=tuple(types),
     )
 
 
@@ -252,15 +238,14 @@ def group_from_json(A: Arrangement, data: dict) -> GroupSpec:
             raise NotASymmetryError(
                 f"group element {k + 1} ({images}) is not a symmetry: {exc}") from exc
     _validate_closure(elements)
-    class_of, class_labels = _conjugacy_classes(elements)
+    reps, sizes = _conjugacy_classes(elements)
+    class_labels = tuple(f"C{c + 1}" for c in range(len(reps)))
     cycle_types = None
     m = re.fullmatch(r"S(\d+)", name)
     if m:
-        cycle_types = _identify_sn_classes(int(m.group(1)), elements, class_of,
-                                           len(class_labels))
+        cycle_types = _identify_sn_classes(int(m.group(1)), reps, sizes)
         class_labels = tuple(partition_str(t) for t in cycle_types)
-    return GroupSpec(name, tuple(elements), tuple(class_of), tuple(class_labels),
-                     cycle_types)
+    return GroupSpec(name, reps, sizes, class_labels, cycle_types)
 
 
 def _label_map(value, field: str, what: str) -> dict:
@@ -279,18 +264,20 @@ def load_group(A: Arrangement, path_or_name: str) -> GroupSpec:
 
 
 def _conjugacy_classes(elements):
+    """(representatives, sizes): the first listed element of each class,
+    classes in the order of their representatives."""
     index = {w: k for k, w in enumerate(elements)}
-    class_of = [None] * len(elements)
-    next_id = 0
+    seen = [False] * len(elements)
+    reps, sizes = [], []
     for k, g in enumerate(elements):
-        if class_of[k] is not None:
+        if seen[k]:
             continue
-        for h in elements:
-            conj = h.compose(g).compose(h.inverse())
-            class_of[index[conj]] = next_id
-        next_id += 1
-    labels = tuple(f"C{c + 1}" for c in range(next_id))
-    return class_of, labels
+        members = {index[h.compose(g).compose(h.inverse())] for h in elements}
+        for m in members:
+            seen[m] = True
+        reps.append(g)
+        sizes.append(len(members))
+    return tuple(reps), tuple(sizes)
 
 
 def _element_order(w: SignedPermutation) -> int:
@@ -304,19 +291,11 @@ def _element_order(w: SignedPermutation) -> int:
     return k
 
 
-def _identify_sn_classes(n, elements, class_of, n_classes):
+def _identify_sn_classes(n, representatives, sizes):
     """Match abstract classes to cycle types by (element order, class size);
     the pair is injective over partitions of n <= 5."""
-    from .characters import class_size, partitions
-
     if n > 5:
         raise InputError("cycle-type identification from files is limited to S5")
-    sizes = [0] * n_classes
-    orders = [None] * n_classes
-    for k, c in enumerate(class_of):
-        sizes[c] += 1
-        if orders[c] is None:
-            orders[c] = _element_order(elements[k])
     lookup = {}
     for mu in partitions(n):
         key = (lcm(*mu), class_size(mu))
@@ -324,11 +303,11 @@ def _identify_sn_classes(n, elements, class_of, n_classes):
             raise ConsistencyError("ambiguous cycle-type identification")
         lookup[key] = mu
     out = []
-    for c in range(n_classes):
-        key = (orders[c], sizes[c])
+    for w, size in zip(representatives, sizes):
+        key = (_element_order(w), size)
         if key not in lookup:
             raise InputError(
-                f"class with order {orders[c]} and size {sizes[c]} does not "
+                f"class with order {key[0]} and size {size} does not "
                 f"match any cycle type of S{n}")
         out.append(lookup[key])
     return tuple(out)
@@ -404,44 +383,49 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     block upper triangular along the flag, its k-th diagonal block is ρ(w)
     on gr^k = P^k / P^{k-1}, and the grade-k character is the sum of its
     diagonal entries over the grade-k columns j.  With (ρ(w) f)[perm[c]] =
-    f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]]: one integer sum
-    over the chamber bits of column j, B⁻¹ solved once per arrangement, as
-    integer rows over a denominator p_j, and shared by every class.
+    f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]], that is the sum
+    of the entries B⁻¹[j][d] of row j whose preimage chamber perm⁻¹(d) is
+    in mask_j: one integer sum over the stored entries of row j, B⁻¹
+    solved once per arrangement, as integer rows over a denominator p_j,
+    and shared by every class.
     """
     dims, bases = filtration_data(A)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
     nch = len(A.chambers())
     # column j of B is 0/1 on the chambers: those of monomial j's mask
-    chambers_of, grade_of = [], []
+    masks, grade_of = [], []
     for k in range(top + 1):
         for subset in bases[k]:
-            chambers_of.append(list(_bits(monomial_mask(A, subset))))
+            masks.append(monomial_mask(A, subset))
             grade_of.append(k)
-    if len(chambers_of) != nch:
+    if len(masks) != nch:
         raise ConsistencyError("the top filtration stage is not every "
                                "function on the chambers")
     rows = [{} for _ in range(nch)]  # row c of B: 1 where mask j holds c
-    for j, chambers in enumerate(chambers_of):
-        for c in chambers:
+    for j, mask in enumerate(masks):
+        for c in _bits(mask):
             rows[c][j] = 1
     inverse = solve_square(rows, [{c: 1} for c in range(nch)])
     # one denominator per grade: row j scaled by den_k / p_j
     grade_den = [1] * (top + 1)
     for (_, p), k in zip(inverse, grade_of):
         grade_den[k] = lcm(grade_den[k], p)
-    reps = group.class_representatives()
     per_class = []
     chamber_vals = []
-    for w in reps:
+    for w in group.representatives:
         perm = chamber_permutation(A, w)
+        preimage = [0] * nch
+        for c, d in enumerate(perm):
+            preimage[d] = c
         sums = [0] * (top + 1)
-        for (row, p), k, chambers in zip(inverse, grade_of, chambers_of):
-            sums[k] += grade_den[k] // p * sum(row.get(perm[c], 0) for c in chambers)
+        for (row, p), k, mask in zip(inverse, grade_of, masks):
+            sums[k] += grade_den[k] // p * sum(
+                v for d, v in row.items() if mask >> preimage[d] & 1)
         per_class.append([Fraction(x, d) for x, d in zip(sums, grade_den)])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = [tuple(values[k] for values in per_class)
                     for k in range(top + 1)]
-    for c in range(len(reps)):
+    for c in range(group.n_classes):
         total = sum(grade_values[k][c] for k in range(top + 1))
         if total != chamber_vals[c]:
             raise ConsistencyError("graded characters do not sum to the "

@@ -45,6 +45,17 @@ def test_build_rejects_duplicates():
         Arrangement(2, [((1, 0), 0), ((-1, 0), 0)])
 
 
+@pytest.mark.parametrize("dim, forms, labels, message", [
+    (-1, [], None, "dimension must be nonnegative"),
+    (2, [((1, 0), 0), ((1,), 0)], None, "form length does not match the dimension"),
+    (1, [((1,), 0)], ["a", "b"], "one label per form required"),
+], ids=["negative-dim", "form-length", "labels"])
+def test_shape_errors(dim, forms, labels, message):
+    with pytest.raises(InputError) as got:
+        Arrangement(dim, forms, labels)
+    assert str(got.value) == message
+
+
 def test_duplicate_error_names_the_least_pair():
     # classes {0, 3} and {1, 2}: the pair scanned first is (0, 3), not the
     # pair (1, 2) whose second member comes first

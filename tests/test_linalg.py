@@ -695,6 +695,17 @@ def test_affine_system_consistent():
     assert not affine_system_consistent([[]], [1])
 
 
+def test_shape_errors():
+    for call in (lambda: rank([[1, 2], [3]]),
+                 lambda: affine_system_consistent([[1, 0], [1]], [0, 0])):
+        with pytest.raises(InputError) as got:
+            call()
+        assert str(got.value) == "matrix rows have unequal lengths"
+    with pytest.raises(InputError) as got:
+        affine_system_consistent([[1, 0]], [0, 1])
+    assert str(got.value) == "right-hand side length mismatch"
+
+
 def test_affine_system_consistent_matches_two_rank_oracle():
     """One elimination of [rows | rhs] agrees with rank(rows) == rank(aug)."""
     rng = random.Random(31337)

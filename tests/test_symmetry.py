@@ -8,8 +8,8 @@ import pytest
 
 import arrgr.symmetry
 import arrgr.vgring
-from arrgr.arrangement import boolean, braid, semiorder
-from arrgr.characters import cycle_type, partition_str
+from arrgr.arrangement import Arrangement, boolean, braid, semiorder
+from arrgr.characters import cycle_type, partition_str, partitions
 from arrgr.circuits import nbc_counts
 from arrgr.corpus import central_corpus
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
@@ -101,8 +101,10 @@ def test_coordinate_action_group():
     G = coordinate_action(braid(3))
     assert G.order == 6
     assert G.class_labels == ("(1,1,1)", "(2,1)", "(3)")
-    assert G.class_sizes() == (1, 3, 2)
-    G.validate_closure()
+    assert G.class_sizes == (1, 3, 2)
+    # the identity, the transposition (0 1) and the 3-cycle (0 1 2)
+    assert [w.perm for w in G.representatives] == [(0, 1, 2), (0, 2, 1), (2, 0, 1)]
+    assert not hasattr(G, "elements") and not hasattr(G, "class_of")
 
 
 def coordinate_action_oracle(A):
@@ -124,23 +126,71 @@ def coordinate_action_oracle(A):
             tuple(by_label[x] for x in labels))
 
 
+NOT_IN_THE_ARRANGEMENT = r"^image of form '[^']*' is not in the arrangement$"
+
+
 def test_coordinate_action_matches_derived_oracle(corpus_map):
+    """The class representatives against the whole group, every element
+    derived from its matrix: same labels and cycle types, sizes equal to
+    the oracle's class counts, and each representative in its class.  An
+    arrangement that some coordinate permutation does not preserve is
+    refused by both; the first failing representative may name another
+    form than the first failing permutation does."""
     cases = dict(corpus_map, braid5=braid(5), boolean5=boolean(5),
                  semiorder4=semiorder(4))
+    checked = []
     for name, A in cases.items():
         try:
-            want = coordinate_action_oracle(A)
-        except NotASymmetryError as exc:
-            with pytest.raises(NotASymmetryError) as got:
+            elements, class_of, labels, types = coordinate_action_oracle(A)
+        except NotASymmetryError:
+            with pytest.raises(NotASymmetryError, match=NOT_IN_THE_ARRANGEMENT):
                 coordinate_action(A)
-            assert str(got.value) == str(exc), name
             continue
         G = coordinate_action(A)
-        assert (G.elements, G.class_of, G.class_labels, G.cycle_types) == want, name
+        assert (G.class_labels, G.cycle_types) == (labels, types), name
+        sizes = tuple(class_of.count(c) for c in range(len(labels)))
+        assert G.class_sizes == sizes, name
+        for c, w in enumerate(G.representatives):
+            assert w in {e for e, k in zip(elements, class_of) if k == c}, (name, c)
         assert G.name == f"S{A.dim}-coordinates"
+        checked.append(name)
+    assert {"braid5", "boolean5", "semiorder4"} <= set(checked)
     with pytest.raises(NotASymmetryError) as got:
         coordinate_action(corpus_map["random8"])
     assert str(got.value) == "image of form 'g1' is not in the arrangement"
+
+
+@pytest.mark.parametrize("forms", [
+    [(1, -1, 0)],                       # kept by (0 1), not by (0 1 2)
+    [(1, 0, -1), (0, 1, 0)],            # kept by (0 2), not by (0 1)
+    [(1, 2, 0), (0, 1, 2), (2, 0, 1)],  # kept by (0 1 2), not by (0 1)
+    # kept by (0 1) and (0 1)(2 3), not by (0 1 2)
+    [(1, -1, 0, 0), (0, 0, 1, -1)],
+], ids=["x0-x1", "x0-x2,x1", "cyclic", "two-pairs"])
+def test_coordinate_action_refuses_partly_symmetric_arrangements(forms):
+    """Arrangements kept by some coordinate permutations but not by all:
+    the oracle and `coordinate_action` both refuse them."""
+    A = Arrangement(len(forms[0]), [(f, 0) for f in forms])
+    with pytest.raises(NotASymmetryError):
+        coordinate_action_oracle(A)
+    with pytest.raises(NotASymmetryError, match=NOT_IN_THE_ARRANGEMENT):
+        coordinate_action(A)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_coordinate_action_looks_up_each_form_once_per_class(monkeypatch, n):
+    A = braid(n)
+    calls = []
+    real = Arrangement.find_form
+
+    def counted(self, row):
+        calls.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(Arrangement, "find_form", counted)
+    G = coordinate_action(A)
+    assert len(calls) == len(partitions(n)) * A.n
+    assert G.n_classes == len(partitions(n)) and G.order == factorial(n)
 
 
 def stability_oracle(A, bases, perms, upto_grade):
@@ -191,7 +241,7 @@ def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
             continue
         dims, bases = filtration_data(A)
         top = max(k for k in range(len(dims)) if bases[k])
-        perms = [chamber_permutation(A, w) for w in group.class_representatives()]
+        perms = [chamber_permutation(A, w) for w in group.representatives]
         stability_oracle(A, bases, perms, top)
         checked.append(name)
     assert {"braid5", "boolean5", "semiorder4"} <= set(checked)
@@ -348,8 +398,9 @@ def test_antipodal_map_acts_by_the_grade_sign(name):
     A = braid(5) if name == "braid5" else dict(central_corpus())[name]
     group = antipodal_group(A)
     assert group.n_classes == 2
-    minus = group.class_of[group.elements.index(
-        SignedPermutation(tuple(range(A.n)), (-1,) * A.n))]
+    assert group.class_sizes == (1, 1)
+    minus = group.representatives.index(
+        SignedPermutation(tuple(range(A.n)), (-1,) * A.n))
     gc = graded_character(A, group)
     nbc = nbc_counts(A)
     assert len(gc.grade_values) == len(nbc)
@@ -363,7 +414,7 @@ def oracle_grade_values(A, group, bases):
     `dense_projection_trace_oracle` on the filtration basis `bases`."""
     top = max(k for k in range(len(bases)) if bases[k])
     per_class = []
-    for w in group.class_representatives():
+    for w in group.representatives:
         perm = chamber_permutation(A, w)
         traces = [dense_projection_trace_oracle(A, bases, perm, k)
                   for k in range(top + 1)]
@@ -416,7 +467,7 @@ def test_graded_character_matches_dense_oracle(make, own_basis):
     bases = (filtration_data(A)[1] if own_basis
              else nbc_grades(A, tuple(reversed(range(A.n)))))
     assert list(gc.grade_values) == oracle_grade_values(A, group, bases)
-    for c, w in enumerate(group.class_representatives()):
+    for c, w in enumerate(group.representatives):
         perm = chamber_permutation(A, w)
         assert gc.chamber_values[c] == sum(1 for i, j in enumerate(perm) if i == j)
     assert all(type(v) is Fraction
@@ -461,22 +512,55 @@ def test_boolean_action_has_flips():
     assert w2.perm == (0, 1, 2) and w2.flips == (-1, 1, 1)
 
 
-def test_group_file_roundtrip(tmp_path):
-    A = braid(3)
-    G = coordinate_action(A)
+def group_file(A, name, elements):
+    """The group file listing `elements`, flips only where they are -1."""
     entries = []
-    for w in G.elements:
+    for w in elements:
         entry = {"perm": {A.labels[i]: A.labels[j] for i, j in enumerate(w.perm)}}
         flips = {A.labels[i]: s for i, s in enumerate(w.flips) if s < 0}
         if flips:
             entry["flips"] = flips
         entries.append(entry)
+    return {"group": name, "action": entries}
+
+
+def test_group_file_roundtrip(tmp_path):
+    A = braid(3)
+    G = coordinate_action(A)
+    elements, class_of, _, _ = coordinate_action_oracle(A)
     path = tmp_path / "s3.json"
-    path.write_text(json.dumps({"group": "S3", "action": entries}))
+    path.write_text(json.dumps(group_file(A, "S3", elements)))
     G2 = load_group(A, str(path))
     assert G2.cycle_types == G.cycle_types
+    assert G2.class_sizes == G.class_sizes
+    # the first listed element of each class represents it
+    assert G2.representatives == tuple(elements[class_of.index(c)] for c in range(3))
     assert graded_character(A, G2).grade_values \
         == graded_character(A, G).grade_values
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_coordinate_characters_equal_the_full_listing(n):
+    """The characters of the class representatives equal those of every
+    element of S_n, listed in a group file and classed by conjugation."""
+    A = braid(n)
+    G = coordinate_action(A)
+    full = group_from_json(A, group_file(A, f"S{n}", coordinate_action_oracle(A)[0]))
+    assert full.order == G.order == factorial(n)
+    assert sorted(zip(full.cycle_types, full.class_sizes)) \
+        == sorted(zip(G.cycle_types, G.class_sizes))
+    by_type = [dict(zip(group.cycle_types, zip(*gc.grade_values, gc.chamber_values)))
+               for group, gc in ((G, graded_character(A, G)),
+                                 (full, graded_character(A, full)))]
+    assert by_type[0] == by_type[1]
+
+
+IDENTITY3 = {"perm": {"12": "12", "13": "13", "23": "23"}}
+# braid 3: the coordinate transpositions (0 1) and (1 2), and the 3-cycle
+# sending e_i to e_{i+1}; each is a symmetry
+SWAP01 = {"perm": {"12": "12", "13": "23", "23": "13"}, "flips": {"12": -1}}
+SWAP12 = {"perm": {"12": "13", "13": "12", "23": "23"}, "flips": {"23": -1}}
+CYCLE3 = {"perm": {"12": "23", "13": "12", "23": "13"}, "flips": {"13": -1, "23": -1}}
 
 
 def test_group_file_validation():
@@ -485,20 +569,36 @@ def test_group_file_validation():
         group_from_json(A, {"group": "S3"})
     # integer labels name hyperplanes by their label strings
     G = group_from_json(A, {"action": [{"perm": {"12": 12, "13": 13, "23": 23}}]})
-    assert G.elements == (SignedPermutation.identity(3),)
+    assert G.representatives == (SignedPermutation.identity(3),)
+    assert G.class_sizes == (1,) and G.class_labels == ("C1",)
     # a fractional flip is rejected, not truncated to an integer
-    identity = {"perm": {"12": "12", "13": "13", "23": "23"}}
     with pytest.raises(InputError, match="must be the integer 1 or -1, not a float"):
-        group_from_json(A, {"group": "W", "action": [dict(identity, flips={"12": 1.5})]})
-    # not closed under composition: a lone transposition action
-    entries = [
-        {"perm": {"12": "12", "13": "13", "23": "23"}},
-        {"perm": {"12": "12", "13": "23", "23": "13"}, "flips": {"12": -1}},
-    ]
-    bad = {"group": "W", "action": entries + [
-        {"perm": {"12": "13", "13": "12", "23": "23"}}]}
-    with pytest.raises(InputError):
-        group_from_json(A, bad)
+        group_from_json(A, {"action": [dict(IDENTITY3, flips={"12": 1.5})]})
+    # the three elements are symmetries and their own inverses, but the
+    # product of the two transpositions is a 3-cycle
+    group_from_json(A, {"group": "W", "action": [IDENTITY3, SWAP01]})
+    with pytest.raises(InputError) as exc:
+        group_from_json(A, {"group": "W", "action": [IDENTITY3, SWAP01, SWAP12]})
+    assert str(exc.value) == "group not closed under composition"
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"action": [IDENTITY3, IDENTITY3]}, "group contains repeated elements"),
+    ({"action": [SWAP01]}, "group does not contain the identity"),
+    ({"action": [IDENTITY3, CYCLE3]}, "group not closed under inverse"),
+    ({"action": [{"perm": {"12": "12", "13": "13"}}]},
+     "group element must map every hyperplane"),
+    ({"group": "S6", "action": [IDENTITY3]},
+     "cycle-type identification from files is limited to S5"),
+    ({"group": "S3", "action": [IDENTITY3, SWAP01]},
+     "class with order 2 and size 1 does not match any cycle type of S3"),
+    ([IDENTITY3], "group file must hold a JSON object"),
+], ids=["repeated", "no-identity", "no-inverse", "unmapped", "S6", "cycle-type",
+        "not-an-object"])
+def test_group_file_errors(data, message):
+    with pytest.raises(InputError) as exc:
+        group_from_json(braid(3), data)
+    assert str(exc.value) == message
 
 
 def test_consistency_error_on_fake_symmetry():

@@ -40,10 +40,11 @@ peak_rss_mib, the peak resident set size of its interpreter
               straighten_s, `straighten(Poly.monomial(s))` for every subset
               s of the hyperplanes on an empty straightening table, and
               axioms_s, one `validate_circuit_axioms`.
-  characters  after the chambers and the coordinate action of S_n: cold_s,
-              the first `graded_character` (filtration included), and
-              warm_s, a second call (braid6 and braid7 are stretch
-              rungs; braid7 is in no default ladder).
+  characters  after the chambers: group_s, a cold `coordinate_action`,
+              then cold_s, the first `graded_character` under it
+              (filtration included), and warm_s, a second call (braid6
+              and braid7 are stretch rungs; braid7 is in no default
+              ladder).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, a cold
@@ -166,12 +167,13 @@ def measure_characters(rung: str) -> dict:
 
     [A] = _make(rung)
     chambers = len(A.chambers())
-    group = coordinate_action(A)
+    group, group_s = _timed(coordinate_action, A)
     gc, cold_s = _timed(graded_character, A, group)
     _, warm_s = _timed(graded_character, A, group)
     values = [[str(v) for v in row] for row in gc.grade_values + (gc.chamber_values,)]
     return {"chambers": chambers, "classes": group.n_classes,
-            "cold_s": cold_s, "warm_s": warm_s, "values_md5": _md5(values)}
+            "group_s": group_s, "cold_s": cold_s, "warm_s": warm_s,
+            "values_md5": _md5(values)}
 
 
 def measure_filtration(rung: str) -> dict:
@@ -246,8 +248,8 @@ LAYERS = {
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
          "semiorder3", "semiorder4"], measure_characters, 5,
         {"braid6": 3, "braid7": 3},
-        "graded_character under the coordinate action of S_n, cold (first "
-        "call, filtration included) and warm (second call)"),
+        "a cold coordinate_action of S_n, then graded_character under it, "
+        "cold (first call, filtration included) and warm (second call)"),
     "filtration": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
