@@ -1,9 +1,9 @@
 """The end-to-end verification battery.
 
 Each criterion function returns a CriterionResult; `run_all` executes the
-whole battery.  The oracles used here (monomial-space quotients,
-permutation-character bootstrap) are deliberately independent of the code
-paths they certify.
+whole battery.  The oracles used here (monomial-space quotients, the exact
+filtration echelon, permutation-character bootstrap) are deliberately
+independent of the code paths they certify.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .linalg import SparseEchelon, affine_system_consistent
 from .polyring import Poly
 from .rees import rees_relation_families, rees_hilbert_check, specialize
 from .symmetry import coordinate_action, graded_character
-from .vgring import (_eliminate_grades, filtration_profile,
+from .vgring import (_plus_masks, filtration_profile, monomial_mask,
                      presentation_dimension, verify_relations)
 
 
@@ -116,11 +116,58 @@ def straightening_span_dims(A) -> tuple:
     return tuple(e.rank for e in echelons)
 
 
+def _chamber_keys(A) -> tuple:
+    """Per chamber c, its rank in the order (number of '+' signs, chamber
+    index): the column key of chamber c in `exact_filtration_oracle`."""
+    plus = _plus_masks(A)
+    order = sorted(range(len(plus)), key=lambda c: (plus[c].bit_count(), c))
+    keys = [0] * len(order)
+    for rank, c in enumerate(order):
+        keys[c] = rank
+    return tuple(keys)
+
+
+def _keyed_column(mask: int, keys) -> dict:
+    """The 0/1 chamber function of a chamber bitmask as an integer dict
+    {keys[c]: 1} over the chambers c in `mask`."""
+    out = {}
+    while mask:
+        low = mask & -mask
+        out[keys[low.bit_length() - 1]] = 1
+        mask ^= low
+    return out
+
+
+def exact_filtration_oracle(A):
+    """(dims, bases) of `filtration_data` by an exact echelon that assumes
+    no basis theorem: every monomial's 0/1 chamber column, each grade
+    scanned backwards in lexicographic order, into a `SparseEchelon` until
+    the span is full.  Columns are keyed by chamber plus-count
+    (`_chamber_keys`), so a column's least key is a chamber few other
+    monomials contain and the pivot rows stay sparse."""
+    nch = len(A.chambers())
+    keys = _chamber_keys(A)
+    ech = SparseEchelon()
+    dims = []
+    bases = []
+    for k in range(A.n + 1):
+        grade = []
+        if ech.rank < nch:
+            for subset in reversed(list(combinations(range(A.n), k))):
+                if ech.add(_keyed_column(monomial_mask(A, subset), keys)):
+                    grade.append(frozenset(subset))
+                    if ech.rank == nch:
+                        break  # the span is full: later inserts add nothing
+        dims.append(ech.rank)
+        bases.append(grade)
+    return (tuple(dims), bases)
+
+
 def criterion_3() -> CriterionResult:
     """gr P^k, the NBC counts and the straightening span agree, grade by
     grade, and sum to the chamber count.  `filtration_profile` reads its
     dims from the NBC sets, so they are also compared with the exact echelon
-    of every monomial (`_eliminate_grades`), which assumes no basis
+    of every monomial (`exact_filtration_oracle`), which assumes no basis
     theorem."""
     bad = []
     for name, A in corpus():
@@ -129,7 +176,7 @@ def criterion_3() -> CriterionResult:
         nbc = _trim(nbc_counts(A))
         span = _trim(straightening_span_dims(A))
         total = len(A.chambers())
-        exact = _eliminate_grades(A)[0]
+        exact = exact_filtration_oracle(A)[0]
         if not (gr == nbc == span and sum(gr) == total):
             bad.append(f"{name}: gr={gr} nbc={nbc} span={span} chambers={total}")
         if profile.dims != exact:

@@ -15,11 +15,12 @@ function on the chambers its evaluation matrix B is square and
 invertible.  Each stage P^k is ρ(w)-stable (by construction; see
 `graded_character`), so B⁻¹ρ(w)B is block upper triangular along the flag
 P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th diagonal block is the
-character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved once per arrangement,
-by one `solve_square` on the sparse rows of [B | I] read off the
-monomials' chamber masks, and shared by every conjugacy class; it comes
-back as integer rows, each with one denominator, and each diagonal entry
-is an integer sum over the stored entries of one row.
+character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved once per call, by one
+`solve_square` on the sparse rows of [B | I] read off the monomials'
+chamber masks, and shared by every conjugacy class.  The NBC monomials
+are a Z-basis (Varchenko-Gelfand 1987), so B⁻¹ is integral (a denominator
+other than 1 raises `ConsistencyError`) and each diagonal entry is an
+integer sum over the stored entries of one row.
 """
 
 from __future__ import annotations
@@ -386,8 +387,9 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]], that is the sum
     of the entries B⁻¹[j][d] of row j whose preimage chamber perm⁻¹(d) is
     in mask_j: one integer sum over the stored entries of row j, B⁻¹
-    solved once per arrangement, as integer rows over a denominator p_j,
-    and shared by every class.
+    solved once per call and shared by every class.  B⁻¹ is integral
+    (the NBC monomials are a Z-basis of the chamber functions), so a row
+    with a denominator other than 1 raises `ConsistencyError`.
     """
     dims, bases = filtration_data(A)
     top = max((k for k in range(len(dims)) if bases[k]), default=0)
@@ -406,10 +408,8 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
         for c in _bits(mask):
             rows[c][j] = 1
     inverse = solve_square(rows, [{c: 1} for c in range(nch)])
-    # one denominator per grade: row j scaled by den_k / p_j
-    grade_den = [1] * (top + 1)
-    for (_, p), k in zip(inverse, grade_of):
-        grade_den[k] = lcm(grade_den[k], p)
+    if any(p != 1 for _, p in inverse):
+        raise ConsistencyError("the inverse of the NBC evaluation matrix is not integral")
     per_class = []
     chamber_vals = []
     for w in group.representatives:
@@ -418,10 +418,9 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
         for c, d in enumerate(perm):
             preimage[d] = c
         sums = [0] * (top + 1)
-        for (row, p), k, mask in zip(inverse, grade_of, masks):
-            sums[k] += grade_den[k] // p * sum(
-                v for d, v in row.items() if mask >> preimage[d] & 1)
-        per_class.append([Fraction(x, d) for x, d in zip(sums, grade_den)])
+        for (row, _), k, mask in zip(inverse, grade_of, masks):
+            sums[k] += sum(v for d, v in row.items() if mask >> preimage[d] & 1)
+        per_class.append([Fraction(x) for x in sums])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = [tuple(values[k] for values in per_class)
                     for k in range(top + 1)]

@@ -39,12 +39,10 @@ Q.  The relations of the circuits and of the minimal empty flats,
 checked to vanish on the chambers, give the upper bound: through them
 every monomial rewrites into NBC monomials of no larger degree.  When the
 bounds meet, the dims are the NBC partial sums and the pivots the NBC sets
-of the default ordering.  Otherwise the exact path `_eliminate_grades`
-answers: an echelon of every monomial's chamber column, grade by grade,
-each column an integer dict keyed by chamber plus-count (the rank of its
-chamber in the order (number of '+' signs, chamber index)), so that a
-column's least key is a chamber few other monomials contain and the pivot
-rows stay sparse.
+of the default ordering.  By the theorem they meet on a correct circuit
+scan, so a failed bound raises `ConsistencyError`.  The exact echelon of
+every monomial's chamber column, which assumes no basis theorem, is
+criterion 3's oracle `acceptance.exact_filtration_oracle`.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -69,13 +67,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, compress
 
 from .arrangement import Arrangement
 from .circuits import (SignedSet, _mask, canonical_circuits, circuit_scan,
                        nbc_counts, nbc_sets)
-from .errors import InputError, ResourceBoundError
-from .linalg import SparseEchelon
+from .errors import ConsistencyError, InputError, ResourceBoundError
 from .polyring import Poly
 
 
@@ -121,30 +118,6 @@ def _plus_masks(A: Arrangement) -> tuple:
         for signs in A.chambers()))
 
 
-def _chamber_keys(A: Arrangement) -> tuple:
-    """Per chamber c, its rank in the order (number of '+' signs, chamber
-    index): the echelon column key of chamber c."""
-    def compute():
-        plus = _plus_masks(A)
-        order = sorted(range(len(plus)), key=lambda c: (plus[c].bit_count(), c))
-        keys = [0] * len(order)
-        for rank, c in enumerate(order):
-            keys[c] = rank
-        return tuple(keys)
-    return A._memo("chamber_keys", compute)
-
-
-def _keyed_column(mask: int, keys) -> dict:
-    """The 0/1 chamber function of a chamber bitmask as an integer dict
-    {keys[c]: 1} over the chambers c in `mask`."""
-    out = {}
-    while mask:
-        low = mask & -mask
-        out[keys[low.bit_length() - 1]] = 1
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class FiltrationProfile:
     """dims[k] = dim P^k for k = 0..n; gr_dims are successive differences."""
@@ -170,27 +143,22 @@ def filtration_data(A: Arrangement):
     lexicographically and comes first in the backward scan.  So every
     other monomial lies in the span of the NBC monomials scanned before
     it, and the NBC monomials are independent, so they are exactly the
-    pivots, in scan order.  When the certificate fails, the exact echelon
-    `_eliminate_grades` answers.
+    pivots, in scan order.  A failed certificate raises
+    `ConsistencyError` (see `_nbc_dims`).
     """
-    return A._memo("filtration", lambda: _nbc_filtration(A) or _eliminate_grades(A))
+    def build():
+        dims = _nbc_dims(A)
+        bases = [[] for _ in range(A.n + 1)]
+        for s in reversed(nbc_sets(A)):  # each grade backwards, lexicographically
+            bases[len(s)].append(s)
+        return dims, bases
+    return A._memo("filtration", build)
 
 
-def _nbc_filtration(A: Arrangement):
-    """(dims, bases) of `filtration_data` from the certified NBC sets, or
-    None when `_nbc_dims` does not certify them."""
-    dims = _nbc_dims(A)
-    if dims is None:
-        return None
-    bases = [[] for _ in range(A.n + 1)]
-    for s in reversed(nbc_sets(A)):  # each grade backwards, lexicographically
-        bases[len(s)].append(s)
-    return dims, bases
-
-
-def _nbc_dims(A: Arrangement):
+def _nbc_dims(A: Arrangement) -> tuple:
     """dim P^k for k = 0..n as the partial sums of the NBC counts of the
-    default ordering, when an exact certificate holds, else None; memoized.
+    default ordering, certified exactly; a failed bound raises
+    `ConsistencyError`.
 
     Lower bound: the NBC monomials' 0/1 chamber columns are independent
     over GF(2) (`_independent_mod_2`).  Independent 0/1 columns have a
@@ -217,14 +185,18 @@ def _nbc_dims(A: Arrangement):
     Neither half trusts the circuit scan: the upper bound rewrites only
     with relations checked to vanish, the lower bound reads only the
     columns, and a missing circuit or empty flat that adds NBC sets leaves
-    more columns than dim P^n, which cannot be independent.
+    more columns than dim P^n, which cannot be independent.  The NBC sets
+    are a Z-basis (Varchenko-Gelfand 1987), so on a correct scan both
+    bounds hold: the NBC columns' determinant is +-1, which is odd.
     """
-    def build():
-        if not (_relations_vanish(A) and _independent_mod_2(A, nbc_sets(A))):
-            return None
-        counts = nbc_counts(A)
-        return tuple(accumulate(counts + (0,) * (A.n + 1 - len(counts))))
-    return A._memo("nbc_dims", build)
+    if not _relations_vanish(A):
+        raise ConsistencyError("NBC certificate failed: a circuit or empty-flat "
+                               "relation is nonzero on the chambers")
+    if not _independent_mod_2(A, nbc_sets(A)):
+        raise ConsistencyError("NBC certificate failed: the NBC columns are "
+                               "dependent mod 2")
+    counts = nbc_counts(A)
+    return tuple(accumulate(counts + (0,) * (A.n + 1 - len(counts))))
 
 
 def _independent_mod_2(A: Arrangement, sets) -> bool:
@@ -267,29 +239,6 @@ def _relations_vanish(A: Arrangement) -> bool:
         return not any(_nonzero_chambers(A, *_relation_points(family, X))
                        for family, X in rels)
     return A._memo("relations_vanish", compute)
-
-
-def _eliminate_grades(A: Arrangement):
-    """The exact path of `filtration_data`: every monomial's 0/1 chamber
-    column, each grade scanned backwards, into a `SparseEchelon` keyed by
-    chamber plus-count, until the span is full.  It assumes no basis
-    theorem."""
-    nch = len(A.chambers())
-    keys = _chamber_keys(A)
-    ech = SparseEchelon()
-    dims = []
-    bases = []
-    for k in range(A.n + 1):
-        grade = []
-        if ech.rank < nch:
-            for subset in reversed(list(combinations(range(A.n), k))):
-                if ech.add(_keyed_column(monomial_mask(A, subset), keys)):
-                    grade.append(frozenset(subset))
-                    if ech.rank == nch:
-                        break  # the span is full: later inserts add nothing
-        dims.append(ech.rank)
-        bases.append(grade)
-    return (tuple(dims), bases)
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:

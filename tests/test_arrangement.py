@@ -56,6 +56,24 @@ def test_shape_errors(dim, forms, labels, message):
     assert str(got.value) == message
 
 
+def test_equal_forms_and_arrangements_are_equal_dict_keys():
+    """Forms with equal coefficients, and arrangements with equal forms and
+    labels, compare and hash equal and find each other as dict keys; a
+    multiple of a form, or other labels, is another key."""
+    f = AffineForm((1, Fraction(1, 2)), 3)
+    g = AffineForm((Fraction(2, 2), Fraction(2, 4)), Fraction(6, 2))
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert {f: "f"}[g] == "f"
+    assert f != AffineForm((2, 1), 6) and f != f.homogenized()
+    assert len({f, g, AffineForm((2, 1), 6)}) == 2
+    A, B = braid(3), braid(3)
+    assert A == B and hash(A) == hash(B) and A is not B
+    assert {A: "braid3"}[B] == "braid3"
+    relabelled = Arrangement(3, A.forms, ["a", "b", "c"])
+    assert relabelled != A and relabelled not in {A: 0}
+    assert Arrangement(3, A.forms, A.labels) == A and A != A.forms
+
+
 def test_duplicate_error_names_the_least_pair():
     # classes {0, 3} and {1, 2}: the pair scanned first is (0, 3), not the
     # pair (1, 2) whose second member comes first

@@ -99,6 +99,14 @@ def test_mn_size_mismatch():
         mn_character((2, 1), (2, 2))
 
 
+@pytest.mark.parametrize("lam, mu", [((2, 0), (1, 1)), ((2,), (3, -1))],
+                         ids=["zero-part", "negative-part"])
+def test_mn_parts_must_be_positive(lam, mu):
+    with pytest.raises(InputError) as exc:
+        mn_character(lam, mu)
+    assert str(exc.value) == "partition parts must be positive"
+
+
 def test_decompose_regular_s3():
     values = {(1, 1, 1): Fraction(6), (2, 1): Fraction(0), (3,): Fraction(0)}
     assert decompose_character(values, 3) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}

@@ -53,6 +53,18 @@ def test_signed_set_validation():
         SignedSet(frozenset(), frozenset())
 
 
+def test_circuit_set_and_ordering_errors():
+    """A circuit's support must lie in the ground set, and an ordering must
+    be a permutation of the ground indices."""
+    with pytest.raises(InputError) as exc:
+        CircuitSet(["a", "b"], [SignedSet(frozenset({0}), frozenset({2}))])
+    assert str(exc.value) == "circuit support outside the ground set"
+    for ordering in ((0, 0, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(InputError) as exc:
+            nbc_sets(braid(3), ordering)
+        assert str(exc.value) == "ordering must be a permutation of the ground indices"
+
+
 def test_braid3_circuits():
     C = circuits_from_arrangement(braid(3))
     X = SignedSet(frozenset({0, 2}), frozenset({1}))

@@ -77,6 +77,19 @@ def test_multiply_unit_and_consistency():
     assert (x12 * x12).is_zero
 
 
+def test_algebra_input_errors():
+    """The algebra takes only an arrangement or a circuit system, and an
+    element only coordinates on NBC sets: on braid 3, {0, 1} is the broken
+    circuit of its one circuit {0, 1, 2}."""
+    with pytest.raises(InputError) as exc:
+        CordovilAlgebra("x")
+    assert str(exc.value) == "source must be an Arrangement or a CircuitSet"
+    alg = CordovilAlgebra(braid(3))
+    with pytest.raises(InputError) as exc:
+        alg.element({frozenset({0, 1}): 1})
+    assert str(exc.value) == "coordinates indexed by a non-NBC set"
+
+
 def test_multiply_rejects_mixed_contexts():
     a = CordovilAlgebra(braid(3)).one()
     b = CordovilAlgebra(braid(4)).one()

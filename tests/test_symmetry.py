@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import arrgr.symmetry
-import arrgr.vgring
+from arrgr.acceptance import _chamber_keys, _keyed_column
 from arrgr.arrangement import Arrangement, boolean, braid, semiorder
 from arrgr.characters import cycle_type, partition_str, partitions
 from arrgr.circuits import nbc_counts
@@ -18,8 +18,7 @@ from arrgr.symmetry import (SignedPermutation, chamber_permutation,
                             coordinate_action, derive_signed_permutation,
                             fixed_chambers, graded_character, group_from_json,
                             load_group)
-from arrgr.vgring import (_chamber_keys, _eliminate_grades, _keyed_column,
-                          filtration_data, monomial_eval, monomial_mask)
+from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
 from test_linalg import fraction_rref_oracle, nbc_grades
 
 
@@ -71,6 +70,26 @@ def test_signed_permutation_composition_matches_maps():
     assert w1.compose(w2) == derive_signed_permutation(A, m)
     assert w1.compose(w1) == SignedPermutation.identity(3)
     assert w1.inverse() == w1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SignedPermutation((0, 0), (1, 1)), "signed permutation data malformed"),
+    (lambda: SignedPermutation((0, 1), (1,)), "signed permutation data malformed"),
+    (lambda: SignedPermutation((0, 1), (1, 0)), "flips must be +1 or -1"),
+    (lambda: SignedPermutation.identity(2).compose(SignedPermutation.identity(3)),
+     "size mismatch in composition"),
+    (lambda: derive_signed_permutation(braid(3), [[1, 0], [0, 1]]),
+     "matrix must be square of the arrangement dimension"),
+    (lambda: derive_signed_permutation(braid(3), [[1, 0, 0], [0, 1], [0, 0, 1]]),
+     "matrix must be square of the arrangement dimension"),
+    (lambda: derive_signed_permutation(braid(3), swap_matrix(3, 0, 1), [0, 0]),
+     "translation length mismatch"),
+], ids=["repeated-image", "short-flips", "zero-flip", "compose-sizes",
+        "matrix-size", "ragged-matrix", "translation-length"])
+def test_signed_permutation_errors(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_chamber_permutation_identity():
@@ -248,14 +267,11 @@ def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
 
 
 def test_cached_filtration_characters_run_no_echelon(monkeypatch):
-    """With the filtration cached from the exact path (`_eliminate_grades`,
-    the NBC certificate switched off), the characters insert no echelon
+    """With the filtration cached, the characters insert no echelon
     column: each stage's stability is not re-derived."""
     A = braid(4)
     group = coordinate_action(A)
-    monkeypatch.setattr(arrgr.vgring, "_nbc_filtration", lambda A: None)
-    assert filtration_data(A) == _eliminate_grades(A)
-    monkeypatch.undo()
+    filtration_data(A)
     adds = []
     real = SparseEchelon.add
 
@@ -268,9 +284,10 @@ def test_cached_filtration_characters_run_no_echelon(monkeypatch):
     assert adds == []
 
 
-def test_one_solve_per_arrangement(monkeypatch):
-    """B⁻¹ is solved once per arrangement, on the square chamber
-    evaluation matrix of the whole basis, and shared by every class."""
+def test_one_solve_per_call(monkeypatch):
+    """Each call of `graded_character` solves B⁻¹ once, on the square
+    chamber evaluation matrix of the whole basis, and shares it with every
+    class; nothing is memoized, so a second call solves again."""
     calls = []
     real = arrgr.symmetry.solve_square
 
@@ -283,8 +300,27 @@ def test_one_solve_per_arrangement(monkeypatch):
     group = coordinate_action(A)
     assert group.n_classes == 5
     graded_character(A, group)
-    # one square solve over the 24 chambers, not one per stage
+    # one square solve over the 24 chambers, not one per stage or class
     assert calls == [24]
+    graded_character(A, group)
+    assert calls == [24, 24]
+
+
+def test_graded_character_refuses_a_non_integral_inverse(monkeypatch):
+    """B⁻¹ is integral, so a row of `solve_square` with a denominator
+    other than 1 raises instead of entering the characters."""
+    real = arrgr.symmetry.solve_square
+
+    def halved(B, rhs):
+        out = real(B, rhs)
+        assert all(p == 1 for _, p in out)
+        return [(row, 2 if c == len(out) - 1 else p) for c, (row, p) in enumerate(out)]
+
+    monkeypatch.setattr(arrgr.symmetry, "solve_square", halved)
+    A = braid(3)
+    with pytest.raises(ConsistencyError) as exc:
+        graded_character(A, coordinate_action(A))
+    assert str(exc.value) == "the inverse of the NBC evaluation matrix is not integral"
 
 
 @pytest.mark.parametrize("A", [braid(4), semiorder(3)], ids=["braid4", "semiorder3"])
@@ -537,6 +573,17 @@ def test_group_file_roundtrip(tmp_path):
     assert G2.representatives == tuple(elements[class_of.index(c)] for c in range(3))
     assert graded_character(A, G2).grade_values \
         == graded_character(A, G).grade_values
+
+
+def test_sn_coordinates_group_file(tmp_path):
+    """A group file naming the built-in coordinate action loads, by path,
+    the same group as the built-in, with the same characters."""
+    A = braid(4)
+    path = tmp_path / "sn.json"
+    path.write_text(json.dumps({"group": "Sn-coordinates"}))
+    G = load_group(A, str(path))
+    assert G == coordinate_action(A) == load_group(A, "Sn-coordinates")
+    assert graded_character(A, G) == graded_character(A, coordinate_action(A))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 import arrgr.vgring
+from arrgr.acceptance import exact_filtration_oracle, _chamber_keys
 from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
                                restrict, semiorder)
 from arrgr.circuits import (_mask, canonical_circuits, circuit_scan, nbc_counts,
@@ -14,7 +15,7 @@ from arrgr.cordovil import (CordovilAlgebra, LeadingFormReport,
                             circuit_boundary, leading_form_check)
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
-from arrgr.errors import InputError, ResourceBoundError
+from arrgr.errors import ConsistencyError, InputError, ResourceBoundError
 from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
 from arrgr.rees import rees_relation_families, specialize
@@ -22,9 +23,8 @@ from arrgr.symmetry import coordinate_action, graded_character
 from arrgr.vgring import (Relation, filtration_data, filtration_profile,
                           heaviside, monomial_eval, monomial_mask,
                           presentation_dimension, vg_relation_families,
-                          verify_relations, _chamber_keys, _common_zeros,
-                          _eliminate_grades, _independent_mod_2, _nbc_dims,
-                          _relation_nonzeros)
+                          verify_relations, _common_zeros,
+                          _independent_mod_2, _nbc_dims, _relation_nonzeros)
 from test_linalg import nbc_grades
 from test_polyring import squarefree_reduce_oracle
 
@@ -145,9 +145,9 @@ def fraction_tuple_filtration(A, reverse):
 
 
 def test_filtration_stops_inserting_at_full_rank(monkeypatch):
-    """The exact path `_eliminate_grades`: braid 5 reaches full rank inside
-    grade 4; no monomial is inserted after that, and dims and bases equal
-    those of inserting every one."""
+    """The exact echelon `exact_filtration_oracle`: braid 5 reaches full
+    rank inside grade 4; no monomial is inserted after that, and dims and
+    bases equal those of inserting every one."""
     A = braid(5)
     nch = len(A.chambers())
     ranks_at_add = []
@@ -158,7 +158,7 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(SparseEchelon, "add", counted_add)
-    dims, bases = _eliminate_grades(A)
+    dims, bases = exact_filtration_oracle(A)
     monkeypatch.undo()
     assert ranks_at_add and max(ranks_at_add) < nch
     want_dims, want_bases = fraction_tuple_filtration(A, True)
@@ -169,18 +169,18 @@ def test_filtration_stops_inserting_at_full_rank(monkeypatch):
 
 @pytest.mark.parametrize("name", ("semiorder4", "boolean7"))
 def test_plus_count_keys_match_fraction_tuple_oracle(name):
-    """The exact path's echelon (`_eliminate_grades`), keyed by chamber
+    """The exact echelon (`exact_filtration_oracle`), keyed by chamber
     plus-count, accepts the same monomials as the Fraction-tuple echelon
     keyed by chamber index."""
     A = semiorder(4) if name == "semiorder4" else boolean(7)
-    dims, bases = _eliminate_grades(A)
+    dims, bases = exact_filtration_oracle(A)
     want_dims, want_bases = fraction_tuple_filtration(A, True)
     assert dims == want_dims
     assert bases == want_bases
 
 
 def test_chamber_keys_order_by_plus_count(corpus_map):
-    """The keys of the exact path's echelon (`_eliminate_grades`) rank the
+    """The keys of the exact echelon (`exact_filtration_oracle`) rank the
     chambers by number of '+' signs, then by chamber index: a chamber that
     many monomials hold gets a late key."""
     for name, A in corpus_map.items():
@@ -211,8 +211,8 @@ def test_certified_filtration_matches_the_exact_echelon(corpus_map):
                  boolean7=boolean(7),
                  random_seed1=random_rational_arrangement(seed=1))
     for name, A in cases.items():
-        assert _nbc_dims(A) is not None, name
-        want = _eliminate_grades(A)
+        want = exact_filtration_oracle(A)
+        assert _nbc_dims(A) == want[0], name
         assert filtration_data(A) == want, name
         assert filtration_profile(A).dims == want[0], name
 
@@ -234,32 +234,34 @@ def test_one_filtration_per_arrangement():
 
 def test_certified_dims_match_the_exact_echelon_at_braid6():
     A = braid(6)
-    assert filtration_profile(A).dims == _eliminate_grades(A)[0]
-    assert _nbc_dims(A) is not None
+    assert filtration_profile(A).dims == exact_filtration_oracle(A)[0]
 
 
-def counted_exact_path(monkeypatch):
-    """Wrap `_eliminate_grades`; the list records each run."""
-    runs = []
-    exact = _eliminate_grades
-
-    def counted(A):
-        runs.append(1)
-        return exact(A)
-
-    monkeypatch.setattr(arrgr.vgring, "_eliminate_grades", counted)
-    return runs
+RELATION_NONZERO = ("NBC certificate failed: a circuit or empty-flat "
+                    "relation is nonzero on the chambers")
+DEPENDENT_MOD_2 = "NBC certificate failed: the NBC columns are dependent mod 2"
 
 
-def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
+def assert_certificate_raises(A, message):
+    """`filtration_data`, `filtration_profile` and `graded_character` each
+    raise `ConsistencyError` with exactly `message`."""
+    group = coordinate_action(A)
+    for call in (lambda: filtration_data(A), lambda: filtration_profile(A),
+                 lambda: graded_character(A, group)):
+        with pytest.raises(ConsistencyError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert "filtration" not in A._cache
+
+
+def test_filtration_raises_when_a_relation_is_nonzero(monkeypatch):
     """A certificate relation forced nonzero on the chambers breaks the
-    upper bound: `filtration_data` and `filtration_profile` answer from
-    the exact echelon, with the same values.  braid 4 loses a circuit's
-    family-(3) relation, semiorder 3 (no circuit) an empty flat's
-    family-(2) relation."""
-    for A, make in ((braid(4), lambda: braid(4)),
-                    (semiorder(3), lambda: semiorder(3))):
-        want = _eliminate_grades(A)
+    upper bound: the filtration, its profile and the characters raise,
+    while the exact echelon still gives the true answer.  braid 4 loses a
+    circuit's family-(3) relation, semiorder 3 (no circuit) an empty
+    flat's family-(2) relation."""
+    for make in (lambda: braid(4), lambda: semiorder(3)):
+        want = filtration_data(make())
         B = make()
         first = ([(3, X) for X in canonical_circuits(B)]
                  + [(2, X) for X in circuit_scan(B)[1]])[0]
@@ -271,35 +273,32 @@ def test_filtration_falls_back_when_a_relation_is_nonzero(monkeypatch):
             return points(family, source)
 
         monkeypatch.setattr(arrgr.vgring, "_relation_points", forced)
-        runs = counted_exact_path(monkeypatch)
-        assert filtration_data(B) == want
-        assert filtration_profile(B).dims == want[0]
-        assert runs == [1]
-        assert _nbc_dims(B) is None
+        assert_certificate_raises(B, RELATION_NONZERO)
+        assert exact_filtration_oracle(B) == want
         monkeypatch.undo()
 
 
-def test_filtration_falls_back_when_the_lower_bound_fails(monkeypatch):
+def test_filtration_raises_when_the_lower_bound_fails(monkeypatch):
     """With one chamber dropped the relations still vanish, but the NBC
     columns outnumber the chambers, so they are dependent over GF(2) and
-    the exact echelon answers: the top dimension is the chamber count."""
-    for make in (lambda: braid(4), lambda: semiorder(3), lambda: boolean(3)):
+    the filtration, its profile and the characters raise; the exact
+    echelon still answers, with the chamber count as its top dimension."""
+    for make, want in ((lambda: braid(4), (1, 7, 18, 23, 23, 23, 23)),
+                       (lambda: semiorder(3), (1, 7, 18, 18, 18, 18, 18)),
+                       (lambda: boolean(3), (1, 4, 7, 7))):
         A = make()
         A._cache["chambers"] = make().chambers()[1:]
-        runs = counted_exact_path(monkeypatch)
-        dims, bases = filtration_data(A)
-        assert runs == [1]
+        assert_certificate_raises(A, DEPENDENT_MOD_2)
+        dims, _ = exact_filtration_oracle(A)
+        assert dims == want
         assert dims[-1] == len(A.chambers()) < sum(nbc_counts(A))
-        assert (dims, bases) == _eliminate_grades(A)
-        assert filtration_profile(A).dims == dims
-        monkeypatch.undo()
     # a GF(2) dependence the bounds cannot see: forced, same exact answer
     A = braid(4)
-    want = _eliminate_grades(A)
+    want = exact_filtration_oracle(A)
     monkeypatch.setattr(arrgr.vgring, "_independent_mod_2", lambda A, sets: False)
-    runs = counted_exact_path(monkeypatch)
+    assert_certificate_raises(A, DEPENDENT_MOD_2)
+    monkeypatch.undo()
     assert filtration_data(A) == want
-    assert runs == [1]
 
 
 def test_independent_mod_2_reads_the_monomial_columns():
@@ -325,7 +324,6 @@ def test_graded_character_runs_no_minimal_infeasible_scan(monkeypatch):
     monkeypatch.setattr(Arrangement, "minimal_infeasible_sign_sets",
                         lambda self: calls.append(1))
     graded_character(A, coordinate_action(A))
-    assert _nbc_dims(A) is not None
     assert calls == []
 
 

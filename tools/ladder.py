@@ -42,9 +42,10 @@ peak_rss_mib, the peak resident set size of its interpreter
               axioms_s, one `validate_circuit_axioms`.
   characters  after the chambers: group_s, a cold `coordinate_action`,
               then cold_s, the first `graded_character` under it
-              (filtration included), and warm_s, a second call (braid6
-              and braid7 are stretch rungs; braid7 is in no default
-              ladder).
+              (filtration included), and warm_s, a second call, which
+              reuses the cached filtration but solves B⁻¹ again, as every
+              call does (braid6 and braid7 are stretch rungs; braid7 is in
+              no default ladder).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, a cold
