@@ -79,7 +79,7 @@ def criterion_1() -> CriterionResult:
                     for mu in gc.group.cycle_types)
     ok = ok and gc.chamber_values == regular
     detail = ("B4 grade multiplicities and regular chamber character verified"
-              if ok else f"got {[_nonzero(d) for d in per_grade]}, "
+              if ok else f"braid4: got {[_nonzero(d) for d in per_grade]}, "
                          f"chamber {gc.chamber_values}")
     return CriterionResult(1, "B4 representation table", ok, detail)
 
@@ -91,7 +91,8 @@ def criterion_2() -> CriterionResult:
     ok = (_nonzero(total) == _S3_CHAMBER_EXPECTED
           and [_nonzero(d) for d in per_grade] == _S3_GRADED_EXPECTED)
     detail = ("chamber 5t+2s+6r and graded tables verified" if ok
-              else f"chamber {_nonzero(total)}, grades {[_nonzero(d) for d in per_grade]}")
+              else f"semiorder3: chamber {_nonzero(total)}, "
+                   f"grades {[_nonzero(d) for d in per_grade]}")
     return CriterionResult(2, "semiorder S3 tables", ok, detail)
 
 
@@ -259,7 +260,9 @@ def criterion_6() -> CriterionResult:
         cord = {(r.family, r.source): r.poly for r in cordovil_relation_families(A)}
         alg = CordovilAlgebra(A)
         # u = 1: the chamber-function families (the u = 1 specialization by
-        # definition) vanish on every chamber and their monomials span
+        # definition) vanish on every chamber, which the NBC certificate
+        # checks (a nonzero relation raises `ConsistencyError`), and their
+        # monomials span
         if not verify_relations(A).ok:
             bad.append(f"{name}: u=1 relations fail on the chambers")
         # u = 0: squares and circuit boundaries term for term

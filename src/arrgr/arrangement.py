@@ -211,11 +211,6 @@ class Arrangement(GroundSet):
         flip = str.maketrans("+-", "-+")
         return tuple(half + [c.translate(flip) for c in reversed(half)])
 
-    def chamber_index(self, signs: str) -> int:
-        lookup = self._memo("chamber_index",
-                            lambda: {c: i for i, c in enumerate(self.chambers())})
-        return lookup[signs]
-
     def flat_nonempty(self, subset) -> bool:
         """True iff the affine flat {w_i = 0 : i in subset} is nonempty, i.e.
         iff the subset contains none of the minimal empty flats (a superset

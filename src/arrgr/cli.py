@@ -2,9 +2,10 @@
 
 One binary, subcommand style.  Global flags select the arrangement (from a
 file or a generator) and the output format; each computation is a
-subcommand.  Exit codes: 0 pass, 1 verification failure, 2 input error,
-3 resource bound exceeded, 141 (128 + SIGPIPE) when the reader of stdout
-goes away.
+subcommand.  Exit codes: 0 pass, 1 verification failure (a failed
+internal consistency check prints one `consistency error:` line to
+stderr), 2 input error, 3 resource bound exceeded, 141 (128 + SIGPIPE)
+when the reader of stdout goes away.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .characters import partition_str
 from .circuits import (circuits_from_arrangement, circuits_to_json,
                        nbc_counts, nbc_sets, validate_circuit_axioms)
 from .cordovil import CordovilAlgebra, leading_form_check
-from .errors import InputError, ResourceBoundError
+from .errors import ConsistencyError, InputError, ResourceBoundError
 from .polyring import Poly, format_poincare
 from .rees import rees_hilbert_check, rees_relation_families, specialize
 from .symmetry import graded_character, load_group
@@ -187,8 +188,6 @@ def cmd_vg(args, A, ordering) -> int:
         f"relations vanish and span: {'ok' if check.ok else 'FAILED'}",
     ]
     lines += ["relations:"] + ["  " + r.pretty(A.labels) for r in rels]
-    for fam, src, witness in check.failures:
-        lines.append(f"  NONZERO family {fam} at {src}, witness chamber {witness}")
     ok = check.ok and pdim == check.chambers
     _emit(args, payload, lines)
     return PASS if ok else FAIL
@@ -334,6 +333,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except ConsistencyError as exc:
+        print(f"consistency error: {exc}", file=sys.stderr)
+        return FAIL
 
 
 if __name__ == "__main__":

@@ -8,19 +8,20 @@ coordinate action of S_n the representatives are one permutation per
 cycle type, whose images are read off the forms' primitive integer rows,
 one lookup per form and class; a group file lists every element, and each
 is checked before the classes are formed.  The induced permutation of
-chambers is ρ(w).  The characters of the graded pieces are traces of
-diagonal blocks: the basis of the filtration is a set of monomials, 0/1
-on the chambers, taken grade by grade, and since the top stage is every
-function on the chambers its evaluation matrix B is square and
-invertible.  Each stage P^k is ρ(w)-stable (by construction; see
-`graded_character`), so B⁻¹ρ(w)B is block upper triangular along the flag
-P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th diagonal block is the
-character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved once per call, by one
-`solve_square` on the sparse rows of [B | I] read off the monomials'
-chamber masks, and shared by every conjugacy class.  The NBC monomials
-are a Z-basis (Varchenko-Gelfand 1987), so B⁻¹ is integral (a denominator
-other than 1 raises `ConsistencyError`) and each diagonal entry is an
-integer sum over the stored entries of one row.
+chambers is ρ(w), read on the chambers' plus-masks by bit operations and
+a mask-keyed index (`chamber_permutation`).  The characters of the
+graded pieces are traces of diagonal blocks: the basis of the filtration
+is a set of monomials, 0/1 on the chambers, taken grade by grade, and
+since the top stage is every function on the chambers its evaluation
+matrix B is square and invertible.  Each stage P^k is ρ(w)-stable (by
+construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
+triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
+diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
+once per call, by one `solve_square` on the sparse rows of [B | I] read
+off the monomials' chamber masks, and shared by every conjugacy class.
+The NBC monomials are a Z-basis (Varchenko-Gelfand 1987), so B⁻¹ is
+integral (a denominator other than 1 raises `ConsistencyError`) and each
+diagonal entry is an integer sum over the stored entries of one row.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from math import lcm
 
 from .arrangement import Arrangement
 from .characters import class_size, decompose_character, partition_str, partitions
-from .circuits import _bits, _json_kind, _read_json
+from .circuits import (_bits, _byte_unions, _json_kind, _read_json,
+                       _union_over)
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import frac, rref, solve_square
-from .vgring import filtration_data, monomial_mask
+from .vgring import _plus_masks, filtration_data, monomial_mask
 
 
 @dataclass(frozen=True)
@@ -318,23 +320,26 @@ def chamber_permutation(A: Arrangement, w: SignedPermutation) -> tuple:
     """Index map chamber -> image chamber.  Every image sign vector must be
     a chamber again and the map a bijection, as for a true symmetry;
     otherwise a `ConsistencyError` is raised (an `InputError` if the sizes
-    do not match)."""
+    do not match).
+
+    The image of a chamber has sign flip_i * c_i at perm(i), so on
+    plus-masks (`_plus_masks`) it is the chamber's mask XOR the mask of
+    the flipped hyperplanes, its bits moved i -> perm(i) by one table
+    lookup per byte (`_byte_unions`, `_union_over`), then looked up in a
+    mask-keyed index of the chambers."""
     if len(w.perm) != A.n:
         raise InputError("signed permutation size does not match the arrangement")
-    chambers = A.chambers()
-    out = []
-    for signs in chambers:
-        img = [None] * A.n
-        for i in range(A.n):
-            s = 1 if signs[i] == "+" else -1
-            img[w.perm[i]] = "+" if s * w.flips[i] > 0 else "-"
-        img_str = "".join(img)
-        try:
-            out.append(A.chamber_index(img_str))
-        except KeyError as exc:
-            raise ConsistencyError(
-                f"image sign vector {img_str} is not a chamber") from exc
-    if sorted(out) != list(range(len(chambers))):
+    plus = _plus_masks(A)
+    index = A._memo("chamber_of_plus_mask",
+                    lambda: {m: c for c, m in enumerate(plus)})
+    flipped = sum(1 << i for i, s in enumerate(w.flips) if s < 0)
+    tables = _byte_unions([1 << j for j in w.perm])
+    out = [index.get(_union_over(tables, m ^ flipped)) for m in plus]
+    if None in out:
+        m = _union_over(tables, plus[out.index(None)] ^ flipped)
+        signs = "".join("+" if m >> i & 1 else "-" for i in range(A.n))
+        raise ConsistencyError(f"image sign vector {signs} is not a chamber")
+    if len(set(out)) != len(out):
         raise ConsistencyError("chamber map is not a permutation")
     return tuple(out)
 

@@ -17,7 +17,7 @@ a minimal infeasible set's relation is nonzero at X+ alone, a circuit's
 difference at X+ and X-, and e_i^2 - e_i nowhere.  A relation's value at
 a point s of the cube, or at a chamber's plus-mask, is its value at
 s & support, so both halves of the presentation theorem read the same
-sets.  The relation check fails a relation at the first chamber whose
+sets.  The certificate's relations fail at the chambers whose
 restricted plus-mask is a nonzero point; the chambers at a point are one
 AND of Heaviside masks over the support (`_nonzero_chambers`), so no
 chamber is visited one by one.  The presentation count grows the
@@ -40,9 +40,11 @@ checked to vanish on the chambers, give the upper bound: through them
 every monomial rewrites into NBC monomials of no larger degree.  When the
 bounds meet, the dims are the NBC partial sums and the pivots the NBC sets
 of the default ordering.  By the theorem they meet on a correct circuit
-scan, so a failed bound raises `ConsistencyError`.  The exact echelon of
-every monomial's chamber column, which assumes no basis theorem, is
-criterion 3's oracle `acceptance.exact_filtration_oracle`.
+scan, so a failed bound raises `ConsistencyError`.  The certificate's
+relations have the (support, point) pairs of every relation of the
+presentation, so `verify_relations` reads it and evaluates none.  The
+exact echelon of every monomial's chamber column, which assumes no basis
+theorem, is criterion 3's oracle `acceptance.exact_filtration_oracle`.
 
 The three relation families are built once, with the degree-2 parameter u,
 by `rees_relation_families` (also exported by `rees`); the chamber-function
@@ -70,8 +72,8 @@ from fractions import Fraction
 from itertools import accumulate, compress
 
 from .arrangement import Arrangement
-from .circuits import (SignedSet, _mask, canonical_circuits, circuit_scan,
-                       nbc_counts, nbc_sets)
+from .circuits import (SignedSet, _bits, _mask, canonical_circuits,
+                       circuit_scan, nbc_counts, nbc_sets)
 from .errors import ConsistencyError, InputError, ResourceBoundError
 from .polyring import Poly
 
@@ -233,12 +235,10 @@ def _relations_vanish(A: Arrangement) -> bool:
     family-(2) relation of every minimal empty flat (`circuit_scan(A)[1]`)
     vanish on the chambers at u = 1: the upper bound of `_nbc_dims`.  It
     reads no minimal infeasible set, only the circuit scan."""
-    def compute():
-        rels = ([(3, X) for X in canonical_circuits(A)]
-                + [(2, X) for X in circuit_scan(A)[1]])
-        return not any(_nonzero_chambers(A, *_relation_points(family, X))
-                       for family, X in rels)
-    return A._memo("relations_vanish", compute)
+    rels = ([(3, X) for X in canonical_circuits(A)]
+            + [(2, X) for X in circuit_scan(A)[1]])
+    return not any(_nonzero_chambers(A, *_relation_points(family, X))
+                   for family, X in rels)
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
@@ -259,26 +259,17 @@ class Relation:
     poly: Poly
 
     def source_str(self, labels) -> str:
-        return _source_str(self.source, labels)
+        if isinstance(self.source, SignedSet):
+            return self.source.pretty(labels)
+        if isinstance(self.source, frozenset):
+            return "{" + ",".join(labels[i] for i in sorted(self.source)) + "}"
+        return labels[self.source]
 
     def pretty(self, labels) -> str:
         return f"({self.family}) [{self.source_str(labels)}]  {self.poly.to_str(labels)}"
 
 
-def _source_str(source, labels) -> str:
-    if isinstance(source, SignedSet):
-        return source.pretty(labels)
-    if isinstance(source, frozenset):
-        return "{" + ",".join(labels[i] for i in sorted(source)) + "}"
-    return labels[source]
-
-
 _SIGNS = (Fraction(1), Fraction(-1))  # shared by every expanded term
-
-
-def _indices(mask: int) -> tuple:
-    """The sorted index tuple of a bitmask: a monomial's key."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _expand_masks(out: dict, plus: int, minus: int, odd: int, drop: int,
@@ -297,7 +288,7 @@ def _expand_masks(out: dict, plus: int, minus: int, odd: int, drop: int,
             m = plus | t
             emon = names.get(m)
             if emon is None:
-                emon = names[m] = _indices(m)
+                emon = names[m] = tuple(_bits(m))
             out[(emon, k - drop)] = _SIGNS[(odd + k) & 1]
         if not t:
             return
@@ -377,28 +368,25 @@ class RelationCheck:
     ok: bool
     span_dim: int
     chambers: int
-    failures: tuple  # (family, source string, witness chamber signs)
 
 
 def verify_relations(A: Arrangement) -> RelationCheck:
-    """Evaluate every generated relation on the chambers and check that the
-    monomial evaluations span all chamber functions.
+    """Check that every relation of `vg_relation_families` vanishes on the
+    chambers and that the monomial evaluations span all chamber functions,
+    both read off the certified filtration (`_nbc_dims`), which raises
+    `ConsistencyError` when a relation it checks is nonzero on a chamber.
 
-    A relation fails at the first chamber whose plus-mask, restricted to
-    the relation's support, is a point where the relation is nonzero
-    (`_nonzero_chambers`); a relation with no such point (as every
-    family-(1) relation) reads no chamber."""
-    failures = []
-    chambers = A.chambers()
-    for (family, source), (support, nonzero) in zip(_relation_sources(A),
-                                                    _relation_nonzeros(A)):
-        bad = _nonzero_chambers(A, support, nonzero)
-        if bad:
-            c = (bad & -bad).bit_length() - 1
-            failures.append((family, _source_str(source, A.labels), chambers[c]))
+    A relation's values on the chambers are fixed by its (support, point)
+    pairs (`_relation_points`), and the certificate's relations have,
+    together, exactly the pairs of all relations: a circuit's family-(3)
+    points are the plus-parts of its two orientations; the family-(2)
+    relations of those orientations are the minimal infeasible sets
+    other than the empty flats, and the empty flats' family-(2)
+    relations are the certificate's own; family (1) is zero on the cube.
+    So no relation is evaluated here, and the span is dim P^n."""
     span = filtration_profile(A).dims[-1]
-    ok = not failures and span == len(chambers)
-    return RelationCheck(ok, span, len(chambers), tuple(failures))
+    chambers = len(A.chambers())
+    return RelationCheck(span == chambers, span, chambers)
 
 
 def _relation_points(family: int, source) -> tuple:
@@ -431,7 +419,7 @@ def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:
     points), so the work follows the support, not the chamber count."""
     plus = _heaviside_masks(A)
     full = (1 << len(A.chambers())) - 1
-    bits = [i for i in range(support.bit_length()) if support >> i & 1]
+    bits = list(_bits(support))
     out = 0
     for t in nonzero:
         at = full

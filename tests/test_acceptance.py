@@ -1,8 +1,18 @@
-"""One test per acceptance criterion; each prints its PASS/FAIL line."""
+"""One test per acceptance criterion; each prints its PASS/FAIL line.  Each
+criterion's FAIL branches, fed wrong answers, name what failed."""
+
+from dataclasses import replace
 
 import pytest
 
 from arrgr import acceptance
+from arrgr.arrangement import delete
+from arrgr.circuits import AxiomReport, nbc_counts
+from arrgr.cordovil import LeadingFormReport
+from arrgr.polyring import Poly
+from arrgr.rees import ReesHilbertReport
+from arrgr.symmetry import SignedPermutation, coordinate_action
+from arrgr.vgring import RelationCheck
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -23,3 +33,59 @@ def test_paper_suite_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.count("PASS") == len(acceptance.ALL_CRITERIA)
+
+
+def identity_classes(A):
+    """The coordinate action with every class represented by the identity:
+    wrong characters."""
+    group = coordinate_action(A)
+    return replace(group, representatives=(SignedPermutation.identity(A.n),)
+                   * group.n_classes)
+
+
+def extra_top_grade(A, ordering=None):
+    """NBC counts with a spurious top grade."""
+    return nbc_counts(A, ordering) + (1,)
+
+
+def ordering_dependent_counts(A, ordering=None):
+    """NBC counts with a spurious top grade under any explicit ordering."""
+    return nbc_counts(A) if ordering is None else extra_top_grade(A, ordering)
+
+
+# per criterion: a name `arrgr.acceptance` reads, a stand-in that answers
+# wrongly, and the start of a failure the detail must name
+WRONG_ANSWERS = [
+    (1, "coordinate_action", identity_classes, "braid4: "),
+    (2, "coordinate_action", identity_classes, "semiorder3: "),
+    (3, "nbc_counts", extra_top_grade, "single: gr="),
+    (3, "exact_filtration_oracle", lambda A: ((), []), "single: dims="),
+    (4, "presentation_dimension", lambda A, families=(1, 2): 0, "single: "),
+    (5, "cone", lambda A: A, "single: cone"),
+    (5, "restrict", delete, "braid3/"),
+    (6, "verify_relations", lambda A: RelationCheck(False, 0, len(A.chambers())),
+     "single: u=1"),
+    (6, "specialize", lambda poly, value: Poly.zero(), "single: u=0 family-1"),
+    (6, "specialize", lambda poly, value: Poly.zero(), "parallel: u=0 family-2"),
+    (6, "specialize", lambda poly, value: Poly.zero(), "braid3: u=0 family-3"),
+    (6, "minimal_empty_flats_oracle", lambda A: (), "parallel: empty-flat"),
+    (6, "rees_hilbert_check", lambda A: ReesHilbertReport((), False), "single: filtration"),
+    (7, "leading_form_check", lambda A: LeadingFormReport(False, (), ("x",)), "single: "),
+    (8, "validate_circuit_axioms", lambda C: AxiomReport(False, ()), "braid2: "),
+    (8, "validate_circuit_axioms", lambda C: AxiomReport(False, ()), "singleton circuit"),
+    (9, "nbc_counts", ordering_dependent_counts, "single: NBC counts depend"),
+    (9, "nbc_counts", extra_top_grade, "single: oracle corank"),
+    (9, "mn_character", lambda lam, mu: 0, "MN mismatch"),
+]
+
+
+@pytest.mark.parametrize("number, name, wrong, failure", WRONG_ANSWERS,
+                         ids=[f"criterion_{k}-{name}" for k, name, _, _ in WRONG_ANSWERS])
+def test_criterion_reports_a_wrong_answer(monkeypatch, number, name, wrong, failure):
+    """Each criterion fails, naming what failed, when a library call it
+    reads gives a wrong answer."""
+    monkeypatch.setattr(acceptance, name, wrong)
+    result = acceptance.ALL_CRITERIA[number - 1]()
+    assert result.ok is False
+    assert result.line().startswith(f"FAIL criterion {number}: ")
+    assert failure in result.detail

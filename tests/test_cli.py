@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import arrgr.vgring
 from arrgr.arrangement import arrangement_from_json, braid, save_arrangement
 from arrgr.circuits import circuits_from_arrangement, circuits_from_json
 from arrgr.cli import main
@@ -396,6 +397,17 @@ def test_generator_size_is_checked_before_building(capsys, monkeypatch):
 def test_resource_bound_exit_3(capsys):
     assert run(capsys, "--braid", "20", "chambers")[0] == 3
     assert run(capsys, "--braid", "3", "--nmax", "2", "chambers")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["vg", "characters"])
+def test_consistency_error_exits_1_with_one_line(capsys, monkeypatch, command):
+    """A failed internal check reaches the user as one stderr line and exit
+    code 1, with nothing on stdout: here the NBC certificate, forced to see
+    dependent columns."""
+    monkeypatch.setattr(arrgr.vgring, "_independent_mod_2", lambda A, sets: False)
+    assert run(capsys, "--braid", "3", command) == (
+        1, "", "consistency error: NBC certificate failed: the NBC columns "
+               "are dependent mod 2\n")
 
 
 def test_file_source(capsys, tmp_path):

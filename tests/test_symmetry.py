@@ -116,6 +116,47 @@ def test_chamber_permutation_size_mismatch():
         chamber_permutation(braid(3), SignedPermutation.identity(2))
 
 
+def chamber_permutation_oracle(A, w):
+    """The chamber map through sign strings: each chamber's image sign
+    vector, with flip_i times sign i at perm(i), looked up in a string-keyed
+    index of the chambers."""
+    index = {signs: c for c, signs in enumerate(A.chambers())}
+    out = []
+    for signs in A.chambers():
+        img = [None] * A.n
+        for i, (j, flip) in enumerate(zip(w.perm, w.flips)):
+            img[j] = "+" if (signs[i] == "+") == (flip > 0) else "-"
+        img = "".join(img)
+        if img not in index:
+            raise ConsistencyError(f"image sign vector {img} is not a chamber")
+        out.append(index[img])
+    return tuple(out)
+
+
+def test_chamber_permutation_matches_sign_string_oracle(corpus_map):
+    """The chamber map on plus-masks equals the sign-string map for the
+    identity, every coordinate class representative and -id on the corpus,
+    braid 5 and semiorder 4, and for every element of a group file listing
+    S4 on braid 4, flips included."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
+    for name, A in cases.items():
+        elements = [SignedPermutation.identity(A.n)]
+        try:
+            elements += coordinate_action(A).representatives
+        except NotASymmetryError:
+            pass
+        if A.central:
+            elements.append(SignedPermutation(tuple(range(A.n)), (-1,) * A.n))
+        for w in elements:
+            assert chamber_permutation(A, w) == chamber_permutation_oracle(A, w), name
+    A = braid(4)
+    elements = coordinate_action_oracle(A)[0]
+    listed = group_from_json(A, group_file(A, "S4", elements))
+    assert any(-1 in w.flips for w in listed.representatives)
+    for w in elements + listed.representatives:
+        assert chamber_permutation(A, w) == chamber_permutation_oracle(A, w)
+
+
 def test_coordinate_action_group():
     G = coordinate_action(braid(3))
     assert G.order == 6
@@ -653,8 +694,12 @@ def test_consistency_error_on_fake_symmetry():
     # chamber to an infeasible sign vector
     A = braid(3)
     fake = SignedPermutation((0, 1, 2), (-1, 1, 1))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as exc:
         chamber_permutation(A, fake)
+    with pytest.raises(ConsistencyError) as want:
+        chamber_permutation_oracle(A, fake)
+    assert str(exc.value) == str(want.value) \
+        == "image sign vector -+- is not a chamber"
 
 
 # braid 3: the identity and 12 <-> 13 without flips form a closed group,

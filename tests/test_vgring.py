@@ -243,11 +243,12 @@ DEPENDENT_MOD_2 = "NBC certificate failed: the NBC columns are dependent mod 2"
 
 
 def assert_certificate_raises(A, message):
-    """`filtration_data`, `filtration_profile` and `graded_character` each
-    raise `ConsistencyError` with exactly `message`."""
+    """`filtration_data`, `filtration_profile`, `verify_relations` and
+    `graded_character` each raise `ConsistencyError` with exactly
+    `message`."""
     group = coordinate_action(A)
     for call in (lambda: filtration_data(A), lambda: filtration_profile(A),
-                 lambda: graded_character(A, group)):
+                 lambda: verify_relations(A), lambda: graded_character(A, group)):
         with pytest.raises(ConsistencyError) as exc:
             call()
         assert str(exc.value) == message
@@ -350,10 +351,55 @@ def test_vg_family3_braid3():
 
 def test_verify_relations(corpus_map):
     for name in ("braid4", "semiorder3", "random8"):
-        check = verify_relations(corpus_map[name])
-        assert check.ok, (name, check.failures)
+        assert verify_relations(corpus_map[name]).ok, name
     assert verify_relations(corpus_map["braid4"]).span_dim == 24
     assert verify_relations(corpus_map["semiorder3"]).span_dim == 19
+
+
+@pytest.mark.parametrize("make", [lambda: braid(4), lambda: semiorder(3),
+                                  lambda: random_rational_arrangement()],
+                         ids=["braid4", "semiorder3", "random8"])
+def test_verify_relations_reads_the_certificate(monkeypatch, make):
+    """Once the filtration is certified, `verify_relations` evaluates no
+    relation on the chambers."""
+    A = make()
+    filtration_profile(A)
+    calls = []
+    scan = arrgr.vgring._nonzero_chambers
+    monkeypatch.setattr(arrgr.vgring, "_nonzero_chambers",
+                        lambda *args: calls.append(1) or scan(*args))
+    check = verify_relations(A)
+    assert calls == []
+    assert check == arrgr.vgring.RelationCheck(True, len(A.chambers()),
+                                               len(A.chambers()))
+
+
+def certificate_pairs(A):
+    """The (support, nonzero point) pairs of the relations `_nbc_dims`
+    checks: every canonical circuit's family-(3) relation and every
+    minimal empty flat's family-(2) relation."""
+    rels = ([(3, X) for X in canonical_circuits(A)]
+            + [(2, X) for X in circuit_scan(A)[1]])
+    return {(support, t) for support, points
+            in (arrgr.vgring._relation_points(*rel) for rel in rels) for t in points}
+
+
+def test_certificate_covers_every_relation(corpus_map):
+    """The family-(2)/(3) relations of `_relation_sources` have, together,
+    exactly the certificate's (support, nonzero point) pairs, so they vanish
+    on the chambers iff the certificate's do: what lets `verify_relations`
+    read the certificate instead of evaluating them."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+                 boolean5=boolean(5))
+    cases.update((f"random{k}", random_rational_arrangement(seed=k))
+                 for k in range(1, 40))
+    cases.update((f"cone_random{k}", cone(random_rational_arrangement(seed=k)))
+                 for k in range(1, 10))
+    for name, A in cases.items():
+        pairs = {(support, t) for (family, _), (support, points)
+                 in zip(arrgr.vgring._relation_sources(A), _relation_nonzeros(A))
+                 if family != 1 for t in points}
+        assert pairs == certificate_pairs(A), name
 
 
 def empty_flat_difference(S):
@@ -385,20 +431,16 @@ def nonzero_chambers(A, points):
             if p & support in nonzero]
 
 
-def test_verify_relations_matches_chamber_scan_oracle(corpus_map, monkeypatch):
+def test_verify_relations_matches_chamber_scan_oracle(corpus_map):
     """Every chamber at which a relation is nonzero, read from its zero set,
-    is one where the full chamber scan is nonzero, and conversely; the
-    failures `verify_relations` reports are the first such chambers."""
+    is one where the full chamber scan is nonzero, and conversely; on a
+    correct arrangement there is none, as `verify_relations` reports."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
     for name, A in cases.items():
-        failures = []
         for rel, points in zip(vg_relation_families(A), _relation_nonzeros(A)):
             want = nonzero_chambers_oracle(A, rel.poly)
-            assert nonzero_chambers(A, points) == want, (name, rel)
-            if want:
-                failures.append((rel.family, rel.source_str(A.labels),
-                                 A.chambers()[want[0]]))
-        assert verify_relations(A).failures == tuple(failures), name
+            assert nonzero_chambers(A, points) == want == [], (name, rel)
+        assert verify_relations(A).ok, name
     S = semiorder(3)
     bogus = empty_flat_difference(S)
     want = nonzero_chambers_oracle(S, bogus)
@@ -410,14 +452,6 @@ def test_verify_relations_matches_chamber_scan_oracle(corpus_map, monkeypatch):
                                               e(2) * e(2) - e(2)]:
         got = nonzero_chambers(S, nonzero_points_oracle(poly.terms))
         assert got == nonzero_chambers_oracle(S, poly), poly
-    # a relation that fails is reported at its first nonzero chamber
-    rels = rees_relation_families(S)
-    points = _relation_nonzeros(S)[:-1] + (nonzero_points_oracle(bogus.terms),)
-    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
-    check = verify_relations(S)
-    assert not check.ok
-    assert check.failures == ((rels[-1].family, rels[-1].source_str(S.labels),
-                               S.chambers()[want[0]]),)
 
 
 def test_relation_masks_match_the_vg_polynomials(corpus_map):

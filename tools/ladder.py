@@ -44,12 +44,15 @@ peak_rss_mib, the peak resident set size of its interpreter
               then cold_s, the first `graded_character` under it
               (filtration included), and warm_s, a second call, which
               reuses the cached filtration but solves B⁻¹ again, as every
-              call does (braid6 and braid7 are stretch rungs; braid7 is in
+              call does; perm_s, a cold `chamber_permutation` of every
+              class representative on a new arrangement after its
+              chambers (braid6 and braid7 are stretch rungs; braid7 is in
               no default ladder).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
-              `filtration_profile`, then verify_s, a cold
-              `verify_relations`; presentation_s, a cold
+              `filtration_profile`, then verify_s, `verify_relations`,
+              which reads the certificate `filtration_profile` cached;
+              presentation_s, a cold
               `presentation_dimension(A, (1, 2), nmax=n)` on a new
               arrangement after its chambers and `nbc_sets`; and vg_s,
               the whole command `arrgr --FAMILY N --nmax max(14, n) vg`
@@ -164,17 +167,20 @@ def measure_algebra(rung: str) -> dict:
 
 
 def measure_characters(rung: str) -> dict:
-    from arrgr.symmetry import coordinate_action, graded_character
+    from arrgr.symmetry import chamber_permutation, coordinate_action, graded_character
 
-    [A] = _make(rung)
+    [A], [B] = _make(rung), _make(rung)
     chambers = len(A.chambers())
     group, group_s = _timed(coordinate_action, A)
     gc, cold_s = _timed(graded_character, A, group)
     _, warm_s = _timed(graded_character, A, group)
+    B.chambers()
+    perms, perm_s = _timed(
+        lambda: [chamber_permutation(B, w) for w in group.representatives])
     values = [[str(v) for v in row] for row in gc.grade_values + (gc.chamber_values,)]
     return {"chambers": chambers, "classes": group.n_classes,
             "group_s": group_s, "cold_s": cold_s, "warm_s": warm_s,
-            "values_md5": _md5(values)}
+            "perm_s": perm_s, "values_md5": _md5(values), "perms_md5": _md5(perms)}
 
 
 def measure_filtration(rung: str) -> dict:
@@ -250,14 +256,17 @@ LAYERS = {
          "semiorder3", "semiorder4"], measure_characters, 5,
         {"braid6": 3, "braid7": 3},
         "a cold coordinate_action of S_n, then graded_character under it, "
-        "cold (first call, filtration included) and warm (second call)"),
+        "cold (first call, filtration included) and warm (second call), and "
+        "a cold chamber_permutation of every class representative on a new "
+        "arrangement after its chambers"),
     "filtration": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
-        "cold filtration_profile and verify_relations after the chambers "
-        "and nbc_sets, a cold presentation_dimension(A, (1, 2), nmax=n) on a "
-        "second such arrangement, and the whole `arrgr ... --nmax max(14, n) "
-        "vg` command on a new arrangement"),
+        "cold filtration_profile after the chambers and nbc_sets, then "
+        "verify_relations, which reads its cached certificate, a cold "
+        "presentation_dimension(A, (1, 2), nmax=n) on a second such "
+        "arrangement, and the whole `arrgr ... --nmax max(14, n) vg` command "
+        "on a new arrangement"),
     "relations": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7",
                                                "random8", "randoms"],
