@@ -433,6 +433,26 @@ def sn_character_oracle(n: int) -> dict:
     return chars
 
 
+# criterion 9(d)'s coefficients: `choice` of these seven draws what
+# `Fraction(randint(-3, 3))` drew (one `_randbelow(7)` either way), without
+# building a Fraction for each
+_COEFFS = tuple(Fraction(k) for k in range(-3, 4))
+
+
+def _law_products(alg, basis: list, rng) -> tuple:
+    """One draw of criterion 9(d): three elements, each of at most two
+    basis sets with coefficients drawn from -3..3, and the products ab,
+    ba, (ab)c, bc and a(bc), made in that order."""
+    a, b, c = (alg.element({s: rng.choice(_COEFFS)
+                            for s in rng.sample(basis, k=min(2, len(basis)))})
+               for _ in range(3))
+    ab = a * b
+    ba = b * a
+    ab_c = ab * c
+    bc = b * c
+    return ab, ba, ab_c, bc, a * bc
+
+
 def criterion_9() -> CriterionResult:
     bad = []
     rng = random.Random(987654)
@@ -461,18 +481,11 @@ def criterion_9() -> CriterionResult:
         alg = CordovilAlgebra(A)
         basis = list(alg.nbc)
         for _ in range(200):
-            els = []
-            for _ in range(3):
-                coords = {}
-                for b in rng.sample(basis, k=min(2, len(basis))):
-                    coords[b] = Fraction(rng.randint(-3, 3))
-                els.append(alg.element(coords))
-            a, b, c = els
-            ab = a * b
-            if ab.coords != (b * a).coords:
+            ab, ba, ab_c, _, a_bc = _law_products(alg, basis, rng)
+            if ab.coords != ba.coords:
                 bad.append(f"{name}: multiplication not commutative")
                 break
-            if (ab * c).coords != (a * (b * c)).coords:
+            if ab_c.coords != a_bc.coords:
                 bad.append(f"{name}: multiplication not associative")
                 break
     ok = not bad

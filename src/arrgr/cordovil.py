@@ -47,12 +47,18 @@ coordinates: they are kept as plain ints in one table per (source,
 ordering), memoized on the source and shared by every algebra of that
 pair.  `straighten` of one term scales its table entry; of several (one
 pass over the terms, skipping squared monomials) and `multiply` (one pass
-over the pairs of disjoint basis sets) list (monomial, numerator,
-denominator) triples, and `_combine` scales the table's entries over one
-common denominator.  So the Fractions are made only for the result (the
-small integers' are made once and shared), which is built through the
-trusted `AlgebraElement._of`, as are sums and scalar multiples.  Adding,
-subtracting or multiplying elements of different algebras is an
+over the pairs of disjoint basis sets, `_disjoint_products`) feed
+(monomial, numerator, denominator) triples to `_combine`, which sums the
+table's entries over a running common denominator, grown (an lcm, the
+sums so far rescaled) only when a term's does not divide it.  So the
+Fractions are made only for the result (the small integers' are made
+once and shared), which is built through the trusted
+`AlgebraElement._of`, as are sums and scalar multiples.
+`AlgebraElement(algebra, coords)` takes Fraction values and frozenset
+keys as they are, sends any other value through `frac` and reads any
+other key as a collection of indices: one that is not, that repeats an
+index or that names the same set as another key is an `InputError`.  It
+drops zeros and checks that each key is an NBC set.  Adding, subtracting or multiplying elements of different algebras is an
 `InputError`, as is adding or subtracting anything but an element, or
 scaling by anything but a rational number.  A raw circuit system is read
 through the same calls as an arrangement, with no empty flat.
@@ -190,18 +196,27 @@ class CordovilAlgebra:
             mono = self.source._index_set(mono)
         return mono
 
-    def _combine(self, terms: list) -> "AlgebraElement":
+    def _combine(self, terms) -> "AlgebraElement":
         """The sum of (num / den) * straightened(mono) over (mono, num, den)
-        triples: brought to one denominator, the table's ints are summed,
-        and each nonzero sum becomes one Fraction."""
-        den = lcm(*(d for _, _, d in terms))
+        triples: the table's ints are summed over a running common
+        denominator, which grows (an lcm, the sums so far rescaled) only
+        when a term's does not divide it, and each nonzero sum becomes one
+        Fraction."""
         table = self._table
         sums: dict = {}
-        for mono, num, d in terms:
+        den = 1
+        for mono, k, d in terms:
             coords = table.get(mono)
             if coords is None:
                 coords = self._straighten_monomial(mono)
-            k = num * (den // d)
+            if d != den:
+                if den % d:
+                    grown = lcm(den, d)
+                    scale = grown // den
+                    for basis in sums:
+                        sums[basis] *= scale
+                    den = grown
+                k *= den // d
             for basis, c in coords.items():
                 sums[basis] = sums.get(basis, 0) + k * c
         if den == 1:
@@ -239,13 +254,7 @@ class CordovilAlgebra:
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra is not self or b.algebra is not self:
             raise InputError("elements belong to different algebra contexts")
-        terms = []
-        for s, ca in a.coords.items():
-            na, da = ca.numerator, ca.denominator
-            for t, cb in b.coords.items():
-                if not s & t:
-                    terms.append((s | t, na * cb.numerator, da * cb.denominator))
-        return self._combine(terms)
+        return self._combine(_disjoint_products(a.coords, b.coords))
 
 
 def _rewrite_buckets(source, ordering: tuple) -> tuple:
@@ -275,6 +284,17 @@ class _IntFractions(dict):
 _FRACTIONS = _IntFractions((k, Fraction(k)) for k in range(-16, 17))
 
 
+def _disjoint_products(x: dict, y: dict):
+    """(s | t, numerator, denominator) of each product of a term of x and
+    a term of y on disjoint basis sets: a repeated generator squares to
+    zero."""
+    for s, cx in x.items():
+        num, den = cx.numerator, cx.denominator
+        for t, cy in y.items():
+            if s.isdisjoint(t):
+                yield s | t, num * cy.numerator, den * cy.denominator
+
+
 def _add_into(coords: dict, terms: dict, scale) -> None:
     """coords += scale * terms, dropping the coefficients that become zero
     (ints stay ints, Fractions stay Fractions)."""
@@ -286,6 +306,31 @@ def _add_into(coords: dict, terms: dict, scale) -> None:
             coords.pop(basis, None)
 
 
+def _keyed_by_sets(items) -> list:
+    """(frozenset, coefficient) pairs for coordinates keyed by other
+    collections of indices: a key that is not a collection of ints, that
+    repeats an index, or that names the same basis set as another key is
+    an `InputError`."""
+    named: dict = {}
+    out = []
+    for key, c in items:
+        try:
+            idxs = tuple(key)
+        except TypeError:
+            idxs = None
+        if idxs is None or not all(type(i) is int for i in idxs):
+            raise InputError(f"coordinate key {key!r} is not a set of indices")
+        basis = frozenset(idxs)
+        if len(basis) != len(idxs):
+            raise InputError(f"coordinate key {key!r} repeats an index")
+        if basis in named:
+            raise InputError(f"coordinate keys {named[basis]!r} and {key!r} "
+                             "name one basis set")
+        named[basis] = key
+        out.append((basis, c))
+    return out
+
+
 class AlgebraElement:
     """Rational combination of NBC basis monomials in a fixed context."""
 
@@ -293,13 +338,17 @@ class AlgebraElement:
 
     def __init__(self, algebra: CordovilAlgebra, coords):
         self.algebra = algebra
+        items = coords.items()
+        if not all(type(key) is frozenset for key in coords):
+            items = _keyed_by_sets(items)
+        nbc = algebra._nbc_lookup
         clean = {}
-        for basis, c in coords.items():
-            basis = frozenset(basis)
-            c = frac(c)
-            if c == 0:
+        for basis, c in items:
+            if type(c) is not Fraction:
+                c = frac(c)
+            if not c:
                 continue
-            if basis not in algebra._nbc_lookup:
+            if basis not in nbc:
                 raise InputError("coordinates indexed by a non-NBC set")
             clean[basis] = c
         self.coords = clean

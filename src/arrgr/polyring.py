@@ -12,18 +12,20 @@ Coefficients are always `Fraction`s: the constructor coerces them through
 the one entry for outside data.  Code that already holds canonical keys
 and nonzero Fractions builds through `Poly._of`, which checks and copies
 nothing: the ring operations (sums, negation, products by a polynomial or
-a scalar, each dropping the sums that cancel), `monomial` (whose default
-coefficient, the shared Fraction 1, is not coerced or tested),
-`top_e_part`, `divide_u`, `substitute_u` at u = 0 or 1 (where a term's
-factor u^k is 0 or 1 and no coefficient is multiplied) and the
-closed-form relation families.  `substitute_u` compares an int value
-directly and sends any other value through `frac`, so a float or a
-boolean is refused.  At u = 1 each term is re-keyed (m, k) -> (m, 0);
-the re-keyed dict is the result when no two terms share an e-monomial,
-as in every relation family, and the colliding terms are summed (zero
-sums dropped) otherwise.  Reduction modulo the squares is not a ring operation here:
-`CordovilAlgebra.straighten` skips squared monomials itself, and the
-rewritings e_i^2 -> 0 and e_i^2 -> e_i live in the tests as oracles.
+a scalar, each dropping the sums that cancel), `top_e_part`, `divide_u`,
+`substitute_u` at u = 0 or 1 (where a term's factor u^k is 0 or 1 and no
+coefficient is multiplied) and the closed-form relation families.
+`monomial` builds its one term directly: it sorts the indices, converts
+the u-power only when it is not an int, and coerces and tests only a
+coefficient other than its default, the shared Fraction 1.
+`substitute_u` compares an int value directly and sends any other value
+through `frac`, so a float or a boolean is refused.  At u = 1 each term
+is re-keyed (m, k) -> (m, 0); the re-keyed dict is the result when no two
+terms share an e-monomial, as in every relation family, and the colliding
+terms are summed (zero sums dropped) otherwise.  Reduction modulo the
+squares is not a ring operation here: `CordovilAlgebra.straighten` skips
+squared monomials itself, and the rewritings e_i^2 -> 0 and e_i^2 -> e_i
+live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -85,10 +87,17 @@ class Poly:
 
     @classmethod
     def monomial(cls, idxs, uexp: int = 0, coeff=_ONE):
-        if coeff is _ONE:
-            return cls._of({(tuple(sorted(idxs)), int(uexp)): _ONE})
-        c = frac(coeff)
-        return cls._of({(tuple(sorted(idxs)), int(uexp)): c} if c else {})
+        """coeff * prod(e_i for i in idxs) * u^uexp; zero for a zero coeff."""
+        if type(uexp) is not int:
+            uexp = int(uexp)
+        p = cls.__new__(cls)
+        if coeff is not _ONE:
+            coeff = frac(coeff)
+            if not coeff:
+                p.terms = {}
+                return p
+        p.terms = {(tuple(sorted(idxs)), uexp): coeff}
+        return p
 
     # -- ring operations ---------------------------------------------------
 

@@ -112,12 +112,15 @@ def monomial_eval(A: Arrangement, subset) -> tuple:
     return tuple(map(_BIT_VALUE.__getitem__, reversed(bits)))
 
 
+_PLUS_BITS = str.maketrans("+-", "10")
+
+
 def _plus_masks(A: Arrangement) -> tuple:
     """Per chamber, in the chamber order, the hyperplanes on its positive
-    side as a bitmask (bit i for hyperplane i)."""
+    side as a bitmask (bit i for hyperplane i): the reversed sign string
+    read as binary digits, the empty chamber of no hyperplane as 0."""
     return A._memo("plus_masks", lambda: tuple(
-        sum(1 << i for i, sign in enumerate(signs) if sign == "+")
-        for signs in A.chambers()))
+        int(signs[::-1].translate(_PLUS_BITS) or "0", 2) for signs in A.chambers()))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,28 @@ def test_algebra_input_errors():
     assert str(exc.value) == "coordinates indexed by a non-NBC set"
 
 
+@pytest.mark.parametrize("coords, message", [
+    ({(0, 2): 1, (2, 0): 2}, "coordinate keys (0, 2) and (2, 0) name one basis set"),
+    ({frozenset({0, 2}): 1, (2, 0): 0},
+     "coordinate keys frozenset({0, 2}) and (2, 0) name one basis set"),
+    ({(0,): 1, (0, 0): 2}, "coordinate key (0, 0) repeats an index"),
+    ({0: 1}, "coordinate key 0 is not a set of indices"),
+    ({(0, True): 1}, "coordinate key (0, True) is not a set of indices"),
+], ids=["two-orders", "frozenset-and-tuple", "repeat", "int", "bool"])
+def test_element_keys_name_distinct_sets_of_indices(coords, message):
+    """A coordinate key other than a frozenset is read as a collection of
+    indices: two keys naming one basis set, a repeated index or a key that
+    is not a collection of ints is a one-line `InputError`, where the
+    coefficients were overwritten, e_0^2 read as e_0, or a bare
+    `TypeError` raised."""
+    alg = CordovilAlgebra(braid(3))
+    with pytest.raises(InputError) as info:
+        alg.element(coords)
+    assert str(info.value) == message
+    assert alg.element({(2, 0): 1, (1,): "-1/2"}).coords \
+        == {frozenset({0, 2}): Fraction(1), frozenset({1}): Fraction(-1, 2)}
+
+
 def test_multiply_rejects_mixed_contexts():
     a = CordovilAlgebra(braid(3)).one()
     b = CordovilAlgebra(braid(4)).one()
@@ -407,7 +429,8 @@ def test_integer_straightening_matches_fraction_oracle(corpus_map):
     Fraction arithmetic on every monomial up to a case's grade, and
     `straighten` and `multiply` equal it on 200 seeded products per case
     with coefficients 1/2, -2/3, 5/7, 3 and -1; the results' coefficients
-    are nonzero Fractions.  Up to the top grade the rewrites are the old
+    are nonzero Fractions.  Products whose pairs cancel over mixed
+    denominators are zero.  Up to the top grade the rewrites are the old
     scan's: from an empty table, the table and the oracle's memo hold the
     same monomials after each one.  Above it an algebra with a scan rank
     answers 0 before the table, so its table holds exactly the oracle's
@@ -440,6 +463,14 @@ def test_integer_straightening_matches_fraction_oracle(corpus_map):
             assert prod.coords == oracle.multiply(a, b), name
             for c in (*el.coords.values(), *prod.coords.values()):
                 assert type(c) is Fraction and c != 0, name
+        # (p e_i + q e_j)(r e_i + s e_j) = (ps + qr) e_i e_j, zero for
+        # s = -qr/p: the two pairs' terms cancel over their denominators
+        singletons = [s for s in basis if len(s) == 1]
+        for _ in range(20 if len(singletons) > 1 else 0):
+            i, j = rng.sample(singletons, 2)
+            p, q, r = (rng.choice(_COEFFS) for _ in range(3))
+            a, b = alg.element({i: p, j: q}), alg.element({i: r, j: -q * r / p})
+            assert alg.multiply(a, b).is_zero and not oracle.multiply(a, b), name
         other = CordovilAlgebra(alg.source, tuple(reversed(range(n))))
         with pytest.raises(InputError, match="different algebra contexts"):
             alg.multiply(alg.one(), other.one())

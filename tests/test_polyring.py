@@ -33,6 +33,14 @@ def test_monomials_sorted_with_repeats():
     assert list(p.terms) == [((0, 2, 2), 0)]
 
 
+def test_monomial_converts_a_u_power_that_is_not_an_int():
+    """`monomial` keys an int u-power as it is and converts any other, here
+    a Fraction and a numeric string, to an int."""
+    for uexp in (2, Fraction(2), "2"):
+        [key] = Poly.monomial((1, 0), uexp).terms
+        assert key == ((0, 1), 2) and type(key[1]) is int
+
+
 def test_arithmetic():
     e0, e1 = Poly.generator(0), Poly.generator(1)
     p = (e0 + 1) * (e1 - 1)

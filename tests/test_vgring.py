@@ -7,8 +7,8 @@ import pytest
 
 import arrgr.vgring
 from arrgr.acceptance import exact_filtration_oracle, _chamber_keys
-from arrgr.arrangement import (Arrangement, boolean, braid, cone, delete,
-                               restrict, semiorder)
+from arrgr.arrangement import (Arrangement, arrangement_from_json, boolean,
+                               braid, cone, delete, restrict, semiorder)
 from arrgr.circuits import (_mask, canonical_circuits, circuit_scan, nbc_counts,
                             nbc_sets)
 from arrgr.cordovil import (CordovilAlgebra, LeadingFormReport,
@@ -614,9 +614,21 @@ def test_presentation_dimension_matches_full_multiples(corpus_map):
                 (name, families)
 
 
-def _plus_masks(A):
-    return {sum(1 << i for i, sign in enumerate(c) if sign == "+")
-            for c in A.chambers()}
+def plus_masks_oracle(A) -> tuple:
+    """Per chamber, the bitmask of its '+' signs, one sign at a time."""
+    return tuple(sum(1 << i for i, sign in enumerate(signs) if sign == "+")
+                 for signs in A.chambers())
+
+
+def test_plus_masks_match_the_per_sign_oracle(corpus_map):
+    """One binary read of each reversed sign string gives the per-sign
+    loop's masks, in the chamber order; the one empty chamber of an
+    arrangement with no hyperplane has mask 0."""
+    cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
+                 empty=arrangement_from_json({"dim": 0, "forms": []}))
+    for name, A in cases.items():
+        assert arrgr.vgring._plus_masks(A) == plus_masks_oracle(A), name
+    assert arrgr.vgring._plus_masks(cases["empty"]) == (0,)
 
 
 def common_zeros_cube_oracle(A, families):
@@ -685,7 +697,7 @@ def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
     monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
     for zeros in (_common_zeros, common_zeros_growth_oracle):
         assert zeros(A, (1, 3)) == []
-        assert zeros(A, (1, 2)) == sorted(_plus_masks(A))
+        assert zeros(A, (1, 2)) == sorted(plus_masks_oracle(A))
     # with no hyperplane there is no last one to attach the constant to
     E = Arrangement(2, [])
     assert _common_zeros(E, (1, 2)) == common_zeros_growth_oracle(E, (1, 2)) == [0]
@@ -729,16 +741,16 @@ def test_presentation_zero_set_is_the_chambers(corpus_map):
     for name, A in cases.items():
         zeros = _common_zeros(A, (1, 2))
         assert zeros == sorted(set(zeros)), name
-        assert set(zeros) == _plus_masks(A), name
+        assert set(zeros) == set(plus_masks_oracle(A)), name
         if A.central:
-            assert set(_common_zeros(A, (1, 3))) == _plus_masks(A), name
+            assert set(_common_zeros(A, (1, 3))) == set(plus_masks_oracle(A)), name
 
 
 def test_braid6_zeros_are_the_chambers():
     """Past the default bound: braid 6's (1,2) zeros are its 720 chambers'
     plus-masks, and the count needs `nmax` raised to 15."""
     A = braid(6)
-    assert _common_zeros(A, (1, 2)) == sorted(_plus_masks(A))
+    assert _common_zeros(A, (1, 2)) == sorted(plus_masks_oracle(A))
     assert len(A.chambers()) == 720
     assert presentation_dimension(A, nmax=15) == 720
     with pytest.raises(ResourceBoundError):

@@ -38,8 +38,13 @@ peak_rss_mib, the peak resident set size of its interpreter
               of one call (0 if there is none).
   algebra     after the circuits and a `CordovilAlgebra` are built:
               straighten_s, `straighten(Poly.monomial(s))` for every subset
-              s of the hyperplanes on an empty straightening table, and
-              axioms_s, one `validate_circuit_axioms`.
+              s of the hyperplanes on an empty straightening table,
+              axioms_s, one `validate_circuit_axioms`, and products_s,
+              criterion 9(d)'s loop (200 seeded triples, five products
+              each, by the criterion's own `_law_products`) on a new
+              algebra after the straightening, whose products
+              products_md5 shows; a tree older than that helper has
+              neither key.
   characters  after the chambers: group_s, a cold `coordinate_action`,
               then cold_s, the first `graded_character` under it
               (filtration included), and warm_s, a second call, which
@@ -147,10 +152,25 @@ def measure_chambers(rung: str) -> dict:
             "fm_vars": calls["vars"], "wall_s": elapsed, "chambers_md5": _md5(chambers)}
 
 
+def _criterion_9d(law_products, alg) -> list:
+    """Criterion 9(d)'s 200 draws on one algebra, each three seeded
+    elements and their five products, made by the criterion's own
+    `law_products`."""
+    import random
+
+    rng = random.Random(987654)
+    basis = list(alg.nbc)
+    return [law_products(alg, basis, rng) for _ in range(200)]
+
+
 def measure_algebra(rung: str) -> dict:
+    from arrgr import acceptance
     from arrgr.circuits import circuits_from_arrangement, validate_circuit_axioms
     from arrgr.cordovil import CordovilAlgebra
     from arrgr.polyring import Poly
+
+    def coords(el):
+        return sorted((tuple(sorted(b)), str(c)) for b, c in el.coords.items())
 
     [A] = _make(rung)
     C = circuits_from_arrangement(A)
@@ -159,11 +179,14 @@ def measure_algebra(rung: str) -> dict:
     straight, straighten_s = _timed(
         lambda: [alg.straighten(Poly.monomial(s)) for s in subsets])
     report, axioms_s = _timed(validate_circuit_axioms, C)
-    coords = [sorted((tuple(sorted(b)), str(c)) for b, c in el.coords.items())
-              for el in straight]
-    return {"monomials": len(subsets), "circuits": len(C.circuits),
-            "axioms_ok": report.ok, "straighten_s": straighten_s,
-            "axioms_s": axioms_s, "coords_md5": _md5(coords)}
+    out = {"monomials": len(subsets), "circuits": len(C.circuits),
+           "axioms_ok": report.ok, "straighten_s": straighten_s,
+           "axioms_s": axioms_s, "coords_md5": _md5([coords(el) for el in straight])}
+    law_products = getattr(acceptance, "_law_products", None)  # absent in older trees
+    if law_products is not None:
+        products, out["products_s"] = _timed(_criterion_9d, law_products, CordovilAlgebra(A))
+        out["products_md5"] = _md5([[coords(el) for el in five] for five in products])
+    return out
 
 
 def measure_characters(rung: str) -> dict:
@@ -249,8 +272,9 @@ LAYERS = {
         "one call", ("random8", "randoms")),
     "algebra": _layer(
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
-        "cold straighten of every squarefree monomial and one "
-        "validate_circuit_axioms call", ("random8",)),
+        "cold straighten of every squarefree monomial, one "
+        "validate_circuit_axioms call, and criterion 9(d)'s 200 seeded "
+        "triples with five products each", ("random8",)),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
          "semiorder3", "semiorder4"], measure_characters, 5,
@@ -323,7 +347,8 @@ def ratios(pairs: list, first: str, second: str) -> dict:
     read from two back-to-back runs, so it moves with a layer change and
     not with the host's pace."""
     done = [p for p in pairs if first in p and second in p]
-    keys = [key for key in (done[0][first] if done else ()) if key.endswith("_s")]
+    keys = [key for key in (done[0][first] if done else ())
+            if key.endswith("_s") and key in done[0][second]]
     out = {"pairs": len(done)}
     for key in keys:
         values = [p[second][key] / p[first][key] for p in done if p[first][key]]
