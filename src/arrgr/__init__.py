@@ -28,8 +28,7 @@ from .linalg import rank_and_kernel, strict_feasible
 from .polyring import Poly, format_poincare
 from .rees import rees_hilbert_check, rees_relation_families, specialize
 from .symmetry import (GradedCharacters, GroupSpec, SignedPermutation,
-                       chamber_permutation, coordinate_action,
-                       derive_signed_permutation, fixed_chambers,
+                       chamber_permutation, coordinate_action, fixed_chambers,
                        graded_character, group_from_json, load_group)
 from .vgring import (FiltrationProfile, Relation, filtration_profile,
                      heaviside, monomial_eval, presentation_dimension,

@@ -88,15 +88,18 @@ class GroundSet:
         return len(self.labels)
 
     def form_index(self, h) -> int:
-        """Resolve a 0-based index or a label to a form index."""
+        """Resolve a 0-based index or a label to a form index.  Only a
+        string or an int that is not a bool names a form: any other value
+        is refused, not truncated."""
         if isinstance(h, str):
             if h not in self._index:
                 raise InputError(f"no hyperplane labelled {h!r}")
             return self._index[h]
-        i = int(h)
-        if not 0 <= i < self.n:
-            raise InputError(f"form index {i} out of range")
-        return i
+        if not isinstance(h, int) or isinstance(h, bool):
+            raise InputError(f"form index {h!r} is not an int or a label")
+        if not 0 <= h < self.n:
+            raise InputError(f"form index {h} out of range")
+        return h
 
     def _index_set(self, subset) -> frozenset:
         """`subset` as a frozenset of indices: valid indices cost one subset

@@ -19,8 +19,9 @@ normal form needs:
   nonempty flat is an NBC set.  `straighten` answers a one-term
   polynomial of more than r valid indices and no u with 0 at once: no
   index set, no table lookup, no table entry (one with a bad index or a
-  factor u takes the usual path and raises).  Inside a sum or a product
-  such a monomial is answered 0 without recursion.  An arrangement's
+  factor u goes through `_squarefree` like any other term and raises).
+  Inside a sum or a product such a monomial is answered 0 without
+  recursion.  An arrangement's
   circuit scan finds r, as the size of its largest independent set with
   a nonempty flat, checked against `linalg.rank`; a raw circuit system
   has no r and recurses in every grade.  Construction pays for the skipped work: the NBC sets must
@@ -45,12 +46,13 @@ normal form needs:
 Each rewrite has coefficient +/-1, so a straightened monomial has integer
 coordinates: they are kept as plain ints in one table per (source,
 ordering), memoized on the source and shared by every algebra of that
-pair.  `straighten` of one term scales its table entry; of several (one
-pass over the terms, skipping squared monomials) and `multiply` (one pass
-over the pairs of disjoint basis sets, `_disjoint_products`) feed
-(monomial, numerator, denominator) triples to `_combine`, which sums the
-table's entries over a running common denominator, grown (an lcm, the
-sums so far rescaled) only when a term's does not divide it.  So the
+pair.  There is one summation routine, `_combine`: `straighten` (one
+pass over the terms, skipping squared monomials, for one term as for
+many) and `multiply` (one pass over the pairs of disjoint basis sets,
+`_disjoint_products`) feed it (monomial, numerator, denominator) triples,
+and it sums the table's entries over a running common denominator, grown
+(an lcm, the sums so far rescaled) only when a term's does not divide
+it; a single term's denominator becomes the common one at once.  So the
 Fractions are made only for the result (the small integers' are made
 once and shared), which is built through the trusted
 `AlgebraElement._of`, as are sums and scalar multiples.
@@ -225,25 +227,15 @@ class CordovilAlgebra:
 
     def straighten(self, poly: Poly) -> "AlgebraElement":
         """Normal form of a polynomial on the NBC basis.  Monomials with a
-        repeated generator are zero; u must not appear."""
+        repeated generator are zero; u must not appear.  A u-free one-term
+        polynomial of more valid indices than the rank is 0 at once (the
+        grade bound); every other polynomial has each term checked by
+        `_squarefree` and is summed by `_combine`, as products are."""
         if len(poly.terms) == 1:
-            # one term: c * straightened(mono), no common denominator to find
-            [((emon, u), c)] = poly.terms.items()
+            [(emon, u)] = poly.terms
             if (not u and self._top is not None and len(emon) > self._top
                     and self._indices.issuperset(emon)):
-                return AlgebraElement._of(self, {})  # the grade bound
-            mono = self._squarefree(emon, u)
-            if mono is None:
                 return AlgebraElement._of(self, {})
-            coords = self._table.get(mono)
-            if coords is None:
-                coords = self._straighten_monomial(mono)
-            num, den = c.numerator, c.denominator
-            if den == 1:
-                return AlgebraElement._of(self, {b: _FRACTIONS[num * k]
-                                                 for b, k in coords.items()})
-            return AlgebraElement._of(self, {b: Fraction(num * k, den)
-                                             for b, k in coords.items()})
         terms = []
         for (emon, u), c in poly.terms.items():
             mono = self._squarefree(emon, u)

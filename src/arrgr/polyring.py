@@ -15,9 +15,11 @@ nothing: the ring operations (sums, negation, products by a polynomial or
 a scalar, each dropping the sums that cancel), `top_e_part`, `divide_u`,
 `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0 or 1 and no
 coefficient is multiplied) and the closed-form relation families.
-`monomial` builds its one term directly: it sorts the indices, converts
-the u-power only when it is not an int, and coerces and tests only a
-coefficient other than its default, the shared Fraction 1.
+`monomial` builds its one term directly: it sorts the indices, sends the
+u-power through `_u_power` (as the constructor does, refusing a float, a
+bool, a fraction or a negative power) only when it is not a nonnegative
+int, and coerces and tests only a coefficient other than its default,
+the shared Fraction 1.
 `substitute_u` compares an int value directly and sends any other value
 through `frac`, so a float or a boolean is refused.  At u = 1 each term
 is re-keyed (m, k) -> (m, 0); the re-keyed dict is the result when no two
@@ -39,6 +41,21 @@ from .linalg import frac
 _ONE = Fraction(1)  # `monomial`'s default coefficient (a Fraction is immutable)
 
 
+def _u_power(x) -> int:
+    """A power of u as an int: an integral value such as Fraction(2) or
+    "2" is converted; a float, a boolean, or a non-integral or negative
+    value is an `InputError`."""
+    if type(x) is int and x >= 0:
+        return x
+    try:
+        q = None if isinstance(x, (bool, float)) else Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is None or q.denominator != 1 or q < 0:
+        raise InputError(f"u-power {x!r} is not a nonnegative integer")
+    return q.numerator
+
+
 class Poly:
     """Polynomial with rational coefficients; immutable by convention."""
 
@@ -51,7 +68,7 @@ class Poly:
             coeff = frac(coeff)
             if coeff == 0:
                 continue
-            clean[(tuple(sorted(emon)), int(uexp))] = coeff
+            clean[(tuple(sorted(emon)), _u_power(uexp))] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -88,8 +105,8 @@ class Poly:
     @classmethod
     def monomial(cls, idxs, uexp: int = 0, coeff=_ONE):
         """coeff * prod(e_i for i in idxs) * u^uexp; zero for a zero coeff."""
-        if type(uexp) is not int:
-            uexp = int(uexp)
+        if type(uexp) is not int or uexp < 0:
+            uexp = _u_power(uexp)
         p = cls.__new__(cls)
         if coeff is not _ONE:
             coeff = frac(coeff)

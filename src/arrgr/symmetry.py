@@ -36,7 +36,7 @@ from .characters import class_size, decompose_character, partition_str, partitio
 from .circuits import (_bits, _byte_unions, _json_kind, _read_json,
                        _union_over)
 from .errors import ConsistencyError, InputError, NotASymmetryError
-from .linalg import frac, rref, solve_square
+from .linalg import solve_square
 from .vgring import _plus_masks, filtration_data, monomial_mask
 
 
@@ -75,41 +75,6 @@ class SignedPermutation:
             inv[j] = i
             flips[j] = self.flips[i]
         return SignedPermutation(tuple(inv), tuple(flips))
-
-
-def derive_signed_permutation(A: Arrangement, matrix, translation=None) -> SignedPermutation:
-    """Signed form permutation induced by the affine map v -> Mv + t.
-
-    For each i we need ω_i ∘ map⁻¹ to be a scalar multiple of some ω_j;
-    otherwise the map is not a symmetry of the arrangement.
-    """
-    d = A.dim
-    M = [[frac(x) for x in row] for row in matrix]
-    if len(M) != d or any(len(row) != d for row in M):
-        raise InputError("matrix must be square of the arrangement dimension")
-    t = [frac(x) for x in (translation if translation is not None else [0] * d)]
-    if len(t) != d:
-        raise InputError("translation length mismatch")
-    # columns of M^{-1} and the vector M^{-1} t
-    rows_aug = [M[r] + [Fraction(1) if c == r else Fraction(0) for c in range(d)] + [t[r]]
-                for r in range(d)]
-    red, pivots = rref(rows_aug)
-    if pivots != list(range(d)):
-        raise InputError("symmetry matrix is singular")
-    Minv = [[red[r][d + c] for c in range(d)] for r in range(d)]
-    Minv_t = [red[r][2 * d] for r in range(d)]
-    perm, flips = [], []
-    for i, f in enumerate(A.forms):
-        lin = tuple(sum(f.linear[r] * Minv[r][c] for r in range(d)) for c in range(d))
-        const = f.constant - sum(f.linear[r] * Minv_t[r] for r in range(d))
-        # ω_i ∘ map⁻¹ = λ·ω_j, and its flip is the sign of λ
-        hit = A.find_form(lin + (const,))
-        if hit is None:
-            raise NotASymmetryError(
-                f"image of form {A.labels[i]!r} is not in the arrangement")
-        perm.append(hit[0])
-        flips.append(hit[1])
-    return SignedPermutation(tuple(perm), tuple(flips))
 
 
 @dataclass(frozen=True)

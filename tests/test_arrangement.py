@@ -752,6 +752,18 @@ def test_form_index_lookup():
         A.form_index(7)
 
 
+@pytest.mark.parametrize("index", [0.9, 1.0, Fraction(3, 2), Fraction(1), True, None, (1,)],
+                         ids=["0.9", "1.0", "fraction", "integral-fraction", "bool",
+                              "none", "tuple"])
+def test_form_index_refuses_what_is_not_an_int_or_a_label(index):
+    """A form is named by its label or by an int that is not a bool;
+    anything else is refused with one line naming the value, where a number
+    was truncated (0.9 named form 0, Fraction(3, 2) and True form 1)."""
+    with pytest.raises(InputError) as info:
+        braid(3).form_index(index)
+    assert str(info.value) == f"form index {index!r} is not an int or a label"
+
+
 def test_cached_queries_return_the_same_object():
     A = semiorder(2)
     queries = [A.chambers, A.minimal_infeasible_sign_sets,

@@ -6,11 +6,12 @@ from math import comb
 import pytest
 
 import arrgr.circuits as circuits_module
-from arrgr.acceptance import (minimal_empty_flats_oracle,
+from arrgr.acceptance import (_in_graded_span, _oracle_ideal_span,
+                              minimal_empty_flats_oracle,
                               straightening_oracle_check,
                               straightening_span_dims)
 from arrgr.arrangement import boolean, braid, semiorder
-from arrgr.circuits import (CircuitSet, SignedSet, broken_circuit_map,
+from arrgr.circuits import (CircuitSet, SignedSet, _mask, broken_circuit_map,
                             circuits_from_arrangement, nbc_counts, nbc_sets,
                             ordering_ranks)
 from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
@@ -19,6 +20,7 @@ from arrgr.cordovil import (CordovilAlgebra, circuit_boundary,
 from arrgr.corpus import (parallel_pair, random_rational_arrangement,
                           single_hyperplane)
 from arrgr.errors import ConsistencyError, InputError
+from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
 from test_polyring import kill_squares_oracle
 
@@ -251,6 +253,110 @@ def test_leading_form_two_element_circuit_by_hand():
 def test_straightening_matches_quotient_oracle(corpus_map):
     for name in ("parallel", "braid3", "semiorder2", "generic3", "boolean3"):
         assert straightening_oracle_check(corpus_map[name]) == [], name
+
+
+def _vector(poly) -> dict:
+    return {_mask(emon): c for (emon, _), c in poly.terms.items()}
+
+
+def total_ideal_span_oracle(A) -> SparseEchelon:
+    """Every monomial multiple of the graded relations (families 2 and 3)
+    in the 2^n squarefree monomials, all grades in one echelon: the span
+    that `_oracle_ideal_span` keeps as one echelon per grade."""
+    ech = SparseEchelon()
+    for r in cordovil_relation_families(A):
+        if r.family == 1:
+            continue
+        gvec = _vector(r.poly)
+        for mask in range(2**A.n):
+            vec = {}
+            for m, c in gvec.items():
+                if not m & mask:  # x^2 = 0 kills overlapping products
+                    vec[m | mask] = vec.get(m | mask, Fraction(0)) + c
+            if vec:
+                ech.add(vec)
+    return ech
+
+
+def test_graded_oracle_span_is_the_total_span(corpus_map):
+    """On the corpus and braid 5 the total echelon's rank is the sum of the
+    graded ranks, and each straightening difference lies in it iff each of
+    its homogeneous parts lies in its grade's echelon (they all do).  One
+    NBC monomial per grade, alone or added to a difference in another
+    grade, is a non-relation for both; in braid 3's grades 0 and 1 there is
+    no echelon at all."""
+    cases = dict(corpus_map, braid5=braid(5))
+    for name, A in cases.items():
+        total = total_ideal_span_oracle(A)
+        by_grade = _oracle_ideal_span(A)
+        assert total.rank == sum(ech.rank for ech in by_grade.values()), name
+        alg = CordovilAlgebra(A)
+        diffs = {}
+        for size in range(A.n + 1):
+            for supp in combinations(range(A.n), size):
+                mono = Poly.monomial(supp)
+                diff = alg.straighten(mono).to_poly() - mono
+                assert total.contains(_vector(diff)), (name, supp)
+                assert _in_graded_span(by_grade, diff), (name, supp)
+                if diff.terms:
+                    diffs.setdefault(size, diff)
+        for grade in range(len(nbc_counts(A))):
+            planted = Poly.monomial(tuple(sorted(
+                next(s for s in alg.nbc if len(s) == grade))))
+            others = [d for k, d in diffs.items() if k != grade][:1]
+            for poly in [planted] + [d + planted for d in others]:
+                assert not total.contains(_vector(poly)), (name, grade)
+                assert not _in_graded_span(by_grade, poly), (name, grade)
+    assert sorted(_oracle_ideal_span(braid(3))) == [2, 3]
+
+
+def test_one_term_straightening_goes_through_combine(monkeypatch):
+    """A one-term polynomial is summed by `_combine`, as a sum of terms and
+    a product are: 3/2 and -2 times e12 e13, a squared generator (zero,
+    with no term to sum), and a factor u or a bad index, which raise as
+    before.  Only a monomial above the rank skips `_combine`."""
+    calls = []
+    combine = CordovilAlgebra._combine
+    monkeypatch.setattr(CordovilAlgebra, "_combine",
+                        lambda self, terms: calls.append(1) or combine(self, terms))
+    alg = CordovilAlgebra(braid(3))
+    for c in (Fraction(3, 2), Fraction(-2)):
+        el = alg.straighten(Poly.monomial((0, 1), coeff=c))
+        assert el.coords == {frozenset({0, 2}): c, frozenset({1, 2}): -c}
+        assert all(type(v) is Fraction for v in el.coords.values())
+    assert alg.straighten(Poly.monomial((1, 1))).is_zero
+    assert len(calls) == 3
+    with pytest.raises(InputError) as info:
+        alg.straighten(Poly.monomial((0,), uexp=1))
+    assert str(info.value) == "cannot straighten a polynomial carrying u"
+    with pytest.raises(InputError) as info:
+        alg.straighten(Poly.monomial((0, 7)))
+    assert str(info.value) == "form index 7 out of range"
+    assert alg.straighten(Poly.monomial((0, 1, 2))).is_zero
+    assert len(calls) == 3
+
+
+def test_generators_and_monomials_refuse_indices_that_are_not_ints():
+    """An index is a label or an int that is not a bool: `generator` refuses
+    any other value with one line naming it, where 0.9 and 1.7 were
+    truncated and True read as 1.  `straighten` refuses a value that equals
+    no index the same way, below the rank, above it and inside a sum (an
+    index set passes one subset test, so 1.0 or True, which equal the int
+    1, are read as e_1 there)."""
+    alg = CordovilAlgebra(braid(3))
+
+    def refused(call, index):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == f"form index {index!r} is not an int or a label"
+
+    for index in (0.9, 1.7, 1.0, Fraction(3, 2), True):
+        refused(lambda: alg.generator(index), index)
+    for index in (0.5, 0.9, 1.7, Fraction(3, 2)):
+        for poly in (Poly.monomial((index,)), Poly.monomial((0, 2, index), coeff=2),
+                     Poly.monomial((index,)) + Poly.generator(0)):
+            refused(lambda: alg.straighten(poly), index)
+    assert alg.generator(1) == alg.generator("13")
 
 
 def test_straightening_on_raw_circuit_set():

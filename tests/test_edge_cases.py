@@ -7,9 +7,10 @@ from arrgr.circuits import nbc_counts
 from arrgr.cli import main
 from arrgr.corpus import parallel_pair
 from arrgr.polyring import Poly
-from arrgr.symmetry import (SignedPermutation, derive_signed_permutation,
-                            fixed_chambers, graded_character, group_from_json)
+from arrgr.symmetry import (SignedPermutation, fixed_chambers,
+                            graded_character, group_from_json)
 from arrgr.vgring import filtration_profile, presentation_dimension
+from test_symmetry import derive_signed_permutation
 
 
 def test_pure_translation_is_the_identity_symmetry():

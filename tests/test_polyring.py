@@ -41,6 +41,24 @@ def test_monomial_converts_a_u_power_that_is_not_an_int():
         assert key == ((0, 1), 2) and type(key[1]) is int
 
 
+@pytest.mark.parametrize("uexp", [1.5, 2.7, 2.0, True, -1, Fraction(3, 2), "1/2", "u", None],
+                         ids=["1.5", "2.7", "2.0", "bool", "negative", "fraction",
+                              "fraction-string", "string", "none"])
+def test_u_powers_are_refused_not_truncated(uexp):
+    """A u-power is a nonnegative integer: a float, a boolean, or a
+    non-integral or negative value is refused with one line naming it, by
+    `monomial`, by the constructor and by `Poly.u`, where a float or a bool
+    was truncated to an int and a negative power kept."""
+    makers = (lambda: Poly.monomial((0,), uexp=uexp),
+              lambda: Poly({((0,), uexp): 1}),
+              lambda: Poly.u(uexp))
+    for make in makers:
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == f"u-power {uexp!r} is not a nonnegative integer"
+    assert Poly({((0,), "2"): 1}) == Poly.monomial((0,), 2) == Poly.generator(0) * Poly.u(2)
+
+
 def test_arithmetic():
     e0, e1 = Poly.generator(0), Poly.generator(1)
     p = (e0 + 1) * (e1 - 1)

@@ -13,11 +13,10 @@ from arrgr.characters import cycle_type, partition_str, partitions
 from arrgr.circuits import nbc_counts
 from arrgr.corpus import central_corpus
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
-from arrgr.linalg import SparseEchelon
+from arrgr.linalg import SparseEchelon, frac
 from arrgr.symmetry import (SignedPermutation, chamber_permutation,
-                            coordinate_action, derive_signed_permutation,
-                            fixed_chambers, graded_character, group_from_json,
-                            load_group)
+                            coordinate_action, fixed_chambers,
+                            graded_character, group_from_json, load_group)
 from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
 from test_linalg import fraction_rref_oracle, nbc_grades
 
@@ -28,6 +27,42 @@ def swap_matrix(n, a, b):
     m[a][a] = m[b][b] = Fraction(0)
     m[a][b] = m[b][a] = Fraction(1)
     return m
+
+
+def derive_signed_permutation(A, matrix, translation=None) -> SignedPermutation:
+    """The signed form permutation induced by the affine map v -> Mv + t,
+    from the matrix side: M^{-1} and M^{-1} t by Fraction Gauss-Jordan
+    (`fraction_rref_oracle`), then each form composed with the inverse map
+    and looked up.  The oracle for `coordinate_action`, which reads the
+    images off the forms' permuted integer rows instead.  Each form
+    composed with the inverse map must be a multiple of a form (its flip
+    is the sign), or the map is not a symmetry."""
+    d = A.dim
+    M = [[frac(x) for x in row] for row in matrix]
+    if len(M) != d or any(len(row) != d for row in M):
+        raise InputError("matrix must be square of the arrangement dimension")
+    t = [frac(x) for x in (translation if translation is not None else [0] * d)]
+    if len(t) != d:
+        raise InputError("translation length mismatch")
+    # columns of M^{-1} and the vector M^{-1} t
+    rows_aug = [M[r] + [Fraction(int(c == r)) for c in range(d)] + [t[r]]
+                for r in range(d)]
+    red, pivots = fraction_rref_oracle(rows_aug)
+    if pivots != list(range(d)):
+        raise InputError("symmetry matrix is singular")
+    Minv = [[red[r][d + c] for c in range(d)] for r in range(d)]
+    Minv_t = [red[r][2 * d] for r in range(d)]
+    perm, flips = [], []
+    for i, f in enumerate(A.forms):
+        lin = tuple(sum(f.linear[r] * Minv[r][c] for r in range(d)) for c in range(d))
+        const = f.constant - sum(f.linear[r] * Minv_t[r] for r in range(d))
+        hit = A.find_form(lin + (const,))
+        if hit is None:
+            raise NotASymmetryError(
+                f"image of form {A.labels[i]!r} is not in the arrangement")
+        perm.append(hit[0])
+        flips.append(hit[1])
+    return SignedPermutation(tuple(perm), tuple(flips))
 
 
 def test_derive_braid3_swap12():

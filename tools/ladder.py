@@ -27,7 +27,14 @@ tree's time over the first's, each ratio from the pair of runs made back
 to back in one repeat, so one read tells a layer change from the host's
 pace, which moves both runs of a pair alike.  Every run also reports
 peak_rss_mib, the peak resident set size of its interpreter
-(`resource.getrusage`), listed per run as peak_rss_mib_runs.  Layers:
+(`resource.getrusage`), listed per run as peak_rss_mib_runs.  On the
+algebra and filtration layers an interpreter runs its measurement PASSES
+times (STRETCH_PASSES on a stretch rung), each pass on fresh inputs built
+untimed, and reports the first pass's keys (the cold times and the md5s)
+with, next to each timed key K_s, K_min_s, the least of its times over the
+passes: a cold time spreads by a third between interpreters on a shared
+host, and one pinned interpreter's best resolves a layer change of 10-30%
+that the cold medians hide.  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -98,6 +105,8 @@ def _md5(value) -> str:
 
 FAMILIES = ("braid", "semiorder", "boolean")
 TIMEOUT_S = 120
+PASSES = 15  # measurements per interpreter on the layers that take passes
+STRETCH_PASSES = 5
 
 
 def _known(rung: str, layer: dict) -> bool:
@@ -256,9 +265,21 @@ def measure_relations(rung: str) -> dict:
             "terms_md5": _md5(terms), "counts_md5": _md5(counts)}
 
 
-def _layer(rungs, measure, repeats, stretch, what, randoms=()) -> dict:
+def _best_of(measure, rung: str, passes: int) -> dict:
+    """The first of `passes` calls of `measure(rung)` in this interpreter,
+    each building its own inputs, with K_min_s for each timed key K_s: the
+    least of its times over the calls."""
+    runs = [measure(rung) for _ in range(passes)]
+    out = dict(runs[0], passes=passes)
+    for key in runs[0]:
+        if key.endswith("_s"):
+            out[f"{key[:-2]}_min_s"] = min(run[key] for run in runs)
+    return out
+
+
+def _layer(rungs, measure, repeats, stretch, what, randoms=(), passes=False) -> dict:
     return {"rungs": rungs, "measure": measure, "repeats": repeats,
-            "stretch": stretch, "what": what, "randoms": randoms}
+            "stretch": stretch, "what": what, "randoms": randoms, "passes": passes}
 
 
 LAYERS = {
@@ -274,7 +295,7 @@ LAYERS = {
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
         "cold straighten of every squarefree monomial, one "
         "validate_circuit_axioms call, and criterion 9(d)'s 200 seeded "
-        "triples with five products each", ("random8",)),
+        "triples with five products each", ("random8",), passes=True),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
          "semiorder3", "semiorder4"], measure_characters, 5,
@@ -290,7 +311,7 @@ LAYERS = {
         "verify_relations, which reads its cached certificate, a cold "
         "presentation_dimension(A, (1, 2), nmax=n) on a second such "
         "arrangement, and the whole `arrgr ... --nmax max(14, n) vg` command "
-        "on a new arrangement"),
+        "on a new arrangement", passes=True),
     "relations": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7",
                                                "random8", "randoms"],
@@ -311,7 +332,12 @@ def child(layer: str, src: str, rung: str) -> dict:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, src)
-    out = LAYERS[layer]["measure"](rung)
+    spec = LAYERS[layer]
+    if spec["passes"]:
+        passes = STRETCH_PASSES if rung in spec["stretch"] else PASSES
+        out = _best_of(spec["measure"], rung, passes)
+    else:
+        out = spec["measure"](rung)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out["peak_rss_mib"] = rss / (2**20 if sys.platform == "darwin" else 2**10)
     return out
@@ -407,7 +433,10 @@ def main(argv: list) -> int:
         "what": f"{layer['what']}; wall time (best, quartiles and median "
                 "over fresh interpreters per tree, alternating; "
                 "time.perf_counter; one "
-                f"pinned CPU where available); timeout {TIMEOUT_S} s",
+                f"pinned CPU where available); timeout {TIMEOUT_S} s"
+                + (f"; K_min_s is the least of K_s over {PASSES} passes in one "
+                   f"interpreter ({STRETCH_PASSES} on a stretch rung), each on "
+                   "fresh inputs" if layer["passes"] else ""),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "trees": [label for label, _ in trees],
