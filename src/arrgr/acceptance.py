@@ -26,7 +26,7 @@ from .linalg import SparseEchelon, affine_system_consistent
 from .polyring import Poly
 from .rees import rees_relation_families, rees_hilbert_check, specialize
 from .symmetry import coordinate_action, graded_character
-from .vgring import (_plus_masks, filtration_profile, monomial_mask,
+from .vgring import (_topes, filtration_profile, monomial_mask,
                      presentation_dimension, verify_relations)
 
 
@@ -120,7 +120,7 @@ def straightening_span_dims(A) -> tuple:
 def _chamber_keys(A) -> tuple:
     """Per chamber c, its rank in the order (number of '+' signs, chamber
     index): the column key of chamber c in `exact_filtration_oracle`."""
-    plus = _plus_masks(A)
+    plus = _topes(A).plus
     order = sorted(range(len(plus)), key=lambda c: (plus[c].bit_count(), c))
     keys = [0] * len(order)
     for rank, c in enumerate(order):

@@ -15,6 +15,8 @@ nothing: the ring operations (sums, negation, products by a polynomial or
 a scalar, each dropping the sums that cancel), `top_e_part`, `divide_u`,
 `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0 or 1 and no
 coefficient is multiplied) and the closed-form relation families.
+The constructor and `monomial` refuse indices that do not sort together,
+such as an index and a label, with an `InputError`.
 `monomial` builds its one term directly: it sorts the indices, sends the
 u-power through `_u_power` (as the constructor does, refusing a float, a
 bool, a fraction or a negative power) only when it is not a nonnegative
@@ -39,6 +41,7 @@ from .linalg import frac
 
 
 _ONE = Fraction(1)  # `monomial`'s default coefficient (a Fraction is immutable)
+_MIXED = "monomial {!r}: name its forms all by index or all by label"
 
 
 def _u_power(x) -> int:
@@ -68,7 +71,11 @@ class Poly:
             coeff = frac(coeff)
             if coeff == 0:
                 continue
-            clean[(tuple(sorted(emon)), _u_power(uexp))] = coeff
+            try:
+                emon = tuple(sorted(emon))
+            except TypeError:
+                raise InputError(_MIXED.format(emon)) from None
+            clean[(emon, _u_power(uexp))] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -113,7 +120,10 @@ class Poly:
             if not coeff:
                 p.terms = {}
                 return p
-        p.terms = {(tuple(sorted(idxs)), uexp): coeff}
+        try:
+            p.terms = {(tuple(sorted(idxs)), uexp): coeff}
+        except TypeError:
+            raise InputError(_MIXED.format(idxs)) from None
         return p
 
     # -- ring operations ---------------------------------------------------

@@ -9,7 +9,8 @@ cycle type, whose images are read off the forms' primitive integer rows,
 one lookup per form and class; a group file lists every element, and each
 is checked before the classes are formed.  The induced permutation of
 chambers is ρ(w), read on the chambers' plus-masks by bit operations and
-a mask-keyed index (`chamber_permutation`).  The characters of the
+their mask-keyed index, both from the arrangement's one tope value
+(`vgring._topes`, see `chamber_permutation`).  The characters of the
 graded pieces are traces of diagonal blocks: the basis of the filtration
 is a set of monomials, 0/1 on the chambers, taken grade by grade, and
 since the top stage is every function on the chambers its evaluation
@@ -37,7 +38,7 @@ from .circuits import (_bits, _byte_unions, _json_kind, _read_json,
                        _union_over)
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import solve_square
-from .vgring import _plus_masks, filtration_data, monomial_mask
+from .vgring import _topes, filtration_data, monomial_mask
 
 
 @dataclass(frozen=True)
@@ -288,15 +289,15 @@ def chamber_permutation(A: Arrangement, w: SignedPermutation) -> tuple:
     do not match).
 
     The image of a chamber has sign flip_i * c_i at perm(i), so on
-    plus-masks (`_plus_masks`) it is the chamber's mask XOR the mask of
-    the flipped hyperplanes, its bits moved i -> perm(i) by one table
-    lookup per byte (`_byte_unions`, `_union_over`), then looked up in a
-    mask-keyed index of the chambers."""
+    plus-masks it is the chamber's mask XOR the mask of the flipped
+    hyperplanes, its bits moved i -> perm(i) by one table lookup per byte
+    (`_byte_unions`, `_union_over`), then looked up in the plus-mask
+    index; both are read from the arrangement's one tope value
+    (`vgring._topes`)."""
     if len(w.perm) != A.n:
         raise InputError("signed permutation size does not match the arrangement")
-    plus = _plus_masks(A)
-    index = A._memo("chamber_of_plus_mask",
-                    lambda: {m: c for c, m in enumerate(plus)})
+    topes = _topes(A)
+    plus, index = topes.plus, topes.index
     flipped = sum(1 << i for i, s in enumerate(w.flips) if s < 0)
     tables = _byte_unions([1 << j for j in w.perm])
     out = [index.get(_union_over(tables, m ^ flipped)) for m in plus]

@@ -9,6 +9,11 @@ on the Boolean cube: modulo e_i^2 - e_i a polynomial is a function on the
 2^n subsets of the hyperplanes, and an ideal is fixed by its common zeros,
 so no Groebner basis and no elimination over monomial multiples is needed.
 
+The chambers are read into bitmasks once, as one tope value (`_topes`):
+the chambers' plus-masks, the hyperplanes' Heaviside masks, every chamber
+and a plus-mask index, read by every mask consumer here, in `symmetry` and
+in `acceptance`.
+
 Each relation at u = 1 is held as (support, nonzero): the mask of its
 hyperplanes, and the sub-masks of the support at which it is nonzero, in
 closed form (`_relation_points`).  A product prod_{X+} e_i prod_{X-}
@@ -80,24 +85,40 @@ from .polyring import Poly
 
 _BIT_VALUE = {"0": Fraction(0), "1": Fraction(1)}
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' -> a false/true selector
+_PLUS_BITS = str.maketrans("+-", "10")
 
 
-def _heaviside_masks(A: Arrangement) -> tuple:
-    """Per hyperplane i, the chambers on its positive side as a bitmask
-    over the chamber order (bit c for chamber c)."""
-    return A._memo("heaviside_masks", lambda: tuple(
-        sum(1 << c for c, signs in enumerate(A.chambers()) if signs[i] == "+")
-        for i in range(A.n)))
+@dataclass(frozen=True)
+class _Topes:
+    """The chambers as bitmasks, built once per arrangement by `_topes`."""
+
+    plus: tuple       # per chamber, bit i set iff it is on the '+' side of form i
+    heaviside: tuple  # per hyperplane, bit c set iff chamber c is on its '+' side
+    full: int         # every chamber
+    index: dict       # plus-mask -> chamber
+
+
+def _topes(A: Arrangement) -> _Topes:
+    """`A.chambers()` read once: each reversed sign string, and each of
+    their reversed columns (one `zip(*chambers)`), as binary digits."""
+    def build():
+        chambers = A.chambers()
+        plus = tuple(int(s[::-1].translate(_PLUS_BITS) or "0", 2) for s in chambers)
+        heaviside = tuple(int("".join(col)[::-1].translate(_PLUS_BITS), 2)
+                          for col in zip(*chambers))
+        return _Topes(plus, heaviside, (1 << len(chambers)) - 1,
+                      {m: c for c, m in enumerate(plus)})
+    return A._memo("topes", build)
 
 
 def monomial_mask(A: Arrangement, subset) -> int:
     """The chambers where the monomial of `subset` is 1, as a bitmask over
-    the chamber order: the AND of its Heaviside masks, or every chamber
-    for the empty subset."""
-    masks = _heaviside_masks(A)
-    out = (1 << len(A.chambers())) - 1
+    the chamber order: the AND of its Heaviside masks (`_topes`), or
+    every chamber for the empty subset."""
+    topes = _topes(A)
+    out = topes.full
     for h in subset:
-        out &= masks[A.form_index(h)]
+        out &= topes.heaviside[A.form_index(h)]
     return out
 
 
@@ -110,17 +131,6 @@ def monomial_eval(A: Arrangement, subset) -> tuple:
     """Pointwise product of the Heaviside functions indexed by `subset`."""
     bits = format(monomial_mask(A, subset), f"0{len(A.chambers())}b")
     return tuple(map(_BIT_VALUE.__getitem__, reversed(bits)))
-
-
-_PLUS_BITS = str.maketrans("+-", "10")
-
-
-def _plus_masks(A: Arrangement) -> tuple:
-    """Per chamber, in the chamber order, the hyperplanes on its positive
-    side as a bitmask (bit i for hyperplane i): the reversed sign string
-    read as binary digits, the empty chamber of no hyperplane as 0."""
-    return A._memo("plus_masks", lambda: tuple(
-        int(signs[::-1].translate(_PLUS_BITS) or "0", 2) for signs in A.chambers()))
 
 
 @dataclass(frozen=True)
@@ -214,8 +224,8 @@ def _independent_mod_2(A: Arrangement, sets) -> bool:
     most '-' signs, so few monomials hold them and the kept columns stay
     short: the last chamber of a central arrangement is all '-', held by
     the empty monomial alone."""
-    masks = _heaviside_masks(A)
-    full = (1 << len(A.chambers())) - 1
+    topes = _topes(A)
+    masks, full = topes.heaviside, topes.full
     pivots: dict = {}
     for s in sets:
         col = full
@@ -420,14 +430,14 @@ def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:
     over the support of the Heaviside masks of t's hyperplanes and the
     complements of the others' (a family-(2)/(3) relation has one or two
     points), so the work follows the support, not the chamber count."""
-    plus = _heaviside_masks(A)
-    full = (1 << len(A.chambers())) - 1
+    topes = _topes(A)
+    masks, full = topes.heaviside, topes.full
     bits = list(_bits(support))
     out = 0
     for t in nonzero:
         at = full
         for i in bits:
-            at &= plus[i] if t >> i & 1 else full ^ plus[i]
+            at &= masks[i] if t >> i & 1 else full ^ masks[i]
             if not at:
                 break
         out |= at

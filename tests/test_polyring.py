@@ -59,6 +59,21 @@ def test_u_powers_are_refused_not_truncated(uexp):
     assert Poly({((0,), "2"): 1}) == Poly.monomial((0,), 2) == Poly.generator(0) * Poly.u(2)
 
 
+@pytest.mark.parametrize("idxs", [(0, "a"), ("a", 0), (0, None), (1, "b", 0)],
+                         ids=["index-label", "label-index", "none", "three"])
+def test_monomials_that_mix_indices_and_labels_are_refused(idxs):
+    """Indices that do not sort together are refused with one line, by
+    `monomial` and by the constructor, where the sort raised a bare
+    `TypeError`; all indices or all labels still sort."""
+    for make in (lambda: Poly.monomial(idxs), lambda: Poly({(idxs, 0): 1})):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == (f"monomial {idxs!r}: name its forms all "
+                                   "by index or all by label")
+    assert Poly.monomial(("b", "a")).terms == {(("a", "b"), 0): 1}
+    assert Poly({((1, 0), 0): 1}) == Poly.monomial((0, 1))
+
+
 def test_arithmetic():
     e0, e1 = Poly.generator(0), Poly.generator(1)
     p = (e0 + 1) * (e1 - 1)

@@ -399,6 +399,63 @@ def test_graded_character_refuses_a_non_integral_inverse(monkeypatch):
     assert str(exc.value) == "the inverse of the NBC evaluation matrix is not integral"
 
 
+def test_graded_character_refuses_a_basis_short_of_the_chambers(monkeypatch):
+    """A filtration whose bases miss one monomial has fewer columns than
+    chambers, so B is not square and the characters raise."""
+    real = arrgr.symmetry.filtration_data
+
+    def short(A):
+        dims, bases = real(A)
+        return dims, [b[1:] if k == 1 else b for k, b in enumerate(bases)]
+
+    monkeypatch.setattr(arrgr.symmetry, "filtration_data", short)
+    A = braid(3)
+    with pytest.raises(ConsistencyError) as exc:
+        graded_character(A, coordinate_action(A))
+    assert str(exc.value) == ("the top filtration stage is not every "
+                              "function on the chambers")
+
+
+def test_graded_character_refuses_characters_that_do_not_sum(monkeypatch):
+    """An integral B⁻¹ with two rows swapped is not the inverse: the
+    identity's diagonal loses two ones, so the graded characters no longer
+    sum to the chamber character."""
+    real = arrgr.symmetry.solve_square
+
+    def swapped(B, rhs):
+        out = real(B, rhs)
+        out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(arrgr.symmetry, "solve_square", swapped)
+    A = braid(3)
+    with pytest.raises(ConsistencyError) as exc:
+        graded_character(A, coordinate_action(A))
+    assert str(exc.value) == "graded characters do not sum to the chamber character"
+
+
+def test_chamber_map_of_a_repeated_chamber_is_not_a_permutation():
+    """A chamber listed twice has one plus-mask at two places, so even the
+    identity sends both to the same chamber."""
+    A = braid(3)
+    chambers = braid(3).chambers()
+    A._cache["chambers"] = chambers + chambers[:1]
+    with pytest.raises(ConsistencyError) as exc:
+        chamber_permutation(A, SignedPermutation.identity(A.n))
+    assert str(exc.value) == "chamber map is not a permutation"
+
+
+def test_decompositions_need_a_symmetric_group():
+    """A group file not named S<n> has no cycle types, so its characters
+    have no irreducible decomposition."""
+    A = braid(3)
+    gc = graded_character(A, group_from_json(A, {"group": "W", "action": [IDENTITY3]}))
+    assert gc.group.cycle_types is None
+    with pytest.raises(InputError) as exc:
+        gc.decompositions()
+    assert str(exc.value) == "irreducible decomposition needs a symmetric group"
+
+
 @pytest.mark.parametrize("A", [braid(4), semiorder(3)], ids=["braid4", "semiorder3"])
 def test_solve_gets_the_sparse_rows_of_the_masks(monkeypatch, A):
     """`solve_square` gets the rows of [B | I] read off the chamber masks:

@@ -85,12 +85,17 @@ def _scopes_using(tree, attr: str) -> set:
 
 def test_cache_is_touched_only_by_memo():
     """Cached queries go through `GroundSet._memo`, shared by arrangements
-    and circuit systems: no module reads or fills `_cache` by key."""
+    and circuit systems: no module reads or fills `_cache` by key, and
+    only the modules that build a cached object call `_memo` (the
+    chambers' masks, for one, are `vgring`'s one tope value)."""
     files = sorted((ROOT / "src" / "arrgr").rglob("*.py"))
     assert files
     used = set().union(*(_scopes_using(ast.parse(path.read_text()), "_cache")
                          for path in files))
     assert used == {"GroundSet.__init__", "GroundSet._memo"}
+    callers = {path.name for path in files
+               if _scopes_calling(ast.parse(path.read_text()), "_memo")}
+    assert callers == {"arrangement.py", "circuits.py", "cordovil.py", "vgring.py"}
 
 
 def test_ground_set_methods_are_defined_once():

@@ -219,8 +219,9 @@ def test_certified_filtration_matches_the_exact_echelon(corpus_map):
 
 def test_one_filtration_per_arrangement():
     """The characters, the profile, the NBC counts and the Cordovil algebra
-    read one basis: the arrangement caches one filtration and the
-    canonical circuits, broken circuits and NBC sets of one ordering."""
+    read one basis: the arrangement caches one filtration, one tope value
+    and the canonical circuits, broken circuits and NBC sets of one
+    ordering."""
     for A in (braid(4), semiorder(3)):
         graded_character(A, coordinate_action(A))
         filtration_profile(A)
@@ -230,6 +231,8 @@ def test_one_filtration_per_arrangement():
         for table in ("nbc", "canonical", "broken"):
             assert [k for k in keys if k[0] == table] == [(table, tuple(range(A.n)))]
         assert [k for k in A._cache if "filtration" in k] == ["filtration"]
+        assert "topes" in A._cache  # and no other chamber-mask table
+        assert [k for k in A._cache if isinstance(k, str) and "mask" in k] == []
 
 
 def test_certified_dims_match_the_exact_echelon_at_braid6():
@@ -427,7 +430,7 @@ def nonzero_chambers(A, points):
     """The chamber indices whose plus-mask, restricted to the support, is a
     nonzero point of a relation's (support, nonzero) sets."""
     support, nonzero = points
-    return [c for c, p in enumerate(arrgr.vgring._plus_masks(A))
+    return [c for c, p in enumerate(arrgr.vgring._topes(A).plus)
             if p & support in nonzero]
 
 
@@ -620,15 +623,30 @@ def plus_masks_oracle(A) -> tuple:
                  for signs in A.chambers())
 
 
-def test_plus_masks_match_the_per_sign_oracle(corpus_map):
+def heaviside_masks_oracle(A) -> tuple:
+    """Per hyperplane, the bitmask of the chambers on its '+' side, one
+    chamber at a time."""
+    return tuple(sum(1 << c for c, signs in enumerate(A.chambers()) if signs[i] == "+")
+                 for i in range(A.n))
+
+
+def test_topes_match_the_per_sign_oracles(corpus_map):
     """One binary read of each reversed sign string gives the per-sign
-    loop's masks, in the chamber order; the one empty chamber of an
-    arrangement with no hyperplane has mask 0."""
+    loop's plus-masks, and one of each transposed column the per-chamber
+    loop's Heaviside masks, in the chamber order; the index inverts the
+    plus-masks and `full` holds every chamber.  The one empty chamber of
+    an arrangement with no hyperplane has mask 0 and no Heaviside mask."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4),
                  empty=arrangement_from_json({"dim": 0, "forms": []}))
     for name, A in cases.items():
-        assert arrgr.vgring._plus_masks(A) == plus_masks_oracle(A), name
-    assert arrgr.vgring._plus_masks(cases["empty"]) == (0,)
+        topes = arrgr.vgring._topes(A)
+        assert topes.plus == plus_masks_oracle(A), name
+        assert topes.heaviside == heaviside_masks_oracle(A), name
+        assert all(topes.index[m] == c for c, m in enumerate(topes.plus)), name
+        assert len(topes.index) == len(A.chambers()), name
+        assert topes.full == (1 << len(A.chambers())) - 1, name
+    empty = arrgr.vgring._topes(cases["empty"])
+    assert (empty.plus, empty.heaviside, empty.full) == ((0,), (), 1)
 
 
 def common_zeros_cube_oracle(A, families):

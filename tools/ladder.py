@@ -58,8 +58,9 @@ that the cold medians hide.  Layers:
               reuses the cached filtration but solves B⁻¹ again, as every
               call does; perm_s, a cold `chamber_permutation` of every
               class representative on a new arrangement after its
-              chambers (braid6 and braid7 are stretch rungs; braid7 is in
-              no default ladder).
+              chambers, building its tope value (plus-masks, Heaviside
+              masks and mask index) included; braid6 and braid7 are
+              stretch rungs (braid7 is in no default ladder).
   filtration  after the chambers and `nbc_sets` (the benchmark jobs build
               both before the filtration): profile_s, a cold
               `filtration_profile`, then verify_s, `verify_relations`,
@@ -303,7 +304,7 @@ LAYERS = {
         "a cold coordinate_action of S_n, then graded_character under it, "
         "cold (first call, filtration included) and warm (second call), and "
         "a cold chamber_permutation of every class representative on a new "
-        "arrangement after its chambers"),
+        "arrangement after its chambers, tope value included"),
     "filtration": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
