@@ -140,12 +140,22 @@ def _keyed_column(mask: int, keys) -> dict:
 
 
 def exact_filtration_oracle(A):
-    """(dims, bases) of `filtration_data` by an exact echelon that assumes
-    no basis theorem: every monomial's 0/1 chamber column, each grade
-    scanned backwards in lexicographic order, into a `SparseEchelon` until
-    the span is full.  Columns are keyed by chamber plus-count
-    (`_chamber_keys`), so a column's least key is a chamber few other
-    monomials contain and the pivot rows stay sparse."""
+    """(dims, bases) of the filtration by an exact echelon that assumes no
+    basis theorem: every monomial's 0/1 chamber column, each grade scanned
+    backwards in lexicographic order, into a `SparseEchelon` until the span
+    is full; dims[k] = dim P^k and bases[k] the pivot subsets of degree k.
+    Columns are keyed by chamber plus-count (`_chamber_keys`), so a
+    column's least key is a chamber few other monomials contain and the
+    pivot rows stay sparse.
+
+    On a certified arrangement dims is `filtration_profile(A).dims` and
+    bases[k] the grade-k sets of `nbc_sets(A)`, reversed.  Rewriting a
+    monomial M through a broken circuit X - x (x the largest index of X)
+    gives, besides monomials of lower degree, the monomials M - i + x for
+    i in X - x; since x > i, M - i + x comes first in the backward scan.
+    So every other monomial lies in the span of the NBC monomials scanned
+    before it, and those are independent: they are the pivots, in scan
+    order."""
     nch = len(A.chambers())
     keys = _chamber_keys(A)
     ech = SparseEchelon()

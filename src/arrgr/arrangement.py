@@ -15,7 +15,7 @@ from itertools import product
 
 from .circuits import (GroundSet, SignedSet, _json_kind, _labels, _read_json,
                        circuit_scan, circuits_from_arrangement)
-from .errors import ConsistencyError, DuplicateFormError, InputError
+from .errors import DuplicateFormError, InputError
 from .linalg import (SparseEchelon, _divide_content, _not_exact, _primitive_row,
                      frac, strict_feasible)
 
@@ -429,10 +429,7 @@ def restrict_with_map(A: Arrangement, h):
         new_lin = [g.linear[k] - beta * f.linear[k] / alpha for k in keep]
         new_const = g.constant - beta * f.constant / alpha
         if all(x == 0 for x in new_lin):
-            if new_const == 0:
-                raise ConsistencyError(
-                    "distinct hyperplanes restricted to the zero form")
-            continue
+            continue  # parallel to H_h: a zero form would be a duplicate of it
         key = hyperplane_key(new_lin + [new_const])[0]
         if key not in seen:
             seen[key] = A.labels[j]

@@ -158,7 +158,7 @@ def cmd_nbc(args, A, ordering) -> int:
 
 
 def cmd_poincare(args, A, ordering) -> int:
-    coeffs = nbc_counts(A, ordering)
+    coeffs = nbc_counts(A)
     _emit(args, {"coeffs": list(coeffs), "pretty": format_poincare(coeffs)},
           [format_poincare(coeffs)])
     return PASS
@@ -227,7 +227,7 @@ def cmd_cordovil(args, A, ordering) -> int:
 
 def cmd_rees(args, A, ordering) -> int:
     rels = rees_relation_families(A)
-    table = rees_hilbert_check(A, ordering)
+    table = rees_hilbert_check(A)
     payload = {
         "relations": [
             {"family": r.family, "source": r.source_str(A.labels),

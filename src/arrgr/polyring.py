@@ -162,11 +162,14 @@ class Poly:
             c = frac(other)
             return Poly._of({k: v * c for k, v in self.terms.items()} if c else {})
         out: dict = {}
-        for (m1, u1), c1 in self.terms.items():
-            for (m2, u2), c2 in other.terms.items():
-                key = (tuple(sorted(m1 + m2)), u1 + u2)
-                old = out.get(key)
-                out[key] = c1 * c2 if old is None else old + c1 * c2
+        try:
+            for (m1, u1), c1 in self.terms.items():
+                for (m2, u2), c2 in other.terms.items():
+                    key = (tuple(sorted(m1 + m2)), u1 + u2)
+                    old = out.get(key)
+                    out[key] = c1 * c2 if old is None else old + c1 * c2
+        except TypeError:
+            raise InputError(_MIXED.format(m1 + m2)) from None
         return Poly._of({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__

@@ -45,11 +45,12 @@ class ReesHilbertReport:
         return out
 
 
-def rees_hilbert_check(A: Arrangement, ordering=None) -> ReesHilbertReport:
+def rees_hilbert_check(A: Arrangement) -> ReesHilbertReport:
     """Freeness forces dim P^k to equal the NBC counts accumulated up to
-    grade k; report the whole table."""
+    grade k; report the whole table.  The NBC counts do not depend on the
+    hyperplane ordering, so the default one is read."""
     dims = filtration_profile(A).dims
-    counts = nbc_counts(A, ordering)
+    counts = nbc_counts(A)
     rows = []
     ok = True
     for k, d in enumerate(dims):

@@ -35,10 +35,10 @@ from math import lcm
 from .arrangement import Arrangement
 from .characters import class_size, decompose_character, partition_str, partitions
 from .circuits import (_bits, _byte_unions, _json_kind, _read_json,
-                       _union_over)
+                       _union_over, nbc_sets)
 from .errors import ConsistencyError, InputError, NotASymmetryError
 from .linalg import solve_square
-from .vgring import _topes, filtration_data, monomial_mask
+from .vgring import _topes, filtration_profile, monomial_mask
 
 
 @dataclass(frozen=True)
@@ -341,15 +341,15 @@ class GradedCharacters:
 def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     """Characters of the filtration layers, as diagonal blocks of B⁻¹ρ(w)B.
 
-    B is the chamber evaluation matrix of the pivot monomials of
-    `filtration_data` (the NBC monomials of the default ordering, as
-    `nbc_sets(A)`), columns in grade order; the first dim P^k columns
-    span P^k.  The top stage is every function on the chambers, so B is
-    square and invertible.  No stage is checked to be W-stable:
-    `chamber_permutation` raises unless every image sign vector is a
-    chamber and the map is a bijection; the image of chamber c has sign
-    flip_i * c_i at perm(i), so ρ(w) sends the Heaviside function of i to
-    that of perm(i), or to 1 minus it when flip_i = -1; and ρ(w),
+    B is the chamber evaluation matrix of the NBC monomials of the default
+    ordering (`nbc_sets(A)`, in grade order), the basis that
+    `filtration_profile` certifies; the first dim P^k columns span P^k, and
+    column j's grade is its set's size.  The top stage is every function on
+    the chambers, so B is square and invertible.  No stage is checked to be
+    W-stable: `chamber_permutation` raises unless every image sign vector
+    is a chamber and the map is a bijection; the image of chamber c has
+    sign flip_i * c_i at perm(i), so ρ(w) sends the Heaviside function of i
+    to that of perm(i), or to 1 minus it when flip_i = -1; and ρ(w),
     composition with a bijection, is multiplicative, so it maps every
     product of at most k Heaviside functions into P^k.  Hence B⁻¹ρ(w)B is
     block upper triangular along the flag, its k-th diagonal block is ρ(w)
@@ -357,20 +357,17 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     diagonal entries over the grade-k columns j.  With (ρ(w) f)[perm[c]] =
     f[c], entry (j, j) is Σ_{c ∈ mask_j} B⁻¹[j][perm[c]], that is the sum
     of the entries B⁻¹[j][d] of row j whose preimage chamber perm⁻¹(d) is
-    in mask_j: one integer sum over the stored entries of row j, B⁻¹
-    solved once per call and shared by every class.  B⁻¹ is integral
-    (the NBC monomials are a Z-basis of the chamber functions), so a row
-    with a denominator other than 1 raises `ConsistencyError`.
+    in mask_j: one integer sum over the stored entries of row j, B⁻¹ solved
+    once per call and shared by every class.  B⁻¹ is integral (the NBC
+    monomials are a Z-basis of the chamber functions), so a row with a
+    denominator other than 1 raises `ConsistencyError`.
     """
-    dims, bases = filtration_data(A)
-    top = max((k for k in range(len(dims)) if bases[k]), default=0)
+    filtration_profile(A)  # the certificate: raises unless the NBC sets are a basis
+    basis = nbc_sets(A)
+    top = len(basis[-1])
     nch = len(A.chambers())
     # column j of B is 0/1 on the chambers: those of monomial j's mask
-    masks, grade_of = [], []
-    for k in range(top + 1):
-        for subset in bases[k]:
-            masks.append(monomial_mask(A, subset))
-            grade_of.append(k)
+    masks = [monomial_mask(A, subset) for subset in basis]
     if len(masks) != nch:
         raise ConsistencyError("the top filtration stage is not every "
                                "function on the chambers")
@@ -389,8 +386,8 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
         for c, d in enumerate(perm):
             preimage[d] = c
         sums = [0] * (top + 1)
-        for (row, _), k, mask in zip(inverse, grade_of, masks):
-            sums[k] += sum(v for d, v in row.items() if mask >> preimage[d] & 1)
+        for (row, _), subset, mask in zip(inverse, basis, masks):
+            sums[len(subset)] += sum(v for d, v in row.items() if mask >> preimage[d] & 1)
         per_class.append([Fraction(x) for x in sums])
         chamber_vals.append(Fraction(sum(1 for i, j in enumerate(perm) if i == j)))
     grade_values = [tuple(values[k] for values in per_class)

@@ -22,30 +22,28 @@ a minimal infeasible set's relation is nonzero at X+ alone, a circuit's
 difference at X+ and X-, and e_i^2 - e_i nowhere.  A relation's value at
 a point s of the cube, or at a chamber's plus-mask, is its value at
 s & support, so both halves of the presentation theorem read the same
-sets.  The certificate's relations fail at the chambers whose
-restricted plus-mask is a nonzero point; the chambers at a point are one
-AND of Heaviside masks over the support (`_nonzero_chambers`), so no
-chamber is visited one by one.  The presentation count grows the
-common zeros one hyperplane at a time and drops a point as soon as a
-relation whose support ends at that hyperplane is nonzero there; the
-points kept are the common zeros of the relations seen so far, so the work
-follows the output instead of the 2^n cube.  The points are held as one
-column bitmask per hyperplane (bit k set iff point k holds it): adding
-hyperplane d doubles every column, c | c << L, and a relation kills the
-points that one AND per support element selects, so no point is visited
-one by one either (`_common_zeros`).
+sets through one evaluator (`_nonzero_at`): over points held as one
+column bitmask per hyperplane, a relation is nonzero where, for one of its
+points t, the AND over the support of the columns t holds and of the
+complements of the others is set, so no point is visited one by one.
+The certificate's columns are the Heaviside masks.  The presentation
+count grows the common zeros one hyperplane at a time, its columns
+doubled, c | c << L, and drops a point as soon as a relation whose
+support ends at that hyperplane is nonzero there, so the work follows
+the output instead of the 2^n cube (`_common_zeros`).
 
-The filtration is read off the NBC monomials, the basis of gr P^* in the
-paper's main theorem (Varchenko-Gelfand 1987; Cordovil 2002), and every
-answer is certified exactly (`_nbc_dims`).  The NBC monomials' 0/1 chamber
-columns, eliminated over GF(2) by XOR of Python ints, give the lower bound
-dim P^k >= |NBC_<=k|: 0/1 columns independent mod 2 are independent over
-Q.  The relations of the circuits and of the minimal empty flats,
-checked to vanish on the chambers, give the upper bound: through them
-every monomial rewrites into NBC monomials of no larger degree.  When the
-bounds meet, the dims are the NBC partial sums and the pivots the NBC sets
-of the default ordering.  By the theorem they meet on a correct circuit
-scan, so a failed bound raises `ConsistencyError`.  The certificate's
+The filtration is read off the NBC monomials (`nbc_sets`), the basis of
+gr P^* in the paper's main theorem (Varchenko-Gelfand 1987; Cordovil
+2002), and certified exactly once per arrangement (`filtration_profile`,
+`_nbc_dims`).  The NBC monomials' 0/1 chamber columns, eliminated over
+GF(2) by XOR of Python ints, give the lower bound dim P^k >= |NBC_<=k|:
+0/1 columns independent mod 2 are independent over Q.  The relations of
+the circuits and of the minimal empty flats, checked to vanish on the
+chambers, give the upper bound: through them every monomial rewrites into
+NBC monomials of no larger degree.  When the bounds meet, the dims are the
+NBC partial sums and the NBC sets of the default ordering are a basis.  By
+the theorem they meet on a correct circuit scan, so a failed bound raises
+`ConsistencyError`.  The certificate's
 relations have the (support, point) pairs of every relation of the
 presentation, so `verify_relations` reads it and evaluates none.  The
 exact echelon of every monomial's chamber column, which assumes no basis
@@ -141,35 +139,6 @@ class FiltrationProfile:
     gr_dims: tuple
 
 
-def filtration_data(A: Arrangement):
-    """Pivot columns of the monomial-evaluation matrix, grade by grade.
-
-    Returns (dims, bases) where bases[k] lists the frozen subsets of the
-    pivot monomials of degree exactly k: scanning each grade's subsets
-    backwards in lexicographic order, the monomials whose chamber
-    evaluation (`monomial_eval`) is not in the span of those scanned
-    before.  Their evaluations over grades <= k span P^k.
-
-    The pivots are the NBC sets of the default ordering (`nbc_sets(A)`)
-    whenever `_nbc_dims` certifies them as a basis.  Rewriting a monomial M
-    through a broken circuit X - x (x the largest index of X, see
-    `_nbc_dims`) gives, besides monomials of lower degree, the monomials
-    M - i + x for i in X - x.  Since x > i, M - i + x follows M
-    lexicographically and comes first in the backward scan.  So every
-    other monomial lies in the span of the NBC monomials scanned before
-    it, and the NBC monomials are independent, so they are exactly the
-    pivots, in scan order.  A failed certificate raises
-    `ConsistencyError` (see `_nbc_dims`).
-    """
-    def build():
-        dims = _nbc_dims(A)
-        bases = [[] for _ in range(A.n + 1)]
-        for s in reversed(nbc_sets(A)):  # each grade backwards, lexicographically
-            bases[len(s)].append(s)
-        return dims, bases
-    return A._memo("filtration", build)
-
-
 def _nbc_dims(A: Arrangement) -> tuple:
     """dim P^k for k = 0..n as the partial sums of the NBC counts of the
     default ordering, certified exactly; a failed bound raises
@@ -250,16 +219,22 @@ def _relations_vanish(A: Arrangement) -> bool:
     reads no minimal infeasible set, only the circuit scan."""
     rels = ([(3, X) for X in canonical_circuits(A)]
             + [(2, X) for X in circuit_scan(A)[1]])
-    return not any(_nonzero_chambers(A, *_relation_points(family, X))
+    topes = _topes(A)
+    return not any(_nonzero_at(topes.heaviside, topes.full,
+                               *_relation_points(family, X))
                    for family, X in rels)
 
 
 def filtration_profile(A: Arrangement) -> FiltrationProfile:
-    """dim P^k from `filtration_data`, which reads the NBC sets of the
-    default ordering (`nbc_sets(A)`) that the jobs already build."""
-    dims, _ = filtration_data(A)
-    gr = tuple(dims[k] - (dims[k - 1] if k else 0) for k in range(len(dims)))
-    return FiltrationProfile(tuple(dims), gr)
+    """dim P^k for k = 0..n and its successive differences, memoized: the
+    partial sums of the NBC counts of the default ordering (`nbc_sets(A)`,
+    which the jobs already build), certified by `_nbc_dims`.  A failed
+    certificate raises `ConsistencyError` and caches nothing."""
+    def build():
+        dims = _nbc_dims(A)
+        return FiltrationProfile(dims, tuple(d - (dims[k - 1] if k else 0)
+                                             for k, d in enumerate(dims)))
+    return A._memo("filtration", build)
 
 
 @dataclass(frozen=True)
@@ -416,30 +391,21 @@ def _relation_points(family: int, source) -> tuple:
     return plus | minus, frozenset({plus} if family == 2 else {plus, minus})
 
 
-def _relation_nonzeros(A: Arrangement) -> tuple:
-    """`_relation_points` of every relation, in the order of
-    `_relation_sources` (which `rees_relation_families` and
-    `vg_relation_families` keep)."""
-    return A._memo("relation_nonzeros", lambda: tuple(
-        _relation_points(family, source) for family, source in _relation_sources(A)))
-
-
-def _nonzero_chambers(A: Arrangement, support: int, nonzero) -> int:
-    """The chambers whose plus-mask, restricted to `support`, is a point of
-    `nonzero`, as a bitmask over the chamber order: per point t, the AND
-    over the support of the Heaviside masks of t's hyperplanes and the
-    complements of the others' (a family-(2)/(3) relation has one or two
-    points), so the work follows the support, not the chamber count."""
-    topes = _topes(A)
-    masks, full = topes.heaviside, topes.full
-    bits = list(_bits(support))
+def _nonzero_at(cols, full: int, support: int, nonzero) -> int:
+    """The points at which a relation with (support, nonzero)
+    (`_relation_points`) is nonzero, as a bitmask: `cols[i]` holds the
+    points that contain hyperplane i, `full` every point.  Per point t of
+    `nonzero`, the AND over the support of cols[i] where t holds i and of
+    full ^ cols[i] where it does not, stopped once empty; the OR over t.
+    The work follows the support, not the number of points."""
     out = 0
     for t in nonzero:
-        at = full
-        for i in bits:
-            at &= masks[i] if t >> i & 1 else full ^ masks[i]
-            if not at:
-                break
+        at, rest = full, support
+        while rest and at:
+            low = rest & -rest
+            col = cols[low.bit_length() - 1]
+            at &= col if t & low else full ^ col
+            rest ^= low
         out |= at
     return out
 
@@ -459,17 +425,16 @@ def _common_zeros(A: Arrangement, families) -> list:
     The points are also held as one column bitmask per hyperplane i: bit
     k is set iff point k contains i.  Appending bit d to every point
     doubles the columns, c | c << L for L points, and adds the column of
-    the new half.  A relation is nonzero at the points whose restriction
-    to its support is one of its nonzero points t: one AND per support
-    element, of the column where t holds it and of its complement where t
-    does not.  The survivors keep their order and are re-indexed, their
-    columns rebuilt by `itertools.compress` on the columns' bit strings.
+    the new half.  A relation kills the points that `_nonzero_at` selects
+    on these columns.  The survivors keep their order and are re-indexed,
+    their columns rebuilt by `itertools.compress` on the columns' bit
+    strings.
     """
     by_top = [[] for _ in range(A.n)]
-    for (family, _), (support, nonzero) in zip(_relation_sources(A),
-                                               _relation_nonzeros(A)):
-        if family not in families or not nonzero:
+    for family, source in _relation_sources(A):
+        if family == 1 or family not in families:
             continue  # every family-(1) relation is zero on the cube
+        support, nonzero = _relation_points(family, source)
         if not support:
             return []  # a nonzero constant
         by_top[support.bit_length() - 1].append((support, nonzero))
@@ -485,14 +450,7 @@ def _common_zeros(A: Arrangement, families) -> list:
         full = (1 << width) - 1
         dead = 0
         for support, nonzero in rels:
-            for t in nonzero:
-                at, rest = full, support
-                while rest and at:
-                    low = rest & -rest
-                    col = cols[low.bit_length() - 1]
-                    at &= col if t & low else ~col
-                    rest ^= low
-                dead |= at
+            dead |= _nonzero_at(cols, full, support, nonzero)
         if dead:
             keep = format(full ^ dead, f"0{width}b").encode()[::-1].translate(_BIT_BYTES)
             points = list(compress(points, keep))

@@ -21,7 +21,7 @@ from arrgr.errors import DuplicateFormError, InputError
 from arrgr.linalg import (SparseEchelon, _primitive_row, rank,
                           strict_feasible)
 from arrgr.rees import rees_relation_families
-from arrgr.vgring import filtration_data, vg_relation_families
+from arrgr.vgring import filtration_profile, vg_relation_families
 from test_linalg import fourier_motzkin_oracle
 
 
@@ -768,7 +768,7 @@ def test_cached_queries_return_the_same_object():
     A = semiorder(2)
     queries = [A.chambers, A.minimal_infeasible_sign_sets,
                lambda: circuits_from_arrangement(A), lambda: nbc_sets(A),
-               lambda: nbc_sets(A, (1, 0)), lambda: filtration_data(A),
+               lambda: nbc_sets(A, (1, 0)), lambda: filtration_profile(A),
                lambda: minimal_empty_flat_subsets(A),
                lambda: rees_relation_families(A),
                lambda: vg_relation_families(A)]

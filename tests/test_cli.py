@@ -118,6 +118,18 @@ def test_order_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rees", "poincare"])
+def test_order_does_not_change_the_nbc_counts(capsys, command):
+    """The NBC counts do not depend on the ordering, so `rees` and
+    `poincare` print the same with and without `--order`; a bad order is
+    still refused."""
+    plain = run(capsys, "--semiorder", "3", command)
+    assert plain[0] == 0
+    assert run(capsys, "--semiorder", "3", command,
+               "--order", "32,31,23,21,13,12") == plain
+    assert run(capsys, "--semiorder", "3", command, "--order", "32,31")[0] == 2
+
+
 def test_semiorder4_gets_an_answer(capsys):
     """Its affine circuits fail the central elimination axiom, but only
     across empty flats, which used to reject the whole arrangement."""

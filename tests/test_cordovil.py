@@ -216,6 +216,11 @@ def test_relation_families():
     single = cordovil_relation_families(single_hyperplane())
     assert {r.family for r in single} == {1}
 
+    # an empty flat's source is a frozenset, printed as its labels
+    S = semiorder(3)
+    rels2 = [r for r in cordovil_relation_families(S) if r.family == 2]
+    assert rels2[3].pretty(S.labels) == "(2) [{12,13,23}]  e12*e13*e23"
+
 
 def test_minimal_empty_flats_semiorder3():
     S = semiorder(3)

@@ -14,7 +14,7 @@ from arrgr.linalg import (SparseEchelon, _divide_content, _integer_rref,
                           _primitive_row, affine_system_consistent, frac, rank,
                           rank_and_kernel, rref, solve_square, strict_feasible)
 from arrgr.polyring import Poly
-from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
+from arrgr.vgring import filtration_profile, monomial_eval, monomial_mask
 
 
 def naive_rank(matrix):
@@ -844,9 +844,8 @@ def test_sparse_solve_matches_dense_oracle():
 def _chamber_matrix(A) -> list:
     """The square 0/1 matrix that `graded_character` inverts: entry (c, j)
     is 1 iff chamber c lies in the mask of the j-th filtration basis
-    monomial."""
-    _, bases = filtration_data(A)
-    masks = [monomial_mask(A, s) for basis in bases for s in basis]
+    monomial, the NBC sets in grade order."""
+    masks = [monomial_mask(A, s) for s in nbc_sets(A)]
     return [[m >> c & 1 for m in masks] for c in range(len(A.chambers()))]
 
 
@@ -960,16 +959,24 @@ def nbc_grades(A, ordering=None):
     return grades
 
 
+def nbc_filtration(A):
+    """(dims, bases) as `exact_filtration_oracle` should give them:
+    `filtration_profile(A).dims`, and the NBC sets of the default ordering
+    grouped by size, each grade in reverse lexicographic order (the
+    backward scan's pivots)."""
+    return filtration_profile(A).dims, [grade[::-1] for grade in nbc_grades(A)]
+
+
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("make", (lambda: braid(4), lambda: semiorder(3)),
                          ids=("braid4", "semiorder3"))
 def test_filtration_bases_match_fraction_oracle(make, reverse):
     """The Fraction echelon, scanning each grade backwards (`reverse`),
-    picks `filtration_data`'s pivots; scanning forwards, it picks the NBC
-    sets of the reversed hyperplane ordering, in lexicographic order.  The
-    dims do not depend on the scan."""
+    picks the NBC sets of the default ordering (`nbc_filtration`); scanning
+    forwards, it picks the NBC sets of the reversed hyperplane ordering, in
+    lexicographic order.  The dims do not depend on the scan."""
     A = make()
-    dims, bases = filtration_data(A)
+    dims, bases = nbc_filtration(A)
     oracle = fraction_echelon_oracle()
     want_dims, want_bases = [], []
     for k in range(A.n + 1):

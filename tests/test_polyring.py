@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from arrgr.arrangement import braid
+from arrgr.cordovil import CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
 from arrgr.polyring import Poly, format_poincare
 
@@ -72,6 +74,22 @@ def test_monomials_that_mix_indices_and_labels_are_refused(idxs):
                                    "by index or all by label")
     assert Poly.monomial(("b", "a")).terms == {(("a", "b"), 0): 1}
     assert Poly({((1, 0), 0): 1}) == Poly.monomial((0, 1))
+
+
+def test_products_that_mix_indices_and_labels_are_refused():
+    """A product of a label-keyed and an index-keyed monomial is refused
+    with the same line, naming the two monomials joined, where the sort in
+    the product raised a bare `TypeError`; so is straightening it."""
+    message = "monomial ('a', 0): name its forms all by index or all by label"
+    with pytest.raises(InputError) as info:
+        Poly.monomial(("a",)) * Poly.generator(0)
+    assert str(info.value) == message
+    alg = CordovilAlgebra(braid(3))
+    with pytest.raises(InputError) as info:
+        alg.straighten(Poly.monomial(("12",)) * Poly.generator(1))
+    assert str(info.value) == ("monomial ('12', 1): name its forms all by "
+                               "index or all by label")
+    assert Poly.monomial(("b",)) * Poly.monomial(("a",)) == Poly.monomial(("a", "b"))
 
 
 def test_arithmetic():

@@ -10,15 +10,15 @@ import arrgr.symmetry
 from arrgr.acceptance import _chamber_keys, _keyed_column
 from arrgr.arrangement import Arrangement, boolean, braid, semiorder
 from arrgr.characters import cycle_type, partition_str, partitions
-from arrgr.circuits import nbc_counts
+from arrgr.circuits import nbc_counts, nbc_sets
 from arrgr.corpus import central_corpus
 from arrgr.errors import ConsistencyError, InputError, NotASymmetryError
 from arrgr.linalg import SparseEchelon, frac
 from arrgr.symmetry import (SignedPermutation, chamber_permutation,
                             coordinate_action, fixed_chambers,
                             graded_character, group_from_json, load_group)
-from arrgr.vgring import filtration_data, monomial_eval, monomial_mask
-from test_linalg import fraction_rref_oracle, nbc_grades
+from arrgr.vgring import filtration_profile, monomial_eval, monomial_mask
+from test_linalg import fraction_rref_oracle, nbc_filtration, nbc_grades
 
 
 def swap_matrix(n, a, b):
@@ -312,7 +312,7 @@ def stability_oracle(A, bases, perms, upto_grade):
 
 def test_check_stable_rejects_a_non_symmetric_chamber_permutation():
     A = braid(4)
-    dims, bases = filtration_data(A)
+    dims, bases = nbc_filtration(A)
     top = max(k for k in range(len(dims)) if bases[k])
     identity = list(range(len(A.chambers())))
     stability_oracle(A, bases, [identity], top)
@@ -334,7 +334,7 @@ def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
             group = coordinate_action(A)
         except NotASymmetryError:
             continue
-        dims, bases = filtration_data(A)
+        dims, bases = nbc_filtration(A)
         top = max(k for k in range(len(dims)) if bases[k])
         perms = [chamber_permutation(A, w) for w in group.representatives]
         stability_oracle(A, bases, perms, top)
@@ -347,7 +347,7 @@ def test_cached_filtration_characters_run_no_echelon(monkeypatch):
     column: each stage's stability is not re-derived."""
     A = braid(4)
     group = coordinate_action(A)
-    filtration_data(A)
+    filtration_profile(A)
     adds = []
     real = SparseEchelon.add
 
@@ -400,15 +400,15 @@ def test_graded_character_refuses_a_non_integral_inverse(monkeypatch):
 
 
 def test_graded_character_refuses_a_basis_short_of_the_chambers(monkeypatch):
-    """A filtration whose bases miss one monomial has fewer columns than
-    chambers, so B is not square and the characters raise."""
-    real = arrgr.symmetry.filtration_data
+    """A basis that misses one monomial has fewer columns than chambers, so
+    B is not square and the characters raise."""
+    real = arrgr.symmetry.nbc_sets
 
     def short(A):
-        dims, bases = real(A)
-        return dims, [b[1:] if k == 1 else b for k, b in enumerate(bases)]
+        basis = real(A)
+        return basis[:1] + basis[2:]  # without the first grade-1 set
 
-    monkeypatch.setattr(arrgr.symmetry, "filtration_data", short)
+    monkeypatch.setattr(arrgr.symmetry, "nbc_sets", short)
     A = braid(3)
     with pytest.raises(ConsistencyError) as exc:
         graded_character(A, coordinate_action(A))
@@ -470,8 +470,7 @@ def test_solve_gets_the_sparse_rows_of_the_masks(monkeypatch, A):
 
     monkeypatch.setattr(arrgr.symmetry, "solve_square", spy)
     graded_character(A, coordinate_action(A))
-    _, bases = filtration_data(A)
-    masks = [monomial_mask(A, s) for basis in bases for s in basis]
+    masks = [monomial_mask(A, s) for s in nbc_sets(A)]
     assert entries == [sum(m.bit_count() for m in masks) + len(A.chambers())]
 
 
@@ -628,12 +627,12 @@ def dense_projection_trace_oracle(A, bases, perm, upto_grade):
                          ids=("braid3", "braid4", "boolean4", "semiorder3"))
 def test_graded_character_matches_dense_oracle(make, own_basis):
     """`graded_character` equals the dense trace oracle on its own basis,
-    `filtration_data`'s pivots, and on a second one, the NBC monomials of
-    the reversed hyperplane ordering."""
+    the NBC monomials of the default ordering, and on a second one, the NBC
+    monomials of the reversed hyperplane ordering."""
     A = make()
     group = coordinate_action(A)
     gc = graded_character(A, group)
-    bases = (filtration_data(A)[1] if own_basis
+    bases = (nbc_filtration(A)[1] if own_basis
              else nbc_grades(A, tuple(reversed(range(A.n)))))
     assert list(gc.grade_values) == oracle_grade_values(A, group, bases)
     for c, w in enumerate(group.representatives):

@@ -20,12 +20,12 @@ from arrgr.linalg import SparseEchelon
 from arrgr.polyring import Poly
 from arrgr.rees import rees_relation_families, specialize
 from arrgr.symmetry import coordinate_action, graded_character
-from arrgr.vgring import (Relation, filtration_data, filtration_profile,
+from arrgr.vgring import (Relation, filtration_profile,
                           heaviside, monomial_eval, monomial_mask,
                           presentation_dimension, vg_relation_families,
                           verify_relations, _common_zeros,
-                          _independent_mod_2, _nbc_dims, _relation_nonzeros)
-from test_linalg import nbc_grades
+                          _independent_mod_2, _nbc_dims, _relation_points)
+from test_linalg import nbc_filtration, nbc_grades
 from test_polyring import squarefree_reduce_oracle
 
 
@@ -197,8 +197,7 @@ def test_filtration_basis_is_nbc(corpus_map):
     cases = dict(corpus_map, braid5=braid(5),
                  random_seed1=random_rational_arrangement(seed=1))
     for name, A in cases.items():
-        _, bases = filtration_data(A)
-        assert {s for grade in bases for s in grade} == set(nbc_sets(A)), name
+        assert exact_filtration_oracle(A) == nbc_filtration(A), name
         _, forward = fraction_tuple_filtration(A, False)
         assert forward == nbc_grades(A, tuple(reversed(range(A.n)))), name
 
@@ -213,26 +212,31 @@ def test_certified_filtration_matches_the_exact_echelon(corpus_map):
     for name, A in cases.items():
         want = exact_filtration_oracle(A)
         assert _nbc_dims(A) == want[0], name
-        assert filtration_data(A) == want, name
-        assert filtration_profile(A).dims == want[0], name
+        assert nbc_filtration(A) == want, name
 
 
 def test_one_filtration_per_arrangement():
-    """The characters, the profile, the NBC counts and the Cordovil algebra
-    read one basis: the arrangement caches one filtration, one tope value
-    and the canonical circuits, broken circuits and NBC sets of one
-    ordering."""
+    """The characters, the profile, the NBC counts, the Cordovil algebra,
+    the relations and the presentation counts read one basis and one set of
+    relations: the arrangement caches one filtration, one tope value, the
+    two relation families and the canonical circuits, broken circuits and
+    NBC sets of one ordering, and no other named table."""
     for A in (braid(4), semiorder(3)):
         graded_character(A, coordinate_action(A))
         filtration_profile(A)
         nbc_counts(A)
         CordovilAlgebra(A)
+        verify_relations(A)
+        vg_relation_families(A)
+        rees_relation_families(A)
+        presentation_dimension(A, (1, 2))
+        presentation_dimension(A, (1, 3))
         keys = [k for k in A._cache if isinstance(k, tuple)]
         for table in ("nbc", "canonical", "broken"):
             assert [k for k in keys if k[0] == table] == [(table, tuple(range(A.n)))]
-        assert [k for k in A._cache if "filtration" in k] == ["filtration"]
-        assert "topes" in A._cache  # and no other chamber-mask table
-        assert [k for k in A._cache if isinstance(k, str) and "mask" in k] == []
+        assert sorted(k for k in A._cache if isinstance(k, str)) == sorted((
+            "chambers", "min_infeasible", "circuits", "topes", "filtration",
+            "rees_relations", "vg_relations"))
 
 
 def test_certified_dims_match_the_exact_echelon_at_braid6():
@@ -246,12 +250,11 @@ DEPENDENT_MOD_2 = "NBC certificate failed: the NBC columns are dependent mod 2"
 
 
 def assert_certificate_raises(A, message):
-    """`filtration_data`, `filtration_profile`, `verify_relations` and
-    `graded_character` each raise `ConsistencyError` with exactly
-    `message`."""
+    """`filtration_profile`, `verify_relations` and `graded_character` each
+    raise `ConsistencyError` with exactly `message`."""
     group = coordinate_action(A)
-    for call in (lambda: filtration_data(A), lambda: filtration_profile(A),
-                 lambda: verify_relations(A), lambda: graded_character(A, group)):
+    for call in (lambda: filtration_profile(A), lambda: verify_relations(A),
+                 lambda: graded_character(A, group)):
         with pytest.raises(ConsistencyError) as exc:
             call()
         assert str(exc.value) == message
@@ -265,7 +268,7 @@ def test_filtration_raises_when_a_relation_is_nonzero(monkeypatch):
     circuit's family-(3) relation, semiorder 3 (no circuit) an empty
     flat's family-(2) relation."""
     for make in (lambda: braid(4), lambda: semiorder(3)):
-        want = filtration_data(make())
+        want = nbc_filtration(make())
         B = make()
         first = ([(3, X) for X in canonical_circuits(B)]
                  + [(2, X) for X in circuit_scan(B)[1]])[0]
@@ -302,7 +305,7 @@ def test_filtration_raises_when_the_lower_bound_fails(monkeypatch):
     monkeypatch.setattr(arrgr.vgring, "_independent_mod_2", lambda A, sets: False)
     assert_certificate_raises(A, DEPENDENT_MOD_2)
     monkeypatch.undo()
-    assert filtration_data(A) == want
+    assert nbc_filtration(A) == want
 
 
 def test_independent_mod_2_reads_the_monomial_columns():
@@ -368,13 +371,20 @@ def test_verify_relations_reads_the_certificate(monkeypatch, make):
     A = make()
     filtration_profile(A)
     calls = []
-    scan = arrgr.vgring._nonzero_chambers
-    monkeypatch.setattr(arrgr.vgring, "_nonzero_chambers",
+    scan = arrgr.vgring._nonzero_at
+    monkeypatch.setattr(arrgr.vgring, "_nonzero_at",
                         lambda *args: calls.append(1) or scan(*args))
     check = verify_relations(A)
     assert calls == []
     assert check == arrgr.vgring.RelationCheck(True, len(A.chambers()),
                                                len(A.chambers()))
+
+
+def points_of_every_relation(A):
+    """`_relation_points` of every relation, in the order of
+    `_relation_sources` (which `rees_relation_families` and
+    `vg_relation_families` keep)."""
+    return tuple(_relation_points(*rel) for rel in arrgr.vgring._relation_sources(A))
 
 
 def certificate_pairs(A):
@@ -400,7 +410,7 @@ def test_certificate_covers_every_relation(corpus_map):
                  for k in range(1, 10))
     for name, A in cases.items():
         pairs = {(support, t) for (family, _), (support, points)
-                 in zip(arrgr.vgring._relation_sources(A), _relation_nonzeros(A))
+                 in zip(arrgr.vgring._relation_sources(A), points_of_every_relation(A))
                  if family != 1 for t in points}
         assert pairs == certificate_pairs(A), name
 
@@ -440,7 +450,7 @@ def test_verify_relations_matches_chamber_scan_oracle(corpus_map):
     correct arrangement there is none, as `verify_relations` reports."""
     cases = dict(corpus_map, braid5=braid(5), semiorder4=semiorder(4))
     for name, A in cases.items():
-        for rel, points in zip(vg_relation_families(A), _relation_nonzeros(A)):
+        for rel, points in zip(vg_relation_families(A), points_of_every_relation(A)):
             want = nonzero_chambers_oracle(A, rel.poly)
             assert nonzero_chambers(A, points) == want == [], (name, rel)
         assert verify_relations(A).ok, name
@@ -476,9 +486,9 @@ def test_relation_masks_match_the_vg_polynomials(corpus_map):
     for name, A in cases.items():
         want = tuple(nonzero_points_oracle(rel.poly.terms)
                      for rel in vg_relation_families(A))
-        assert _relation_nonzeros(A) == want, name
-    assert (0b111, frozenset({0b111, 0})) in _relation_nonzeros(all_plus)
-    assert (0b11, frozenset({0})) in _relation_nonzeros(no_plus)
+        assert points_of_every_relation(A) == want, name
+    assert (0b111, frozenset({0b111, 0})) in points_of_every_relation(all_plus)
+    assert (0b11, frozenset({0})) in points_of_every_relation(no_plus)
     for A, chambers in ((all_plus, 6), (no_plus, 3)):
         assert len(A.chambers()) == chambers
         assert verify_relations(A).ok
@@ -676,8 +686,8 @@ def common_zeros_growth_oracle(A, families):
     and each is tested against every selected relation whose support has
     largest bit d, one restriction and set lookup per point and relation."""
     by_top = [[] for _ in range(A.n)]
-    for (family, _), (support, nonzero) in zip(arrgr.vgring._relation_sources(A),
-                                               arrgr.vgring._relation_nonzeros(A)):
+    for family, source in arrgr.vgring._relation_sources(A):
+        support, nonzero = arrgr.vgring._relation_points(family, source)
         if family not in families or not nonzero:
             continue
         if not support:
@@ -708,21 +718,31 @@ def test_common_zeros_match_cube_oracle(corpus_map):
 
 def test_common_zeros_kill_every_point_on_a_nonzero_constant(monkeypatch):
     """A relation whose u = 1 form is a nonzero constant has no zero: the
-    grown point set is empty, as on the cube."""
+    grown point set is empty, as on the cube.  So is one on the first
+    hyperplane that is nonzero at both of its points: the growth stops
+    there, before the later hyperplanes."""
     A = braid(3)
     assert rees_relation_families(A)[-1].family == 3
-    points = _relation_nonzeros(A)[:-1] + ((0, frozenset({0})),)
-    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros", lambda A: points)
+    points = arrgr.vgring._relation_points
+
+    def constant(family, source):
+        return (0, frozenset({0})) if family == 3 else points(family, source)
+
+    monkeypatch.setattr(arrgr.vgring, "_relation_points", constant)
     for zeros in (_common_zeros, common_zeros_growth_oracle):
         assert zeros(A, (1, 3)) == []
         assert zeros(A, (1, 2)) == sorted(plus_masks_oracle(A))
+    monkeypatch.setattr(arrgr.vgring, "_relation_points",
+                        lambda family, source: (0b1, frozenset({0, 1})))
+    for zeros in (_common_zeros, common_zeros_growth_oracle):
+        assert zeros(A, (1, 3)) == []
     # with no hyperplane there is no last one to attach the constant to
     E = Arrangement(2, [])
     assert _common_zeros(E, (1, 2)) == common_zeros_growth_oracle(E, (1, 2)) == [0]
     monkeypatch.setattr(arrgr.vgring, "_relation_sources",
                         lambda A: [(2, frozenset())])
-    monkeypatch.setattr(arrgr.vgring, "_relation_nonzeros",
-                        lambda A: ((0, frozenset({0})),))
+    monkeypatch.setattr(arrgr.vgring, "_relation_points",
+                        lambda family, source: (0, frozenset({0})))
     assert _common_zeros(E, (1, 2)) == common_zeros_growth_oracle(E, (1, 2)) == []
 
 
