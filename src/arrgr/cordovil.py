@@ -53,13 +53,15 @@ many) and `multiply` (one pass over the pairs of disjoint basis sets,
 and it sums the table's entries over a running common denominator, grown
 (an lcm, the sums so far rescaled) only when a term's does not divide
 it; a single term's denominator becomes the common one at once.  So the
-Fractions are made only for the result (the small integers' are made
-once and shared), which is built through the trusted
-`AlgebraElement._of`, as are sums and scalar multiples.
+Fractions are made only for the result (the small integers' come from
+`polyring._FRACTIONS`, made once and shared with `Poly` products), which
+is built through the trusted `AlgebraElement._of`, as are sums and
+scalar multiples.
 `AlgebraElement(algebra, coords)` takes Fraction values and frozenset
-keys as they are, sends any other value through `frac` and reads any
-other key as a collection of indices: one that is not, that repeats an
-index or that names the same set as another key is an `InputError`.  It
+keys as they are (one set test on the keys' types), sends any other
+value through `frac` and reads any other key as a collection of indices:
+one that is not, that repeats an index or that names the same set as
+another key is an `InputError`.  It
 drops zeros and checks that each key is an NBC set.  Adding, subtracting or multiplying elements of different algebras is an
 `InputError`, as is adding or subtracting anything but an element, or
 scaling by anything but a rational number.  A raw circuit system is read
@@ -78,7 +80,7 @@ from .circuits import (GroundSet, SignedSet, _circuit_set, _grade_counts,
                        circuits_from_arrangement, nbc_sets, ordering_ranks)
 from .errors import ConsistencyError, InputError
 from .linalg import frac
-from .polyring import Poly
+from .polyring import _FRACTIONS, Poly
 from .vgring import Relation, _u_relation
 
 
@@ -265,17 +267,6 @@ def _rewrite_buckets(source, ordering: tuple) -> tuple:
     return tuple((e, tuple(buckets[e])) for e in reversed(ordering) if e in buckets)
 
 
-class _IntFractions(dict):
-    """Fraction(k) for an int k; the small ones are made once and shared by
-    every result (a Fraction is immutable)."""
-
-    def __missing__(self, k):
-        return Fraction(k)
-
-
-_FRACTIONS = _IntFractions((k, Fraction(k)) for k in range(-16, 17))
-
-
 def _disjoint_products(x: dict, y: dict):
     """(s | t, numerator, denominator) of each product of a term of x and
     a term of y on disjoint basis sets: a repeated generator squares to
@@ -296,6 +287,9 @@ def _add_into(coords: dict, terms: dict, scale) -> None:
             coords[basis] = val
         else:
             coords.pop(basis, None)
+
+
+_FROZEN = frozenset({frozenset})  # the fast path of coordinates: all keys frozensets
 
 
 def _keyed_by_sets(items) -> list:
@@ -331,7 +325,7 @@ class AlgebraElement:
     def __init__(self, algebra: CordovilAlgebra, coords):
         self.algebra = algebra
         items = coords.items()
-        if not all(type(key) is frozenset for key in coords):
+        if not _FROZEN.issuperset(map(type, coords)):
             items = _keyed_by_sets(items)
         nbc = algebra._nbc_lookup
         clean = {}

@@ -12,16 +12,31 @@ Coefficients are always `Fraction`s: the constructor coerces them through
 the one entry for outside data.  Code that already holds canonical keys
 and nonzero Fractions builds through `Poly._of`, which checks and copies
 nothing: the ring operations (sums, negation, products by a polynomial or
-a scalar, each dropping the sums that cancel), `top_e_part`, `divide_u`,
-`substitute_u` at u = 0 or 1 (where a term's factor u^k is 0 or 1 and no
-coefficient is multiplied) and the closed-form relation families.
-The constructor and `monomial` refuse indices that do not sort together,
-such as an index and a label, with an `InputError`.
-`monomial` builds its one term directly: it sorts the indices, sends the
-u-power through `_u_power` (as the constructor does, refusing a float, a
-bool, a fraction or a negative power) only when it is not a nonnegative
-int, and coerces and tests only a coefficient other than its default,
-the shared Fraction 1.
+a scalar, each dropping the sums that cancel), `zero`, `top_e_part`,
+`divide_u`, `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0
+or 1 and no coefficient is multiplied) and the closed-form relation
+families.
+The product of two polynomials is summed in integers, as
+`CordovilAlgebra._combine` sums straightened terms: each term's numerator
+and denominator are read once, each pair's product of numerators is
+added into its key over one running common denominator, which grows (an
+lcm, the sums so far rescaled) only when the pair's denominator does not
+divide it, and each nonzero sum becomes one Fraction.  The Fractions of
+small integers are made once, in `_FRACTIONS`, and shared by every
+result, the algebra's included (a Fraction is immutable).
+The constructor takes each index as an int or a label (a str): after the
+indices are sorted, one set test on their types refuses any other, such
+as a bool, a float or a Fraction, which would name a form by its value,
+with an `InputError` naming the monomial.  The constructor and
+`monomial` refuse indices that do not sort together, such as an index
+and a label, with another; so does a product, which joins indices
+already read and tests no type.
+`monomial` builds its one term directly: it sorts the indices (testing
+no type: it runs once per monomial straightened, and the type test cost
+central-scale 1.8% in `BENCH_43.json`), sends the u-power through `_u_power` (as the
+constructor does, refusing a float, a bool, a fraction or a negative
+power) only when it is not a nonnegative int, and coerces and tests only
+a coefficient other than its default, the shared Fraction 1.
 `substitute_u` compares an int value directly and sends any other value
 through `frac`, so a float or a boolean is refused.  At u = 1 each term
 is re-keyed (m, k) -> (m, 0); the re-keyed dict is the result when no two
@@ -35,6 +50,7 @@ live in the tests as oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError, InputError
 from .linalg import frac
@@ -42,6 +58,19 @@ from .linalg import frac
 
 _ONE = Fraction(1)  # `monomial`'s default coefficient (a Fraction is immutable)
 _MIXED = "monomial {!r}: name its forms all by index or all by label"
+_NOT_INDEX = "monomial {!r}: {!r} is not an index (an int) or a label (a str)"
+_INDEX_TYPES = frozenset({int, str})
+
+
+class _IntFractions(dict):
+    """Fraction(k) for an int k; the small ones are made once and shared by
+    every result (a Fraction is immutable)."""
+
+    def __missing__(self, k):
+        return Fraction(k)
+
+
+_FRACTIONS = _IntFractions((k, Fraction(k)) for k in range(-16, 17))
 
 
 def _u_power(x) -> int:
@@ -72,10 +101,13 @@ class Poly:
             if coeff == 0:
                 continue
             try:
-                emon = tuple(sorted(emon))
+                idxs = tuple(sorted(emon))
             except TypeError:
                 raise InputError(_MIXED.format(emon)) from None
-            clean[(emon, _u_power(uexp))] = coeff
+            if not _INDEX_TYPES.issuperset(map(type, idxs)):
+                bad = next(i for i in idxs if type(i) not in _INDEX_TYPES)
+                raise InputError(_NOT_INDEX.format(emon, bad))
+            clean[(idxs, _u_power(uexp))] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -91,7 +123,7 @@ class Poly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls):
@@ -161,16 +193,29 @@ class Poly:
         if not isinstance(other, Poly):
             c = frac(other)
             return Poly._of({k: v * c for k, v in self.terms.items()} if c else {})
-        out: dict = {}
+        right = [(m, u, c.numerator, c.denominator) for (m, u), c in other.terms.items()]
+        sums: dict = {}
+        den = 1
         try:
             for (m1, u1), c1 in self.terms.items():
-                for (m2, u2), c2 in other.terms.items():
+                n1, d1 = c1.numerator, c1.denominator
+                for m2, u2, n2, d2 in right:
+                    k, d = n1 * n2, d1 * d2
+                    if d != den:
+                        if den % d:
+                            grown = lcm(den, d)
+                            scale = grown // den
+                            for key in sums:
+                                sums[key] *= scale
+                            den = grown
+                        k *= den // d
                     key = (tuple(sorted(m1 + m2)), u1 + u2)
-                    old = out.get(key)
-                    out[key] = c1 * c2 if old is None else old + c1 * c2
+                    sums[key] = sums.get(key, 0) + k
         except TypeError:
             raise InputError(_MIXED.format(m1 + m2)) from None
-        return Poly._of({k: c for k, c in out.items() if c})
+        if den == 1:
+            return Poly._of({key: _FRACTIONS[v] for key, v in sums.items() if v})
+        return Poly._of({key: Fraction(v, den) for key, v in sums.items() if v})
 
     __rmul__ = __mul__
 

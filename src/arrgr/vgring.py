@@ -114,10 +114,16 @@ def monomial_mask(A: Arrangement, subset) -> int:
     the chamber order: the AND of its Heaviside masks (`_topes`), or
     every chamber for the empty subset."""
     topes = _topes(A)
-    out = topes.full
-    for h in subset:
-        out &= topes.heaviside[A.form_index(h)]
-    return out
+    return _chamber_column(topes.heaviside, topes.full, map(A.form_index, subset))
+
+
+def _chamber_column(heaviside, full: int, idxs) -> int:
+    """The AND of the Heaviside masks `heaviside[i]` over the indices
+    `idxs`, starting from `full`: the chambers where their monomial is 1."""
+    col = full
+    for i in idxs:
+        col &= heaviside[i]
+    return col
 
 
 def heaviside(A: Arrangement, h) -> tuple:
@@ -185,7 +191,8 @@ def _nbc_dims(A: Arrangement) -> tuple:
 
 def _independent_mod_2(A: Arrangement, sets) -> bool:
     """True iff the chamber columns of the monomials of `sets`
-    (`monomial_mask`) are linearly independent over GF(2).
+    (`_chamber_column`, as `monomial_mask` builds them) are linearly
+    independent over GF(2).
 
     Columns are eliminated by XOR of Python ints against the kept column
     of their highest set bit; one that reduces to zero is dependent.  The
@@ -197,9 +204,7 @@ def _independent_mod_2(A: Arrangement, sets) -> bool:
     masks, full = topes.heaviside, topes.full
     pivots: dict = {}
     for s in sets:
-        col = full
-        for i in s:
-            col &= masks[i]
+        col = _chamber_column(masks, full, s)
         while col:
             top = col.bit_length()
             kept = pivots.get(top)

@@ -24,6 +24,19 @@ def kill_squares_oracle(p: Poly) -> Poly:
                  if len(set(key[0])) == len(key[0])})
 
 
+def poly_product_oracle(p: Poly, q: Poly) -> Poly:
+    """The product of two polynomials in `Fraction`s: each pair of terms
+    multiplied and added into the key of its joined monomial, in the order
+    the pairs are met, and the sums that cancel dropped."""
+    out: dict = {}
+    for (m1, u1), c1 in p.terms.items():
+        for (m2, u2), c2 in q.terms.items():
+            key = (tuple(sorted(m1 + m2)), u1 + u2)
+            old = out.get(key)
+            out[key] = c1 * c2 if old is None else old + c1 * c2
+    return Poly._of({k: c for k, c in out.items() if c})
+
+
 def test_zero_coefficients_dropped():
     p = Poly.generator(0) - Poly.generator(0)
     assert p.is_zero
@@ -59,6 +72,26 @@ def test_u_powers_are_refused_not_truncated(uexp):
             make()
         assert str(info.value) == f"u-power {uexp!r} is not a nonnegative integer"
     assert Poly({((0,), "2"): 1}) == Poly.monomial((0,), 2) == Poly.generator(0) * Poly.u(2)
+
+
+@pytest.mark.parametrize("idxs, bad", [((True,), True), ((1.0,), 1.0),
+                                       ((Fraction(1),), Fraction(1)), ((0, 1, True), True),
+                                       ((None,), None), ((b"a", b"b"), b"a")],
+                         ids=["bool", "float", "fraction", "bool-among-ints", "none",
+                              "bytes"])
+def test_indices_that_are_not_ints_or_labels_are_refused(idxs, bad):
+    """An index is an int or a label string: the constructor refuses any
+    other type with one line naming the monomial, where True, 1.0 and
+    Fraction(1) named form 1 (so (0, 1, True) straightened to 0, a
+    square)."""
+    for make in (lambda: Poly({(idxs, 0): 1}), lambda: Poly({(idxs, 1): Fraction(1, 2)}),
+                 lambda: Poly({((), 0): 1, (idxs, 2): -3})):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == (f"monomial {idxs!r}: {bad!r} is not an index "
+                                   "(an int) or a label (a str)")
+    assert Poly({((1, 0), 0): 1}).terms == {((0, 1), 0): 1}
+    assert Poly({(("b", "a"), 0): 2}).terms == {(("a", "b"), 0): 2}
 
 
 @pytest.mark.parametrize("idxs", [(0, "a"), ("a", 0), (0, None), (1, "b", 0)],
@@ -216,3 +249,61 @@ def test_ring_operations_keep_the_canonical_form():
     _assert_canonical(Poly.monomial((1, 0), 1, 0), Poly.zero())
     with pytest.raises(InputError):
         Poly.monomial((0,), coeff=0.5)
+
+
+# coefficients whose denominators make the running denominator of a product
+# grow by lcm (2, 3, 4, 6) and rescale the sums before them
+_PRODUCT_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                   Fraction(-1, 3), Fraction(3, 4), Fraction(-1, 4), Fraction(5, 6),
+                   Fraction(-1, 6))
+
+
+def _product_factor(rng, names) -> Poly:
+    """Up to four seeded terms over `names`, repeats and u-powers allowed."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        emon = tuple(sorted(rng.choices(names, k=rng.randint(0, 2))))
+        terms[(emon, rng.randint(0, 2))] = rng.choice(_PRODUCT_COEFFS)
+    return Poly(terms)
+
+
+def _assert_same_terms(got: Poly, want: Poly) -> None:
+    """Equal term for term: the same keys in the same order, equal
+    `Fraction` values."""
+    assert list(got.terms) == list(want.terms)
+    for key, c in got.terms.items():
+        assert type(c) is Fraction and c == want.terms[key]
+
+
+def test_products_match_the_fraction_oracle():
+    """`Poly.__mul__` sums integer numerators over one running denominator;
+    it equals `poly_product_oracle` term for term on seeded products over
+    indices and over labels, with u-powers, repeated generators, the
+    denominators 2, 3, 4 and 6, and sums that cancel."""
+    rng = random.Random(20261021)
+    seen = {"u": 0, "repeat": 0, "grown": 0, "cancelled": 0}
+    for names in (range(3), ("a", "b", "c")):
+        for _ in range(400):
+            a, b = _product_factor(rng, names), _product_factor(rng, names)
+            for p, q in ((a, b), (a + b, a - b)):  # the second cancels a*b - b*a
+                got, want = p * q, poly_product_oracle(p, q)
+                _assert_same_terms(got, want)
+                joined = {(tuple(sorted(m1 + m2)), u1 + u2)
+                          for m1, u1 in p.terms for m2, u2 in q.terms}
+                dens = {c.denominator for c in p.terms.values()} - {1}
+                seen["u"] += any(u for _, u in want.terms)
+                seen["repeat"] += any(len(set(m)) < len(m) for m, _ in want.terms)
+                seen["grown"] += len(dens) > 1
+                seen["cancelled"] += len(joined) > len(want.terms)
+    assert min(seen.values()) >= 10, seen
+    e0, e1, u = Poly.generator(0), Poly.generator(1), Poly.u()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for p, q in ((e0 + e1, e0 - e1),                  # e0*e1 cancels
+                 (half * e0 + third * e1, third * e0 - half * e1),
+                 (half * e0, third * e1 + Fraction(1, 4) * u + Fraction(1, 6) * e0),
+                 (e0 * (e0 - u), e0 - u),              # u-powers and e0^3
+                 (Poly.monomial(("a",)), Poly.monomial(("a", "b"), coeff=-half))):
+        _assert_same_terms(p * q, poly_product_oracle(p, q))
+    assert (e0 + e1) * (e0 - e1) == Poly({((0, 0), 0): 1, ((1, 1), 0): -1})
+    assert ((half * e0) * (2 * e0)).terms == {((0, 0), 0): 1}
+    assert (Poly.zero() * e0).is_zero and (e0 * Poly.zero()).is_zero

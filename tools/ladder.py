@@ -28,13 +28,14 @@ to back in one repeat, so one read tells a layer change from the host's
 pace, which moves both runs of a pair alike.  Every run also reports
 peak_rss_mib, the peak resident set size of its interpreter
 (`resource.getrusage`), listed per run as peak_rss_mib_runs.  On the
-algebra and filtration layers an interpreter runs its measurement PASSES
-times (STRETCH_PASSES on a stretch rung), each pass on fresh inputs built
-untimed, and reports the first pass's keys (the cold times and the md5s)
-with, next to each timed key K_s, K_min_s, the least of its times over the
-passes: a cold time spreads by a third between interpreters on a shared
-host, and one pinned interpreter's best resolves a layer change of 10-30%
-that the cold medians hide.  Layers:
+algebra, characters and filtration layers an interpreter runs its
+measurement PASSES times (STRETCH_PASSES on a stretch rung), each pass on
+fresh inputs built untimed, and reports the first pass's keys (the cold
+times and the md5s) with, next to each timed key K_s, K_min_s, the least
+of its times over the passes: a cold time spreads by a third between
+interpreters on a shared host, and one pinned interpreter's best resolves
+a layer change of 10-30% that the cold medians hide (on characters'
+semiorder3, a 0.3 ms call).  Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -51,7 +52,11 @@ that the cold medians hide.  Layers:
               each, by the criterion's own `_law_products`) on a new
               algebra after the straightening, whose products
               products_md5 shows; a tree older than that helper has
-              neither key.
+              neither key; and polyproducts_s, 200 seeded pairs of
+              elements of two basis sets each, with coefficients of
+              denominators 1 to 6, each pair straightened as
+              `straighten(a.to_poly() * b.to_poly())` (the polynomial
+              product route), whose results polyproducts_md5 shows.
   characters  after the chambers: group_s, a cold `coordinate_action`,
               then cold_s, the first `graded_character` under it
               (filtration included), and warm_s, a second call, which
@@ -97,6 +102,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -173,6 +179,24 @@ def _criterion_9d(law_products, alg) -> list:
     return [law_products(alg, basis, rng) for _ in range(200)]
 
 
+_PAIR_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                Fraction(5, 6))
+
+
+def _element_pairs(alg) -> list:
+    """200 seeded pairs of elements of two basis sets each (one if the
+    basis has one), with coefficients of denominators 1, 2, 3, 4 and 6."""
+    import random
+
+    rng = random.Random(20261021)
+    basis = list(alg.nbc)
+
+    def element():
+        return alg.element({s: rng.choice(_PAIR_COEFFS)
+                            for s in rng.sample(basis, k=min(2, len(basis)))})
+    return [(element(), element()) for _ in range(200)]
+
+
 def measure_algebra(rung: str) -> dict:
     from arrgr import acceptance
     from arrgr.circuits import circuits_from_arrangement, validate_circuit_axioms
@@ -196,6 +220,10 @@ def measure_algebra(rung: str) -> dict:
     if law_products is not None:
         products, out["products_s"] = _timed(_criterion_9d, law_products, CordovilAlgebra(A))
         out["products_md5"] = _md5([[coords(el) for el in five] for five in products])
+    pairs = _element_pairs(alg)
+    polyproducts, out["polyproducts_s"] = _timed(
+        lambda: [alg.straighten(a.to_poly() * b.to_poly()) for a, b in pairs])
+    out["polyproducts_md5"] = _md5([coords(el) for el in polyproducts])
     return out
 
 
@@ -295,8 +323,9 @@ LAYERS = {
     "algebra": _layer(
         ["braid4", "braid5", "braid6", "boolean7"], measure_algebra, 7, {},
         "cold straighten of every squarefree monomial, one "
-        "validate_circuit_axioms call, and criterion 9(d)'s 200 seeded "
-        "triples with five products each", ("random8",), passes=True),
+        "validate_circuit_axioms call, criterion 9(d)'s 200 seeded "
+        "triples with five products each, and 200 seeded pairs straightened "
+        "from their polynomial product", ("random8",), passes=True),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
          "semiorder3", "semiorder4"], measure_characters, 5,
@@ -304,7 +333,7 @@ LAYERS = {
         "a cold coordinate_action of S_n, then graded_character under it, "
         "cold (first call, filtration included) and warm (second call), and "
         "a cold chamber_permutation of every class representative on a new "
-        "arrangement after its chambers, tope value included"),
+        "arrangement after its chambers, tope value included", passes=True),
     "filtration": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
