@@ -10,6 +10,7 @@ vectors: strings over '+'/'-' indexed like the form list ('+' sorts before
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -458,33 +459,25 @@ def arrangement_to_json(A: Arrangement) -> dict:
     }
 
 
-def _exact(x):
-    """A JSON number that is exact: floats (binary fractions), booleans and
-    rational strings with a zero denominator are rejected; ints and
-    rational strings like "1/10" pass through."""
-    if isinstance(x, (bool, float)):
-        raise _not_exact(x)
-    if isinstance(x, str) and "/" in x:
-        try:
-            Fraction(x)
-        except ZeroDivisionError:
-            raise InputError(f"{json.dumps(x)} has a zero denominator") from None
-        except ValueError:
-            pass  # not a rational string: the caller's conversion says so
-    return x
+# a rational string as `arrangement_to_json` writes it: ASCII digits, an
+# optional minus sign and an optional denominator
+_CANONICAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 
 
 def _number(value, where: str):
-    """An exact JSON number (see `_exact`) that is an integer or a string
-    that reads as a rational; any other JSON kind, or string, is named,
-    with `where`, in a malformed-data error."""
-    value = _exact(value)
+    """An exact JSON number: an integer or a canonical rational string
+    (`_CANONICAL`), read before any Fraction is built.  Floats (binary
+    fractions), booleans and zero denominators are refused; any other JSON
+    kind, or string, is named, with `where`, in a malformed-data error."""
+    if isinstance(value, (bool, float)):
+        raise _not_exact(value)
     if isinstance(value, str):
-        try:
-            Fraction(value)
-        except ValueError:
+        match = _CANONICAL.fullmatch(value)
+        if match is None:
             raise _malformed(f"{where} must be an integer or a rational string, "
-                             f"not {json.dumps(value)}") from None
+                             f"not {json.dumps(value)}")
+        if match[1] is not None and not match[1].strip("0"):
+            raise InputError(f"{json.dumps(value)} has a zero denominator")
     elif not isinstance(value, int):
         raise _malformed(f"{where} must be an integer or a rational string, "
                          f"not {_json_kind(value)}")

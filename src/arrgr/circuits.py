@@ -560,7 +560,9 @@ def circuits_to_json(C: CircuitSet) -> dict:
 
 def _read_json(path):
     """The JSON value in the file at `path`, read as UTF-8.  Text that is
-    not UTF-8 or not JSON is a one-line `InputError` naming the path."""
+    not UTF-8 or not JSON, or a number Python will not read (an integer
+    literal over its digit limit), is a one-line `InputError` naming the
+    path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -569,6 +571,8 @@ def _read_json(path):
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: byte {exc.start}: "
                          f"{exc.reason}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _json_kind(value) -> str:

@@ -2,20 +2,22 @@
 
 Everything is exact and no floating point is used anywhere.  Inputs are
 rationals (ints, Fractions or canonical strings); the eliminations run over
-integers, each rational row scaled once to a primitive integer row: `rref`
-(and `rank`, `rank_and_kernel`, `affine_system_consistent` on top of it),
-`solve_square`'s sparse Gauss-Jordan on dict rows (it pivots where the
-fewest entries are, so a matrix that is triangular up to row and column
-order, like the chamber matrices `graded_character` inverts, fills in
-nothing), `SparseEchelon` and the Fourier-Motzkin test `strict_feasible`.
-`rref` returns Fractions, made only when the result is emitted;
-`solve_square` takes and returns sparse rows, each row of its solution an
-integer dict over one positive denominator.  Other matrices are sequences
-of equal-length rows; vectors are tuples.  `rank_and_kernel` normalizes
-its kernel basis with a second `rref`; it serves the public API and the
-tests, while the circuit scan, which needs one kernel vector per
-dependent extension, runs its own incremental integer elimination and
-calls only `rank` here.
+integers, each rational row scaled once to a primitive integer row.  There
+are three: `SparseEchelon`, the one elimination for ranks, kernels and
+consistency (`rank`, `rref`, `rank_and_kernel` and
+`affine_system_consistent` each read one echelon of the rows, keyed by
+column); `solve_square`'s sparse Gauss-Jordan on dict rows (it pivots
+where the fewest entries are, so a matrix that is triangular up to row and
+column order, like the chamber matrices `graded_character` inverts, fills
+in nothing); and the Fourier-Motzkin test `strict_feasible`.  `rref`
+returns Fractions, made only when the result is emitted; `solve_square`
+takes and returns sparse rows, each row of its solution an integer dict
+over one positive denominator.  Other matrices are sequences of
+equal-length rows; vectors are tuples.  `rank_and_kernel` normalizes its
+kernel basis with a second `rref`; it serves the public API and the tests,
+while the circuit scan, which needs one kernel vector per dependent
+extension, runs its own incremental integer elimination and calls only
+`rank` here.
 
 The chamber search asks `strict_feasible` only what its rules leave
 open (see `Arrangement.chambers`), on a hyperplane of the arrangement's
@@ -83,56 +85,43 @@ def _to_rows(matrix) -> list[list]:
     return rows
 
 
-def _integer_rref(matrix):
-    """Fraction-free Gauss-Jordan elimination.  Returns (rows, pivots): the
-    rows are primitive integer tuples, the first len(pivots) of them a
-    nonzero multiple of the reduced echelon rows and the rest zero.
-
-    Each row is scaled once to a primitive integer row.  The pivot of
-    column c is the first row at or below r with a nonzero entry there; a
-    step is the integer row operation a*row_i - b*row_r with
-    (a, b) = (p, f)/gcd(p, f) for pivot p and entry f, then division by the
-    content.
-    """
-    rows = [_primitive_row(row) for row in _to_rows(matrix)]
-    if not rows or not rows[0]:
-        return rows, []
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(rows[0])):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                rows[i] = _divide_content([a * x - b * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _echelon(rows) -> SparseEchelon:
+    """One `SparseEchelon` of rows from `_to_rows`, keyed by column."""
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.add(dict(enumerate(row)))
+    return echelon
 
 
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
-    lists of Fractions (zero rows last).  The elimination is over integers
-    (`_integer_rref`); each pivot row is divided by its pivot only here.
-    The reduced echelon form is unique, so this is elimination over Q."""
-    rows, pivots = _integer_rref(matrix)
-    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(rows, pivots)]
-    return out + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
+    lists of Fractions (zero rows last).  The elimination is the integer
+    one of `SparseEchelon`; its pivot rows are reduced from the last pivot
+    back, each divided by its pivot.  The reduced echelon form is unique,
+    so this is elimination over Q."""
+    rows = _to_rows(matrix)
+    width = len(rows[0]) if rows else 0
+    pivot_rows = _echelon(rows).pivots
+    pivots = sorted(pivot_rows)
+    reduced = {}  # pivot column -> its reduced row, a dict over Q
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        out = {c: Fraction(v, row[p]) for c, v in row.items()}
+        for c in [c for c in out if c in reduced]:
+            f = out[c]
+            for k, v in reduced[c].items():
+                x = out.get(k, _ZERO) - f * v
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        reduced[p] = out
+    dense = [[reduced[p].get(c, _ZERO) for c in range(width)] for p in pivots]
+    return dense + [[_ZERO] * width for _ in rows[len(pivots):]], pivots
 
 
 def rank(matrix) -> int:
-    return len(_integer_rref(matrix)[1])
+    return _echelon(_to_rows(matrix)).rank
 
 
 def rank_and_kernel(matrix, ncols: int | None = None):
@@ -143,20 +132,19 @@ def rank_and_kernel(matrix, ncols: int | None = None):
     and the output is deterministic.  `ncols` is only needed when `matrix`
     has no rows.
     """
-    rows, pivots = _integer_rref(matrix)
+    rows, pivots = rref(matrix)
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         ncols = 0
-    # one integer kernel vector per free column f: `scale` at f, and at the
-    # pivot column p of each row, -scale * row[f] / row[p]
-    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    # one kernel vector per free column f: 1 at f, and at the pivot column
+    # p of each reduced row, -row[f]
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
-        v[f] = scale
+        v[f] = 1
         for row, p in zip(rows, pivots):
-            v[p] = -row[f] * (scale // row[p])
+            v[p] = -row[f]
         basis.append(v)
     normalized, _ = rref(basis)
     return len(pivots), tuple(tuple(row) for row in normalized)
@@ -168,10 +156,10 @@ def affine_system_consistent(rows, rhs) -> bool:
     rhs = [b if type(b) is int else frac(b) for b in rhs]
     if len(rows) != len(rhs):
         raise InputError("right-hand side length mismatch")
-    # one elimination of [rows | rhs]: inconsistent iff the rhs column,
-    # the last one, holds a pivot (a row 0 = 1)
-    _, pivots = _integer_rref([row + [b] for row, b in zip(rows, rhs)])
-    return not pivots or pivots[-1] != len(rows[0])
+    # one echelon of [rows | rhs]: inconsistent iff the rhs column, the
+    # largest key, holds a pivot (a row 0 = b)
+    return not rows or len(rows[0]) not in _echelon(
+        [row + [b] for row, b in zip(rows, rhs)]).pivots
 
 
 def solve_square(A, B):

@@ -145,6 +145,31 @@ def test_rees_and_cordovil_pass(capsys):
     assert run(capsys, "--braid", "3", "cordovil")[0] == 0
 
 
+@pytest.mark.parametrize("fault", ["leading form", "spot check"])
+def test_cordovil_verification_failure_exits_1(capsys, monkeypatch, fault):
+    """A leading form that matches no circuit boundary, or a monomial whose
+    straightening is not idempotent, fails `cordovil` with exit code 1."""
+    import arrgr.cli
+    from arrgr.cordovil import CordovilAlgebra, LeadingFormReport
+    if fault == "leading form":
+        monkeypatch.setattr(arrgr.cli, "leading_form_check",
+                            lambda A, ordering: LeadingFormReport(False, (), ("x",)))
+        line = "leading forms: MISMATCH"
+    else:
+        straighten = CordovilAlgebra.straighten
+        calls = []
+
+        def drifting(self, poly):  # every second call answers twice the first
+            calls.append(poly)
+            el = straighten(self, poly)
+            return 2 * el if len(calls) % 2 == 0 else el
+        monkeypatch.setattr(CordovilAlgebra, "straighten", drifting)
+        line = "straightening spot checks: FAILED"
+    code, out, _ = run(capsys, "--braid", "3", "cordovil")
+    assert code == 1
+    assert line in out.splitlines()
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "--braid", "1", "chambers")[0] == 2
     assert run(capsys, "chambers")[0] == 2  # no source
@@ -156,9 +181,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("constant, code", [
-    ("0.1", 2), ("true", 2), ('"1/10"', 0),
-], ids=["float", "boolean", "rational-string"])
+    ("0.1", 2), ("true", 2), ('"1/10"', 0), ('"-3/4"', 0), ('"1e5000"', 2),
+    ('"0.5"', 2), ('" 1"', 2), ('"+1"', 2), ('"1_0"', 2), ('"\\u0661"', 2),
+], ids=["float", "boolean", "rational-string", "negative-rational-string",
+        "exponent", "decimal", "space", "plus-sign", "underscore", "non-ascii-digit"])
 def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
+    """Only integers and the canonical strings `arrangement_to_json` writes
+    are read; an exponent would build a 5000-digit numerator."""
     path = tmp_path / "point.json"
     path.write_text('{"dim": 1, "forms": [{"linear": ["1"], '
                     f'"constant": {constant}, "label": "x"}}]}}')
@@ -205,10 +234,13 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
     ({"dim": 1, "forms": [{"linear": ["1"], "constant": "1\n2", "label": "x"}]},
      'malformed arrangement data: "constant" must be an integer or a rational '
      'string, not "1\\n2"'),
+    ({"dim": 1, "forms": [{"linear": ["1"], "constant": "1e5000", "label": "x"}]},
+     'malformed arrangement data: "constant" must be an integer or a rational '
+     'string, not "1e5000"'),
 ], ids=["missing-key", "missing-form-key", "top-level-list", "forms-object",
         "form-string", "float", "null-dim", "list-constant", "null-linear-entry",
         "string-dim", "rational-dim", "string-constant", "string-linear-entry",
-        "multiline-constant"])
+        "multiline-constant", "exponent-constant"])
 def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
     """An input error raised while reading a form keeps its own message;
     the "malformed arrangement data: " prefix is for parse errors only."""
@@ -378,6 +410,26 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: {path}: not UTF-8 text: byte 0: invalid start byte\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads integer literals of any length")
+@pytest.mark.parametrize("flag, entry", [
+    ("--file", "1" * 5000), ("--group", "1" * 5000), ("--file", '"' + "1" * 5000 + '"'),
+], ids=["file-literal", "group-literal", "file-string"])
+def test_numbers_over_the_digit_limit_exit_2(capsys, tmp_path, flag, entry):
+    """A number of 5000 digits is a one-line input error, not a traceback:
+    as a JSON integer literal it names the file (`json.load` refuses it),
+    as a string it is malformed arrangement data (`Fraction` refuses it)."""
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 1, "forms": [{"linear": [' + entry + '], '
+                    '"constant": 0, "label": "x"}]}')
+    argv = (["--file", str(path), "chambers"] if flag == "--file"
+            else ["--braid", "3", "characters", "--group", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    where = f"{path}: " if entry.isdigit() else "malformed arrangement data: "
+    assert err.startswith(f"input error: {where}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("form, text", [

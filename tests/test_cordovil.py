@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import arrgr.circuits as circuits_module
+import arrgr.cordovil as cordovil_module
 from arrgr.acceptance import (_in_graded_span, _oracle_ideal_span,
                               minimal_empty_flats_oracle,
                               straightening_oracle_check,
@@ -245,6 +246,26 @@ def test_leading_form_braid3_and_braid4():
     assert r3.ok and [s for _, s in r3.signs] == [1]
     r4 = leading_form_check(braid(4))
     assert r4.ok and len(r4.signs) == 7
+
+
+def test_leading_form_records_negated_and_mismatched_boundaries(monkeypatch):
+    """A leading form equal to minus the circuit boundary is recorded with
+    sign -1, and one equal to neither sign is a mismatch."""
+    A = braid(4)
+    circuits = list(circuits_module.canonical_circuits(A))
+    negated, wrong = circuits[0], circuits[1]
+
+    def faulty(X, ordering=None, n=None):
+        db = circuit_boundary(X, ordering, n=n)
+        if X == negated:
+            return -db
+        return db + Poly.monomial((0,)) if X == wrong else db
+    monkeypatch.setattr(cordovil_module, "circuit_boundary", faulty)
+    report = leading_form_check(A)
+    assert not report.ok
+    assert report.mismatches == (wrong,)
+    assert report.signs == tuple((X, -1 if X == negated else 1)
+                                 for X in circuits if X != wrong)
 
 
 def test_leading_form_two_element_circuit_by_hand():

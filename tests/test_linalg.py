@@ -10,9 +10,9 @@ from arrgr.arrangement import AffineForm, boolean, braid, semiorder
 from arrgr.circuits import nbc_sets
 from arrgr.cordovil import AlgebraElement, CordovilAlgebra
 from arrgr.errors import ConsistencyError, InputError
-from arrgr.linalg import (SparseEchelon, _divide_content, _integer_rref,
-                          _primitive_row, affine_system_consistent, frac, rank,
-                          rank_and_kernel, rref, solve_square, strict_feasible)
+from arrgr.linalg import (SparseEchelon, _divide_content, _primitive_row,
+                          affine_system_consistent, frac, rank, rank_and_kernel,
+                          rref, solve_square, strict_feasible)
 from arrgr.polyring import Poly
 from arrgr.vgring import filtration_profile, monomial_eval, monomial_mask
 
@@ -94,16 +94,6 @@ def test_rref_matches_fraction_oracle():
         assert (got, pivots) == (want, want_pivots), matrix
         assert all(type(x) is Fraction for row in got for x in row)
         assert rank(matrix) == len(want_pivots)
-        # the integer rows: primitive, the pivot rows multiples of the
-        # reduced rows, the rest zero
-        rows, int_pivots = _integer_rref(matrix)
-        assert int_pivots == want_pivots
-        for row in rows:
-            assert all(type(x) is int for x in row)
-            assert gcd(*row) in (0, 1)
-        for row, c, red in zip(rows, int_pivots, want):
-            assert [Fraction(x, row[c]) for x in row] == red
-        assert not any(any(row) for row in rows[len(int_pivots):])
         m, d = len(matrix), len(matrix[0]) if matrix else 0
         if m and d:
             # the kernel and the solution of today's construction
@@ -181,6 +171,10 @@ def test_empty_matrix():
     r, kernel = rank_and_kernel([], ncols=3)
     assert r == 0
     assert len(kernel) == 3
+    assert kernel == tuple(tuple(Fraction(int(i == j)) for j in range(3))
+                           for i in range(3))
+    # no rows and no `ncols`: no columns, so no kernel
+    assert rank_and_kernel([]) == (0, ())
 
 
 def test_strict_feasible_interval():
@@ -768,19 +762,18 @@ def test_solve_square_rejects_singular_and_mismatched_input():
 
 
 def dense_solve_oracle(A, B):
-    """`solve_square`'s former dense route: one `_integer_rref` of the block
-    [A | B]; A is invertible iff its columns hold the first n pivots, and
-    row i is then p_i times (e_i | X_i), with p_i its entry in column i."""
+    """`solve_square` by dense elimination: one `fraction_rref_oracle` of
+    the block [A | B]; A is invertible iff its columns hold the first n
+    pivots, and row i is then (e_i | X_i)."""
     n = len(A)
     if n == 0:
         return []
     if len(B) != n or len(A[0]) != n:
         raise InputError("dimension mismatch in solve_square")
-    red, pivots = _integer_rref([list(a) + list(b) for a, b in zip(A, B)])
+    red, pivots = fraction_rref_oracle([list(a) + list(b) for a, b in zip(A, B)])
     if pivots[:n] != list(range(n)):
         raise ConsistencyError("singular matrix in solve_square")
-    return [[Fraction(x, row[i]) if x else Fraction(0) for x in row[n:]]
-            for i, row in enumerate(red)]
+    return [row[n:] for row in red]
 
 
 def _solve_case(rng, kind):

@@ -27,8 +27,8 @@ tree's time over the first's, each ratio from the pair of runs made back
 to back in one repeat, so one read tells a layer change from the host's
 pace, which moves both runs of a pair alike.  Every run also reports
 peak_rss_mib, the peak resident set size of its interpreter
-(`resource.getrusage`), listed per run as peak_rss_mib_runs.  On the
-algebra, characters and filtration layers an interpreter runs its
+(`resource.getrusage`), listed per run as peak_rss_mib_runs.  On every
+layer but chambers an interpreter runs its
 measurement PASSES times (STRETCH_PASSES on a stretch rung), each pass on
 fresh inputs built untimed, and reports the first pass's keys (the cold
 times and the md5s) with, next to each timed key K_s, K_min_s, the least
@@ -349,7 +349,7 @@ LAYERS = {
         "after the minimal infeasible sets and canonical circuits: cold "
         "rees_relation_families, then vg_relation_families, then "
         "presentation_dimension(A, F, nmax=n) for F = (1, 2) and (1, 3)",
-        ("random8", "randoms")),
+        ("random8", "randoms"), passes=True),
 }
 
 
