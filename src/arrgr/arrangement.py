@@ -486,12 +486,16 @@ def _number(value, where: str):
 
 def _integer(value, where: str) -> int:
     """A `_number` that is an integer: a JSON integer or an integer string;
-    a rational string that is not one is quoted in the error."""
+    a rational string that is not one is quoted in the error, and an
+    integer string of more digits than Python converts is counted."""
     value = _number(value, where)
     try:
         return int(value)
-    except ValueError:
-        raise _malformed(f"{where} must be an integer, not {json.dumps(value)}") from None
+    except ValueError:  # a rational string, or an integer string too long
+        if "/" in value:
+            raise _malformed(f"{where} must be an integer, not {json.dumps(value)}") from None
+        raise _malformed(f"{where} has {len(value.lstrip('-'))} digits, more "
+                         "than Python converts") from None
 
 
 def _linear(value) -> list:

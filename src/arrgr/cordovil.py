@@ -3,8 +3,9 @@ boundaries, with its no-broken-circuit normal form.
 
 Generators square to zero.  Every signed circuit X contributes the
 alternating boundary sum_{a} phi(a) * x_{support - a} (normalized so the
-ordering-minimal support element carries +1), and in the affine case every
-monomial whose support has empty flat dies.  Monomials are straightened
+ordering-minimal support element carries +1; `circuit_boundary` reads the
+ground set off the ordering, so it takes no size), and in the affine case
+every monomial whose support has empty flat dies.  Monomials are straightened
 onto the NBC basis by solving each boundary relation for its broken-circuit
 term; every rewrite swaps an element for the strictly larger dropped
 maximum, so the process terminates.  Straightening does only the work the
@@ -84,16 +85,18 @@ from .polyring import _FRACTIONS, Poly
 from .vgring import Relation, _u_relation
 
 
-def circuit_boundary(X: SignedSet, ordering=None, n: int | None = None) -> Poly:
+def circuit_boundary(X: SignedSet, ordering=None) -> Poly:
     """Alternating sum of codimension-one monomials of a circuit support.
 
     The orientation is renormalized (never rejected) so that the
-    ordering-minimal support element has sign +1.
+    ordering-minimal support element has sign +1: the least index when no
+    ordering is given.  An ordering must be a permutation of range(n) for
+    its own length n, and one that misses a support element is refused
+    with `ordering_ranks`' message.
     """
-    if n is None:
-        n = max(X.support) + 1
-    ranks = ordering_ranks(n, ordering)
-    lead = min(X.support, key=lambda i: ranks[i])
+    # a support element past the ordering makes it no permutation
+    ranks = ordering_ranks(max(len(ordering or ()), max(X.support) + 1), ordering)
+    lead = min(X.support, key=ranks.__getitem__)
     if X.sign(lead) < 0:
         X = X.negate()
     out = Poly.zero()
@@ -118,7 +121,7 @@ def cordovil_relation_families(A: Arrangement) -> tuple:
     for ss in minimal_empty_flat_subsets(A):
         rels.append(Relation(2, ss, Poly.monomial(tuple(sorted(ss)))))
     for X in canonical_circuits(A):
-        rels.append(Relation(3, X, circuit_boundary(X, n=A.n)))
+        rels.append(Relation(3, X, circuit_boundary(X)))
     return tuple(rels)
 
 
@@ -431,7 +434,7 @@ def leading_form_check(A: Arrangement, ordering=None) -> LeadingFormReport:
     for X in canonical_circuits(A, ordering):
         # at u = 1 the family-(3) u-relation is the difference of products
         top = _u_relation(3, X, names).substitute_u(1).top_e_part()
-        db = circuit_boundary(X, ordering, n=A.n)
+        db = circuit_boundary(X, ordering)
         if top == db:
             signs.append((X, 1))
         elif top == -db:

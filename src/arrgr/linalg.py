@@ -6,18 +6,18 @@ integers, each rational row scaled once to a primitive integer row.  There
 are three: `SparseEchelon`, the one elimination for ranks, kernels and
 consistency (`rank`, `rref`, `rank_and_kernel` and
 `affine_system_consistent` each read one echelon of the rows, keyed by
-column); `solve_square`'s sparse Gauss-Jordan on dict rows (it pivots
-where the fewest entries are, so a matrix that is triangular up to row and
-column order, like the chamber matrices `graded_character` inverts, fills
-in nothing); and the Fourier-Motzkin test `strict_feasible`.  `rref`
-returns Fractions, made only when the result is emitted; `solve_square`
-takes and returns sparse rows, each row of its solution an integer dict
-over one positive denominator.  Other matrices are sequences of
-equal-length rows; vectors are tuples.  `rank_and_kernel` normalizes its
-kernel basis with a second `rref`; it serves the public API and the tests,
-while the circuit scan, which needs one kernel vector per dependent
-extension, runs its own incremental integer elimination and calls only
-`rank` here.
+column); `solve_square`, the inverse of a square matrix by sparse
+Gauss-Jordan on the dict rows of [A | I] (it pivots where the fewest
+entries are, so a matrix that is triangular up to row and column order,
+like the chamber matrices `graded_character` inverts, fills in nothing);
+and the Fourier-Motzkin test `strict_feasible`.  `rref` returns Fractions,
+made only when the result is emitted; `solve_square` takes sparse rows
+and returns the inverse's, each an integer dict over one positive
+denominator.  Other matrices are sequences of equal-length rows;
+vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
+second `rref`; it serves the public API and the tests, while the circuit
+scan, which needs one kernel vector per dependent extension, runs its own
+incremental integer elimination and calls only `rank` here.
 
 The chamber search asks `strict_feasible` only what its rules leave
 open (see `Arrangement.chambers`), on a hyperplane of the arrangement's
@@ -162,12 +162,11 @@ def affine_system_consistent(rows, rhs) -> bool:
         [row + [b] for row, b in zip(rows, rhs)]).pivots
 
 
-def solve_square(A, B):
-    """Solve A X = B for square invertible A, both given as lists of sparse
-    rows {column: int or Fraction}: A has n rows with columns in range(n),
-    B has n rows with nonnegative integer columns.
+def solve_square(A):
+    """The inverse of a square invertible A, given as a list of n sparse
+    rows {column: int or Fraction} with columns in range(n).
 
-    Sparse fraction-free Gauss-Jordan elimination on the rows of [A | B],
+    Sparse fraction-free Gauss-Jordan elimination on the rows of [A | I],
     each one primitive integer dict row.  The pivot is taken in the
     unfinished row with the fewest entries in A, at its column held by the
     fewest rows: when A is triangular up to row and column order, that row
@@ -175,23 +174,17 @@ def solve_square(A, B):
     integer row operation a*row - b*pivot with (a, b) = (p, f)/gcd(p, f)
     for pivot p and entry f, then division by the content when a is not
     +/-1.  At the end each row holds one entry p of A, at column c, and
-    row c of X is the row's B part over p.  It is returned as (row, p): an
-    integer dict over B's columns and p > 0 with no common factor, so entry
-    j of row c of X is row.get(j, 0) / p.
+    row c of A⁻¹ is the row's identity part over p.  It is returned as
+    (row, p): an integer dict over the columns range(n) and p > 0 with no
+    common factor, so entry j of row c of A⁻¹ is row.get(j, 0) / p.
     """
     n = len(A)
-    if n == 0:
-        return []
-    if len(B) != n:
-        raise InputError("dimension mismatch in solve_square")
     rows = []
-    for a, b in zip(A, B):
-        if not (all(type(c) is int and 0 <= c < n for c in a)
-                and all(type(j) is int and j >= 0 for j in b)):
+    for i, a in enumerate(A):
+        if not all(type(c) is int and 0 <= c < n for c in a):
             raise InputError("dimension mismatch in solve_square")
-        keys = [*a, *(n + j for j in b)]
-        values = _primitive_row([*a.values(), *b.values()])
-        rows.append({c: x for c, x in zip(keys, values) if x})
+        values = _primitive_row([*a.values(), 1])
+        rows.append({c: x for c, x in zip([*a, n + i], values) if x})
     holders = [set() for _ in range(n)]  # the rows with an entry in column c of A
     for i, row in enumerate(rows):
         for c in row:
@@ -240,15 +233,15 @@ def solve_square(A, B):
                 if g != 1:
                     for col in row:
                         row[col] //= g
-    X = [None] * n
+    inverse = [None] * n
     for r, c in pivots:
         row = rows[r]
         p = row.pop(c)
         g = gcd(p, *row.values())
         if p < 0:
             g = -g
-        X[c] = ({j - n: v // g for j, v in row.items()}, p // g)
-    return X
+        inverse[c] = ({j - n: v // g for j, v in row.items()}, p // g)
+    return inverse
 
 
 class SparseEchelon:

@@ -13,9 +13,10 @@ the one entry for outside data.  Code that already holds canonical keys
 and nonzero Fractions builds through `Poly._of`, which checks and copies
 nothing: the ring operations (sums, negation, products by a polynomial or
 a scalar, each dropping the sums that cancel), `zero`, `top_e_part`,
-`divide_u`, `substitute_u` at u = 0 or 1 (where a term's factor u^k is 0
-or 1 and no coefficient is multiplied) and the closed-form relation
-families.
+`substitute_u` at u = 0 or 1 (where a term's factor u^k is 0 or 1 and no
+coefficient is multiplied) and the closed-form relation families
+(`vgring._expand_masks` lowers family (3)'s u-powers as it expands, so
+nothing divides by u).
 The product of two polynomials is summed in integers, as
 `CordovilAlgebra._combine` sums straightened terms: each term's numerator
 and denominator are read once, each pair's product of numerators is
@@ -52,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .linalg import frac
 
 
@@ -262,13 +263,6 @@ class Poly:
             key = (m, 0)
             out[key] = out.get(key, Fraction(0)) + c * value**u
         return Poly(out)
-
-    def divide_u(self) -> "Poly":
-        """Exact division by u; every term must carry u."""
-        for (m, u) in self.terms:
-            if u == 0:
-                raise ConsistencyError("polynomial is not divisible by u")
-        return Poly._of({(m, u - 1): c for (m, u), c in self.terms.items()})
 
     def top_e_part(self) -> "Poly":
         """Highest-degree homogeneous part in the e generators (u-free input)."""

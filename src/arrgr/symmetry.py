@@ -18,8 +18,9 @@ matrix B is square and invertible.  Each stage P^k is ρ(w)-stable (by
 construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
 triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
 diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
-once per call, by one `solve_square` on the sparse rows of [B | I] read
-off the monomials' chamber masks, and shared by every conjugacy class.
+once per call, by one `solve_square` (the inverse) on the sparse rows of B
+read off the monomials' chamber masks, and shared by every conjugacy
+class.
 The NBC monomials are a Z-basis (Varchenko-Gelfand 1987), so B⁻¹ is
 integral (a denominator other than 1 raises `ConsistencyError`) and each
 diagonal entry is an integer sum over the stored entries of one row.
@@ -375,7 +376,7 @@ def graded_character(A: Arrangement, group: GroupSpec) -> GradedCharacters:
     for j, mask in enumerate(masks):
         for c in _bits(mask):
             rows[c][j] = 1
-    inverse = solve_square(rows, [{c: 1} for c in range(nch)])
+    inverse = solve_square(rows)
     if any(p != 1 for _, p in inverse):
         raise ConsistencyError("the inverse of the NBC evaluation matrix is not integral")
     per_class = []

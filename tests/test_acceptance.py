@@ -126,6 +126,23 @@ def test_criterion_reports_a_wrong_algebra(monkeypatch, number, name, wrong, fai
     assert failure in result.detail
 
 
+def test_criterion_6_reports_an_inhomogeneous_relation(monkeypatch):
+    """A family-1 relation with a stray u, which vanishes at u = 0 and so
+    passes every other check, fails criterion 6 on each corpus member
+    with the inhomogeneous-relation detail and nothing else."""
+    real = acceptance.rees_relation_families
+
+    def stray_u(A):
+        first, *rest = real(A)
+        return (replace(first, poly=first.poly + Poly.u()), *rest)
+
+    monkeypatch.setattr(acceptance, "rees_relation_families", stray_u)
+    result = acceptance.criterion_6()
+    assert result.ok is False
+    assert result.detail == "; ".join(f"{name}: inhomogeneous relation in family 1"
+                                      for name, _ in corpus())
+
+
 def test_criterion_9_draws_the_coefficients_of_fraction_randint(monkeypatch):
     """Criterion 9(d) draws each coefficient as `choice` of seven shared
     Fractions; the old `Fraction(rng.randint(-3, 3))` is the oracle.  From

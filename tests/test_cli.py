@@ -414,20 +414,26 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, flag):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python reads integer literals of any length")
-@pytest.mark.parametrize("flag, entry", [
-    ("--file", "1" * 5000), ("--group", "1" * 5000), ("--file", '"' + "1" * 5000 + '"'),
-], ids=["file-literal", "group-literal", "file-string"])
-def test_numbers_over_the_digit_limit_exit_2(capsys, tmp_path, flag, entry):
+@pytest.mark.parametrize("flag, dim, entry", [
+    ("--file", "1", "1" * 5000), ("--group", "1", "1" * 5000),
+    ("--file", "1", '"' + "1" * 5000 + '"'), ("--file", '"' + "1" * 5000 + '"', "1"),
+], ids=["file-literal", "group-literal", "file-string", "dim-string"])
+def test_numbers_over_the_digit_limit_exit_2(capsys, tmp_path, flag, dim, entry):
     """A number of 5000 digits is a one-line input error, not a traceback:
     as a JSON integer literal it names the file (`json.load` refuses it),
-    as a string it is malformed arrangement data (`Fraction` refuses it)."""
+    as a string it is malformed arrangement data (`Fraction` refuses it),
+    and as a "dim" string its digits are counted, not quoted."""
     path = tmp_path / "big.json"
-    path.write_text('{"dim": 1, "forms": [{"linear": [' + entry + '], '
+    path.write_text('{"dim": ' + dim + ', "forms": [{"linear": [' + entry + '], '
                     '"constant": 0, "label": "x"}]}')
     argv = (["--file", str(path), "chambers"] if flag == "--file"
             else ["--braid", "3", "characters", "--group", str(path)])
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
+    if dim != "1":
+        assert err == ('input error: malformed arrangement data: "dim" has 5000 '
+                       "digits, more than Python converts\n")
+        return
     where = f"{path}: " if entry.isdigit() else "malformed arrangement data: "
     assert err.startswith(f"input error: {where}") and err.count("\n") == 1
 

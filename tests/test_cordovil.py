@@ -29,21 +29,34 @@ from test_polyring import kill_squares_oracle
 def test_circuit_boundary_braid3():
     X = SignedSet(frozenset({0, 2}), frozenset({1}))
     want = (Poly.monomial((1, 2)) - Poly.monomial((0, 2)) + Poly.monomial((0, 1)))
-    assert circuit_boundary(X, n=3) == want
+    assert circuit_boundary(X) == want
     # a negated circuit renormalizes to the same boundary
-    assert circuit_boundary(X.negate(), n=3) == want
+    assert circuit_boundary(X.negate()) == want
 
 
 def test_circuit_boundary_two_element():
     X = SignedSet(frozenset({0}), frozenset({1}))
-    assert circuit_boundary(X, n=2) == Poly.generator(1) - Poly.generator(0)
+    assert circuit_boundary(X) == Poly.generator(1) - Poly.generator(0)
 
 
 def test_circuit_boundary_ordering_changes_normalization():
     X = SignedSet(frozenset({0}), frozenset({1}))
     # under the ordering 1 < 0 the minimal element is 1, so signs flip
-    assert circuit_boundary(X, ordering=(1, 0), n=2) \
+    assert circuit_boundary(X, ordering=(1, 0)) \
         == Poly.generator(0) - Poly.generator(1)
+
+
+def test_circuit_boundary_refuses_an_ordering_that_misses_the_support():
+    """The ground set is the ordering's own: a support element past it is
+    the permutation `InputError`, not a `KeyError`, as is an ordering that
+    is no permutation."""
+    X = SignedSet(frozenset({0, 2}), frozenset({1}))
+    for ordering in ((1, 0), (0, 2, 3)):
+        with pytest.raises(InputError) as exc:
+            circuit_boundary(X, ordering)
+        assert str(exc.value) == "ordering must be a permutation of the ground indices"
+    # a longer ordering is a larger ground set; here 1 leads, with sign -1
+    assert circuit_boundary(X, (3, 1, 0, 2)) == -circuit_boundary(X)
 
 
 def test_straighten_nbc_monomial_is_fixed():
@@ -212,7 +225,7 @@ def test_relation_families():
 
     rels3 = [r for r in cordovil_relation_families(braid(3)) if r.family == 3]
     X = SignedSet(frozenset({0, 2}), frozenset({1}))
-    assert [r.poly for r in rels3] == [circuit_boundary(X, n=3)]
+    assert [r.poly for r in rels3] == [circuit_boundary(X)]
 
     single = cordovil_relation_families(single_hyperplane())
     assert {r.family for r in single} == {1}
@@ -255,8 +268,8 @@ def test_leading_form_records_negated_and_mismatched_boundaries(monkeypatch):
     circuits = list(circuits_module.canonical_circuits(A))
     negated, wrong = circuits[0], circuits[1]
 
-    def faulty(X, ordering=None, n=None):
-        db = circuit_boundary(X, ordering, n=n)
+    def faulty(X, ordering=None):
+        db = circuit_boundary(X, ordering)
         if X == negated:
             return -db
         return db + Poly.monomial((0,)) if X == wrong else db
@@ -273,7 +286,7 @@ def test_leading_form_two_element_circuit_by_hand():
     e1, e2 = Poly.generator(0), Poly.generator(1)
     diff = e1 * (e2 - 1) - (e1 - 1) * e2
     X = SignedSet(frozenset({0}), frozenset({1}))
-    assert diff.top_e_part() == circuit_boundary(X, n=2)
+    assert diff.top_e_part() == circuit_boundary(X)
 
 
 def test_straightening_matches_quotient_oracle(corpus_map):
@@ -625,6 +638,26 @@ def test_nbc_top_grade_must_equal_the_scan_rank(monkeypatch, fault):
         monkeypatch.setattr(C, "_rank", C._rank + 1)
     with pytest.raises(ConsistencyError, match="NBC sets stop at grade"):
         CordovilAlgebra(A)
+
+
+def test_straightening_span_dims_refuses_a_degree_change(monkeypatch):
+    """A straightening keeps the degree; one that does not (here every
+    monomial straightens to 1) raises in the span dimensions."""
+    monkeypatch.setattr(CordovilAlgebra, "straighten", lambda self, poly: self.one())
+    with pytest.raises(ConsistencyError) as exc:
+        straightening_span_dims(braid(3))
+    assert str(exc.value) == "straightening changed the degree"
+
+
+def test_straightening_refuses_a_set_free_of_broken_circuits_outside_the_basis():
+    """A monomial with no broken circuit and a nonempty flat is an NBC set;
+    were the basis to miss one, straightening it raises rather than
+    keeping a coordinate outside the basis."""
+    alg = CordovilAlgebra(braid(3))
+    alg._nbc_lookup.discard(frozenset({0, 2}))
+    with pytest.raises(ConsistencyError) as exc:
+        alg.straighten(Poly.monomial((0, 2)))
+    assert str(exc.value) == "a monomial free of broken circuits is not an NBC set"
 
 
 def test_straightening_table_is_shared_per_ordering():

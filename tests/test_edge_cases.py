@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 from arrgr.arrangement import Arrangement, braid, save_arrangement, semiorder
-from arrgr.circuits import nbc_counts
+from arrgr.circuits import circuits_from_arrangement, nbc_counts
 from arrgr.cli import main
+from arrgr.cordovil import CordovilAlgebra
 from arrgr.corpus import parallel_pair
 from arrgr.polyring import Poly
 from arrgr.symmetry import (SignedPermutation, fixed_chambers,
@@ -79,3 +80,17 @@ def test_poly_reflected_scalar_ops():
     assert 1 - e == Poly.one() - e
     assert 1 + e == e + Poly.one()
     assert (Fraction(1, 2) * e) * 2 == e
+
+
+def test_reprs_name_the_object():
+    """The reprs of the value types: a form's exact coefficients, an
+    arrangement's and a circuit system's sizes, and an element or a
+    polynomial written as `to_str` writes it."""
+    A = braid(3)
+    assert repr(A.forms[0]) == \
+        "AffineForm((Fraction(1, 1), Fraction(-1, 1), Fraction(0, 1)), 0)"
+    assert repr(A) == "Arrangement(dim=3, n=3)"
+    assert repr(circuits_from_arrangement(A)) == "CircuitSet(n=3, circuits=2)"
+    element = CordovilAlgebra(A).straighten(Poly.monomial((0, 1)))
+    assert repr(element) == "AlgebraElement(e12*e23 - e13*e23)"
+    assert repr(2 * Poly.generator(0) - Poly.u()) == "Poly(2*e0 - u)"

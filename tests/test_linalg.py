@@ -108,11 +108,8 @@ def test_rref_matches_fraction_oracle():
             kernel = tuple(tuple(row) for row in fraction_rref_oracle(basis)[0])
             assert rank_and_kernel(matrix) == (len(want_pivots), kernel)
             if m == d == len(want_pivots):
-                k = rng.randint(1, 3)
-                rhs = [[_entry_or_zero(rng) for _ in range(k)] for _ in range(m)]
-                aug = fraction_rref_oracle([a + b for a, b in zip(matrix, rhs)])[0]
-                assert dense_solve(matrix, rhs) == [row[d:] for row in aug]
-                kinds["solved"] += 1
+                assert dense_inverse(matrix) == dense_inverse_oracle(matrix)
+                kinds["inverted"] += 1
         kinds["empty"] += not (m and d)
         kinds["zero row"] += any(not any(row) for row in matrix) and d > 0
         kinds["wide"] += 0 < m < d
@@ -724,62 +721,59 @@ def sparse_rows(matrix) -> list:
     return [{c: x for c, x in enumerate(row) if x} for row in matrix]
 
 
-def dense_solve(A, B):
-    """`solve_square` on dense A and B through `sparse_rows`, its solution
-    read back as dense Fraction rows over B's columns.  Each solution row
-    must be an integer dict over one positive denominator p, with no
-    common factor and no zero entry."""
-    width = len(B[0]) if B else 0
-    X = solve_square(sparse_rows(A), sparse_rows(B))
-    for row, p in X:
+def dense_inverse(A):
+    """`solve_square` on dense A through `sparse_rows`, the inverse read
+    back as dense Fraction rows.  Each row must be an integer dict over
+    one positive denominator p, with no common factor and no zero entry."""
+    n = len(A)
+    inverse = solve_square(sparse_rows(A))
+    for row, p in inverse:
         assert type(p) is int and p > 0 and gcd(p, *row.values()) == 1
-        assert all(type(v) is int and v and 0 <= j < width for j, v in row.items())
-    return [[Fraction(row.get(j, 0), p) for j in range(width)] for row, p in X]
+        assert all(type(v) is int and v and 0 <= j < n for j, v in row.items())
+    return [[Fraction(row.get(j, 0), p) for j in range(n)] for row, p in inverse]
 
 
 def test_solve_square():
-    X = solve_square([{0: 2}, {0: 1, 1: 1}], [{0: 4, 1: 2}, {0: 3, 1: 2}])
-    assert X == [({0: 2, 1: 1}, 1), ({0: 1, 1: 1}, 1)]
-    # a negative pivot, a denominator and B's columns as they are given
-    assert solve_square([{0: -2}], [{3: 1, 7: 3}]) == [({3: -1, 7: -3}, 2)]
-    assert solve_square([{0: Fraction(2, 3)}], [{1: Fraction(1, 2)}]) == [({1: 3}, 4)]
-    assert solve_square([], []) == []
+    # [[2, 0], [1, 1]] has the inverse [[1/2, 0], [-1/2, 1]]
+    assert solve_square([{0: 2}, {0: 1, 1: 1}]) == [({0: 1}, 2), ({0: -1, 1: 2}, 2)]
+    # a negative pivot, a Fraction entry, a permutation matrix (its own
+    # inverse, pivoted off the diagonal) and the empty matrix
+    assert solve_square([{0: -2}]) == [({0: -1}, 2)]
+    assert solve_square([{0: Fraction(2, 3)}]) == [({0: 3}, 2)]
+    assert solve_square([{1: 1}, {0: 1}]) == [({1: 1}, 1), ({0: 1}, 1)]
+    assert solve_square([]) == []
 
 
 def test_solve_square_rejects_singular_and_mismatched_input():
     with pytest.raises(ConsistencyError, match="^singular matrix in solve_square$"):
-        solve_square([{0: 1, 1: 2}, {0: 2, 1: 4}], [{0: 1}, {0: 2}])
+        solve_square([{0: 1, 1: 2}, {0: 2, 1: 4}])
     with pytest.raises(ConsistencyError, match="^singular matrix in solve_square$"):
-        solve_square([{1: 1}, {1: 1}], [{0: 1}, {0: 1}])
-    mismatch = "^dimension mismatch in solve_square$"
-    with pytest.raises(InputError, match=mismatch):
-        solve_square([{0: 1}, {1: 1}], [{0: 1}])
-    with pytest.raises(InputError, match=mismatch):
-        solve_square([{0: 1, 1: 2}], [{0: 1}])
-    for bad_b in ({-1: 1}, {1.5: 1}, {"x": 1}):
-        with pytest.raises(InputError, match=mismatch):
-            solve_square([{0: 1}], [bad_b])
+        solve_square([{1: 1}, {1: 1}])
+    for bad_a in ([{0: 1, 1: 2}], [{0: 1}, {2: 1}], [{-1: 1}], [{1.5: 1}], [{"x": 1}]):
+        with pytest.raises(InputError, match="^dimension mismatch in solve_square$"):
+            solve_square(bad_a)
 
 
-def dense_solve_oracle(A, B):
-    """`solve_square` by dense elimination: one `fraction_rref_oracle` of
-    the block [A | B]; A is invertible iff its columns hold the first n
-    pivots, and row i is then (e_i | X_i)."""
+def dense_inverse_oracle(A):
+    """The inverse by dense elimination: one `fraction_rref_oracle` of the
+    block [A | I]; A is invertible iff its columns hold the first n
+    pivots, and row i is then (e_i | row i of A⁻¹)."""
     n = len(A)
     if n == 0:
         return []
-    if len(B) != n or len(A[0]) != n:
+    if len(A[0]) != n:
         raise InputError("dimension mismatch in solve_square")
-    red, pivots = fraction_rref_oracle([list(a) + list(b) for a, b in zip(A, B)])
+    red, pivots = fraction_rref_oracle(
+        [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(A)])
     if pivots[:n] != list(range(n)):
         raise ConsistencyError("singular matrix in solve_square")
     return [row[n:] for row in red]
 
 
 def _solve_case(rng, kind):
-    """(A, B) of one kind: rational entries, singular (a zero row, a
-    dependent row or a repeated column), triangular with its rows and
-    columns permuted, 0x0 or 1x1; A as ints a third of the time."""
+    """A square matrix of one kind: rational entries, singular (a zero
+    row, a dependent row or a repeated column), triangular with its rows
+    and columns permuted, 0x0 or 1x1; as ints a third of the time."""
     n = {"0x0": 0, "1x1": 1}.get(kind, rng.randint(2, 7))
     if kind == "triangular":
         A = [[_random_entry(rng) if i == j else
@@ -801,33 +795,35 @@ def _solve_case(rng, kind):
                 row[-1] = row[0]
     if rng.random() < 0.3:
         A = [[int(x * 12) for x in row] for row in A]
-    k = rng.randint(0, 3)
-    B = [[_entry_or_zero(rng) for _ in range(k)] for _ in range(n)]
-    return A, B
+    return A
 
 
-def _outcome(solve, A, B):
+def _outcome(invert, A):
     try:
-        return solve(A, B)
+        return invert(A)
     except ConsistencyError as exc:
         return str(exc)
 
 
 def test_sparse_solve_matches_dense_oracle():
-    """The sparse elimination, read back through `dense_solve`, returns the
-    dense route's X, and its `ConsistencyError` with the same message
-    where A is singular, on 400 seeded systems of five
-    kinds (the random rational ones are singular now and then too)."""
+    """The sparse elimination, read back through `dense_inverse`, returns
+    the dense route's inverse, which times A is the identity, and its
+    `ConsistencyError` with the same message where A is singular, on 400
+    seeded matrices of five kinds (the random rational ones are singular
+    now and then too)."""
     rng = random.Random(20261020)
     kinds = ("fraction", "singular", "triangular", "0x0", "1x1")
     outcomes = Counter()
     for t in range(400):
         kind = kinds[t % len(kinds)]
-        A, B = _solve_case(rng, kind)
-        want = _outcome(dense_solve_oracle, A, B)
-        assert _outcome(dense_solve, A, B) == want, (A, B)
+        A = _solve_case(rng, kind)
+        want = _outcome(dense_inverse_oracle, A)
+        assert _outcome(dense_inverse, A) == want, A
         if isinstance(want, list):
             assert all(type(x) is Fraction for row in want for x in row)
+            n = len(A)
+            assert [[sum(A[i][k] * want[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
         outcomes[kind, isinstance(want, str)] += 1
     assert outcomes["singular", True] >= 60
     assert outcomes["triangular", False] == 80 and outcomes["0x0", False] == 80
@@ -848,9 +844,8 @@ def _chamber_matrix(A) -> list:
                               "boolean6", "semiorder3", "semiorder4"])
 def test_sparse_solve_matches_dense_oracle_on_chamber_matrices(A):
     B = _chamber_matrix(A)
-    identity = [[int(i == j) for j in range(len(B))] for i in range(len(B))]
     assert len(B) == len(B[0])
-    assert dense_solve(B, identity) == dense_solve_oracle(B, identity)
+    assert dense_inverse(B) == dense_inverse_oracle(B)
 
 
 class fraction_echelon_oracle:

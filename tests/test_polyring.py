@@ -5,7 +5,7 @@ import pytest
 
 from arrgr.arrangement import braid
 from arrgr.cordovil import CordovilAlgebra
-from arrgr.errors import ConsistencyError, InputError
+from arrgr.errors import InputError
 from arrgr.polyring import Poly, format_poincare
 
 
@@ -131,19 +131,17 @@ def test_arithmetic():
     assert p == Poly({((0, 1), 0): 1, ((0,), 0): -1, ((1,), 0): 1, ((), 0): -1})
     assert p - p == Poly.zero()
     assert 2 * e0 == e0 + e0
+    # a polynomial is true iff it has a term
+    assert bool(p) is True and bool(p - p) is False and bool(Poly.zero()) is False
 
 
-def test_substitute_and_divide_u():
+def test_substitute_u():
     e = Poly.generator(0)
     rel = e * (e - Poly.u())
     assert rel.substitute_u(0) == e * e
     assert rel.substitute_u(1) == e * e - e
     assert squarefree_reduce_oracle(rel.substitute_u(1)).is_zero
     assert rel.substitute_u(2) == rel.substitute_u(Fraction(2)) == e * e - 2 * e
-    div = (Poly.u() * e - Poly.u(2)).divide_u()
-    assert div == e - Poly.u()
-    with pytest.raises(ConsistencyError):
-        (e + Poly.u()).divide_u()
 
 
 def test_kill_squares_and_reduce():
@@ -177,6 +175,9 @@ def test_to_str_canonical():
     assert (e0 * e0 - Poly.u() * e0).to_str(labels) == "e12^2 - u*e12"
     assert Poly.zero().to_str(labels) == "0"
     assert (Poly.constant(Fraction(-1, 2)) + e0).to_str(labels) == "e12 - 1/2"
+    # a coefficient other than +/-1 is written before its monomial
+    assert (2 * e0).to_str() == "2*e0"
+    assert (2 * e0 - Fraction(3, 2) * Poly.u(2)).to_str(labels) == "-3/2*u^2 + 2*e12"
 
 
 def test_format_poincare():

@@ -367,9 +367,9 @@ def test_one_solve_per_call(monkeypatch):
     calls = []
     real = arrgr.symmetry.solve_square
 
-    def counted(B, rhs):
+    def counted(B):
         calls.append(len(B))
-        return real(B, rhs)
+        return real(B)
 
     monkeypatch.setattr(arrgr.symmetry, "solve_square", counted)
     A = braid(4)
@@ -387,8 +387,8 @@ def test_graded_character_refuses_a_non_integral_inverse(monkeypatch):
     other than 1 raises instead of entering the characters."""
     real = arrgr.symmetry.solve_square
 
-    def halved(B, rhs):
-        out = real(B, rhs)
+    def halved(B):
+        out = real(B)
         assert all(p == 1 for _, p in out)
         return [(row, 2 if c == len(out) - 1 else p) for c, (row, p) in enumerate(out)]
 
@@ -422,8 +422,8 @@ def test_graded_character_refuses_characters_that_do_not_sum(monkeypatch):
     sum to the chamber character."""
     real = arrgr.symmetry.solve_square
 
-    def swapped(B, rhs):
-        out = real(B, rhs)
+    def swapped(B):
+        out = real(B)
         out[0], out[1] = out[1], out[0]
         return out
 
@@ -458,20 +458,20 @@ def test_decompositions_need_a_symmetric_group():
 
 @pytest.mark.parametrize("A", [braid(4), semiorder(3)], ids=["braid4", "semiorder3"])
 def test_solve_gets_the_sparse_rows_of_the_masks(monkeypatch, A):
-    """`solve_square` gets the rows of [B | I] read off the chamber masks:
-    one entry per chamber of each basis monomial's mask, and one identity
-    entry per chamber; no dense row of zeros."""
+    """`solve_square` gets the rows of B read off the chamber masks: one
+    entry per chamber of each basis monomial's mask; no dense row of
+    zeros."""
     entries = []
     real = arrgr.symmetry.solve_square
 
-    def spy(B, rhs):
-        entries.append(sum(map(len, B)) + sum(map(len, rhs)))
-        return real(B, rhs)
+    def spy(B):
+        entries.append(sum(map(len, B)))
+        return real(B)
 
     monkeypatch.setattr(arrgr.symmetry, "solve_square", spy)
     graded_character(A, coordinate_action(A))
     masks = [monomial_mask(A, s) for s in nbc_sets(A)]
-    assert entries == [sum(m.bit_count() for m in masks) + len(A.chambers())]
+    assert entries == [sum(m.bit_count() for m in masks)]
 
 
 def _mobius(d):
@@ -778,6 +778,17 @@ def test_group_file_errors(data, message):
     with pytest.raises(InputError) as exc:
         group_from_json(braid(3), data)
     assert str(exc.value) == message
+
+
+def test_cycle_types_must_be_told_apart(monkeypatch):
+    """The pair (element order, class size) tells the cycle types of S_n
+    apart for n <= 5; were it not injective (here every class size is 1,
+    so (2, 2) and (2, 1, 1) of S4 share the key (2, 1)), the
+    identification raises instead of picking one."""
+    monkeypatch.setattr(arrgr.symmetry, "class_size", lambda mu: 1)
+    with pytest.raises(ConsistencyError) as exc:
+        arrgr.symmetry._identify_sn_classes(4, (), ())
+    assert str(exc.value) == "ambiguous cycle-type identification"
 
 
 def test_consistency_error_on_fake_symmetry():

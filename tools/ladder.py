@@ -27,15 +27,15 @@ tree's time over the first's, each ratio from the pair of runs made back
 to back in one repeat, so one read tells a layer change from the host's
 pace, which moves both runs of a pair alike.  Every run also reports
 peak_rss_mib, the peak resident set size of its interpreter
-(`resource.getrusage`), listed per run as peak_rss_mib_runs.  On every
-layer but chambers an interpreter runs its
-measurement PASSES times (STRETCH_PASSES on a stretch rung), each pass on
-fresh inputs built untimed, and reports the first pass's keys (the cold
-times and the md5s) with, next to each timed key K_s, K_min_s, the least
-of its times over the passes: a cold time spreads by a third between
-interpreters on a shared host, and one pinned interpreter's best resolves
-a layer change of 10-30% that the cold medians hide (on characters'
-semiorder3, a 0.3 ms call).  Layers:
+(`resource.getrusage`), listed per run as peak_rss_mib_runs.  An
+interpreter runs its layer's measurement PASSES times (STRETCH_PASSES on
+a stretch rung), each pass on fresh inputs built untimed, and reports
+the first pass's keys (the cold times, the counts and the md5s) with,
+next to each timed key K_s, K_min_s, the least of its times over the
+passes: a cold time spreads by a third between interpreters on a shared
+host, and one pinned interpreter's best resolves a layer change of 10-30%
+that the cold medians hide (on characters' semiorder3, a 0.3 ms call).
+Layers:
 
   chambers    `Arrangement.chambers()` of a fresh copy (the rung `randoms`
               is `random_rational_arrangement` for seeds 1-8, together),
@@ -43,7 +43,8 @@ semiorder3, a 0.3 ms call).  Layers:
               those that directly follow a cut call answered false, and
               cut calls, all the others; fm_rows is the number of rows
               handed to them and fm_vars the largest number of variables
-              of one call (0 if there is none).
+              of one call (0 if there is none); each pass counts its own
+              calls, and `strict_feasible` is restored after it.
   algebra     after the circuits and a `CordovilAlgebra` are built:
               straighten_s, `straighten(Poly.monomial(s))` for every subset
               s of the hyperplanes on an empty straightening table,
@@ -112,7 +113,7 @@ def _md5(value) -> str:
 
 FAMILIES = ("braid", "semiorder", "boolean")
 TIMEOUT_S = 120
-PASSES = 15  # measurements per interpreter on the layers that take passes
+PASSES = 15  # measurements per interpreter
 STRETCH_PASSES = 5
 
 
@@ -159,10 +160,13 @@ def measure_chambers(rung: str) -> dict:
 
     arrgr.arrangement.strict_feasible = counted
     chambers, elapsed = [], 0.0
-    for A in _make(rung):
-        found, seconds = _timed(A.chambers)
-        chambers += found
-        elapsed += seconds
+    try:
+        for A in _make(rung):
+            found, seconds = _timed(A.chambers)
+            chambers += found
+            elapsed += seconds
+    finally:  # the next pass counts its own calls, not through this one
+        arrgr.arrangement.strict_feasible = feasible
     return {"chambers": len(chambers), "fm_cut_calls": calls["cut"],
             "fm_side_calls": calls["side"], "fm_rows": calls["rows"],
             "fm_vars": calls["vars"], "wall_s": elapsed, "chambers_md5": _md5(chambers)}
@@ -306,9 +310,9 @@ def _best_of(measure, rung: str, passes: int) -> dict:
     return out
 
 
-def _layer(rungs, measure, repeats, stretch, what, randoms=(), passes=False) -> dict:
+def _layer(rungs, measure, repeats, stretch, what, randoms=()) -> dict:
     return {"rungs": rungs, "measure": measure, "repeats": repeats,
-            "stretch": stretch, "what": what, "randoms": randoms, "passes": passes}
+            "stretch": stretch, "what": what, "randoms": randoms}
 
 
 LAYERS = {
@@ -325,7 +329,7 @@ LAYERS = {
         "cold straighten of every squarefree monomial, one "
         "validate_circuit_axioms call, criterion 9(d)'s 200 seeded "
         "triples with five products each, and 200 seeded pairs straightened "
-        "from their polynomial product", ("random8",), passes=True),
+        "from their polynomial product", ("random8",)),
     "characters": _layer(
         ["braid3", "braid4", "braid5", "braid6", "boolean4", "boolean5",
          "semiorder3", "semiorder4"], measure_characters, 5,
@@ -333,7 +337,7 @@ LAYERS = {
         "a cold coordinate_action of S_n, then graded_character under it, "
         "cold (first call, filtration included) and warm (second call), and "
         "a cold chamber_permutation of every class representative on a new "
-        "arrangement after its chambers, tope value included", passes=True),
+        "arrangement after its chambers, tope value included"),
     "filtration": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7"],
         measure_filtration, 5, {"braid7": 3},
@@ -341,7 +345,7 @@ LAYERS = {
         "verify_relations, which reads its cached certificate, a cold "
         "presentation_dimension(A, (1, 2), nmax=n) on a second such "
         "arrangement, and the whole `arrgr ... --nmax max(14, n) vg` command "
-        "on a new arrangement", passes=True),
+        "on a new arrangement"),
     "relations": _layer(
         [f"braid{n}" for n in range(4, 8)] + ["semiorder3", "semiorder4", "boolean7",
                                                "random8", "randoms"],
@@ -349,7 +353,7 @@ LAYERS = {
         "after the minimal infeasible sets and canonical circuits: cold "
         "rees_relation_families, then vg_relation_families, then "
         "presentation_dimension(A, F, nmax=n) for F = (1, 2) and (1, 3)",
-        ("random8", "randoms"), passes=True),
+        ("random8", "randoms")),
 }
 
 
@@ -363,11 +367,8 @@ def child(layer: str, src: str, rung: str) -> dict:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, src)
     spec = LAYERS[layer]
-    if spec["passes"]:
-        passes = STRETCH_PASSES if rung in spec["stretch"] else PASSES
-        out = _best_of(spec["measure"], rung, passes)
-    else:
-        out = spec["measure"](rung)
+    passes = STRETCH_PASSES if rung in spec["stretch"] else PASSES
+    out = _best_of(spec["measure"], rung, passes)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out["peak_rss_mib"] = rss / (2**20 if sys.platform == "darwin" else 2**10)
     return out
@@ -464,9 +465,9 @@ def main(argv: list) -> int:
                 "over fresh interpreters per tree, alternating; "
                 "time.perf_counter; one "
                 f"pinned CPU where available); timeout {TIMEOUT_S} s"
-                + (f"; K_min_s is the least of K_s over {PASSES} passes in one "
-                   f"interpreter ({STRETCH_PASSES} on a stretch rung), each on "
-                   "fresh inputs" if layer["passes"] else ""),
+                f"; K_min_s is the least of K_s over {PASSES} passes in one "
+                f"interpreter ({STRETCH_PASSES} on a stretch rung), each on "
+                "fresh inputs",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "trees": [label for label, _ in trees],
