@@ -462,22 +462,32 @@ def arrangement_to_json(A: Arrangement) -> dict:
 # a rational string as `arrangement_to_json` writes it: ASCII digits, an
 # optional minus sign and an optional denominator
 _CANONICAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_QUOTED = 32  # the most characters of a malformed string that an error quotes
+
+
+def _quote(value: str) -> str:
+    """A string as JSON for a one-line error: whole up to `_QUOTED`
+    characters, else its first `_QUOTED` and its length."""
+    if len(value) <= _QUOTED:
+        return json.dumps(value)
+    return f"{json.dumps(value[:_QUOTED])}... ({len(value)} characters)"
 
 
 def _number(value, where: str):
     """An exact JSON number: an integer or a canonical rational string
     (`_CANONICAL`), read before any Fraction is built.  Floats (binary
     fractions), booleans and zero denominators are refused; any other JSON
-    kind, or string, is named, with `where`, in a malformed-data error."""
+    kind, or string (a long one cut by `_quote`), is named, with `where`,
+    in a malformed-data error."""
     if isinstance(value, (bool, float)):
         raise _not_exact(value)
     if isinstance(value, str):
         match = _CANONICAL.fullmatch(value)
         if match is None:
             raise _malformed(f"{where} must be an integer or a rational string, "
-                             f"not {json.dumps(value)}")
+                             f"not {_quote(value)}")
         if match[1] is not None and not match[1].strip("0"):
-            raise InputError(f"{json.dumps(value)} has a zero denominator")
+            raise InputError(f"{_quote(value)} has a zero denominator")
     elif not isinstance(value, int):
         raise _malformed(f"{where} must be an integer or a rational string, "
                          f"not {_json_kind(value)}")
@@ -493,7 +503,7 @@ def _integer(value, where: str) -> int:
         return int(value)
     except ValueError:  # a rational string, or an integer string too long
         if "/" in value:
-            raise _malformed(f"{where} must be an integer, not {json.dumps(value)}") from None
+            raise _malformed(f"{where} must be an integer, not {_quote(value)}") from None
         raise _malformed(f"{where} has {len(value.lstrip('-'))} digits, more "
                          "than Python converts") from None
 

@@ -3,20 +3,21 @@
 Everything is exact and no floating point is used anywhere.  Inputs are
 rationals (ints, Fractions or canonical strings); the eliminations run over
 integers, each rational row scaled once to a primitive integer row.  There
-are three: `SparseEchelon`, the one elimination for ranks, kernels and
-consistency (`rank`, `rref`, `rank_and_kernel` and
-`affine_system_consistent` each read one echelon of the rows, keyed by
-column); `solve_square`, the inverse of a square matrix by sparse
-Gauss-Jordan on the dict rows of [A | I] (it pivots where the fewest
-entries are, so a matrix that is triangular up to row and column order,
-like the chamber matrices `graded_character` inverts, fills in nothing);
-and the Fourier-Motzkin test `strict_feasible`.  `rref` returns Fractions,
-made only when the result is emitted; `solve_square` takes sparse rows
-and returns the inverse's, each an integer dict over one positive
-denominator.  Other matrices are sequences of equal-length rows;
-vectors are tuples.  `rank_and_kernel` normalizes its kernel basis with a
-second `rref`; it serves the public API and the tests, while the circuit
-scan, which needs one kernel vector per dependent extension, runs its own
+are two algorithms.  `SparseEchelon`, with the one integer
+back-substitution `_back_substitute`, is the one elimination: `rank`,
+`rref`, `rank_and_kernel` and `affine_system_consistent` each read one
+echelon of the rows, keyed by column, and `solve_square`, the inverse of a
+square matrix, is one echelon of the dict rows of [A | I] in a
+fill-reducing column order (a matrix that is triangular up to row and
+column order, like the chamber matrices `graded_character` inverts, fills
+in little), reduced by the same back-substitution.  The other is the
+Fourier-Motzkin test `strict_feasible`.  `rref` returns Fractions, made
+only when the result is emitted; `solve_square` takes sparse rows and
+returns the inverse's, each an integer dict over one positive
+denominator.  Other matrices are sequences of equal-length rows; vectors
+are tuples.  `rank_and_kernel` normalizes its kernel basis with a second
+`rref`; it serves the public API and the tests, while the circuit scan,
+which needs one kernel vector per dependent extension, runs its own
 incremental integer elimination and calls only `rank` here.
 
 The chamber search asks `strict_feasible` only what its rules leave
@@ -93,30 +94,48 @@ def _echelon(rows) -> SparseEchelon:
     return echelon
 
 
+def _back_substitute(pivots: dict) -> dict:
+    """The pivot rows of an echelon {pivot key: primitive integer row}
+    reduced over Z, from the last pivot back: each row loses its entries at
+    later pivots by the integer step a*row - b*reduced[c], with (a, b) =
+    (reduced[c][c], row[c])/gcd and a > 0, and is divided by its content.
+    A row of `reduced` has no entry at an earlier key or at another pivot,
+    so one pass per row leaves it with its own pivot, still positive, as
+    its only entry at a pivot key; over Q it is the reduced echelon row
+    times its pivot."""
+    reduced = {}
+    for p in sorted(pivots, reverse=True):
+        row = dict(pivots[p])
+        for c in [c for c in row if c in reduced]:
+            prow = reduced[c]
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in prow.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        g = gcd(*row.values())
+        reduced[p] = {k: v // g for k, v in row.items()} if g != 1 else row
+    return reduced
+
+
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns), the rows as
     lists of Fractions (zero rows last).  The elimination is the integer
-    one of `SparseEchelon`; its pivot rows are reduced from the last pivot
-    back, each divided by its pivot.  The reduced echelon form is unique,
-    so this is elimination over Q."""
+    one of `SparseEchelon`, reduced by `_back_substitute`; each row is then
+    divided by its pivot.  The reduced echelon form is unique, so this is
+    elimination over Q."""
     rows = _to_rows(matrix)
     width = len(rows[0]) if rows else 0
-    pivot_rows = _echelon(rows).pivots
-    pivots = sorted(pivot_rows)
-    reduced = {}  # pivot column -> its reduced row, a dict over Q
-    for p in reversed(pivots):
-        row = pivot_rows[p]
-        out = {c: Fraction(v, row[p]) for c, v in row.items()}
-        for c in [c for c in out if c in reduced]:
-            f = out[c]
-            for k, v in reduced[c].items():
-                x = out.get(k, _ZERO) - f * v
-                if x:
-                    out[k] = x
-                else:
-                    del out[k]
-        reduced[p] = out
-    dense = [[reduced[p].get(c, _ZERO) for c in range(width)] for p in pivots]
+    reduced = _back_substitute(_echelon(rows).pivots)
+    pivots = sorted(reduced)
+    dense = [[Fraction(reduced[p].get(c, 0), reduced[p][p]) for c in range(width)]
+             for p in pivots]
     return dense + [[_ZERO] * width for _ in rows[len(pivots):]], pivots
 
 
@@ -164,83 +183,44 @@ def affine_system_consistent(rows, rhs) -> bool:
 
 def solve_square(A):
     """The inverse of a square invertible A, given as a list of n sparse
-    rows {column: int or Fraction} with columns in range(n).
+    rows {column: int or Fraction} with columns in range(n); other entries
+    go through `frac`, as in `_to_rows`.
 
-    Sparse fraction-free Gauss-Jordan elimination on the rows of [A | I],
-    each one primitive integer dict row.  The pivot is taken in the
-    unfinished row with the fewest entries in A, at its column held by the
-    fewest rows: when A is triangular up to row and column order, that row
-    is a singleton and the elimination fills nothing in A.  A step is the
-    integer row operation a*row - b*pivot with (a, b) = (p, f)/gcd(p, f)
-    for pivot p and entry f, then division by the content when a is not
-    +/-1.  At the end each row holds one entry p of A, at column c, and
-    row c of A⁻¹ is the row's identity part over p.  It is returned as
-    (row, p): an integer dict over the columns range(n) and p > 0 with no
-    common factor, so entry j of row c of A⁻¹ is row.get(j, 0) / p.
+    One `SparseEchelon` of the rows of [A | I], then `_back_substitute`.
+    The columns of A are keyed in a fill-reducing order: by how few rows
+    hold them, ties by index, and the shortest rows go in first, so a
+    matrix that is triangular up to row and column order, like the chamber
+    matrices `graded_character` inverts, fills in little; identity column
+    i has key n + i.  The n rows are independent, so A is singular iff a
+    pivot lands at a key n or more.  Otherwise the reduced row at column
+    c's key holds one entry p of A, and row c of A⁻¹ is its identity part
+    over p.  It is returned as (row, p): an integer dict over the columns
+    range(n) and p > 0 with no common factor, so entry j of row c of A⁻¹ is
+    row.get(j, 0) / p.
     """
     n = len(A)
-    rows = []
-    for i, a in enumerate(A):
+    holders = [0] * n  # the number of rows with an entry in column c
+    for a in A:
         if not all(type(c) is int and 0 <= c < n for c in a):
             raise InputError("dimension mismatch in solve_square")
-        values = _primitive_row([*a.values(), 1])
-        rows.append({c: x for c, x in zip([*a, n + i], values) if x})
-    holders = [set() for _ in range(n)]  # the rows with an entry in column c of A
-    for i, row in enumerate(rows):
-        for c in row:
-            if c < n:
-                holders[c].add(i)
-    entries = [sum(c < n for c in row) for row in rows]  # the number of entries in A of each row
-    unfinished = list(range(n))
-    pivots = []  # (row, column)
-    for _ in range(n):
-        r = min(unfinished, key=entries.__getitem__)
-        if not entries[r]:
-            raise ConsistencyError("singular matrix in solve_square")
-        unfinished.remove(r)
-        prow = rows[r]
-        c = min((c for c in prow if c < n), key=lambda c: len(holders[c]))
-        pivots.append((r, c))
-        p = prow[c]
-        for i in sorted(holders[c]):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for col in row:
-                    row[col] *= a
-            for col, v in prow.items():
-                old = row.get(col)
-                if old is None:
-                    row[col] = -b * v
-                    if col < n:
-                        holders[col].add(i)
-                        entries[i] += 1
-                else:
-                    new = old - b * v
-                    if new:
-                        row[col] = new
-                    else:
-                        del row[col]
-                        if col < n:
-                            holders[col].discard(i)
-                            entries[i] -= 1
-            if a not in (1, -1):
-                g = gcd(*row.values())
-                if g != 1:
-                    for col in row:
-                        row[col] //= g
-    inverse = [None] * n
-    for r, c in pivots:
-        row = rows[r]
-        p = row.pop(c)
-        g = gcd(p, *row.values())
-        if p < 0:
-            g = -g
-        inverse[c] = ({j - n: v // g for j, v in row.items()}, p // g)
+        for c in a:
+            holders[c] += 1
+    key = [0] * n
+    for k, c in enumerate(sorted(range(n), key=holders.__getitem__)):
+        key[c] = k
+    echelon = SparseEchelon()
+    for i in sorted(range(n), key=lambda i: len(A[i])):
+        row = {key[c]: x if type(x) is int else frac(x) for c, x in A[i].items()}
+        row[n + i] = 1
+        echelon.add(row)
+    if any(k >= n for k in echelon.pivots):
+        raise ConsistencyError("singular matrix in solve_square")
+    reduced = _back_substitute(echelon.pivots)
+    inverse = []
+    for c in range(n):
+        row = reduced[key[c]]
+        p = row.pop(key[c])
+        inverse.append(({j - n: v for j, v in row.items()}, p))
     return inverse
 
 

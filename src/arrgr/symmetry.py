@@ -19,8 +19,9 @@ construction; see `graded_character`), so B⁻¹ρ(w)B is block upper
 triangular along the flag P^0 ⊂ P^1 ⊂ ..., and the trace of its k-th
 diagonal block is the character of gr^k = P^k / P^{k-1}.  B⁻¹ is solved
 once per call, by one `solve_square` (the inverse) on the sparse rows of B
-read off the monomials' chamber masks, and shared by every conjugacy
-class.
+read off the monomials' chamber masks: one `SparseEchelon` of [B | I],
+one row per chamber, and its back-substitution.  It is shared by every
+conjugacy class.
 The NBC monomials are a Z-basis (Varchenko-Gelfand 1987), so B⁻¹ is
 integral (a denominator other than 1 raises `ConsistencyError`) and each
 diagonal entry is an integer sum over the stored entries of one row.

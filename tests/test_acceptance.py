@@ -1,6 +1,7 @@
 """One test per acceptance criterion; each prints its PASS/FAIL line.  Each
 criterion's FAIL branches, fed wrong answers, name what failed."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +39,22 @@ def test_paper_suite_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.count("PASS") == len(acceptance.ALL_CRITERIA)
+
+
+def test_paper_suite_json_matches_the_text_lines(capsys):
+    """`paper-suite --json` reports the same nine criteria as the text
+    lines: each entry, formatted as a result line, is the text line."""
+    from arrgr.cli import main
+
+    assert main(["paper-suite"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["paper-suite", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert len(entries) == len(lines) == len(acceptance.ALL_CRITERIA) == 9
+    assert [acceptance.CriterionResult(e["criterion"], e["name"], e["ok"],
+                                       e["detail"]).line()
+            for e in entries] == lines
+    assert [e["criterion"] for e in entries] == list(range(1, 10))
 
 
 def identity_classes(A):

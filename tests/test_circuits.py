@@ -71,6 +71,12 @@ def test_braid3_circuits():
     assert set(C.circuits) == {X, X.negate()}
 
 
+def test_signed_set_sign_is_zero_off_the_support():
+    X = SignedSet(frozenset({0, 2}), frozenset({1}))
+    assert [X.sign(i) for i in range(4)] == [1, -1, 1, 0]
+    assert X.negate().sign(3) == 0
+
+
 def test_single_hyperplane_no_circuits():
     C = circuits_from_arrangement(single_hyperplane())
     assert C.circuits == ()

@@ -237,10 +237,20 @@ def test_arrangement_numbers_must_be_exact(capsys, tmp_path, constant, code):
     ({"dim": 1, "forms": [{"linear": ["1"], "constant": "1e5000", "label": "x"}]},
      'malformed arrangement data: "constant" must be an integer or a rational '
      'string, not "1e5000"'),
+    # a long string is quoted by its first 32 characters and its length
+    ({"dim": 1, "forms": [{"linear": ["1e" + "1" * 5000], "constant": 0, "label": "x"}]},
+     'malformed arrangement data: a "linear" entry must be an integer or a '
+     'rational string, not "1e' + "1" * 30 + '"... (5002 characters)'),
+    ({"dim": "1" * 5000 + "/1", "forms": []},
+     'malformed arrangement data: "dim" must be an integer, not "'
+     + "1" * 32 + '"... (5002 characters)'),
+    ({"dim": 1, "forms": [{"linear": ["1/" + "0" * 5000], "constant": 0, "label": "x"}]},
+     '"1/' + "0" * 30 + '"... (5002 characters) has a zero denominator'),
 ], ids=["missing-key", "missing-form-key", "top-level-list", "forms-object",
         "form-string", "float", "null-dim", "list-constant", "null-linear-entry",
         "string-dim", "rational-dim", "string-constant", "string-linear-entry",
-        "multiline-constant", "exponent-constant"])
+        "multiline-constant", "exponent-constant", "long-linear-entry",
+        "long-rational-dim", "long-zero-denominator"])
 def test_arrangement_error_prefix_only_for_parse_errors(capsys, tmp_path, data, message):
     """An input error raised while reading a form keeps its own message;
     the "malformed arrangement data: " prefix is for parse errors only."""

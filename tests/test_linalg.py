@@ -752,6 +752,13 @@ def test_solve_square_rejects_singular_and_mismatched_input():
     for bad_a in ([{0: 1, 1: 2}], [{0: 1}, {2: 1}], [{-1: 1}], [{1.5: 1}], [{"x": 1}]):
         with pytest.raises(InputError, match="^dimension mismatch in solve_square$"):
             solve_square(bad_a)
+    # entries as in `_to_rows`: ints pass through, the rest through `frac`
+    for entry, shown in ((1.5, "1.5"), (True, "true")):
+        with pytest.raises(InputError) as exc:
+            solve_square([{0: entry}])
+        assert str(exc.value) == (f'{shown} is not exact; write integers or '
+                                  'rational strings like "1/10"')
+    assert solve_square([{0: "2"}]) == [({0: 1}, 2)]
 
 
 def dense_inverse_oracle(A):

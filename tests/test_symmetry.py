@@ -344,20 +344,31 @@ def test_every_stage_is_stable_under_the_class_representatives(corpus_map):
 
 def test_cached_filtration_characters_run_no_echelon(monkeypatch):
     """With the filtration cached, the characters insert no echelon
-    column: each stage's stability is not re-derived."""
+    column: each stage's stability is not re-derived.  The only inserts
+    are the rows of [B | I] inside the one `solve_square`, one per
+    chamber."""
     A = braid(4)
     group = coordinate_action(A)
     filtration_profile(A)
-    adds = []
-    real = SparseEchelon.add
+    adds = []  # per insert: whether it ran inside solve_square
+    solving = [False]
+    real_add = SparseEchelon.add
+    real_solve = arrgr.symmetry.solve_square
 
     def counted(self, column):
-        adds.append(1)
-        return real(self, column)
+        adds.append(solving[0])
+        return real_add(self, column)
+
+    def solve(B):
+        solving[0] = True
+        inverse = real_solve(B)
+        solving[0] = False
+        return inverse
 
     monkeypatch.setattr(SparseEchelon, "add", counted)
+    monkeypatch.setattr(arrgr.symmetry, "solve_square", solve)
     graded_character(A, group)
-    assert adds == []
+    assert adds == [True] * 24
 
 
 def test_one_solve_per_call(monkeypatch):
